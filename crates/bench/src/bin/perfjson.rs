@@ -167,7 +167,7 @@ fn main() {
             let mut prof = SerialProfiler::with_maps(
                 HashShadowMap::new(),
                 HashShadowMap::new(),
-                p.num_mem_ops(),
+                p.mem_op_meta(),
                 EngineConfig::default(),
                 true,
             );

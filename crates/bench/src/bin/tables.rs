@@ -976,13 +976,11 @@ fn fp_model() {
                 sig.set(
                     a,
                     profiler::Cell {
-                        op: 0,
-                        line: 0,
-                        var: 0,
-                        thread: 0,
                         ts: 0,
+                        op: 0,
                         instance: u32::MAX,
                         iter: 0,
+                        thread: 0,
                     },
                 );
             }

@@ -13,8 +13,39 @@
 //! its whole value is staying slow the old way.
 
 use interp::{Event, MemEvent, Sink};
-use profiler::{Access, Cell, Dep, DepSet, DepType, PetBuilder, SrcLoc, NO_INSTANCE};
+use profiler::{Access, Dep, DepSet, DepType, PetBuilder, SrcLoc, NO_INSTANCE};
 use std::collections::HashMap;
+
+/// The seed's seven-field shadow cell: line and variable stored per address.
+/// Deliberately not `profiler::Cell` — an oracle must not share the
+/// representation under test. `op` and `var` are never read back; they stay
+/// so the seed's per-address footprint (and so its timing) is the seed's.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    #[allow(dead_code)]
+    op: u32,
+    line: u32,
+    #[allow(dead_code)]
+    var: u32,
+    thread: u32,
+    ts: u64,
+    instance: u32,
+    iter: u32,
+}
+
+impl Cell {
+    fn from_access(a: &Access) -> Self {
+        Cell {
+            op: a.op,
+            line: a.line,
+            var: a.var,
+            thread: a.thread,
+            ts: a.ts,
+            instance: a.instance,
+            iter: a.iter,
+        }
+    }
+}
 
 /// One dynamic loop instance (seed layout).
 #[derive(Debug, Clone, Copy)]
@@ -50,14 +81,15 @@ impl SeedProfiler {
     /// The merged dependences, converted to the current [`DepSet`] type so
     /// callers can compare against the new engine's output. Not part of the
     /// profiling hot path — benchmarks must run it *outside* the timed
-    /// region (see [`run_seed`]). Per-dependence counts are not preserved,
-    /// only the distinct set and the pre-merge total.
+    /// region (see [`run_seed`]). Per-dependence counts carry over, so a
+    /// differential test can see a lost or doubled occurrence as well as a
+    /// missing dependence.
     pub fn into_depset(self) -> DepSet {
         let mut out = DepSet::with_capacity(self.deps.len());
-        for d in self.deps.into_keys() {
-            out.insert(d);
+        for (d, n) in self.deps {
+            out.insert_n(d, n);
         }
-        out.total_found = self.total_found;
+        debug_assert_eq!(out.total_found, self.total_found);
         out
     }
 

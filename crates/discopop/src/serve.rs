@@ -342,28 +342,59 @@ impl Server {
 // Acceptor + connection handling
 // ---------------------------------------------------------------------------
 
+/// Most connections the acceptor takes from the backlog while draining
+/// (Linux caps a listen backlog at `somaxconn`, 4096 by default).
+const DRAIN_ACCEPT_MAX: usize = 4096;
+
 fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
     for stream in listener.incoming() {
+        // The stream that wakes a draining acceptor may be a client's, not
+        // the self-connect poke: it is answered like any other.
+        if let Ok(stream) = stream {
+            spawn_conn(shared, stream);
+        }
         if shared.draining() {
             break;
         }
-        let Ok(stream) = stream else { continue };
-        let shared = shared.clone();
-        let spawned = std::thread::Builder::new()
-            .name("discopop-conn".to_string())
-            .spawn(move || {
-                // A panicking connection handler (e.g. an armed
-                // `serve:accept`/`serve:respond` faultpoint) takes down
-                // only its own connection; the acceptor and every worker
-                // keep going.
-                if catch_unwind(AssertUnwindSafe(|| handle_conn(&shared, stream))).is_err() {
-                    shared.conn_recoveries.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        // Spawn failure (thread exhaustion) drops the connection — the
-        // client sees a reset and retries; the daemon stays up.
-        drop(spawned);
     }
+    // Draining. Connections that completed their handshake before the
+    // listener closes sit in the accept backlog; dropping the listener now
+    // would reset them. Hand each to a connection thread instead — every
+    // request it then reads gets the typed `shutting_down` answer from
+    // `submit_job` — and close once the backlog reads empty. The bound
+    // keeps a client that reconnects in a tight loop from holding the
+    // shutdown open: no backlog is deeper than it.
+    if listener.set_nonblocking(true).is_ok() {
+        for _ in 0..DRAIN_ACCEPT_MAX {
+            let Ok((stream, _)) = listener.accept() else {
+                break; // `WouldBlock`: the backlog is empty
+            };
+            // An accepted socket may inherit the listener's mode; the
+            // connection handler relies on blocking reads with a timeout.
+            if stream.set_nonblocking(false).is_ok() {
+                spawn_conn(shared, stream);
+            }
+        }
+    }
+}
+
+/// Serve one accepted connection on a thread of its own.
+fn spawn_conn(shared: &Arc<Shared>, stream: TcpStream) {
+    let shared = shared.clone();
+    let spawned = std::thread::Builder::new()
+        .name("discopop-conn".to_string())
+        .spawn(move || {
+            // A panicking connection handler (e.g. an armed
+            // `serve:accept`/`serve:respond` faultpoint) takes down
+            // only its own connection; the acceptor and every worker
+            // keep going.
+            if catch_unwind(AssertUnwindSafe(|| handle_conn(&shared, stream))).is_err() {
+                shared.conn_recoveries.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+    // Spawn failure (thread exhaustion) drops the connection — the
+    // client sees a reset and retries; the daemon stays up.
+    drop(spawned);
 }
 
 enum LineRead {

@@ -599,6 +599,40 @@ fn shutdown_with_a_spent_drain_deadline_abandons_queued_jobs_typed() {
 }
 
 #[test]
+fn connections_open_when_the_drain_begins_each_get_a_typed_answer() {
+    session(|| {
+        let server = serve(test_config()).expect("bind");
+        let addr = server.local_addr();
+
+        // Connect first, speak later: when the drain begins, some of these
+        // already have a connection thread and the rest still sit in the
+        // accept backlog, ahead of the acceptor's wake-up poke. Closing the
+        // listener over them would answer a reset.
+        const N: u64 = 64;
+        let mut streams: Vec<TcpStream> = (0..N)
+            .map(|_| TcpStream::connect(addr).expect("connect"))
+            .collect();
+        let report = server.shutdown();
+        assert!(report.drained, "nothing was queued: {report:?}");
+
+        for (id, stream) in (300..).zip(&mut streams) {
+            let mut line = analyze_req(id, "demo", HEALTHY_SRC).to_json().to_string();
+            line.push('\n');
+            stream
+                .write_all(line.as_bytes())
+                .unwrap_or_else(|e| panic!("connection {id} was reset: {e}"));
+            let mut reply = String::new();
+            BufReader::new(&*stream)
+                .read_line(&mut reply)
+                .unwrap_or_else(|e| panic!("connection {id} was reset: {e}"));
+            assert!(!reply.is_empty(), "connection {id} was closed unanswered");
+            let (got, kind, _) = error_kind_of(reply.trim_end());
+            assert_eq!((got, kind), (id, ErrorKind::ShuttingDown));
+        }
+    });
+}
+
+#[test]
 fn protocol_shutdown_request_acks_and_flags_the_owner() {
     session(|| {
         let server = serve(test_config()).expect("bind");

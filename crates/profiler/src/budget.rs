@@ -322,8 +322,9 @@ impl From<RuntimeError> for ProfileError {
 /// Powers of two stay even all the way down, so every later halving rung
 /// remains available.
 pub(crate) fn signature_slots_for_budget(max_memory_bytes: usize) -> usize {
-    let per_slot = 2 * std::mem::size_of::<Option<crate::maps::Cell>>();
-    let want = (max_memory_bytes / 2) / per_slot.max(1);
+    // One slot in each of the read and write maps.
+    let per_slot = 2 * crate::maps::SLOT_BYTES;
+    let want = (max_memory_bytes / 2) / per_slot;
     let cap = crate::run::EngineKind::AUTO_SIGNATURE_SLOTS;
     let mut slots = LADDER_MIN_SLOTS;
     while slots * 2 <= want && slots * 2 <= cap {

@@ -194,12 +194,13 @@ impl DepKey {
 /// occurrence count.
 ///
 /// Keyed with the in-repo [`fxhash`] hasher over the packed 16-byte
-/// [`DepKey`] (vs the 40-byte unpacked [`Dep`]): the map is probed once per
-/// profiled access that builds a dependence, so key size and hashing cost
-/// are directly on the profiling hot path. Dependences whose fields exceed
-/// the packed bit budgets — possible only for synthetic inputs, never for
-/// profiler-built dependences on realistic modules — fall back to a wide
-/// map keyed by the full `Dep`, preserving exactness.
+/// [`DepKey`] (vs the 40-byte unpacked [`Dep`]): the map is probed every
+/// time a static op builds a dependence other than its last one (the
+/// builder's per-op memo absorbs exact repeats), which on targets whose ops
+/// alternate threads or sources is still once per access. Dependences whose
+/// fields exceed the packed bit budgets — possible only for synthetic
+/// inputs, never for profiler-built dependences on realistic modules — fall
+/// back to a wide map keyed by the full `Dep`, preserving exactness.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct DepSet {
     map: FxHashMap<DepKey, u64>,
@@ -232,8 +233,8 @@ impl DepSet {
     }
 
     /// Record `n` occurrences of `dep` with a single probe — the flush path
-    /// of the dependence-combining caches in the chunked engine, where a
-    /// loop builds the same dependence once per iteration.
+    /// of the dependence builder's per-op memo, where a loop builds the same
+    /// dependence once per iteration.
     pub fn insert_n(&mut self, dep: Dep, n: u64) {
         if n == 0 {
             return;

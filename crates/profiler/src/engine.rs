@@ -3,12 +3,10 @@
 
 use crate::access::{Access, CarriedResolver, PackedAccess};
 use crate::dep::{Dep, DepSet, DepType, SrcLoc};
-use crate::maps::{AccessMap, Cell};
+use crate::maps::{AccessMap, Cell, NO_OP};
 use interp::MemOpMeta;
 use serde::Serialize;
-
-/// Empty status marker for skip-state comparisons.
-const NO_OP: u32 = u32::MAX;
+use std::sync::Arc;
 
 /// Engine options.
 #[derive(Debug, Clone, Default)]
@@ -187,44 +185,113 @@ impl GroupIndex {
     }
 }
 
-/// A small move-to-front cache of recently built dependences: loops build
-/// the same few merged dependences once per iteration, so most
-/// [`DepSet::insert`] probes collapse into a counter bump here and flush as
-/// one [`DepSet::insert_n`] per chunk.
-#[derive(Debug, Default)]
-struct DepCache {
-    entries: Vec<(Dep, u64)>,
-}
-
-/// Ways in the recent-dependence cache.
-const DEP_CACHE_WAYS: usize = 4;
-
 /// Distinct slots a streamed epoch may cache before it must write back —
 /// bounds the group cache's memory and the latency of a flush.
 const STREAM_EPOCH_CAP: usize = 4096;
 
-impl DepCache {
-    #[inline]
-    fn insert(&mut self, dep: Dep, n: u64, deps: &mut DepSet) {
-        for i in 0..self.entries.len() {
-            if self.entries[i].0 == dep {
-                self.entries[i].1 += n;
-                self.entries.swap(0, i);
-                return;
-            }
+/// The builder's output side: the merged dependence set, the per-op memo in
+/// front of it, and the static op table that resolves a stored cell's op id
+/// back to its source line.
+///
+/// The memo is §2.4 made output-identical. A memory operation in a loop
+/// rebuilds the same merged dependence on almost every iteration; instead
+/// of packing and hashing it into the set each time, each static sink op
+/// remembers the last dependence it built and a pending count. A repeat is
+/// one compare and one increment; a change flushes the old entry through
+/// [`DepSet::insert_n`]. Counts, `total_found` and the merge ratio are
+/// exactly those of per-access insertion once the memo is drained, which
+/// every reader of the set goes through ([`DepBuilder::deps`],
+/// [`DepBuilder::finish`]).
+#[derive(Debug)]
+struct DepStore {
+    set: DepSet,
+    /// Indexed by sink op id: the last dependence the op built, and how
+    /// often it was built since it last reached `set`.
+    memo: Vec<Option<(Dep, u64)>>,
+    meta: Arc<[MemOpMeta]>,
+}
+
+impl DepStore {
+    fn new(meta: Arc<[MemOpMeta]>) -> Self {
+        DepStore {
+            // Merged output typically holds a few distinct dependences per
+            // static memory op; pre-size so early profiling never rehashes.
+            set: DepSet::with_capacity(meta.len().clamp(64, 1 << 16)),
+            memo: vec![None; meta.len()],
+            meta,
         }
-        if self.entries.len() >= DEP_CACHE_WAYS {
-            if let Some((d, c)) = self.entries.pop() {
-                deps.insert_n(d, c);
-            }
-        }
-        self.entries.insert(0, (dep, n));
     }
 
-    fn flush(&mut self, deps: &mut DepSet) {
-        for (d, c) in self.entries.drain(..) {
-            deps.insert_n(d, c);
+    /// Count `n` occurrences of `dep`, whose sink is static op `sink_op`.
+    #[inline]
+    fn insert(&mut self, sink_op: u32, dep: Dep, n: u64) {
+        match &mut self.memo[sink_op as usize] {
+            Some((last, pending)) if *last == dep => *pending += n,
+            slot => {
+                if let Some((last, pending)) = slot.replace((dep, n)) {
+                    self.set.insert_n(last, pending);
+                }
+            }
         }
+    }
+
+    /// Build the `ty` dependence from `source` (the stored status of an
+    /// earlier access) to `sink`, `n` times.
+    #[inline]
+    fn record(
+        &mut self,
+        ty: DepType,
+        sink: &Access,
+        source: &Cell,
+        resolver: &impl CarriedResolver,
+        n: u64,
+    ) {
+        let carried_by =
+            resolver.carried_by(sink.instance, sink.iter, source.instance, source.iter);
+        // A timestamp inversion means the events were delivered in the
+        // reverse of execution order — only possible without mutual
+        // exclusion, i.e. a potential data race (§2.3.4).
+        let race_hint = sink.ts < source.ts;
+        let dep = Dep {
+            sink: SrcLoc::new(sink.line),
+            ty,
+            source: SrcLoc::new(self.meta[source.op as usize].line),
+            var: sink.var,
+            sink_thread: sink.thread,
+            source_thread: source.thread,
+            carried_by,
+            race_hint,
+        };
+        self.insert(sink.op, dep, n);
+    }
+
+    /// Record the INIT pseudo-dependence of a first write.
+    #[inline]
+    fn record_init(&mut self, sink: &Access) {
+        let dep = Dep {
+            sink: SrcLoc::new(sink.line),
+            ty: DepType::Init,
+            source: SrcLoc::new(sink.line),
+            var: u32::MAX,
+            sink_thread: sink.thread,
+            source_thread: sink.thread,
+            carried_by: None,
+            race_hint: false,
+        };
+        self.insert(sink.op, dep, 1);
+    }
+
+    /// Flush every pending memo entry into the set.
+    fn drain(&mut self) {
+        for slot in &mut self.memo {
+            if let Some((dep, pending)) = slot.take() {
+                self.set.insert_n(dep, pending);
+            }
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        self.set.bytes() + self.memo.capacity() * std::mem::size_of::<Option<(Dep, u64)>>()
     }
 }
 
@@ -273,64 +340,40 @@ impl ChunkScratch {
     }
 }
 
-/// Build one (merged) dependence from a packed sink access and a source
-/// cell, `n` times, through the recent-dependence cache — the
-/// chunked/streamed counterpart of [`DepBuilder::record`].
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn record_dep(
-    deps: &mut DepSet,
-    dep_cache: &mut DepCache,
-    ty: DepType,
-    sink: &PackedAccess,
-    m: &MemOpMeta,
-    source: &Cell,
-    resolver: &impl CarriedResolver,
-    n: u64,
-) {
-    let carried_by = resolver.carried_by(sink.instance, sink.iter, source.instance, source.iter);
-    let race_hint = sink.ts < source.ts;
-    dep_cache.insert(
-        Dep {
-            sink: SrcLoc::new(m.line),
-            ty,
-            source: SrcLoc::new(source.line),
-            var: m.var,
-            sink_thread: sink.thread as u32,
-            source_thread: source.thread,
-            carried_by,
-            race_hint,
-        },
-        n,
-        deps,
-    );
-}
-
 /// Dependence builder over an access map `M` (signature or perfect).
 #[derive(Debug)]
 pub struct DepBuilder<M: AccessMap> {
     read_map: M,
     write_map: M,
-    /// Merged dependence store.
-    pub deps: DepSet,
+    /// Merged dependence set behind its per-op memo; read it through
+    /// [`DepBuilder::deps`].
+    out: DepStore,
     cfg: EngineConfig,
     skip: Vec<SkipState>,
     /// Skip counters.
     pub stats: SkipStats,
     scratch: ChunkScratch,
-    dep_cache: DepCache,
 }
 
 impl<M: AccessMap> DepBuilder<M> {
-    /// Create an engine with separate read/write maps. `num_ops` sizes the
-    /// per-operation skip table (0 is fine when skipping is disabled).
+    /// Create an engine with separate read/write maps. `meta` is the
+    /// target's static op table ([`interp::Program::mem_op_meta`]): every
+    /// access processed must carry an op id inside it, with the line and
+    /// variable the table gives — stored cells keep only the op id, and a
+    /// dependence's source line is read back from here.
     ///
     /// The two maps must share slot geometry ([`AccessMap::slot_key`]
     /// must agree on every address): the chunked/streamed paths group
     /// accesses by the read map's key and apply the group's write status
     /// through the same entry. Equal-shaped maps (as every constructor in
     /// this crate builds) satisfy this by construction.
-    pub fn new(read_map: M, write_map: M, num_ops: u32, cfg: EngineConfig) -> Self {
+    pub fn new(
+        read_map: M,
+        write_map: M,
+        meta: impl Into<Arc<[MemOpMeta]>>,
+        cfg: EngineConfig,
+    ) -> Self {
+        let meta = meta.into();
         #[cfg(debug_assertions)]
         for probe in [0u64, 0x40, 0x1000, 0xFFFF_FFF8, 0x1234_5678_9AB8] {
             debug_assert_eq!(
@@ -340,22 +383,28 @@ impl<M: AccessMap> DepBuilder<M> {
             );
         }
         let skip = if cfg.skip_loops {
-            vec![SkipState::default(); num_ops as usize]
+            vec![SkipState::default(); meta.len()]
         } else {
             Vec::new()
         };
         DepBuilder {
             read_map,
             write_map,
-            // Merged output typically holds a few distinct dependences per
-            // static memory op; pre-size so early profiling never rehashes.
-            deps: DepSet::with_capacity((num_ops as usize).clamp(64, 1 << 16)),
+            out: DepStore::new(meta),
             cfg,
             skip,
             stats: SkipStats::default(),
             scratch: ChunkScratch::default(),
-            dep_cache: DepCache::default(),
         }
+    }
+
+    /// The merged dependences found so far. Drains the per-op memo first,
+    /// so counts and totals are exact as of the last processed access
+    /// (accesses still cached in an open streamed epoch included — their
+    /// dependences are built as they arrive).
+    pub fn deps(&mut self) -> &DepSet {
+        self.out.drain();
+        &self.out.set
     }
 
     /// Evict a dead address range from both maps (lifetime analysis).
@@ -371,7 +420,7 @@ impl<M: AccessMap> DepBuilder<M> {
     pub fn bytes(&self) -> usize {
         self.read_map.bytes()
             + self.write_map.bytes()
-            + self.deps.bytes()
+            + self.out.bytes()
             + self.skip.capacity() * std::mem::size_of::<SkipState>()
     }
 
@@ -481,8 +530,8 @@ impl<M: AccessMap> DepBuilder<M> {
     /// 2. probe the statuses of all distinct slots with the batched
     ///    [`AccessMap::get_many`] (8-wide);
     /// 3. replay the chunk in original order against the in-cache group
-    ///    statuses, funnelling built dependences through a small
-    ///    recent-dependence cache that flushes via [`DepSet::insert_n`];
+    ///    statuses (built dependences go through the same per-op memo as
+    ///    the scalar path);
     /// 4. write the final cell of every touched slot back with
     ///    [`AccessMap::set_many`].
     ///
@@ -493,14 +542,13 @@ impl<M: AccessMap> DepBuilder<M> {
     pub fn process_packed_chunk(
         &mut self,
         items: &[PackedAccess],
-        meta: &[MemOpMeta],
         resolver: &impl CarriedResolver,
     ) {
         if self.cfg.skip_loops {
             // The skip optimization keys its state on per-access map
             // probes; keep it on the scalar path for exactness.
             for it in items {
-                let a = it.unpack(&meta[it.op as usize]);
+                let a = it.unpack(&self.out.meta[it.op as usize]);
                 for _ in 0..=it.rep {
                     self.process(&a, resolver);
                 }
@@ -511,7 +559,7 @@ impl<M: AccessMap> DepBuilder<M> {
         // maps before the chunked path re-probes them.
         self.flush_groups();
         // Take the scratch out of `self` so the replay loop can borrow the
-        // builder (dep cache, stats) and the scratch independently.
+        // builder (dependence store, stats) and the scratch independently.
         let mut s = std::mem::take(&mut self.scratch);
         s.entries.clear();
         s.index.begin(items.len());
@@ -548,12 +596,10 @@ impl<M: AccessMap> DepBuilder<M> {
             // statuses.
             for (it, &idx) in items.iter().zip(&s.entry_of) {
                 Self::replay_item(
-                    &mut self.deps,
-                    &mut self.dep_cache,
+                    &mut self.out,
                     &mut self.stats,
                     &mut s.entries[idx as usize],
                     it,
-                    meta,
                     resolver,
                 );
             }
@@ -574,12 +620,10 @@ impl<M: AccessMap> DepBuilder<M> {
                     ));
                 }
                 Self::replay_item(
-                    &mut self.deps,
-                    &mut self.dep_cache,
+                    &mut self.out,
                     &mut self.stats,
                     &mut s.entries[idx as usize],
                     it,
-                    meta,
                     resolver,
                 );
             }
@@ -587,9 +631,6 @@ impl<M: AccessMap> DepBuilder<M> {
         // Pass 4: write the final slot states back, batched.
         s.write_back(&mut self.read_map, &mut self.write_map);
         self.scratch = s;
-        // Keep the invariant that `deps` is fully materialized between
-        // chunks (finish(), bytes(), and tests read it directly).
-        self.dep_cache.flush(&mut self.deps);
     }
 
     /// Process one packed access through a *persistent* group cache — the
@@ -602,16 +643,11 @@ impl<M: AccessMap> DepBuilder<M> {
     /// [`DepBuilder::flush_groups`], any [`DepBuilder::clear_range`], a
     /// mode switch to the chunked path, [`DepBuilder::finish`], or when
     /// the cache reaches its capacity (`STREAM_EPOCH_CAP` distinct slots).
-    pub fn process_streamed(
-        &mut self,
-        it: &PackedAccess,
-        meta: &[MemOpMeta],
-        resolver: &impl CarriedResolver,
-    ) {
+    pub fn process_streamed(&mut self, it: &PackedAccess, resolver: &impl CarriedResolver) {
         if self.cfg.skip_loops {
             // The skip optimization keys its state on per-access map
             // probes; keep it on the scalar path for exactness.
-            let a = it.unpack(&meta[it.op as usize]);
+            let a = it.unpack(&self.out.meta[it.op as usize]);
             for _ in 0..=it.rep {
                 self.process(&a, resolver);
             }
@@ -633,12 +669,10 @@ impl<M: AccessMap> DepBuilder<M> {
             ));
         }
         Self::replay_item(
-            &mut self.deps,
-            &mut self.dep_cache,
+            &mut self.out,
             &mut self.stats,
             &mut s.entries[idx as usize],
             it,
-            meta,
             resolver,
         );
         if self.scratch.entries.len() >= STREAM_EPOCH_CAP {
@@ -647,8 +681,7 @@ impl<M: AccessMap> DepBuilder<M> {
     }
 
     /// Close the open streamed epoch, if any: write every touched group
-    /// cell back to the shadow maps and flush the dependence cache. A
-    /// no-op when no epoch is open.
+    /// cell back to the shadow maps. A no-op when no epoch is open.
     pub fn flush_groups(&mut self) {
         let s = &mut self.scratch;
         if !s.stream_open {
@@ -657,89 +690,47 @@ impl<M: AccessMap> DepBuilder<M> {
         s.write_back(&mut self.read_map, &mut self.write_map);
         s.entries.clear();
         s.stream_open = false;
-        self.dep_cache.flush(&mut self.deps);
     }
 
     /// Replay one packed access (plus its combined repeats) against its
     /// group's in-cache shadow state — the shared body of the chunked and
     /// streamed paths. Mirrors the non-skip [`DepBuilder::build`] exactly.
     /// A free-standing function over the builder's parts so the streamed
-    /// path can borrow the group cache and the dependence stores from
+    /// path can borrow the group cache and the dependence store from
     /// `self` simultaneously.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     fn replay_item(
-        deps: &mut DepSet,
-        dep_cache: &mut DepCache,
+        out: &mut DepStore,
         stats: &mut SkipStats,
         e: &mut GroupEntry,
         it: &PackedAccess,
-        meta: &[MemOpMeta],
         resolver: &impl CarriedResolver,
     ) {
-        let m = &meta[it.op as usize];
-        let cell = Cell {
-            op: it.op,
-            line: m.line,
-            var: m.var,
-            thread: it.thread as u32,
-            ts: it.ts,
-            instance: it.instance,
-            iter: it.iter,
-        };
+        let a = it.unpack(&out.meta[it.op as usize]);
+        let cell = Cell::from_access(&a);
         let n = it.rep as u64 + 1;
         stats.total_accesses += n;
-        if m.is_write {
+        if a.is_write {
             match e.status_write {
                 None => {
                     // First write: INIT, then (rep) self-WAWs against the
                     // cell the first replay just stored.
-                    dep_cache.insert(
-                        Dep {
-                            sink: SrcLoc::new(m.line),
-                            ty: DepType::Init,
-                            source: SrcLoc::new(m.line),
-                            var: u32::MAX,
-                            sink_thread: it.thread as u32,
-                            source_thread: it.thread as u32,
-                            carried_by: None,
-                            race_hint: false,
-                        },
-                        1,
-                        deps,
-                    );
-                    if n > 1 {
-                        stats.write_dep_total += n - 1;
-                        dep_cache.insert(
-                            Dep {
-                                sink: SrcLoc::new(m.line),
-                                ty: DepType::Waw,
-                                source: SrcLoc::new(m.line),
-                                var: m.var,
-                                sink_thread: it.thread as u32,
-                                source_thread: it.thread as u32,
-                                carried_by: None,
-                                race_hint: false,
-                            },
-                            n - 1,
-                            deps,
-                        );
-                    }
+                    out.record_init(&a);
+                    stats.write_dep_total += n - 1;
                 }
                 Some(w) => {
                     // First replay classifies against the pre-access
                     // statuses; the remaining replays are WAWs against the
                     // replay's own cell (consecutive writes).
                     stats.write_dep_total += n;
-                    let (ty, src) = match e.status_read {
-                        Some(r) if r.ts > w.ts => (DepType::War, r),
-                        _ => (DepType::Waw, w),
-                    };
-                    record_dep(deps, dep_cache, ty, it, m, &src, resolver, 1);
-                    if n > 1 {
-                        record_dep(deps, dep_cache, DepType::Waw, it, m, &cell, resolver, n - 1);
+                    match e.status_read {
+                        Some(r) if r.ts > w.ts => out.record(DepType::War, &a, &r, resolver, 1),
+                        _ => out.record(DepType::Waw, &a, &w, resolver, 1),
                     }
                 }
+            }
+            if n > 1 {
+                out.record(DepType::Waw, &a, &cell, resolver, n - 1);
             }
             e.status_write = Some(cell);
             e.touched_write = true;
@@ -749,7 +740,7 @@ impl<M: AccessMap> DepBuilder<M> {
                 // Every replay reads the same last write: n identical
                 // RAWs.
                 stats.read_dep_total += n;
-                record_dep(deps, dep_cache, DepType::Raw, it, m, &w, resolver, n);
+                out.record(DepType::Raw, &a, &w, resolver, n);
             }
             e.status_read = Some(cell);
             e.touched_read = true;
@@ -768,19 +759,8 @@ impl<M: AccessMap> DepBuilder<M> {
         let cell = Cell::from_access(a);
         if a.is_write {
             match status_write {
-                None => {
-                    // First write: initialization.
-                    self.deps.insert(Dep {
-                        sink: SrcLoc::new(a.line),
-                        ty: DepType::Init,
-                        source: SrcLoc::new(a.line),
-                        var: u32::MAX,
-                        sink_thread: a.thread,
-                        source_thread: a.thread,
-                        carried_by: None,
-                        race_hint: false,
-                    });
-                }
+                // First write: initialization.
+                None => self.out.record_init(a),
                 Some(w) => {
                     // A write is a WAR against a read that happened after
                     // the last write, and a WAW only against a *consecutive*
@@ -788,8 +768,8 @@ impl<M: AccessMap> DepBuilder<M> {
                     // consecutive write instructions to the same address";
                     // cf. the worked example of Table 2.3).
                     match status_read {
-                        Some(r) if r.ts > w.ts => self.record(DepType::War, a, &r, resolver),
-                        _ => self.record(DepType::Waw, a, &w, resolver),
+                        Some(r) if r.ts > w.ts => self.out.record(DepType::War, a, &r, resolver, 1),
+                        _ => self.out.record(DepType::Waw, a, &w, resolver, 1),
                     }
                     self.stats.write_dep_total += 1;
                 }
@@ -797,42 +777,22 @@ impl<M: AccessMap> DepBuilder<M> {
             self.write_map.set(a.addr, cell);
         } else {
             if let Some(w) = status_write {
-                self.record(DepType::Raw, a, &w, resolver);
+                self.out.record(DepType::Raw, a, &w, resolver, 1);
                 self.stats.read_dep_total += 1;
             }
             self.read_map.set(a.addr, cell);
         }
     }
 
-    fn record(
-        &mut self,
-        ty: DepType,
-        sink: &Access,
-        source: &Cell,
-        resolver: &impl CarriedResolver,
-    ) {
-        let carried_by =
-            resolver.carried_by(sink.instance, sink.iter, source.instance, source.iter);
-        // A timestamp inversion means the events were delivered in the
-        // reverse of execution order — only possible without mutual
-        // exclusion, i.e. a potential data race (§2.3.4).
-        let race_hint = sink.ts < source.ts;
-        self.deps.insert(Dep {
-            sink: SrcLoc::new(sink.line),
-            ty,
-            source: SrcLoc::new(source.line),
-            var: sink.var,
-            sink_thread: sink.thread,
-            source_thread: source.thread,
-            carried_by,
-            race_hint,
-        });
-    }
-
-    /// Consume the engine, returning its dependence set and stats.
-    pub fn finish(mut self) -> (DepSet, SkipStats) {
+    /// Consume the engine, returning its dependence set, its stats, and
+    /// [`DepBuilder::bytes`] as of the end — measured after the last epoch
+    /// is written back and the memo drained, so the figure covers pages and
+    /// set entries that only then come into being.
+    pub fn finish(mut self) -> (DepSet, SkipStats, usize) {
         self.flush_groups();
-        (self.deps, self.stats)
+        self.out.drain();
+        let bytes = self.bytes();
+        (self.out.set, self.stats, bytes)
     }
 
     /// Remove and return the read/write status of `addr` — one half of the
@@ -872,12 +832,11 @@ impl<M: AccessMap> DepBuilder<M> {
         DepBuilder {
             read_map,
             write_map,
-            deps: self.deps,
+            out: self.out,
             cfg: self.cfg,
             skip: self.skip,
             stats: self.stats,
             scratch: self.scratch,
-            dep_cache: self.dep_cache,
         }
     }
 }
@@ -945,11 +904,25 @@ mod tests {
         }
     }
 
-    fn engine(skip: bool) -> DepBuilder<PerfectMap> {
+    /// Op table for the hand-written traces below: op `i` sits on line
+    /// `lines[i]`. Direction and variable are taken from each [`Access`];
+    /// only the line of a *stored* op is ever looked up.
+    fn meta_for(lines: &[u32]) -> Vec<MemOpMeta> {
+        lines
+            .iter()
+            .map(|&line| MemOpMeta {
+                line,
+                var: 0,
+                is_write: false,
+            })
+            .collect()
+    }
+
+    fn engine(skip: bool, lines: &[u32]) -> DepBuilder<PerfectMap> {
         DepBuilder::new(
             PerfectMap::new(),
             PerfectMap::new(),
-            16,
+            meta_for(lines),
             EngineConfig { skip_loops: skip },
         )
     }
@@ -957,12 +930,12 @@ mod tests {
     #[test]
     fn raw_war_waw_detected() {
         let t = InstanceTable::new();
-        let mut e = engine(false);
+        let mut e = engine(false, &[1, 2, 3, 4]);
         e.process(&acc(8, 0, 1, true, 1), &t); // init write
         e.process(&acc(8, 1, 2, false, 2), &t); // read -> RAW
         e.process(&acc(8, 2, 3, true, 3), &t); // write after read -> WAR
         e.process(&acc(8, 3, 4, true, 4), &t); // consecutive write -> WAW
-        let deps = e.deps.sorted();
+        let deps = e.deps().sorted();
         let types: Vec<DepType> = deps.iter().map(|d| d.ty).collect();
         assert!(types.contains(&DepType::Init));
         assert!(types.contains(&DepType::Raw));
@@ -979,23 +952,23 @@ mod tests {
     #[test]
     fn rar_not_recorded() {
         let t = InstanceTable::new();
-        let mut e = engine(false);
+        let mut e = engine(false, &[1, 2]);
         e.process(&acc(8, 0, 1, false, 1), &t);
         e.process(&acc(8, 1, 2, false, 2), &t);
-        assert!(e.deps.is_empty());
+        assert!(e.deps().is_empty());
     }
 
     #[test]
     fn lifetime_clear_prevents_false_dep() {
         let t = InstanceTable::new();
-        let mut e = engine(false);
+        let mut e = engine(false, &[1, 9]);
         e.process(&acc(8, 0, 1, true, 1), &t);
         e.clear_range(8, 1);
         // New "variable" at the reused address: read must not see the old
         // write.
         e.process(&acc(8, 1, 9, false, 2), &t);
         assert!(
-            e.deps.sorted().iter().all(|d| d.ty != DepType::Raw),
+            e.deps().sorted().iter().all(|d| d.ty != DepType::Raw),
             "no RAW across a dealloc"
         );
     }
@@ -1003,7 +976,7 @@ mod tests {
     #[test]
     fn race_hint_on_timestamp_inversion() {
         let t = InstanceTable::new();
-        let mut e = engine(false);
+        let mut e = engine(false, &[1, 2]);
         // Delivered out of order: write with ts 10 arrives first, read with
         // ts 5 second.
         e.process(&acc(8, 0, 1, true, 10), &t);
@@ -1011,7 +984,7 @@ mod tests {
         read.thread = 1;
         e.process(&read, &t);
         let raw = e
-            .deps
+            .deps()
             .sorted()
             .into_iter()
             .find(|d| d.ty == DepType::Raw)
@@ -1028,8 +1001,8 @@ mod tests {
     fn fig_2_8_skip_walkthrough() {
         let mut table = InstanceTable::new();
         let inst = table.enter((0, 1), NO_INSTANCE, 0);
-        let mut e = engine(true);
-        let mut baseline = engine(false);
+        let mut e = engine(true, &[2, 3, 4, 5]);
+        let mut baseline = engine(false, &[2, 3, 4, 5]);
         let x = 64u64;
         let mut ts = 0;
         for iter in 1..=3u32 {
@@ -1043,10 +1016,10 @@ mod tests {
             }
         }
         // Outputs identical with and without skipping.
-        assert_eq!(e.deps.sorted(), baseline.deps.sorted());
+        assert_eq!(e.deps().sorted(), baseline.deps().sorted());
         // Table 2.3: RAW(3,2), RAW(4,2), WAR(5,4), WAW(2,5 loop-carried),
         // plus the INIT of the first write.
-        let deps = e.deps.sorted();
+        let deps = e.deps().sorted();
         let non_init = deps.iter().filter(|d| d.ty != DepType::Init).count();
         assert_eq!(non_init, 4, "{deps:?}");
         let waw = deps.iter().find(|d| d.ty == DepType::Waw).unwrap();
@@ -1062,8 +1035,8 @@ mod tests {
         // may be skipped and output must match the baseline.
         let mut table = InstanceTable::new();
         let inst = table.enter((0, 1), NO_INSTANCE, 0);
-        let mut e = engine(true);
-        let mut b = engine(false);
+        let mut e = engine(true, &[2, 3]);
+        let mut b = engine(false, &[2, 3]);
         for i in 0..10u64 {
             for (op, line, w) in [(0u32, 2u32, true), (1, 3, false)] {
                 let mut a = acc(1000 + i * 8, op, line, w, i * 2 + op as u64);
@@ -1073,7 +1046,7 @@ mod tests {
                 b.process(&a, &table);
             }
         }
-        assert_eq!(e.deps.sorted(), b.deps.sorted());
+        assert_eq!(e.deps().sorted(), b.deps().sorted());
         assert_eq!(e.stats.total_skipped, 0);
     }
 
@@ -1105,8 +1078,8 @@ mod tests {
         let inner = table.enter((0, 2), outer, 1);
         let instances = [NO_INSTANCE, outer, inner];
 
-        let mut scalar = DepBuilder::new(mk(), mk(), num_ops, EngineConfig::default());
-        let mut chunked = DepBuilder::new(mk(), mk(), num_ops, EngineConfig::default());
+        let mut scalar = DepBuilder::new(mk(), mk(), &meta[..], EngineConfig::default());
+        let mut chunked = DepBuilder::new(mk(), mk(), &meta[..], EngineConfig::default());
         let mut ts = 0u64;
         let mut chunk: Vec<PackedAccess> = Vec::new();
         for _ in 0..400 {
@@ -1148,7 +1121,7 @@ mod tests {
             for a in &scalar_stream {
                 scalar.process(a, &table);
             }
-            chunked.process_packed_chunk(&chunk, &meta, &table);
+            chunked.process_packed_chunk(&chunk, &table);
             // Occasional dealloc at a chunk boundary (the only place the
             // transport ever delivers one).
             if next() % 5 == 0 {
@@ -1158,10 +1131,10 @@ mod tests {
                 chunked.clear_range(addr, words);
             }
         }
-        assert_eq!(scalar.deps.sorted(), chunked.deps.sorted());
-        assert_eq!(scalar.deps.total_found, chunked.deps.total_found);
-        for d in scalar.deps.sorted() {
-            assert_eq!(scalar.deps.count(&d), chunked.deps.count(&d), "{d:?}");
+        assert_eq!(scalar.deps().sorted(), chunked.deps().sorted());
+        assert_eq!(scalar.deps().total_found, chunked.deps().total_found);
+        for d in scalar.deps().sorted() {
+            assert_eq!(scalar.deps().count(&d), chunked.deps().count(&d), "{d:?}");
         }
         assert_eq!(
             scalar.stats.total_accesses, chunked.stats.total_accesses,
@@ -1207,13 +1180,13 @@ mod tests {
         let mut scalar = DepBuilder::new(
             PerfectMap::new(),
             PerfectMap::new(),
-            2,
+            &meta[..],
             EngineConfig::default(),
         );
         let mut chunked = DepBuilder::new(
             PerfectMap::new(),
             PerfectMap::new(),
-            2,
+            &meta[..],
             EngineConfig::default(),
         );
         let mut chunk: Vec<PackedAccess> = Vec::new();
@@ -1251,20 +1224,53 @@ mod tests {
             total + 2,
             "replay counts must cover the whole stream"
         );
-        chunked.process_packed_chunk(&chunk, &meta, &table);
-        assert_eq!(scalar.deps.sorted(), chunked.deps.sorted());
-        assert_eq!(scalar.deps.total_found, chunked.deps.total_found);
-        for d in scalar.deps.sorted() {
-            assert_eq!(scalar.deps.count(&d), chunked.deps.count(&d), "{d:?}");
+        chunked.process_packed_chunk(&chunk, &table);
+        assert_eq!(scalar.deps().sorted(), chunked.deps().sorted());
+        assert_eq!(scalar.deps().total_found, chunked.deps().total_found);
+        for d in scalar.deps().sorted() {
+            assert_eq!(scalar.deps().count(&d), chunked.deps().count(&d), "{d:?}");
         }
         assert_eq!(scalar.stats.total_accesses, chunked.stats.total_accesses);
+    }
+
+    #[test]
+    fn memo_flushes_on_change_and_counts_stay_exact() {
+        // One read op whose dependence alternates between two sources: the
+        // memo must flush on each change, and reading the set mid-stream
+        // (twice) must neither lose nor double-count a pending occurrence.
+        let t = InstanceTable::new();
+        let mut e = engine(false, &[1, 2, 3]);
+        let (x, y) = (8u64, 16u64);
+        e.process(&acc(x, 0, 1, true, 1), &t); // x written on line 1
+        e.process(&acc(y, 1, 2, true, 2), &t); // y written on line 2
+        let raw_from = |deps: &DepSet, line: u32| {
+            deps.iter()
+                .filter(|(d, _)| d.ty == DepType::Raw && d.source.line == line)
+                .map(|(_, n)| n)
+                .sum::<u64>()
+        };
+        let mut ts = 2;
+        for addr in [x, x, y, x] {
+            ts += 1;
+            e.process(&acc(addr, 2, 3, false, ts), &t);
+        }
+        assert_eq!(raw_from(e.deps(), 1), 3);
+        assert_eq!(
+            raw_from(e.deps(), 2),
+            1,
+            "a second read drains nothing twice"
+        );
+        e.process(&acc(y, 2, 3, false, 7), &t);
+        let (deps, _, _) = e.finish();
+        assert_eq!((raw_from(&deps, 1), raw_from(&deps, 2)), (3, 2));
+        assert_eq!(deps.total_found, 2 + 5, "two INITs, five RAWs");
     }
 
     #[test]
     fn loop_carried_flag_set() {
         let mut table = InstanceTable::new();
         let inst = table.enter((0, 1), NO_INSTANCE, 0);
-        let mut e = engine(false);
+        let mut e = engine(false, &[2, 2]);
         // iter 1: write; iter 2: read -> loop-carried RAW.
         let mut w = acc(8, 0, 2, true, 1);
         w.instance = inst;
@@ -1275,7 +1281,7 @@ mod tests {
         e.process(&w, &table);
         e.process(&r, &table);
         let raw = e
-            .deps
+            .deps()
             .sorted()
             .into_iter()
             .find(|d| d.ty == DepType::Raw)

@@ -9,23 +9,45 @@
 //! *perfect* map stores per-address state exactly (the "perfect signature"
 //! of §2.5.1) and serves as ground truth.
 //!
+//! # What a slot stores
+//!
+//! Both maps store one 24-byte [`Cell`] per slot: the access's timestamp,
+//! static op id, loop instance, iteration and thread. Source line and
+//! variable are *not* stored — they are fully determined by the op id
+//! ([`interp::Program::mem_op_meta`]), so the dependence builder looks them
+//! up when (and only when) it builds a dependence. An empty slot is a cell
+//! whose op id is `u32::MAX` — no `Option` discriminant, so a slot is
+//! exactly `size_of::<Cell>()` bytes and a fresh page is one `memset`-style
+//! fill.
+//!
 //! # Shadow-memory layout
 //!
 //! [`PerfectMap`] is a two-level page table over *word* addresses (the
 //! interpreter emits 8-byte-aligned addresses only):
 //!
 //! ```text
-//! addr:  63 ........... 12 | 11 ....... 3 | 2..0
+//! addr:  63 ............ 9 | 8 ........ 3 | 2..0
 //!        page id           | slot in page | 0 (word-aligned)
+//!
+//!   page cache (16 entries, indexed by a hash of the page id)
+//!        │ miss
+//!        ▼
+//!   dir: page id ─► arena index ─► pages[index]: [Cell; 64]   (1,536 B)
 //! ```
 //!
-//! Each page shadows 4 KiB of target address space (512 word slots). Pages
-//! live in a grow-only arena (`Vec<Box<Page>>`); a directory keyed with the
-//! in-repo [`fxhash`] hasher maps page ids to arena indices, and a one-entry
-//! cache short-circuits the directory for the overwhelmingly common case of
-//! consecutive accesses landing on the same page. Compared with the seed's
+//! Each page shadows 512 bytes of target address space (64 word slots), so a
+//! touched region costs 1.5 KiB per map however far it lies from its
+//! neighbours — an actor's stack or mailbox, 16 MiB from the next one,
+//! costs what it touches rather than what a 4 KiB page would round it up
+//! to. Pages live in a grow-only arena (`Vec<Box<Page>>`); a directory keyed
+//! with the in-repo [`fxhash`] hasher maps page ids to arena indices, and a
+//! small direct-mapped cache in front of it short-circuits the directory for
+//! the pages a loop body cycles through. The cache is indexed by a *hash*
+//! of the page id, not its low bits: arrays allocated back to back sit a
+//! power of two apart, so `a[i]` and `b[i]` would evict each other on every
+//! access under low-bit indexing. Compared with the seed's
 //! `HashMap<u64, Cell>` ([`HashShadowMap`], kept as the equivalence-test
-//! baseline), a hit costs one shift/mask plus an indexed load instead of a
+//! baseline), a hit costs a multiply/shift plus an indexed load instead of a
 //! SipHash probe, and `clear_range` walks slots directly instead of
 //! re-hashing every word.
 
@@ -33,40 +55,64 @@ use crate::access::Access;
 use fxhash::FxHashMap;
 use std::cell::Cell as StdCell;
 
+/// Op id of an empty slot (and the engine's "no status" marker). Real op
+/// ids are dense from 0, so the all-ones id never names an access.
+pub(crate) const NO_OP: u32 = u32::MAX;
+
+/// Bytes one stored status slot occupies in either map — what the
+/// governor's slot arithmetic divides a budget by.
+pub(crate) const SLOT_BYTES: usize = std::mem::size_of::<Cell>();
+
 /// Status of the most recent access recorded for an address: the
-/// `accessInfo` of §2.4 plus the metadata DiscoPoP reports with every
-/// dependence (line, variable, thread) and the loop context used for
-/// inter-iteration tagging.
+/// `accessInfo` of §2.4 plus the thread and the loop context used for
+/// inter-iteration tagging. Source line and variable are resolved from the
+/// op id through [`interp::Program::mem_op_meta`] when a dependence is
+/// built; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cell {
-    /// Static memory-operation id of the access.
-    pub op: u32,
-    /// Source line.
-    pub line: u32,
-    /// Variable symbol.
-    pub var: u32,
-    /// Thread that performed the access.
-    pub thread: u32,
     /// Timestamp of the access.
     pub ts: u64,
+    /// Static memory-operation id of the access.
+    pub op: u32,
     /// Innermost loop instance.
     pub instance: u32,
     /// Iteration within that instance.
     pub iter: u32,
+    /// Thread that performed the access.
+    pub thread: u32,
 }
 
 impl Cell {
+    /// The stored form of "no access recorded".
+    const EMPTY: Cell = Cell {
+        ts: 0,
+        op: NO_OP,
+        instance: 0,
+        iter: 0,
+        thread: 0,
+    };
+
     /// Build a cell from an access record.
     pub fn from_access(a: &Access) -> Self {
+        debug_assert_ne!(a.op, NO_OP, "op id u32::MAX is the empty-slot marker");
         Cell {
-            op: a.op,
-            line: a.line,
-            var: a.var,
-            thread: a.thread,
             ts: a.ts,
+            op: a.op,
             instance: a.instance,
             iter: a.iter,
+            thread: a.thread,
         }
+    }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.op == NO_OP
+    }
+
+    /// A stored slot as the status the engine sees.
+    #[inline]
+    fn status(self) -> Option<Cell> {
+        (!self.is_empty()).then_some(self)
     }
 }
 
@@ -118,17 +164,17 @@ pub trait AccessMap {
     }
 }
 
-/// Slots per lazily-allocated signature page (40 KiB of `Option<Cell>`s):
-/// coarse enough that the spine stays tiny, fine enough that sparse
-/// workloads touch only a few pages.
+/// Slots per lazily-allocated signature page (24 KiB of cells): coarse
+/// enough that the spine stays tiny, fine enough that sparse workloads touch
+/// only a few pages.
 const SIG_PAGE: usize = 1 << 10;
 
 /// Fixed-size, hash-indexed signature with no collision resolution.
 ///
-/// Slot storage is paged and zeroed lazily: a fresh map allocates only the
-/// page spine (`slots / 1024` pointers), and a page is allocated-and-zeroed
-/// on the first `set` that lands in it. This removes the startup cliff of
-/// the previous flat `Vec` — ~10 MB of up-front zeroing per map at the
+/// Slot storage is paged and filled lazily: a fresh map allocates only the
+/// page spine (`slots / 1024` pointers), and a page is allocated on the
+/// first `set` that lands in it. This removes the startup cliff of
+/// the previous flat `Vec` — megabytes of up-front fill per map at the
 /// default 2^18 slots, paid twice per profiling run (read + write maps) —
 /// which dominated profiled time on small workloads. Slot indexing is
 /// unchanged (`hash_addr` over the same slot count), so dependence output
@@ -137,7 +183,7 @@ const SIG_PAGE: usize = 1 << 10;
 pub struct SignatureMap {
     /// Lazily allocated pages of `SIG_PAGE` slots each; `None` = never
     /// written, all slots empty.
-    pages: Vec<Option<Box<[Option<Cell>]>>>,
+    pages: Vec<Option<Box<[Cell]>>>,
     /// Logical slot count (the hash modulus).
     slots: usize,
 }
@@ -174,22 +220,22 @@ impl SignatureMap {
         self.pages
             .iter()
             .flatten()
-            .map(|p| p.iter().filter(|s| s.is_some()).count())
+            .map(|p| p.iter().filter(|s| !s.is_empty()).count())
             .sum()
     }
 
     /// Write slot `i`, allocating its page on first touch.
     #[inline]
-    fn slot_mut(&mut self, i: usize) -> &mut Option<Cell> {
-        let page =
-            self.pages[i / SIG_PAGE].get_or_insert_with(|| vec![None; SIG_PAGE].into_boxed_slice());
+    fn slot_mut(&mut self, i: usize) -> &mut Cell {
+        let page = self.pages[i / SIG_PAGE]
+            .get_or_insert_with(|| vec![Cell::EMPTY; SIG_PAGE].into_boxed_slice());
         &mut page[i % SIG_PAGE]
     }
 
     /// Read slot `i` directly (no hashing).
     #[inline]
     fn slot(&self, i: usize) -> Option<Cell> {
-        self.pages[i / SIG_PAGE].as_ref()?[i % SIG_PAGE]
+        self.pages[i / SIG_PAGE].as_ref()?[i % SIG_PAGE].status()
     }
 
     /// Build a signature from an exact shadow: every resident `(addr,
@@ -202,9 +248,8 @@ impl SignatureMap {
         for (addr, cell) in perfect.entries() {
             let i = hash_addr(addr, sig.slots);
             let slot = sig.slot_mut(i);
-            match slot {
-                Some(prev) if prev.ts >= cell.ts => {}
-                _ => *slot = Some(cell),
+            if slot.is_empty() || slot.ts < cell.ts {
+                *slot = cell;
             }
         }
         sig
@@ -230,15 +275,14 @@ impl SignatureMap {
             let Some(high) = self.slot(i + half) else {
                 continue;
             };
-            let dst = self.slot_mut(i);
-            match dst {
-                Some(low) => {
-                    merged += 1;
-                    if high.ts > low.ts {
-                        *dst = Some(high);
-                    }
+            let low = self.slot_mut(i);
+            if low.is_empty() {
+                *low = high;
+            } else {
+                merged += 1;
+                if high.ts > low.ts {
+                    *low = high;
                 }
-                None => *dst = Some(high),
             }
         }
         // Drop the upper pages entirely; a straddling page keeps only its
@@ -248,9 +292,7 @@ impl SignatureMap {
         let tail = half % SIG_PAGE;
         if tail != 0 {
             if let Some(Some(page)) = self.pages.last_mut().map(|p| p.as_mut()) {
-                for s in &mut page[tail..] {
-                    *s = None;
-                }
+                page[tail..].fill(Cell::EMPTY);
             }
         }
         self.slots = half;
@@ -263,14 +305,13 @@ impl AccessMap for SignatureMap {
 
     #[inline]
     fn get(&self, addr: u64) -> Option<Cell> {
-        let i = hash_addr(addr, self.slots);
-        self.pages[i / SIG_PAGE].as_ref()?[i % SIG_PAGE]
+        self.slot(hash_addr(addr, self.slots))
     }
 
     #[inline]
     fn set(&mut self, addr: u64, cell: Cell) {
         let i = hash_addr(addr, self.slots);
-        *self.slot_mut(i) = Some(cell);
+        *self.slot_mut(i) = cell;
     }
 
     #[inline]
@@ -289,10 +330,7 @@ impl AccessMap for SignatureMap {
                 *s = hash_addr(a, self.slots);
             }
             for &i in &slots[..block.len()] {
-                out.push(match self.pages[i / SIG_PAGE].as_ref() {
-                    Some(p) => p[i % SIG_PAGE],
-                    None => None,
-                });
+                out.push(self.slot(i));
             }
         }
     }
@@ -302,42 +340,54 @@ impl AccessMap for SignatureMap {
             let i = hash_addr(addr + w * 8, self.slots);
             // Clearing an unallocated page is a no-op; don't allocate it.
             if let Some(page) = self.pages[i / SIG_PAGE].as_mut() {
-                page[i % SIG_PAGE] = None;
+                page[i % SIG_PAGE] = Cell::EMPTY;
             }
         }
     }
 
     fn bytes(&self) -> usize {
-        self.pages.capacity() * std::mem::size_of::<Option<Box<[Option<Cell>]>>>()
-            + self.pages.iter().flatten().count() * SIG_PAGE * std::mem::size_of::<Option<Cell>>()
+        self.pages.capacity() * std::mem::size_of::<Option<Box<[Cell]>>>()
+            + self.pages.iter().flatten().count() * SIG_PAGE * SLOT_BYTES
     }
 }
 
-/// Word slots per shadow page: one page covers 4 KiB of address space.
-const PAGE_WORDS: usize = 512;
-/// Address bits consumed by the in-page slot (3 word bits + 9 slot bits).
-const PAGE_SHIFT: u32 = 12;
-/// Sentinel for the empty page cache.
+/// Word slots per shadow page: one page covers 512 bytes of address space
+/// and costs 1,536 bytes. The size is a trade between scattered and dense
+/// targets: a region of a few touched words (an actor's stack, a mailbox)
+/// costs one page per map whatever the page size, while a dense sweep pays
+/// one directory entry and one page-cache refill per page.
+const PAGE_WORDS: usize = 64;
+/// Address bits consumed by the in-page slot (3 word bits + 6 slot bits).
+const PAGE_SHIFT: u32 = 9;
+/// Entries in the direct-mapped page cache (a power of two). A loop body
+/// cycles through a handful of pages — its arrays' current pages plus a
+/// stack page — and sixteen hashed entries keep them all resident.
+const PAGE_CACHE: usize = 16;
+/// Sentinel page id of an empty page-cache entry.
 const NO_PAGE: u64 = u64::MAX;
 
-type Page = [Option<Cell>; PAGE_WORDS];
+type Page = [Cell; PAGE_WORDS];
 
 /// Exact shadow memory: a two-level page table over word addresses.
 ///
-/// O(1) per access with no hashing on the page-hit fast path; see the
-/// module docs for the layout. Pages are never freed while the map lives —
-/// `clear_range` empties slots but keeps the page allocated, so the
-/// one-entry page cache stays valid and address ranges that are reused
-/// (stack frames) never reallocate.
+/// O(1) per access with no directory probe on the page-cache fast path; see
+/// the module docs for the layout. Pages are never freed while the map
+/// lives — `clear_range` empties slots but keeps the page allocated, so
+/// page-cache entries stay valid and address ranges that are reused (stack
+/// frames) never reallocate.
 #[derive(Debug, Clone)]
 pub struct PerfectMap {
     /// Page id → index into `pages`.
     dir: FxHashMap<u64, u32>,
-    /// Grow-only page arena.
+    /// Grow-only page arena. Pages are boxed so that growing the spine
+    /// moves pointers, never pages, and reserves no page storage ahead of
+    /// use: held bytes are exactly touched pages plus 8 bytes each.
+    #[allow(clippy::vec_box)]
     pages: Vec<Box<Page>>,
-    /// Last page touched: `(page id, arena index)`; avoids the directory
-    /// probe entirely for same-page runs of accesses.
-    cache: StdCell<(u64, u32)>,
+    /// Recently touched pages as `(page id, arena index)`, indexed by
+    /// [`PerfectMap::cache_way`]; avoids the directory probe for the pages
+    /// a loop body keeps returning to.
+    cache: [StdCell<(u64, u32)>; PAGE_CACHE],
     /// Occupied slots across all pages.
     len: usize,
 }
@@ -354,7 +404,7 @@ impl PerfectMap {
         PerfectMap {
             dir: FxHashMap::default(),
             pages: Vec::new(),
-            cache: StdCell::new((NO_PAGE, 0)),
+            cache: std::array::from_fn(|_| StdCell::new((NO_PAGE, 0))),
             len: 0,
         }
     }
@@ -374,17 +424,25 @@ impl PerfectMap {
         self.pages.len()
     }
 
+    /// Page-cache entry a page id maps to: the top bits of a Fibonacci
+    /// hash, so ids a power of two apart spread instead of colliding.
+    #[inline]
+    fn cache_way(id: u64) -> usize {
+        (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - PAGE_CACHE.trailing_zeros())) as usize
+    }
+
     /// Arena index of `addr`'s page, if the page exists; refreshes the
-    /// one-entry cache.
+    /// page cache.
     #[inline]
     fn find_page(&self, addr: u64) -> Option<u32> {
         let id = addr >> PAGE_SHIFT;
-        let (cid, cidx) = self.cache.get();
+        let way = &self.cache[Self::cache_way(id)];
+        let (cid, cidx) = way.get();
         if cid == id {
             return Some(cidx);
         }
         let idx = *self.dir.get(&id)?;
-        self.cache.set((id, idx));
+        way.set((id, idx));
         Some(idx)
     }
 
@@ -396,9 +454,9 @@ impl PerfectMap {
         }
         let id = addr >> PAGE_SHIFT;
         let idx = self.pages.len() as u32;
-        self.pages.push(Box::new([None; PAGE_WORDS]));
+        self.pages.push(Box::new([Cell::EMPTY; PAGE_WORDS]));
         self.dir.insert(id, idx);
-        self.cache.set((id, idx));
+        self.cache[Self::cache_way(id)].set((id, idx));
         idx
     }
 
@@ -417,8 +475,8 @@ impl PerfectMap {
         for (&id, &idx) in &self.dir {
             let page = &self.pages[idx as usize];
             for (s, cell) in page.iter().enumerate() {
-                if let Some(c) = cell {
-                    out.push(((id << PAGE_SHIFT) | ((s as u64) << 3), *c));
+                if !cell.is_empty() {
+                    out.push(((id << PAGE_SHIFT) | ((s as u64) << 3), *cell));
                 }
             }
         }
@@ -431,7 +489,7 @@ impl AccessMap for PerfectMap {
     fn get(&self, addr: u64) -> Option<Cell> {
         debug_assert_eq!(addr & 7, 0, "PerfectMap requires word-aligned addresses");
         let idx = self.find_page(addr)?;
-        self.pages[idx as usize][Self::slot_of(addr)]
+        self.pages[idx as usize][Self::slot_of(addr)].status()
     }
 
     #[inline]
@@ -439,13 +497,13 @@ impl AccessMap for PerfectMap {
         debug_assert_eq!(addr & 7, 0, "PerfectMap requires word-aligned addresses");
         let idx = self.find_or_alloc_page(addr);
         let slot = &mut self.pages[idx as usize][Self::slot_of(addr)];
-        self.len += slot.is_none() as usize;
-        *slot = Some(cell);
+        self.len += slot.is_empty() as usize;
+        *slot = cell;
     }
 
     fn clear_range(&mut self, addr: u64, words: u64) {
-        // Walk page by page so a frame-sized range costs one directory
-        // probe per 4 KiB instead of one per word.
+        // Walk page by page so a frame-sized range costs one page lookup
+        // per 64 words instead of one per word.
         let mut word = addr >> 3;
         let end = word + words;
         while word < end {
@@ -455,8 +513,8 @@ impl AccessMap for PerfectMap {
             if let Some(idx) = self.find_page(page_addr) {
                 let page = &mut self.pages[idx as usize];
                 for slot in &mut page[in_page..in_page + take] {
-                    self.len -= slot.is_some() as usize;
-                    *slot = None;
+                    self.len -= !slot.is_empty() as usize;
+                    *slot = Cell::EMPTY;
                 }
             }
             word += take as u64;
@@ -465,16 +523,16 @@ impl AccessMap for PerfectMap {
 
     fn bytes(&self) -> usize {
         self.pages.len() * std::mem::size_of::<Page>()
+            + self.pages.capacity() * std::mem::size_of::<Box<Page>>()
             + self.dir.capacity() * std::mem::size_of::<(u64, u32)>()
     }
 }
 
 /// The seed's exact shadow memory: one `HashMap` entry per address.
 ///
-/// Superseded by the page-table [`PerfectMap`] on the hot path; retained as
-/// the independent reference implementation the equivalence tests compare
-/// against (and as the fallback shape for sparse address spaces, where a
-/// page per isolated address would waste memory).
+/// Superseded by the page-table [`PerfectMap`] on every profiling path;
+/// retained only as the independent reference implementation the
+/// equivalence tests compare against.
 #[derive(Debug, Clone, Default)]
 pub struct HashShadowMap {
     map: std::collections::HashMap<u64, Cell>,
@@ -533,13 +591,11 @@ mod tests {
 
     fn cell(op: u32) -> Cell {
         Cell {
-            op,
-            line: 1,
-            var: 0,
-            thread: 0,
             ts: 0,
+            op,
             instance: u32::MAX,
             iter: 0,
+            thread: 0,
         }
     }
 
@@ -777,14 +833,15 @@ mod tests {
         }
         assert_eq!(p.len(), PAGE_WORDS * 3);
         // Clear from mid-first-page to mid-third-page.
-        let start = 0x10_0000 + 100 * 8;
+        let off = PAGE_WORDS as u64 / 3;
+        let start = 0x10_0000 + off * 8;
         let words = PAGE_WORDS as u64 * 2;
         p.clear_range(start, words);
-        assert_eq!(p.len(), PAGE_WORDS - 100 + 100);
+        assert_eq!(p.len(), PAGE_WORDS);
         assert!(p.get(start).is_none());
         assert!(p.get(start + (words - 1) * 8).is_none());
         assert!(p.get(start + words * 8).is_some());
-        assert!(p.get(0x10_0000 + 99 * 8).is_some());
+        assert!(p.get(start - 8).is_some());
     }
 
     #[test]
@@ -808,17 +865,24 @@ mod tests {
         };
         let mut pt = PerfectMap::new();
         let mut hs = HashShadowMap::new();
+        let page_bytes = PAGE_WORDS as u64 * 8;
         for i in 0..50_000u32 {
             let r = next();
-            // Mix of two address regions, word-aligned, plus range clears.
-            let addr = if r & 1 == 0 {
-                0x1000 + (r >> 8) % 4096 * 8
-            } else {
-                0xFFFF_0000 + (r >> 8) % 512 * 8
+            // Word-aligned addresses from four kinds of region: a dense
+            // array, a high stack-like block, a few words either side of a
+            // page boundary, and 64 small regions 16 MiB apart (the actor
+            // stack layout) — plus range clears.
+            let addr = match r & 3 {
+                0 => 0x1000 + (r >> 8) % 4096 * 8,
+                1 => 0xFFFF_0000 + (r >> 8) % 512 * 8,
+                2 => 0x20_0000 + page_bytes * 7 - 32 + (r >> 8) % 8 * 8,
+                _ => 0x4000_0000 + (((r >> 8) % 64) << 24) + (r >> 20) % 96 * 8,
             };
             match r % 16 {
                 0 => {
-                    let words = r >> 16 & 0x3F;
+                    // Up to 255 words: from inside one page to across four
+                    // page boundaries.
+                    let words = r >> 32 & 0xFF;
                     pt.clear_range(addr, words);
                     hs.clear_range(addr, words);
                 }
@@ -832,6 +896,59 @@ mod tests {
             }
         }
         assert_eq!(pt.len(), hs.len());
+    }
+
+    #[test]
+    fn perfect_map_costs_what_is_touched() {
+        // One word in each of 1,000 regions 16 MiB apart — the shape of
+        // `actors_10k`'s stacks. Each costs one small page plus its share
+        // of the spine and directory, not a 20 KiB page.
+        let mut p = PerfectMap::new();
+        for k in 0..1000u64 {
+            p.set(0x4000_0000 + (k << 24), cell(k as u32));
+        }
+        assert_eq!(p.num_pages(), 1000);
+        assert!(
+            p.bytes() <= 1000 * 2048,
+            "{} bytes for 1,000 isolated words",
+            p.bytes()
+        );
+        // The spine is part of the figure.
+        assert!(p.bytes() >= 1000 * (std::mem::size_of::<Page>() + 8));
+    }
+
+    #[test]
+    fn full_signature_bytes_are_spine_plus_slots() {
+        // The governor divides budgets by `SLOT_BYTES`; a signature with
+        // every page allocated must cost exactly that per slot, plus the
+        // spine.
+        let slots = 4 * SIG_PAGE;
+        let mut s = SignatureMap::new(slots);
+        let empty = s.bytes();
+        assert_eq!(empty, 4 * std::mem::size_of::<Option<Box<[Cell]>>>());
+        // Walk consecutive words until every slot has been hit.
+        let (mut addr, mut filled) = (0u64, 0);
+        while filled < slots {
+            filled += s.get(addr).is_none() as usize;
+            s.set(addr, cell(1));
+            addr += 8;
+        }
+        assert_eq!(s.occupied(), slots);
+        assert_eq!(s.bytes(), empty + slots * SLOT_BYTES);
+        assert_eq!(SLOT_BYTES, 24, "the stored cell is 24 bytes");
+    }
+
+    #[test]
+    fn page_cache_spreads_power_of_two_strides() {
+        // Arrays allocated back to back put `a[i]` and `b[i]` a power of
+        // two apart; the hashed cache index must not map such page ids to
+        // one entry (low-bit indexing would, for every stride ≥ 16 pages).
+        for shift in 4..20 {
+            let ways: std::collections::BTreeSet<usize> = (0..4u64)
+                .map(|k| PerfectMap::cache_way(0x8_0000 + (k << shift)))
+                .collect();
+            assert!(ways.len() >= 3, "stride 2^{shift} pages collides: {ways:?}");
+        }
     }
 
     #[test]

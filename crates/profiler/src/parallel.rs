@@ -236,6 +236,10 @@ impl CarriedResolver for WorkerResolver {
 
 /// One partition's dependence builder, generic over the two shadow-map
 /// backends the adaptive engine chooses between.
+// The exact builder carries two inline page caches. A partition is moved
+// only at tier transitions and hand-offs; boxing it would put a pointer
+// chase on the per-access inline path instead.
+#[allow(clippy::large_enum_variant)]
 enum PartitionBuilder {
     /// Exact page-table shadow: collision-free and enumerable (mergeable).
     Perfect(DepBuilder<PerfectMap>),
@@ -244,45 +248,35 @@ enum PartitionBuilder {
 }
 
 impl PartitionBuilder {
-    fn new(kind: MapKind, sig_slots: usize, num_ops: u32) -> Self {
+    fn new(kind: MapKind, sig_slots: usize, meta: &Arc<[MemOpMeta]>) -> Self {
         match kind {
             MapKind::Perfect => PartitionBuilder::Perfect(DepBuilder::new(
                 PerfectMap::new(),
                 PerfectMap::new(),
-                num_ops,
+                Arc::clone(meta),
                 EngineConfig::default(),
             )),
             MapKind::Signature => PartitionBuilder::Sig(DepBuilder::new(
                 SignatureMap::new(sig_slots),
                 SignatureMap::new(sig_slots),
-                num_ops,
+                Arc::clone(meta),
                 EngineConfig::default(),
             )),
         }
     }
 
-    fn process_chunk(
-        &mut self,
-        items: &[PackedAccess],
-        meta: &[MemOpMeta],
-        resolver: &impl CarriedResolver,
-    ) {
+    fn process_chunk(&mut self, items: &[PackedAccess], resolver: &impl CarriedResolver) {
         match self {
-            PartitionBuilder::Perfect(b) => b.process_packed_chunk(items, meta, resolver),
-            PartitionBuilder::Sig(b) => b.process_packed_chunk(items, meta, resolver),
+            PartitionBuilder::Perfect(b) => b.process_packed_chunk(items, resolver),
+            PartitionBuilder::Sig(b) => b.process_packed_chunk(items, resolver),
         }
     }
 
     #[inline]
-    fn process_streamed(
-        &mut self,
-        it: &PackedAccess,
-        meta: &[MemOpMeta],
-        resolver: &impl CarriedResolver,
-    ) {
+    fn process_streamed(&mut self, it: &PackedAccess, resolver: &impl CarriedResolver) {
         match self {
-            PartitionBuilder::Perfect(b) => b.process_streamed(it, meta, resolver),
-            PartitionBuilder::Sig(b) => b.process_streamed(it, meta, resolver),
+            PartitionBuilder::Perfect(b) => b.process_streamed(it, resolver),
+            PartitionBuilder::Sig(b) => b.process_streamed(it, resolver),
         }
     }
 
@@ -307,7 +301,8 @@ impl PartitionBuilder {
         }
     }
 
-    fn finish(self) -> (DepSet, SkipStats) {
+    /// See [`DepBuilder::finish`]: dependences, stats, final bytes.
+    fn finish(self) -> (DepSet, SkipStats, usize) {
         match self {
             PartitionBuilder::Perfect(b) => b.finish(),
             PartitionBuilder::Sig(b) => b.finish(),
@@ -358,7 +353,7 @@ impl PartitionBuilder {
                 let placeholder = PartitionBuilder::Sig(DepBuilder::new(
                     SignatureMap::new(1),
                     SignatureMap::new(1),
-                    0,
+                    Vec::new(),
                     EngineConfig::default(),
                 ));
                 let PartitionBuilder::Perfect(b) = std::mem::replace(self, placeholder) else {
@@ -532,14 +527,9 @@ fn push_supervised(
 /// Apply one transport message directly to a partition builder — the
 /// producer-local delivery path used for recovered partitions and for
 /// draining a dead worker's queue.
-fn apply_msg(
-    builder: &mut PartitionBuilder,
-    msg: Msg,
-    op_meta: &[MemOpMeta],
-    resolver: &WorkerResolver,
-) {
+fn apply_msg(builder: &mut PartitionBuilder, msg: Msg, resolver: &WorkerResolver) {
     match msg {
-        Msg::Chunk(ch) => builder.process_chunk(&ch, op_meta, resolver),
+        Msg::Chunk(ch) => builder.process_chunk(&ch, resolver),
         Msg::Dealloc { addr, words } => builder.clear_range(addr, words),
         Msg::Extract { addr, reply } => {
             let _ = reply.send(builder.extract_addr(addr));
@@ -560,14 +550,13 @@ fn drain_dead_worker(
     builder: &mut PartitionBuilder,
     failed: Option<Msg>,
     queue: &WorkerQueue,
-    op_meta: &[MemOpMeta],
     resolver: &WorkerResolver,
 ) {
     if let Some(m) = failed {
-        apply_msg(builder, m, op_meta, resolver);
+        apply_msg(builder, m, resolver);
     }
     while let Some(m) = queue.try_pop() {
-        apply_msg(builder, m, op_meta, resolver);
+        apply_msg(builder, m, resolver);
     }
 }
 
@@ -780,7 +769,6 @@ fn spawn_worker(
     builder: PartitionBuilder,
     shared: Arc<SharedTable>,
     pool: ChunkPool,
-    op_meta: Arc<[MemOpMeta]>,
     gov: Option<WorkerGov>,
 ) -> JoinHandle<WorkerOutcome> {
     std::thread::spawn(move || {
@@ -802,7 +790,6 @@ fn spawn_worker(
                 &mut processed,
                 &mut current,
                 &mut gov,
-                &op_meta,
             )
         }))
         .is_err();
@@ -820,9 +807,8 @@ fn spawn_worker(
                 processed,
             };
         }
-        let bytes = builder.bytes();
         let fill = builder.sig_fill();
-        let (deps, stats) = builder.finish();
+        let (deps, stats, bytes) = builder.finish();
         WorkerOutcome::Finished(WorkerResult {
             deps,
             stats,
@@ -835,7 +821,6 @@ fn spawn_worker(
 
 /// The consumer loop of §2.3.3, factored out so the supervisor in
 /// [`spawn_worker`] can wrap it in a single unwind boundary.
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     queue: &WorkerQueue,
     builder: &mut PartitionBuilder,
@@ -844,7 +829,6 @@ fn worker_loop(
     processed: &mut u64,
     current: &mut Option<Msg>,
     gov: &mut Option<WorkerGov>,
-    op_meta: &[MemOpMeta],
 ) {
     let mut idle = 0u32;
     loop {
@@ -859,7 +843,7 @@ fn worker_loop(
                 let extracted = match current.as_ref() {
                     Some(Msg::Chunk(ch)) => {
                         crate::faultpoint!("worker:chunk");
-                        builder.process_chunk(ch, op_meta, resolver);
+                        builder.process_chunk(ch, resolver);
                         *processed += ch.iter().map(|p| p.rep as u64 + 1).sum::<u64>();
                         None
                     }
@@ -1005,6 +989,7 @@ pub struct ParallelProfiler {
     ctx: LoopContext,
     shared: Arc<SharedTable>,
     pet: PetBuilder,
+    /// The target's static op table, for (re)building partitions.
     op_meta: Arc<[MemOpMeta]>,
     backend: Backend,
     open: Vec<Vec<PackedAccess>>,
@@ -1050,8 +1035,6 @@ pub struct ParallelProfiler {
     queue_stalls: u64,
     /// Worker panics recovered mid-run or at finalize.
     worker_recoveries: u64,
-    /// Memory-op count of the target, for rebuilding partitions.
-    num_ops: u32,
     /// Shared tracked-bytes gauge (producer + spawned workers publish).
     gauge: Arc<MemGauge>,
     /// The producer's own publisher slot on the gauge.
@@ -1076,7 +1059,6 @@ impl ParallelProfiler {
         let nparts = cfg.workers.max(1);
         let shared = Arc::new(SharedTable::new());
         let op_meta: Arc<[MemOpMeta]> = prog.mem_op_meta().into();
-        let num_ops = prog.num_mem_ops();
         let map_kind = if cfg.adaptive
             && prog.footprint_words() <= crate::run::EngineKind::AUTO_PERFECT_MAX_WORDS
         {
@@ -1093,13 +1075,13 @@ impl ParallelProfiler {
             ctx: LoopContext::new(),
             shared: Arc::clone(&shared),
             pet: PetBuilder::new(),
-            op_meta,
             backend: Backend::Inline {
                 builders: (0..nparts)
-                    .map(|_| PartitionBuilder::new(map_kind, cfg.sig_slots, num_ops))
+                    .map(|_| PartitionBuilder::new(map_kind, cfg.sig_slots, &op_meta))
                     .collect(),
                 resolver: WorkerResolver::new(shared),
             },
+            op_meta,
             open: (0..nparts).map(|_| Vec::with_capacity(chunk_cap)).collect(),
             class_route: (0..nparts as u32).collect(),
             class_mask: nparts.is_power_of_two().then(|| nparts as u64 - 1),
@@ -1120,7 +1102,6 @@ impl ParallelProfiler {
             merges: 0,
             queue_stalls: 0,
             worker_recoveries: 0,
-            num_ops,
             gauge: Arc::new(MemGauge::new()),
             gov_slot: GaugeSlot::new(),
             gov_steps: Arc::new(Mutex::new(Vec::new())),
@@ -1175,7 +1156,7 @@ impl ParallelProfiler {
             // would only add a copy-out/copy-in round trip). A virtual
             // chunk cadence keeps the adaptation rhythm of the spawned
             // transport.
-            builders[w].process_streamed(&pa, &self.op_meta, resolver);
+            builders[w].process_streamed(&pa, resolver);
             self.pending[w] -= 1;
             if self.pending[w] != 0 {
                 return;
@@ -1251,7 +1232,7 @@ impl ParallelProfiler {
                     return; // inline mode has no message transport
                 };
                 if let Some(b) = local[w].as_mut() {
-                    apply_msg(b, msg, &self.op_meta, resolver);
+                    apply_msg(b, msg, resolver);
                     return;
                 }
                 let Some(h) = handles[w].as_ref() else {
@@ -1287,7 +1268,7 @@ impl ParallelProfiler {
                 failed,
                 processed: _,
             }) => {
-                drain_dead_worker(&mut builder, failed, &queues[w], &self.op_meta, resolver);
+                drain_dead_worker(&mut builder, failed, &queues[w], resolver);
                 local[w] = Some(*builder);
                 self.worker_recoveries += 1;
             }
@@ -1298,7 +1279,7 @@ impl ParallelProfiler {
                 local[w] = Some(PartitionBuilder::new(
                     MapKind::Signature,
                     self.cfg.sig_slots,
-                    self.num_ops,
+                    &self.op_meta,
                 ));
                 self.worker_recoveries += 1;
             }
@@ -1533,7 +1514,6 @@ impl ParallelProfiler {
                 b,
                 Arc::clone(&self.shared),
                 Arc::clone(&pool),
-                Arc::clone(&self.op_meta),
                 gov,
             )));
         }
@@ -1721,11 +1701,11 @@ impl ParallelProfiler {
         match std::mem::replace(&mut self.backend, placeholder) {
             Backend::Inline { builders, .. } => {
                 for b in builders {
-                    bytes += b.bytes();
                     tally_fill(b.sig_fill());
-                    let (d, s) = b.finish();
+                    let (d, s, by) = b.finish();
                     deps.merge(d);
                     stats.total_accesses += s.total_accesses;
+                    bytes += by;
                 }
             }
             Backend::Spawned {
@@ -1759,13 +1739,7 @@ impl ParallelProfiler {
                             failed,
                             processed: _,
                         }) => {
-                            drain_dead_worker(
-                                &mut builder,
-                                failed,
-                                &queues[w],
-                                &self.op_meta,
-                                &resolver,
-                            );
+                            drain_dead_worker(&mut builder, failed, &queues[w], &resolver);
                             self.worker_recoveries += 1;
                             local[w] = Some(*builder);
                         }
@@ -1773,20 +1747,20 @@ impl ParallelProfiler {
                     }
                 }
                 for b in local.into_iter().flatten() {
-                    bytes += b.bytes();
                     tally_fill(b.sig_fill());
-                    let (d, s) = b.finish();
+                    let (d, s, by) = b.finish();
                     deps.merge(d);
                     stats.total_accesses += s.total_accesses;
+                    bytes += by;
                 }
             }
         }
         for b in std::mem::take(&mut self.retired) {
-            bytes += b.bytes();
             tally_fill(b.sig_fill());
-            let (d, st) = b.finish();
+            let (d, st, by) = b.finish();
             deps.merge(d);
             stats.total_accesses += st.total_accesses;
+            bytes += by;
         }
         bytes += self.counts.capacity() * 24 + self.shared.len() * std::mem::size_of::<Instance>();
         let resource = self.cfg.budget.is_active().then(|| {
@@ -1990,10 +1964,9 @@ pub fn profile_multithreaded_target(
         queues.push(q.clone());
         handles.push(spawn_worker(
             q,
-            PartitionBuilder::new(map_kind, pcfg.sig_slots, prog.num_mem_ops()),
+            PartitionBuilder::new(map_kind, pcfg.sig_slots, &op_meta),
             Arc::clone(&shared),
             Arc::clone(&pool),
-            Arc::clone(&op_meta),
             None,
         ));
     }
@@ -2138,18 +2111,12 @@ pub fn profile_multithreaded_target(
             }) => {
                 // All producers have finished (the scope above joined
                 // them), so the queue is drainable from here.
-                drain_dead_worker(
-                    &mut builder,
-                    failed,
-                    &queues[w],
-                    &op_meta,
-                    &recovery_resolver,
-                );
+                drain_dead_worker(&mut builder, failed, &queues[w], &recovery_resolver);
                 worker_recoveries += 1;
-                bytes += builder.bytes();
-                let (d, s) = builder.finish();
+                let (d, s, by) = builder.finish();
                 deps.merge(d);
                 stats.total_accesses += s.total_accesses;
+                bytes += by;
                 worker_processed.push(processed);
             }
             Err(e) => std::panic::resume_unwind(e),

@@ -488,13 +488,13 @@ pub fn profile_program_with(
             profile_governed(prog, cfg, engine_cfg)
         }
         EngineKind::SerialPerfect => {
-            let mut p = SerialProfiler::with_perfect(prog.num_mem_ops(), engine_cfg, cfg.lifetime);
+            let mut p = SerialProfiler::with_perfect(prog.mem_op_meta(), engine_cfg, cfg.lifetime);
             let r = interp::run_with_config(prog, &mut p, cfg.run.clone())?;
             Ok(assemble(p, r))
         }
         EngineKind::SerialSignature { slots } => {
             let mut p =
-                SerialProfiler::with_signature(slots, prog.num_mem_ops(), engine_cfg, cfg.lifetime);
+                SerialProfiler::with_signature(slots, prog.mem_op_meta(), engine_cfg, cfg.lifetime);
             let r = interp::run_with_config(prog, &mut p, cfg.run.clone())?;
             Ok(assemble(p, r))
         }
@@ -546,6 +546,9 @@ fn assemble<M: crate::maps::AccessMap>(p: SerialProfiler<M>, r: RunResult) -> Pr
 const GOVERNOR_CADENCE: u64 = 2048;
 
 /// The serial profiler at one of the ladder's accuracy tiers.
+// The exact profiler carries two inline page caches; a tier is moved once
+// per ladder rung, so the size difference costs nothing worth a `Box`.
+#[allow(clippy::large_enum_variant)]
 enum Tier {
     Perfect(SerialProfiler<PerfectMap>),
     Sig(SerialProfiler<SignatureMap>),
@@ -723,13 +726,13 @@ fn profile_governed(
     let tier = match cfg.engine {
         EngineKind::SerialSignature { slots } => Tier::Sig(SerialProfiler::with_signature(
             slots,
-            prog.num_mem_ops(),
+            prog.mem_op_meta(),
             engine_cfg,
             cfg.lifetime,
         )),
         // `SerialPerfect`, the only other engine routed here.
         _ => Tier::Perfect(SerialProfiler::with_perfect(
-            prog.num_mem_ops(),
+            prog.mem_op_meta(),
             engine_cfg,
             cfg.lifetime,
         )),

@@ -7,7 +7,7 @@ use crate::dep::{ControlSpan, DepSet};
 use crate::engine::{DepBuilder, EngineConfig, SkipStats};
 use crate::maps::{AccessMap, PerfectMap, SignatureMap};
 use crate::pet::{Pet, PetBuilder};
-use interp::{Event, Program, Sink};
+use interp::{Event, MemOpMeta, Program, Sink};
 
 /// A serial profiler over any access map. Implements [`Sink`], so it plugs
 /// directly into the interpreter.
@@ -20,52 +20,48 @@ pub struct SerialProfiler<M: AccessMap> {
 }
 
 impl SerialProfiler<SignatureMap> {
-    /// Signature-backed profiler with `slots` slots per signature.
-    pub fn with_signature(slots: usize, num_ops: u32, cfg: EngineConfig, lifetime: bool) -> Self {
-        SerialProfiler {
-            ctx: LoopContext::new(),
-            table: InstanceTable::new(),
-            builder: DepBuilder::new(
-                SignatureMap::new(slots),
-                SignatureMap::new(slots),
-                num_ops,
-                cfg,
-            ),
-            pet: PetBuilder::new(),
+    /// Signature-backed profiler with `slots` slots per signature, for a
+    /// target whose static op table is `meta`
+    /// ([`Program::mem_op_meta`]).
+    pub fn with_signature(
+        slots: usize,
+        meta: &[MemOpMeta],
+        cfg: EngineConfig,
+        lifetime: bool,
+    ) -> Self {
+        Self::with_maps(
+            SignatureMap::new(slots),
+            SignatureMap::new(slots),
+            meta,
+            cfg,
             lifetime,
-        }
+        )
     }
 }
 
 impl SerialProfiler<PerfectMap> {
     /// Perfect-shadow profiler: the ground-truth baseline of §2.5.1.
-    pub fn with_perfect(num_ops: u32, cfg: EngineConfig, lifetime: bool) -> Self {
-        SerialProfiler {
-            ctx: LoopContext::new(),
-            table: InstanceTable::new(),
-            builder: DepBuilder::new(PerfectMap::new(), PerfectMap::new(), num_ops, cfg),
-            pet: PetBuilder::new(),
-            lifetime,
-        }
+    pub fn with_perfect(meta: &[MemOpMeta], cfg: EngineConfig, lifetime: bool) -> Self {
+        Self::with_maps(PerfectMap::new(), PerfectMap::new(), meta, cfg, lifetime)
     }
 }
 
 impl<M: AccessMap> SerialProfiler<M> {
     /// Profiler over caller-supplied read/write maps — the generic form the
-    /// signature/perfect constructors delegate to conceptually; used
-    /// directly by the equivalence tests to run the legacy
-    /// [`crate::maps::HashShadowMap`] baseline through the same pipeline.
+    /// signature/perfect constructors delegate to; used directly by the
+    /// equivalence tests to run the legacy [`crate::maps::HashShadowMap`]
+    /// baseline through the same pipeline.
     pub fn with_maps(
         read_map: M,
         write_map: M,
-        num_ops: u32,
+        meta: &[MemOpMeta],
         cfg: EngineConfig,
         lifetime: bool,
     ) -> Self {
         SerialProfiler {
             ctx: LoopContext::new(),
             table: InstanceTable::new(),
-            builder: DepBuilder::new(read_map, write_map, num_ops, cfg),
+            builder: DepBuilder::new(read_map, write_map, meta, cfg),
             pet: PetBuilder::new(),
             lifetime,
         }
@@ -73,8 +69,8 @@ impl<M: AccessMap> SerialProfiler<M> {
 
     /// Finish profiling: returns dependences, PET, and skip statistics.
     pub fn finish(self, total_instrs: u64) -> (DepSet, Pet, SkipStats, usize) {
-        let bytes = self.builder.bytes() + self.table.bytes();
-        let (deps, stats) = self.builder.finish();
+        let (deps, stats, bytes) = self.builder.finish();
+        let bytes = bytes + self.table.bytes();
         (deps, self.pet.finish(total_instrs), stats, bytes)
     }
 

@@ -154,6 +154,49 @@ fn actors_10k_deterministic_under_budget() {
     assert_eq!(actors.peak_live, 10_001, "all echoes live before draining");
 }
 
+/// FNV-1a 64 over every `(dependence, count)` pair in sorted order.
+fn dependence_digest(deps: &profiler::DepSet) -> u64 {
+    let mut pairs: Vec<_> = deps.iter().collect();
+    pairs.sort_unstable();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (d, n) in pairs {
+        for b in format!("{d:?}x{n};").bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn actors_10k_shadow_costs_what_it_touches() {
+    // 10,002 stacks 16 MiB apart and as many mailboxes 64 KiB apart, a few
+    // words touched in each: the exact shadow must cost per touched region,
+    // not per 4 KiB of address space (it was 825 MB with 512-slot pages of
+    // 40-byte cells). The digest was taken from that representation, so the
+    // saving is shown to change no dependence and no count.
+    let p = workloads::by_name("actors_10k").unwrap().program().unwrap();
+    let out = profiler::profile_program_with(
+        &p,
+        &profiler::ProfileConfig {
+            engine: EngineKind::auto_for(&p),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert!(out.resource.is_none(), "ungoverned run");
+    assert!(
+        out.profiler_bytes <= 100 << 20,
+        "{} tracked bytes",
+        out.profiler_bytes
+    );
+    assert_eq!(out.deps.len(), 50_042);
+    assert_eq!(
+        dependence_digest(&out.deps),
+        0x4B36_CB76_E781_0AC4,
+        "dependences moved"
+    );
+}
+
 #[test]
 fn actors_10k_machine_matches_reference() {
     // The oracle holds at production task counts, not just on the small

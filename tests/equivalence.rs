@@ -21,7 +21,7 @@ fn profile_hashmap(p: &Program) -> (DepSet, profiler::Pet) {
     let mut prof = SerialProfiler::with_maps(
         HashShadowMap::new(),
         HashShadowMap::new(),
-        p.num_mem_ops(),
+        p.mem_op_meta(),
         EngineConfig::default(),
         true,
     );
@@ -102,6 +102,55 @@ fn seed_pipeline_reconstruction_matches_current() {
         assert_eq!(seed.sorted(), new.deps.sorted(), "{name}: deps differ");
         assert_eq!(seed.total_found, new.deps.total_found, "{name}");
     }
+}
+
+/// `(dependence, occurrence count)` pairs in a canonical order.
+fn counted(deps: &DepSet) -> Vec<(profiler::Dep, u64)> {
+    let mut v: Vec<_> = deps.iter().collect();
+    v.sort_unstable();
+    v
+}
+
+#[test]
+fn memoized_counts_match_seed_on_every_catalogue_workload() {
+    // The per-op dependence memo defers `DepSet` insertion; a flush lost on
+    // any path would leave the distinct set intact and only a count short,
+    // which `sorted()` cannot see. So compare `(Dep, count)` pairs against
+    // the seed pipeline (which inserts once per access) on every catalogue
+    // program, through each of the builder's three entry points: scalar
+    // (`serial-perfect`), streamed (the parallel engine held inline) and
+    // chunked (workers spawned from access 0).
+    let mut chunked_runs = 0;
+    for w in workloads::all() {
+        let p = w.program().unwrap();
+        let want = counted(&bench::seed_baseline::profile_seed(&p).unwrap());
+        assert!(!want.is_empty(), "{}: nothing to compare", w.name);
+
+        let scalar = profile_program(&p).unwrap();
+        assert_eq!(counted(&scalar.deps), want, "{}: scalar path", w.name);
+
+        for (path, spawn_threshold) in [("streamed", u64::MAX), ("chunked", 0)] {
+            let cfg = ParallelConfig {
+                workers: 2,
+                spawn_threshold,
+                rebalance_interval: 0,
+                ..Default::default()
+            };
+            let par = profiler::profile_parallel(&p, cfg, RunConfig::default()).unwrap();
+            assert_eq!(counted(&par.deps), want, "{}: {path} path", w.name);
+            if spawn_threshold == u64::MAX {
+                assert_eq!(par.spawned_workers, 0, "{}: not held inline", w.name);
+            } else {
+                chunked_runs += (par.spawned_workers == 2) as usize;
+            }
+        }
+    }
+    // Escalation happens at the first chunk boundary, which the smallest
+    // programs never reach; the rest must have gone through the workers.
+    assert!(
+        chunked_runs >= 40,
+        "only {chunked_runs} workloads exercised the chunked path"
+    );
 }
 
 #[test]
@@ -317,7 +366,7 @@ fn main() { int a = spawn(w, 30); int b = spawn(w, 30); join(a); join(b); }";
     let mut serial = SerialProfiler::with_maps(
         HashShadowMap::new(),
         HashShadowMap::new(),
-        p.num_mem_ops(),
+        p.mem_op_meta(),
         EngineConfig::default(),
         true,
     );

@@ -7,6 +7,18 @@ use profiler::{
 };
 use proptest::prelude::*;
 
+/// The static op table [`traces`] draws from: op `i` sits on line `i + 1`,
+/// names variable `i % 5`, and is a store iff `i` is odd.
+fn trace_meta() -> Vec<interp::MemOpMeta> {
+    (0..24u32)
+        .map(|op| interp::MemOpMeta {
+            line: op + 1,
+            var: op % 5,
+            is_write: op % 2 == 1,
+        })
+        .collect()
+}
+
 /// Strategy: a random access trace over a small address set.
 fn traces() -> impl Strategy<Value = Vec<Access>> {
     prop::collection::vec((0u64..24, 0u32..12, any::<bool>()), 1..200).prop_map(|raw| {
@@ -42,20 +54,20 @@ proptest! {
         let mut sig = DepBuilder::new(
             SignatureMap::new(1 << 16),
             SignatureMap::new(1 << 16),
-            32,
+            trace_meta(),
             EngineConfig::default(),
         );
         let mut per = DepBuilder::new(
             PerfectMap::new(),
             PerfectMap::new(),
-            32,
+            trace_meta(),
             EngineConfig::default(),
         );
         for a in &trace {
             sig.process(a, &t);
             per.process(a, &t);
         }
-        prop_assert_eq!(sig.deps.sorted(), per.deps.sorted());
+        prop_assert_eq!(sig.deps().sorted(), per.deps().sorted());
     }
 
     /// The page-table shadow memory agrees with the legacy `HashMap`
@@ -66,21 +78,21 @@ proptest! {
         let mut page = DepBuilder::new(
             PerfectMap::new(),
             PerfectMap::new(),
-            32,
+            trace_meta(),
             EngineConfig::default(),
         );
         let mut hash = DepBuilder::new(
             HashShadowMap::new(),
             HashShadowMap::new(),
-            32,
+            trace_meta(),
             EngineConfig::default(),
         );
         for a in &trace {
             page.process(a, &t);
             hash.process(a, &t);
         }
-        prop_assert_eq!(page.deps.sorted(), hash.deps.sorted());
-        prop_assert_eq!(page.deps.total_found, hash.deps.total_found);
+        prop_assert_eq!(page.deps().sorted(), hash.deps().sorted());
+        prop_assert_eq!(page.deps().total_found, hash.deps().total_found);
     }
 
     /// Skipping never changes the dependence output, on any trace.
@@ -90,20 +102,20 @@ proptest! {
         let mut plain = DepBuilder::new(
             PerfectMap::new(),
             PerfectMap::new(),
-            32,
+            trace_meta(),
             EngineConfig { skip_loops: false },
         );
         let mut skip = DepBuilder::new(
             PerfectMap::new(),
             PerfectMap::new(),
-            32,
+            trace_meta(),
             EngineConfig { skip_loops: true },
         );
         for a in &trace {
             plain.process(a, &t);
             skip.process(a, &t);
         }
-        prop_assert_eq!(plain.deps.sorted(), skip.deps.sorted());
+        prop_assert_eq!(plain.deps().sorted(), skip.deps().sorted());
     }
 
     /// Merging is idempotent in the merged size: processing a trace twice
@@ -116,14 +128,14 @@ proptest! {
         let mut e = DepBuilder::new(
             PerfectMap::new(),
             PerfectMap::new(),
-            32,
+            trace_meta(),
             EngineConfig::default(),
         );
         for a in &trace {
             e.process(a, &t);
         }
-        let first_total = e.deps.total_found;
-        let first_merged = e.deps.len() as u64;
+        let first_total = e.deps().total_found;
+        let first_merged = e.deps().len() as u64;
         prop_assert!(first_merged <= first_total.max(1));
     }
 
@@ -134,13 +146,11 @@ proptest! {
         let mut m = SignatureMap::new(1 << 16);
         for (i, &a) in addrs.iter().enumerate() {
             m.set(0x4000 + a * 8, Cell {
-                op: i as u32,
-                line: i as u32 + 1,
-                var: 0,
-                thread: 0,
                 ts: i as u64,
+                op: i as u32,
                 instance: NO_INSTANCE,
                 iter: 0,
+                thread: 0,
             });
         }
         for (i, &a) in addrs.iter().enumerate() {
@@ -321,13 +331,11 @@ mod governance_props {
 
     fn marker(i: usize) -> Cell {
         Cell {
-            op: i as u32,
-            line: i as u32 + 1,
-            var: 0,
-            thread: 0,
             ts: i as u64 + 1,
+            op: i as u32,
             instance: NO_INSTANCE,
             iter: 0,
+            thread: 0,
         }
     }
 
@@ -385,26 +393,26 @@ mod governance_props {
             let mut per = DepBuilder::new(
                 PerfectMap::new(),
                 PerfectMap::new(),
-                32,
+                trace_meta(),
                 EngineConfig::default(),
             );
             for a in &trace {
                 per.process(a, &t);
             }
-            let oracle: BTreeSet<_> = per.deps.sorted().into_iter().collect();
+            let oracle: BTreeSet<_> = per.deps().sorted().into_iter().collect();
             let addrs = addrs_of(&trace);
 
             for tier in TIERS {
                 let mut sig = DepBuilder::new(
                     SignatureMap::new(tier),
                     SignatureMap::new(tier),
-                    32,
+                    trace_meta(),
                     EngineConfig::default(),
                 );
                 for a in &trace {
                     sig.process(a, &t);
                 }
-                let got: BTreeSet<_> = sig.deps.sorted().into_iter().collect();
+                let got: BTreeSet<_> = sig.deps().sorted().into_iter().collect();
                 if collision_free(tier, &addrs) {
                     prop_assert_eq!(&got, &oracle, "collision-free tier {} must be exact", tier);
                 } else {
