@@ -2,11 +2,12 @@
 //! bottom-up variant kept for comparison.
 
 use crate::graph::{CuEdge, CuGraph, CuId};
+use crate::index::DepIndex;
 use crate::vars::{self, RegionVars, VarId};
 use fxhash::FxHashMap;
 use interp::Program;
 use mir::{RegionId, RegionKind};
-use profiler::{DepSet, DepType, Pet};
+use profiler::{DepSet, DepType, Pet, PetNodeKind};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -66,7 +67,8 @@ pub struct CuBuildInput<'a> {
 
 /// Build the CU graph for every function of the program (top-down).
 pub fn build_cu_graph(input: &CuBuildInput) -> CuGraph<Cu> {
-    build_impl(input, false)
+    let index = DepIndex::new(input.program, input.deps);
+    build_from_index(input.program, &index, input.pet, false)
 }
 
 /// Like [`build_cu_graph`], but function bodies are always decomposed into
@@ -75,23 +77,66 @@ pub fn build_cu_graph(input: &CuBuildInput) -> CuGraph<Cu> {
 /// granularity: "the top-down approach … goes down to cover fine-grained
 /// parallelism if coarse-grained parallelism is not found" (§3.3).
 pub fn build_cu_graph_fine(input: &CuBuildInput) -> CuGraph<Cu> {
-    build_impl(input, true)
+    let index = DepIndex::new(input.program, input.deps);
+    build_from_index(input.program, &index, input.pet, true)
 }
 
-fn build_impl(input: &CuBuildInput, split_bodies: bool) -> CuGraph<Cu> {
+/// [`build_cu_graph`] (or, with `split_bodies`, [`build_cu_graph_fine`])
+/// over an index the caller already built — discovery builds one and shares
+/// it with its own passes.
+pub fn build_from_index(
+    program: &Program,
+    index: &DepIndex,
+    pet: Option<&Pet>,
+    split_bodies: bool,
+) -> CuGraph<Cu> {
+    let ctx = BuildCtx {
+        program,
+        index,
+        weights: pet.map(PetWeights::new),
+    };
     let mut graph = CuGraph::new();
-    let module = &input.program.module;
-    for (fi, _) in module.functions.iter().enumerate() {
-        let mut b = FnBuilder::new(input, fi as u32);
+    for fi in 0..program.module.functions.len() {
+        let mut b = FnBuilder::new(&ctx, fi as u32);
         b.split_bodies = split_bodies;
         b.run(&mut graph);
     }
-    add_edges(input, &mut graph);
+    add_edges(index, &mut graph);
     graph
 }
 
+/// What every function's builder reads, gathered once per build.
+struct BuildCtx<'a> {
+    program: &'a Program,
+    index: &'a DepIndex,
+    weights: Option<PetWeights>,
+}
+
+/// The PET facts dynamic weights come from.
+struct PetWeights {
+    /// [`Pet::loops_aggregated`].
+    loops: FxHashMap<(u32, u32), (u64, u64, u64)>,
+    /// Entry count of each function's first PET node.
+    entries: FxHashMap<u32, u64>,
+}
+
+impl PetWeights {
+    fn new(pet: &Pet) -> PetWeights {
+        let mut entries = FxHashMap::default();
+        for n in &pet.nodes {
+            if let PetNodeKind::Function(f) = n.kind {
+                entries.entry(f).or_insert(n.entries);
+            }
+        }
+        PetWeights {
+            loops: pet.loops_aggregated(),
+            entries,
+        }
+    }
+}
+
 struct FnBuilder<'a> {
-    input: &'a CuBuildInput<'a>,
+    ctx: &'a BuildCtx<'a>,
     func: u32,
     rv: RegionVars,
     /// For every line with accesses: static instruction count.
@@ -104,8 +149,8 @@ struct FnBuilder<'a> {
 }
 
 impl<'a> FnBuilder<'a> {
-    fn new(input: &'a CuBuildInput<'a>, func: u32) -> Self {
-        let module = &input.program.module;
+    fn new(ctx: &'a BuildCtx<'a>, func: u32) -> Self {
+        let module = &ctx.program.module;
         let f = &module.functions[func as usize];
         let rv = vars::analyze(module, func);
 
@@ -124,15 +169,8 @@ impl<'a> FnBuilder<'a> {
         // whose endpoints both lie in the region and that is not carried by
         // the region itself or an enclosing loop.
         let mut violations: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); f.regions.len()];
-        for (d, _) in input.deps.iter() {
-            if d.ty != DepType::Raw {
-                continue;
-            }
-            let (s, e) = (f.start_line, f.end_line);
-            if d.sink.line < s || d.sink.line > e || d.source.line < s || d.source.line > e {
-                continue;
-            }
-            let name = input.program.symbol(d.var);
+        for d in ctx.index.raws_within(func) {
+            let name = ctx.program.symbol(d.var);
             for (ri, r) in f.regions.iter().enumerate() {
                 if d.sink.line < r.start_line
                     || d.sink.line > r.end_line
@@ -155,7 +193,7 @@ impl<'a> FnBuilder<'a> {
                 // The variable must be global to this region.
                 let is_global = rv.global_vars[ri]
                     .iter()
-                    .any(|&v| vars::var_name(module, v) == name);
+                    .any(|&v| vars::var_name_of(module, v) == name);
                 if is_global {
                     violations[ri].insert(d.sink.line);
                 }
@@ -163,7 +201,7 @@ impl<'a> FnBuilder<'a> {
         }
 
         FnBuilder {
-            input,
+            ctx,
             func,
             rv,
             line_instrs,
@@ -180,7 +218,7 @@ impl<'a> FnBuilder<'a> {
     /// otherwise children recurse and the region's plain lines are split
     /// into fragments at violating reads.
     fn process(&mut self, region: RegionId, graph: &mut CuGraph<Cu>) -> Vec<CuId> {
-        let module = &self.input.program.module;
+        let module = &self.ctx.program.module;
         let f = &module.functions[self.func as usize];
         let r = &f.regions[region.index()];
 
@@ -256,8 +294,11 @@ impl<'a> FnBuilder<'a> {
             fragments.push(fragment);
         }
         for lines in fragments {
-            let (read_set, write_set) =
-                self.phase_sets(region, lines[0], *lines.last().unwrap(), Some(&lines));
+            // A fragment is pushed only once it holds a line.
+            let (Some(&start_line), Some(&end_line)) = (lines.first(), lines.last()) else {
+                continue;
+            };
+            let (read_set, write_set) = self.phase_sets(region, start_line, end_line, Some(&lines));
             let static_instrs: usize = lines
                 .iter()
                 .map(|l| self.line_instrs.get(l).copied().unwrap_or(0))
@@ -265,8 +306,8 @@ impl<'a> FnBuilder<'a> {
             let cu = Cu {
                 func: self.func,
                 region: region.0,
-                start_line: lines[0],
-                end_line: *lines.last().unwrap(),
+                start_line,
+                end_line,
                 kind: CuKind::Fragment,
                 read_set,
                 write_set,
@@ -317,15 +358,12 @@ impl<'a> FnBuilder<'a> {
     /// iteration count of the innermost enclosing loop (or the function
     /// entry count).
     fn weight(&self, region: RegionId, static_instrs: usize) -> u64 {
-        let Some(pet) = self.input.pet else {
+        let Some(weights) = &self.ctx.weights else {
             return static_instrs as u64;
         };
-        let module = &self.input.program.module;
-        let f = &module.functions[self.func as usize];
+        let f = &self.ctx.program.module.functions[self.func as usize];
         if f.regions[region.index()].kind == RegionKind::Loop {
-            if let Some((_, _, dyn_instrs)) =
-                pet.loops_aggregated().get(&(self.func, region.0)).copied()
-            {
+            if let Some(&(_, _, dyn_instrs)) = weights.loops.get(&(self.func, region.0)) {
                 if dyn_instrs > 0 {
                     return dyn_instrs;
                 }
@@ -335,26 +373,20 @@ impl<'a> FnBuilder<'a> {
         let mut cur = Some(region);
         while let Some(c) = cur {
             if f.regions[c.index()].kind == RegionKind::Loop {
-                if let Some((_, iters, _)) = pet.loops_aggregated().get(&(self.func, c.0)) {
+                if let Some((_, iters, _)) = weights.loops.get(&(self.func, c.0)) {
                     return static_instrs as u64 * iters.max(&1);
                 }
             }
             cur = f.regions[c.index()].parent;
         }
-        let entries = pet
-            .nodes
-            .iter()
-            .find(|n| n.kind == profiler::PetNodeKind::Function(self.func))
-            .map(|n| n.entries)
-            .unwrap_or(1);
-        static_instrs as u64 * entries
+        static_instrs as u64 * weights.entries.get(&self.func).copied().unwrap_or(1)
     }
 }
 
 /// Wire dependence edges between CUs: every profiled dependence whose sink
 /// and source lines map to CUs becomes an edge, subject to the Table 3.1
 /// rules enforced by [`CuGraph::add_edge`].
-fn add_edges(input: &CuBuildInput, graph: &mut CuGraph<Cu>) {
+fn add_edges(index: &DepIndex, graph: &mut CuGraph<Cu>) {
     // line -> cu: fragments take precedence over region CUs; smaller
     // region CUs take precedence over enclosing ones. Lookup-only, so the
     // fast in-repo hasher is safe (no iteration-order dependence).
@@ -386,7 +418,7 @@ fn add_edges(input: &CuBuildInput, graph: &mut CuGraph<Cu>) {
             }
         }
     }
-    for (d, _) in input.deps.iter() {
+    for d in index.deps() {
         if d.ty == DepType::Init {
             continue;
         }
@@ -653,7 +685,13 @@ mod violation_tests {
             deps: &out.deps,
             pet: None,
         };
-        let fb = FnBuilder::new(&input, 0);
+        let index = DepIndex::new(&p, &out.deps);
+        let ctx = BuildCtx {
+            program: &p,
+            index: &index,
+            weights: None,
+        };
+        let fb = FnBuilder::new(&ctx, 0);
         assert!(
             fb.violations[1].is_empty(),
             "loop region must satisfy read-compute-write: {:?}",

@@ -2,7 +2,7 @@
 //! dependences following Table 3.1, plus the condensation machinery used by
 //! MPMD task detection (§4.2.2, Fig. 4.5) and DOT export (Figs. 3.6/3.7).
 
-use fxhash::FxHashMap;
+use fxhash::{FxHashMap, FxHashSet};
 use profiler::DepType;
 use serde::Serialize;
 use std::collections::BTreeSet;
@@ -12,7 +12,7 @@ pub type CuId = usize;
 
 /// An edge `from → to` meaning "`from` depends on `to`" (the sink of the
 /// dependence points at its source, as in §3.2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct CuEdge {
     /// The dependent (later) CU.
     pub from: CuId,
@@ -30,8 +30,21 @@ pub struct CuEdge {
 pub struct CuGraph<V> {
     /// Vertex payloads.
     pub cus: Vec<V>,
-    /// Dependence edges (deduplicated).
+    /// Dependence edges (deduplicated), in insertion order.
     pub edges: Vec<CuEdge>,
+    /// The edges again, for [`CuGraph::add_edge`]'s duplicate check.
+    seen: FxHashSet<CuEdge>,
+}
+
+/// A graph's vertices, and the edges that stay inside one part, split by a
+/// key of the vertex — CUs by function, so that a pass over one function's
+/// CUs does not walk the whole program's ([`CuGraph::partition`]).
+#[derive(Debug, Clone)]
+pub struct Partition {
+    /// Vertex ids per part, ascending.
+    pub cus: Vec<Vec<CuId>>,
+    /// Edges with both ends in the part, in graph order.
+    pub edges: Vec<Vec<CuEdge>>,
 }
 
 impl<V> CuGraph<V> {
@@ -40,7 +53,44 @@ impl<V> CuGraph<V> {
         CuGraph {
             cus: Vec::new(),
             edges: Vec::new(),
+            seen: FxHashSet::default(),
         }
+    }
+
+    /// Split the graph into `parts` parts by `part_of`.
+    pub fn partition(&self, parts: usize, part_of: impl Fn(&V) -> usize) -> Partition {
+        let mut split = Partition {
+            cus: vec![Vec::new(); parts],
+            edges: vec![Vec::new(); parts],
+        };
+        for (id, v) in self.cus.iter().enumerate() {
+            split.cus[part_of(v)].push(id);
+        }
+        for e in &self.edges {
+            let part = part_of(&self.cus[e.from]);
+            if part == part_of(&self.cus[e.to]) {
+                split.edges[part].push(*e);
+            }
+        }
+        split
+    }
+
+    /// The subgraph over `ids`: vertex `i` carries `payload(ids[i])`, and
+    /// every edge of `edges` with both ends among `ids` is kept, renumbered.
+    /// `edges` may be any superset of the graph's edges among `ids` — the
+    /// [`Partition`] entry of the part `ids` come from.
+    pub fn induced(ids: &[CuId], edges: &[CuEdge], payload: impl Fn(CuId) -> V) -> CuGraph<V> {
+        let mut sub = CuGraph::new();
+        let mut local: FxHashMap<CuId, CuId> = fxhash::map_with_capacity(ids.len());
+        for &id in ids {
+            local.insert(id, sub.add_cu(payload(id)));
+        }
+        for e in edges {
+            if let (Some(&from), Some(&to)) = (local.get(&e.from), local.get(&e.to)) {
+                sub.add_edge(CuEdge { from, to, ..*e });
+            }
+        }
+        sub
     }
 
     /// Add a vertex, returning its id.
@@ -60,7 +110,7 @@ impl<V> CuGraph<V> {
         if e.ty == DepType::Init {
             return false;
         }
-        if self.edges.contains(&e) {
+        if !self.seen.insert(e) {
             return false;
         }
         self.edges.push(e);
@@ -165,8 +215,9 @@ impl<V> CuGraph<V> {
                             continue;
                         }
                         if low[v] == index[v] {
-                            loop {
-                                let w = stack.pop().unwrap();
+                            // `v` is on the stack: it was pushed on entry
+                            // and only a root pops.
+                            while let Some(w) = stack.pop() {
                                 on_stack[w] = false;
                                 comp[w] = next_comp;
                                 if w == v {
@@ -250,18 +301,14 @@ impl<V> CuGraph<V> {
             group[cu] = g;
         }
         let ngroups = remap.len();
+        // Every member of a component is in the same group: any one names it.
+        let mut group_of_comp = vec![0usize; ncomp];
+        for (cu, &c) in comp.iter().enumerate() {
+            group_of_comp[c] = group[cu];
+        }
         let mut gedges: BTreeSet<(usize, usize)> = BTreeSet::new();
         for &(a, b) in &dag_edges {
-            let (ga, gb) = (
-                group[self
-                    .cus_in_comp(&comp, a)
-                    .next()
-                    .expect("non-empty component")],
-                group[self
-                    .cus_in_comp(&comp, b)
-                    .next()
-                    .expect("non-empty component")],
-            );
+            let (ga, gb) = (group_of_comp[a], group_of_comp[b]);
             if ga != gb {
                 gedges.insert((ga, gb));
             }
@@ -269,19 +316,11 @@ impl<V> CuGraph<V> {
         (group, ngroups, gedges.into_iter().collect())
     }
 
-    fn cus_in_comp<'a>(&'a self, comp: &'a [usize], c: usize) -> impl Iterator<Item = CuId> + 'a {
-        comp.iter()
-            .enumerate()
-            .filter(move |(_, &cc)| cc == c)
-            .map(|(i, _)| i)
-    }
-
     /// Topological layers of the RAW DAG over condensation groups: groups
     /// in the same layer are mutually independent. Used for pipeline-stage
     /// and MPMD analysis.
     pub fn layers(&self) -> Vec<Vec<usize>> {
-        let (group, ngroups, gedges) = self.condense();
-        let _ = group;
+        let (_, ngroups, gedges) = self.condense();
         // Edge a → b means a depends on b, so b must be "earlier".
         let mut indeg = vec![0usize; ngroups];
         let mut succ: Vec<Vec<usize>> = vec![Vec::new(); ngroups];

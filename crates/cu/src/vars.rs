@@ -183,9 +183,14 @@ pub fn classify(
 
 /// Human-readable name of a [`VarId`].
 pub fn var_name(module: &Module, v: VarId) -> String {
+    var_name_of(module, v).to_string()
+}
+
+/// [`var_name`], borrowed from the module.
+pub fn var_name_of(module: &Module, v: VarId) -> &str {
     match v {
-        VarId::Global(g) => module.globals[g as usize].name.clone(),
-        VarId::Local(f, l) => module.functions[f as usize].locals[l as usize].name.clone(),
+        VarId::Global(g) => &module.globals[g as usize].name,
+        VarId::Local(f, l) => &module.functions[f as usize].locals[l as usize].name,
     }
 }
 

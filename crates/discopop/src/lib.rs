@@ -106,9 +106,12 @@ impl Report {
         report::ReportDoc::from_report(program, self)
     }
 
-    /// The report as pretty-printed, versioned JSON.
+    /// The report as pretty-printed, versioned JSON, streamed element by
+    /// element (see [`report::ReportDoc::to_json_string`]); the same bytes
+    /// as `to_doc(program).to_json().to_string_pretty()` without the
+    /// document tree in between.
     pub fn to_json_string(&self, program: &interp::Program) -> String {
-        self.to_doc(program).to_json().to_string_pretty()
+        self.to_doc(program).to_json_string()
     }
 }
 

@@ -45,7 +45,7 @@
 //! | `overloaded` | admission control shed the job; honor `retry_after_ms` | yes, after backoff |
 //! | `shutting_down` | the daemon is draining and accepts no new work | yes, elsewhere/later |
 
-use jsonio::Value;
+use jsonio::{Lazy, Value};
 
 /// Version of this wire protocol, reported by `status`.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -367,43 +367,66 @@ impl Response {
         }
     }
 
-    /// Serialize to a JSON tree (render + `\n` = one wire message).
+    /// Serialize to a JSON tree (render + `\n` = one wire message). Copies
+    /// the report; [`Response::to_wire`] renders the same bytes without.
     pub fn to_json(&self) -> Value {
-        match self {
+        self.lazy().into_value()
+    }
+
+    /// The message as its wire text (without the trailing `\n`), written
+    /// around the borrowed report rather than from a copy of it.
+    pub fn to_wire(&self) -> String {
+        self.lazy().to_string()
+    }
+
+    /// The message's shape; a report is embedded by reference.
+    fn lazy(&self) -> Lazy<'_> {
+        fn values<'a>(
+            fields: impl IntoIterator<Item = (&'a str, Value)>,
+        ) -> Vec<(&'a str, Lazy<'a>)> {
+            fields
+                .into_iter()
+                .map(|(k, v)| (k, Lazy::Value(v)))
+                .collect()
+        }
+        Lazy::Object(match self {
             Response::Report {
                 id,
                 cached,
                 elapsed_ms,
                 report,
-            } => Value::object([
-                ("type", Value::from("report")),
-                ("id", Value::from(*id)),
-                ("cached", Value::from(*cached)),
-                ("elapsed_ms", Value::from(*elapsed_ms)),
-                ("report", report.clone()),
-            ]),
+            } => {
+                let mut fields = values([
+                    ("type", Value::from("report")),
+                    ("id", Value::from(*id)),
+                    ("cached", Value::from(*cached)),
+                    ("elapsed_ms", Value::from(*elapsed_ms)),
+                ]);
+                fields.push(("report", Lazy::Ref(report)));
+                fields
+            }
             Response::Error(e) => {
                 let mut fields = vec![
-                    ("type".to_string(), Value::from("error")),
-                    ("id".to_string(), Value::from(e.id)),
-                    ("kind".to_string(), Value::from(e.kind.code())),
-                    ("message".to_string(), Value::from(e.message.as_str())),
+                    ("type", Value::from("error")),
+                    ("id", Value::from(e.id)),
+                    ("kind", Value::from(e.kind.code())),
+                    ("message", Value::from(e.message.as_str())),
                 ];
                 if let Some(ms) = e.retry_after_ms {
-                    fields.push(("retry_after_ms".to_string(), Value::from(ms)));
+                    fields.push(("retry_after_ms", Value::from(ms)));
                 }
                 if let Some(p) = &e.partial {
                     fields.push((
-                        "partial".to_string(),
+                        "partial",
                         Value::object([
                             ("steps", Value::from(p.steps)),
                             ("dependences", Value::from(p.dependences)),
                         ]),
                     ));
                 }
-                Value::Object(fields)
+                values(fields)
             }
-            Response::Status { id, status } => Value::object([
+            Response::Status { id, status } => values([
                 ("type", Value::from("status")),
                 ("id", Value::from(*id)),
                 (
@@ -429,15 +452,33 @@ impl Response {
                     ]),
                 ),
             ]),
-            Response::ShutdownAck { id } => Value::object([
+            Response::ShutdownAck { id } => values([
                 ("type", Value::from("shutting_down")),
                 ("id", Value::from(*id)),
             ]),
-        }
+        })
     }
 
-    /// Deserialize a response.
+    /// Deserialize a response, copying an embedded report out of `v`.
     pub fn from_json(v: &Value) -> Result<Response, String> {
+        Self::decode(v, v.get("report").cloned())
+    }
+
+    /// Deserialize a response that is no longer needed as a tree: an
+    /// embedded report — most of a `report` message — is moved out of it.
+    pub fn from_value(mut v: Value) -> Result<Response, String> {
+        let report = match &mut v {
+            Value::Object(fields) => fields
+                .iter_mut()
+                .find(|(k, _)| k == "report")
+                .map(|(_, report)| std::mem::replace(report, Value::Null)),
+            _ => None,
+        };
+        Self::decode(&v, report)
+    }
+
+    /// Everything but the `report` field is read from `v`.
+    fn decode(v: &Value, report: Option<Value>) -> Result<Response, String> {
         let ty = v
             .get("type")
             .and_then(Value::as_str)
@@ -448,7 +489,7 @@ impl Response {
                 id,
                 cached: get_bool_or(v, "cached", false),
                 elapsed_ms: get_u64_or(v, "elapsed_ms", 0),
-                report: v.get("report").cloned().ok_or("report missing `report`")?,
+                report: report.ok_or("report missing `report`")?,
             }),
             "error" => {
                 let kind_str = v
@@ -605,9 +646,15 @@ mod tests {
             Response::ShutdownAck { id: 9 },
         ] {
             let wire = resp.to_json().to_string();
-            let back = Response::from_json(&Value::parse(&wire).unwrap()).unwrap();
+            assert_eq!(resp.to_wire(), wire, "borrowed and copied renderings agree");
+            let parsed = Value::parse(&wire).unwrap();
+            let back = Response::from_json(&parsed).unwrap();
             assert_eq!(back, resp, "{wire}");
+            assert_eq!(Response::from_value(parsed).unwrap(), resp, "{wire}");
         }
+        assert!(
+            Response::from_value(Value::parse(r#"{"type":"report","id":1}"#).unwrap()).is_err()
+        );
     }
 
     #[test]

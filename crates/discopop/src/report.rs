@@ -8,6 +8,24 @@
 //! and from [`jsonio::Value`]. Downstream tools consume the JSON; this
 //! module is the one place its shape is defined.
 //!
+//! # Two renderings of one definition
+//!
+//! Every element type has one `to_json`, and every container one `lazy`
+//! description ([`jsonio::Lazy`]) that names its fields in order and hands
+//! each array that grows with the program over as a per-element producer.
+//! Both entries read that description:
+//!
+//! - [`ReportDoc::to_json_string`] (behind [`crate::Report::to_json_string`],
+//!   i.e. the CLI's `--json` and the benchmark's jobs) **streams**: one
+//!   element's `Value` is built, written at its depth and dropped before
+//!   the next, so a report whose text is 11 MB never exists as a tree of
+//!   several times that;
+//! - [`ReportDoc::to_json`] collects the description into the whole
+//!   [`jsonio::Value`] tree. `to_json().to_string_pretty()` is the
+//!   **reference** the streamed bytes are tested against
+//!   (`tests/streamed_report.rs`), what the service embeds in a response,
+//!   and what [`ReportDoc::from_json`] reads back.
+//!
 //! # Schema (version 6)
 //!
 //! ```json
@@ -77,7 +95,7 @@
 use crate::Report;
 use discovery::ranking::SuggestionTarget;
 use discovery::{Pattern, SpmdKind};
-use jsonio::Value;
+use jsonio::{Lazy, Value};
 use profiler::{Dep, PetNodeKind};
 
 /// Version stamp of the JSON schema written by [`ReportDoc::to_json`].
@@ -201,6 +219,12 @@ fn pair_u32(v: &Value, what: &str) -> DocResult<(u32, u32)> {
         },
         _ => err(format!("{what} must be a two-element array")),
     }
+}
+
+/// A field that is built whole: a scalar, or a block whose size does not
+/// grow with the analysed program.
+fn small<'a>(v: impl Into<Value>) -> Lazy<'a> {
+    Lazy::Value(v.into())
 }
 
 fn spans_doc(spans: &[(u32, u32)]) -> Value {
@@ -788,56 +812,36 @@ pub struct ProfileDoc {
 }
 
 impl ProfileDoc {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("steps", Value::from(self.steps)),
-            ("accesses", Value::from(self.accesses)),
-            ("dependences_found", Value::from(self.dependences_found)),
-            ("profiler_bytes", Value::from(self.profiler_bytes)),
+    fn lazy(&self) -> Lazy<'_> {
+        Lazy::Object(vec![
+            ("steps", small(self.steps)),
+            ("accesses", small(self.accesses)),
+            ("dependences_found", small(self.dependences_found)),
+            ("profiler_bytes", small(self.profiler_bytes)),
             (
                 "printed",
-                Value::Array(
-                    self.printed
-                        .iter()
-                        .map(|s| Value::from(s.as_str()))
-                        .collect(),
-                ),
+                Lazy::array(&self.printed, |s| Value::from(s.as_str())),
             ),
             (
                 "dependences",
-                Value::Array(self.dependences.iter().map(DepDoc::to_json).collect()),
+                Lazy::array(&self.dependences, DepDoc::to_json),
             ),
-            (
-                "pet",
-                Value::Array(self.pet.iter().map(PetNodeDoc::to_json).collect()),
-            ),
+            ("pet", Lazy::array(&self.pet, PetNodeDoc::to_json)),
             (
                 "parallel",
-                match &self.parallel {
-                    Some(p) => p.to_json(),
-                    None => Value::Null,
-                },
+                small(self.parallel.as_ref().map(ParallelDoc::to_json)),
             ),
             (
                 "resource",
-                match &self.resource {
-                    Some(r) => r.to_json(),
-                    None => Value::Null,
-                },
+                small(self.resource.as_ref().map(ResourceDoc::to_json)),
             ),
             (
                 "summary",
-                match &self.summary {
-                    Some(s) => s.to_json(),
-                    None => Value::Null,
-                },
+                small(self.summary.as_ref().map(SummaryDoc::to_json)),
             ),
             (
                 "actors",
-                match &self.actors {
-                    Some(a) => a.to_json(),
-                    None => Value::Null,
-                },
+                small(self.actors.as_ref().map(ActorsDoc::to_json)),
             ),
         ])
     }
@@ -1453,23 +1457,14 @@ impl StaticDoc {
         }
     }
 
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("spawns_threads", Value::from(self.spawns_threads)),
-            ("affine_ops", Value::from(self.affine_ops)),
-            ("mem_ops", Value::from(self.mem_ops)),
-            (
-                "loops",
-                Value::Array(self.loops.iter().map(StaticLoopDoc::to_json).collect()),
-            ),
-            (
-                "claims",
-                Value::Array(self.claims.iter().map(ClaimDoc::to_json).collect()),
-            ),
-            (
-                "lints",
-                Value::Array(self.lints.iter().map(LintDoc::to_json).collect()),
-            ),
+    fn lazy(&self) -> Lazy<'_> {
+        Lazy::Object(vec![
+            ("spawns_threads", small(self.spawns_threads)),
+            ("affine_ops", small(self.affine_ops)),
+            ("mem_ops", small(self.mem_ops)),
+            ("loops", Lazy::array(&self.loops, StaticLoopDoc::to_json)),
+            ("claims", Lazy::array(&self.claims, ClaimDoc::to_json)),
+            ("lints", Lazy::array(&self.lints, LintDoc::to_json)),
         ])
     }
 
@@ -1510,28 +1505,13 @@ pub struct DiscoveryDoc {
 }
 
 impl DiscoveryDoc {
-    fn to_json(&self) -> Value {
-        Value::object([
-            (
-                "loops",
-                Value::Array(self.loops.iter().map(LoopDoc::to_json).collect()),
-            ),
-            (
-                "spmd",
-                Value::Array(self.spmd.iter().map(SpmdDoc::to_json).collect()),
-            ),
-            (
-                "mpmd",
-                Value::Array(self.mpmd.iter().map(MpmdDoc::to_json).collect()),
-            ),
-            (
-                "ranked",
-                Value::Array(self.ranked.iter().map(RankedDoc::to_json).collect()),
-            ),
-            (
-                "patterns",
-                Value::Array(self.patterns.iter().map(PatternDoc::to_json).collect()),
-            ),
+    fn lazy(&self) -> Lazy<'_> {
+        Lazy::Object(vec![
+            ("loops", Lazy::array(&self.loops, LoopDoc::to_json)),
+            ("spmd", Lazy::array(&self.spmd, SpmdDoc::to_json)),
+            ("mpmd", Lazy::array(&self.mpmd, MpmdDoc::to_json)),
+            ("ranked", Lazy::array(&self.ranked, RankedDoc::to_json)),
+            ("patterns", Lazy::array(&self.patterns, PatternDoc::to_json)),
         ])
     }
 
@@ -1741,22 +1721,39 @@ impl ReportDoc {
         }
     }
 
-    /// Serialize to a JSON tree (render with [`Value::to_string_pretty`]).
-    pub fn to_json(&self) -> Value {
-        Value::object([
-            ("schema_version", Value::from(self.schema_version)),
-            ("program", Value::from(self.program.as_str())),
-            ("engine", Value::from(self.engine.as_str())),
-            ("profile", self.profile.to_json()),
-            ("discovery", self.discovery.to_json()),
+    /// The document's shape, defined once: scalars and small blocks as
+    /// ready values, every array that grows with the program as a
+    /// per-element producer over the element types' `to_json`. Collected,
+    /// it is the tree of [`ReportDoc::to_json`]; written out, the bytes of
+    /// [`ReportDoc::to_json_string`].
+    fn lazy(&self) -> Lazy<'_> {
+        Lazy::Object(vec![
+            ("schema_version", small(self.schema_version)),
+            ("program", small(self.program.as_str())),
+            ("engine", small(self.engine.as_str())),
+            ("profile", self.profile.lazy()),
+            ("discovery", self.discovery.lazy()),
             (
                 "static",
-                match &self.statics {
-                    Some(s) => s.to_json(),
-                    None => Value::Null,
-                },
+                self.statics
+                    .as_ref()
+                    .map_or(small(Value::Null), StaticDoc::lazy),
             ),
         ])
+    }
+
+    /// Serialize to a JSON tree — the reference rendering
+    /// (`to_json().to_string_pretty()`), and what the service embeds in
+    /// its responses.
+    pub fn to_json(&self) -> Value {
+        self.lazy().into_value()
+    }
+
+    /// Serialize to pretty-printed JSON text, streamed: each array element
+    /// is built, written and dropped in turn, so the document tree never
+    /// exists. Byte-identical to `to_json().to_string_pretty()`.
+    pub fn to_json_string(&self) -> String {
+        self.lazy().to_string_pretty()
     }
 
     /// Deserialize from a JSON tree.

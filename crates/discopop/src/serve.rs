@@ -460,7 +460,7 @@ fn read_line_bounded(
 
 fn send_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
     profiler::faultpoint!("serve:respond");
-    let mut line = resp.to_json().to_string();
+    let mut line = resp.to_wire();
     line.push('\n');
     stream.write_all(line.as_bytes())?;
     stream.flush()

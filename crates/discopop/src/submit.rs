@@ -165,7 +165,7 @@ fn exchange(cfg: &SubmitConfig, req: &Request) -> Result<Response, ExchangeError
     }
     let value = Value::parse(reply.trim_end())
         .map_err(|e| ExchangeError::Protocol(format!("unparseable response: {e}")))?;
-    Response::from_json(&value).map_err(ExchangeError::Protocol)
+    Response::from_value(value).map_err(ExchangeError::Protocol)
 }
 
 fn jitter_seed() -> u64 {

@@ -1,9 +1,11 @@
 //! DOALL and DOACROSS loop detection (§4.1).
 
+use cu::{Cu, CuGraph, DepIndex, Partition};
 use interp::Program;
 use mir::{BinOp, Function, Instr, Operand, RegionKind};
 use profiler::{Dep, DepSet, DepType, Pet};
 use serde::Serialize;
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 
 /// A dynamic loop: static identity plus execution metrics from the PET.
@@ -173,87 +175,126 @@ fn induction_names(f: &Function, region: u32) -> BTreeSet<String> {
         .collect()
 }
 
-/// Analyse one loop: DOALL / reduction / DOACROSS / sequential.
+/// Analyse one loop: DOALL / reduction / DOACROSS / sequential. Scans
+/// `deps` once to index it; a caller with many loops builds one
+/// [`LoopAnalyzer`] instead.
 pub fn analyze_loop(program: &Program, deps: &DepSet, info: &LoopInfo) -> LoopResult {
-    let f = &program.module.functions[info.func as usize];
-    if info.iters == 0 {
-        return LoopResult {
-            info: *info,
-            class: LoopClass::NotExecuted,
-            blocking: Vec::new(),
-            reduction_vars: Vec::new(),
-            pipeline_stages: 0,
+    LoopAnalyzer::new(program, &DepIndex::new(program, deps)).analyze(info)
+}
+
+/// Loop classification over one program's dependence index: everything
+/// [`LoopAnalyzer::analyze`] needs besides the loop is a lookup in the
+/// index, or the coarse CU graph — built at most once, when the first
+/// DOACROSS loop asks for its stages.
+pub struct LoopAnalyzer<'a> {
+    program: &'a Program,
+    index: &'a DepIndex,
+    coarse: OnceCell<(CuGraph<Cu>, Partition)>,
+}
+
+impl<'a> LoopAnalyzer<'a> {
+    /// An analyzer over `program`'s indexed dependences.
+    pub fn new(program: &'a Program, index: &'a DepIndex) -> Self {
+        LoopAnalyzer {
+            program,
+            index,
+            coarse: OnceCell::new(),
+        }
+    }
+
+    /// Analyse one loop: DOALL / reduction / DOACROSS / sequential.
+    pub fn analyze(&self, info: &LoopInfo) -> LoopResult {
+        let program = self.program;
+        let f = &program.module.functions[info.func as usize];
+        if info.iters == 0 {
+            return LoopResult {
+                info: *info,
+                class: LoopClass::NotExecuted,
+                blocking: Vec::new(),
+                reduction_vars: Vec::new(),
+                pipeline_stages: 0,
+            };
+        }
+        let induction = induction_names(f, info.region);
+        let mut blocking = Vec::new();
+        let mut reduction_vars = BTreeSet::new();
+        for &d in self.index.carried_raws((info.func, info.region)) {
+            let name = program.symbol(d.var);
+            if induction.contains(name) {
+                continue;
+            }
+            // A reduction update must (a) be an associative read-modify-write
+            // of the variable on one line, and (b) actually read and write the
+            // *same address* within an iteration — witnessed by a same-line,
+            // non-carried WAR. This separates `s += a[i]` and `h[b] += 1`
+            // (reductions) from `a[i] = a[i-1] + 1` (a genuine recurrence,
+            // which reads one element and writes another).
+            if d.sink.line == d.source.line
+                && self.index.has_same_line_war(d.sink.line, d.var)
+                && is_reduction_line(f, d.sink.line, name, program)
+            {
+                reduction_vars.insert(name.to_string());
+                continue;
+            }
+            blocking.push(d);
+        }
+        blocking.sort();
+        blocking.dedup();
+
+        let class = if blocking.is_empty() {
+            if reduction_vars.is_empty() {
+                LoopClass::Doall
+            } else {
+                LoopClass::Reduction
+            }
+        } else {
+            // DOACROSS when the blocked lines leave independent work: compare
+            // the set of lines touched by carried dependences with all body
+            // lines that carry computation.
+            let dep_lines: BTreeSet<u32> = blocking
+                .iter()
+                .flat_map(|d| [d.sink.line, d.source.line])
+                .collect();
+            let body_lines: BTreeSet<u32> = body_access_lines(f, info);
+            let free = body_lines.difference(&dep_lines).count();
+            if free > 0 {
+                LoopClass::Doacross
+            } else {
+                LoopClass::Sequential
+            }
         };
-    }
-    let induction = induction_names(f, info.region);
-    let carried = deps.carried_raws((info.func, info.region));
-    let mut blocking = Vec::new();
-    let mut reduction_vars = BTreeSet::new();
-    for d in carried {
-        let name = program.symbol(d.var).to_string();
-        if induction.contains(&name) {
-            continue;
+
+        let pipeline_stages = if class == LoopClass::Doacross {
+            self.estimate_stages(info)
+        } else {
+            0
+        };
+
+        LoopResult {
+            info: *info,
+            class,
+            blocking,
+            reduction_vars: reduction_vars.into_iter().collect(),
+            pipeline_stages,
         }
-        // A reduction update must (a) be an associative read-modify-write
-        // of the variable on one line, and (b) actually read and write the
-        // *same address* within an iteration — witnessed by a same-line,
-        // non-carried WAR. This separates `s += a[i]` and `h[b] += 1`
-        // (reductions) from `a[i] = a[i-1] + 1` (a genuine recurrence,
-        // which reads one element and writes another).
-        let same_addr_war = deps.iter().any(|(w, _)| {
-            w.ty == DepType::War
-                && w.sink.line == d.sink.line
-                && w.source.line == d.sink.line
-                && w.carried_by.is_none()
-                && w.var == d.var
+    }
+
+    /// Pipeline stages of a DOACROSS body: build the CU subgraph of the
+    /// body and count the topological layers of its condensation — each
+    /// layer can form a stage (§4.1.2).
+    fn estimate_stages(&self, info: &LoopInfo) -> usize {
+        let (graph, by_func) = self.coarse.get_or_init(|| {
+            let graph = cu::build_from_index(self.program, self.index, None, false);
+            let by_func = crate::by_function(self.program, &graph);
+            (graph, by_func)
         });
-        if d.sink.line == d.source.line
-            && same_addr_war
-            && is_reduction_line(f, d.sink.line, &name, program)
-        {
-            reduction_vars.insert(name);
-            continue;
+        // Restrict to CUs inside the body.
+        let inside = crate::cus_within(graph, by_func, info);
+        if inside.is_empty() {
+            return 1;
         }
-        blocking.push(d);
-    }
-    blocking.sort();
-    blocking.dedup();
-
-    let class = if blocking.is_empty() {
-        if reduction_vars.is_empty() {
-            LoopClass::Doall
-        } else {
-            LoopClass::Reduction
-        }
-    } else {
-        // DOACROSS when the blocked lines leave independent work: compare
-        // the set of lines touched by carried dependences with all body
-        // lines that carry computation.
-        let dep_lines: BTreeSet<u32> = blocking
-            .iter()
-            .flat_map(|d| [d.sink.line, d.source.line])
-            .collect();
-        let body_lines: BTreeSet<u32> = body_access_lines(f, info);
-        let free = body_lines.difference(&dep_lines).count();
-        if free > 0 {
-            LoopClass::Doacross
-        } else {
-            LoopClass::Sequential
-        }
-    };
-
-    let pipeline_stages = if class == LoopClass::Doacross {
-        estimate_stages(program, deps, info)
-    } else {
-        0
-    };
-
-    LoopResult {
-        info: *info,
-        class,
-        blocking,
-        reduction_vars: reduction_vars.into_iter().collect(),
-        pipeline_stages,
+        let body = CuGraph::induced(&inside, &by_func.edges[info.func as usize], |i| i);
+        body.layers().len().max(1)
     }
 }
 
@@ -271,48 +312,6 @@ fn body_access_lines(f: &Function, info: &LoopInfo) -> BTreeSet<u32> {
         }
     }
     lines
-}
-
-/// Pipeline stages of a DOACROSS body: build the CU subgraph of the body
-/// and count the topological layers of its condensation — each layer can
-/// form a stage (§4.1.2).
-fn estimate_stages(program: &Program, deps: &DepSet, info: &LoopInfo) -> usize {
-    let graph = cu::build_cu_graph(&cu::CuBuildInput {
-        program,
-        deps,
-        pet: None,
-    });
-    // Restrict to CUs inside the body.
-    let inside: Vec<usize> = graph
-        .cus
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| {
-            c.func == info.func && c.start_line >= info.start_line && c.end_line <= info.end_line
-        })
-        .map(|(i, _)| i)
-        .collect();
-    if inside.is_empty() {
-        return 1;
-    }
-    // Project the graph onto the body's CUs.
-    let mut sub: cu::CuGraph<usize> = cu::CuGraph::new();
-    let mut remap = fxhash::FxHashMap::default();
-    for &i in &inside {
-        let id = sub.add_cu(i);
-        remap.insert(i, id);
-    }
-    for e in &graph.edges {
-        if let (Some(&a), Some(&b)) = (remap.get(&e.from), remap.get(&e.to)) {
-            sub.add_edge(cu::CuEdge {
-                from: a,
-                to: b,
-                ty: e.ty,
-                carried: e.carried,
-            });
-        }
-    }
-    sub.layers().len().max(1)
 }
 
 /// Loops that are parallelizable (DOALL or reduction).

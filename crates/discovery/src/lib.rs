@@ -15,16 +15,21 @@
 //! - the **ranking** of §4.3: instruction coverage, local speedup, and CU
 //!   imbalance.
 
+// Discovery runs inside every analysis job, the daemon's included: library
+// code returns or skips instead of panicking (tests may unwrap).
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod doall;
 pub mod patterns;
 pub mod ranking;
 pub mod tasks;
 
+use cu::{Cu, CuGraph, DepIndex, Partition};
 use interp::Program;
 use profiler::{DepSet, Pet};
 use serde::Serialize;
 
-pub use doall::{analyze_loop, hot_loops, LoopClass, LoopInfo, LoopResult};
+pub use doall::{analyze_loop, hot_loops, LoopAnalyzer, LoopClass, LoopInfo, LoopResult};
 pub use patterns::{classify as classify_patterns, Pattern};
 pub use ranking::{rank, RankedSuggestion, Ranking};
 pub use tasks::{find_mpmd_tasks, find_spmd_tasks, MpmdSuggestion, SpmdKind, SpmdSuggestion};
@@ -45,23 +50,26 @@ pub struct Discovery {
 }
 
 /// Run the full discovery pipeline on a profiled program.
+///
+/// `deps` is scanned exactly once, into a [`DepIndex`] that the CU build
+/// and every pass below share; the CU graph is grouped by function once.
+/// From there each pass is linear in what it walks — functions, loops,
+/// dependences — plus what it emits.
 pub fn discover(program: &Program, deps: &DepSet, pet: &Pet) -> Discovery {
-    let input = cu::CuBuildInput {
-        program,
-        deps,
-        pet: Some(pet),
-    };
+    let index = DepIndex::new(program, deps);
     // Task discovery and ranking use the finer decomposition (§3.3): a
     // function body that is itself a CU would otherwise hide the task
     // structure inside. MPMD task CU ids refer to this graph.
-    let fine = cu::build_cu_graph_fine(&input);
+    let fine = cu::build_from_index(program, &index, Some(pet), true);
+    let by_func = by_function(program, &fine);
+    let analyzer = LoopAnalyzer::new(program, &index);
     let loops: Vec<LoopResult> = hot_loops(program, pet)
-        .into_iter()
-        .map(|l| analyze_loop(program, deps, &l))
+        .iter()
+        .map(|l| analyzer.analyze(l))
         .collect();
-    let spmd = find_spmd_tasks(program, deps, &loops);
-    let mpmd = find_mpmd_tasks(program, &fine);
-    let ranked = rank(program, pet, &fine, &loops, &mpmd);
+    let spmd = find_spmd_tasks(program, &index, &loops);
+    let mpmd = find_mpmd_tasks(&fine, &by_func);
+    let ranked = rank(pet, &fine, &by_func, &loops, &mpmd);
     let patterns = patterns::classify(&loops, &mpmd);
     Discovery {
         loops,
@@ -70,6 +78,23 @@ pub fn discover(program: &Program, deps: &DepSet, pet: &Pet) -> Discovery {
         ranked,
         patterns,
     }
+}
+
+/// `graph`'s CUs, and the edges between CUs of one function, by function.
+pub fn by_function(program: &Program, graph: &CuGraph<Cu>) -> Partition {
+    graph.partition(program.module.functions.len(), |c| c.func as usize)
+}
+
+/// The CUs of `graph` that lie inside `info`'s loop, in id order.
+fn cus_within(graph: &CuGraph<Cu>, by_func: &Partition, info: &LoopInfo) -> Vec<usize> {
+    by_func.cus[info.func as usize]
+        .iter()
+        .copied()
+        .filter(|&i| {
+            let c = &graph.cus[i];
+            c.start_line >= info.start_line && c.end_line <= info.end_line
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -3,9 +3,7 @@
 
 use crate::doall::{LoopClass, LoopResult};
 use crate::tasks::MpmdSuggestion;
-use cu::{Cu, CuGraph};
-use fxhash::FxHashMap;
-use interp::Program;
+use cu::{Cu, CuEdge, CuGraph, Partition};
 use profiler::{DepType, Pet};
 use serde::Serialize;
 
@@ -57,31 +55,19 @@ pub struct RankedSuggestion {
     pub score: f64,
 }
 
+/// The weighted subgraph over `ids`; `edges` holds (at least) the graph's
+/// edges among them.
+fn weighted(graph: &CuGraph<Cu>, ids: &[usize], edges: &[CuEdge]) -> CuGraph<u64> {
+    CuGraph::induced(ids, edges, |i| graph.cus[i].weight.max(1))
+}
+
 /// Critical-path analysis over a set of CUs: `(serial_work, critical_path)`
 /// where cycles (SCCs) collapse to sequential blobs.
-fn critical_path(graph: &CuGraph<Cu>, ids: &[usize]) -> (u64, u64) {
+fn critical_path(graph: &CuGraph<Cu>, ids: &[usize], edges: &[CuEdge]) -> (u64, u64) {
     if ids.is_empty() {
         return (0, 0);
     }
-    let mut sub: CuGraph<u64> = CuGraph::new();
-    let mut remap = FxHashMap::default();
-    for &i in ids {
-        let id = sub.add_cu(graph.cus[i].weight.max(1));
-        remap.insert(i, id);
-    }
-    for e in &graph.edges {
-        if e.ty != DepType::Raw {
-            continue;
-        }
-        if let (Some(&a), Some(&b)) = (remap.get(&e.from), remap.get(&e.to)) {
-            sub.add_edge(cu::CuEdge {
-                from: a,
-                to: b,
-                ty: e.ty,
-                carried: e.carried,
-            });
-        }
-    }
+    let sub = weighted(graph, ids, edges);
     let serial: u64 = sub.cus.iter().sum();
     // Condense SCCs; each component's weight is the sum of its members
     // (a cycle serializes).
@@ -124,26 +110,11 @@ fn critical_path(graph: &CuGraph<Cu>, ids: &[usize]) -> (u64, u64) {
 /// CU imbalance: coefficient of variation of the independent groups'
 /// weights in the widest layer of the condensation (Fig. 4.6: balanced
 /// CUs in a layer → 0; one dominant CU → high imbalance).
-fn imbalance(graph: &CuGraph<Cu>, ids: &[usize]) -> f64 {
+fn imbalance(graph: &CuGraph<Cu>, ids: &[usize], edges: &[CuEdge]) -> f64 {
     if ids.len() < 2 {
         return 0.0;
     }
-    let mut sub: CuGraph<u64> = CuGraph::new();
-    let mut remap = FxHashMap::default();
-    for &i in ids {
-        let id = sub.add_cu(graph.cus[i].weight.max(1));
-        remap.insert(i, id);
-    }
-    for e in &graph.edges {
-        if let (Some(&a), Some(&b)) = (remap.get(&e.from), remap.get(&e.to)) {
-            sub.add_edge(cu::CuEdge {
-                from: a,
-                to: b,
-                ty: e.ty,
-                carried: e.carried,
-            });
-        }
-    }
+    let sub = weighted(graph, ids, edges);
     let (group, ngroups, _) = sub.condense();
     let mut gweight = vec![0u64; ngroups];
     for (i, &g) in group.iter().enumerate() {
@@ -164,11 +135,13 @@ fn imbalance(graph: &CuGraph<Cu>, ids: &[usize]) -> f64 {
     var.sqrt() / mean
 }
 
-/// Rank every parallelizable loop and MPMD task set, best first.
+/// Rank every parallelizable loop and MPMD task set, best first. `by_func`
+/// is `graph` grouped by function ([`crate::by_function`]): each candidate
+/// looks only at its own function's CUs and edges.
 pub fn rank(
-    program: &Program,
     pet: &Pet,
     graph: &CuGraph<Cu>,
+    by_func: &Partition,
     loops: &[LoopResult],
     mpmd: &[MpmdSuggestion],
 ) -> Vec<RankedSuggestion> {
@@ -179,17 +152,7 @@ pub fn rank(
         if matches!(l.class, LoopClass::Sequential | LoopClass::NotExecuted) {
             continue;
         }
-        let ids: Vec<usize> = graph
-            .cus
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| {
-                c.func == l.info.func
-                    && c.start_line >= l.info.start_line
-                    && c.end_line <= l.info.end_line
-            })
-            .map(|(i, _)| i)
-            .collect();
+        let ids = crate::cus_within(graph, by_func, &l.info);
         let coverage = (l.info.dyn_instrs as f64 / total).min(1.0);
         // For a parallelizable loop the speedup with unbounded resources is
         // the iteration count (all iterations concurrent) for DOALL, and
@@ -200,7 +163,7 @@ pub fn rank(
             LoopClass::Doacross => l.pipeline_stages.max(1) as f64,
             _ => 1.0,
         };
-        let imb = imbalance(graph, &ids);
+        let imb = imbalance(graph, &ids, &by_func.edges[l.info.func as usize]);
         let ranking = Ranking {
             instruction_coverage: coverage,
             local_speedup,
@@ -223,9 +186,10 @@ pub fn rank(
         let work: u64 = m.tasks.iter().map(|t| t.weight).sum();
         // CU weights are estimates and may overlap; coverage is a fraction.
         let coverage = (work as f64 / total).min(1.0);
-        let (serial, cp) = critical_path(graph, &ids);
+        let edges = &by_func.edges[m.func as usize];
+        let (serial, cp) = critical_path(graph, &ids, edges);
         let local_speedup = serial as f64 / cp as f64;
-        let imb = imbalance(graph, &ids);
+        let imb = imbalance(graph, &ids, edges);
         let ranking = Ranking {
             instruction_coverage: coverage,
             local_speedup: local_speedup.max(1.0),
@@ -246,7 +210,6 @@ pub fn rank(
             .partial_cmp(&a.score)
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    let _ = program;
     out
 }
 
@@ -255,6 +218,7 @@ mod tests {
     use super::*;
     use crate::doall::{analyze_loop, hot_loops};
     use crate::tasks::find_mpmd_tasks;
+    use interp::Program;
     use profiler::profile_program;
 
     fn full(src: &str) -> Vec<RankedSuggestion> {
@@ -269,8 +233,9 @@ mod tests {
             .into_iter()
             .map(|l| analyze_loop(&p, &out.deps, &l))
             .collect();
-        let mpmd = find_mpmd_tasks(&p, &graph);
-        rank(&p, &out.pet, &graph, &loops, &mpmd)
+        let by_func = crate::by_function(&p, &graph);
+        let mpmd = find_mpmd_tasks(&graph, &by_func);
+        rank(&out.pet, &graph, &by_func, &loops, &mpmd)
     }
 
     #[test]

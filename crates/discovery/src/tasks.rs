@@ -1,12 +1,12 @@
 //! Task parallelism: SPMD (§4.2.1) and MPMD (§4.2.2) detection.
 
 use crate::doall::{LoopClass, LoopResult};
-use cu::{Cu, CuGraph};
+use cu::{Cu, CuGraph, DepIndex, Partition};
+use fxhash::FxHashMap;
 use interp::Program;
 use mir::{Instr, VarRef};
-use profiler::{DepSet, DepType};
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Kinds of SPMD-style task suggestions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -58,33 +58,48 @@ pub struct MpmdTask {
     pub cus: Vec<usize>,
 }
 
-/// Call sites per function: `(line, callee)` for calls to user functions.
-fn user_call_sites(program: &Program, func: u32) -> Vec<(u32, String)> {
-    let f = &program.module.functions[func as usize];
-    let mut v = Vec::new();
-    for (_, b) in f.iter_blocks() {
-        for i in &b.instrs {
-            if let Instr::Call {
-                func: callee, line, ..
-            } = i
-            {
-                if program.module.function(callee).is_some() {
-                    v.push((*line, callee.clone()));
+/// Call sites of every function, in instruction order: `(line, callee
+/// index)` for calls to user functions. Callee names are resolved here,
+/// once per site, through one name table.
+fn user_call_sites(program: &Program) -> Vec<Vec<(u32, usize)>> {
+    let functions = &program.module.functions;
+    let mut by_name: FxHashMap<&str, usize> = fxhash::map_with_capacity(functions.len());
+    for (fi, f) in functions.iter().enumerate() {
+        // The first function of a name is the one a call resolves to.
+        by_name.entry(f.name.as_str()).or_insert(fi);
+    }
+    functions
+        .iter()
+        .map(|f| {
+            let mut sites = Vec::new();
+            for (_, b) in f.iter_blocks() {
+                for i in &b.instrs {
+                    if let Instr::Call { func, line, .. } = i {
+                        if let Some(&callee) = by_name.get(func.as_str()) {
+                            sites.push((*line, callee));
+                        }
+                    }
                 }
             }
-        }
-    }
-    v
+            sites
+        })
+        .collect()
 }
 
 /// Transitive global read/write sets per function: which module globals a
 /// call to the function may read or write, including through callees.
 pub fn transitive_global_sets(program: &Program) -> Vec<(BTreeSet<u32>, BTreeSet<u32>)> {
+    global_sets(program, &user_call_sites(program))
+}
+
+fn global_sets(
+    program: &Program,
+    sites: &[Vec<(u32, usize)>],
+) -> Vec<(BTreeSet<u32>, BTreeSet<u32>)> {
     let module = &program.module;
     let n = module.functions.len();
     let mut reads: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); n];
     let mut writes: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); n];
-    let mut calls: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
     for (fi, f) in module.functions.iter().enumerate() {
         for (_, b) in f.iter_blocks() {
             for i in &b.instrs {
@@ -99,23 +114,21 @@ pub fn transitive_global_sets(program: &Program) -> Vec<(BTreeSet<u32>, BTreeSet
                             writes[fi].insert(g.0);
                         }
                     }
-                    Instr::Call { func, .. } => {
-                        if let Some((ci, _)) = module.function(func) {
-                            calls[fi].insert(ci.index());
-                        }
-                    }
                     _ => {}
                 }
             }
         }
     }
+    let calls: Vec<BTreeSet<usize>> = sites
+        .iter()
+        .map(|s| s.iter().map(|&(_, callee)| callee).collect())
+        .collect();
     // Fixpoint closure over the call graph.
     let mut changed = true;
     while changed {
         changed = false;
         for fi in 0..n {
-            let callees: Vec<usize> = calls[fi].iter().copied().collect();
-            for c in callees {
+            for &c in &calls[fi] {
                 let extra_r: Vec<u32> = reads[c].difference(&reads[fi]).copied().collect();
                 let extra_w: Vec<u32> = writes[c].difference(&writes[fi]).copied().collect();
                 if !extra_r.is_empty() || !extra_w.is_empty() {
@@ -132,9 +145,11 @@ pub fn transitive_global_sets(program: &Program) -> Vec<(BTreeSet<u32>, BTreeSet
 /// Detect SPMD-style tasks.
 pub fn find_spmd_tasks(
     program: &Program,
-    deps: &DepSet,
+    index: &DepIndex,
     loops: &[LoopResult],
 ) -> Vec<SpmdSuggestion> {
+    let functions = &program.module.functions;
+    let sites = user_call_sites(program);
     let mut out = Vec::new();
 
     // (a) Parallelizable loops containing calls: loop-of-tasks.
@@ -142,12 +157,16 @@ pub fn find_spmd_tasks(
         if !matches!(l.class, LoopClass::Doall | LoopClass::Reduction) {
             continue;
         }
-        let calls: Vec<(u32, String)> = user_call_sites(program, l.info.func)
-            .into_iter()
+        let calls: Vec<(u32, usize)> = sites[l.info.func as usize]
+            .iter()
+            .copied()
             .filter(|(line, _)| *line > l.info.start_line && *line <= l.info.end_line)
             .collect();
         if !calls.is_empty() {
-            let mut callees: Vec<String> = calls.iter().map(|(_, c)| c.clone()).collect();
+            let mut callees: Vec<String> = calls
+                .iter()
+                .map(|&(_, c)| functions[c].name.clone())
+                .collect();
             callees.sort();
             callees.dedup();
             out.push(SpmdSuggestion {
@@ -164,46 +183,34 @@ pub fn find_spmd_tasks(
     // satisfy the Bernstein condition (§1.2.1) — no flow between the call
     // lines locally, and the callees' transitive global read/write sets do
     // not conflict.
-    let globals = transitive_global_sets(program);
-    for (fi, _) in program.module.functions.iter().enumerate() {
-        let calls = user_call_sites(program, fi as u32);
-        if calls.len() < 2 {
-            continue;
-        }
-        for i in 0..calls.len() {
-            for j in i + 1..calls.len() {
-                let (la, ca) = &calls[i];
-                let (lb, cb) = &calls[j];
+    let globals = global_sets(program, &sites);
+    for (fi, calls) in sites.iter().enumerate() {
+        for (i, &(la, ca)) in calls.iter().enumerate() {
+            for &(lb, cb) in &calls[i + 1..] {
                 if la == lb {
                     continue;
                 }
                 // Local flow: the later call's line must not read what the
                 // earlier call's line produced (`b = f(a)` after `a = f(x)`).
-                let (first, second) = if la < lb { (*la, *lb) } else { (*lb, *la) };
-                let local_flow = deps.iter().any(|(d, _)| {
-                    d.ty == DepType::Raw && d.sink.line == second && d.source.line == first
-                });
-                if local_flow {
+                if index.has_raw(la.min(lb), la.max(lb)) {
                     continue;
                 }
                 // Bernstein on transitive global sets.
-                let (ci, _) = program.module.function(ca).expect("callee exists");
-                let (cj, _) = program.module.function(cb).expect("callee exists");
-                let (ra, wa) = &globals[ci.index()];
-                let (rb, wb) = &globals[cj.index()];
+                let (ra, wa) = &globals[ca];
+                let (rb, wb) = &globals[cb];
                 let conflict = wa.intersection(rb).next().is_some()
                     || ra.intersection(wb).next().is_some()
                     || wa.intersection(wb).next().is_some();
                 if conflict {
                     continue;
                 }
-                let mut callees = vec![ca.clone(), cb.clone()];
+                let mut callees = vec![functions[ca].name.clone(), functions[cb].name.clone()];
                 callees.sort();
                 callees.dedup();
                 out.push(SpmdSuggestion {
                     kind: SpmdKind::SiblingCalls,
                     func: fi as u32,
-                    lines: vec![*la, *lb],
+                    lines: vec![la, lb],
                     callees,
                     loop_line: None,
                 });
@@ -213,73 +220,52 @@ pub fn find_spmd_tasks(
     out
 }
 
-/// Detect MPMD-style tasks: condense the CU graph (SCCs, then chains —
-/// Fig. 4.5), lay it out topologically, and report every layer with two or
-/// more independent groups as a set of concurrent tasks.
-pub fn find_mpmd_tasks(program: &Program, graph: &CuGraph<Cu>) -> Vec<MpmdSuggestion> {
+/// Detect MPMD-style tasks: condense each function's CU graph (SCCs, then
+/// chains — Fig. 4.5), lay it out topologically, and report every layer
+/// with two or more independent groups as a set of concurrent tasks.
+/// `by_func` is `graph` grouped by function ([`crate::by_function`]).
+pub fn find_mpmd_tasks(graph: &CuGraph<Cu>, by_func: &Partition) -> Vec<MpmdSuggestion> {
     let mut out = Vec::new();
-    for (fi, _) in program.module.functions.iter().enumerate() {
-        // Project onto this function's CUs.
-        let ids: Vec<usize> = graph
-            .cus
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.func == fi as u32)
-            .map(|(i, _)| i)
-            .collect();
+    for (fi, ids) in by_func.cus.iter().enumerate() {
         if ids.len() < 2 {
             continue;
         }
-        let mut sub: CuGraph<usize> = CuGraph::new();
-        let mut remap = BTreeMap::new();
-        for &i in &ids {
-            let id = sub.add_cu(i);
-            remap.insert(i, id);
-        }
-        for e in &graph.edges {
-            if let (Some(&a), Some(&b)) = (remap.get(&e.from), remap.get(&e.to)) {
-                sub.add_edge(cu::CuEdge {
-                    from: a,
-                    to: b,
-                    ty: e.ty,
-                    carried: e.carried,
-                });
-            }
-        }
+        // Project onto this function's CUs.
+        let sub = CuGraph::induced(ids, &by_func.edges[fi], |i| i);
         let (group, ngroups, _) = sub.condense();
-        let layers = sub.layers();
-        for layer in layers {
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); ngroups];
+        for (c, &g) in group.iter().enumerate() {
+            members[g].push(sub.cus[c]);
+        }
+        for layer in sub.layers() {
             if layer.len() < 2 {
                 continue;
             }
-            // Materialize each group of the layer as a task.
-            let mut tasks = Vec::new();
-            for &g in &layer {
-                let cus: Vec<usize> = (0..sub.len())
-                    .filter(|&c| group[c] == g)
-                    .map(|c| sub.cus[c])
-                    .collect();
-                if cus.is_empty() {
-                    continue;
-                }
-                let start = cus.iter().map(|&c| graph.cus[c].start_line).min().unwrap();
-                let end = cus.iter().map(|&c| graph.cus[c].end_line).max().unwrap();
-                let weight = cus.iter().map(|&c| graph.cus[c].weight).sum();
-                tasks.push(MpmdTask {
-                    start_line: start,
-                    end_line: end,
-                    weight,
-                    cus,
-                });
-            }
-            if tasks.len() >= 2 {
-                tasks.sort_by_key(|t| t.start_line);
-                out.push(MpmdSuggestion {
-                    func: fi as u32,
-                    tasks,
-                });
-            }
-            let _ = ngroups;
+            // Materialize each group of the layer as a task; a group is
+            // numbered only once it has a member, so none is empty.
+            let mut tasks: Vec<MpmdTask> = layer
+                .iter()
+                .map(|&g| {
+                    let mut task = MpmdTask {
+                        start_line: u32::MAX,
+                        end_line: 0,
+                        weight: 0,
+                        cus: members[g].clone(),
+                    };
+                    for &c in &task.cus {
+                        let cu = &graph.cus[c];
+                        task.start_line = task.start_line.min(cu.start_line);
+                        task.end_line = task.end_line.max(cu.end_line);
+                        task.weight += cu.weight;
+                    }
+                    task
+                })
+                .collect();
+            tasks.sort_by_key(|t| t.start_line);
+            out.push(MpmdSuggestion {
+                func: fi as u32,
+                tasks,
+            });
         }
     }
     out
@@ -291,7 +277,7 @@ mod tests {
     use crate::doall::{analyze_loop, hot_loops};
     use profiler::profile_program;
 
-    fn setup(src: &str) -> (Program, profiler::DepSet, CuGraph<Cu>, Vec<LoopResult>) {
+    fn setup(src: &str) -> (Program, DepIndex, CuGraph<Cu>, Vec<LoopResult>) {
         let p = Program::new(lang::compile(src, "t").unwrap());
         let out = profile_program(&p).unwrap();
         let fine = cu::build_cu_graph_fine(&cu::CuBuildInput {
@@ -303,7 +289,8 @@ mod tests {
             .into_iter()
             .map(|l| analyze_loop(&p, &out.deps, &l))
             .collect();
-        (p, out.deps, fine, loops)
+        let index = DepIndex::new(&p, &out.deps);
+        (p, index, fine, loops)
     }
 
     /// The `fib` pattern (Fig. 4.3): two recursive calls whose results
@@ -311,8 +298,8 @@ mod tests {
     #[test]
     fn fib_sibling_calls_found() {
         let src = "fn fib(int n) -> int {\nif (n < 2) { return n; }\nint a = fib(n - 1);\nint b = fib(n - 2);\nreturn a + b;\n}\nfn main() {\nint r = fib(10);\nprint(r);\n}";
-        let (p, deps, _graph, loops) = setup(src);
-        let spmd = find_spmd_tasks(&p, &deps, &loops);
+        let (p, index, _graph, loops) = setup(src);
+        let spmd = find_spmd_tasks(&p, &index, &loops);
         let sib: Vec<&SpmdSuggestion> = spmd
             .iter()
             .filter(|s| s.kind == SpmdKind::SiblingCalls)
@@ -329,8 +316,8 @@ mod tests {
     #[test]
     fn loop_task_found() {
         let src = "global int out[16];\nfn work(int i) -> int {\nreturn i * i + 3;\n}\nfn main() {\nfor (int i = 0; i < 16; i = i + 1) {\nout[i] = work(i);\n}\n}";
-        let (p, deps, _graph, loops) = setup(src);
-        let spmd = find_spmd_tasks(&p, &deps, &loops);
+        let (p, index, _graph, loops) = setup(src);
+        let spmd = find_spmd_tasks(&p, &index, &loops);
         assert!(
             spmd.iter()
                 .any(|s| s.kind == SpmdKind::LoopTask && s.callees == vec!["work".to_string()]),
@@ -342,8 +329,8 @@ mod tests {
     #[test]
     fn mpmd_independent_phases() {
         let src = "global int a[32];\nglobal int b[32];\nfn main() {\nfor (int i = 0; i < 32; i = i + 1) {\na[i] = i * 2;\n}\nfor (int j = 0; j < 32; j = j + 1) {\nb[j] = j * 3;\n}\n}";
-        let (p, _deps, graph, _) = setup(src);
-        let mpmd = find_mpmd_tasks(&p, &graph);
+        let (p, _, graph, _) = setup(src);
+        let mpmd = find_mpmd_tasks(&graph, &crate::by_function(&p, &graph));
         assert!(
             mpmd.iter().any(|m| m.tasks.len() >= 2),
             "two independent loops must yield concurrent tasks: {mpmd:?}"
@@ -354,8 +341,8 @@ mod tests {
     #[test]
     fn mpmd_respects_dependences() {
         let src = "global int a[32];\nglobal int b[32];\nfn main() {\nfor (int i = 0; i < 32; i = i + 1) {\na[i] = i * 2;\n}\nfor (int j = 0; j < 32; j = j + 1) {\nb[j] = a[j] * 3;\n}\n}";
-        let (p, _deps, graph, _) = setup(src);
-        let mpmd = find_mpmd_tasks(&p, &graph);
+        let (p, _, graph, _) = setup(src);
+        let mpmd = find_mpmd_tasks(&graph, &crate::by_function(&p, &graph));
         // The two loops form a chain; no layer may contain both.
         for m in &mpmd {
             for t in &m.tasks {
@@ -371,8 +358,8 @@ mod tests {
     fn dependent_sibling_calls_not_suggested() {
         // Second call consumes the first call's result through a global.
         let src = "global int acc;\nfn step1(int x) { acc = x * 2; }\nfn step2() -> int { return acc + 1; }\nfn main() {\nstep1(5);\nint r = step2();\nprint(r);\n}";
-        let (p, deps, _graph, loops) = setup(src);
-        let spmd = find_spmd_tasks(&p, &deps, &loops);
+        let (p, index, _graph, loops) = setup(src);
+        let spmd = find_spmd_tasks(&p, &index, &loops);
         assert!(
             !spmd.iter().any(|s| s.kind == SpmdKind::SiblingCalls
                 && s.callees.contains(&"step1".to_string())

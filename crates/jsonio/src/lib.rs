@@ -184,62 +184,45 @@ impl Value {
     #[allow(clippy::inherent_to_string)]
     pub fn to_string(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write(&mut out, false, 0);
         out
     }
 
     /// Render with two-space indentation.
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        self.write(&mut out, true, 0);
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    /// Append this value to `out` — the one writer every rendering goes
+    /// through. With `pretty`, the value is laid out as it would be `depth`
+    /// containers deep in a two-space-indented document (the caller has
+    /// already written whatever precedes it on its first line).
+    fn write(&self, out: &mut String, pretty: bool, depth: usize) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(n) => out.push_str(&n.to_string()),
+            Value::Int(n) => write_i64(out, *n),
             Value::Float(n) => write_f64(out, *n),
             Value::Str(s) => write_escaped(out, s),
             Value::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline(out, indent, depth + 1);
-                    item.write(out, indent, depth + 1);
-                }
-                newline(out, indent, depth);
-                out.push(']');
+                write_seq(out, pretty, depth, ('[', ']'), items.iter(), |out, v| {
+                    v.write(out, pretty, depth + 1)
+                })
             }
-            Value::Object(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline(out, indent, depth + 1);
-                    write_escaped(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, depth + 1);
-                }
-                newline(out, indent, depth);
-                out.push('}');
-            }
+            Value::Object(fields) => write_seq(
+                out,
+                pretty,
+                depth,
+                ('{', '}'),
+                fields.iter(),
+                |out, (k, v)| {
+                    write_key(out, pretty, k);
+                    v.write(out, pretty, depth + 1)
+                },
+            ),
         }
     }
 
@@ -286,21 +269,171 @@ impl Value {
     }
 }
 
-fn newline(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(w) = indent {
+/// A document described piece by piece: small parts as ready [`Value`]s,
+/// large arrays as iterators that build one element at a time. Rendering
+/// it writes each element and drops it, so the whole document never exists
+/// as one tree; [`Lazy::into_value`] collects the same description into the
+/// tree, byte for byte the same once rendered. A type's shape is then
+/// defined once and serves both.
+///
+/// ```
+/// use jsonio::{Lazy, Value};
+///
+/// let rows = [1u32, 2, 3];
+/// let doc = || {
+///     Lazy::Object(vec![
+///         ("n", Lazy::Value(Value::from(rows.len()))),
+///         ("rows", Lazy::array(&rows, |&r| Value::from(r))),
+///     ])
+/// };
+/// assert_eq!(doc().to_string(), r#"{"n":3,"rows":[1,2,3]}"#);
+/// assert_eq!(doc().to_string_pretty(), doc().into_value().to_string_pretty());
+/// ```
+pub enum Lazy<'a> {
+    /// An already-built value, owned.
+    Value(Value),
+    /// An already-built value, borrowed: rendered in place, cloned only by
+    /// [`Lazy::into_value`].
+    Ref(&'a Value),
+    /// An object, in field order.
+    Object(Vec<(&'a str, Lazy<'a>)>),
+    /// An array whose elements are built as they are needed.
+    Array(Box<dyn Iterator<Item = Value> + 'a>),
+}
+
+impl<'a> Lazy<'a> {
+    /// An array with one element per item, built by `to_json` on demand.
+    pub fn array<T>(items: &'a [T], to_json: impl Fn(&'a T) -> Value + 'a) -> Lazy<'a> {
+        Lazy::Array(Box::new(items.iter().map(to_json)))
+    }
+
+    /// Build the whole tree.
+    pub fn into_value(self) -> Value {
+        match self {
+            Lazy::Value(v) => v,
+            Lazy::Ref(v) => v.clone(),
+            Lazy::Object(fields) => Value::Object(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v.into_value()))
+                    .collect(),
+            ),
+            Lazy::Array(items) => Value::Array(items.collect()),
+        }
+    }
+
+    /// Render without whitespace; equals `self.into_value().to_string()`.
+    #[allow(clippy::inherent_to_string)]
+    pub fn to_string(self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, false, 0);
+        out
+    }
+
+    /// Render with two-space indentation; equals
+    /// `self.into_value().to_string_pretty()`.
+    pub fn to_string_pretty(self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, true, 0);
         out.push('\n');
-        out.push_str(&" ".repeat(w * depth));
+        out
+    }
+
+    fn write(self, out: &mut String, pretty: bool, depth: usize) {
+        match self {
+            Lazy::Value(v) => v.write(out, pretty, depth),
+            Lazy::Ref(v) => v.write(out, pretty, depth),
+            Lazy::Object(fields) => write_seq(
+                out,
+                pretty,
+                depth,
+                ('{', '}'),
+                fields.into_iter(),
+                |out, (k, v)| {
+                    write_key(out, pretty, k);
+                    v.write(out, pretty, depth + 1)
+                },
+            ),
+            Lazy::Array(items) => write_seq(out, pretty, depth, ('[', ']'), items, |out, v| {
+                v.write(out, pretty, depth + 1)
+            }),
+        }
     }
 }
 
+/// Container framing, written in one place for trees and [`Lazy`]
+/// documents alike: brackets, commas, one line per element when `pretty`,
+/// and `[]`/`{}` when there is none.
+fn write_seq<T>(
+    out: &mut String,
+    pretty: bool,
+    depth: usize,
+    (open, close): (char, char),
+    items: impl Iterator<Item = T>,
+    mut write_item: impl FnMut(&mut String, T),
+) {
+    out.push(open);
+    let mut empty = true;
+    for item in items {
+        if !empty {
+            out.push(',');
+        }
+        empty = false;
+        newline(out, pretty, depth + 1);
+        write_item(out, item);
+    }
+    if !empty {
+        newline(out, pretty, depth);
+    }
+    out.push(close);
+}
+
+fn write_key(out: &mut String, pretty: bool, key: &str) {
+    write_escaped(out, key);
+    out.push_str(if pretty { ": " } else { ":" });
+}
+
+fn newline(out: &mut String, pretty: bool, depth: usize) {
+    const SPACES: &str = "                                                                ";
+    if pretty {
+        out.push('\n');
+        let mut width = 2 * depth;
+        while width > 0 {
+            let run = width.min(SPACES.len());
+            out.push_str(&SPACES[..run]);
+            width -= run;
+        }
+    }
+}
+
+fn write_i64(out: &mut String, n: i64) {
+    // 20 bytes hold `i64::MIN` with its sign.
+    let mut buf = [b'0'; 20];
+    let mut at = buf.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    // Digits and a sign are ASCII, so the check cannot fail.
+    out.push_str(std::str::from_utf8(&buf[at..]).unwrap_or_default());
+}
+
 fn write_f64(out: &mut String, n: f64) {
+    use fmt::Write;
     if n.is_finite() {
-        let s = format!("{n}");
+        let at = out.len();
+        let _ = write!(out, "{n}");
         // Keep the float lane on re-parse: `2.0` formats as `2`.
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            out.push_str(&s);
-        } else {
-            out.push_str(&s);
+        if !out[at..].contains(['.', 'e', 'E']) {
             out.push_str(".0");
         }
     } else {
@@ -310,20 +443,32 @@ fn write_f64(out: &mut String, n: f64) {
 }
 
 fn write_escaped(out: &mut String, s: &str) {
+    use fmt::Write;
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    // Everything that needs an escape is one ASCII byte, so the text
+    // between two of them is pushed as a whole run — the entire string in
+    // the usual case of none.
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[clean..i]);
+        match short {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        clean = i + 1;
     }
+    out.push_str(&s[clean..]);
     out.push('"');
 }
 
@@ -858,6 +1003,201 @@ mod tests {
             Value::parse("[1, x]").unwrap_err().kind,
             ParseErrorKind::Syntax
         );
+    }
+
+    /// The writer before the run-based fast path: one `match` per char.
+    fn escape_per_char(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// xorshift64*: enough randomness for tree shapes, no dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+        }
+
+        fn string(&mut self) -> String {
+            const ALPHABET: [&str; 12] = [
+                "a", "key", " ", "\"", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}", "é", "😀",
+            ];
+            (0..self.below(6))
+                .map(|_| ALPHABET[self.below(ALPHABET.len() as u64) as usize])
+                .collect()
+        }
+
+        /// A random tree no deeper than `depth` containers; any container
+        /// may be empty.
+        fn value(&mut self, depth: u32) -> Value {
+            match self.below(if depth == 0 { 5 } else { 8 }) {
+                0 => Value::Null,
+                1 => Value::Bool(self.below(2) == 0),
+                2 => Value::Int(self.below(2000) as i64 - 1000),
+                3 => Value::Float(self.below(2000) as f64 / 8.0 - 100.0),
+                4 => Value::Str(self.string()),
+                _ => self.container(depth, false),
+            }
+        }
+
+        /// An array or object of random values; with `spine`, one child is
+        /// again such a container, all the way down to `depth` 1.
+        fn container(&mut self, depth: u32, spine: bool) -> Value {
+            let mut children: Vec<Value> =
+                (0..self.below(4)).map(|_| self.value(depth - 1)).collect();
+            if spine && depth > 1 {
+                let at = self.below(children.len() as u64 + 1) as usize;
+                children.insert(at, self.container(depth - 1, true));
+            }
+            if self.below(2) == 0 {
+                Value::Array(children)
+            } else {
+                Value::Object(children.into_iter().map(|v| (self.string(), v)).collect())
+            }
+        }
+    }
+
+    /// The same document with containers taken apart at random: arrays into
+    /// element iterators, objects into lazy fields, the rest borrowed or
+    /// cloned whole.
+    fn take_apart<'a>(rng: &mut Rng, v: &'a Value) -> Lazy<'a> {
+        match v {
+            Value::Array(items) if rng.below(3) > 0 => Lazy::array(items, Value::clone),
+            Value::Object(fields) if rng.below(3) > 0 => Lazy::Object(
+                fields
+                    .iter()
+                    .map(|(k, v)| (k.as_str(), take_apart(rng, v)))
+                    .collect(),
+            ),
+            v if rng.below(2) == 0 => Lazy::Ref(v),
+            v => Lazy::Value(v.clone()),
+        }
+    }
+
+    #[test]
+    fn lazy_documents_render_and_collect_like_their_trees() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let mut deepest = 0;
+        for case in 0..300 {
+            let depth = 1 + case % 10;
+            let tree = Value::Array(vec![rng.value(depth)]);
+            deepest = deepest.max(
+                tree.to_string_pretty()
+                    .lines()
+                    .map(indent_of)
+                    .max()
+                    .unwrap()
+                    / 2,
+            );
+            for _ in 0..3 {
+                assert_eq!(
+                    take_apart(&mut rng, &tree).to_string_pretty(),
+                    tree.to_string_pretty()
+                );
+                assert_eq!(take_apart(&mut rng, &tree).to_string(), tree.to_string());
+                assert_eq!(take_apart(&mut rng, &tree).into_value(), tree);
+            }
+            assert_eq!(Value::parse(&tree.to_string_pretty()).unwrap(), tree);
+        }
+        assert!(deepest >= 8, "deepest generated nesting was {deepest}");
+
+        // Empty containers at any position, lazily or not.
+        let empty = || Lazy::Object(vec![("a", Lazy::array::<Value>(&[], Value::clone))]);
+        assert_eq!(empty().to_string_pretty(), "{\n  \"a\": []\n}\n");
+        assert_eq!(empty().to_string(), r#"{"a":[]}"#);
+        assert_eq!(Lazy::Object(Vec::new()).to_string_pretty(), "{}\n");
+    }
+
+    fn indent_of(line: &str) -> usize {
+        line.len() - line.trim_start_matches(' ').len()
+    }
+
+    #[test]
+    fn long_arrays_indent_past_the_static_run_of_spaces() {
+        // 40 levels deep is 80 columns: more than one copy of the run.
+        let mut v = Value::array([1i64, 2]);
+        for _ in 0..40 {
+            v = Value::Array(vec![v]);
+        }
+        let text = v.to_string_pretty();
+        assert_eq!(text.lines().map(indent_of).max(), Some(82));
+        assert_eq!(Value::parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn escape_runs_equal_the_per_char_writer() {
+        let mut rng = Rng(7);
+        let mut samples: Vec<String> = (0..500).map(|_| rng.string()).collect();
+        samples.extend(
+            [
+                "",
+                "plain",
+                "\"",
+                "\\",
+                "ends with quote\"",
+                "\"starts",
+                "a\u{0}b\u{7}c\u{1f}d",
+                "tab\tnl\ncr\r",
+                "naïve — 日本 😀",
+                "\u{7f}\u{80}\u{9f}",
+                "é\"é\\é\né",
+            ]
+            .map(str::to_string),
+        );
+        for s in samples {
+            let mut out = String::new();
+            write_escaped(&mut out, &s);
+            assert_eq!(out, escape_per_char(&s), "{s:?}");
+            assert_eq!(Value::parse(&out).unwrap(), Value::Str(s));
+        }
+    }
+
+    #[test]
+    fn numbers_render_as_before() {
+        for n in [
+            0,
+            7,
+            -7,
+            10,
+            99,
+            100,
+            -1000,
+            i64::MAX,
+            i64::MIN,
+            i64::MIN + 1,
+        ] {
+            assert_eq!(Value::Int(n).to_string(), n.to_string());
+        }
+        for (x, text) in [
+            (2.0, "2.0"),
+            (-0.0, "-0.0"),
+            (0.0, "0.0"),
+            (0.25, "0.25"),
+            (-1.5e-7, "-0.00000015"),
+            (1e21, "1000000000000000000000.0"),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+        ] {
+            assert_eq!(Value::Float(x).to_string(), text);
+        }
+        assert_eq!(Value::from(u64::MAX), Value::Int(i64::MAX));
     }
 
     #[test]
