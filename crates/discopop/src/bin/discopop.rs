@@ -282,8 +282,22 @@ fn analyze(args: &[String]) -> ExitCode {
                 engine,
                 steps,
                 dependences,
+                plan_runs,
             } => {
-                eprintln!("[2/3] profiled with {engine}: {steps} instructions, {dependences} distinct dependences");
+                // Why a loop was or was not fast: how many engagements of
+                // the skip tier reached the engine as runs, and how much of
+                // them it resolved without touching every access.
+                let runs = if plan_runs.runs == 0 {
+                    String::new()
+                } else {
+                    // Truncated, so "100.0%" means every cycle.
+                    format!(
+                        "; {} plan runs, {:.1}% of cycles resolved",
+                        plan_runs.runs,
+                        (plan_runs.resolved_pct() * 10.0).floor() / 10.0
+                    )
+                };
+                eprintln!("[2/3] profiled with {engine}: {steps} instructions, {dependences} distinct dependences{runs}");
             }
             StageEvent::StaticAnalyzed {
                 loops,

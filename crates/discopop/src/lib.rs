@@ -192,6 +192,10 @@ pub enum StageEvent<'a> {
         steps: u64,
         /// Distinct (merged) dependences.
         dependences: usize,
+        /// What became of the plan runs the engine was handed: how many,
+        /// and how much of them resolved in closed form (all zeros when the
+        /// skip tier was off or the engine takes events only).
+        plan_runs: profiler::RunStats,
     },
     /// The static pre-pass finished (only with [`Analysis::with_static`]).
     StaticAnalyzed {
@@ -558,6 +562,7 @@ impl Analysis {
             engine: &profiled.engine,
             steps: profiled.output.steps,
             dependences: profiled.output.deps.len(),
+            plan_runs: profiled.output.plan_runs,
         });
         profiled
     }

@@ -5,6 +5,15 @@
 //! decode layer is invisible at this boundary — same events, same order,
 //! same field values — so every downstream consumer (profiler engines, PET
 //! builder, recorded traces) is unaffected by how dispatch is implemented.
+//!
+//! # Plan runs
+//!
+//! While the affine skip tier replays a loop plan ([`crate::synth`]) every
+//! memory step's address is `base + stride·cycle`, so a whole engagement
+//! fits in a [`PlanRun`]. A sink that sets [`Sink::TAKES_RUNS`] receives
+//! one [`Sink::plan_run`] call per engagement in place of its `LoopIter`
+//! and `Mem` events; every other sink sees the events. [`PlanRun::expand`]
+//! *is* the meaning of a run and the default body of [`Sink::plan_run`].
 
 use mir::RegionKind;
 
@@ -116,6 +125,117 @@ impl Event {
     }
 }
 
+/// One memory step of a [`PlanRun`]: the static identity of the access
+/// (the fields of its [`MemEvent`]s) and the affine address sequence it
+/// walked, `base + stride·cycle`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunStream {
+    pub op: u32,
+    pub line: u32,
+    pub var: u32,
+    pub is_write: bool,
+    /// Position of the step within a cycle (0-based, the cycle-heading
+    /// `LoopIter` not counted).
+    pub step: u32,
+    /// Address in cycle 0.
+    pub base: u64,
+    /// Address delta from one cycle to the next, in bytes.
+    pub stride: i64,
+}
+
+impl RunStream {
+    /// The address this stream touches in `cycle`.
+    #[inline]
+    pub fn addr_at(&self, cycle: u64) -> u64 {
+        self.base
+            .wrapping_add((self.stride as u64).wrapping_mul(cycle))
+    }
+}
+
+/// One engagement of a loop plan in closed form: `started` cycles of the
+/// loop `(func, region)` on `thread`, each executing the memory steps in
+/// `streams`, the first `completed` of them in full and the last — when
+/// `started > completed` — only its first `partial_steps` steps.
+///
+/// The run begins *after* the `LoopIter` that engaged the plan (an ordinary
+/// event): cycle 0 has no `LoopIter` of its own, every later started cycle
+/// is headed by one. Step `k` of cycle `c` carries timestamp
+/// `first_ts + c·cycle_steps + k`.
+///
+/// Contract for whoever builds one (the plan replayer does): the loop body
+/// is straight-line — no call, no region entry or exit — so nothing nests
+/// under an instance of it, and no other thread ran during the run.
+#[derive(Debug, Clone, Copy)]
+pub struct PlanRun<'a> {
+    pub thread: u32,
+    pub func: u32,
+    pub region: u32,
+    /// Timestamp of step 0 of cycle 0.
+    pub first_ts: u64,
+    /// Steps one cycle charges: its plan steps plus the heading `LoopIter`.
+    pub cycle_steps: u32,
+    /// The cycle's memory steps, in step order.
+    pub streams: &'a [RunStream],
+    /// Cycles started (by charging their `LoopIter`; cycle 0 by engaging).
+    pub started: u64,
+    /// Cycles executed in full: `started` or `started - 1`.
+    pub completed: u64,
+    /// Plan steps executed in the trailing partial cycle, if there is one.
+    pub partial_steps: u32,
+}
+
+impl PlanRun<'_> {
+    /// `LoopIter` events the run stands for.
+    pub fn loop_iters(&self) -> u64 {
+        self.started.saturating_sub(1)
+    }
+
+    /// How many of `streams` (a prefix: they are in step order) executed
+    /// in `cycle`.
+    pub fn streams_in(&self, cycle: u64) -> usize {
+        if cycle < self.completed {
+            self.streams.len()
+        } else if cycle < self.started {
+            let ran = |s: &&RunStream| s.step < self.partial_steps;
+            self.streams.iter().take_while(ran).count()
+        } else {
+            0
+        }
+    }
+
+    /// The memory event of `stream` in `cycle`.
+    #[inline]
+    pub fn mem_event(&self, stream: &RunStream, cycle: u64) -> MemEvent {
+        MemEvent {
+            is_write: stream.is_write,
+            addr: stream.addr_at(cycle),
+            op: stream.op,
+            line: stream.line,
+            var: stream.var,
+            thread: self.thread,
+            ts: self.first_ts + cycle * self.cycle_steps as u64 + stream.step as u64,
+        }
+    }
+
+    /// The events this run stands for, in emission order — the definition
+    /// of a run.
+    pub fn expand(&self, mut f: impl FnMut(&Event)) {
+        let (func, region, thread) = (self.func, self.region, self.thread);
+        for cycle in 0..self.started {
+            if cycle > 0 {
+                f(&Event::LoopIter {
+                    func,
+                    region,
+                    thread,
+                });
+            }
+            for s in &self.streams[..self.streams_in(cycle)] {
+                f(&Event::Mem(self.mem_event(s, cycle)));
+            }
+        }
+    }
+}
+
 /// Consumer of the instrumentation stream.
 ///
 /// Implementations must be cheap when they ignore events: the interpreter
@@ -141,8 +261,21 @@ pub trait Sink {
     /// is what makes the "native" baseline truly uninstrumented dispatch.
     const WANTS_EVENTS: bool = true;
 
+    /// Compile-time opt-in to plan runs: `true` asks the interpreter (in
+    /// deterministic delivery) for one [`Sink::plan_run`] call per plan
+    /// engagement instead of the engagement's `LoopIter` and `Mem` events,
+    /// in stream order with the events around it.
+    const TAKES_RUNS: bool = false;
+
     /// Handle one event.
     fn event(&mut self, ev: &Event);
+
+    /// Handle one plan engagement. The default feeds [`PlanRun::expand`]
+    /// through [`Sink::event`]; overriding it is an optimization that must
+    /// leave the sink in the state the expansion would have.
+    fn plan_run(&mut self, run: &PlanRun<'_>) {
+        run.expand(|ev| self.event(ev));
+    }
 
     /// Handle a batch of events, in delivery order. The default forwards to
     /// [`Sink::event`]; hot sinks override this to hoist per-batch work out
@@ -199,10 +332,15 @@ impl Sink for RecordingSink {
 
 impl<S: Sink + ?Sized> Sink for &mut S {
     const WANTS_EVENTS: bool = S::WANTS_EVENTS;
+    const TAKES_RUNS: bool = S::TAKES_RUNS;
 
     #[inline(always)]
     fn event(&mut self, ev: &Event) {
         (**self).event(ev);
+    }
+
+    fn plan_run(&mut self, run: &PlanRun<'_>) {
+        (**self).plan_run(run);
     }
 
     #[inline(always)]

@@ -45,7 +45,9 @@ pub mod sched;
 pub mod synth;
 
 pub use code::{Builtin, DecodeConfig, FuncCode, HotOp, MemRef, Opnd};
-pub use event::{Event, MemEvent, NullSink, RecordingSink, RegionExitEvent, Sink};
+pub use event::{
+    Event, MemEvent, NullSink, PlanRun, RecordingSink, RegionExitEvent, RunStream, Sink,
+};
 pub use machine::{
     run, run_with_config, ActorStats, Interp, RunConfig, RunResult, RuntimeError, SynthStats,
 };

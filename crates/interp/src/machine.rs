@@ -22,8 +22,8 @@
 // `Result` through the dispatch loop would tax every step.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::code::{Builtin, FuncCode, HotOp, MemRef, DST_NONE};
-use crate::event::{Event, MemEvent, RegionExitEvent, Sink};
+use crate::code::{Builtin, FuncCode, HotOp, MemRef, Opnd, DST_NONE};
+use crate::event::{Event, MemEvent, PlanRun, RegionExitEvent, RunStream, Sink};
 use crate::program::{
     Program, GLOBAL_BASE, MAILBOX_BASE, MAILBOX_SLOTS, MAILBOX_SPAN, STACK_BASE, STACK_SPAN, WORD,
 };
@@ -33,6 +33,7 @@ use fxhash::{FxHashMap, FxHashSet};
 use mir::{BinOp, RegId, UnOp, Value};
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::atomic::Ordering;
 
 #[cfg(test)]
 use std::collections::HashMap;
@@ -118,11 +119,12 @@ pub struct SynthStats {
     pub loops: u64,
     /// Full loop cycles replayed through plans.
     pub cycles: u64,
-    /// Memory accesses synthesized by the plan replayer (each still emitted
-    /// through the normal event path).
+    /// Memory accesses executed by the plan replayer: delivered as events,
+    /// or inside a [`PlanRun`] to a sink that takes runs.
     pub accesses: u64,
     /// Plan executions that parked mid-cycle on slice-budget exhaustion and
-    /// resumed under full interpretation.
+    /// resumed under full interpretation. Only a contended thread parks; a
+    /// lone one re-slices in place.
     pub fallback_budget: u64,
     /// Engagements skipped because a runtime precondition did not hold
     /// (the loop's region was not on top of the region stack).
@@ -328,6 +330,9 @@ pub struct Interp<'p, S: Sink> {
     /// `(func, trigger pc)` of every plan that has engaged — distinct-loop
     /// accounting for [`SynthStats::loops`].
     synth_seen: FxHashSet<(u32, u32)>,
+    /// The memory steps of the plan engagement being recorded (reused, so
+    /// an engagement allocates nothing).
+    run_streams: Vec<RunStream>,
 }
 
 /// Run a program with the default configuration.
@@ -359,6 +364,28 @@ fn bin_eval_nontrap(op: BinOp, a: Value, b: Value) -> Value {
     }
 }
 
+/// What a memory step does with its word: load it into a register, or
+/// store an operand into it.
+#[derive(Clone, Copy)]
+enum MemDir {
+    Load(u32),
+    Store(Opnd),
+}
+
+/// The event of one executed memory step.
+#[inline(always)]
+fn mem_event(m: &MemRef, is_write: bool, addr: u64, t: usize, ts: u64) -> Event {
+    Event::Mem(MemEvent {
+        is_write,
+        addr,
+        op: m.op_id,
+        line: m.line,
+        var: m.sym,
+        thread: t as u32,
+        ts,
+    })
+}
+
 impl<'p, S: Sink> Interp<'p, S> {
     /// Prepare a run: call targets are already pre-resolved in the decoded
     /// program, so this only sets up the main thread.
@@ -386,6 +413,7 @@ impl<'p, S: Sink> Interp<'p, S> {
             synth: SynthStats::default(),
             skip_enabled: cfg.affine_skip,
             synth_seen: FxHashSet::default(),
+            run_streams: Vec::new(),
         };
         it.spawn_thread(main_id.index(), &[], None, 0);
         Ok(it)
@@ -562,7 +590,7 @@ impl<'p, S: Sink> Interp<'p, S> {
                 return Err(RuntimeError::StepLimit);
             }
             if let Some(flag) = &stop {
-                if flag.load(std::sync::atomic::Ordering::Relaxed) {
+                if flag.load(Ordering::Relaxed) {
                     return Err(RuntimeError::Interrupted);
                 }
             }
@@ -662,7 +690,7 @@ impl<'p, S: Sink> Interp<'p, S> {
             // A store constituent (also the plain `Store` body).
             macro_rules! do_store {
                 ($mem:expr, $src:expr, $at:expr) => {{
-                    if let Err(e) = self.exec_store(t, imms, &regs, base, $mem, $src, steps) {
+                    if let Err(e) = self.exec_store(t, imms, &mut regs, base, $mem, $src, steps) {
                         pc = $at;
                         park!();
                         return Err(e);
@@ -1056,17 +1084,32 @@ impl<'p, S: Sink> Interp<'p, S> {
     /// test runs live every cycle — the statically proven trip count is
     /// eligibility evidence, never trusted at runtime.
     ///
-    /// Returns `Ok(pc)` with the pc interpretation resumes at:
-    /// - the exit target, when the loop's live exit test fails;
-    /// - the first uncharged constituent's own slot, when the slice budget
-    ///   expires mid-cycle (the plain op there resumes interpreted — the
-    ///   exact fused-op park semantics);
-    /// - the trigger slot, when the budget expires at a cycle boundary or
-    ///   the injected fault ([`RunConfig::affine_skip_fault`]) trips —
-    ///   interpretation re-dispatches the `LoopIter` there.
+    /// **Slices.** A spent slice budget is refilled in place when no other
+    /// actor is runnable ([`Interp::reslice`]); a contended thread parks.
     ///
-    /// Returns `Err((pc, e))` when a constituent traps; the caller parks at
-    /// `pc` and propagates, identical to `do_load!`/`do_store!`.
+    /// **Record, check.** For a sink that takes runs ([`Sink::TAKES_RUNS`],
+    /// deterministic delivery) nothing is emitted per access: cycle 0
+    /// records each memory step's address as its stream's `base`, cycle 1
+    /// the delta as its `stride`, and every later cycle *checks*
+    /// `addr == base + stride·cycle`, so the record never rests on the
+    /// static classifier. A miss closes the run before that access and the
+    /// rest of the engagement is emitted per access. Every exit delivers
+    /// the open record ([`Interp::deliver_run`]) first.
+    ///
+    /// **Five exits.** `Ok(pc)` with the pc interpretation resumes at:
+    /// 1. the exit target, when the loop's live exit test fails;
+    /// 2. the first uncharged constituent's own slot, when a contended
+    ///    thread's budget expires mid-cycle (the plain op there resumes
+    ///    interpreted — the exact fused-op park semantics);
+    /// 3. the trigger slot, when it expires at a cycle boundary —
+    ///    interpretation re-dispatches the `LoopIter` there;
+    /// 4. the trigger slot, when the injected fault
+    ///    ([`RunConfig::affine_skip_fault`]) trips;
+    /// 5. `Err((pc, e))` when a constituent traps: the caller parks at `pc`
+    ///    and propagates, identical to `do_load!`/`do_store!`.
+    // Out of line: entered once per engagement, and the dispatch loop of
+    // `run_slice` should not carry this body around its hot arms.
+    #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     fn exec_plan(
         &mut self,
@@ -1081,21 +1124,36 @@ impl<'p, S: Sink> Interp<'p, S> {
         th_steps: &mut u64,
     ) -> Result<usize, (usize, RuntimeError)> {
         let imms: &[Value] = &code.imms;
-        let mut first = true;
+        let mut recording = S::WANTS_EVENTS && S::TAKES_RUNS && !self.cfg.racy_delivery;
+        let first_ts = *steps + 1;
+        self.run_streams.clear();
+        // Cycles completed in this engagement — the index of the current one.
+        let mut cycle = 0u64;
+        // Close the open record after `cycle` full cycles and `$partial`
+        // steps of a started one (`None` at a cycle boundary).
+        macro_rules! close_run {
+            ($partial:expr) => {
+                if recording {
+                    self.deliver_run(t, func, plan, first_ts, cycle, $partial);
+                }
+            };
+        }
         loop {
-            if !first {
+            if cycle > 0 {
                 // Cycle boundary: control is back at the trigger slot.
                 // Interpretation would park here on an empty budget (its
                 // budget check precedes the charge), and the fault check
                 // sits here because a disabled tier resumes by
                 // re-dispatching the LoopIter.
-                if *budget == 0 {
+                if *budget == 0 && !self.reslice(budget, *steps) {
+                    close_run!(None);
                     return Ok(plan.trigger as usize);
                 }
                 if let Some(limit) = self.cfg.affine_skip_fault {
                     if self.synth.cycles >= limit {
                         self.skip_enabled = false;
                         self.synth.fallback_fault += 1;
+                        close_run!(None);
                         return Ok(plan.trigger as usize);
                     }
                 }
@@ -1106,40 +1164,71 @@ impl<'p, S: Sink> Interp<'p, S> {
                 *budget -= 1;
                 *steps += 1;
                 *th_steps += 1;
-                self.emit(
-                    t,
-                    Event::LoopIter {
-                        func: func as u32,
-                        region: plan.region,
-                        thread: t as u32,
-                    },
-                );
+                if !recording {
+                    self.emit(
+                        t,
+                        Event::LoopIter {
+                            func: func as u32,
+                            region: plan.region,
+                            thread: t as u32,
+                        },
+                    );
+                }
             }
-            first = false;
-            for step in plan.steps.iter() {
-                if *budget == 0 {
+            // Memory steps seen this cycle: the current one's stream index.
+            let mut m = 0usize;
+            for (k, step) in plan.steps.iter().enumerate() {
+                if *budget == 0 && !self.reslice(budget, *steps) {
                     // Mid-cycle slice expiry: genuine fallback — the rest
                     // of this cycle runs interpreted, re-engaging at the
                     // next LoopIter.
                     self.synth.fallback_budget += 1;
+                    close_run!(Some(k as u32));
                     return Ok(step.pc as usize);
                 }
                 *budget -= 1;
                 *steps += 1;
                 *th_steps += 1;
+                // A plan's memory step: load or store, recorded or emitted.
+                macro_rules! mem_step {
+                    ($mem:expr, $dir:expr, $is_write:expr) => {{
+                        self.synth.accesses += 1;
+                        let addr = match self.access(t, imms, regs, base, $mem, $dir) {
+                            Ok(addr) => addr,
+                            Err(e) => {
+                                close_run!(Some(k as u32));
+                                return Err((step.pc as usize, e));
+                            }
+                        };
+                        if recording && cycle == 0 {
+                            self.run_streams.push(RunStream {
+                                op: $mem.op_id,
+                                line: $mem.line,
+                                var: $mem.sym,
+                                is_write: $is_write,
+                                step: k as u32,
+                                base: addr,
+                                stride: 0,
+                            });
+                        } else if recording {
+                            let s = &mut self.run_streams[m];
+                            if cycle == 1 {
+                                s.stride = addr.wrapping_sub(s.base) as i64;
+                            }
+                            if s.addr_at(cycle) != addr {
+                                close_run!(Some(k as u32));
+                                recording = false;
+                            }
+                        }
+                        m += 1;
+                        if !recording {
+                            self.emit(t, mem_event($mem, $is_write, addr, t, *steps));
+                        }
+                    }};
+                }
                 match &step.op {
-                    PlanOp::Load { dst, mem } => {
-                        self.synth.accesses += 1;
-                        if let Err(e) = self.exec_load(t, imms, regs, base, mem, *dst, *steps) {
-                            return Err((step.pc as usize, e));
-                        }
-                    }
-                    PlanOp::Store { src, mem } => {
-                        self.synth.accesses += 1;
-                        if let Err(e) = self.exec_store(t, imms, regs, base, mem, *src, *steps) {
-                            return Err((step.pc as usize, e));
-                        }
-                    }
+                    PlanOp::Load { dst, mem } => mem_step!(mem, MemDir::Load(*dst), false),
+                    PlanOp::Store { src, mem } => mem_step!(mem, MemDir::Store(*src), true),
                     PlanOp::Bin { op, dst, lhs, rhs } => {
                         let a = lhs.value(regs, imms);
                         let b = rhs.value(regs, imms);
@@ -1174,13 +1263,63 @@ impl<'p, S: Sink> Interp<'p, S> {
                     } => {
                         let v = cond.value(regs, imms);
                         if v.is_truthy() != *cont_on_true {
+                            close_run!(Some(k as u32 + 1));
                             return Ok(*exit_pc as usize);
                         }
                     }
                 }
             }
             self.synth.cycles += 1;
+            cycle += 1;
         }
+    }
+
+    /// The slice budget is spent inside a plan. If the holder is the only
+    /// runnable actor, do in place what [`Interp::exec`] does between two
+    /// of its slices — step-limit check, stop-flag check, the next quantum
+    /// from the same RNG sequence — and return `true`. Return `false`,
+    /// touching nothing, when `exec` would stop the run or pick another
+    /// actor: the plan then parks and `exec` takes it from there.
+    #[inline(never)]
+    fn reslice(&mut self, budget: &mut u32, steps: u64) -> bool {
+        while *budget == 0 {
+            if !self.sched.holder_is_alone() || steps > self.cfg.max_steps {
+                return false;
+            }
+            if let Some(flag) = &self.cfg.stop {
+                if flag.load(Ordering::Relaxed) {
+                    return false;
+                }
+            }
+            *budget = self.sched.next_quantum(self.cfg.quantum);
+        }
+        true
+    }
+
+    /// Hand the sink the recorded engagement — `completed` full cycles and,
+    /// with `partial`, that many steps of one more — after everything
+    /// emitted before it.
+    fn deliver_run(
+        &mut self,
+        t: usize,
+        func: usize,
+        plan: &LoopPlan,
+        first_ts: u64,
+        completed: u64,
+        partial: Option<u32>,
+    ) {
+        self.flush_batch();
+        self.sink.plan_run(&PlanRun {
+            thread: t as u32,
+            func: func as u32,
+            region: plan.region,
+            first_ts,
+            cycle_steps: plan.steps.len() as u32 + 1,
+            streams: &self.run_streams,
+            started: completed + u64::from(partial.is_some()),
+            completed,
+            partial_steps: partial.unwrap_or(0),
+        });
     }
 
     /// Return the argument buffer for reuse by the next call.
@@ -1237,10 +1376,10 @@ impl<'p, S: Sink> Interp<'p, S> {
         self.threads[t].frames.last_mut().unwrap().regs[r.index()] = v;
     }
 
-    /// One load step: resolve the memory reference, move the value into
-    /// `regs[dst]`, and emit the memory event — the shared body behind the
-    /// plain `Load` op and every fused load constituent. `ts` is the
-    /// slice-local step counter (the event timestamp).
+    /// One load step: move the value into `regs[dst]` and emit the memory
+    /// event — the shared body behind the plain `Load` op and every fused
+    /// load constituent. `ts` is the slice-local step counter (the event
+    /// timestamp).
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn exec_load(
@@ -1253,25 +1392,8 @@ impl<'p, S: Sink> Interp<'p, S> {
         dst: u32,
         ts: u64,
     ) -> Result<(), RuntimeError> {
-        let (addr, is_global, slot, sym) = self.resolve(t, regs, imms, base, m)?;
-        let v = if is_global {
-            self.globals[slot]
-        } else {
-            self.threads[t].mem[slot]
-        };
-        regs[dst as usize] = v;
-        self.emit(
-            t,
-            Event::Mem(MemEvent {
-                is_write: false,
-                addr,
-                op: m.op_id,
-                line: m.line,
-                var: sym,
-                thread: t as u32,
-                ts,
-            }),
-        );
+        let addr = self.access(t, imms, regs, base, m, MemDir::Load(dst))?;
+        self.emit(t, mem_event(m, false, addr, t, ts));
         Ok(())
     }
 
@@ -1283,36 +1405,44 @@ impl<'p, S: Sink> Interp<'p, S> {
         &mut self,
         t: usize,
         imms: &[Value],
-        regs: &[Value],
+        regs: &mut [Value],
         base: usize,
         m: &MemRef,
-        src: crate::code::Opnd,
+        src: Opnd,
         ts: u64,
     ) -> Result<(), RuntimeError> {
-        let v = src.value(regs, imms);
-        let (addr, is_global, slot, sym) = self.resolve(t, regs, imms, base, m)?;
-        if is_global {
-            self.globals[slot] = v;
-        } else {
-            self.threads[t].mem[slot] = v;
-        }
-        self.emit(
-            t,
-            Event::Mem(MemEvent {
-                is_write: true,
-                addr,
-                op: m.op_id,
-                line: m.line,
-                var: sym,
-                thread: t as u32,
-                ts,
-            }),
-        );
+        let addr = self.access(t, imms, regs, base, m, MemDir::Store(src))?;
+        self.emit(t, mem_event(m, true, addr, t, ts));
         Ok(())
     }
 
+    /// A memory step without its event: resolve the reference, move the
+    /// value, return the address for the caller to emit or record.
+    #[inline(always)]
+    fn access(
+        &mut self,
+        t: usize,
+        imms: &[Value],
+        regs: &mut [Value],
+        base: usize,
+        m: &MemRef,
+        dir: MemDir,
+    ) -> Result<u64, RuntimeError> {
+        let (addr, is_global, slot) = self.resolve(t, regs, imms, base, m)?;
+        let cell = if is_global {
+            &mut self.globals[slot]
+        } else {
+            &mut self.threads[t].mem[slot]
+        };
+        match dir {
+            MemDir::Load(dst) => regs[dst as usize] = *cell,
+            MemDir::Store(src) => *cell = src.value(regs, imms),
+        }
+        Ok(addr)
+    }
+
     /// Resolve a precompiled memory reference to `(logical address,
-    /// is_global, storage slot, symbol)`, checking bounds. `regs`/`imms`/
+    /// is_global, storage slot)`, checking bounds. `regs`/`imms`/
     /// `base` are the current frame's register file, the function's
     /// immediate pool, and the stack base, cached in `run_slice` locals.
     /// Forced inline: letting this fall out of line puts a 7-argument call
@@ -1325,7 +1455,7 @@ impl<'p, S: Sink> Interp<'p, S> {
         imms: &[Value],
         base: usize,
         m: &MemRef,
-    ) -> Result<(u64, bool, usize, u32), RuntimeError> {
+    ) -> Result<(u64, bool, usize), RuntimeError> {
         let idx = if m.has_index {
             m.index.value(regs, imms).as_i64()
         } else {
@@ -1336,11 +1466,11 @@ impl<'p, S: Sink> Interp<'p, S> {
         }
         if m.global {
             let slot = m.base as usize + idx as usize;
-            Ok((GLOBAL_BASE + slot as u64 * WORD, true, slot, m.sym))
+            Ok((GLOBAL_BASE + slot as u64 * WORD, true, slot))
         } else {
             let word = base as u64 + m.base as u64 + idx as u64;
             let addr = STACK_BASE + t as u64 * STACK_SPAN + word * WORD;
-            Ok((addr, false, word as usize, m.sym))
+            Ok((addr, false, word as usize))
         }
     }
 
@@ -2102,6 +2232,118 @@ mod tests {
         let (singles, batches) = deliver(2);
         assert_eq!(singles, 0, "cap 2 must batch everything");
         assert!(batches > 0);
+    }
+
+    /// Takes plan runs: keeps what they stand for in arrival order, their
+    /// shapes `(started, completed, partial_steps)`, and how many `LoopIter`
+    /// events arrived as events rather than inside a run.
+    #[derive(Default)]
+    struct RunSink {
+        events: Vec<Event>,
+        shapes: Vec<(u64, u64, u32)>,
+        loop_iters_as_events: usize,
+    }
+
+    impl Sink for RunSink {
+        const TAKES_RUNS: bool = true;
+
+        fn event(&mut self, ev: &Event) {
+            self.loop_iters_as_events += usize::from(matches!(ev, Event::LoopIter { .. }));
+            self.events.push(ev.clone());
+        }
+
+        fn plan_run(&mut self, run: &PlanRun<'_>) {
+            self.shapes
+                .push((run.started, run.completed, run.partial_steps));
+            run.expand(|ev| self.events.push(ev.clone()));
+        }
+    }
+
+    /// Execute to the end or the first error without consuming the
+    /// interpreter, so the parked pc can be read back.
+    fn exec_keeping<S: Sink>(p: &Program, sink: S) -> (Result<(), RuntimeError>, usize, u64, S) {
+        let mut it = Interp::new(p, sink, RunConfig::default()).unwrap();
+        let outcome = it.exec();
+        it.flush_batch();
+        let pc = it.threads[0].frames.last().map_or(usize::MAX, |f| f.pc);
+        (outcome, pc, it.steps, it.sink)
+    }
+
+    #[test]
+    fn forged_affine_facts_close_the_run_at_the_first_off_stream_address() {
+        // `a[idx[i]]` walks a[0], a[1], a[2], then a[7]: no affine stream.
+        // The honest classifier gives the loop no plan; forge one.
+        let m = lang::compile(
+            "global int idx[8];
+            global int a[16];
+            global int s;
+            fn main() {
+                idx[1] = 1; idx[2] = 2; idx[3] = 7; idx[4] = 3;
+                idx[5] = 5; idx[6] = 6; idx[7] = 4;
+                for (int i = 0; i < 8; i = i + 1) { s = s + a[idx[i]]; }
+            }",
+            "t",
+        )
+        .unwrap();
+        let mut p = Program::new(m);
+        assert!(p.code[0].plans.is_empty(), "the classifier declines");
+        let statics = analysis::static_facts(&p.module);
+        let forged: Vec<_> = statics
+            .access
+            .iter()
+            .map(|f| analysis::AccessFact { affine: true, ..*f })
+            .collect();
+        crate::synth::compile_plans(&mut p.code[0], &forged, &statics.trip_counts[0]);
+        assert_eq!(p.code[0].plans.len(), 1, "the forged facts compile a plan");
+
+        let (by_events, pc_e, steps_e, recorded) = exec_keeping(&p, RecordingSink::default());
+        let (by_runs, pc_r, steps_r, runs) = exec_keeping(&p, RunSink::default());
+        assert_eq!((by_events, pc_e, steps_e), (by_runs, pc_r, steps_r));
+        assert!(runs.events == recorded.events, "streams differ");
+        // Cycles 0–2 were on stream; the check closed the run inside cycle
+        // 3, before the off-stream load, and the remaining cycles — their
+        // `LoopIter`s included — arrived access by access.
+        let &[(started, completed, partial)] = &runs.shapes[..] else {
+            panic!("one engagement, one run: {:?}", runs.shapes);
+        };
+        assert_eq!((started, completed), (4, 3));
+        assert!(partial > 0, "the cycle's earlier steps are in the run");
+        // Engaging LoopIter + cycles 4..=8 (the last one exits in the header).
+        assert_eq!(runs.loop_iters_as_events, 1 + 5);
+    }
+
+    #[test]
+    fn a_trap_mid_run_delivers_the_run_up_to_the_trap() {
+        // The plan is compiled on trip count and affinity; bounds are the
+        // runtime's business. Cycle 4 loads a[4] of a[4].
+        let m = lang::compile(
+            "global int a[4];
+            global int s;
+            fn main() {
+                for (int i = 0; i < 8; i = i + 1) { s = s + a[i]; }
+            }",
+            "t",
+        )
+        .unwrap();
+        let p = Program::new(m);
+        assert_eq!(p.code[0].plans.len(), 1);
+
+        let (by_events, pc_e, steps_e, recorded) = exec_keeping(&p, RecordingSink::default());
+        let (by_runs, pc_r, steps_r, runs) = exec_keeping(&p, RunSink::default());
+        assert!(
+            matches!(by_events, Err(RuntimeError::OutOfBounds { index: 4, .. })),
+            "{by_events:?}"
+        );
+        assert_eq!(by_events, by_runs, "same error");
+        assert_eq!(pc_e, pc_r, "same parked pc");
+        assert_eq!(steps_e, steps_r);
+        assert!(runs.events == recorded.events, "streams differ");
+        let &[(started, completed, partial)] = &runs.shapes[..] else {
+            panic!("one engagement, one run: {:?}", runs.shapes);
+        };
+        assert_eq!((started, completed), (5, 4));
+        assert!(partial > 0);
+        assert_eq!(runs.loop_iters_as_events, 1, "only the engaging one");
     }
 
     #[test]

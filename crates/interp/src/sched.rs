@@ -161,6 +161,14 @@ impl Scheduler {
         self.state[a.index()] == ActorState::Ready
     }
 
+    /// Is the slice holder the only runnable actor? Then yielding it back
+    /// and picking again returns it at once, so a slice boundary changes
+    /// nothing but the quantum draw — the plan replayer re-slices in place
+    /// on this (see `Interp::reslice`).
+    pub fn holder_is_alone(&self) -> bool {
+        self.ready.is_empty()
+    }
+
     /// Has the actor returned from its root frame?
     pub fn is_dead(&self, a: ActorId) -> bool {
         self.state[a.index()] == ActorState::Dead
@@ -294,6 +302,21 @@ mod tests {
         assert_eq!(s.pick(), Some(c));
         s.yield_back(c);
         assert_eq!(s.pick(), Some(a));
+    }
+
+    #[test]
+    fn holder_is_alone_tracks_the_ready_queue() {
+        let mut s = Scheduler::new(1);
+        let a = s.spawn();
+        assert_eq!(s.pick(), Some(a));
+        assert!(s.holder_is_alone());
+        let b = s.spawn();
+        assert!(!s.holder_is_alone(), "b is runnable");
+        s.yield_back(a);
+        assert_eq!(s.pick(), Some(b));
+        s.park(b, WaitReason::Join(a));
+        assert_eq!(s.pick(), Some(a));
+        assert!(s.holder_is_alone(), "a sleeping actor is not runnable");
     }
 
     #[test]

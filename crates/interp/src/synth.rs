@@ -18,21 +18,36 @@
 //!   [`PlanStep`]s — fused superinstructions broken back into their
 //!   constituents, each step carrying its own pc and (for memory steps) an
 //!   embedded [`MemRef`] copy. The machine executes the array in a tight
-//!   loop ([`crate::machine`]), bypassing `run_slice` dispatch entirely.
-//! - **Identity**: every step charges exactly one logical step and memory
-//!   steps emit through the normal event path, so events, op ids,
-//!   timestamps, batching, and budget accounting are bit-identical to full
-//!   interpretation — the same invariant the superinstruction peephole
-//!   keeps, pinned by `tests/affine_skip.rs`. Because fused ops expand to
-//!   the same constituents the unfused stream holds, the compiled plan is
-//!   identical under both decode modes.
+//!   loop (`Interp::exec_plan` in [`crate::machine`], the only plan
+//!   executor), bypassing `run_slice` dispatch entirely.
+//! - **Identity**: every step charges exactly one logical step and every
+//!   memory step carries the op id and timestamp interpretation would give
+//!   it, so events, timestamps, batching, and budget accounting are
+//!   bit-identical to full interpretation — the same invariant the
+//!   superinstruction peephole keeps, pinned by `tests/affine_skip.rs`.
+//!   Because fused ops expand to the same constituents the unfused stream
+//!   holds, the compiled plan is identical under both decode modes.
+//! - **Record, check**: a sink that takes runs
+//!   ([`crate::Sink::TAKES_RUNS`]) gets an engagement as one
+//!   [`crate::PlanRun`] instead of its events. The replayer records each
+//!   memory step's address in cycle 0 (`base`) and its delta in cycle 1
+//!   (`stride`), then checks `addr == base + stride·cycle` on every later
+//!   access; a miss closes the run before that access and the rest of the
+//!   engagement is emitted per access. The `affine` facts that made the
+//!   loop eligible are therefore never *trusted* for the record either.
+//!   [`crate::PlanRun::expand`] defines what a run means, and
+//!   `tests/plan_runs.rs` holds the replayer to it.
 //! - **Fallback**: the runtime re-checks nothing it cannot afford to — the
 //!   header branch is evaluated live every cycle (the trip count is never
-//!   *trusted*, only used as an eligibility policy), a budget-exhausted
-//!   cycle parks the pc at the first unexecuted step's own slot and
-//!   resumes interpreted, and any violated engagement precondition just
-//!   skips the plan. Soundness therefore never depends on the static
-//!   classifier.
+//!   *trusted*, only used as an eligibility policy), a spent slice budget
+//!   is refilled in place when the thread has no runnable peer and
+//!   otherwise parks the pc (mid-cycle at the first unexecuted step's own
+//!   slot, where it resumes interpreted; at the trigger slot on a cycle
+//!   boundary), and any violated engagement precondition just skips the
+//!   plan. Soundness therefore never depends on the static classifier.
+//!   The replayer's five exits — exit test, mid-cycle park, boundary park,
+//!   injected fault, trap — are listed at `Interp::exec_plan`; each
+//!   delivers the open record first.
 
 use crate::code::{FuncCode, HotOp, MemRef, Opnd};
 use mir::{BinOp, UnOp};

@@ -163,6 +163,24 @@ pub struct Access {
     pub iter: u32,
 }
 
+impl Access {
+    /// A memory event in the loop context `(instance, iter)`.
+    #[inline]
+    pub fn in_context(m: &MemEvent, instance: u32, iter: u32) -> Access {
+        Access {
+            addr: m.addr,
+            op: m.op,
+            line: m.line,
+            var: m.var,
+            thread: m.thread,
+            ts: m.ts,
+            is_write: m.is_write,
+            instance,
+            iter,
+        }
+    }
+}
+
 /// One dynamic loop instance. Public so the parallel profiler can share a
 /// grow-only snapshot of the table across workers.
 #[derive(Debug, Clone, Copy)]
@@ -419,16 +437,14 @@ impl LoopContext {
     /// without paying [`LoopContext::handle`]'s full match.
     pub fn annotate(&self, m: &MemEvent) -> Access {
         let (instance, iter) = self.current(m.thread);
-        Access {
-            addr: m.addr,
-            op: m.op,
-            line: m.line,
-            var: m.var,
-            thread: m.thread,
-            ts: m.ts,
-            is_write: m.is_write,
-            instance,
-            iter,
+        Access::in_context(m, instance, iter)
+    }
+
+    /// `n` `LoopIter` events of `thread`'s innermost loop at once — how a
+    /// plan run ([`interp::PlanRun`]) advances the context.
+    pub fn advance(&mut self, thread: u32, n: u64) {
+        if let Some(top) = self.stack_mut(thread).last_mut() {
+            top.1 += n as u32;
         }
     }
 }

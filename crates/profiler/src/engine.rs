@@ -1,10 +1,49 @@
 //! The dependence-building engine: Algorithm 2 of the dissertation plus the
 //! loop-skipping optimization of §2.4, generic over the access-status map.
+//!
+//! # §2.4 on ranges: resolving a plan run
+//!
+//! §2.4: an access whose shadow status is what it was last iteration can
+//! only rebuild a dependence already in the set. In a plan run
+//! ([`interp::PlanRun`]) every access is `base + stride·cycle`, which makes
+//! that checkable for a whole loop instance ([`DepBuilder::process_run`]):
+//!
+//! - Streams with equal `(base, stride)` touch one word per cycle and form
+//!   a *group*. With the groups' address ranges pairwise disjoint and the
+//!   map exact, a group's dependences depend on the shadow at its own
+//!   addresses only.
+//! - A *reference cycle* goes access by access through the ordinary path.
+//!   Before it, each group's *reduced pre-state* is read: the last write at
+//!   its address of that cycle (and the last read when the group's first op
+//!   is a write — only a write consults it), reduced to what decides a
+//!   dependence: source op, thread, the loop `carried_by` names against the
+//!   cycle's iteration, whether the read is newer than the write, whether
+//!   the cell is older than the run. The group's later ops see cells its
+//!   earlier ops stored in the same cycle — the same shape every cycle — so
+//!   the reduced pre-state fixes every dependence the group builds.
+//! - The next cycles are a *stretch* while every group's reduced pre-state
+//!   equals the reference cycle's. Strided groups are scanned address by
+//!   address. A stride-0 group's pre-state is the previous cycle's
+//!   post-state: compared once after the reference cycle, it repeats by
+//!   construction — a cell the previous cycle stored is carried by the
+//!   run's own loop every time, and `carried_by` against a cell older than
+//!   the run cannot depend on the cycle, since a plan cycle holds no call
+//!   and no region op: no instance nests under the run's own for a stored
+//!   cell to point into, so the chain walk drops the cycle's iteration
+//!   number on its first step up.
+//! - Over a stretch of `n` cycles every op builds the dependence its memo
+//!   entry holds from the reference cycle: per access, `n` times "same as
+//!   last time"; here `pending += n`. No [`DepSet`] insertion, no memo
+//!   replacement — insertion history, hence iteration order, CU edge order
+//!   and report bytes, are those of per-access processing. Counters advance
+//!   in closed form and the cells per-access processing would leave are
+//!   stored: per address for strided groups, the last cycle's for stride-0.
+//! - The first cycle that breaks a stretch is the next reference cycle.
 
-use crate::access::{Access, CarriedResolver, PackedAccess};
+use crate::access::{Access, CarriedResolver, LoopKey, PackedAccess, NO_INSTANCE};
 use crate::dep::{Dep, DepSet, DepType, SrcLoc};
 use crate::maps::{AccessMap, Cell, NO_OP};
-use interp::MemOpMeta;
+use interp::{MemOpMeta, PlanRun, RunStream};
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -70,6 +109,30 @@ fn pct(num: u64, den: u64) -> f64 {
         0.0
     } else {
         100.0 * num as f64 / den as f64
+    }
+}
+
+/// What became of the plan runs a builder was handed
+/// ([`DepBuilder::process_run`]): why a loop was or was not fast.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunStats {
+    /// Plan runs received.
+    pub runs: u64,
+    /// Full cycles those runs held.
+    pub cycles: u64,
+    /// Of those, resolved in closed form.
+    pub cycles_resolved: u64,
+    /// Reference cycles beyond each run's first: how often the shadow
+    /// changed along a run's ranges.
+    pub splits: u64,
+    /// Runs fed access by access because two groups' ranges overlapped.
+    pub declined_overlap: u64,
+}
+
+impl RunStats {
+    /// Percentage of plan cycles resolved in closed form.
+    pub fn resolved_pct(&self) -> f64 {
+        pct(self.cycles_resolved, self.cycles)
     }
 }
 
@@ -235,6 +298,16 @@ impl DepStore {
         }
     }
 
+    /// Static op `sink_op` built the dependence its memo entry holds `n`
+    /// more times.
+    #[inline]
+    fn repeat(&mut self, sink_op: u32, n: u64) {
+        match &mut self.memo[sink_op as usize] {
+            Some((_, pending)) => *pending += n,
+            None => debug_assert!(false, "op {sink_op} repeats a dependence it never built"),
+        }
+    }
+
     /// Build the `ty` dependence from `source` (the stored status of an
     /// earlier access) to `sink`, `n` times.
     #[inline]
@@ -340,6 +413,120 @@ impl ChunkScratch {
     }
 }
 
+/// Fewest full cycles worth resolving: cycle 0 and one reference cycle go
+/// access by access whatever happens.
+const MIN_RUN_CYCLES: u64 = 4;
+
+/// Most memory steps per cycle resolution takes on (grouping compares
+/// streams pairwise; a body this long is not the hot kind).
+const MAX_RUN_STREAMS: usize = 64;
+
+/// A stored cell reduced to what decides the dependence an access of the
+/// current cycle builds against it. `in_run`: stored by this run (an
+/// earlier cycle's post-state), not before it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Seen {
+    op: u32,
+    thread: u32,
+    carried: Option<LoopKey>,
+    in_run: bool,
+}
+
+/// The reduced pre-state of one group in one cycle (module docs); `read`
+/// is consulted only when the group's first op is a write.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct GroupState {
+    write: Option<Seen>,
+    read: Option<Seen>,
+    read_newer: bool,
+}
+
+/// The streams of a run that share `(base, stride)`.
+#[derive(Debug, Clone, Copy)]
+struct RunGroup {
+    /// The group's first stream: its address sequence, and whether a write
+    /// opens the group's cycle.
+    first: RunStream,
+    /// Lowest and highest address over the cycles the group executes.
+    span: (u64, u64),
+    /// Stream index of the group's last load / last store in a cycle.
+    last_read: Option<usize>,
+    last_write: Option<usize>,
+    /// Reduced pre-state of the current reference cycle; `None` when a
+    /// consulted cell is not older than the cycle (out-of-order delivery),
+    /// which no stretch may follow.
+    reference: Option<GroupState>,
+}
+
+/// What [`DepBuilder::process_run`] keeps between runs: its counters and
+/// its reusable scratch (no allocation per run).
+#[derive(Debug, Default)]
+struct RunScratch {
+    stats: RunStats,
+    groups: Vec<RunGroup>,
+    /// Per stream, from the cycle last fed access by access: `None` when
+    /// it built nothing, else whether [`SkipStats`] counted the dependence
+    /// (an INIT is built but not counted).
+    built: Vec<Option<bool>>,
+}
+
+impl RunScratch {
+    /// Group `run`'s streams by `(base, stride)`. `false` when the run is
+    /// not one range resolution applies to: too wide, an op id twice in a
+    /// cycle (the memo is per op), an address range that overflows, or two
+    /// groups' ranges overlapping (counted).
+    fn group(&mut self, run: &PlanRun<'_>) -> bool {
+        let streams = run.streams;
+        self.groups.clear();
+        if streams.len() > MAX_RUN_STREAMS {
+            return false;
+        }
+        let in_tail = run.streams_in(run.completed);
+        for (k, s) in streams.iter().enumerate() {
+            if streams[..k].iter().any(|p| p.op == s.op) {
+                return false;
+            }
+            let key = |g: &RunGroup| (g.first.base, g.first.stride) == (s.base, s.stride);
+            let i = match self.groups.iter().position(key) {
+                Some(i) => i,
+                None => {
+                    // A group's first stream runs at least as often as its
+                    // later ones: its cycle count bounds the range.
+                    let last_cycle = run.completed - u64::from(k >= in_tail);
+                    let Some(end) = i64::try_from(last_cycle)
+                        .ok()
+                        .and_then(|c| s.stride.checked_mul(c))
+                        .and_then(|d| s.base.checked_add_signed(d))
+                    else {
+                        return false;
+                    };
+                    self.groups.push(RunGroup {
+                        first: *s,
+                        span: (s.base.min(end), s.base.max(end)),
+                        last_read: None,
+                        last_write: None,
+                        reference: None,
+                    });
+                    self.groups.len() - 1
+                }
+            };
+            if s.is_write {
+                self.groups[i].last_write = Some(k);
+            } else {
+                self.groups[i].last_read = Some(k);
+            }
+        }
+        let overlap = |a: &RunGroup, b: &RunGroup| a.span.0 <= b.span.1 && b.span.0 <= a.span.1;
+        if (1..self.groups.len())
+            .any(|i| self.groups[..i].iter().any(|b| overlap(&self.groups[i], b)))
+        {
+            self.stats.declined_overlap += 1;
+            return false;
+        }
+        true
+    }
+}
+
 /// Dependence builder over an access map `M` (signature or perfect).
 #[derive(Debug)]
 pub struct DepBuilder<M: AccessMap> {
@@ -353,6 +540,8 @@ pub struct DepBuilder<M: AccessMap> {
     /// Skip counters.
     pub stats: SkipStats,
     scratch: ChunkScratch,
+    /// Plan-run counters and scratch.
+    runs: RunScratch,
 }
 
 impl<M: AccessMap> DepBuilder<M> {
@@ -395,6 +584,7 @@ impl<M: AccessMap> DepBuilder<M> {
             skip,
             stats: SkipStats::default(),
             scratch: ChunkScratch::default(),
+            runs: RunScratch::default(),
         }
     }
 
@@ -405,6 +595,11 @@ impl<M: AccessMap> DepBuilder<M> {
     pub fn deps(&mut self) -> &DepSet {
         self.out.drain();
         &self.out.set
+    }
+
+    /// What became of the plan runs handed to [`DepBuilder::process_run`].
+    pub fn run_stats(&self) -> RunStats {
+        self.runs.stats
     }
 
     /// Evict a dead address range from both maps (lifetime analysis).
@@ -515,6 +710,185 @@ impl<M: AccessMap> DepBuilder<M> {
         st.last_read_newer = read_newer;
 
         self.build(a, status_read, status_write, resolver);
+    }
+
+    /// Process one plan run: the accesses [`PlanRun::expand`] stands for,
+    /// executed in loop instance `instance` with cycle 0 in iteration
+    /// `iter`. The builder ends in exactly the state feeding the expansion
+    /// through [`DepBuilder::process`] leaves — set, memo, counters, shadow
+    /// cells — but full cycles whose shadow pre-state repeats are resolved
+    /// in closed form (module docs). Needs an exact map
+    /// ([`AccessMap::EXACT`]) and a run that honours the [`PlanRun`]
+    /// contract.
+    ///
+    /// Feeds the record access by access instead under `skip_loops` (its
+    /// per-op state wants every access), for runs under four cycles or
+    /// outside a loop instance, and when two groups' ranges overlap.
+    pub fn process_run(
+        &mut self,
+        run: &PlanRun<'_>,
+        instance: u32,
+        iter: u32,
+        resolver: &impl CarriedResolver,
+    ) {
+        debug_assert!(M::EXACT, "range resolution needs an exact map");
+        self.flush_groups();
+        let mut s = std::mem::take(&mut self.runs);
+        s.stats.runs += 1;
+        s.stats.cycles += run.completed;
+        s.built.clear();
+        s.built.resize(run.streams.len(), None);
+        let at = (run, instance, iter);
+        let mut cycle = 0;
+        if !self.cfg.skip_loops
+            && run.completed >= MIN_RUN_CYCLES
+            && instance != NO_INSTANCE
+            && s.group(run)
+        {
+            cycle = self.resolve_cycles(at, resolver, &mut s);
+        }
+        // Whatever was not resolved: the whole run, or the partial tail.
+        for rest in cycle..run.started {
+            self.process_cycle(at, rest, resolver, &mut s.built);
+        }
+        self.runs = s;
+    }
+
+    /// One cycle of a run, access by access through
+    /// [`DepBuilder::process`]; `built` receives what each stream built,
+    /// read off the counters: a write always builds (INIT, WAR or WAW) and
+    /// is counted unless it is an INIT, a read builds iff it is counted.
+    fn process_cycle(
+        &mut self,
+        (run, instance, iter): (&PlanRun<'_>, u32, u32),
+        cycle: u64,
+        resolver: &impl CarriedResolver,
+        built: &mut [Option<bool>],
+    ) {
+        let streams = &run.streams[..run.streams_in(cycle)];
+        for (s, built) in streams.iter().zip(built) {
+            let a = Access::in_context(&run.mem_event(s, cycle), instance, iter + cycle as u32);
+            let before = self.stats.read_dep_total + self.stats.write_dep_total;
+            self.process(&a, resolver);
+            let counted = self.stats.read_dep_total + self.stats.write_dep_total > before;
+            *built = (counted || s.is_write).then_some(counted);
+        }
+    }
+
+    /// The full cycles of a run whose groups are disjoint, reference cycle
+    /// by reference cycle and stretch by stretch. Returns the first cycle
+    /// not processed (`run.completed`).
+    fn resolve_cycles(
+        &mut self,
+        at: (&PlanRun<'_>, u32, u32),
+        resolver: &impl CarriedResolver,
+        s: &mut RunScratch,
+    ) -> u64 {
+        let (run, instance, iter) = at;
+        let state = |b: &Self, g: &RunGroup, cycle| b.group_state(at, g, cycle, resolver);
+        self.process_cycle(at, 0, resolver, &mut s.built);
+        let mut cycle = 1;
+        while cycle < run.completed {
+            // (i) The reference cycle: pre-states first, then the cycle
+            // itself through the ordinary path.
+            for g in &mut s.groups {
+                g.reference = state(self, g, cycle);
+            }
+            self.process_cycle(at, cycle, resolver, &mut s.built);
+            s.stats.splits += u64::from(cycle > 1);
+            cycle += 1;
+            // (ii) How far does every group's pre-state repeat? A stride-0
+            // group is asked once: the reference cycle's post-state against
+            // its pre-state.
+            let mut n = run.completed - cycle;
+            for g in &s.groups {
+                let repeats = |k| g.reference.is_some() && state(self, g, cycle + k) == g.reference;
+                n = match g.first.stride {
+                    0 if repeats(0) => n,
+                    0 => 0,
+                    _ => (0..n).find(|&k| !repeats(k)).unwrap_or(n),
+                };
+                if n == 0 {
+                    break;
+                }
+            }
+            if n == 0 {
+                continue;
+            }
+            // (iii) The stretch `cycle ..= last`: every op repeats the
+            // dependence its memo entry holds.
+            let last = cycle + n - 1;
+            debug_assert!(
+                s.groups
+                    .iter()
+                    .all(|g| g.first.stride != 0 || state(self, g, last) == g.reference),
+                "a stride-0 group's reduced pre-state depends on the cycle"
+            );
+            self.stats.total_accesses += n * run.streams.len() as u64;
+            for (stream, built) in run.streams.iter().zip(&s.built) {
+                let Some(counted) = *built else { continue };
+                if counted && stream.is_write {
+                    self.stats.write_dep_total += n;
+                } else if counted {
+                    self.stats.read_dep_total += n;
+                }
+                self.out.repeat(stream.op, n);
+            }
+            let cell = |k: usize, c: u64| {
+                let m = run.mem_event(&run.streams[k], c);
+                Cell::from_access(&Access::in_context(&m, instance, iter + c as u32))
+            };
+            for g in &s.groups {
+                // A stride-0 group keeps one word: the last cycle's cells.
+                let from = if g.first.stride == 0 { last } else { cycle };
+                for c in from..=last {
+                    if let Some(k) = g.last_read {
+                        self.read_map.set(g.first.addr_at(c), cell(k, c));
+                    }
+                    if let Some(k) = g.last_write {
+                        self.write_map.set(g.first.addr_at(c), cell(k, c));
+                    }
+                }
+            }
+            s.stats.cycles_resolved += n;
+            cycle += n;
+        }
+        cycle
+    }
+
+    /// The reduced pre-state of group `g` at `cycle`, read from the shadow
+    /// as it stands. `None` when a consulted cell is not older than the
+    /// cycle, or was stored by this run at a strided group's address:
+    /// neither happens under in-order delivery and disjoint ranges, and
+    /// neither may be resolved in closed form.
+    fn group_state(
+        &self,
+        (run, instance, iter): (&PlanRun<'_>, u32, u32),
+        g: &RunGroup,
+        cycle: u64,
+        resolver: &impl CarriedResolver,
+    ) -> Option<GroupState> {
+        let addr = g.first.addr_at(cycle);
+        let cycle_ts = run.first_ts + cycle * run.cycle_steps as u64;
+        let reduce = |c: Option<Cell>| {
+            let Some(c) = c else { return Some(None) };
+            let in_run = c.ts >= run.first_ts;
+            (c.ts < cycle_ts && !(in_run && g.first.stride != 0)).then(|| {
+                Some(Seen {
+                    op: c.op,
+                    thread: c.thread,
+                    carried: resolver.carried_by(instance, iter + cycle as u32, c.instance, c.iter),
+                    in_run,
+                })
+            })
+        };
+        let w = self.write_map.get(addr);
+        let r = g.first.is_write.then(|| self.read_map.get(addr)).flatten();
+        Some(GroupState {
+            write: reduce(w)?,
+            read: reduce(r)?,
+            read_newer: matches!((r, w), (Some(r), Some(w)) if r.ts > w.ts),
+        })
     }
 
     /// Process one chunk of packed accesses — the parallel engine's hot
@@ -837,6 +1211,7 @@ impl<M: AccessMap> DepBuilder<M> {
             skip: self.skip,
             stats: self.stats,
             scratch: self.scratch,
+            runs: self.runs,
         }
     }
 }

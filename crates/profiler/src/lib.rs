@@ -72,7 +72,7 @@ pub use access::{
     InstanceTable, LoopContext, LoopKey, PackedAccess, NO_INSTANCE,
 };
 pub use dep::{render_text, ControlSpan, Dep, DepSet, DepType, SrcLoc};
-pub use engine::{DepBuilder, EngineConfig, SkipStats};
+pub use engine::{DepBuilder, EngineConfig, RunStats, SkipStats};
 pub use maps::{estimated_fp_rate, AccessMap, Cell, HashShadowMap, PerfectMap, SignatureMap};
 pub use parallel::{
     profile_multithreaded_target, profile_parallel, ParallelConfig, ParallelOutput,

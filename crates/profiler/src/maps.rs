@@ -128,6 +128,12 @@ pub trait AccessMap {
     /// the fused single pass based on this.
     const BATCHED_PROBES: bool = false;
 
+    /// True when distinct addresses never share a slot, so accesses to
+    /// disjoint address ranges cannot interact through the map. Resolving a
+    /// plan run range by range ([`crate::engine::DepBuilder::process_run`])
+    /// rests on this; signatures alias and keep the per-event path.
+    const EXACT: bool = false;
+
     /// Last recorded access status for `addr`, if any.
     fn get(&self, addr: u64) -> Option<Cell>;
     /// Record an access status for `addr`.
@@ -485,6 +491,8 @@ impl PerfectMap {
 }
 
 impl AccessMap for PerfectMap {
+    const EXACT: bool = true;
+
     #[inline]
     fn get(&self, addr: u64) -> Option<Cell> {
         debug_assert_eq!(addr & 7, 0, "PerfectMap requires word-aligned addresses");

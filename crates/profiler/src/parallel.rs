@@ -942,6 +942,7 @@ impl ParallelOutput {
             pet: self.pet,
             skip_stats: self.skip_stats,
             synth: self.synth,
+            plan_runs: Default::default(),
             profiler_bytes: self.profiler_bytes,
             steps: self.steps,
             printed: self.printed,

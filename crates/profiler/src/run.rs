@@ -15,7 +15,7 @@ use crate::budget::{
     ResourceStats, ShadowTier, LADDER_MIN_SLOTS,
 };
 use crate::dep::DepSet;
-use crate::engine::{EngineConfig, SkipStats};
+use crate::engine::{EngineConfig, RunStats, SkipStats};
 use crate::maps::{PerfectMap, SignatureMap};
 use crate::parallel::{profile_parallel, ParallelConfig, QueueKind};
 use crate::pet::Pet;
@@ -354,11 +354,12 @@ pub struct SynthSummary {
     pub loops_skipped: u64,
     /// Full loop cycles replayed without dispatch.
     pub cycles: u64,
-    /// Memory accesses synthesized by the plan replayer (each still
-    /// delivered through the normal event path — same events, timestamps,
-    /// and op ids as interpretation).
+    /// Memory accesses executed by the plan replayer — delivered as the
+    /// events interpretation would emit, or inside an [`interp::PlanRun`]
+    /// that expands to exactly those events.
     pub synthesized_accesses: u64,
-    /// Mid-cycle slice-budget parks that fell back to interpretation.
+    /// Mid-cycle slice-budget parks that fell back to interpretation (a
+    /// thread with no runnable peer re-slices in place and never parks).
     pub fallback_budget: u64,
     /// Engagements declined on a violated runtime precondition.
     pub fallback_precondition: u64,
@@ -441,6 +442,10 @@ pub struct ProfileOutput {
     /// Affine skip tier activity (loops replayed, accesses synthesized,
     /// fallbacks, dispatch count).
     pub synth: SynthSummary,
+    /// What became of the plan runs the engine was handed (all zeros for
+    /// engines that take events only). Diagnostics: not part of the JSON
+    /// report.
+    pub plan_runs: RunStats,
     /// Estimated profiler memory footprint in bytes.
     pub profiler_bytes: usize,
     /// Executed instructions of the target program.
@@ -524,12 +529,14 @@ pub fn profile_program_with(
 }
 
 fn assemble<M: crate::maps::AccessMap>(p: SerialProfiler<M>, r: RunResult) -> ProfileOutput {
+    let plan_runs = p.run_stats();
     let (deps, pet, skip_stats, profiler_bytes) = p.finish(r.steps);
     ProfileOutput {
         deps,
         pet,
         skip_stats,
         synth: SynthSummary::from_run(&r),
+        plan_runs,
         profiler_bytes,
         steps: r.steps,
         actors: ActorSummary::from_run(&r),

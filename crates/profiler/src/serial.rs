@@ -2,12 +2,12 @@
 //! parallel variants must agree with (§2.3.3 "the same data dependences as
 //! the serial version").
 
-use crate::access::{InstanceTable, LoopContext};
+use crate::access::{InstanceTable, LoopContext, NO_INSTANCE};
 use crate::dep::{ControlSpan, DepSet};
-use crate::engine::{DepBuilder, EngineConfig, SkipStats};
-use crate::maps::{AccessMap, PerfectMap, SignatureMap};
+use crate::engine::{DepBuilder, EngineConfig, RunStats, SkipStats};
+use crate::maps::{AccessMap, Cell, PerfectMap, SignatureMap};
 use crate::pet::{Pet, PetBuilder};
-use interp::{Event, MemOpMeta, Program, Sink};
+use interp::{Event, MemOpMeta, PlanRun, Program, Sink};
 
 /// A serial profiler over any access map. Implements [`Sink`], so it plugs
 /// directly into the interpreter.
@@ -74,6 +74,11 @@ impl<M: AccessMap> SerialProfiler<M> {
         (deps, self.pet.finish(total_instrs), stats, bytes)
     }
 
+    /// What became of the plan runs received so far.
+    pub fn run_stats(&self) -> RunStats {
+        self.builder.run_stats()
+    }
+
     /// Tracked bytes of the profiler right now — what the resource governor
     /// publishes to its [`crate::budget::MemGauge`] at checkpoint cadence.
     pub fn current_bytes(&self) -> usize {
@@ -104,6 +109,13 @@ impl<M: AccessMap> SerialProfiler<M> {
 }
 
 impl SerialProfiler<PerfectMap> {
+    /// Move the whole exact shadow out, leaving it empty
+    /// ([`DepBuilder::drain_shadow`]) — how a differential test compares
+    /// the final shadow state of two profilers.
+    pub fn drain_shadow(&mut self) -> Vec<(u64, Option<Cell>, Option<Cell>)> {
+        self.builder.drain_shadow()
+    }
+
     /// First rung of the degradation ladder: convert the exact shadow into
     /// a signature of `slots` slots mid-run, keeping loop context, instance
     /// table, PET, and every dependence found so far. Returns the degraded
@@ -160,8 +172,29 @@ impl SerialProfiler<SignatureMap> {
 }
 
 impl<M: AccessMap> Sink for SerialProfiler<M> {
+    /// Exact maps take plan runs; signature slots alias, so the signature
+    /// profiler keeps the per-event stream.
+    const TAKES_RUNS: bool = M::EXACT;
+
     fn event(&mut self, ev: &Event) {
         self.handle(ev);
+    }
+
+    /// A plan engagement in closed form. The loop context supplies what the
+    /// run's events would have picked up one by one — the instance the plan
+    /// runs in and the iteration of its cycle 0 — and advances by the run's
+    /// `LoopIter` count afterwards; the PET and the lifetime analysis see
+    /// nothing in a run (no region, call or dealloc event).
+    fn plan_run(&mut self, run: &PlanRun<'_>) {
+        let (instance, iter) = self.ctx.current(run.thread);
+        let in_own_loop =
+            instance != NO_INSTANCE && self.table.loop_of(instance) == (run.func, run.region);
+        if M::EXACT && in_own_loop {
+            self.builder.process_run(run, instance, iter, &self.table);
+            self.ctx.advance(run.thread, run.loop_iters());
+        } else {
+            run.expand(|ev| self.handle(ev));
+        }
     }
 
     /// Batched delivery: one interpreter→profiler crossing per

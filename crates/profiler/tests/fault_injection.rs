@@ -360,29 +360,64 @@ fn skip_tier_fault_falls_back_with_identical_deps() {
     });
 }
 
-/// Slice-budget exhaustion inside a plan cycle: a quantum of 1 parks the
-/// replay at every constituent, forcing the interpreted-resume path on each
-/// park, yet the profile is unchanged.
+/// Two runnable threads, each inside a plan loop: neither is ever alone, so
+/// an exhausted slice budget must park the plan.
+const CONTENDED_SRC: &str = "\
+global int a[512];
+global int b[512];
+fn w(int n) {
+    for (int i = 0; i < 512; i = i + 1) { b[i] = b[i] + n; }
+}
+fn main() {
+    int t = spawn(w, 3);
+    for (int i = 0; i < 512; i = i + 1) { a[i] = a[i] + 1; }
+    join(t);
+}
+";
+
+fn one_step_quantum(skip: bool) -> ProfileConfig {
+    ProfileConfig {
+        engine: EngineKind::SerialPerfect,
+        run: RunConfig {
+            quantum: 1,
+            affine_skip: skip,
+            ..RunConfig::default()
+        },
+        ..ProfileConfig::default()
+    }
+}
+
+/// Slice-budget exhaustion inside a plan cycle: with a second runnable
+/// thread a quantum of 1 parks the replay at every constituent, forcing the
+/// interpreted-resume path on each park, yet the profile is unchanged.
 #[test]
 fn skip_tier_budget_exhaustion_parks_and_resumes_identically() {
     fault_session(|| {
-        let prog = program(SEQ_SRC);
-        let mk = |skip: bool| ProfileConfig {
-            engine: EngineKind::SerialPerfect,
-            run: RunConfig {
-                quantum: 1,
-                affine_skip: skip,
-                ..RunConfig::default()
-            },
-            ..ProfileConfig::default()
-        };
-        let on = profile_program_with(&prog, &mk(true)).expect("skip-on run");
-        let off = profile_program_with(&prog, &mk(false)).expect("skip-off run");
+        let prog = program(CONTENDED_SRC);
+        let on = profile_program_with(&prog, &one_step_quantum(true)).expect("skip-on run");
+        let off = profile_program_with(&prog, &one_step_quantum(false)).expect("skip-off run");
         assert!(
             on.synth.fallback_budget > 0,
-            "a one-step quantum must park plan replay mid-cycle: {:?}",
+            "a one-step quantum must park a contended plan replay mid-cycle: {:?}",
             on.synth
         );
+        assert_eq!(on.deps.sorted(), off.deps.sorted());
+        assert_eq!(on.steps, off.steps);
+    });
+}
+
+/// The lone-thread counterpart: nobody to hand the slice to, so the replay
+/// re-slices in place at every step of a one-step quantum, never parks, and
+/// the whole loop instance stays one engagement.
+#[test]
+fn skip_tier_lone_thread_reslices_in_place_of_parking() {
+    fault_session(|| {
+        let prog = program(SEQ_SRC);
+        let on = profile_program_with(&prog, &one_step_quantum(true)).expect("skip-on run");
+        let off = profile_program_with(&prog, &one_step_quantum(false)).expect("skip-off run");
+        assert_eq!(on.synth.fallback_budget, 0, "{:?}", on.synth);
+        assert_eq!(on.plan_runs.runs, 8, "one run per inner-loop instance");
+        assert!(on.synth.dispatches * 2 < off.synth.dispatches);
         assert_eq!(on.deps.sorted(), off.deps.sorted());
         assert_eq!(on.steps, off.steps);
     });

@@ -43,6 +43,7 @@ fn main() {
                 engine,
                 steps,
                 dependences,
+                ..
             } => eprintln!("profiled with {engine}: {steps} steps, {dependences} dependences"),
             StageEvent::StaticAnalyzed {
                 loops,

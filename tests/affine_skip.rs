@@ -9,9 +9,10 @@
 //! scheduler quanta, and through mid-loop fallbacks (budget expiry, fault
 //! injection). These tests are the gate for that claim; the perf win
 //! (fewer dispatches) is asserted alongside so the tier cannot silently
-//! stop engaging.
+//! stop engaging. What a sink that takes plan runs receives is gated in
+//! `tests/plan_runs.rs`.
 
-use interp::{DecodeConfig, Program, RecordingSink, RunConfig};
+use interp::{DecodeConfig, Event, PlanRun, Program, RecordingSink, RunConfig, Sink};
 use profiler::{EngineKind, ProfileConfig, ProfileOutput};
 use proptest::prelude::*;
 
@@ -118,13 +119,96 @@ fn event_streams_identical_with_and_without_fusion() {
     }
 }
 
-/// Slice-budget parks land mid-cycle at arbitrary constituents; every
-/// quantum must produce the same stream, and tiny quanta must actually
-/// exercise the budget fallback.
+/// Two runnable threads, each inside a plan loop: neither is ever alone, so
+/// an exhausted slice budget must park the plan.
+const CONTENDED_SRC: &str = "global int a[512];
+global int b[512];
+fn w(int n) {
+    for (int i = 0; i < 512; i = i + 1) { b[i] = b[i] + n; }
+}
+fn main() {
+    int t = spawn(w, 3);
+    for (int i = 0; i < 512; i = i + 1) { a[i] = a[i] + 1; }
+    join(t);
+}";
+
+/// Takes plan runs, keeps what they stand for, and counts the ones that
+/// closed at a cycle boundary.
+#[derive(Default)]
+struct RunRecorder {
+    events: Vec<Event>,
+    closed_at_boundary: u64,
+}
+
+impl Sink for RunRecorder {
+    const TAKES_RUNS: bool = true;
+
+    fn event(&mut self, ev: &Event) {
+        self.events.push(ev.clone());
+    }
+
+    fn plan_run(&mut self, run: &PlanRun<'_>) {
+        self.closed_at_boundary += u64::from(run.started == run.completed);
+        run.expand(|ev| self.events.push(ev.clone()));
+    }
+}
+
+/// Slice-budget parks land mid-cycle at arbitrary constituents and at cycle
+/// boundaries; with a second runnable thread every quantum must produce the
+/// same stream and the same dependences skip-on and skip-off, and small
+/// quanta must actually exercise both parks.
 #[test]
 fn quantum_sweep_preserves_stream_and_exercises_budget_fallback() {
+    let p = Program::new(lang::compile(CONTENDED_SRC, "contended").expect("compiles"));
+    let (mut mid_cycle_parks, mut boundary_parks) = (0, 0);
+    for quantum in [1u32, 2, 3, 5, 64] {
+        let cfg = |skip| RunConfig {
+            quantum,
+            ..run_cfg(skip)
+        };
+        let label = format!("contended/quantum={quantum}");
+        let on = record(&p, cfg(true));
+        let off = record(&p, cfg(false));
+        assert_streams_identical(&label, &on, &off);
+        mid_cycle_parks += on.0.synth.fallback_budget;
+
+        let mut runs = RunRecorder::default();
+        interp::run_with_config(&p, &mut runs, cfg(true)).expect("runs");
+        assert!(
+            runs.events == off.1,
+            "{label}: runs expand to another stream"
+        );
+        boundary_parks += runs.closed_at_boundary;
+
+        let profile = |skip| {
+            let cfg = ProfileConfig {
+                run: cfg(skip),
+                ..Default::default()
+            };
+            profiler::profile_program_with(&p, &cfg).expect("profiles")
+        };
+        let (deps_on, deps_off) = (profile(true).deps, profile(false).deps);
+        assert_eq!(deps_on.sorted(), deps_off.sorted(), "{label}");
+        assert_eq!(deps_on.total_found, deps_off.total_found, "{label}");
+    }
+    assert!(
+        mid_cycle_parks > 0,
+        "small quanta must park a contended plan replay mid-cycle"
+    );
+    assert!(
+        boundary_parks > 0,
+        "some slice of a contended plan replay must end at a cycle boundary"
+    );
+}
+
+/// The lone-thread counterpart: with nobody to hand the slice to, the plan
+/// re-slices in place — no park even at a one-step quantum, the stream still
+/// bit-identical to skip-off. At the parent commit a one-step quantum parked
+/// every engagement on its first step, so skip-on dispatched as much as
+/// skip-off.
+#[test]
+fn lone_thread_reslices_in_place_at_every_quantum() {
     let (name, p) = &programs()[1]; // dotprod: small but fully engaging
-    let mut budget_fallbacks = 0;
     for quantum in [1u32, 2, 3, 5, 64, 1 << 20] {
         let cfg = |skip| RunConfig {
             quantum,
@@ -132,13 +216,19 @@ fn quantum_sweep_preserves_stream_and_exercises_budget_fallback() {
         };
         let on = record(p, cfg(true));
         let off = record(p, cfg(false));
-        assert_streams_identical(&format!("{name}/quantum={quantum}"), &on, &off);
-        budget_fallbacks += on.0.synth.fallback_budget;
+        let label = format!("{name}/quantum={quantum}");
+        assert_streams_identical(&label, &on, &off);
+        assert_eq!(
+            on.0.synth.fallback_budget, 0,
+            "{label}: a lone thread parked"
+        );
+        assert!(
+            on.0.dispatches < off.0.dispatches,
+            "{label}: {} dispatches skip-on, {} skip-off",
+            on.0.dispatches,
+            off.0.dispatches
+        );
     }
-    assert!(
-        budget_fallbacks > 0,
-        "small quanta must park plan replay mid-cycle"
-    );
 }
 
 /// Fault injection: the tier shuts itself down after N synthesized cycles
@@ -305,6 +395,10 @@ proptest! {
                 mode, on.0.synth, src
             );
             prop_assert!(on.0.dispatches < off.0.dispatches);
+            // What a run-taking sink receives expands to the same stream.
+            let mut runs = RunRecorder::default();
+            interp::run_with_config(p, &mut runs, run_cfg(true)).expect("runs");
+            prop_assert!(runs.events == off.1, "{} runs expand differently for\n{}", mode, src);
         }
         let on = profile(&fused, EngineKind::SerialPerfect, true);
         let off = profile(&fused, EngineKind::SerialPerfect, false);
