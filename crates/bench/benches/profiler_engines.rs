@@ -1,8 +1,9 @@
-//! Fig. 2.9: serial vs lock-based vs lock-free profiling engines, all
-//! selected through `EngineKind`.
+//! Fig. 2.9: serial vs lock-free parallel profiling, all settings of the one
+//! engine selected through `EngineKind`. (The figure's lock-based column is
+//! no longer an engine; `benches/queues.rs` keeps the queue comparison.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use profiler::{EngineKind, ProfileConfig, QueueKind};
+use profiler::{EngineKind, ProfileConfig};
 
 fn engines(c: &mut Criterion) {
     let w = workloads::by_name("MG").unwrap();
@@ -15,14 +16,6 @@ fn engines(c: &mut Criterion) {
     for (name, engine) in [
         ("serial_signature", EngineKind::signature(1 << 18)),
         ("serial_perfect", EngineKind::SerialPerfect),
-        (
-            "lock_based_8t",
-            EngineKind::Parallel {
-                workers: 8,
-                chunk: 256,
-                queue: QueueKind::LockBased,
-            },
-        ),
         ("lock_free_8t", EngineKind::parallel(8)),
         ("lock_free_16t", EngineKind::parallel(16)),
     ] {

@@ -2,8 +2,38 @@
 //! mutex-guarded baseline (the §2.3.3 design decision).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use profiler::{LockQueue, MpscQueue, SpscQueue};
-use std::sync::Arc;
+use profiler::{MpscQueue, SpscQueue};
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
+
+/// Mutex-guarded bounded queue: the lock-based baseline of Fig. 2.9. No
+/// engine is built on it any more, so it lives with its only measurement.
+struct LockQueue<T> {
+    inner: Mutex<VecDeque<T>>,
+    cap: usize,
+}
+
+impl<T> LockQueue<T> {
+    fn new(cap: usize) -> Self {
+        LockQueue {
+            inner: Mutex::new(VecDeque::with_capacity(cap)),
+            cap,
+        }
+    }
+
+    fn try_push(&self, v: T) -> Result<(), T> {
+        let mut q = self.inner.lock().unwrap();
+        if q.len() >= self.cap {
+            return Err(v);
+        }
+        q.push_back(v);
+        Ok(())
+    }
+
+    fn try_pop(&self) -> Option<T> {
+        self.inner.lock().unwrap().pop_front()
+    }
+}
 
 const N: u64 = 100_000;
 

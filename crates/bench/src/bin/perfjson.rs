@@ -18,11 +18,10 @@
 //! - `slowdown_vs_native`: profiled time / uninstrumented time — the
 //!   headline number of the source paper's evaluation (Fig. 2.10).
 //! - `peak_map_bytes`: the profiler's reported memory footprint.
-//! - parallel rows additionally report the adaptive transport's statistics
-//!   (`chunks`, `combined`, `rebalances`, `merges`, `queue_stalls`,
-//!   `spawned_workers`), so the crossover behaviour — when the engine
-//!   stays inline vs when it ships to workers — is visible in the
-//!   baseline.
+//! - parallel rows additionally report the transport's statistics
+//!   (`chunks`, `queue_stalls`, `spawned_workers`), so the crossover
+//!   behaviour — when the engine stays inline vs when it ships to workers —
+//!   is visible in the baseline.
 //!
 //! Usage: `cargo run --release -p bench --bin perfjson [reps] [--only NAME]`.
 //!
@@ -32,9 +31,7 @@
 //! gating on timing.
 
 use interp::{DecodeConfig, Program, RunConfig};
-use profiler::{
-    EngineConfig, EngineKind, HashShadowMap, ParallelStats, ProfileConfig, SerialProfiler,
-};
+use profiler::{EngineKind, ParallelStats, ProfileConfig};
 use std::fmt::Write as _;
 
 /// A loop nest big enough (~5M dynamic accesses) that per-run setup cost is
@@ -164,16 +161,9 @@ fn main() {
         // the page-table win from the other overhaul gains.
         let mut hashmap_bytes = 0usize;
         let mut hashmap_run = || {
-            let mut prof = SerialProfiler::with_maps(
-                HashShadowMap::new(),
-                HashShadowMap::new(),
-                p.mem_op_meta(),
-                EngineConfig::default(),
-                true,
-            );
+            let mut prof = bench::HashShadowOracle::new(p);
             let r = interp::run_with_config(p, &mut prof, RunConfig::default()).expect("runs");
-            let (_, _, _, b) = prof.finish(r.steps);
-            hashmap_bytes = b;
+            (_, _, hashmap_bytes) = prof.finish(r.steps);
         };
 
         // The same module decoded without the superinstruction peephole:
@@ -603,9 +593,8 @@ fn render_json(rows: &[Row]) -> String {
         let transport = match &r.parallel {
             None => String::new(),
             Some(p) => format!(
-                ", \"chunks\": {}, \"combined\": {}, \"rebalances\": {}, \"merges\": {}, \
-                 \"queue_stalls\": {}, \"spawned_workers\": {}",
-                p.chunks, p.combined, p.rebalances, p.merges, p.queue_stalls, p.spawned_workers,
+                ", \"chunks\": {}, \"queue_stalls\": {}, \"spawned_workers\": {}",
+                p.chunks, p.queue_stalls, p.spawned_workers,
             ),
         };
         let _ = writeln!(

@@ -5,7 +5,7 @@
 //! Experiments (see DESIGN.md per-experiment index):
 //!   dep-tables           Tables 2.2-2.5 (worked examples)
 //!   fpr-fnr              Table 2.6 (signature accuracy)
-//!   profiler-slowdown    Fig 2.9a (serial vs lock-based vs lock-free)
+//!   profiler-slowdown    Fig 2.9a (serial vs lock-free; see the note it prints)
 //!   profiler-memory      Fig 2.9b (memory consumption)
 //!   parallel-target      Fig 2.10/2.11 (multi-threaded targets)
 //!   skip-slowdown        Fig 2.12 (loop-skipping on/off)
@@ -29,7 +29,7 @@
 
 use bench::{count_addresses, fmt_pct, fmt_x, native_time, time_median};
 use interp::RunConfig;
-use profiler::{ParallelConfig, ProfileConfig, QueueKind};
+use profiler::{ParallelConfig, ProfileConfig};
 use workloads::Suite;
 
 fn main() {
@@ -157,12 +157,23 @@ fn fpr_fnr() {
     println!("our address counts are ~1e3, so sizes scale down by 1e3 to match load factors)");
 }
 
+/// The pipeline of Fig 2.9/2.10: `workers` consumers spawned before the
+/// first access, whatever the host and the run's size.
+fn spawned_up_front(workers: usize, sig_slots: usize) -> ParallelConfig {
+    ParallelConfig {
+        workers,
+        sig_slots,
+        spawn_threshold: 0,
+        ..Default::default()
+    }
+}
+
 // ---- E4: Fig 2.9a ----
 fn profiler_slowdown() {
     println!("\n## Fig 2.9a — profiler slowdowns (NAS + Starbench)\n");
-    println!("| program | serial | 8T lock-based | 8T lock-free | 16T lock-free |");
-    println!("|---|---|---|---|---|");
-    let mut sums = [0.0f64; 4];
+    println!("| program | serial | 8T lock-free | 16T lock-free |");
+    println!("|---|---|---|---|");
+    let mut sums = [0.0f64; 3];
     let ws = sequential_workloads(&[Suite::Nas, Suite::Starbench]);
     for w in &ws {
         let p = w.program().unwrap();
@@ -177,48 +188,43 @@ fn profiler_slowdown() {
             )
             .unwrap();
         });
-        let par = |workers: usize, queue: QueueKind| {
+        let par = |workers: usize| {
             time_median(3, || {
                 profiler::profile_parallel(
                     &p,
-                    ParallelConfig {
-                        workers,
-                        queue,
-                        sig_slots: 1 << 17,
-                        adaptive: false, // fixed pipeline: these tables reproduce Fig 2.9/2.10
-                        ..Default::default()
-                    },
+                    spawned_up_front(workers, 1 << 17),
                     RunConfig::default(),
                 )
                 .unwrap();
             })
         };
-        let lock8 = par(8, QueueKind::LockBased);
-        let free8 = par(8, QueueKind::LockFree);
-        let free16 = par(16, QueueKind::LockFree);
-        let slows = [serial / base, lock8 / base, free8 / base, free16 / base];
+        let slows = [serial / base, par(8) / base, par(16) / base];
         for (s, v) in sums.iter_mut().zip(slows) {
             *s += v;
         }
         println!(
-            "| {} | {} | {} | {} | {} |",
+            "| {} | {} | {} | {} |",
             w.name,
             fmt_x(slows[0]),
             fmt_x(slows[1]),
-            fmt_x(slows[2]),
-            fmt_x(slows[3])
+            fmt_x(slows[2])
         );
     }
     let n = ws.len() as f64;
     println!(
-        "| **average** | {} | {} | {} | {} |",
+        "| **average** | {} | {} | {} |",
         fmt_x(sums[0] / n),
         fmt_x(sums[1] / n),
-        fmt_x(sums[2] / n),
-        fmt_x(sums[3] / n)
+        fmt_x(sums[2] / n)
     );
     println!("\n(paper averages: serial 190×, 8T lock-free ~97-101×, 16T lock-free 78-93×,");
     println!("lock-based ~1.3-1.6× slower than lock-free)");
+    println!("\nThe figure's 8T lock-based column is not reproduced: the mutex-guarded queue was");
+    println!("the slower baseline by construction and no engine selected it, so PR 23 removed it");
+    println!("from the engine (`cargo bench -p bench --bench queues` still times the two queues");
+    println!(
+        "head to head). Partitions are exact below 2^18 words of footprint, signatures above."
+    );
 }
 
 // ---- E5: Fig 2.9b ----
@@ -230,28 +236,12 @@ fn profiler_memory() {
         let p = w.program().unwrap();
         let serial = profile(&p);
         let mb = |b: usize| b as f64 / 1e6;
-        let par8 = profiler::profile_parallel(
-            &p,
-            ParallelConfig {
-                workers: 8,
-                sig_slots: 1 << 17,
-                adaptive: false, // fixed pipeline: these tables reproduce Fig 2.9/2.10
-                ..Default::default()
-            },
-            RunConfig::default(),
-        )
-        .unwrap();
-        let par16 = profiler::profile_parallel(
-            &p,
-            ParallelConfig {
-                workers: 16,
-                sig_slots: 1 << 17,
-                adaptive: false, // fixed pipeline: these tables reproduce Fig 2.9/2.10
-                ..Default::default()
-            },
-            RunConfig::default(),
-        )
-        .unwrap();
+        let par8 =
+            profiler::profile_parallel(&p, spawned_up_front(8, 1 << 17), RunConfig::default())
+                .unwrap();
+        let par16 =
+            profiler::profile_parallel(&p, spawned_up_front(16, 1 << 17), RunConfig::default())
+                .unwrap();
         println!(
             "| {} | {:.1} | {:.1} | {:.1} |",
             w.name,
@@ -275,24 +265,14 @@ fn parallel_target() {
             let t = time_median(3, || {
                 profiler::profile_multithreaded_target(
                     &p,
-                    ParallelConfig {
-                        workers,
-                        sig_slots: 1 << 16,
-                        adaptive: false, // fixed pipeline: these tables reproduce Fig 2.9/2.10
-                        ..Default::default()
-                    },
+                    spawned_up_front(workers, 1 << 16),
                     RunConfig::default(),
                 )
                 .unwrap();
             });
             let out = profiler::profile_multithreaded_target(
                 &p,
-                ParallelConfig {
-                    workers,
-                    sig_slots: 1 << 16,
-                    adaptive: false, // fixed pipeline: these tables reproduce Fig 2.9/2.10
-                    ..Default::default()
-                },
+                spawned_up_front(workers, 1 << 16),
                 RunConfig::default(),
             )
             .unwrap();
@@ -902,12 +882,7 @@ fn comm_pattern() {
         let p = w.program().unwrap();
         let out = profiler::profile_multithreaded_target(
             &p,
-            ParallelConfig {
-                workers: 4,
-                sig_slots: 1 << 16,
-                adaptive: false, // fixed pipeline: these tables reproduce Fig 2.9/2.10
-                ..Default::default()
-            },
+            spawned_up_front(4, 1 << 16),
             RunConfig::default(),
         )
         .unwrap();

@@ -7,8 +7,58 @@
 
 pub mod seed_baseline;
 
-use interp::{NullSink, Program, RunConfig};
+use interp::{Event, NullSink, Program, RunConfig, Sink};
+use profiler::{
+    DepBuilder, DepSet, EngineConfig, HashShadowMap, InstanceTable, LoopContext, Pet, PetBuilder,
+};
 use std::time::Instant;
+
+/// The legacy `HashMap` shadow behind today's dependence builder, driven by
+/// a front half of its own (loop context, instance table, PET, lifetime
+/// eviction — nothing shared with [`profiler::Profiler`]): the reference the
+/// equivalence tests hold the engine's exact map against, and the
+/// `serial_hashmap_shadow` row of `perfjson`.
+pub struct HashShadowOracle {
+    ctx: LoopContext,
+    table: InstanceTable,
+    builder: DepBuilder<HashShadowMap>,
+    pet: PetBuilder,
+}
+
+impl HashShadowOracle {
+    /// An oracle for a target whose static op table is `prog`'s.
+    pub fn new(prog: &Program) -> Self {
+        HashShadowOracle {
+            ctx: LoopContext::new(),
+            table: InstanceTable::new(),
+            builder: DepBuilder::new(
+                HashShadowMap::new(),
+                HashShadowMap::new(),
+                prog.mem_op_meta(),
+                EngineConfig::default(),
+            ),
+            pet: PetBuilder::new(),
+        }
+    }
+
+    /// Dependences, PET and tracked bytes after `steps` target instructions.
+    pub fn finish(self, steps: u64) -> (DepSet, Pet, usize) {
+        let (deps, _, bytes) = self.builder.finish();
+        (deps, self.pet.finish(steps), bytes + self.table.bytes())
+    }
+}
+
+impl Sink for HashShadowOracle {
+    fn event(&mut self, ev: &Event) {
+        self.pet.handle(ev);
+        if let Some(a) = self.ctx.handle(ev, &mut self.table) {
+            self.builder.process(&a, &self.table);
+        }
+        if let Event::VarDealloc { addr, words, .. } = ev {
+            self.builder.clear_range(*addr, *words);
+        }
+    }
+}
 
 /// Median wall-clock seconds of `reps` runs of `f`.
 pub fn time_median<F: FnMut()>(reps: usize, mut f: F) -> f64 {

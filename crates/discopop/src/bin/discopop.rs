@@ -111,9 +111,10 @@ fn main() -> ExitCode {
             println!(
                 "  serial-signature[:slots]          bounded-memory signature (default 2^18 slots)"
             );
-            println!("  parallel[:[workers=]N[xchunk][:queue]]");
-            println!("                                    adaptive producer/consumer pipeline");
-            println!("                                    queue: lock-free (default) | lock-based");
+            println!("  parallel[:[workers=]N[xchunk]]    producer/consumer pipeline: N partitions, inline");
+            println!(
+                "                                    until the run is big enough for N workers"
+            );
             println!("                                    N and chunk must be positive (parallel:0 is an error)");
             println!(
                 "without --engine, the engine is auto-selected (EngineKind::auto_for): \
@@ -123,7 +124,7 @@ fn main() -> ExitCode {
             );
             println!(
                 "examples: serial-signature:1048576   parallel:8   parallel:workers=4   \
-                 parallel:4x128:lock-based"
+                 parallel:4x128"
             );
             println!(
                 "every engine reads the same interpreter access stream; with --static \

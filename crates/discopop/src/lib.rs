@@ -575,31 +575,23 @@ impl Analysis {
 
     /// Stage 2, multi-threaded targets: profile a program that spawns its
     /// own threads through the lock-free MPSC engine (§2.3.4). Worker
-    /// count, chunking, and queue kind are taken from the configured
-    /// engine when it is [`EngineKind::Parallel`]; other engines use the
-    /// parallel defaults.
+    /// count and chunking are taken from the configured engine when it is
+    /// [`EngineKind::Parallel`]; other engines use the parallel defaults.
     pub fn profile_threads(&mut self, compiled: &Compiled) -> Result<Profiled, Error> {
         let mut pcfg = profiler::ParallelConfig {
             lifetime: self.lifetime,
             ..Default::default()
         };
-        if let EngineKind::Parallel {
-            workers,
-            chunk,
-            queue,
-        } = self.engine
-        {
+        if let EngineKind::Parallel { workers, chunk } = self.engine {
             pcfg.workers = workers.max(1);
             pcfg.chunk_size = chunk.max(1);
-            pcfg.queue = queue;
         }
         // Same per-worker signature sizing as the sequential-target path:
         // a fixed total budget split across workers.
         pcfg.sig_slots = EngineKind::parallel_worker_slots(pcfg.workers);
         let label = format!("multithreaded:{}x{}", pcfg.workers, pcfg.chunk_size);
         let run = self.profile_config().run;
-        let output = profiler::profile_multithreaded_target(&compiled.program, pcfg, run)?
-            .into_profile_output();
+        let output = profiler::profile_multithreaded_target(&compiled.program, pcfg, run)?;
         Ok(self.profiled(label, output))
     }
 
@@ -924,7 +916,7 @@ mod tests {
         assert_eq!(perfect.deps().sorted(), parallel.deps().sorted());
         assert!(parallel.output.parallel.is_some());
         let report = analysis.discover(&compiled, parallel);
-        assert_eq!(report.engine, "parallel:4x256:lock-free");
+        assert_eq!(report.engine, "parallel:4x256");
         assert!(!report.discovery.ranked.is_empty());
     }
 

@@ -122,6 +122,12 @@ use profiler::{Dep, PetNodeKind};
 ///   live, messages sent/received, per-channel matrix plus its digest)
 ///   for targets that run under the actor scheduler. Version-1..5
 ///   documents are still read; `actors` defaults to absent.
+///
+/// Within version 6, three keys of `profile.parallel` — `rebalances`,
+/// `combined`, `merges` — became **reserved**: still written (as `0`) and
+/// still read, because the parser requires `rebalances` and every saved
+/// report must keep loading, but the machinery they counted is gone. No
+/// bump: the key set and every type are unchanged. See [`ParallelDoc`].
 pub const SCHEMA_VERSION: u32 = 6;
 
 /// Oldest schema version [`ReportDoc::from_json`] still reads.
@@ -410,15 +416,24 @@ impl PetNodeDoc {
 }
 
 /// Parallel-engine transport statistics.
+///
+/// `rebalances`, `combined` and `merges` are **reserved**: the machinery
+/// they counted (hot-address migration, producer-side repeat combining,
+/// inline partition merging) is gone, and reports written today carry `0`
+/// in all three. The keys stay — this parser has always required
+/// `rebalances`, and every saved report must keep loading — so there is no
+/// schema bump; documents from before the removal read back whatever they
+/// recorded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParallelDoc {
-    /// Chunks delivered (inline-processed or shipped to workers).
+    /// Chunks shipped to workers.
     pub chunks: u64,
-    /// Hot-address rebalance operations performed.
+    /// Reserved, `0` (was: hot-address rebalance operations).
     pub rebalances: u64,
-    /// Accesses absorbed by producer-side repeat combining (schema ≥ 2).
+    /// Reserved, `0` (was: accesses absorbed by repeat combining;
+    /// schema ≥ 2).
     pub combined: u64,
-    /// Underloaded-partition merges performed (schema ≥ 2).
+    /// Reserved, `0` (was: underloaded-partition merges; schema ≥ 2).
     pub merges: u64,
     /// Full-queue retries the producer suffered (schema ≥ 2).
     pub queue_stalls: u64,
@@ -1593,9 +1608,9 @@ impl ReportDoc {
             .collect();
         let parallel = report.profile.parallel.as_ref().map(|p| ParallelDoc {
             chunks: p.chunks,
-            rebalances: p.rebalances,
-            combined: p.combined,
-            merges: p.merges,
+            rebalances: 0,
+            combined: 0,
+            merges: 0,
             queue_stalls: p.queue_stalls,
             spawned_workers: p.spawned_workers as u64,
             worker_recoveries: p.worker_recoveries,

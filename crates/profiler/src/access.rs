@@ -19,27 +19,16 @@ pub type LoopKey = (u32, u32);
 pub const NO_INSTANCE: u32 = u32::MAX;
 
 /// The compact in-transit form of an [`Access`]: 32 bytes against the
-/// 48-byte annotated record, so a 256-access chunk moves half the cache
-/// lines through the parallel profiler's queues.
-///
-/// Two compressions make this lossless:
-/// - `line`, `var`, and the access direction are fully determined by the
-///   static op id, so they travel once per program in the shared
-///   [`interp::MemOpMeta`] table instead of once per access.
-/// - Consecutive accesses from the same site (same address, op, thread,
-///   and loop context) are *combined*: the producer bumps [`rep`] instead
-///   of appending a new record. Replaying such an access `rep` extra times
-///   on the consumer is output-identical for monotone (sequential-target)
-///   streams — every replay rebuilds the same dependence and rewrites the
-///   same shadow cell, and no observable comparison distinguishes the
-///   first timestamp from the dropped later ones.
-///
-/// [`rep`]: PackedAccess::rep
+/// 48-byte annotated record, so a 256-access chunk moves a third fewer cache
+/// lines through the worker queues. Lossless: `line`, `var`, and the access
+/// direction are fully determined by the static op id, so they travel once
+/// per program in the shared [`interp::MemOpMeta`] table instead of once
+/// per access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackedAccess {
     /// Accessed address (word-aligned).
     pub addr: u64,
-    /// Global timestamp of the (first) access.
+    /// Global timestamp of the access.
     pub ts: u64,
     /// Static memory-operation id — resolves line/var/direction via
     /// [`interp::MemOpMeta`].
@@ -54,8 +43,6 @@ pub struct PackedAccess {
     /// beyond what the deterministic scheduler can usefully run, but a
     /// real bound: widen this field before lifting it.
     pub thread: u16,
-    /// Extra consecutive identical repeats combined into this record.
-    pub rep: u16,
 }
 
 impl PackedAccess {
@@ -73,26 +60,6 @@ impl PackedAccess {
             instance: a.instance,
             iter: a.iter,
             thread: a.thread as u16,
-            rep: 0,
-        }
-    }
-
-    /// Pack straight from a raw memory event plus its loop context — the
-    /// producer fast path (skips building the intermediate [`Access`]).
-    ///
-    /// # Panics
-    /// Like [`PackedAccess::pack`], if the thread id exceeds 16 bits.
-    #[inline]
-    pub fn from_mem(m: &MemEvent, instance: u32, iter: u32) -> Self {
-        assert!(m.thread <= u16::MAX as u32, "thread id exceeds u16 budget");
-        PackedAccess {
-            addr: m.addr,
-            ts: m.ts,
-            op: m.op,
-            instance,
-            iter,
-            thread: m.thread as u16,
-            rep: 0,
         }
     }
 
@@ -110,32 +77,6 @@ impl PackedAccess {
             iter: self.iter,
         }
     }
-
-    /// True if `other` is a repeat of the same site: combinable into
-    /// [`PackedAccess::rep`] (timestamps may differ).
-    #[inline]
-    pub fn same_site(&self, other: &PackedAccess) -> bool {
-        self.addr == other.addr
-            && self.op == other.op
-            && self.thread == other.thread
-            && self.instance == other.instance
-            && self.iter == other.iter
-    }
-}
-
-/// Append `pa` to an open chunk, combining it into the previous record's
-/// repeat counter when it is a consecutive same-site repeat. Returns `true`
-/// when combined (the chunk did not grow).
-#[inline]
-pub fn push_combining(chunk: &mut Vec<PackedAccess>, pa: PackedAccess) -> bool {
-    if let Some(last) = chunk.last_mut() {
-        if last.rep < u16::MAX && last.same_site(&pa) {
-            last.rep += 1;
-            return true;
-        }
-    }
-    chunk.push(pa);
-    false
 }
 
 /// A fully annotated memory access — the unit consumed by dependence
@@ -526,51 +467,6 @@ mod tests {
         let a = ctx.handle(&Event::Mem(m), &mut table).unwrap();
         assert_eq!(a.instance, 0);
         assert_eq!(a.iter, 2);
-    }
-
-    #[test]
-    fn rep_combining_saturates_at_u16_max_and_splits() {
-        // A same-site run longer than a record can count (65536 accesses:
-        // the first plus u16::MAX combined repeats) must split into
-        // multiple records whose replay counts sum to the run length —
-        // the saturated record must NOT absorb further repeats.
-        let mut chunk: Vec<PackedAccess> = Vec::new();
-        let total = 70_000u64;
-        let mk = |ts: u64| PackedAccess {
-            addr: 0x4000,
-            ts,
-            op: 3,
-            instance: NO_INSTANCE,
-            iter: 0,
-            thread: 0,
-            rep: 0,
-        };
-        let mut combined = 0u64;
-        for ts in 0..total {
-            if push_combining(&mut chunk, mk(ts)) {
-                combined += 1;
-            }
-        }
-        assert_eq!(chunk.len(), 2, "the run must split at the u16 boundary");
-        assert_eq!(chunk[0].rep, u16::MAX, "first record saturates");
-        assert_eq!(
-            chunk[1].rep as u64,
-            total - (u16::MAX as u64 + 1) - 1,
-            "second record holds the remainder"
-        );
-        let replayed: u64 = chunk.iter().map(|p| p.rep as u64 + 1).sum();
-        assert_eq!(replayed, total, "no access lost or duplicated");
-        assert_eq!(combined + chunk.len() as u64, total);
-        // Timestamps: each record carries its first access's timestamp.
-        assert_eq!(chunk[0].ts, 0);
-        assert_eq!(chunk[1].ts, u16::MAX as u64 + 1);
-        // A different site after saturation starts a fresh record.
-        let other = PackedAccess {
-            addr: 0x4008,
-            ..mk(total)
-        };
-        assert!(!push_combining(&mut chunk, other));
-        assert_eq!(chunk.len(), 3);
     }
 
     #[test]

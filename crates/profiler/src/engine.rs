@@ -40,7 +40,7 @@
 //!   stored: per address for strided groups, the last cycle's for stride-0.
 //! - The first cycle that breaks a stretch is the next reference cycle.
 
-use crate::access::{Access, CarriedResolver, LoopKey, PackedAccess, NO_INSTANCE};
+use crate::access::{Access, CarriedResolver, LoopKey, NO_INSTANCE};
 use crate::dep::{Dep, DepSet, DepType, SrcLoc};
 use crate::maps::{AccessMap, Cell, NO_OP};
 use interp::{MemOpMeta, PlanRun, RunStream};
@@ -85,6 +85,20 @@ pub struct SkipStats {
 }
 
 impl SkipStats {
+    /// Add another partition's counters to these.
+    pub(crate) fn absorb(&mut self, o: &SkipStats) {
+        self.read_dep_total += o.read_dep_total;
+        self.read_dep_skipped += o.read_dep_skipped;
+        self.write_dep_total += o.write_dep_total;
+        self.write_dep_skipped += o.write_dep_skipped;
+        self.skipped_raw += o.skipped_raw;
+        self.skipped_war += o.skipped_war;
+        self.skipped_waw += o.skipped_waw;
+        self.skipped_shadow_update += o.skipped_shadow_update;
+        self.total_skipped += o.total_skipped;
+        self.total_accesses += o.total_accesses;
+    }
+
     /// Fraction of dependence-leading reads that were skipped.
     pub fn read_skip_pct(&self) -> f64 {
         pct(self.read_dep_skipped, self.read_dep_total)
@@ -173,85 +187,6 @@ impl Default for SkipState {
     }
 }
 
-/// One live slot group while a chunk is being processed: the shadow state
-/// of one storage location (word address for exact maps, signature slot for
-/// signatures), held in registers/L1 for the whole chunk so every access
-/// after the first costs no map probe at all.
-#[derive(Debug, Clone, Copy)]
-struct GroupEntry {
-    status_read: Option<Cell>,
-    status_write: Option<Cell>,
-    /// Last address whose read/write cell we hold (write-back target; for
-    /// signatures any colliding address of the slot is equivalent).
-    read_addr: u64,
-    write_addr: u64,
-    touched_read: bool,
-    touched_write: bool,
-}
-
-impl GroupEntry {
-    /// A fresh group for `addr`'s slot holding the given probed statuses.
-    fn probed(addr: u64, status_read: Option<Cell>, status_write: Option<Cell>) -> Self {
-        GroupEntry {
-            status_read,
-            status_write,
-            read_addr: addr,
-            write_addr: addr,
-            touched_read: false,
-            touched_write: false,
-        }
-    }
-}
-
-/// Open-addressing index from slot key to [`GroupEntry`], cleared per chunk
-/// via a generation stamp (no memset between chunks).
-#[derive(Debug, Default)]
-struct GroupIndex {
-    slots: Vec<(u32, u32, u64)>, // (generation, entry index, key)
-    gen: u32,
-    mask: usize,
-}
-
-impl GroupIndex {
-    /// Start a new chunk with room for `n` distinct keys.
-    fn begin(&mut self, n: usize) {
-        let want = (n * 2).next_power_of_two().max(16);
-        if self.slots.len() < want {
-            self.slots = vec![(0, 0, 0); want];
-            self.mask = want - 1;
-            self.gen = 0;
-        }
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            self.slots.fill((0, 0, 0));
-            self.gen = 1;
-        }
-    }
-
-    /// Index of `key`'s entry, or `new_idx` after registering it as new.
-    #[inline]
-    fn find_or_insert(&mut self, key: u64, new_idx: u32) -> (u32, bool) {
-        let mut h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 32;
-        let mut i = h as usize & self.mask;
-        loop {
-            let s = self.slots[i];
-            if s.0 != self.gen {
-                self.slots[i] = (self.gen, new_idx, key);
-                return (new_idx, true);
-            }
-            if s.2 == key {
-                return (s.1, false);
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-}
-
-/// Distinct slots a streamed epoch may cache before it must write back —
-/// bounds the group cache's memory and the latency of a flush.
-const STREAM_EPOCH_CAP: usize = 4096;
-
 /// The builder's output side: the merged dependence set, the per-op memo in
 /// front of it, and the static op table that resolves a stored cell's op id
 /// back to its source line.
@@ -285,13 +220,13 @@ impl DepStore {
         }
     }
 
-    /// Count `n` occurrences of `dep`, whose sink is static op `sink_op`.
+    /// Count one occurrence of `dep`, whose sink is static op `sink_op`.
     #[inline]
-    fn insert(&mut self, sink_op: u32, dep: Dep, n: u64) {
+    fn insert(&mut self, sink_op: u32, dep: Dep) {
         match &mut self.memo[sink_op as usize] {
-            Some((last, pending)) if *last == dep => *pending += n,
+            Some((last, pending)) if *last == dep => *pending += 1,
             slot => {
-                if let Some((last, pending)) = slot.replace((dep, n)) {
+                if let Some((last, pending)) = slot.replace((dep, 1)) {
                     self.set.insert_n(last, pending);
                 }
             }
@@ -309,7 +244,7 @@ impl DepStore {
     }
 
     /// Build the `ty` dependence from `source` (the stored status of an
-    /// earlier access) to `sink`, `n` times.
+    /// earlier access) to `sink`.
     #[inline]
     fn record(
         &mut self,
@@ -317,7 +252,6 @@ impl DepStore {
         sink: &Access,
         source: &Cell,
         resolver: &impl CarriedResolver,
-        n: u64,
     ) {
         let carried_by =
             resolver.carried_by(sink.instance, sink.iter, source.instance, source.iter);
@@ -335,7 +269,7 @@ impl DepStore {
             carried_by,
             race_hint,
         };
-        self.insert(sink.op, dep, n);
+        self.insert(sink.op, dep);
     }
 
     /// Record the INIT pseudo-dependence of a first write.
@@ -351,7 +285,7 @@ impl DepStore {
             carried_by: None,
             race_hint: false,
         };
-        self.insert(sink.op, dep, 1);
+        self.insert(sink.op, dep);
     }
 
     /// Flush every pending memo entry into the set.
@@ -365,51 +299,6 @@ impl DepStore {
 
     fn bytes(&self) -> usize {
         self.set.bytes() + self.memo.capacity() * std::mem::size_of::<Option<(Dep, u64)>>()
-    }
-}
-
-/// Reusable per-chunk scratch of the grouped processing path; allocated
-/// once per builder, so steady-state chunk processing allocates nothing.
-#[derive(Debug, Default)]
-struct ChunkScratch {
-    index: GroupIndex,
-    entries: Vec<GroupEntry>,
-    entry_of: Vec<u32>,
-    heads: Vec<u64>,
-    stat_read: Vec<Option<Cell>>,
-    stat_write: Vec<Option<Cell>>,
-    writeback: Vec<(u64, Cell)>,
-    /// A streamed epoch is open: `entries` holds live (possibly dirty)
-    /// group state that must be written back before the maps are read or
-    /// mutated directly.
-    stream_open: bool,
-}
-
-impl ChunkScratch {
-    /// Store every touched group cell back into the shadow maps, batched —
-    /// the single write-back used by both the chunked and streamed paths.
-    fn write_back<M: AccessMap>(&mut self, read_map: &mut M, write_map: &mut M) {
-        self.writeback.clear();
-        for e in &self.entries {
-            // `touched_read` is only set together with `status_read` (and
-            // likewise for writes), but stay total: a missing status is
-            // simply not written back.
-            if e.touched_read {
-                if let Some(c) = e.status_read {
-                    self.writeback.push((e.read_addr, c));
-                }
-            }
-        }
-        read_map.set_many(&self.writeback);
-        self.writeback.clear();
-        for e in &self.entries {
-            if e.touched_write {
-                if let Some(c) = e.status_write {
-                    self.writeback.push((e.write_addr, c));
-                }
-            }
-        }
-        write_map.set_many(&self.writeback);
     }
 }
 
@@ -539,7 +428,6 @@ pub struct DepBuilder<M: AccessMap> {
     skip: Vec<SkipState>,
     /// Skip counters.
     pub stats: SkipStats,
-    scratch: ChunkScratch,
     /// Plan-run counters and scratch.
     runs: RunScratch,
 }
@@ -550,12 +438,6 @@ impl<M: AccessMap> DepBuilder<M> {
     /// access processed must carry an op id inside it, with the line and
     /// variable the table gives — stored cells keep only the op id, and a
     /// dependence's source line is read back from here.
-    ///
-    /// The two maps must share slot geometry ([`AccessMap::slot_key`]
-    /// must agree on every address): the chunked/streamed paths group
-    /// accesses by the read map's key and apply the group's write status
-    /// through the same entry. Equal-shaped maps (as every constructor in
-    /// this crate builds) satisfy this by construction.
     pub fn new(
         read_map: M,
         write_map: M,
@@ -563,14 +445,6 @@ impl<M: AccessMap> DepBuilder<M> {
         cfg: EngineConfig,
     ) -> Self {
         let meta = meta.into();
-        #[cfg(debug_assertions)]
-        for probe in [0u64, 0x40, 0x1000, 0xFFFF_FFF8, 0x1234_5678_9AB8] {
-            debug_assert_eq!(
-                read_map.slot_key(probe),
-                write_map.slot_key(probe),
-                "read/write maps must share slot geometry"
-            );
-        }
         let skip = if cfg.skip_loops {
             vec![SkipState::default(); meta.len()]
         } else {
@@ -583,18 +457,20 @@ impl<M: AccessMap> DepBuilder<M> {
             cfg,
             skip,
             stats: SkipStats::default(),
-            scratch: ChunkScratch::default(),
             runs: RunScratch::default(),
         }
     }
 
     /// The merged dependences found so far. Drains the per-op memo first,
-    /// so counts and totals are exact as of the last processed access
-    /// (accesses still cached in an open streamed epoch included — their
-    /// dependences are built as they arrive).
+    /// so counts and totals are exact as of the last processed access.
     pub fn deps(&mut self) -> &DepSet {
         self.out.drain();
         &self.out.set
+    }
+
+    /// The target's static op table this builder was created with.
+    pub(crate) fn meta(&self) -> &[MemOpMeta] {
+        &self.out.meta
     }
 
     /// What became of the plan runs handed to [`DepBuilder::process_run`].
@@ -603,10 +479,7 @@ impl<M: AccessMap> DepBuilder<M> {
     }
 
     /// Evict a dead address range from both maps (lifetime analysis).
-    /// Closes any open streamed epoch first, so the eviction sees (and
-    /// clears) the authoritative shadow state.
     pub fn clear_range(&mut self, addr: u64, words: u64) {
-        self.flush_groups();
         self.read_map.clear_range(addr, words);
         self.write_map.clear_range(addr, words);
     }
@@ -732,7 +605,6 @@ impl<M: AccessMap> DepBuilder<M> {
         resolver: &impl CarriedResolver,
     ) {
         debug_assert!(M::EXACT, "range resolution needs an exact map");
-        self.flush_groups();
         let mut s = std::mem::take(&mut self.runs);
         s.stats.runs += 1;
         s.stats.cycles += run.completed;
@@ -861,6 +733,12 @@ impl<M: AccessMap> DepBuilder<M> {
     /// cycle, or was stored by this run at a strided group's address:
     /// neither happens under in-order delivery and disjoint ranges, and
     /// neither may be resolved in closed form.
+    // Always inlined: a stretch scan calls this once per address of every
+    // strided group, and out of line each call returns and compares its
+    // 40-byte answer through memory — measured on `hot_loop`, 40 ms of
+    // range resolution against 28 ms inlined. Left to the inliner it went
+    // either way with the codegen-unit partition.
+    #[inline(always)]
     fn group_state(
         &self,
         (run, instance, iter): (&PlanRun<'_>, u32, u32),
@@ -891,238 +769,12 @@ impl<M: AccessMap> DepBuilder<M> {
         })
     }
 
-    /// Process one chunk of packed accesses — the parallel engine's hot
-    /// path. Output is bit-identical to unpacking each record (including
-    /// its repeats) and calling [`DepBuilder::process`] in order, but the
-    /// shadow maps are probed once per *distinct storage slot* per chunk
-    /// instead of once per access:
-    ///
-    /// 1. group the chunk's accesses by [`AccessMap::slot_key`] (stable:
-    ///    same-slot order is preserved, and accesses to different slots
-    ///    never interact, so grouping is exact even under signature
-    ///    collisions);
-    /// 2. probe the statuses of all distinct slots with the batched
-    ///    [`AccessMap::get_many`] (8-wide);
-    /// 3. replay the chunk in original order against the in-cache group
-    ///    statuses (built dependences go through the same per-op memo as
-    ///    the scalar path);
-    /// 4. write the final cell of every touched slot back with
-    ///    [`AccessMap::set_many`].
-    ///
-    /// Deallocations must not be interleaved *within* a chunk (the
-    /// transport flushes open chunks before shipping a dealloc), which is
-    /// what makes the end-of-chunk write-back equivalent to per-access
-    /// stores.
-    pub fn process_packed_chunk(
-        &mut self,
-        items: &[PackedAccess],
-        resolver: &impl CarriedResolver,
-    ) {
-        if self.cfg.skip_loops {
-            // The skip optimization keys its state on per-access map
-            // probes; keep it on the scalar path for exactness.
-            for it in items {
-                let a = it.unpack(&self.out.meta[it.op as usize]);
-                for _ in 0..=it.rep {
-                    self.process(&a, resolver);
-                }
-            }
-            return;
-        }
-        // Mode switch: a streamed epoch's cached state must land in the
-        // maps before the chunked path re-probes them.
-        self.flush_groups();
-        // Take the scratch out of `self` so the replay loop can borrow the
-        // builder (dependence store, stats) and the scratch independently.
-        let mut s = std::mem::take(&mut self.scratch);
-        s.entries.clear();
-        s.index.begin(items.len());
-        if M::BATCHED_PROBES {
-            // Two-pass shape for maps whose probes benefit from batching
-            // (signatures: the address hashes pipeline 8-wide).
-            // Pass 1: group by slot key, collecting each distinct slot's
-            // first address as the probe head.
-            s.entry_of.clear();
-            s.heads.clear();
-            for it in items {
-                let key = self.read_map.slot_key(it.addr);
-                let (idx, new) = s.index.find_or_insert(key, s.entries.len() as u32);
-                if new {
-                    s.entries.push(GroupEntry::probed(it.addr, None, None));
-                    s.heads.push(it.addr);
-                }
-                s.entry_of.push(idx);
-            }
-            // Pass 2: batched status probe of the distinct slots.
-            s.stat_read.clear();
-            s.stat_write.clear();
-            self.read_map.get_many(&s.heads, &mut s.stat_read);
-            self.write_map.get_many(&s.heads, &mut s.stat_write);
-            for (e, (r, w)) in s
-                .entries
-                .iter_mut()
-                .zip(s.stat_read.iter().zip(&s.stat_write))
-            {
-                e.status_read = *r;
-                e.status_write = *w;
-            }
-            // Pass 3: replay in original order against the grouped
-            // statuses.
-            for (it, &idx) in items.iter().zip(&s.entry_of) {
-                Self::replay_item(
-                    &mut self.out,
-                    &mut self.stats,
-                    &mut s.entries[idx as usize],
-                    it,
-                    resolver,
-                );
-            }
-        } else {
-            // Fused single pass for exact maps: their probes are
-            // page-cache hits, so batching buys nothing and the
-            // intermediate per-item index vector would cost more than it
-            // saves. Semantics are identical — first touch of a slot
-            // probes, later touches hit the group entry.
-            for it in items {
-                let key = self.read_map.slot_key(it.addr);
-                let (idx, new) = s.index.find_or_insert(key, s.entries.len() as u32);
-                if new {
-                    s.entries.push(GroupEntry::probed(
-                        it.addr,
-                        self.read_map.get(it.addr),
-                        self.write_map.get(it.addr),
-                    ));
-                }
-                Self::replay_item(
-                    &mut self.out,
-                    &mut self.stats,
-                    &mut s.entries[idx as usize],
-                    it,
-                    resolver,
-                );
-            }
-        }
-        // Pass 4: write the final slot states back, batched.
-        s.write_back(&mut self.read_map, &mut self.write_map);
-        self.scratch = s;
-    }
-
-    /// Process one packed access through a *persistent* group cache — the
-    /// inline transport's per-access entry point. Grouping semantics are
-    /// identical to [`DepBuilder::process_packed_chunk`], but the group
-    /// cache stays live across calls (an *epoch*) instead of writing back
-    /// every chunk: the producer-side buffer, its copy-out/copy-in, and
-    /// most shadow-map traffic disappear entirely. An epoch closes — the
-    /// cached cells write back to the shadow maps — on
-    /// [`DepBuilder::flush_groups`], any [`DepBuilder::clear_range`], a
-    /// mode switch to the chunked path, [`DepBuilder::finish`], or when
-    /// the cache reaches its capacity (`STREAM_EPOCH_CAP` distinct slots).
-    pub fn process_streamed(&mut self, it: &PackedAccess, resolver: &impl CarriedResolver) {
-        if self.cfg.skip_loops {
-            // The skip optimization keys its state on per-access map
-            // probes; keep it on the scalar path for exactness.
-            let a = it.unpack(&self.out.meta[it.op as usize]);
-            for _ in 0..=it.rep {
-                self.process(&a, resolver);
-            }
-            return;
-        }
-        let s = &mut self.scratch;
-        if !s.stream_open {
-            s.entries.clear();
-            s.index.begin(STREAM_EPOCH_CAP);
-            s.stream_open = true;
-        }
-        let key = self.read_map.slot_key(it.addr);
-        let (idx, new) = s.index.find_or_insert(key, s.entries.len() as u32);
-        if new {
-            s.entries.push(GroupEntry::probed(
-                it.addr,
-                self.read_map.get(it.addr),
-                self.write_map.get(it.addr),
-            ));
-        }
-        Self::replay_item(
-            &mut self.out,
-            &mut self.stats,
-            &mut s.entries[idx as usize],
-            it,
-            resolver,
-        );
-        if self.scratch.entries.len() >= STREAM_EPOCH_CAP {
-            self.flush_groups();
-        }
-    }
-
-    /// Close the open streamed epoch, if any: write every touched group
-    /// cell back to the shadow maps. A no-op when no epoch is open.
-    pub fn flush_groups(&mut self) {
-        let s = &mut self.scratch;
-        if !s.stream_open {
-            return;
-        }
-        s.write_back(&mut self.read_map, &mut self.write_map);
-        s.entries.clear();
-        s.stream_open = false;
-    }
-
-    /// Replay one packed access (plus its combined repeats) against its
-    /// group's in-cache shadow state — the shared body of the chunked and
-    /// streamed paths. Mirrors the non-skip [`DepBuilder::build`] exactly.
-    /// A free-standing function over the builder's parts so the streamed
-    /// path can borrow the group cache and the dependence store from
-    /// `self` simultaneously.
-    #[inline]
-    fn replay_item(
-        out: &mut DepStore,
-        stats: &mut SkipStats,
-        e: &mut GroupEntry,
-        it: &PackedAccess,
-        resolver: &impl CarriedResolver,
-    ) {
-        let a = it.unpack(&out.meta[it.op as usize]);
-        let cell = Cell::from_access(&a);
-        let n = it.rep as u64 + 1;
-        stats.total_accesses += n;
-        if a.is_write {
-            match e.status_write {
-                None => {
-                    // First write: INIT, then (rep) self-WAWs against the
-                    // cell the first replay just stored.
-                    out.record_init(&a);
-                    stats.write_dep_total += n - 1;
-                }
-                Some(w) => {
-                    // First replay classifies against the pre-access
-                    // statuses; the remaining replays are WAWs against the
-                    // replay's own cell (consecutive writes).
-                    stats.write_dep_total += n;
-                    match e.status_read {
-                        Some(r) if r.ts > w.ts => out.record(DepType::War, &a, &r, resolver, 1),
-                        _ => out.record(DepType::Waw, &a, &w, resolver, 1),
-                    }
-                }
-            }
-            if n > 1 {
-                out.record(DepType::Waw, &a, &cell, resolver, n - 1);
-            }
-            e.status_write = Some(cell);
-            e.touched_write = true;
-            e.write_addr = it.addr;
-        } else {
-            if let Some(w) = e.status_write {
-                // Every replay reads the same last write: n identical
-                // RAWs.
-                stats.read_dep_total += n;
-                out.record(DepType::Raw, &a, &w, resolver, n);
-            }
-            e.status_read = Some(cell);
-            e.touched_read = true;
-            e.read_addr = it.addr;
-        }
-    }
-
     /// Algorithm 2: signature-based dependence detection.
+    // Always inlined into `process`, its only caller: out of line, the two
+    // statuses travel through memory on every access (measured 5% on the
+    // signature engine's `sparse_gather`), and whether the inliner takes it
+    // changed with the codegen-unit partition.
+    #[inline(always)]
     fn build(
         &mut self,
         a: &Access,
@@ -1142,8 +794,8 @@ impl<M: AccessMap> DepBuilder<M> {
                     // consecutive write instructions to the same address";
                     // cf. the worked example of Table 2.3).
                     match status_read {
-                        Some(r) if r.ts > w.ts => self.out.record(DepType::War, a, &r, resolver, 1),
-                        _ => self.out.record(DepType::Waw, a, &w, resolver, 1),
+                        Some(r) if r.ts > w.ts => self.out.record(DepType::War, a, &r, resolver),
+                        _ => self.out.record(DepType::Waw, a, &w, resolver),
                     }
                     self.stats.write_dep_total += 1;
                 }
@@ -1151,7 +803,7 @@ impl<M: AccessMap> DepBuilder<M> {
             self.write_map.set(a.addr, cell);
         } else {
             if let Some(w) = status_write {
-                self.out.record(DepType::Raw, a, &w, resolver, 1);
+                self.out.record(DepType::Raw, a, &w, resolver);
                 self.stats.read_dep_total += 1;
             }
             self.read_map.set(a.addr, cell);
@@ -1159,49 +811,20 @@ impl<M: AccessMap> DepBuilder<M> {
     }
 
     /// Consume the engine, returning its dependence set, its stats, and
-    /// [`DepBuilder::bytes`] as of the end — measured after the last epoch
-    /// is written back and the memo drained, so the figure covers pages and
-    /// set entries that only then come into being.
+    /// [`DepBuilder::bytes`] as of the end — measured after the memo is
+    /// drained, so the figure covers set entries that only then come into
+    /// being.
     pub fn finish(mut self) -> (DepSet, SkipStats, usize) {
-        self.flush_groups();
         self.out.drain();
         let bytes = self.bytes();
         (self.out.set, self.stats, bytes)
     }
 
-    /// Remove and return the read/write status of `addr` — one half of the
-    /// parallel engine's exact hot-address migration (the other half is
-    /// [`DepBuilder::inject_addr`] on the receiving worker). For
-    /// signatures this moves the *slot* `addr` hashes to, which is exactly
-    /// the state the signature would have consulted.
-    pub fn extract_addr(&mut self, addr: u64) -> (Option<Cell>, Option<Cell>) {
-        self.flush_groups();
-        let r = self.read_map.get(addr);
-        let w = self.write_map.get(addr);
-        self.read_map.clear_range(addr, 1);
-        self.write_map.clear_range(addr, 1);
-        (r, w)
-    }
-
-    /// Install a migrated read/write status for `addr` (see
-    /// [`DepBuilder::extract_addr`]).
-    pub fn inject_addr(&mut self, addr: u64, read: Option<Cell>, write: Option<Cell>) {
-        self.flush_groups();
-        if let Some(c) = read {
-            self.read_map.set(addr, c);
-        }
-        if let Some(c) = write {
-            self.write_map.set(addr, c);
-        }
-    }
-
     /// Swap the shadow-map backend while keeping every dependence found so
-    /// far — the degradation ladder's tier transition. Any open streamed
-    /// epoch is written back first, so `f` receives the authoritative
-    /// shadow state; dependences, stats, and skip state carry over
-    /// unchanged (skipping is a per-op property independent of the map).
-    pub fn map_shadow<N: AccessMap>(mut self, f: impl FnOnce(M, M) -> (N, N)) -> DepBuilder<N> {
-        self.flush_groups();
+    /// far — the degradation ladder's tier transition. Dependences, stats,
+    /// and skip state carry over unchanged (skipping is a per-op property
+    /// independent of the map).
+    pub fn map_shadow<N: AccessMap>(self, f: impl FnOnce(M, M) -> (N, N)) -> DepBuilder<N> {
         let (read_map, write_map) = f(self.read_map, self.write_map);
         DepBuilder {
             read_map,
@@ -1210,7 +833,6 @@ impl<M: AccessMap> DepBuilder<M> {
             cfg: self.cfg,
             skip: self.skip,
             stats: self.stats,
-            scratch: self.scratch,
             runs: self.runs,
         }
     }
@@ -1222,7 +844,6 @@ impl DepBuilder<crate::maps::SignatureMap> {
     /// [`crate::maps::SignatureMap::halve`] for why this is exact at the
     /// slot level.
     pub fn halve_signature(&mut self) -> u64 {
-        self.flush_groups();
         self.read_map.halve() + self.write_map.halve()
     }
 
@@ -1240,11 +861,9 @@ impl DepBuilder<crate::maps::SignatureMap> {
 
 impl DepBuilder<crate::maps::PerfectMap> {
     /// Move the entire shadow state out of this builder, leaving it empty —
-    /// the donor side of a partition *merge*. Only exact maps can do this
-    /// (signatures store no addresses), which is why the parallel engine
-    /// merges underloaded partitions only on its perfect-map backend.
+    /// how a differential test compares the final shadows of two builders.
+    /// Only exact maps can do this (signatures store no addresses).
     pub fn drain_shadow(&mut self) -> Vec<(u64, Option<Cell>, Option<Cell>)> {
-        self.flush_groups();
         let read = std::mem::take(&mut self.read_map);
         let write = std::mem::take(&mut self.write_map);
         let mut merged: fxhash::FxHashMap<u64, (Option<Cell>, Option<Cell>)> =
@@ -1262,7 +881,7 @@ impl DepBuilder<crate::maps::PerfectMap> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::{push_combining, InstanceTable, NO_INSTANCE};
+    use crate::access::{InstanceTable, NO_INSTANCE};
     use crate::maps::PerfectMap;
 
     fn acc(addr: u64, op: u32, line: u32, is_write: bool, ts: u64) -> Access {
@@ -1423,189 +1042,6 @@ mod tests {
         }
         assert_eq!(e.deps().sorted(), b.deps().sorted());
         assert_eq!(e.stats.total_skipped, 0);
-    }
-
-    /// The load-bearing differential test of the chunked engine: on long
-    /// pseudo-random access streams — including producer-side combining,
-    /// loop contexts, and signature collisions — the grouped/batched path
-    /// must produce byte-identical output (dependences, per-dependence
-    /// counts, totals, stats) to scalar per-access processing.
-    fn packed_chunk_matches_scalar_on<M: AccessMap, F: Fn() -> M>(mk: F, seed: u64) {
-        use crate::access::{push_combining, PackedAccess};
-        let mut rng = seed;
-        let mut next = move || {
-            rng ^= rng >> 12;
-            rng ^= rng << 25;
-            rng ^= rng >> 27;
-            rng.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
-        // A synthetic static-op table: op id determines line/var/direction.
-        let num_ops = 24u32;
-        let meta: Vec<interp::MemOpMeta> = (0..num_ops)
-            .map(|o| interp::MemOpMeta {
-                line: 10 + o % 7,
-                var: o % 5,
-                is_write: o % 3 == 0,
-            })
-            .collect();
-        let mut table = InstanceTable::new();
-        let outer = table.enter((0, 1), NO_INSTANCE, 0);
-        let inner = table.enter((0, 2), outer, 1);
-        let instances = [NO_INSTANCE, outer, inner];
-
-        let mut scalar = DepBuilder::new(mk(), mk(), &meta[..], EngineConfig::default());
-        let mut chunked = DepBuilder::new(mk(), mk(), &meta[..], EngineConfig::default());
-        let mut ts = 0u64;
-        let mut chunk: Vec<PackedAccess> = Vec::new();
-        for _ in 0..400 {
-            // One chunk of 1..=48 accesses, biased toward repeated sites so
-            // producer combining actually fires.
-            chunk.clear();
-            let len = (next() % 48 + 1) as usize;
-            let mut scalar_stream = Vec::new();
-            let mut site = None;
-            for _ in 0..len {
-                let r = next();
-                let a = if r % 4 == 0 {
-                    // repeat the previous site with a fresh timestamp
-                    site.unwrap_or_else(|| {
-                        let op = (r >> 8) as u32 % num_ops;
-                        (0x4000 + (r >> 16) % 16 * 8, op, (r >> 40) as usize % 3)
-                    })
-                } else {
-                    let op = (r >> 8) as u32 % num_ops;
-                    (0x4000 + (r >> 16) % 16 * 8, op, (r >> 40) as usize % 3)
-                };
-                site = Some(a);
-                let (addr, op, inst) = a;
-                ts += 1;
-                let acc = Access {
-                    addr,
-                    op,
-                    line: meta[op as usize].line,
-                    var: meta[op as usize].var,
-                    thread: 0,
-                    ts,
-                    is_write: meta[op as usize].is_write,
-                    instance: instances[inst],
-                    iter: if instances[inst] == NO_INSTANCE { 0 } else { 2 },
-                };
-                scalar_stream.push(acc);
-                push_combining(&mut chunk, PackedAccess::pack(&acc));
-            }
-            for a in &scalar_stream {
-                scalar.process(a, &table);
-            }
-            chunked.process_packed_chunk(&chunk, &table);
-            // Occasional dealloc at a chunk boundary (the only place the
-            // transport ever delivers one).
-            if next() % 5 == 0 {
-                let addr = 0x4000 + next() % 16 * 8;
-                let words = next() % 4;
-                scalar.clear_range(addr, words);
-                chunked.clear_range(addr, words);
-            }
-        }
-        assert_eq!(scalar.deps().sorted(), chunked.deps().sorted());
-        assert_eq!(scalar.deps().total_found, chunked.deps().total_found);
-        for d in scalar.deps().sorted() {
-            assert_eq!(scalar.deps().count(&d), chunked.deps().count(&d), "{d:?}");
-        }
-        assert_eq!(
-            scalar.stats.total_accesses, chunked.stats.total_accesses,
-            "replayed access totals must match"
-        );
-        assert_eq!(scalar.stats.read_dep_total, chunked.stats.read_dep_total);
-        assert_eq!(scalar.stats.write_dep_total, chunked.stats.write_dep_total);
-    }
-
-    #[test]
-    fn packed_chunk_matches_scalar_perfect() {
-        packed_chunk_matches_scalar_on(PerfectMap::new, 0xA11CE);
-    }
-
-    #[test]
-    fn packed_chunk_matches_scalar_signature_collisions() {
-        // 13 slots over 16 addresses: heavy aliasing; the grouped path must
-        // reproduce the signature's collision behaviour exactly.
-        packed_chunk_matches_scalar_on(|| crate::maps::SignatureMap::new(13), 0xB0B);
-        packed_chunk_matches_scalar_on(|| crate::maps::SignatureMap::new(1 << 12), 0xC0FFEE);
-    }
-
-    #[test]
-    fn saturated_rep_run_matches_scalar() {
-        // A same-site run longer than one record can hold (first access +
-        // u16::MAX combined repeats) splits into multiple records at the
-        // saturation boundary; replaying the combined chunk must rebuild
-        // the exact dependences and counts of the uncombined stream.
-        let meta = [
-            interp::MemOpMeta {
-                line: 4,
-                var: 0,
-                is_write: true,
-            },
-            interp::MemOpMeta {
-                line: 5,
-                var: 0,
-                is_write: false,
-            },
-        ];
-        let table = InstanceTable::new();
-        let total = 70_000u64; // > 65536: crosses the u16::MAX boundary
-        let mut scalar = DepBuilder::new(
-            PerfectMap::new(),
-            PerfectMap::new(),
-            &meta[..],
-            EngineConfig::default(),
-        );
-        let mut chunked = DepBuilder::new(
-            PerfectMap::new(),
-            PerfectMap::new(),
-            &meta[..],
-            EngineConfig::default(),
-        );
-        let mut chunk: Vec<PackedAccess> = Vec::new();
-        let mut ts = 0u64;
-        let mut feed =
-            |op: u32, scalar: &mut DepBuilder<PerfectMap>, chunk: &mut Vec<PackedAccess>| {
-                ts += 1;
-                let a = Access {
-                    addr: 0x4000,
-                    op,
-                    line: meta[op as usize].line,
-                    var: meta[op as usize].var,
-                    thread: 0,
-                    ts,
-                    is_write: meta[op as usize].is_write,
-                    instance: NO_INSTANCE,
-                    iter: 0,
-                };
-                scalar.process(&a, &table);
-                push_combining(chunk, PackedAccess::pack(&a));
-            };
-        feed(0, &mut scalar, &mut chunk); // initial write
-        for _ in 0..total {
-            feed(1, &mut scalar, &mut chunk); // same-site read run
-        }
-        feed(0, &mut scalar, &mut chunk); // closing write (WAR against the reads)
-        assert_eq!(
-            chunk.len(),
-            4,
-            "write + saturated read + remainder read + write"
-        );
-        assert_eq!(chunk[1].rep, u16::MAX, "the run must saturate one record");
-        assert_eq!(
-            chunk.iter().map(|p| p.rep as u64 + 1).sum::<u64>(),
-            total + 2,
-            "replay counts must cover the whole stream"
-        );
-        chunked.process_packed_chunk(&chunk, &table);
-        assert_eq!(scalar.deps().sorted(), chunked.deps().sorted());
-        assert_eq!(scalar.deps().total_found, chunked.deps().total_found);
-        for d in scalar.deps().sorted() {
-            assert_eq!(scalar.deps().count(&d), chunked.deps().count(&d), "{d:?}");
-        }
-        assert_eq!(scalar.stats.total_accesses, chunked.stats.total_accesses);
     }
 
     #[test]

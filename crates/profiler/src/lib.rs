@@ -8,11 +8,11 @@
 //!   memory, trading a small, measurable false-positive/negative rate for
 //!   bounded memory (§2.3.2). A [`maps::PerfectMap`] provides the exact
 //!   shadow-memory baseline used to quantify accuracy (Table 2.6).
-//! - **Serial and parallel engines**: the parallel engine distributes
-//!   addresses over worker threads fed through lock-free SPSC queues
-//!   (producer/consumer, §2.3.3), with a lock-based variant for comparison
-//!   (Fig. 2.9) and a lock-free MPSC queue for multi-threaded targets
-//!   (§2.3.4, Fig. 2.5).
+//! - **One engine, serial to parallel** ([`pipeline::Profiler`]): serial
+//!   profiling is one partition and no workers; the parallel setting deals
+//!   addresses out over partitions that move into worker threads fed
+//!   through lock-free SPSC queues (producer/consumer, §2.3.3); a lock-free
+//!   MPSC queue serves multi-threaded targets (§2.3.4, Fig. 2.5).
 //! - **Skipping repeatedly-executed memory operations in loops** (§2.4):
 //!   per-operation `lastAddr`/`lastStatusRead`/`lastStatusWrite` conditions
 //!   let the profiler bypass dependence construction once a loop's
@@ -27,16 +27,18 @@
 //!   page-table shadow memory ([`maps::PerfectMap`], O(1) per access, no
 //!   hashing on the page-hit path); every hot map is keyed with the in-repo
 //!   [`fxhash`] hasher; the interpreter delivers events to profilers in
-//!   reusable batches ([`interp::Sink::events`]); and the parallel engine
-//!   recycles chunk buffers through a freelist so steady-state profiling
-//!   allocates nothing per chunk. `crates/bench/src/bin/perfjson.rs`
-//!   measures all of this against the reconstructed pre-overhaul engine
-//!   (`bench::seed_baseline`) and writes `BENCH_profiler.json`.
+//!   reusable batches ([`interp::Sink::events`]); and the worker transport
+//!   recycles chunk buffers through a pool so steady-state profiling
+//!   allocates nothing per chunk. The repo's benchmark (`benchmark/`,
+//!   `BENCHMARK.json`) is the yardstick; `crates/bench/src/bin/perfjson.rs`
+//!   additionally times the engine kinds against the reconstructed
+//!   pre-overhaul engine (`bench::seed_baseline`) into
+//!   `BENCH_profiler.json`.
 //! - **Explicit engine selection** ([`EngineKind`]): the exact shadow, the
-//!   signature algorithm, and the parallel pipeline are all selected through
-//!   one enum and all return the same [`ProfileOutput`], so callers (the
-//!   `discopop` facade, its CLI, the benchmarks) swap engines without
-//!   changing shape. See [`run`].
+//!   signature algorithm, and the parallel pipeline are settings of the one
+//!   engine, selected through one enum and all returning the same
+//!   [`ProfileOutput`], so callers (the `discopop` facade, its CLI, the
+//!   benchmarks) swap engines without changing shape. See [`run`].
 //! - **Program Execution Tree** ([`pet::Pet`], §2.3.6) for pattern detection
 //!   and ranking.
 //! - **Race hints** for multi-threaded targets: timestamp inversions on the
@@ -58,9 +60,11 @@ pub mod fault;
 pub mod maps;
 pub mod parallel;
 pub mod pet;
+pub mod pipeline;
 pub mod queue;
 pub mod run;
 pub mod serial;
+mod shadow;
 
 pub use budget::{
     Budget, DegradationStep, GaugeSlot, MemGauge, ProfileError, ResourceStats, ShadowTier,
@@ -68,20 +72,18 @@ pub use budget::{
 };
 
 pub use access::{
-    carried_by_in, push_combining, Access, CarriedResolver, Instance, InstanceRegistry,
-    InstanceTable, LoopContext, LoopKey, PackedAccess, NO_INSTANCE,
+    carried_by_in, Access, CarriedResolver, Instance, InstanceRegistry, InstanceTable, LoopContext,
+    LoopKey, PackedAccess, NO_INSTANCE,
 };
 pub use dep::{render_text, ControlSpan, Dep, DepSet, DepType, SrcLoc};
 pub use engine::{DepBuilder, EngineConfig, RunStats, SkipStats};
 pub use maps::{estimated_fp_rate, AccessMap, Cell, HashShadowMap, PerfectMap, SignatureMap};
-pub use parallel::{
-    profile_multithreaded_target, profile_parallel, ParallelConfig, ParallelOutput,
-    ParallelProfiler, QueueKind, SharedTable,
-};
+pub use parallel::{profile_multithreaded_target, profile_parallel, ParallelConfig, SharedTable};
 pub use pet::{Pet, PetBuilder, PetNode, PetNodeKind};
-pub use queue::{LockQueue, MpscQueue, SpscQueue};
+pub use pipeline::Profiler;
+pub use queue::{MpscQueue, SpscQueue};
 pub use run::{
     profile_program, profile_program_with, ActorSummary, EngineKind, ParallelStats, ProfileConfig,
     ProfileOutput, SynthSummary,
 };
-pub use serial::{control_spans, SerialProfiler};
+pub use serial::control_spans;

@@ -122,12 +122,6 @@ impl Cell {
 /// Addresses are word-granular: the interpreter only emits 8-byte-aligned
 /// addresses, and implementations may key their storage on `addr >> 3`.
 pub trait AccessMap {
-    /// True when [`AccessMap::get_many`] is genuinely cheaper than scalar
-    /// probes (signatures: the address hashes pipeline ahead of the
-    /// gathers). The chunked engine picks its two-pass batched shape over
-    /// the fused single pass based on this.
-    const BATCHED_PROBES: bool = false;
-
     /// True when distinct addresses never share a slot, so accesses to
     /// disjoint address ranges cannot interact through the map. Resolving a
     /// plan run range by range ([`crate::engine::DepBuilder::process_run`])
@@ -142,32 +136,6 @@ pub trait AccessMap {
     fn clear_range(&mut self, addr: u64, words: u64);
     /// Bytes of memory held by this map.
     fn bytes(&self) -> usize;
-
-    /// Key identifying the storage location this map uses for `addr`:
-    /// addresses with equal keys alias the same status state. Exact maps
-    /// return the word address; signatures return the hashed slot, so the
-    /// chunked engine can group colliding addresses exactly the way the
-    /// signature itself would.
-    #[inline]
-    fn slot_key(&self, addr: u64) -> u64 {
-        addr >> 3
-    }
-
-    /// Batched probe: append the status of every address in `addrs` to
-    /// `out`, in order. Semantically identical to `addrs.iter().map(get)`;
-    /// implementations may overlap the address hashing of several probes
-    /// (see [`SignatureMap::get_many`]).
-    fn get_many(&self, addrs: &[u64], out: &mut Vec<Option<Cell>>) {
-        out.extend(addrs.iter().map(|&a| self.get(a)));
-    }
-
-    /// Batched store of `(addr, cell)` pairs. Semantically identical to
-    /// setting each pair in order.
-    fn set_many(&mut self, entries: &[(u64, Cell)]) {
-        for (a, c) in entries {
-            self.set(*a, *c);
-        }
-    }
 }
 
 /// Slots per lazily-allocated signature page (24 KiB of cells): coarse
@@ -307,8 +275,6 @@ impl SignatureMap {
 }
 
 impl AccessMap for SignatureMap {
-    const BATCHED_PROBES: bool = true;
-
     #[inline]
     fn get(&self, addr: u64) -> Option<Cell> {
         self.slot(hash_addr(addr, self.slots))
@@ -318,27 +284,6 @@ impl AccessMap for SignatureMap {
     fn set(&mut self, addr: u64, cell: Cell) {
         let i = hash_addr(addr, self.slots);
         *self.slot_mut(i) = cell;
-    }
-
-    #[inline]
-    fn slot_key(&self, addr: u64) -> u64 {
-        hash_addr(addr, self.slots) as u64
-    }
-
-    /// Batched signature probing: hash up to 8 addresses ahead of the
-    /// gathers so the multiplies pipeline and the page loads issue
-    /// back-to-back, instead of alternating hash → load → hash → load.
-    fn get_many(&self, addrs: &[u64], out: &mut Vec<Option<Cell>>) {
-        out.reserve(addrs.len());
-        let mut slots = [0usize; 8];
-        for block in addrs.chunks(8) {
-            for (s, &a) in slots.iter_mut().zip(block) {
-                *s = hash_addr(a, self.slots);
-            }
-            for &i in &slots[..block.len()] {
-                out.push(self.slot(i));
-            }
-        }
     }
 
     fn clear_range(&mut self, addr: u64, words: u64) {
@@ -472,10 +417,9 @@ impl PerfectMap {
     }
 
     /// Every `(address, cell)` pair currently stored, in unspecified order.
-    /// Exact maps are enumerable — this is what lets the parallel engine
-    /// *merge* an underloaded partition into another one by moving its
-    /// whole shadow state, something a signature (which stores no
-    /// addresses) cannot do.
+    /// Exact maps are enumerable — which is what lets the degradation
+    /// ladder re-key an exact shadow into a signature
+    /// ([`SignatureMap::from_perfect`]); a signature stores no addresses.
     pub fn entries(&self) -> Vec<(u64, Cell)> {
         let mut out = Vec::with_capacity(self.len);
         for (&id, &idx) in &self.dir {
@@ -731,48 +675,6 @@ mod tests {
             paged.occupied(),
             dense.0.iter().filter(|s| s.is_some()).count()
         );
-    }
-
-    #[test]
-    fn batched_probes_match_scalar() {
-        // Differential test: get_many/set_many must behave exactly like
-        // per-address get/set, on both map shapes.
-        let mut rng = 0xbeef_u64;
-        let mut next = move || {
-            rng ^= rng >> 12;
-            rng ^= rng << 25;
-            rng ^= rng >> 27;
-            rng.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
-        let mut sig = SignatureMap::new(1 << 10);
-        let mut perf = PerfectMap::new();
-        for round in 0..200u32 {
-            let n = (next() % 20 + 1) as usize;
-            let addrs: Vec<u64> = (0..n).map(|_| (next() % 4096) * 8).collect();
-            let entries: Vec<(u64, Cell)> = addrs
-                .iter()
-                .enumerate()
-                .map(|(i, &a)| (a, cell(round * 100 + i as u32)))
-                .collect();
-            if round % 2 == 0 {
-                sig.set_many(&entries);
-                perf.set_many(&entries);
-            } else {
-                for (a, c) in &entries {
-                    sig.set(*a, *c);
-                    perf.set(*a, *c);
-                }
-            }
-            let mut got_sig = Vec::new();
-            let mut got_perf = Vec::new();
-            sig.get_many(&addrs, &mut got_sig);
-            perf.get_many(&addrs, &mut got_perf);
-            for (i, &a) in addrs.iter().enumerate() {
-                assert_eq!(got_sig[i], sig.get(a), "signature @ {a:#x}");
-                assert_eq!(got_perf[i], perf.get(a), "perfect @ {a:#x}");
-                assert_eq!(sig.slot_key(a), hash_addr(a, sig.num_slots()) as u64);
-            }
-        }
     }
 
     #[test]

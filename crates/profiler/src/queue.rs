@@ -11,13 +11,12 @@
 //!   claim slots with a hardware fetch-and-add and flag them ready with a
 //!   release store. Nodes are recycled only at drop (the allocate-only
 //!   variant the dissertation notes trades memory for speed and safety).
-//! - [`LockQueue`]: a mutex-guarded queue, the baseline the lock-free design
-//!   is compared against in Fig. 2.9.
+//!
+//! The mutex-guarded baseline of Fig. 2.9 lives where it is measured
+//! (`crates/bench/benches/queues.rs`); no engine is built on it.
 
 use crossbeam::utils::CachePadded;
-use parking_lot::Mutex;
 use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 
@@ -221,37 +220,6 @@ impl<T> Drop for MpscQueue<T> {
     }
 }
 
-/// Mutex-guarded MPMC queue: the lock-based baseline of Fig. 2.9.
-pub struct LockQueue<T> {
-    inner: Mutex<VecDeque<T>>,
-    cap: usize,
-}
-
-impl<T> LockQueue<T> {
-    /// A queue holding up to `cap` items.
-    pub fn new(cap: usize) -> Self {
-        LockQueue {
-            inner: Mutex::new(VecDeque::with_capacity(cap.min(4096))),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Push; fails when full.
-    pub fn try_push(&self, v: T) -> Result<(), T> {
-        let mut q = self.inner.lock();
-        if q.len() >= self.cap {
-            return Err(v);
-        }
-        q.push_back(v);
-        Ok(())
-    }
-
-    /// Pop; `None` when empty.
-    pub fn try_pop(&self) -> Option<T> {
-        self.inner.lock().pop_front()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,14 +362,5 @@ mod tests {
         }
         q.try_pop();
         drop(q);
-    }
-
-    #[test]
-    fn lock_queue_roundtrip() {
-        let q = LockQueue::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert!(q.try_push(3).is_err());
-        assert_eq!(q.try_pop(), Some(1));
     }
 }

@@ -1,29 +1,24 @@
 //! Engine selection and the one-call profiling entry points.
 //!
-//! The profiler has three engines for sequential targets — the exact
-//! page-table shadow memory, the bounded-memory signature algorithm
-//! (§2.3.2), and the producer/consumer parallel pipeline (§2.3.3). They all
-//! answer the same question ("which dependences does this program have?"),
-//! so selecting one is data, not a separate API: [`EngineKind`] names the
-//! engine, [`ProfileConfig`] carries it plus the engine-independent knobs,
-//! and [`profile_program_with`] dispatches. Every engine produces the same
-//! [`ProfileOutput`]; the parallel engine additionally fills
-//! [`ProfileOutput::parallel`] with its transport statistics.
+//! For sequential targets the profiler offers the exact page-table shadow
+//! memory, the bounded-memory signature algorithm (§2.3.2), and the
+//! producer/consumer parallel pipeline (§2.3.3). They all answer the same
+//! question ("which dependences does this program have?") and are one
+//! engine ([`crate::pipeline::Profiler`]) under different settings, so
+//! selecting one is data, not a separate API: [`EngineKind`] names the
+//! settings, [`ProfileConfig`] carries them plus the engine-independent
+//! knobs, and [`profile_program_with`] runs the program under them. Every
+//! kind produces the same [`ProfileOutput`]; [`EngineKind::Parallel`]
+//! additionally fills [`ProfileOutput::parallel`] with its transport
+//! statistics.
 
-use crate::budget::{
-    signature_slots_for_budget, Budget, DegradationStep, GaugeSlot, MemGauge, ProfileError,
-    ResourceStats, ShadowTier, LADDER_MIN_SLOTS,
-};
+use crate::budget::{Budget, ProfileError, ResourceStats};
 use crate::dep::DepSet;
-use crate::engine::{EngineConfig, RunStats, SkipStats};
-use crate::maps::{PerfectMap, SignatureMap};
-use crate::parallel::{profile_parallel, ParallelConfig, QueueKind};
+use crate::engine::{RunStats, SkipStats};
 use crate::pet::Pet;
-use crate::serial::SerialProfiler;
-use interp::{Event, Program, RunConfig, RunResult, Sink};
+use crate::pipeline::Profiler;
+use interp::{Program, RunConfig, RunResult};
 use serde::Serialize;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 /// Which dependence-profiling engine to run.
 ///
@@ -63,19 +58,19 @@ pub enum EngineKind {
         slots: usize,
     },
     /// The producer/consumer parallel pipeline: accesses are routed by
-    /// address over `workers` consumer threads in chunks of `chunk`
-    /// accesses, each worker running the signature algorithm on its
-    /// partition (per-worker slot count:
-    /// [`EngineKind::parallel_worker_slots`]; for other slot sizes use
-    /// [`crate::profile_parallel`] with an explicit
+    /// address over `workers` partitions, which start inline and move into
+    /// `workers` consumer threads — fed chunks of up to `chunk` accesses
+    /// over lock-free queues — once the run is large enough
+    /// ([`crate::ParallelConfig::spawn_threshold`]). Partitions are exact
+    /// for small address footprints and signatures beyond (per-worker slot
+    /// count: [`EngineKind::parallel_worker_slots`]; for other slot sizes
+    /// use [`crate::profile_parallel`] with an explicit
     /// [`crate::ParallelConfig`]).
     Parallel {
-        /// Consumer (worker) threads.
+        /// Partitions, i.e. consumer (worker) threads once spawned.
         workers: usize,
         /// Accesses per chunk shipped to a worker.
         chunk: usize,
-        /// Queue implementation feeding the workers.
-        queue: QueueKind,
     },
 }
 
@@ -115,10 +110,9 @@ impl EngineKind {
     /// per function — a static proxy for the touched address space) either
     /// `serial-signature` or — for targets that spawn their own threads —
     /// the parallel engine. Spawning targets with big footprints are the
-    /// long, access-heavy runs the adaptive transport is built for (it
-    /// stays inline until volume and cores justify workers), so routing
-    /// them there is now a win rather than the 5–8× regression the fixed
-    /// pipeline used to be. Note this selects the single-producer
+    /// long, access-heavy runs the worker transport is built for (the
+    /// engine stays inline until volume and cores justify workers). Note
+    /// this selects the single-producer
     /// [`crate::profile_parallel`] engine; the multi-producer replay of
     /// §2.3.4 remains the explicit `profile_threads` facade API. This is
     /// the `discopop` CLI's default engine, so the out-of-the-box
@@ -141,23 +135,23 @@ impl EngineKind {
         EngineKind::SerialSignature { slots }
     }
 
-    /// The parallel engine with `workers` workers and default chunking
-    /// (lock-free queues, the DiscoPoP design).
+    /// The parallel engine with `workers` workers and default chunking.
     pub fn parallel(workers: usize) -> Self {
         EngineKind::Parallel {
             workers,
             chunk: 256,
-            queue: QueueKind::LockFree,
         }
     }
 
     /// Parse the textual spec format produced by [`EngineKind::label`]:
     /// `serial-perfect`, `serial-signature[:slots]`, or
-    /// `parallel[:[workers=]workers[x chunk][:queue]]` with queue
-    /// `lock-free` or `lock-based`. Worker, chunk, and slot counts must be
-    /// positive — `parallel:0` and `parallel:4x0` are rejected with an
-    /// error, matching `serial-signature:0`, instead of being silently
-    /// clamped. This is what `discopop analyze --engine` accepts.
+    /// `parallel[:[workers=]workers[x chunk]]`. Worker, chunk, and slot
+    /// counts must be positive — `parallel:0` and `parallel:4x0` are
+    /// rejected with an error, matching `serial-signature:0`, instead of
+    /// being silently clamped. A trailing `:lock-free` is accepted and
+    /// ignored (labels in saved reports spell it); `:lock-based` is rejected
+    /// with an error naming its removal. This is what
+    /// `discopop analyze --engine` accepts.
     ///
     /// ```
     /// use profiler::EngineKind;
@@ -223,20 +217,16 @@ impl EngineKind {
                 if chunk == 0 {
                     return Err("chunk size must be positive".to_string());
                 }
-                let queue = match parts.next() {
-                    None | Some("lock-free") => QueueKind::LockFree,
-                    Some("lock-based") => QueueKind::LockBased,
+                match parts.next() {
+                    None | Some("lock-free") => {}
+                    Some("lock-based") => return Err(LOCK_BASED_REMOVED.to_string()),
                     Some(q) => return Err(format!("unknown queue `{q}`")),
-                };
-                EngineKind::Parallel {
-                    workers,
-                    chunk,
-                    queue,
                 }
+                EngineKind::Parallel { workers, chunk }
             }
             other => {
                 return Err(format!(
-                    "unknown engine `{other}` (expected serial-perfect, serial-signature[:slots], or parallel[:workers[xchunk][:queue]])"
+                    "unknown engine `{other}` (expected serial-perfect, serial-signature[:slots], or parallel[:workers[xchunk]])"
                 ))
             }
         };
@@ -251,24 +241,20 @@ impl EngineKind {
         match self {
             EngineKind::SerialPerfect => "serial-perfect".to_string(),
             EngineKind::SerialSignature { slots } => format!("serial-signature:{slots}"),
-            EngineKind::Parallel {
-                workers,
-                chunk,
-                queue,
-            } => {
+            EngineKind::Parallel { workers, chunk } => {
                 // Execution clamps degenerate counts to 1; the label
                 // records what actually runs, so it round-trips through
                 // `parse`.
                 let (workers, chunk) = ((*workers).max(1), (*chunk).max(1));
-                let q = match queue {
-                    QueueKind::LockFree => "lock-free",
-                    QueueKind::LockBased => "lock-based",
-                };
-                format!("parallel:{workers}x{chunk}:{q}")
+                format!("parallel:{workers}x{chunk}")
             }
         }
     }
 }
+
+/// What [`EngineKind::parse`] answers to a `:lock-based` queue suffix.
+const LOCK_BASED_REMOVED: &str = "the lock-based queue was removed: it was the slower baseline \
+     of Fig. 2.9a and nothing selected it (`parallel:WxC` always uses the lock-free queues)";
 
 impl std::fmt::Display for EngineKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -292,15 +278,16 @@ impl std::fmt::Display for EngineKind {
 pub struct ProfileConfig {
     /// Engine selection.
     pub engine: EngineKind,
-    /// Enable the §2.4 skip optimization (serial engines only; the parallel
-    /// engine's workers never skip).
+    /// Enable the §2.4 skip optimization. Serial engine kinds only: its
+    /// state is per memory operation and wants one builder to see all of
+    /// an operation's accesses, which [`EngineKind::Parallel`] deals out by
+    /// address. With it on, plan runs are fed access by access.
     pub skip_loops: bool,
     /// Enable variable-lifetime analysis (§2.3.5).
     pub lifetime: bool,
     /// Resource limits (memory ceiling, wall-clock deadline). The default
-    /// is unlimited, which keeps profiling on the ungoverned fast path; an
-    /// active budget routes the run through the resource governor (see
-    /// [`crate::budget`]).
+    /// is unlimited; an active budget gives the engine a resource governor
+    /// (see [`crate::budget`]) and changes nothing else about how it runs.
     pub budget: Budget,
     /// Interpreter configuration.
     pub run: RunConfig,
@@ -322,18 +309,13 @@ impl Default for ProfileConfig {
 /// [`ProfileOutput::parallel`].
 #[derive(Debug, Clone, Serialize)]
 pub struct ParallelStats {
-    /// Chunks delivered (inline-processed or shipped to workers).
+    /// Chunks shipped to workers (`0` for a run that stayed inline).
     pub chunks: u64,
-    /// Accesses absorbed by producer-side repeat combining.
-    pub combined: u64,
-    /// Hot-address rebalance operations performed (§2.3.3 load balancing).
-    pub rebalances: u64,
-    /// Underloaded-partition merges performed (inline adaptive mode).
-    pub merges: u64,
     /// Full-queue retries the producer suffered while pushing.
     pub queue_stalls: u64,
-    /// Worker threads actually spawned (`0` = the adaptive transport kept
-    /// the whole run inline).
+    /// Worker threads that finished their partition (`0` = the whole run
+    /// stayed inline). A worker recovered after a panic no longer counts:
+    /// its partition finished under the producer.
     pub spawned_workers: usize,
     /// Worker panics recovered by the supervision layer: each one drained
     /// the dead worker's partition back into inline processing and the run
@@ -442,9 +424,9 @@ pub struct ProfileOutput {
     /// Affine skip tier activity (loops replayed, accesses synthesized,
     /// fallbacks, dispatch count).
     pub synth: SynthSummary,
-    /// What became of the plan runs the engine was handed (all zeros for
-    /// engines that take events only). Diagnostics: not part of the JSON
-    /// report.
+    /// What became of the plan runs the engine resolved in closed form (all
+    /// zeros for configurations that expand them). Diagnostics: not part of
+    /// the JSON report.
     pub plan_runs: RunStats,
     /// Estimated profiler memory footprint in bytes.
     pub profiler_bytes: usize,
@@ -452,7 +434,8 @@ pub struct ProfileOutput {
     pub steps: u64,
     /// Output printed by the target program.
     pub printed: Vec<String>,
-    /// Parallel-engine transport statistics; `None` for serial engines.
+    /// Transport statistics: `Some` exactly when the engine kind is
+    /// [`EngineKind::Parallel`].
     pub parallel: Option<ParallelStats>,
     /// Resource accounting of a governed run; `None` when no budget was
     /// set.
@@ -475,285 +458,36 @@ pub fn profile_program(prog: &Program) -> Result<ProfileOutput, ProfileError> {
 
 /// Profile a program with an explicit engine and options.
 ///
-/// An active [`ProfileConfig::budget`] routes serial engines through the
-/// resource governor (degradation ladder + deadline watchdog); the parallel
-/// engine enforces the same budget inside its transport. With the default
-/// unlimited budget the ungoverned fast paths run unchanged.
+/// One engine runs every [`EngineKind`]; an active
+/// [`ProfileConfig::budget`] adds the resource governor (degradation
+/// ladder + deadline watchdog) to it. A run the governor interrupts on an
+/// expired deadline returns [`ProfileError::DeadlineExceeded`] carrying the
+/// partial output.
 pub fn profile_program_with(
     prog: &Program,
     cfg: &ProfileConfig,
 ) -> Result<ProfileOutput, ProfileError> {
-    let engine_cfg = EngineConfig {
-        skip_loops: cfg.skip_loops,
-    };
-    match cfg.engine {
-        EngineKind::SerialPerfect | EngineKind::SerialSignature { .. }
-            if cfg.budget.is_active() =>
-        {
-            profile_governed(prog, cfg, engine_cfg)
-        }
-        EngineKind::SerialPerfect => {
-            let mut p = SerialProfiler::with_perfect(prog.mem_op_meta(), engine_cfg, cfg.lifetime);
-            let r = interp::run_with_config(prog, &mut p, cfg.run.clone())?;
-            Ok(assemble(p, r))
-        }
-        EngineKind::SerialSignature { slots } => {
-            let mut p =
-                SerialProfiler::with_signature(slots, prog.mem_op_meta(), engine_cfg, cfg.lifetime);
-            let r = interp::run_with_config(prog, &mut p, cfg.run.clone())?;
-            Ok(assemble(p, r))
-        }
-        EngineKind::Parallel {
-            workers,
-            chunk,
-            queue,
-        } => {
-            let pcfg = ParallelConfig {
-                workers: workers.max(1),
-                chunk_size: chunk.max(1),
-                sig_slots: EngineKind::parallel_worker_slots(workers),
-                queue,
-                lifetime: cfg.lifetime,
-                budget: cfg.budget,
-                ..ParallelConfig::default()
-            };
-            let out = profile_parallel(prog, pcfg, cfg.run.clone())?.into_profile_output();
-            if out.resource.as_ref().is_some_and(|r| r.deadline_hit) {
-                return Err(ProfileError::DeadlineExceeded {
-                    partial: Box::new(out),
-                });
-            }
-            Ok(out)
-        }
-    }
+    let p = Profiler::new(prog.mem_op_meta(), prog.footprint_words(), cfg);
+    drive(prog, p, cfg.run.clone())
 }
 
-fn assemble<M: crate::maps::AccessMap>(p: SerialProfiler<M>, r: RunResult) -> ProfileOutput {
-    let plan_runs = p.run_stats();
-    let (deps, pet, skip_stats, profiler_bytes) = p.finish(r.steps);
-    ProfileOutput {
-        deps,
-        pet,
-        skip_stats,
-        synth: SynthSummary::from_run(&r),
-        plan_runs,
-        profiler_bytes,
-        steps: r.steps,
-        actors: ActorSummary::from_run(&r),
-        printed: r.printed,
-        parallel: None,
-        resource: None,
-    }
-}
-
-/// Events between governor checkpoints. Each checkpoint is a wall-clock
-/// read plus a footprint estimate (a handful of `Vec` length sums), so at
-/// this cadence governance overhead is far below the cost of processing
-/// the same events — the `stress_xl` benchmark row pins it under 2%.
-const GOVERNOR_CADENCE: u64 = 2048;
-
-/// The serial profiler at one of the ladder's accuracy tiers.
-// The exact profiler carries two inline page caches; a tier is moved once
-// per ladder rung, so the size difference costs nothing worth a `Box`.
-#[allow(clippy::large_enum_variant)]
-enum Tier {
-    Perfect(SerialProfiler<PerfectMap>),
-    Sig(SerialProfiler<SignatureMap>),
-}
-
-/// [`Sink`] wrapper running a serial profiler under a [`Budget`]: every
-/// `GOVERNOR_CADENCE` events it checks the deadline (setting the
-/// interpreter's stop flag when expired) and the memory ceiling (walking
-/// the degradation ladder until the footprint fits again), and publishes
-/// the post-degradation footprint to its gauge. The budget invariant —
-/// tracked bytes never exceed the ceiling at any checkpoint, ladder
-/// permitting — is exactly what the fault-injection suite asserts.
-struct GovernedSerial {
-    tier: Option<Tier>,
-    budget: Budget,
-    gauge: MemGauge,
-    slot: GaugeSlot,
-    res: ResourceStats,
-    started: std::time::Instant,
-    stop: Arc<AtomicBool>,
-    since_check: u64,
-}
-
-impl GovernedSerial {
-    fn new(tier: Tier, budget: Budget, stop: Arc<AtomicBool>) -> Self {
-        GovernedSerial {
-            tier: Some(tier),
-            budget,
-            gauge: MemGauge::new(),
-            slot: GaugeSlot::new(),
-            res: ResourceStats::for_budget(&budget),
-            started: std::time::Instant::now(),
-            stop,
-            since_check: 0,
-        }
-    }
-
-    fn current_bytes(&self) -> usize {
-        match &self.tier {
-            Some(Tier::Perfect(p)) => p.current_bytes(),
-            Some(Tier::Sig(s)) => s.current_bytes(),
-            None => 0,
-        }
-    }
-
-    /// Take one ladder rung. Returns `false` when no rung is left (floor
-    /// reached): the governor then accepts the floor footprint.
-    fn degrade(&mut self, bytes_before: u64, max: usize) -> bool {
-        let Some(tier) = self.tier.take() else {
-            return false;
-        };
-        match tier {
-            Tier::Perfect(p) => {
-                let slots = signature_slots_for_budget(max);
-                let (sp, affected) = p.degrade_to_signature(slots);
-                self.res.degradation_steps.push(DegradationStep {
-                    from: ShadowTier::Perfect,
-                    to: ShadowTier::Signature { slots },
-                    bytes_before,
-                    bytes_after: sp.current_bytes() as u64,
-                    affected,
-                    merged_slots: 0,
-                });
-                self.tier = Some(Tier::Sig(sp));
-                true
-            }
-            Tier::Sig(mut s) => {
-                let slots = s.signature_slots();
-                if slots <= LADDER_MIN_SLOTS || slots % 2 != 0 {
-                    self.tier = Some(Tier::Sig(s));
-                    return false;
-                }
-                let merged = s.halve_signature();
-                self.res.degradation_steps.push(DegradationStep {
-                    from: ShadowTier::Signature { slots },
-                    to: ShadowTier::Signature { slots: slots / 2 },
-                    bytes_before,
-                    bytes_after: s.current_bytes() as u64,
-                    affected: None,
-                    merged_slots: merged,
-                });
-                self.tier = Some(Tier::Sig(s));
-                true
-            }
-        }
-    }
-
-    /// Enforce the memory ceiling, then publish the (post-degradation)
-    /// footprint. Shared by the periodic checkpoint and the final flush.
-    fn enforce_memory(&mut self) {
-        let mut bytes = self.current_bytes();
-        if let Some(max) = self.budget.max_memory_bytes {
-            while bytes > max && self.degrade(bytes as u64, max) {
-                bytes = self.current_bytes();
-            }
-        }
-        self.slot.publish(&self.gauge, bytes);
-        self.res.peak_tracked_bytes = self.gauge.peak() as u64;
-    }
-
-    #[cold]
-    fn check(&mut self) {
-        if let Some(dl) = self.budget.deadline {
-            if !self.res.deadline_hit && self.started.elapsed() >= dl {
-                self.res.deadline_hit = true;
-                self.stop.store(true, Ordering::Relaxed);
-            }
-        }
-        self.enforce_memory();
-    }
-
-    #[inline]
-    fn tick(&mut self, n: u64) {
-        self.since_check += n;
-        if self.since_check >= GOVERNOR_CADENCE {
-            self.since_check = 0;
-            self.check();
-        }
-    }
-
-    /// Final flush and assembly: enforce the ceiling one last time (growth
-    /// since the previous checkpoint must not outlive the run), compute the
-    /// signature false-positive estimate, and attach the resource block.
-    fn finish(mut self, r: RunResult) -> ProfileOutput {
-        self.enforce_memory();
-        self.res.fp_rate_estimate = match &self.tier {
-            Some(Tier::Sig(s)) => {
-                // Fill factor across both signatures: the probability that
-                // a probe of a fresh address lands in an occupied slot —
-                // Eq. 2.2 with the address count inferred from occupancy.
-                s.signature_occupied() as f64 / (2 * s.signature_slots()) as f64
-            }
-            _ => 0.0,
-        };
-        let res = self.res;
-        let mut out = match self.tier.take() {
-            Some(Tier::Perfect(p)) => assemble(p, r),
-            Some(Tier::Sig(s)) => assemble(s, r),
-            None => unreachable!("tier is only vacant inside degrade()"),
-        };
-        out.resource = Some(res);
-        out
-    }
-}
-
-impl Sink for GovernedSerial {
-    fn event(&mut self, ev: &Event) {
-        match self.tier.as_mut() {
-            Some(Tier::Perfect(p)) => p.event(ev),
-            Some(Tier::Sig(s)) => s.event(ev),
-            None => {}
-        }
-        self.tick(1);
-    }
-
-    fn events(&mut self, evs: &[Event]) {
-        match self.tier.as_mut() {
-            Some(Tier::Perfect(p)) => p.events(evs),
-            Some(Tier::Sig(s)) => s.events(evs),
-            None => {}
-        }
-        self.tick(evs.len() as u64);
-    }
-}
-
-/// The governed serial path: wrap the profiler in a [`GovernedSerial`],
-/// share (or install) the interpreter's stop flag, and translate a
-/// governor-initiated interrupt into [`ProfileError::DeadlineExceeded`]
-/// carrying the partial output.
-fn profile_governed(
+/// Run `prog` under `p` and assemble the output. The one deadline rule:
+/// the run failed on its deadline iff the governor's stop flag actually
+/// interrupted the interpreter (a deadline that passes after the last
+/// slice boundary leaves a complete profile).
+pub(crate) fn drive(
     prog: &Program,
-    cfg: &ProfileConfig,
-    engine_cfg: EngineConfig,
+    mut p: Profiler,
+    mut run: RunConfig,
 ) -> Result<ProfileOutput, ProfileError> {
-    let tier = match cfg.engine {
-        EngineKind::SerialSignature { slots } => Tier::Sig(SerialProfiler::with_signature(
-            slots,
-            prog.mem_op_meta(),
-            engine_cfg,
-            cfg.lifetime,
-        )),
-        // `SerialPerfect`, the only other engine routed here.
-        _ => Tier::Perfect(SerialProfiler::with_perfect(
-            prog.mem_op_meta(),
-            engine_cfg,
-            cfg.lifetime,
-        )),
-    };
-    let mut run = cfg.run.clone();
-    let stop = run
-        .stop
-        .get_or_insert_with(|| Arc::new(AtomicBool::new(false)))
-        .clone();
-    let mut g = GovernedSerial::new(tier, cfg.budget, stop);
-    let r = interp::run_with_config(prog, &mut g, run)?;
-    let deadline_hit = g.res.deadline_hit && r.interrupted;
-    let out = g.finish(r);
-    if deadline_hit {
+    p.govern_run(&mut run);
+    let r = interp::run_with_config(prog, &mut p, run)?;
+    let mut out = p.finish(r.steps);
+    out.synth = SynthSummary::from_run(&r);
+    out.actors = ActorSummary::from_run(&r);
+    out.printed = r.printed;
+    let deadline_hit = out.resource.as_ref().is_some_and(|res| res.deadline_hit);
+    if deadline_hit && r.interrupted {
         Err(ProfileError::DeadlineExceeded {
             partial: Box::new(out),
         })
@@ -783,7 +517,6 @@ mod tests {
             EngineKind::Parallel {
                 workers: 2,
                 chunk: 16,
-                queue: QueueKind::LockBased,
             },
         ] {
             let out = profile_program_with(
@@ -816,7 +549,7 @@ mod tests {
 
     #[test]
     fn auto_routes_large_multithreaded_targets_to_parallel() {
-        // Big footprint + spawn(): the adaptive parallel engine is the
+        // Big footprint + spawn(): the parallel engine is the
         // auto-selected default.
         let big_mt = program(
             "global int a[300000];\nfn w(int n) { for (int i = 0; i < n; i = i + 1) { a[i] = i; } }\nfn main() { int t = spawn(w, 8); join(t); a[1] = a[0]; }",
@@ -839,12 +572,16 @@ mod tests {
             Ok(EngineKind::parallel(6))
         );
         assert_eq!(
-            EngineKind::parse("parallel:workers=4x128:lock-based"),
+            EngineKind::parse("parallel:workers=4x128:lock-free"),
             Ok(EngineKind::Parallel {
                 workers: 4,
                 chunk: 128,
-                queue: QueueKind::LockBased,
             })
+        );
+        let removed = EngineKind::parse("parallel:workers=4x128:lock-based").unwrap_err();
+        assert!(
+            removed.contains("lock-based queue was removed"),
+            "{removed}"
         );
         assert!(EngineKind::parse("parallel:workers=").is_err());
         assert!(EngineKind::parse("parallel:workers=x8").is_err());
@@ -880,7 +617,7 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(EngineKind::SerialPerfect.label(), "serial-perfect");
         assert_eq!(EngineKind::signature(64).label(), "serial-signature:64");
-        assert_eq!(EngineKind::parallel(8).label(), "parallel:8x256:lock-free");
+        assert_eq!(EngineKind::parallel(8).label(), "parallel:8x256");
     }
 
     #[test]
@@ -919,7 +656,6 @@ mod tests {
             Ok(EngineKind::Parallel {
                 workers: 1,
                 chunk: 1,
-                queue: QueueKind::LockFree,
             })
         );
     }
@@ -933,25 +669,27 @@ mod tests {
             EngineKind::Parallel {
                 workers: 2,
                 chunk: 64,
-                queue: QueueKind::LockBased,
             },
         ] {
             assert_eq!(EngineKind::parse(&e.label()), Ok(e));
         }
+        // Saved reports spell the queue the parent's labels named.
+        assert_eq!(
+            EngineKind::parse("parallel:3x256:lock-free"),
+            Ok(EngineKind::parallel(3))
+        );
         // Degenerate counts clamp to 1 at execution time; the label records
         // the clamped value, so it still round-trips.
         let degenerate = EngineKind::Parallel {
             workers: 0,
             chunk: 0,
-            queue: QueueKind::LockFree,
         };
-        assert_eq!(degenerate.label(), "parallel:1x1:lock-free");
+        assert_eq!(degenerate.label(), "parallel:1x1");
         assert_eq!(
             EngineKind::parse(&degenerate.label()),
             Ok(EngineKind::Parallel {
                 workers: 1,
                 chunk: 1,
-                queue: QueueKind::LockFree,
             })
         );
     }
@@ -986,7 +724,6 @@ mod tests {
                 engine: EngineKind::Parallel {
                     workers: 0,
                     chunk: 0,
-                    queue: QueueKind::LockFree,
                 },
                 ..Default::default()
             },

@@ -1,210 +1,11 @@
-//! The serial profiler: the single-threaded reference engine that all
-//! parallel variants must agree with (§2.3.3 "the same data dependences as
-//! the serial version").
+//! The serial engine kinds — one partition, no workers — as the reference
+//! all parallel variants must agree with (§2.3.3 "the same data dependences
+//! as the serial version"): their end-to-end tests, and the control spans
+//! the text renderer needs.
 
-use crate::access::{InstanceTable, LoopContext, NO_INSTANCE};
-use crate::dep::{ControlSpan, DepSet};
-use crate::engine::{DepBuilder, EngineConfig, RunStats, SkipStats};
-use crate::maps::{AccessMap, Cell, PerfectMap, SignatureMap};
-use crate::pet::{Pet, PetBuilder};
-use interp::{Event, MemOpMeta, PlanRun, Program, Sink};
-
-/// A serial profiler over any access map. Implements [`Sink`], so it plugs
-/// directly into the interpreter.
-pub struct SerialProfiler<M: AccessMap> {
-    ctx: LoopContext,
-    table: InstanceTable,
-    builder: DepBuilder<M>,
-    pet: PetBuilder,
-    lifetime: bool,
-}
-
-impl SerialProfiler<SignatureMap> {
-    /// Signature-backed profiler with `slots` slots per signature, for a
-    /// target whose static op table is `meta`
-    /// ([`Program::mem_op_meta`]).
-    pub fn with_signature(
-        slots: usize,
-        meta: &[MemOpMeta],
-        cfg: EngineConfig,
-        lifetime: bool,
-    ) -> Self {
-        Self::with_maps(
-            SignatureMap::new(slots),
-            SignatureMap::new(slots),
-            meta,
-            cfg,
-            lifetime,
-        )
-    }
-}
-
-impl SerialProfiler<PerfectMap> {
-    /// Perfect-shadow profiler: the ground-truth baseline of §2.5.1.
-    pub fn with_perfect(meta: &[MemOpMeta], cfg: EngineConfig, lifetime: bool) -> Self {
-        Self::with_maps(PerfectMap::new(), PerfectMap::new(), meta, cfg, lifetime)
-    }
-}
-
-impl<M: AccessMap> SerialProfiler<M> {
-    /// Profiler over caller-supplied read/write maps — the generic form the
-    /// signature/perfect constructors delegate to; used directly by the
-    /// equivalence tests to run the legacy [`crate::maps::HashShadowMap`]
-    /// baseline through the same pipeline.
-    pub fn with_maps(
-        read_map: M,
-        write_map: M,
-        meta: &[MemOpMeta],
-        cfg: EngineConfig,
-        lifetime: bool,
-    ) -> Self {
-        SerialProfiler {
-            ctx: LoopContext::new(),
-            table: InstanceTable::new(),
-            builder: DepBuilder::new(read_map, write_map, meta, cfg),
-            pet: PetBuilder::new(),
-            lifetime,
-        }
-    }
-
-    /// Finish profiling: returns dependences, PET, and skip statistics.
-    pub fn finish(self, total_instrs: u64) -> (DepSet, Pet, SkipStats, usize) {
-        let (deps, stats, bytes) = self.builder.finish();
-        let bytes = bytes + self.table.bytes();
-        (deps, self.pet.finish(total_instrs), stats, bytes)
-    }
-
-    /// What became of the plan runs received so far.
-    pub fn run_stats(&self) -> RunStats {
-        self.builder.run_stats()
-    }
-
-    /// Tracked bytes of the profiler right now — what the resource governor
-    /// publishes to its [`crate::budget::MemGauge`] at checkpoint cadence.
-    pub fn current_bytes(&self) -> usize {
-        self.builder.bytes() + self.table.bytes()
-    }
-
-    /// Shared per-event body of both delivery paths.
-    #[inline]
-    fn handle(&mut self, ev: &Event) {
-        // Memory accesses dominate the event stream and are ignored by the
-        // PET builder and the dealloc check — route them straight to the
-        // dependence engine with a single match.
-        if let Event::Mem(m) = ev {
-            let a = self.ctx.annotate(m);
-            self.builder.process(&a, &self.table);
-            return;
-        }
-        self.pet.handle(ev);
-        if let Some(a) = self.ctx.handle(ev, &mut self.table) {
-            self.builder.process(&a, &self.table);
-        }
-        if self.lifetime {
-            if let Event::VarDealloc { addr, words, .. } = ev {
-                self.builder.clear_range(*addr, *words);
-            }
-        }
-    }
-}
-
-impl SerialProfiler<PerfectMap> {
-    /// Move the whole exact shadow out, leaving it empty
-    /// ([`DepBuilder::drain_shadow`]) — how a differential test compares
-    /// the final shadow state of two profilers.
-    pub fn drain_shadow(&mut self) -> Vec<(u64, Option<Cell>, Option<Cell>)> {
-        self.builder.drain_shadow()
-    }
-
-    /// First rung of the degradation ladder: convert the exact shadow into
-    /// a signature of `slots` slots mid-run, keeping loop context, instance
-    /// table, PET, and every dependence found so far. Returns the degraded
-    /// profiler and the `[lo, hi]` word-address range that was resident in
-    /// the exact shadow (the addresses whose tracking just became
-    /// approximate), or `None` when the shadow was empty.
-    pub fn degrade_to_signature(
-        self,
-        slots: usize,
-    ) -> (SerialProfiler<SignatureMap>, Option<(u64, u64)>) {
-        let mut affected = None;
-        let builder = self.builder.map_shadow(|read, write| {
-            for (addr, _) in read.entries().into_iter().chain(write.entries()) {
-                affected = Some(match affected {
-                    None => (addr, addr),
-                    Some((lo, hi)) => (addr.min(lo), addr.max(hi)),
-                });
-            }
-            (
-                SignatureMap::from_perfect(&read, slots),
-                SignatureMap::from_perfect(&write, slots),
-            )
-        });
-        (
-            SerialProfiler {
-                ctx: self.ctx,
-                table: self.table,
-                builder,
-                pet: self.pet,
-                lifetime: self.lifetime,
-            },
-            affected,
-        )
-    }
-}
-
-impl SerialProfiler<SignatureMap> {
-    /// Halving rung of the degradation ladder: shrink both signatures to
-    /// half their slots in place. Returns the occupied slot pairs merged.
-    pub fn halve_signature(&mut self) -> u64 {
-        self.builder.halve_signature()
-    }
-
-    /// Current signature slot count.
-    pub fn signature_slots(&self) -> usize {
-        self.builder.signature_slots()
-    }
-
-    /// Occupied slots across both signatures — the address-set proxy for
-    /// the false-positive estimate.
-    pub fn signature_occupied(&self) -> usize {
-        self.builder.signature_occupied()
-    }
-}
-
-impl<M: AccessMap> Sink for SerialProfiler<M> {
-    /// Exact maps take plan runs; signature slots alias, so the signature
-    /// profiler keeps the per-event stream.
-    const TAKES_RUNS: bool = M::EXACT;
-
-    fn event(&mut self, ev: &Event) {
-        self.handle(ev);
-    }
-
-    /// A plan engagement in closed form. The loop context supplies what the
-    /// run's events would have picked up one by one — the instance the plan
-    /// runs in and the iteration of its cycle 0 — and advances by the run's
-    /// `LoopIter` count afterwards; the PET and the lifetime analysis see
-    /// nothing in a run (no region, call or dealloc event).
-    fn plan_run(&mut self, run: &PlanRun<'_>) {
-        let (instance, iter) = self.ctx.current(run.thread);
-        let in_own_loop =
-            instance != NO_INSTANCE && self.table.loop_of(instance) == (run.func, run.region);
-        if M::EXACT && in_own_loop {
-            self.builder.process_run(run, instance, iter, &self.table);
-            self.ctx.advance(run.thread, run.loop_iters());
-        } else {
-            run.expand(|ev| self.handle(ev));
-        }
-    }
-
-    /// Batched delivery: one interpreter→profiler crossing per
-    /// [`interp::RunConfig::batch_cap`] events instead of one per event.
-    fn events(&mut self, evs: &[Event]) {
-        for ev in evs {
-            self.handle(ev);
-        }
-    }
-}
+use crate::dep::ControlSpan;
+use crate::pet::Pet;
+use interp::Program;
 
 /// Build `BGN`/`END` control spans for the text renderer from a program's
 /// loop regions and the PET's iteration counts.

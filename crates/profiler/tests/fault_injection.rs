@@ -16,7 +16,7 @@ use std::time::Duration;
 use interp::{Program, RunConfig};
 use profiler::{
     fault, profile_parallel, profile_program_with, Budget, EngineKind, ParallelConfig,
-    ProfileConfig, ProfileError, QueueKind, ShadowTier,
+    ParallelStats, ProfileConfig, ProfileError, ProfileOutput, ShadowTier,
 };
 
 /// A loop-heavy sequential target: ~65k memory accesses, far past the
@@ -51,22 +51,26 @@ fn program(src: &str) -> Program {
     Program::new(lang::compile(src, "t").expect("test source compiles"))
 }
 
-/// The fixed (non-adaptive) pipeline at test scale: workers spawn at
-/// construction regardless of core count, so injected faults reliably land
-/// on real consumer threads even on a single-core container.
+/// The pipeline at test scale, spawned up front: with a zero threshold
+/// workers spawn at construction regardless of core count, so injected
+/// faults reliably land on real consumer threads even on a single-core
+/// container.
 fn fixed_pipeline() -> ParallelConfig {
     ParallelConfig {
         workers: 4,
         chunk_size: 32,
         sig_slots: 1 << 16,
-        queue: QueueKind::LockFree,
         queue_cap: 64,
         lifetime: true,
-        rebalance_interval: 0,
-        adaptive: false,
         spawn_threshold: 0,
         budget: Budget::unlimited(),
     }
+}
+
+fn transport(out: &ProfileOutput) -> &ParallelStats {
+    out.parallel
+        .as_ref()
+        .expect("parallel runs report transport stats")
 }
 
 fn fault_lock() -> &'static Mutex<()> {
@@ -115,8 +119,8 @@ fn killed_worker_is_recovered_bit_identical() {
         let prog = program(SEQ_SRC);
         let oracle = profile_parallel(&prog, fixed_pipeline(), RunConfig::default())
             .expect("uninjected run succeeds");
-        assert_eq!(oracle.spawned_workers, 4);
-        assert_eq!(oracle.worker_recoveries, 0);
+        assert_eq!(transport(&oracle).spawned_workers, 4);
+        assert_eq!(transport(&oracle).worker_recoveries, 0);
         let baseline = oracle.deps.sorted();
         assert!(!baseline.is_empty());
 
@@ -126,12 +130,13 @@ fn killed_worker_is_recovered_bit_identical() {
             fault::arm("worker:chunk", after);
             let out = profile_parallel(&prog, fixed_pipeline(), RunConfig::default())
                 .unwrap_or_else(|e| panic!("injected run (after={after}) failed: {e}"));
+            let t = transport(&out);
             assert_eq!(
-                out.worker_recoveries, 1,
+                t.worker_recoveries, 1,
                 "exactly one injected panic (after={after})"
             );
             // The dead worker's partition finished under the producer.
-            assert_eq!(out.spawned_workers + out.worker_recoveries as usize, 4);
+            assert_eq!(t.spawned_workers + t.worker_recoveries as usize, 4);
             assert_eq!(
                 out.deps.sorted(),
                 baseline,
@@ -153,7 +158,11 @@ fn killed_worker_on_dealloc_message_is_recovered() {
         fault::arm("worker:dealloc", 0);
         let out = profile_parallel(&prog, fixed_pipeline(), RunConfig::default())
             .expect("injected run completes");
-        assert_eq!(out.worker_recoveries, 1, "dealloc faultpoint fired");
+        assert_eq!(
+            transport(&out).worker_recoveries,
+            1,
+            "dealloc faultpoint fired"
+        );
         assert_eq!(out.deps.sorted(), baseline);
     });
 }
@@ -207,7 +216,7 @@ fn serial_ladder_never_exceeds_budget() {
 fn parallel_budget_is_enforced_at_chunk_boundaries() {
     fault_session(|| {
         let prog = program(BIG_SRC);
-        // 4 workers × two 64Ki-slot signatures is ~20MB of potential shadow;
+        // 100k words of exact shadow over 4 workers is ~5MB of pages;
         // 2MB forces real degradation while staying above the run's
         // non-degradable floor (dependence stores, transport side tables),
         // so the strict peak ≤ budget invariant must hold.
@@ -220,10 +229,11 @@ fn parallel_budget_is_enforced_at_chunk_boundaries() {
 
         let res = out
             .resource
+            .as_ref()
             .expect("budgeted parallel run reports resources");
         assert!(
             !res.degradation_steps.is_empty(),
-            "workers under a 2MB collective ceiling must shed signature pages"
+            "workers under a 2MB collective ceiling must shed shadow pages"
         );
         assert_eq!(res.budget_bytes, Some(budget_bytes as u64));
         assert!(
@@ -232,7 +242,7 @@ fn parallel_budget_is_enforced_at_chunk_boundaries() {
             res.peak_tracked_bytes
         );
         assert!(!res.deadline_hit);
-        assert_eq!(out.worker_recoveries, 0);
+        assert_eq!(transport(&out).worker_recoveries, 0);
     });
 }
 
@@ -245,9 +255,9 @@ fn budget_and_worker_kill_compose() {
         fault::arm("worker:chunk", 20);
         let out =
             profile_parallel(&prog, cfg, RunConfig::default()).expect("injected governed run");
-        assert_eq!(out.worker_recoveries, 1);
+        assert_eq!(transport(&out).worker_recoveries, 1);
         assert!(!out.deps.sorted().is_empty());
-        let res = out.resource.expect("resource stats present");
+        let res = out.resource.as_ref().expect("resource stats present");
         assert!(res.peak_tracked_bytes <= 1 << 20);
     });
 }
@@ -295,7 +305,6 @@ fn parallel_deadline_returns_typed_partial() {
             engine: EngineKind::Parallel {
                 workers: 4,
                 chunk: 32,
-                queue: QueueKind::LockFree,
             },
             budget: Budget {
                 max_memory_bytes: None,
@@ -452,6 +461,49 @@ fn skip_tier_respects_deadline_trips() {
             }
             Err(other) => panic!("expected DeadlineExceeded, got: {other}"),
             Ok(_) => panic!("a zero deadline cannot be met"),
+        }
+    });
+}
+
+/// The plan-heavy sibling: in the benchmark's `hot_loop` nest one plan
+/// engagement stands for 53,000 accesses and reaches the profiler as a
+/// single call. A run advances the checkpoint cadence by the events it
+/// stands for, so a deadline far shorter than the job still trips inside it
+/// and the job returns its typed partial instead of completing.
+#[test]
+fn skip_tier_deadline_trips_inside_a_plan_heavy_job() {
+    fault_session(|| {
+        let prog = program(
+            "global int a[4096];\nglobal int b[4096];\nglobal int s;\nfn main() {\n\
+             for (int r = 0; r < 200; r = r + 1) {\n\
+             for (int i = 1; i < 4096; i = i + 1) {\nb[i] = a[i - 1] + b[i];\ns = s + b[i];\n}\n}\n}",
+        );
+        let cfg = ProfileConfig {
+            engine: EngineKind::SerialPerfect,
+            budget: Budget {
+                max_memory_bytes: None,
+                deadline: Some(Duration::from_millis(2)),
+            },
+            ..ProfileConfig::default()
+        };
+        match profile_program_with(&prog, &cfg) {
+            Err(ProfileError::DeadlineExceeded { partial }) => {
+                assert!(partial.resource.as_ref().is_some_and(|r| r.deadline_hit));
+                assert!(
+                    partial.plan_runs.runs > 0 && partial.plan_runs.runs < 200,
+                    "the governed engine took runs, and not all of them: {:?}",
+                    partial.plan_runs
+                );
+                assert!(
+                    !partial.deps.is_empty(),
+                    "a partial profile, not an empty one"
+                );
+            }
+            Err(other) => panic!("expected DeadlineExceeded, got: {other}"),
+            Ok(out) => panic!(
+                "200 rounds cannot finish in 2 ms ({} runs resolved)",
+                out.plan_runs.runs
+            ),
         }
     });
 }

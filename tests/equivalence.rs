@@ -1,32 +1,30 @@
-//! Output-equivalence tests for the shadow-memory overhaul.
+//! Engine equivalence, workers 0..N.
 //!
 //! The page-table shadow memory, fast-hash maps, and batched event pipeline
 //! are pure throughput work: dependence output must be bit-identical to the
-//! seed implementation. These tests pin that down on real workloads, for
-//! both the merged [`profiler::DepSet`] and the rendered text format, and
-//! for the multithreaded-target engine.
+//! seed implementation. And the profiler is one engine with a worker dial:
+//! every setting of the dial must report what `serial-perfect` reports.
+//! These tests pin both down on real workloads, for the merged
+//! [`profiler::DepSet`] and the rendered text format, and for the
+//! multithreaded-target engine.
 
 use interp::{Program, RunConfig, Sink};
 use profiler::{
-    control_spans, profile_multithreaded_target, profile_program, render_text, DepSet,
-    EngineConfig, HashShadowMap, ParallelConfig, QueueKind, SerialProfiler,
+    control_spans, profile_multithreaded_target, profile_parallel, profile_program,
+    profile_program_with, render_text, DepSet, EngineKind, ParallelConfig, ProfileConfig,
+    ProfileOutput,
 };
 
 fn program(src: &str) -> Program {
     Program::new(lang::compile(src, "equiv").unwrap())
 }
 
-/// Profile with the legacy `HashMap` shadow maps through today's pipeline.
+/// Profile with the legacy `HashMap` shadow maps behind today's dependence
+/// builder, through a front half the engine under test has no part in.
 fn profile_hashmap(p: &Program) -> (DepSet, profiler::Pet) {
-    let mut prof = SerialProfiler::with_maps(
-        HashShadowMap::new(),
-        HashShadowMap::new(),
-        p.mem_op_meta(),
-        EngineConfig::default(),
-        true,
-    );
-    let r = interp::run_with_config(p, &mut prof, RunConfig::default()).unwrap();
-    let (deps, pet, _, _) = prof.finish(r.steps);
+    let mut oracle = bench::HashShadowOracle::new(p);
+    let r = interp::run_with_config(p, &mut oracle, RunConfig::default()).unwrap();
+    let (deps, pet, _) = oracle.finish(r.steps);
     (deps, pet)
 }
 
@@ -104,6 +102,12 @@ fn seed_pipeline_reconstruction_matches_current() {
     }
 }
 
+fn transport(out: &ProfileOutput) -> &profiler::ParallelStats {
+    out.parallel
+        .as_ref()
+        .expect("parallel runs report transport stats")
+}
+
 /// `(dependence, occurrence count)` pairs in a canonical order.
 fn counted(deps: &DepSet) -> Vec<(profiler::Dep, u64)> {
     let mut v: Vec<_> = deps.iter().collect();
@@ -117,40 +121,28 @@ fn memoized_counts_match_seed_on_every_catalogue_workload() {
     // any path would leave the distinct set intact and only a count short,
     // which `sorted()` cannot see. So compare `(Dep, count)` pairs against
     // the seed pipeline (which inserts once per access) on every catalogue
-    // program, through each of the builder's three entry points: scalar
-    // (`serial-perfect`), streamed (the parallel engine held inline) and
-    // chunked (workers spawned from access 0).
-    let mut chunked_runs = 0;
+    // program, wherever the builders run: one partition with the producer
+    // (`serial-perfect`), two with the producer, and two in workers spawned
+    // before access 0.
     for w in workloads::all() {
         let p = w.program().unwrap();
         let want = counted(&bench::seed_baseline::profile_seed(&p).unwrap());
         assert!(!want.is_empty(), "{}: nothing to compare", w.name);
 
         let scalar = profile_program(&p).unwrap();
-        assert_eq!(counted(&scalar.deps), want, "{}: scalar path", w.name);
+        assert_eq!(counted(&scalar.deps), want, "{}: one partition", w.name);
 
-        for (path, spawn_threshold) in [("streamed", u64::MAX), ("chunked", 0)] {
+        for (path, spawn_threshold, spawned) in [("inline", u64::MAX, 0), ("workers", 0, 2)] {
             let cfg = ParallelConfig {
                 workers: 2,
                 spawn_threshold,
-                rebalance_interval: 0,
                 ..Default::default()
             };
-            let par = profiler::profile_parallel(&p, cfg, RunConfig::default()).unwrap();
+            let par = profile_parallel(&p, cfg, RunConfig::default()).unwrap();
             assert_eq!(counted(&par.deps), want, "{}: {path} path", w.name);
-            if spawn_threshold == u64::MAX {
-                assert_eq!(par.spawned_workers, 0, "{}: not held inline", w.name);
-            } else {
-                chunked_runs += (par.spawned_workers == 2) as usize;
-            }
+            assert_eq!(transport(&par).spawned_workers, spawned, "{}", w.name);
         }
     }
-    // Escalation happens at the first chunk boundary, which the smallest
-    // programs never reach; the rest must have gone through the workers.
-    assert!(
-        chunked_runs >= 40,
-        "only {chunked_runs} workloads exercised the chunked path"
-    );
 }
 
 #[test]
@@ -181,9 +173,9 @@ fn batching_is_invisible_to_sinks() {
 fn batch_cap_does_not_change_dependences() {
     for (name, p) in workload_programs() {
         let run = |batch_cap: usize| {
-            profiler::profile_program_with(
+            profile_program_with(
                 &p,
-                &profiler::ProfileConfig {
+                &ProfileConfig {
                     run: RunConfig {
                         batch_cap,
                         ..Default::default()
@@ -213,7 +205,6 @@ fn engine_kinds_agree_on_workloads() {
     // engine produces the identical dependence set on the equivalence
     // suite, with `EngineKind::Parallel` matching `SerialPerfect`
     // bit-for-bit.
-    use profiler::EngineKind;
     for (name, p) in [
         ("MG", workloads::by_name("MG").unwrap().program().unwrap()),
         (
@@ -221,9 +212,9 @@ fn engine_kinds_agree_on_workloads() {
             workloads::by_name("matmul").unwrap().program().unwrap(),
         ),
     ] {
-        let perfect = profiler::profile_program_with(
+        let perfect = profile_program_with(
             &p,
-            &profiler::ProfileConfig {
+            &ProfileConfig {
                 engine: EngineKind::SerialPerfect,
                 ..Default::default()
             },
@@ -236,12 +227,11 @@ fn engine_kinds_agree_on_workloads() {
             EngineKind::Parallel {
                 workers: 4,
                 chunk: 32,
-                queue: QueueKind::LockBased,
             },
         ] {
-            let out = profiler::profile_program_with(
+            let out = profile_program_with(
                 &p,
-                &profiler::ProfileConfig {
+                &ProfileConfig {
                     engine,
                     ..Default::default()
                 },
@@ -260,77 +250,125 @@ fn engine_kinds_agree_on_workloads() {
     }
 }
 
-/// The adaptive parallel engine must stay bit-for-bit identical to
-/// `serial-perfect` on real workloads across transport shapes: worker,
-/// chunk, and queue-capacity sweeps; inline-only runs; forced spawning
-/// (threshold 0 exercises the builder hand-off on any host); and a
-/// rebalance-triggering run.
+/// `DepSet::iter()` as it comes (the order is the insertion history, which
+/// CU edge order and report bytes follow), the skip counters and the PET:
+/// what two runs of the *same path* must agree on beyond the sorted set.
+fn sequence(out: &ProfileOutput) -> (Vec<(profiler::Dep, u64)>, String, String) {
+    (
+        out.deps.iter().collect(),
+        format!("{:?}", out.skip_stats),
+        format!("{:?}", out.pet.nodes),
+    )
+}
+
+/// A nest of `rounds` sweeps over two 1,024-word arrays, ~13 accesses per
+/// inner iteration: 150 rounds make 2 M accesses, enough to escalate
+/// mid-run at any threshold and to ramp the chunk size to its ceiling.
+fn nest(rounds: u32) -> Program {
+    program(&format!(
+        "global int a[1024];\nglobal int b[1024];\nglobal int s;\nfn main() {{\n\
+         for (int r = 0; r < {rounds}; r = r + 1) {{\n\
+         for (int i = 1; i < 1024; i = i + 1) {{\nb[i] = a[i - 1] + b[i];\ns = s + b[i];\n}}\n}}\n}}"
+    ))
+}
+
+/// The dial, tested as a dial: workers × when to spawn × chunk ceiling, over
+/// the catalogue and one long nest. Every setting must report exactly what
+/// `serial-perfect` reports — sorted dependences *with counts* and
+/// `total_found` (the catalogue and the nest fit the exact tier) — and one
+/// partition that never spawns is the serial engine's own path, so it must
+/// also agree in `DepSet::iter()` order, skip counters and PET: that
+/// assertion is what keeps it the same path.
+///
+/// The debug build (tier-1 `cargo test`) walks a thinned matrix over a
+/// short nest; CI runs this suite in release, where it is the full cross.
 #[test]
 fn adaptive_parallel_matches_perfect_across_configs() {
-    for (name, p) in [
-        ("MG", workloads::by_name("MG").unwrap().program().unwrap()),
-        ("CG", workloads::by_name("CG").unwrap().program().unwrap()),
-        (
-            "matmul",
-            workloads::by_name("matmul").unwrap().program().unwrap(),
-        ),
-    ] {
-        let perfect = profile_program(&p).unwrap();
-        let configs = [
-            // (workers, chunk ceiling, queue cap, spawn threshold)
-            (2, 16, 8, u64::MAX),    // inline, tiny chunks
-            (4, 64, 64, u64::MAX),   // inline, mid
-            (8, 256, 512, u64::MAX), // inline, default shape
-            (4, 64, 8, 0),           // spawned from access 0
-            (3, 32, 16, 1 << 12),    // escalates mid-run
-        ];
-        for (workers, chunk, queue_cap, spawn_threshold) in configs {
-            let cfg = ParallelConfig {
-                workers,
-                chunk_size: chunk,
-                queue_cap,
-                spawn_threshold,
-                rebalance_interval: 0,
-                ..Default::default()
-            };
-            let par = profiler::profile_parallel(&p, cfg, RunConfig::default()).unwrap();
-            assert_eq!(
-                par.deps.sorted(),
-                perfect.deps.sorted(),
-                "{name}: parallel {workers}w x{chunk} q{queue_cap} t{spawn_threshold} diverged"
-            );
-            assert_eq!(
-                par.deps.total_found, perfect.deps.total_found,
-                "{name}: pre-merge totals differ"
-            );
-            for d in par.deps.sorted() {
-                assert_eq!(
-                    par.deps.count(&d),
-                    perfect.deps.count(&d),
-                    "{name}: occurrence count differs for {d:?}"
-                );
+    let full = !cfg!(debug_assertions);
+    let workers: &[usize] = if full { &[1, 2, 3, 8] } else { &[1, 3] };
+    let chunks: &[usize] = if full { &[1, 16, 256] } else { &[16] };
+    let mut programs: Vec<(String, Program)> = workloads::all()
+        .into_iter()
+        .map(|w| (w.name.to_string(), w.program().unwrap()))
+        .collect();
+    programs.push(("nest".to_string(), nest(if full { 150 } else { 4 })));
+    let mut escalated_mid_run = 0;
+    for (name, p) in &programs {
+        let perfect = profile_program(p).unwrap();
+        for &workers in workers {
+            for spawn_threshold in [u64::MAX, 0, 4096] {
+                for &chunk_size in chunks {
+                    let label = format!("{name}: {workers}w t{spawn_threshold} x{chunk_size}");
+                    let cfg = ParallelConfig {
+                        workers,
+                        chunk_size,
+                        queue_cap: 64,
+                        spawn_threshold,
+                        ..Default::default()
+                    };
+                    let par = profile_parallel(p, cfg, RunConfig::default()).unwrap();
+                    assert_eq!(counted(&par.deps), counted(&perfect.deps), "{label}");
+                    assert_eq!(par.deps.total_found, perfect.deps.total_found, "{label}");
+                    let t = transport(&par);
+                    assert_eq!(t.worker_processed.len(), workers, "{label}");
+                    assert_eq!(
+                        t.worker_processed.iter().sum::<u64>(),
+                        perfect.skip_stats.total_accesses,
+                        "{label}"
+                    );
+                    match spawn_threshold {
+                        u64::MAX => assert_eq!(t.spawned_workers, 0, "{label}"),
+                        0 => assert_eq!(t.spawned_workers, workers, "{label}"),
+                        // Needs a second core; counted below, not demanded.
+                        _ => escalated_mid_run += (t.spawned_workers == workers) as usize,
+                    }
+                    if workers == 1 && spawn_threshold == u64::MAX {
+                        assert_eq!(sequence(&par), sequence(&perfect), "{label}");
+                        assert_eq!(par.plan_runs, perfect.plan_runs, "{label}");
+                    }
+                }
             }
         }
-        // Rebalance-triggering runs, all modes: inline (partition merges),
-        // spawned (exact hot-address migration), and a mid-run escalation
-        // after possible merges (partition compaction hand-off).
-        for spawn_threshold in [u64::MAX, 0, 1 << 13] {
-            let cfg = ParallelConfig {
-                workers: 8,
-                chunk_size: 32,
-                queue_cap: 64,
-                spawn_threshold,
-                rebalance_interval: 5,
+    }
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2 {
+        assert!(
+            escalated_mid_run > 0,
+            "no run crossed a 4,096-access threshold into workers"
+        );
+    }
+}
+
+/// Past 2^18 words of footprint the parallel engine's partitions are
+/// signatures. One of them, never spawned, is `serial-signature:S` with the
+/// same slot count — collisions included, in the same order.
+#[test]
+fn one_signature_partition_is_the_serial_signature_engine() {
+    let p = program(
+        "global int a[300000];\nglobal int s;\nfn main() {\n\
+         for (int i = 0; i < 3000; i = i + 1) { a[i * 97] = i; }\n\
+         for (int i = 1; i < 3000; i = i + 1) { s = s + a[i * 97] - a[(i - 1) * 97]; }\n}",
+    );
+    assert!(p.footprint_words() > EngineKind::AUTO_PERFECT_MAX_WORDS);
+    // Small enough that the 3,000 touched words collide.
+    for slots in [1 << 16, 1021] {
+        let serial = profile_program_with(
+            &p,
+            &ProfileConfig {
+                engine: EngineKind::signature(slots),
                 ..Default::default()
-            };
-            let par = profiler::profile_parallel(&p, cfg, RunConfig::default()).unwrap();
-            assert_eq!(
-                par.deps.sorted(),
-                perfect.deps.sorted(),
-                "{name}: rebalancing run (threshold {spawn_threshold}) diverged"
-            );
-            assert_eq!(par.deps.total_found, perfect.deps.total_found);
-        }
+            },
+        )
+        .unwrap();
+        let cfg = ParallelConfig {
+            workers: 1,
+            sig_slots: slots,
+            spawn_threshold: u64::MAX,
+            ..Default::default()
+        };
+        let par = profile_parallel(&p, cfg, RunConfig::default()).unwrap();
+        assert_eq!(sequence(&par), sequence(&serial), "{slots} slots");
+        assert_eq!(par.deps.total_found, serial.deps.total_found);
+        assert_eq!(par.profiler_bytes, serial.profiler_bytes);
     }
 }
 
@@ -351,9 +389,7 @@ fn main() { int a = spawn(w, 30); int b = spawn(w, 30); join(a); join(b); }";
             workers: 4,
             chunk_size: 16,
             sig_slots: 1 << 18,
-            queue: QueueKind::LockFree,
             queue_cap: 64,
-            rebalance_interval: 0,
             ..Default::default()
         },
         RunConfig::default(),
@@ -363,17 +399,11 @@ fn main() { int a = spawn(w, 30); int b = spawn(w, 30); join(a); join(b); }";
     // Serial replay baseline over the same recorded execution.
     let mut rec = interp::RecordingSink::default();
     interp::run_with_config(&p, &mut rec, RunConfig::default()).unwrap();
-    let mut serial = SerialProfiler::with_maps(
-        HashShadowMap::new(),
-        HashShadowMap::new(),
-        p.mem_op_meta(),
-        EngineConfig::default(),
-        true,
-    );
+    let mut serial = bench::HashShadowOracle::new(&p);
     for ev in &rec.events {
         serial.event(ev);
     }
-    let (serial_deps, _, _, _) = serial.finish(0);
+    let (serial_deps, _, _) = serial.finish(0);
 
     assert_eq!(
         par.deps.sorted(),
@@ -393,9 +423,7 @@ fn main() { int a = spawn(w, 25); int b = spawn(w, 25); join(a); join(b); }";
         workers: 4,
         chunk_size: 8,
         sig_slots: 1 << 18,
-        queue: QueueKind::LockFree,
         queue_cap: 64,
-        rebalance_interval: 0,
         ..Default::default()
     };
     let a = profile_multithreaded_target(&p, cfg(), RunConfig::default()).unwrap();

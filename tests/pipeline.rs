@@ -169,7 +169,6 @@ fn main() {
     let mut analysis = Analysis::new().engine(EngineKind::Parallel {
         workers: 4,
         chunk: 256,
-        queue: profiler::QueueKind::LockFree,
     });
     let compiled = analysis.compile(src, "locked").unwrap();
     let profiled = analysis.profile_threads(&compiled).unwrap();

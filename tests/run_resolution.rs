@@ -1,6 +1,6 @@
 //! Profiler-side differential gate for plan runs.
 //!
-//! `SerialProfiler<PerfectMap>` resolves a plan run range by range
+//! A lone exact partition (`serial-perfect`) resolves a plan run range by range
 //! (`DepBuilder::process_run`). The claim gated here: it ends in exactly the
 //! state that feeding [`PlanRun::expand`] through the per-event path leaves
 //! — the `DepSet` *iteration sequence* (insertion history is part of the
@@ -13,9 +13,7 @@
 use interp::{Event, MemEvent, MemOpMeta, PlanRun, Program, RegionExitEvent, RunStream, Sink};
 use mir::RegionKind;
 use profiler::engine::RunStats;
-use profiler::{Cell, Dep, EngineConfig, PerfectMap, SerialProfiler};
-
-type Profiler = SerialProfiler<PerfectMap>;
+use profiler::{Cell, Dep, ProfileConfig, Profiler};
 
 /// The reference: a profiler that is handed runs and feeds it their
 /// expansion, event by event.
@@ -56,15 +54,15 @@ fn snapshot(mut p: Profiler, steps: u64) -> Snapshot {
     let live_bytes = p.current_bytes();
     let mut shadow = p.drain_shadow();
     shadow.sort_by_key(|e| e.0);
-    let (deps, pet, stats, final_bytes) = p.finish(steps);
+    let out = p.finish(steps);
     Snapshot {
-        deps: deps.iter().collect(),
-        total_found: deps.total_found,
-        skip_stats: format!("{stats:?}"),
+        deps: out.deps.iter().collect(),
+        total_found: out.deps.total_found,
+        skip_stats: format!("{:?}", out.skip_stats),
         live_bytes,
-        final_bytes,
+        final_bytes: out.profiler_bytes,
         shadow,
-        pet: format!("{:?}", pet.nodes),
+        pet: format!("{:?}", out.pet.nodes),
     }
 }
 
@@ -104,7 +102,11 @@ fn assert_same(label: &str, resolved: Snapshot, reference: Snapshot) {
 }
 
 fn profiler_for(meta: &[MemOpMeta], skip_loops: bool) -> Profiler {
-    SerialProfiler::with_perfect(meta, EngineConfig { skip_loops }, true)
+    let cfg = ProfileConfig {
+        skip_loops,
+        ..Default::default()
+    };
+    Profiler::new(meta, 0, &cfg)
 }
 
 /// Profile `p` both ways and demand one final state. Returns what became of
