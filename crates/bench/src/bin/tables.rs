@@ -2,7 +2,7 @@
 //!
 //! Usage: `cargo run --release -p bench --bin tables -- [experiment|all]`
 //!
-//! Experiments (see DESIGN.md per-experiment index):
+//! Experiments, each with the table or figure it reproduces:
 //!   dep-tables           Tables 2.2-2.5 (worked examples)
 //!   fpr-fnr              Table 2.6 (signature accuracy)
 //!   profiler-slowdown    Fig 2.9a (serial vs lock-free; see the note it prints)

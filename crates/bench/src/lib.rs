@@ -1,7 +1,7 @@
 //! `bench` — the experiment harness.
 //!
 //! The `tables` binary regenerates every table and figure of the
-//! dissertation's evaluation (see DESIGN.md's per-experiment index); the
+//! dissertation's evaluation (the binary's module doc indexes them); the
 //! criterion benches under `benches/` measure the performance-sensitive
 //! pieces in isolation. Shared measurement helpers live here.
 

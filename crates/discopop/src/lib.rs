@@ -62,6 +62,10 @@
 //!   (Ch. 5)
 //! - [`report`]: the versioned JSON wire format of a [`Report`]
 
+// The facade runs inside the daemon, on whatever a client sends: library
+// code returns typed errors instead of panicking (tests may unwrap).
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 pub use analysis;
 pub use apps;
 pub use cu;
@@ -99,19 +103,29 @@ pub struct Report {
 }
 
 impl Report {
-    /// The serializable mirror of this report (schema
-    /// [`report::SCHEMA_VERSION`]). Needs the program to resolve symbol and
-    /// function names.
+    /// An owned copy of this report as its document (schema
+    /// [`report::SCHEMA_VERSION`]), for callers that keep or inspect one;
+    /// `to_doc(program).to_json()` is the reference tree every written
+    /// report is tested against. Needs the program to resolve symbol and
+    /// function names. Writing the report does not go through it.
     pub fn to_doc(&self, program: &interp::Program) -> report::ReportDoc {
         report::ReportDoc::from_report(program, self)
     }
 
-    /// The report as pretty-printed, versioned JSON, streamed element by
-    /// element (see [`report::ReportDoc::to_json_string`]); the same bytes
-    /// as `to_doc(program).to_json().to_string_pretty()` without the
-    /// document tree in between.
+    /// The report as pretty-printed, versioned JSON, written in one pass:
+    /// each row is described from this report's own fields, borrowing
+    /// names from `program`, straight into the output buffer — no document
+    /// and no tree in between. The same bytes as
+    /// `to_doc(program).to_json().to_string_pretty()`.
     pub fn to_json_string(&self, program: &interp::Program) -> String {
-        self.to_doc(program).to_json_string()
+        self.render(program, jsonio::TextSink::pretty())
+    }
+
+    /// [`Report::to_json_string`] into a sink of the caller's layout (the
+    /// daemon's replies are compact).
+    pub(crate) fn render(&self, program: &interp::Program, mut sink: jsonio::TextSink) -> String {
+        report::emit_live(program, self, &mut sink);
+        sink.finish()
     }
 }
 

@@ -45,7 +45,7 @@
 //! | `overloaded` | admission control shed the job; honor `retry_after_ms` | yes, after backoff |
 //! | `shutting_down` | the daemon is draining and accepts no new work | yes, elsewhere/later |
 
-use jsonio::{Lazy, Value};
+use jsonio::{Emitter, TextSink, TreeSink, Value};
 
 /// Version of this wire protocol, reported by `status`.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -370,93 +370,77 @@ impl Response {
     /// Serialize to a JSON tree (render + `\n` = one wire message). Copies
     /// the report; [`Response::to_wire`] renders the same bytes without.
     pub fn to_json(&self) -> Value {
-        self.lazy().into_value()
+        let mut tree = TreeSink::default();
+        self.emit(&mut tree);
+        tree.finish()
     }
 
     /// The message as its wire text (without the trailing `\n`), written
     /// around the borrowed report rather than from a copy of it.
     pub fn to_wire(&self) -> String {
-        self.lazy().to_string()
+        let mut text = TextSink::compact();
+        self.emit(&mut text);
+        text.finish()
     }
 
-    /// The message's shape; a report is embedded by reference.
-    fn lazy(&self) -> Lazy<'_> {
-        fn values<'a>(
-            fields: impl IntoIterator<Item = (&'a str, Value)>,
-        ) -> Vec<(&'a str, Lazy<'a>)> {
-            fields
-                .into_iter()
-                .map(|(k, v)| (k, Lazy::Value(v)))
-                .collect()
-        }
-        Lazy::Object(match self {
+    /// The message's shape, once for both renderings.
+    fn emit<S: Emitter>(&self, s: &mut S) {
+        match self {
             Response::Report {
                 id,
                 cached,
                 elapsed_ms,
                 report,
-            } => {
-                let mut fields = values([
-                    ("type", Value::from("report")),
-                    ("id", Value::from(*id)),
-                    ("cached", Value::from(*cached)),
-                    ("elapsed_ms", Value::from(*elapsed_ms)),
-                ]);
-                fields.push(("report", Lazy::Ref(report)));
-                fields
-            }
+            } => emit_report(s, *id, *cached, *elapsed_ms, |s| s.value(report)),
             Response::Error(e) => {
-                let mut fields = vec![
-                    ("type", Value::from("error")),
-                    ("id", Value::from(e.id)),
-                    ("kind", Value::from(e.kind.code())),
-                    ("message", Value::from(e.message.as_str())),
-                ];
+                s.begin_object();
+                s.key("type").str("error");
+                s.key("id").u64(e.id);
+                s.key("kind").str(e.kind.code());
+                s.key("message").str(&e.message);
                 if let Some(ms) = e.retry_after_ms {
-                    fields.push(("retry_after_ms", Value::from(ms)));
+                    s.key("retry_after_ms").u64(ms);
                 }
                 if let Some(p) = &e.partial {
-                    fields.push((
-                        "partial",
-                        Value::object([
-                            ("steps", Value::from(p.steps)),
-                            ("dependences", Value::from(p.dependences)),
-                        ]),
-                    ));
+                    s.key("partial").begin_object();
+                    s.key("steps").u64(p.steps);
+                    s.key("dependences").u64(p.dependences);
+                    s.end_object();
                 }
-                values(fields)
+                s.end_object();
             }
-            Response::Status { id, status } => values([
-                ("type", Value::from("status")),
-                ("id", Value::from(*id)),
-                (
-                    "status",
-                    Value::object([
-                        ("protocol", Value::from(status.protocol)),
-                        ("accepting", Value::from(status.accepting)),
-                        ("uptime_ms", Value::from(status.uptime_ms)),
-                        ("workers", Value::from(status.workers)),
-                        ("queue_depth", Value::from(status.queue_depth)),
-                        ("queue_cap", Value::from(status.queue_cap)),
-                        ("in_flight", Value::from(status.in_flight)),
-                        ("jobs_done", Value::from(status.jobs_done)),
-                        ("jobs_failed", Value::from(status.jobs_failed)),
-                        ("jobs_shed", Value::from(status.jobs_shed)),
-                        ("worker_recoveries", Value::from(status.worker_recoveries)),
-                        ("conn_recoveries", Value::from(status.conn_recoveries)),
-                        ("cache_entries", Value::from(status.cache_entries)),
-                        ("cache_bytes", Value::from(status.cache_bytes)),
-                        ("cache_hits", Value::from(status.cache_hits)),
-                        ("cache_misses", Value::from(status.cache_misses)),
-                        ("cache_evictions", Value::from(status.cache_evictions)),
-                    ]),
-                ),
-            ]),
-            Response::ShutdownAck { id } => values([
-                ("type", Value::from("shutting_down")),
-                ("id", Value::from(*id)),
-            ]),
-        })
+            Response::Status { id, status } => {
+                s.begin_object();
+                s.key("type").str("status");
+                s.key("id").u64(*id);
+                s.key("status").begin_object();
+                s.key("protocol").u64(status.protocol);
+                s.key("accepting").bool(status.accepting);
+                s.key("uptime_ms").u64(status.uptime_ms);
+                s.key("workers").u64(status.workers);
+                s.key("queue_depth").u64(status.queue_depth);
+                s.key("queue_cap").u64(status.queue_cap);
+                s.key("in_flight").u64(status.in_flight);
+                s.key("jobs_done").u64(status.jobs_done);
+                s.key("jobs_failed").u64(status.jobs_failed);
+                s.key("jobs_shed").u64(status.jobs_shed);
+                s.key("worker_recoveries").u64(status.worker_recoveries);
+                s.key("conn_recoveries").u64(status.conn_recoveries);
+                s.key("cache_entries").u64(status.cache_entries);
+                s.key("cache_bytes").u64(status.cache_bytes);
+                s.key("cache_hits").u64(status.cache_hits);
+                s.key("cache_misses").u64(status.cache_misses);
+                s.key("cache_evictions").u64(status.cache_evictions);
+                s.end_object();
+                s.end_object();
+            }
+            Response::ShutdownAck { id } => {
+                s.begin_object();
+                s.key("type").str("shutting_down");
+                s.key("id").u64(*id);
+                s.end_object();
+            }
+        }
     }
 
     /// Deserialize a response, copying an embedded report out of `v`.
@@ -541,6 +525,25 @@ impl Response {
             other => Err(format!("unknown response type `{other}`")),
         }
     }
+}
+
+/// The envelope of a `report` response around whatever `report` writes —
+/// an embedded tree for [`Response::Report`], the daemon's already
+/// rendered text for its replies.
+pub(crate) fn emit_report<S: Emitter>(
+    s: &mut S,
+    id: u64,
+    cached: bool,
+    elapsed_ms: u64,
+    report: impl FnOnce(&mut S),
+) {
+    s.begin_object();
+    s.key("type").str("report");
+    s.key("id").u64(id);
+    s.key("cached").bool(cached);
+    s.key("elapsed_ms").u64(elapsed_ms);
+    report(s.key("report"));
+    s.end_object();
 }
 
 fn get_u64_or(v: &Value, key: &str, default: u64) -> u64 {

@@ -1,30 +1,32 @@
 //! The versioned JSON wire format of a [`crate::Report`].
 //!
-//! The in-memory report borrows ids (symbol ids, function indices) that
+//! The in-memory report carries ids (symbol ids, function indices) that
 //! only mean something next to the [`interp::Program`] that produced them,
-//! and the workspace's `serde` is an offline no-op shim — so serialization
-//! goes through explicit mirror types instead: [`ReportDoc`] resolves every
-//! id to its name, carries a `schema_version`, and converts losslessly to
-//! and from [`jsonio::Value`]. Downstream tools consume the JSON; this
-//! module is the one place its shape is defined.
+//! and the workspace's `serde` is an offline no-op shim — so the format is
+//! defined here, by hand, once per direction: every row type (`DepDoc`,
+//! `LoopDoc`, …) lists its fields in one `emit` over [`jsonio::Emitter`]
+//! on the write side and in one `from_json` on the read side, and the
+//! blocks around the rows are listed once in `emit_doc`. Downstream tools
+//! consume the JSON; this module is the one place its shape is defined.
 //!
-//! # Two renderings of one definition
+//! # One description, two sources, two sinks
 //!
-//! Every element type has one `to_json`, and every container one `lazy`
-//! description ([`jsonio::Lazy`]) that names its fields in order and hands
-//! each array that grows with the program over as a per-element producer.
-//! Both entries read that description:
+//! A row type is a *view*: its names are `Cow`s and its locations typed, so
+//! it can borrow from a live report and its program or own what a parsed
+//! document holds. The two sources of rows sit behind the private `Rows`
+//! walk:
 //!
-//! - [`ReportDoc::to_json_string`] (behind [`crate::Report::to_json_string`],
-//!   i.e. the CLI's `--json` and the benchmark's jobs) **streams**: one
-//!   element's `Value` is built, written at its depth and dropped before
-//!   the next, so a report whose text is 11 MB never exists as a tree of
-//!   several times that;
-//! - [`ReportDoc::to_json`] collects the description into the whole
-//!   [`jsonio::Value`] tree. `to_json().to_string_pretty()` is the
-//!   **reference** the streamed bytes are tested against
-//!   (`tests/streamed_report.rs`), what the service embeds in a response,
-//!   and what [`ReportDoc::from_json`] reads back.
+//! - a live [`crate::Report`] builds each row on the stack and drops it
+//!   once emitted. [`crate::Report::to_json_string`] (the CLI's `--json`,
+//!   the daemon's replies, the benchmark's jobs) pushes those rows into
+//!   [`jsonio::TextSink`]: report → bytes in one pass, with no document, no
+//!   tree and no allocation per row in between;
+//! - an owned [`ReportDoc`] — a parsed report, or [`ReportDoc::from_report`]'s
+//!   copy of a live one — hands out the rows it holds.
+//!   [`ReportDoc::to_json`] emits them into [`jsonio::TreeSink`]:
+//!   `to_json().to_string_pretty()` is the **reference** the written bytes
+//!   are tested against (`tests/streamed_report.rs`) and what
+//!   [`ReportDoc::from_json`] reads back.
 //!
 //! # Schema (version 6)
 //!
@@ -92,11 +94,14 @@
 //! enabled ([`crate::Analysis::with_static`]); the `actors` block only
 //! for targets that spawned a second actor or passed a message.
 
-use crate::Report;
+use crate::{Report, StaticReport};
 use discovery::ranking::SuggestionTarget;
-use discovery::{Pattern, SpmdKind};
-use jsonio::{Lazy, Value};
-use profiler::{Dep, PetNodeKind};
+use discovery::{
+    LoopClass, LoopResult, MpmdSuggestion, Pattern, RankedSuggestion, SpmdKind, SpmdSuggestion,
+};
+use jsonio::{Emitter, TextSink, TreeSink, Value};
+use profiler::{Dep, DepType, PetNode, PetNodeKind, SrcLoc};
+use std::borrow::Cow;
 
 /// Version stamp of the JSON schema written by [`ReportDoc::to_json`].
 ///
@@ -202,17 +207,6 @@ fn get_array<'a>(v: &'a Value, key: &str) -> DocResult<&'a [Value]> {
         .ok_or_else(|| SchemaError(format!("`{key}` must be an array")))
 }
 
-fn get_str_array(v: &Value, key: &str) -> DocResult<Vec<String>> {
-    get_array(v, key)?
-        .iter()
-        .map(|s| {
-            s.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| SchemaError(format!("`{key}` entries must be strings")))
-        })
-        .collect()
-}
-
 fn checked_u32(n: u64, what: &str) -> DocResult<u32> {
     u32::try_from(n).map_err(|_| SchemaError(format!("{what} overflows u32")))
 }
@@ -227,40 +221,118 @@ fn pair_u32(v: &Value, what: &str) -> DocResult<(u32, u32)> {
     }
 }
 
-/// A field that is built whole: a scalar, or a block whose size does not
-/// grow with the analysed program.
-fn small<'a>(v: impl Into<Value>) -> Lazy<'a> {
-    Lazy::Value(v.into())
+/// A string field in one of the typed forms rows carry (`1:9`, `RAW`,
+/// `Doall`).
+fn get_parsed<T: std::str::FromStr>(v: &Value, key: &str) -> DocResult<T> {
+    field(v, key)?
+        .as_str()
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| SchemaError(format!("`{key}` is not in a form this build reads")))
 }
 
-fn spans_doc(spans: &[(u32, u32)]) -> Value {
-    Value::Array(
-        spans
-            .iter()
-            .map(|&(a, b)| Value::array([a, b]))
-            .collect::<Vec<_>>(),
-    )
+/// A required field that is `null` or a non-negative integer.
+fn get_opt_u64(v: &Value, key: &str) -> DocResult<Option<u64>> {
+    match field(v, key)? {
+        Value::Null => Ok(None),
+        other => Ok(Some(other.as_u64().ok_or_else(|| {
+            SchemaError(format!("`{key}` must be an integer or null"))
+        })?)),
+    }
+}
+
+fn get_opt_u32(v: &Value, key: &str) -> DocResult<Option<u32>> {
+    get_opt_u64(v, key)?
+        .map(|n| checked_u32(n, &format!("`{key}`")))
+        .transpose()
+}
+
+/// An array field, each element read by `row`.
+fn get_rows<T>(v: &Value, key: &str, row: impl Fn(&Value) -> DocResult<T>) -> DocResult<Vec<T>> {
+    get_array(v, key)?.iter().map(row).collect()
+}
+
+/// An array of non-negative integers that fit `T`.
+fn get_ints<T: TryFrom<u64>>(v: &Value, key: &str) -> DocResult<Vec<T>> {
+    get_rows(v, key, |n| {
+        n.as_u64()
+            .and_then(|n| T::try_from(n).ok())
+            .ok_or_else(|| SchemaError(format!("`{key}` entries must be integers in range")))
+    })
+}
+
+fn get_str_array(v: &Value, key: &str) -> DocResult<Vec<String>> {
+    get_rows(v, key, |s| {
+        s.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| SchemaError(format!("`{key}` entries must be strings")))
+    })
+}
+
+/// A block added after schema version 1: absent (or `null`) in older
+/// documents and in runs that have nothing to say there.
+fn get_block<T>(
+    v: &Value,
+    key: &str,
+    block: impl FnOnce(&Value) -> DocResult<T>,
+) -> DocResult<Option<T>> {
+    match v.get(key) {
+        None | Some(Value::Null) => Ok(None),
+        Some(other) => block(other).map(Some),
+    }
 }
 
 fn spans_from(v: &Value, key: &str) -> DocResult<Vec<(u32, u32)>> {
-    get_array(v, key)?
-        .iter()
-        .map(|s| pair_u32(s, key))
-        .collect()
+    get_rows(v, key, |s| pair_u32(s, key))
 }
 
-/// One merged dependence, fully name-resolved. `sink`/`source` use the
-/// DiscoPoP `file:line` notation.
+fn opt_u64<S: Emitter>(s: &mut S, n: Option<impl Into<u64>>) {
+    match n {
+        Some(n) => s.u64(n),
+        None => s.null(),
+    }
+}
+
+/// `[a, b]`, or `null`.
+fn opt_pair<S: Emitter, N: Into<u64>>(s: &mut S, pair: Option<(N, N)>) {
+    match pair {
+        Some((a, b)) => s.array([a, b], |n, s| s.u64(n)),
+        None => s.null(),
+    }
+}
+
+fn spans<S: Emitter>(s: &mut S, spans: &[(u32, u32)]) {
+    s.array(spans, |&span, s| opt_pair(s, Some(span)));
+}
+
+fn strs<S: Emitter>(s: &mut S, strs: &[String]) {
+    s.array(strs, |text, s| s.str(text));
+}
+
+/// An optional block: its `emit`, or `null`.
+fn opt_block<S: Emitter, T>(s: &mut S, block: &Option<T>, emit: impl FnOnce(&T, &mut S)) {
+    match block {
+        Some(block) => emit(block, s),
+        None => s.null(),
+    }
+}
+
+/// A borrowed field, copied for the owned document.
+fn own<B: ToOwned + ?Sized + 'static>(field: &B) -> Cow<'static, B> {
+    Cow::Owned(field.to_owned())
+}
+
+/// One merged dependence. `sink`/`source` render in the DiscoPoP
+/// `file:line` notation, `ty` as `RAW` / `WAR` / `WAW` / `INIT`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DepDoc {
-    /// Location of the later access (`file:line`).
-    pub sink: String,
-    /// `RAW` / `WAR` / `WAW` / `INIT`.
-    pub ty: String,
-    /// Location of the earlier access (`file:line`).
-    pub source: String,
+pub struct DepDoc<'a> {
+    /// Location of the later access.
+    pub sink: SrcLoc,
+    /// Dependence type.
+    pub ty: DepType,
+    /// Location of the earlier access.
+    pub source: SrcLoc,
     /// Variable name (`*` for INIT bookkeeping entries).
-    pub var: String,
+    pub var: Cow<'a, str>,
     /// Thread that executed the sink.
     pub sink_thread: u32,
     /// Thread that executed the source.
@@ -273,18 +345,17 @@ pub struct DepDoc {
     pub count: u64,
 }
 
-impl DepDoc {
-    fn from_dep(program: &interp::Program, d: &Dep, count: u64) -> DepDoc {
-        let var = if d.var == u32::MAX {
-            "*".to_string()
-        } else {
-            program.symbol(d.var).to_string()
-        };
+impl<'a> DepDoc<'a> {
+    fn of(program: &'a interp::Program, d: &Dep, count: u64) -> Self {
         DepDoc {
-            sink: d.sink.to_string(),
-            ty: d.ty.to_string(),
-            source: d.source.to_string(),
-            var,
+            sink: d.sink,
+            ty: d.ty,
+            source: d.source,
+            var: Cow::Borrowed(if d.var == u32::MAX {
+                "*"
+            } else {
+                program.symbol(d.var)
+            }),
             sink_thread: d.sink_thread,
             source_thread: d.source_thread,
             carried_by: d.carried_by,
@@ -293,32 +364,40 @@ impl DepDoc {
         }
     }
 
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("sink", Value::from(self.sink.as_str())),
-            ("type", Value::from(self.ty.as_str())),
-            ("source", Value::from(self.source.as_str())),
-            ("var", Value::from(self.var.as_str())),
-            ("sink_thread", Value::from(self.sink_thread)),
-            ("source_thread", Value::from(self.source_thread)),
-            (
-                "carried_by",
-                match self.carried_by {
-                    Some((f, r)) => Value::array([f, r]),
-                    None => Value::Null,
-                },
-            ),
-            ("race_hint", Value::from(self.race_hint)),
-            ("count", Value::from(self.count)),
-        ])
+    fn owned(&self) -> DepDoc<'static> {
+        DepDoc {
+            sink: self.sink,
+            ty: self.ty,
+            source: self.source,
+            var: own(&self.var),
+            sink_thread: self.sink_thread,
+            source_thread: self.source_thread,
+            carried_by: self.carried_by,
+            race_hint: self.race_hint,
+            count: self.count,
+        }
     }
 
-    fn from_json(v: &Value) -> DocResult<DepDoc> {
+    fn emit<S: Emitter>(&self, s: &mut S) {
+        s.begin_object();
+        s.key("sink").display(&self.sink);
+        s.key("type").display(&self.ty);
+        s.key("source").display(&self.source);
+        s.key("var").str(&self.var);
+        s.key("sink_thread").u64(self.sink_thread);
+        s.key("source_thread").u64(self.source_thread);
+        opt_pair(s.key("carried_by"), self.carried_by);
+        s.key("race_hint").bool(self.race_hint);
+        s.key("count").u64(self.count);
+        s.end_object();
+    }
+
+    fn from_json(v: &Value) -> DocResult<DepDoc<'static>> {
         Ok(DepDoc {
-            sink: get_str(v, "sink")?,
-            ty: get_str(v, "type")?,
-            source: get_str(v, "source")?,
-            var: get_str(v, "var")?,
+            sink: get_parsed(v, "sink")?,
+            ty: get_parsed(v, "type")?,
+            source: get_parsed(v, "source")?,
+            var: get_str(v, "var")?.into(),
             sink_thread: get_u32(v, "sink_thread")?,
             source_thread: get_u32(v, "source_thread")?,
             carried_by: match field(v, "carried_by")? {
@@ -333,11 +412,11 @@ impl DepDoc {
 
 /// One PET node (§2.3.6), with function names resolved.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PetNodeDoc {
+pub struct PetNodeDoc<'a> {
     /// `root`, `function`, or `loop`.
-    pub kind: String,
+    pub kind: Cow<'a, str>,
     /// Function name (functions only, empty otherwise).
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Times entered under this parent.
     pub entries: u64,
     /// Loop iterations (loops only).
@@ -349,68 +428,72 @@ pub struct PetNodeDoc {
     /// Last source line.
     pub end_line: u32,
     /// Child node indices into the node list.
-    pub children: Vec<u64>,
+    pub children: Cow<'a, [usize]>,
 }
 
-impl PetNodeDoc {
-    fn from_node(program: &interp::Program, n: &profiler::PetNode) -> PetNodeDoc {
+impl<'a> PetNodeDoc<'a> {
+    fn of(program: &'a interp::Program, n: &'a PetNode) -> Self {
         let (kind, name) = match n.kind {
-            PetNodeKind::Root => ("root", String::new()),
+            PetNodeKind::Root => ("root", ""),
             PetNodeKind::Function(f) => (
                 "function",
                 program
                     .module
                     .functions
                     .get(f as usize)
-                    .map(|f| f.name.clone())
-                    .unwrap_or_default(),
+                    .map_or("", |f| f.name.as_str()),
             ),
-            PetNodeKind::Loop(_, _) => ("loop", String::new()),
+            PetNodeKind::Loop(_, _) => ("loop", ""),
         };
         PetNodeDoc {
-            kind: kind.to_string(),
-            name,
+            kind: Cow::Borrowed(kind),
+            name: Cow::Borrowed(name),
             entries: n.entries,
             iters: n.iters,
             dyn_instrs: n.dyn_instrs,
             start_line: n.start_line,
             end_line: n.end_line,
-            children: n.children.iter().map(|&c| c as u64).collect(),
+            children: Cow::Borrowed(&n.children),
         }
     }
 
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("kind", Value::from(self.kind.as_str())),
-            ("name", Value::from(self.name.as_str())),
-            ("entries", Value::from(self.entries)),
-            ("iters", Value::from(self.iters)),
-            ("dyn_instrs", Value::from(self.dyn_instrs)),
-            ("start_line", Value::from(self.start_line)),
-            ("end_line", Value::from(self.end_line)),
-            (
-                "children",
-                Value::Array(self.children.iter().map(|&c| Value::from(c)).collect()),
-            ),
-        ])
+    fn owned(&self) -> PetNodeDoc<'static> {
+        PetNodeDoc {
+            kind: own(&self.kind),
+            name: own(&self.name),
+            entries: self.entries,
+            iters: self.iters,
+            dyn_instrs: self.dyn_instrs,
+            start_line: self.start_line,
+            end_line: self.end_line,
+            children: own(&self.children),
+        }
     }
 
-    fn from_json(v: &Value) -> DocResult<PetNodeDoc> {
+    fn emit<S: Emitter>(&self, s: &mut S) {
+        s.begin_object();
+        s.key("kind").str(&self.kind);
+        s.key("name").str(&self.name);
+        s.key("entries").u64(self.entries);
+        s.key("iters").u64(self.iters);
+        s.key("dyn_instrs").u64(self.dyn_instrs);
+        s.key("start_line").u64(self.start_line);
+        s.key("end_line").u64(self.end_line);
+        s.key("children")
+            .array(self.children.iter(), |&c, s| s.u64(c as u64));
+        s.end_object();
+    }
+
+    fn from_json(v: &Value) -> DocResult<PetNodeDoc<'static>> {
         Ok(PetNodeDoc {
-            kind: get_str(v, "kind")?,
-            name: get_str(v, "name")?,
+            kind: get_str(v, "kind")?.into(),
+            name: get_str(v, "name")?.into(),
             entries: get_u64(v, "entries")?,
             iters: get_u64(v, "iters")?,
             dyn_instrs: get_u64(v, "dyn_instrs")?,
             start_line: get_u32(v, "start_line")?,
             end_line: get_u32(v, "end_line")?,
-            children: get_array(v, "children")?
-                .iter()
-                .map(|c| {
-                    c.as_u64()
-                        .ok_or_else(|| SchemaError("`children` entries must be integers".into()))
-                })
-                .collect::<DocResult<_>>()?,
+            children: get_ints(v, "children")?.into(),
         })
     }
 }
@@ -447,25 +530,31 @@ pub struct ParallelDoc {
 }
 
 impl ParallelDoc {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("chunks", Value::from(self.chunks)),
-            ("rebalances", Value::from(self.rebalances)),
-            ("combined", Value::from(self.combined)),
-            ("merges", Value::from(self.merges)),
-            ("queue_stalls", Value::from(self.queue_stalls)),
-            ("spawned_workers", Value::from(self.spawned_workers)),
-            ("worker_recoveries", Value::from(self.worker_recoveries)),
-            (
-                "worker_processed",
-                Value::Array(
-                    self.worker_processed
-                        .iter()
-                        .map(|&w| Value::from(w))
-                        .collect(),
-                ),
-            ),
-        ])
+    fn from_stats(p: &profiler::ParallelStats) -> ParallelDoc {
+        ParallelDoc {
+            chunks: p.chunks,
+            rebalances: 0,
+            combined: 0,
+            merges: 0,
+            queue_stalls: p.queue_stalls,
+            spawned_workers: p.spawned_workers as u64,
+            worker_recoveries: p.worker_recoveries,
+            worker_processed: p.worker_processed.clone(),
+        }
+    }
+
+    fn emit<S: Emitter>(&self, s: &mut S) {
+        s.begin_object();
+        s.key("chunks").u64(self.chunks);
+        s.key("rebalances").u64(self.rebalances);
+        s.key("combined").u64(self.combined);
+        s.key("merges").u64(self.merges);
+        s.key("queue_stalls").u64(self.queue_stalls);
+        s.key("spawned_workers").u64(self.spawned_workers);
+        s.key("worker_recoveries").u64(self.worker_recoveries);
+        s.key("worker_processed")
+            .array(&self.worker_processed, |&w, s| s.u64(w));
+        s.end_object();
     }
 
     fn from_json(v: &Value) -> DocResult<ParallelDoc> {
@@ -477,14 +566,7 @@ impl ParallelDoc {
             queue_stalls: get_u64_or(v, "queue_stalls", 0)?,
             spawned_workers: get_u64_or(v, "spawned_workers", 0)?,
             worker_recoveries: get_u64_or(v, "worker_recoveries", 0)?,
-            worker_processed: get_array(v, "worker_processed")?
-                .iter()
-                .map(|w| {
-                    w.as_u64().ok_or_else(|| {
-                        SchemaError("`worker_processed` entries must be integers".into())
-                    })
-                })
-                .collect::<DocResult<_>>()?,
+            worker_processed: get_ints(v, "worker_processed")?,
         })
     }
 }
@@ -508,21 +590,15 @@ pub struct DegradationStepDoc {
 }
 
 impl DegradationStepDoc {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("from", Value::from(self.from.as_str())),
-            ("to", Value::from(self.to.as_str())),
-            ("bytes_before", Value::from(self.bytes_before)),
-            ("bytes_after", Value::from(self.bytes_after)),
-            (
-                "affected",
-                match self.affected {
-                    Some((lo, hi)) => Value::array([lo, hi]),
-                    None => Value::Null,
-                },
-            ),
-            ("merged_slots", Value::from(self.merged_slots)),
-        ])
+    fn emit<S: Emitter>(&self, s: &mut S) {
+        s.begin_object();
+        s.key("from").str(&self.from);
+        s.key("to").str(&self.to);
+        s.key("bytes_before").u64(self.bytes_before);
+        s.key("bytes_after").u64(self.bytes_after);
+        opt_pair(s.key("affected"), self.affected);
+        s.key("merged_slots").u64(self.merged_slots);
+        s.end_object();
     }
 
     fn from_json(v: &Value) -> DocResult<DegradationStepDoc> {
@@ -567,47 +643,6 @@ pub struct ResourceDoc {
 }
 
 impl ResourceDoc {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("budget_bytes", Value::from(self.budget_bytes)),
-            ("deadline_ms", Value::from(self.deadline_ms)),
-            ("peak_tracked_bytes", Value::from(self.peak_tracked_bytes)),
-            (
-                "degradation_steps",
-                Value::Array(
-                    self.degradation_steps
-                        .iter()
-                        .map(DegradationStepDoc::to_json)
-                        .collect(),
-                ),
-            ),
-            ("fp_rate_estimate", Value::Float(self.fp_rate_estimate)),
-            ("deadline_hit", Value::from(self.deadline_hit)),
-        ])
-    }
-
-    fn from_json(v: &Value) -> DocResult<ResourceDoc> {
-        let opt_u64 = |key: &str| -> DocResult<Option<u64>> {
-            match field(v, key)? {
-                Value::Null => Ok(None),
-                other => Ok(Some(other.as_u64().ok_or_else(|| {
-                    SchemaError(format!("`{key}` must be an integer"))
-                })?)),
-            }
-        };
-        Ok(ResourceDoc {
-            budget_bytes: opt_u64("budget_bytes")?,
-            deadline_ms: opt_u64("deadline_ms")?,
-            peak_tracked_bytes: get_u64(v, "peak_tracked_bytes")?,
-            degradation_steps: get_array(v, "degradation_steps")?
-                .iter()
-                .map(DegradationStepDoc::from_json)
-                .collect::<DocResult<_>>()?,
-            fp_rate_estimate: get_f64(v, "fp_rate_estimate")?,
-            deadline_hit: get_bool(v, "deadline_hit")?,
-        })
-    }
-
     fn from_stats(r: &profiler::ResourceStats) -> ResourceDoc {
         ResourceDoc {
             budget_bytes: r.budget_bytes,
@@ -628,6 +663,29 @@ impl ResourceDoc {
             fp_rate_estimate: r.fp_rate_estimate,
             deadline_hit: r.deadline_hit,
         }
+    }
+
+    fn emit<S: Emitter>(&self, s: &mut S) {
+        s.begin_object();
+        opt_u64(s.key("budget_bytes"), self.budget_bytes);
+        opt_u64(s.key("deadline_ms"), self.deadline_ms);
+        s.key("peak_tracked_bytes").u64(self.peak_tracked_bytes);
+        s.key("degradation_steps")
+            .array(&self.degradation_steps, DegradationStepDoc::emit);
+        s.key("fp_rate_estimate").f64(self.fp_rate_estimate);
+        s.key("deadline_hit").bool(self.deadline_hit);
+        s.end_object();
+    }
+
+    fn from_json(v: &Value) -> DocResult<ResourceDoc> {
+        Ok(ResourceDoc {
+            budget_bytes: get_opt_u64(v, "budget_bytes")?,
+            deadline_ms: get_opt_u64(v, "deadline_ms")?,
+            peak_tracked_bytes: get_u64(v, "peak_tracked_bytes")?,
+            degradation_steps: get_rows(v, "degradation_steps", DegradationStepDoc::from_json)?,
+            fp_rate_estimate: get_f64(v, "fp_rate_estimate")?,
+            deadline_hit: get_bool(v, "deadline_hit")?,
+        })
     }
 }
 
@@ -665,24 +723,18 @@ impl SummaryDoc {
         }
     }
 
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("loops_skipped", Value::from(self.loops_skipped)),
-            ("cycles", Value::from(self.cycles)),
-            (
-                "synthesized_accesses",
-                Value::from(self.synthesized_accesses),
-            ),
-            (
-                "fallback_reasons",
-                Value::object([
-                    ("budget", Value::from(self.fallback_budget)),
-                    ("precondition", Value::from(self.fallback_precondition)),
-                    ("fault", Value::from(self.fallback_fault)),
-                ]),
-            ),
-            ("dispatches", Value::from(self.dispatches)),
-        ])
+    fn emit<S: Emitter>(&self, s: &mut S) {
+        s.begin_object();
+        s.key("loops_skipped").u64(self.loops_skipped);
+        s.key("cycles").u64(self.cycles);
+        s.key("synthesized_accesses").u64(self.synthesized_accesses);
+        s.key("fallback_reasons").begin_object();
+        s.key("budget").u64(self.fallback_budget);
+        s.key("precondition").u64(self.fallback_precondition);
+        s.key("fault").u64(self.fallback_fault);
+        s.end_object();
+        s.key("dispatches").u64(self.dispatches);
+        s.end_object();
     }
 
     fn from_json(v: &Value) -> DocResult<SummaryDoc> {
@@ -750,29 +802,22 @@ impl ActorsDoc {
         }
     }
 
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("spawned", Value::from(self.spawned)),
-            ("peak_live", Value::from(self.peak_live)),
-            ("sent", Value::from(self.sent)),
-            ("received", Value::from(self.received)),
-            (
-                "channels",
-                Value::Array(
-                    self.channels
-                        .iter()
-                        .map(|&(from, to, n)| {
-                            Value::object([
-                                ("from", Value::from(from)),
-                                ("to", Value::from(to)),
-                                ("messages", Value::from(n)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("channel_digest", Value::from(self.channel_digest)),
-        ])
+    fn emit<S: Emitter>(&self, s: &mut S) {
+        s.begin_object();
+        s.key("spawned").u64(self.spawned);
+        s.key("peak_live").u64(self.peak_live);
+        s.key("sent").u64(self.sent);
+        s.key("received").u64(self.received);
+        s.key("channels")
+            .array(&self.channels, |&(from, to, messages), s| {
+                s.begin_object();
+                s.key("from").u64(from);
+                s.key("to").u64(to);
+                s.key("messages").u64(messages);
+                s.end_object();
+            });
+        s.key("channel_digest").u64(self.channel_digest);
+        s.end_object();
     }
 
     fn from_json(v: &Value) -> DocResult<ActorsDoc> {
@@ -781,16 +826,13 @@ impl ActorsDoc {
             peak_live: get_u32(v, "peak_live")?,
             sent: get_u64(v, "sent")?,
             received: get_u64(v, "received")?,
-            channels: get_array(v, "channels")?
-                .iter()
-                .map(|c| {
-                    Ok((
-                        get_u32(c, "from")?,
-                        get_u32(c, "to")?,
-                        get_u64(c, "messages")?,
-                    ))
-                })
-                .collect::<DocResult<_>>()?,
+            channels: get_rows(v, "channels", |c| {
+                Ok((
+                    get_u32(c, "from")?,
+                    get_u32(c, "to")?,
+                    get_u64(c, "messages")?,
+                ))
+            })?,
             channel_digest: get_u64(v, "channel_digest")?,
         })
     }
@@ -810,9 +852,9 @@ pub struct ProfileDoc {
     /// Target program output.
     pub printed: Vec<String>,
     /// Merged dependences, totally ordered.
-    pub dependences: Vec<DepDoc>,
+    pub dependences: Vec<DepDoc<'static>>,
     /// PET nodes (index 0 is the root; `children` index into this list).
-    pub pet: Vec<PetNodeDoc>,
+    pub pet: Vec<PetNodeDoc<'static>>,
     /// Parallel-engine statistics, when the parallel engine ran.
     pub parallel: Option<ParallelDoc>,
     /// Resource accounting, when the run was governed by a budget
@@ -827,38 +869,21 @@ pub struct ProfileDoc {
 }
 
 impl ProfileDoc {
-    fn lazy(&self) -> Lazy<'_> {
-        Lazy::Object(vec![
-            ("steps", small(self.steps)),
-            ("accesses", small(self.accesses)),
-            ("dependences_found", small(self.dependences_found)),
-            ("profiler_bytes", small(self.profiler_bytes)),
-            (
-                "printed",
-                Lazy::array(&self.printed, |s| Value::from(s.as_str())),
-            ),
-            (
-                "dependences",
-                Lazy::array(&self.dependences, DepDoc::to_json),
-            ),
-            ("pet", Lazy::array(&self.pet, PetNodeDoc::to_json)),
-            (
-                "parallel",
-                small(self.parallel.as_ref().map(ParallelDoc::to_json)),
-            ),
-            (
-                "resource",
-                small(self.resource.as_ref().map(ResourceDoc::to_json)),
-            ),
-            (
-                "summary",
-                small(self.summary.as_ref().map(SummaryDoc::to_json)),
-            ),
-            (
-                "actors",
-                small(self.actors.as_ref().map(ActorsDoc::to_json)),
-            ),
-        ])
+    /// Everything but the two arrays that grow with the run.
+    fn head(p: &profiler::ProfileOutput) -> ProfileDoc {
+        ProfileDoc {
+            steps: p.steps,
+            accesses: p.skip_stats.total_accesses,
+            dependences_found: p.deps.total_found,
+            profiler_bytes: p.profiler_bytes as u64,
+            printed: p.printed.clone(),
+            dependences: Vec::new(),
+            pet: Vec::new(),
+            parallel: p.parallel.as_ref().map(ParallelDoc::from_stats),
+            resource: p.resource.as_ref().map(ResourceDoc::from_stats),
+            summary: Some(SummaryDoc::from_synth(&p.synth)),
+            actors: p.actors.as_ref().map(ActorsDoc::from_summary),
+        }
     }
 
     fn from_json(v: &Value) -> DocResult<ProfileDoc> {
@@ -868,41 +893,22 @@ impl ProfileDoc {
             dependences_found: get_u64(v, "dependences_found")?,
             profiler_bytes: get_u64(v, "profiler_bytes")?,
             printed: get_str_array(v, "printed")?,
-            dependences: get_array(v, "dependences")?
-                .iter()
-                .map(DepDoc::from_json)
-                .collect::<DocResult<_>>()?,
-            pet: get_array(v, "pet")?
-                .iter()
-                .map(PetNodeDoc::from_json)
-                .collect::<DocResult<_>>()?,
+            dependences: get_rows(v, "dependences", DepDoc::from_json)?,
+            pet: get_rows(v, "pet", PetNodeDoc::from_json)?,
             parallel: match field(v, "parallel")? {
                 Value::Null => None,
                 other => Some(ParallelDoc::from_json(other)?),
             },
-            // Added in schema 3; absent (or null) in older documents.
-            resource: match v.get("resource") {
-                None | Some(Value::Null) => None,
-                Some(other) => Some(ResourceDoc::from_json(other)?),
-            },
-            // Added in schema 5; absent (or null) in older documents.
-            summary: match v.get("summary") {
-                None | Some(Value::Null) => None,
-                Some(other) => Some(SummaryDoc::from_json(other)?),
-            },
-            // Added in schema 6; absent (or null) in older documents and
-            // for sequential targets.
-            actors: match v.get("actors") {
-                None | Some(Value::Null) => None,
-                Some(other) => Some(ActorsDoc::from_json(other)?),
-            },
+            resource: get_block(v, "resource", ResourceDoc::from_json)?,
+            summary: get_block(v, "summary", SummaryDoc::from_json)?,
+            actors: get_block(v, "actors", ActorsDoc::from_json)?,
         })
     }
 }
 
 /// One classified loop.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LoopDoc {
+pub struct LoopDoc<'a> {
     /// Function index.
     pub func: u32,
     /// Region index within the function.
@@ -916,43 +922,62 @@ pub struct LoopDoc {
     /// Inclusive dynamic instructions.
     pub dyn_instrs: u64,
     /// `Doall` / `Reduction` / `Doacross` / `Sequential` / `NotExecuted`.
-    pub class: String,
+    pub class: LoopClass,
     /// Carried true dependences blocking DOALL.
-    pub blocking: Vec<DepDoc>,
+    pub blocking: Cow<'a, [DepDoc<'a>]>,
     /// Detected reduction variables.
-    pub reduction_vars: Vec<String>,
+    pub reduction_vars: Cow<'a, [String]>,
     /// DOACROSS pipeline-stage estimate (0 when not applicable).
     pub pipeline_stages: u64,
 }
 
-impl LoopDoc {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("func", Value::from(self.func)),
-            ("region", Value::from(self.region)),
-            ("start_line", Value::from(self.start_line)),
-            ("end_line", Value::from(self.end_line)),
-            ("iters", Value::from(self.iters)),
-            ("dyn_instrs", Value::from(self.dyn_instrs)),
-            ("class", Value::from(self.class.as_str())),
-            (
-                "blocking",
-                Value::Array(self.blocking.iter().map(DepDoc::to_json).collect()),
-            ),
-            (
-                "reduction_vars",
-                Value::Array(
-                    self.reduction_vars
-                        .iter()
-                        .map(|s| Value::from(s.as_str()))
-                        .collect(),
-                ),
-            ),
-            ("pipeline_stages", Value::from(self.pipeline_stages)),
-        ])
+impl<'a> LoopDoc<'a> {
+    fn of(l: &'a LoopResult, blocking: &'a [DepDoc<'a>]) -> Self {
+        LoopDoc {
+            func: l.info.func,
+            region: l.info.region,
+            start_line: l.info.start_line,
+            end_line: l.info.end_line,
+            iters: l.info.iters,
+            dyn_instrs: l.info.dyn_instrs,
+            class: l.class,
+            blocking: Cow::Borrowed(blocking),
+            reduction_vars: Cow::Borrowed(&l.reduction_vars),
+            pipeline_stages: l.pipeline_stages as u64,
+        }
     }
 
-    fn from_json(v: &Value) -> DocResult<LoopDoc> {
+    fn owned(&self) -> LoopDoc<'static> {
+        LoopDoc {
+            func: self.func,
+            region: self.region,
+            start_line: self.start_line,
+            end_line: self.end_line,
+            iters: self.iters,
+            dyn_instrs: self.dyn_instrs,
+            class: self.class,
+            blocking: self.blocking.iter().map(DepDoc::owned).collect(),
+            reduction_vars: own(&self.reduction_vars),
+            pipeline_stages: self.pipeline_stages,
+        }
+    }
+
+    fn emit<S: Emitter>(&self, s: &mut S) {
+        s.begin_object();
+        s.key("func").u64(self.func);
+        s.key("region").u64(self.region);
+        s.key("start_line").u64(self.start_line);
+        s.key("end_line").u64(self.end_line);
+        s.key("iters").u64(self.iters);
+        s.key("dyn_instrs").u64(self.dyn_instrs);
+        s.key("class").str(self.class.as_str());
+        s.key("blocking").array(self.blocking.iter(), DepDoc::emit);
+        strs(s.key("reduction_vars"), &self.reduction_vars);
+        s.key("pipeline_stages").u64(self.pipeline_stages);
+        s.end_object();
+    }
+
+    fn from_json(v: &Value) -> DocResult<LoopDoc<'static>> {
         Ok(LoopDoc {
             func: get_u32(v, "func")?,
             region: get_u32(v, "region")?,
@@ -960,12 +985,9 @@ impl LoopDoc {
             end_line: get_u32(v, "end_line")?,
             iters: get_u64(v, "iters")?,
             dyn_instrs: get_u64(v, "dyn_instrs")?,
-            class: get_str(v, "class")?,
-            blocking: get_array(v, "blocking")?
-                .iter()
-                .map(DepDoc::from_json)
-                .collect::<DocResult<_>>()?,
-            reduction_vars: get_str_array(v, "reduction_vars")?,
+            class: get_parsed(v, "class")?,
+            blocking: get_rows(v, "blocking", DepDoc::from_json)?.into(),
+            reduction_vars: get_str_array(v, "reduction_vars")?.into(),
             pipeline_stages: get_u64(v, "pipeline_stages")?,
         })
     }
@@ -973,118 +995,121 @@ impl LoopDoc {
 
 /// One SPMD task suggestion.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpmdDoc {
+pub struct SpmdDoc<'a> {
     /// `LoopTask` or `SiblingCalls`.
-    pub kind: String,
+    pub kind: Cow<'a, str>,
     /// Containing function index.
     pub func: u32,
     /// Task body / call-site lines.
-    pub lines: Vec<u32>,
+    pub lines: Cow<'a, [u32]>,
     /// Callee names.
-    pub callees: Vec<String>,
+    pub callees: Cow<'a, [String]>,
     /// Loop header line (`LoopTask` only).
     pub loop_line: Option<u32>,
 }
 
-impl SpmdDoc {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("kind", Value::from(self.kind.as_str())),
-            ("func", Value::from(self.func)),
-            (
-                "lines",
-                Value::Array(self.lines.iter().map(|&l| Value::from(l)).collect()),
-            ),
-            (
-                "callees",
-                Value::Array(
-                    self.callees
-                        .iter()
-                        .map(|s| Value::from(s.as_str()))
-                        .collect(),
-                ),
-            ),
-            ("loop_line", Value::from(self.loop_line)),
-        ])
+impl<'a> SpmdDoc<'a> {
+    fn of(t: &'a SpmdSuggestion) -> Self {
+        SpmdDoc {
+            kind: Cow::Borrowed(match t.kind {
+                SpmdKind::LoopTask => "LoopTask",
+                SpmdKind::SiblingCalls => "SiblingCalls",
+            }),
+            func: t.func,
+            lines: Cow::Borrowed(&t.lines),
+            callees: Cow::Borrowed(&t.callees),
+            loop_line: t.loop_line,
+        }
     }
 
-    fn from_json(v: &Value) -> DocResult<SpmdDoc> {
+    fn owned(&self) -> SpmdDoc<'static> {
+        SpmdDoc {
+            kind: own(&self.kind),
+            func: self.func,
+            lines: own(&self.lines),
+            callees: own(&self.callees),
+            loop_line: self.loop_line,
+        }
+    }
+
+    fn emit<S: Emitter>(&self, s: &mut S) {
+        s.begin_object();
+        s.key("kind").str(&self.kind);
+        s.key("func").u64(self.func);
+        s.key("lines").array(self.lines.iter(), |&l, s| s.u64(l));
+        strs(s.key("callees"), &self.callees);
+        opt_u64(s.key("loop_line"), self.loop_line);
+        s.end_object();
+    }
+
+    fn from_json(v: &Value) -> DocResult<SpmdDoc<'static>> {
         Ok(SpmdDoc {
-            kind: get_str(v, "kind")?,
+            kind: get_str(v, "kind")?.into(),
             func: get_u32(v, "func")?,
-            lines: get_array(v, "lines")?
-                .iter()
-                .map(|l| {
-                    l.as_u64()
-                        .ok_or_else(|| SchemaError("`lines` entries must be integers".into()))
-                        .and_then(|l| checked_u32(l, "`lines` entry"))
-                })
-                .collect::<DocResult<_>>()?,
-            callees: get_str_array(v, "callees")?,
-            loop_line: match field(v, "loop_line")? {
-                Value::Null => None,
-                other => Some(checked_u32(
-                    other
-                        .as_u64()
-                        .ok_or_else(|| SchemaError("`loop_line` must be an integer".into()))?,
-                    "`loop_line`",
-                )?),
-            },
+            lines: get_ints(v, "lines")?.into(),
+            callees: get_str_array(v, "callees")?.into(),
+            loop_line: get_opt_u32(v, "loop_line")?,
         })
     }
 }
 
 /// One MPMD (fork-join) task set.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MpmdDoc {
+pub struct MpmdDoc<'a> {
     /// Containing function index.
     pub func: u32,
     /// `(start_line, end_line, weight)` per task.
-    pub tasks: Vec<(u32, u32, u64)>,
+    pub tasks: Cow<'a, [(u32, u32, u64)]>,
 }
 
-impl MpmdDoc {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("func", Value::from(self.func)),
-            (
-                "tasks",
-                Value::Array(
-                    self.tasks
-                        .iter()
-                        .map(|&(s, e, w)| {
-                            Value::object([
-                                ("start_line", Value::from(s)),
-                                ("end_line", Value::from(e)),
-                                ("weight", Value::from(w)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+impl<'a> MpmdDoc<'a> {
+    /// `tasks` is `m.tasks` as the triples the document carries.
+    fn of(m: &MpmdSuggestion, tasks: &'a [(u32, u32, u64)]) -> Self {
+        MpmdDoc {
+            func: m.func,
+            tasks: Cow::Borrowed(tasks),
+        }
     }
 
-    fn from_json(v: &Value) -> DocResult<MpmdDoc> {
+    fn owned(&self) -> MpmdDoc<'static> {
+        MpmdDoc {
+            func: self.func,
+            tasks: own(&self.tasks),
+        }
+    }
+
+    fn emit<S: Emitter>(&self, s: &mut S) {
+        s.begin_object();
+        s.key("func").u64(self.func);
+        s.key("tasks")
+            .array(self.tasks.iter(), |&(start_line, end_line, weight), s| {
+                s.begin_object();
+                s.key("start_line").u64(start_line);
+                s.key("end_line").u64(end_line);
+                s.key("weight").u64(weight);
+                s.end_object();
+            });
+        s.end_object();
+    }
+
+    fn from_json(v: &Value) -> DocResult<MpmdDoc<'static>> {
         Ok(MpmdDoc {
             func: get_u32(v, "func")?,
-            tasks: get_array(v, "tasks")?
-                .iter()
-                .map(|t| {
-                    Ok((
-                        get_u32(t, "start_line")?,
-                        get_u32(t, "end_line")?,
-                        get_u64(t, "weight")?,
-                    ))
-                })
-                .collect::<DocResult<_>>()?,
+            tasks: get_rows(v, "tasks", |t| {
+                Ok((
+                    get_u32(t, "start_line")?,
+                    get_u32(t, "end_line")?,
+                    get_u64(t, "weight")?,
+                ))
+            })?
+            .into(),
         })
     }
 }
 
 /// What a ranked suggestion points at.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TargetDoc {
+pub enum TargetDoc<'a> {
     /// A parallelizable loop.
     Loop {
         /// Function index.
@@ -1093,23 +1118,23 @@ pub enum TargetDoc {
         region: u32,
         /// Header line.
         start_line: u32,
-        /// Loop class name.
-        class: String,
+        /// Loop class.
+        class: LoopClass,
     },
     /// An MPMD task set.
     TaskSet {
         /// Function index.
         func: u32,
         /// Task line spans.
-        spans: Vec<(u32, u32)>,
+        spans: Cow<'a, [(u32, u32)]>,
     },
 }
 
 /// One ranked parallelization opportunity (§4.3 metrics).
 #[derive(Debug, Clone, PartialEq)]
-pub struct RankedDoc {
+pub struct RankedDoc<'a> {
     /// What to parallelize.
-    pub target: TargetDoc,
+    pub target: TargetDoc<'a>,
     /// Fraction of executed instructions inside the region.
     pub instruction_coverage: f64,
     /// Serial work over critical path.
@@ -1120,51 +1145,105 @@ pub struct RankedDoc {
     pub score: f64,
 }
 
-impl RankedDoc {
-    fn to_json(&self) -> Value {
-        let target = match &self.target {
+impl<'a> RankedDoc<'a> {
+    fn of(r: &'a RankedSuggestion) -> Self {
+        // JSON has no NaN/Infinity (jsonio renders them as `null`, which
+        // would make the document unreadable by our own parser), so metric
+        // values are pinned to finite numbers here.
+        let finite = |x: f64| if x.is_finite() { x } else { 0.0 };
+        RankedDoc {
+            target: match &r.target {
+                &SuggestionTarget::Loop {
+                    func,
+                    region,
+                    start_line,
+                    class,
+                } => TargetDoc::Loop {
+                    func,
+                    region,
+                    start_line,
+                    class,
+                },
+                SuggestionTarget::TaskSet { func, spans } => TargetDoc::TaskSet {
+                    func: *func,
+                    spans: Cow::Borrowed(spans),
+                },
+            },
+            instruction_coverage: finite(r.ranking.instruction_coverage),
+            local_speedup: finite(r.ranking.local_speedup),
+            cu_imbalance: finite(r.ranking.cu_imbalance),
+            score: finite(r.score),
+        }
+    }
+
+    fn owned(&self) -> RankedDoc<'static> {
+        RankedDoc {
+            target: match &self.target {
+                &TargetDoc::Loop {
+                    func,
+                    region,
+                    start_line,
+                    class,
+                } => TargetDoc::Loop {
+                    func,
+                    region,
+                    start_line,
+                    class,
+                },
+                TargetDoc::TaskSet { func, spans } => TargetDoc::TaskSet {
+                    func: *func,
+                    spans: own(spans),
+                },
+            },
+            instruction_coverage: self.instruction_coverage,
+            local_speedup: self.local_speedup,
+            cu_imbalance: self.cu_imbalance,
+            score: self.score,
+        }
+    }
+
+    fn emit<S: Emitter>(&self, s: &mut S) {
+        s.begin_object();
+        s.key("target").begin_object();
+        match &self.target {
             TargetDoc::Loop {
                 func,
                 region,
                 start_line,
                 class,
-            } => Value::object([
-                ("kind", Value::from("loop")),
-                ("func", Value::from(*func)),
-                ("region", Value::from(*region)),
-                ("start_line", Value::from(*start_line)),
-                ("class", Value::from(class.as_str())),
-            ]),
-            TargetDoc::TaskSet { func, spans } => Value::object([
-                ("kind", Value::from("task_set")),
-                ("func", Value::from(*func)),
-                ("spans", spans_doc(spans)),
-            ]),
-        };
-        Value::object([
-            ("target", target),
-            (
-                "instruction_coverage",
-                Value::Float(self.instruction_coverage),
-            ),
-            ("local_speedup", Value::Float(self.local_speedup)),
-            ("cu_imbalance", Value::Float(self.cu_imbalance)),
-            ("score", Value::Float(self.score)),
-        ])
+            } => {
+                s.key("kind").str("loop");
+                s.key("func").u64(*func);
+                s.key("region").u64(*region);
+                s.key("start_line").u64(*start_line);
+                s.key("class").str(class.as_str());
+            }
+            TargetDoc::TaskSet { func, spans: task } => {
+                s.key("kind").str("task_set");
+                s.key("func").u64(*func);
+                spans(s.key("spans"), task);
+            }
+        }
+        s.end_object();
+        s.key("instruction_coverage").f64(self.instruction_coverage);
+        s.key("local_speedup").f64(self.local_speedup);
+        s.key("cu_imbalance").f64(self.cu_imbalance);
+        s.key("score").f64(self.score);
+        s.end_object();
     }
 
-    fn from_json(v: &Value) -> DocResult<RankedDoc> {
+    fn from_json(v: &Value) -> DocResult<RankedDoc<'static>> {
         let t = field(v, "target")?;
         let target = match get_str(t, "kind")?.as_str() {
             "loop" => TargetDoc::Loop {
                 func: get_u32(t, "func")?,
                 region: get_u32(t, "region")?,
                 start_line: get_u32(t, "start_line")?,
-                class: get_str(t, "class")?,
+                class: get_parsed(t, "class")?,
             },
             "task_set" => TargetDoc::TaskSet {
                 func: get_u32(t, "func")?,
-                spans: spans_from(t, "spans")?,
+                spans: spans_from(t, "spans")?.into(),
             },
             other => return err(format!("unknown target kind `{other}`")),
         };
@@ -1180,9 +1259,9 @@ impl RankedDoc {
 
 /// One parallel-pattern instance, flattened.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PatternDoc {
+pub struct PatternDoc<'a> {
     /// Conventional pattern name.
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Loop header line (loop patterns only).
     pub loop_line: Option<u32>,
     /// Iterations to distribute (geometric decomposition only).
@@ -1190,20 +1269,20 @@ pub struct PatternDoc {
     /// Decoupled stages (pipeline only).
     pub stages: Option<u64>,
     /// Reduction variables (reduction only).
-    pub vars: Vec<String>,
+    pub vars: Cow<'a, [String]>,
     /// Concurrent task spans (fork-join only).
-    pub spans: Vec<(u32, u32)>,
+    pub spans: Cow<'a, [(u32, u32)]>,
 }
 
-impl PatternDoc {
-    fn from_pattern(p: &Pattern) -> PatternDoc {
+impl<'a> PatternDoc<'a> {
+    fn of(p: &'a Pattern) -> Self {
         let mut doc = PatternDoc {
-            name: p.name().to_string(),
+            name: Cow::Borrowed(p.name()),
             loop_line: None,
             width: None,
             stages: None,
-            vars: Vec::new(),
-            spans: Vec::new(),
+            vars: Cow::Borrowed(&[]),
+            spans: Cow::Borrowed(&[]),
         };
         match p {
             Pattern::GeometricDecomposition { loop_line, width } => {
@@ -1212,60 +1291,58 @@ impl PatternDoc {
             }
             Pattern::Reduction { loop_line, vars } => {
                 doc.loop_line = Some(*loop_line);
-                doc.vars = vars.clone();
+                doc.vars = Cow::Borrowed(vars);
             }
             Pattern::Pipeline { loop_line, stages } => {
                 doc.loop_line = Some(*loop_line);
                 doc.stages = Some(*stages as u64);
             }
-            Pattern::ForkJoin { spans } => doc.spans = spans.clone(),
+            Pattern::ForkJoin { spans } => doc.spans = Cow::Borrowed(spans),
         }
         doc
     }
 
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("name", Value::from(self.name.as_str())),
-            ("loop_line", Value::from(self.loop_line)),
-            ("width", Value::from(self.width)),
-            ("stages", Value::from(self.stages)),
-            (
-                "vars",
-                Value::Array(self.vars.iter().map(|s| Value::from(s.as_str())).collect()),
-            ),
-            ("spans", spans_doc(&self.spans)),
-        ])
+    fn owned(&self) -> PatternDoc<'static> {
+        PatternDoc {
+            name: own(&self.name),
+            loop_line: self.loop_line,
+            width: self.width,
+            stages: self.stages,
+            vars: own(&self.vars),
+            spans: own(&self.spans),
+        }
     }
 
-    fn from_json(v: &Value) -> DocResult<PatternDoc> {
-        let opt_u64 = |key: &str| -> DocResult<Option<u64>> {
-            match field(v, key)? {
-                Value::Null => Ok(None),
-                other => Ok(Some(other.as_u64().ok_or_else(|| {
-                    SchemaError(format!("`{key}` must be an integer"))
-                })?)),
-            }
-        };
+    fn emit<S: Emitter>(&self, s: &mut S) {
+        s.begin_object();
+        s.key("name").str(&self.name);
+        opt_u64(s.key("loop_line"), self.loop_line);
+        opt_u64(s.key("width"), self.width);
+        opt_u64(s.key("stages"), self.stages);
+        strs(s.key("vars"), &self.vars);
+        spans(s.key("spans"), &self.spans);
+        s.end_object();
+    }
+
+    fn from_json(v: &Value) -> DocResult<PatternDoc<'static>> {
         Ok(PatternDoc {
-            name: get_str(v, "name")?,
-            loop_line: opt_u64("loop_line")?
-                .map(|l| checked_u32(l, "`loop_line`"))
-                .transpose()?,
-            width: opt_u64("width")?,
-            stages: opt_u64("stages")?,
-            vars: get_str_array(v, "vars")?,
-            spans: spans_from(v, "spans")?,
+            name: get_str(v, "name")?.into(),
+            loop_line: get_opt_u32(v, "loop_line")?,
+            width: get_opt_u64(v, "width")?,
+            stages: get_opt_u64(v, "stages")?,
+            vars: get_str_array(v, "vars")?.into(),
+            spans: spans_from(v, "spans")?.into(),
         })
     }
 }
 
 /// Per-loop static coverage and independence statistics (schema ≥ 4).
 #[derive(Debug, Clone, PartialEq)]
-pub struct StaticLoopDoc {
+pub struct StaticLoopDoc<'a> {
     /// Function index.
     pub func: u32,
     /// Function name.
-    pub func_name: String,
+    pub func_name: Cow<'a, str>,
     /// Region index within the function.
     pub region: u32,
     /// First source line.
@@ -1288,40 +1365,69 @@ pub struct StaticLoopDoc {
     pub doall_candidate: bool,
 }
 
-impl StaticLoopDoc {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("func", Value::from(self.func)),
-            ("func_name", Value::from(self.func_name.as_str())),
-            ("region", Value::from(self.region)),
-            ("start_line", Value::from(self.start_line)),
-            ("end_line", Value::from(self.end_line)),
-            ("mem_ops", Value::from(self.mem_ops)),
-            ("affine_ops", Value::from(self.affine_ops)),
-            ("has_iv", Value::from(self.has_iv)),
-            ("trip_count", Value::from(self.trip_count)),
-            ("tested_pairs", Value::from(self.tested_pairs)),
-            ("proven_pairs", Value::from(self.proven_pairs)),
-            ("doall_candidate", Value::from(self.doall_candidate)),
-        ])
+impl<'a> StaticLoopDoc<'a> {
+    fn of(l: &'a analysis::LoopReport) -> Self {
+        StaticLoopDoc {
+            func: l.func.index() as u32,
+            func_name: Cow::Borrowed(&l.func_name),
+            region: l.region.index() as u32,
+            start_line: l.start_line,
+            end_line: l.end_line,
+            mem_ops: l.mem_ops,
+            affine_ops: l.affine_ops,
+            has_iv: l.has_iv,
+            trip_count: l.trip_count,
+            tested_pairs: l.tested_pairs,
+            proven_pairs: l.proven_pairs,
+            doall_candidate: l.doall_candidate,
+        }
     }
 
-    fn from_json(v: &Value) -> DocResult<StaticLoopDoc> {
+    fn owned(&self) -> StaticLoopDoc<'static> {
+        StaticLoopDoc {
+            func: self.func,
+            func_name: own(&self.func_name),
+            region: self.region,
+            start_line: self.start_line,
+            end_line: self.end_line,
+            mem_ops: self.mem_ops,
+            affine_ops: self.affine_ops,
+            has_iv: self.has_iv,
+            trip_count: self.trip_count,
+            tested_pairs: self.tested_pairs,
+            proven_pairs: self.proven_pairs,
+            doall_candidate: self.doall_candidate,
+        }
+    }
+
+    fn emit<S: Emitter>(&self, s: &mut S) {
+        s.begin_object();
+        s.key("func").u64(self.func);
+        s.key("func_name").str(&self.func_name);
+        s.key("region").u64(self.region);
+        s.key("start_line").u64(self.start_line);
+        s.key("end_line").u64(self.end_line);
+        s.key("mem_ops").u64(self.mem_ops);
+        s.key("affine_ops").u64(self.affine_ops);
+        s.key("has_iv").bool(self.has_iv);
+        opt_u64(s.key("trip_count"), self.trip_count);
+        s.key("tested_pairs").u64(self.tested_pairs);
+        s.key("proven_pairs").u64(self.proven_pairs);
+        s.key("doall_candidate").bool(self.doall_candidate);
+        s.end_object();
+    }
+
+    fn from_json(v: &Value) -> DocResult<StaticLoopDoc<'static>> {
         Ok(StaticLoopDoc {
             func: get_u32(v, "func")?,
-            func_name: get_str(v, "func_name")?,
+            func_name: get_str(v, "func_name")?.into(),
             region: get_u32(v, "region")?,
             start_line: get_u32(v, "start_line")?,
             end_line: get_u32(v, "end_line")?,
             mem_ops: get_u32(v, "mem_ops")?,
             affine_ops: get_u32(v, "affine_ops")?,
             has_iv: get_bool(v, "has_iv")?,
-            trip_count: match field(v, "trip_count")? {
-                Value::Null => None,
-                other => Some(other.as_u64().ok_or_else(|| {
-                    SchemaError("`trip_count` must be an integer or null".into())
-                })?),
-            },
+            trip_count: get_opt_u64(v, "trip_count")?,
             tested_pairs: get_u32(v, "tested_pairs")?,
             proven_pairs: get_u32(v, "proven_pairs")?,
             doall_candidate: get_bool(v, "doall_candidate")?,
@@ -1331,35 +1437,55 @@ impl StaticLoopDoc {
 
 /// One statically-proven independence claim (schema ≥ 4).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ClaimDoc {
+pub struct ClaimDoc<'a> {
     /// Function index of the carrying loop.
     pub func: u32,
     /// Region index of the carrying loop.
     pub region: u32,
     /// Variable name.
-    pub var: String,
+    pub var: Cow<'a, str>,
     /// Smaller source line of the proven pair.
     pub line_a: u32,
     /// Larger source line of the proven pair.
     pub line_b: u32,
 }
 
-impl ClaimDoc {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("func", Value::from(self.func)),
-            ("region", Value::from(self.region)),
-            ("var", Value::from(self.var.as_str())),
-            ("line_a", Value::from(self.line_a)),
-            ("line_b", Value::from(self.line_b)),
-        ])
+impl<'a> ClaimDoc<'a> {
+    fn of(c: &'a analysis::Claim) -> Self {
+        ClaimDoc {
+            func: c.func.index() as u32,
+            region: c.region.index() as u32,
+            var: Cow::Borrowed(&c.var_name),
+            line_a: c.line_a,
+            line_b: c.line_b,
+        }
     }
 
-    fn from_json(v: &Value) -> DocResult<ClaimDoc> {
+    fn owned(&self) -> ClaimDoc<'static> {
+        ClaimDoc {
+            func: self.func,
+            region: self.region,
+            var: own(&self.var),
+            line_a: self.line_a,
+            line_b: self.line_b,
+        }
+    }
+
+    fn emit<S: Emitter>(&self, s: &mut S) {
+        s.begin_object();
+        s.key("func").u64(self.func);
+        s.key("region").u64(self.region);
+        s.key("var").str(&self.var);
+        s.key("line_a").u64(self.line_a);
+        s.key("line_b").u64(self.line_b);
+        s.end_object();
+    }
+
+    fn from_json(v: &Value) -> DocResult<ClaimDoc<'static>> {
         Ok(ClaimDoc {
             func: get_u32(v, "func")?,
             region: get_u32(v, "region")?,
-            var: get_str(v, "var")?,
+            var: get_str(v, "var")?.into(),
             line_a: get_u32(v, "line_a")?,
             line_b: get_u32(v, "line_b")?,
         })
@@ -1368,38 +1494,58 @@ impl ClaimDoc {
 
 /// One lint finding (schema ≥ 4).
 #[derive(Debug, Clone, PartialEq)]
-pub struct LintDoc {
+pub struct LintDoc<'a> {
     /// Stable lint code (`uninit-read`, `const-oob`, `range-oob`,
     /// `race-hint`).
-    pub kind: String,
+    pub kind: Cow<'a, str>,
     /// Function (empty for module-level findings).
-    pub func: String,
+    pub func: Cow<'a, str>,
     /// Variable concerned.
-    pub var: String,
+    pub var: Cow<'a, str>,
     /// Source line (0 when spanning multiple sites).
     pub line: u32,
     /// Human-readable explanation.
-    pub message: String,
+    pub message: Cow<'a, str>,
 }
 
-impl LintDoc {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("kind", Value::from(self.kind.as_str())),
-            ("func", Value::from(self.func.as_str())),
-            ("var", Value::from(self.var.as_str())),
-            ("line", Value::from(self.line)),
-            ("message", Value::from(self.message.as_str())),
-        ])
+impl<'a> LintDoc<'a> {
+    fn of(l: &'a analysis::Lint) -> Self {
+        LintDoc {
+            kind: Cow::Borrowed(l.kind.code()),
+            func: Cow::Borrowed(&l.func),
+            var: Cow::Borrowed(&l.var),
+            line: l.line,
+            message: Cow::Borrowed(&l.message),
+        }
     }
 
-    fn from_json(v: &Value) -> DocResult<LintDoc> {
+    fn owned(&self) -> LintDoc<'static> {
+        LintDoc {
+            kind: own(&self.kind),
+            func: own(&self.func),
+            var: own(&self.var),
+            line: self.line,
+            message: own(&self.message),
+        }
+    }
+
+    fn emit<S: Emitter>(&self, s: &mut S) {
+        s.begin_object();
+        s.key("kind").str(&self.kind);
+        s.key("func").str(&self.func);
+        s.key("var").str(&self.var);
+        s.key("line").u64(self.line);
+        s.key("message").str(&self.message);
+        s.end_object();
+    }
+
+    fn from_json(v: &Value) -> DocResult<LintDoc<'static>> {
         Ok(LintDoc {
-            kind: get_str(v, "kind")?,
-            func: get_str(v, "func")?,
-            var: get_str(v, "var")?,
+            kind: get_str(v, "kind")?.into(),
+            func: get_str(v, "func")?.into(),
+            var: get_str(v, "var")?.into(),
             line: get_u32(v, "line")?,
-            message: get_str(v, "message")?,
+            message: get_str(v, "message")?.into(),
         })
     }
 }
@@ -1415,72 +1561,25 @@ pub struct StaticDoc {
     /// In-loop memory ops total.
     pub mem_ops: u32,
     /// Per-loop statistics.
-    pub loops: Vec<StaticLoopDoc>,
+    pub loops: Vec<StaticLoopDoc<'static>>,
     /// Proven independence claims.
-    pub claims: Vec<ClaimDoc>,
+    pub claims: Vec<ClaimDoc<'static>>,
     /// Lint findings.
-    pub lints: Vec<LintDoc>,
+    pub lints: Vec<LintDoc<'static>>,
 }
 
 impl StaticDoc {
-    fn from_static(s: &crate::StaticReport) -> StaticDoc {
+    /// Everything but the three arrays.
+    fn head(s: &StaticReport) -> StaticDoc {
         let (affine_ops, mem_ops) = s.coverage();
         StaticDoc {
             spawns_threads: s.spawns_threads,
             affine_ops,
             mem_ops,
-            loops: s
-                .loops
-                .iter()
-                .map(|l| StaticLoopDoc {
-                    func: l.func.index() as u32,
-                    func_name: l.func_name.clone(),
-                    region: l.region.index() as u32,
-                    start_line: l.start_line,
-                    end_line: l.end_line,
-                    mem_ops: l.mem_ops,
-                    affine_ops: l.affine_ops,
-                    has_iv: l.has_iv,
-                    trip_count: l.trip_count,
-                    tested_pairs: l.tested_pairs,
-                    proven_pairs: l.proven_pairs,
-                    doall_candidate: l.doall_candidate,
-                })
-                .collect(),
-            claims: s
-                .claims
-                .iter()
-                .map(|c| ClaimDoc {
-                    func: c.func.index() as u32,
-                    region: c.region.index() as u32,
-                    var: c.var_name.clone(),
-                    line_a: c.line_a,
-                    line_b: c.line_b,
-                })
-                .collect(),
-            lints: s
-                .lints
-                .iter()
-                .map(|l| LintDoc {
-                    kind: l.kind.code().to_string(),
-                    func: l.func.clone(),
-                    var: l.var.clone(),
-                    line: l.line,
-                    message: l.message.clone(),
-                })
-                .collect(),
+            loops: Vec::new(),
+            claims: Vec::new(),
+            lints: Vec::new(),
         }
-    }
-
-    fn lazy(&self) -> Lazy<'_> {
-        Lazy::Object(vec![
-            ("spawns_threads", small(self.spawns_threads)),
-            ("affine_ops", small(self.affine_ops)),
-            ("mem_ops", small(self.mem_ops)),
-            ("loops", Lazy::array(&self.loops, StaticLoopDoc::to_json)),
-            ("claims", Lazy::array(&self.claims, ClaimDoc::to_json)),
-            ("lints", Lazy::array(&self.lints, LintDoc::to_json)),
-        ])
     }
 
     fn from_json(v: &Value) -> DocResult<StaticDoc> {
@@ -1488,78 +1587,272 @@ impl StaticDoc {
             spawns_threads: get_bool(v, "spawns_threads")?,
             affine_ops: get_u32(v, "affine_ops")?,
             mem_ops: get_u32(v, "mem_ops")?,
-            loops: get_array(v, "loops")?
-                .iter()
-                .map(StaticLoopDoc::from_json)
-                .collect::<DocResult<_>>()?,
-            claims: get_array(v, "claims")?
-                .iter()
-                .map(ClaimDoc::from_json)
-                .collect::<DocResult<_>>()?,
-            lints: get_array(v, "lints")?
-                .iter()
-                .map(LintDoc::from_json)
-                .collect::<DocResult<_>>()?,
+            loops: get_rows(v, "loops", StaticLoopDoc::from_json)?,
+            claims: get_rows(v, "claims", ClaimDoc::from_json)?,
+            lints: get_rows(v, "lints", LintDoc::from_json)?,
         })
     }
 }
 
 /// The discovery section of the report.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DiscoveryDoc {
     /// Per-loop classification, hottest first.
-    pub loops: Vec<LoopDoc>,
+    pub loops: Vec<LoopDoc<'static>>,
     /// SPMD task suggestions.
-    pub spmd: Vec<SpmdDoc>,
+    pub spmd: Vec<SpmdDoc<'static>>,
     /// MPMD task suggestions.
-    pub mpmd: Vec<MpmdDoc>,
+    pub mpmd: Vec<MpmdDoc<'static>>,
     /// Ranked opportunities, best first.
-    pub ranked: Vec<RankedDoc>,
+    pub ranked: Vec<RankedDoc<'static>>,
     /// Parallel-pattern phrasing of the findings.
-    pub patterns: Vec<PatternDoc>,
+    pub patterns: Vec<PatternDoc<'static>>,
 }
 
 impl DiscoveryDoc {
-    fn lazy(&self) -> Lazy<'_> {
-        Lazy::Object(vec![
-            ("loops", Lazy::array(&self.loops, LoopDoc::to_json)),
-            ("spmd", Lazy::array(&self.spmd, SpmdDoc::to_json)),
-            ("mpmd", Lazy::array(&self.mpmd, MpmdDoc::to_json)),
-            ("ranked", Lazy::array(&self.ranked, RankedDoc::to_json)),
-            ("patterns", Lazy::array(&self.patterns, PatternDoc::to_json)),
-        ])
-    }
-
     fn from_json(v: &Value) -> DocResult<DiscoveryDoc> {
         Ok(DiscoveryDoc {
-            loops: get_array(v, "loops")?
-                .iter()
-                .map(LoopDoc::from_json)
-                .collect::<DocResult<_>>()?,
-            spmd: get_array(v, "spmd")?
-                .iter()
-                .map(SpmdDoc::from_json)
-                .collect::<DocResult<_>>()?,
-            mpmd: get_array(v, "mpmd")?
-                .iter()
-                .map(MpmdDoc::from_json)
-                .collect::<DocResult<_>>()?,
-            ranked: get_array(v, "ranked")?
-                .iter()
-                .map(RankedDoc::from_json)
-                .collect::<DocResult<_>>()?,
-            patterns: get_array(v, "patterns")?
-                .iter()
-                .map(PatternDoc::from_json)
-                .collect::<DocResult<_>>()?,
+            loops: get_rows(v, "loops", LoopDoc::from_json)?,
+            spmd: get_rows(v, "spmd", SpmdDoc::from_json)?,
+            mpmd: get_rows(v, "mpmd", MpmdDoc::from_json)?,
+            ranked: get_rows(v, "ranked", RankedDoc::from_json)?,
+            patterns: get_rows(v, "patterns", PatternDoc::from_json)?,
         })
     }
 }
 
-/// The serializable mirror of a full [`Report`], name-resolved and
-/// versioned. Build with [`ReportDoc::from_report`] (or
-/// [`Report::to_doc`]), serialize with [`ReportDoc::to_json`], read back
-/// with [`ReportDoc::from_json_str`].
+/// The ten arrays of a report that grow with the analysed program, each
+/// as a walk over its rows. The owned document hands out the rows it
+/// holds; a live [`Report`] ([`Live`]) builds each row on the stack,
+/// borrowing every name from the report and its program, and drops it when
+/// the visitor returns — so writing a live report allocates nothing per
+/// row, and an owned document is the same rows, kept.
+trait Rows {
+    fn dependences(&self, f: impl FnMut(&DepDoc<'_>));
+    fn pet(&self, f: impl FnMut(&PetNodeDoc<'_>));
+    fn loops(&self, f: impl FnMut(&LoopDoc<'_>));
+    fn spmd(&self, f: impl FnMut(&SpmdDoc<'_>));
+    fn mpmd(&self, f: impl FnMut(&MpmdDoc<'_>));
+    fn ranked(&self, f: impl FnMut(&RankedDoc<'_>));
+    fn patterns(&self, f: impl FnMut(&PatternDoc<'_>));
+    fn static_loops(&self, f: impl FnMut(&StaticLoopDoc<'_>));
+    fn claims(&self, f: impl FnMut(&ClaimDoc<'_>));
+    fn lints(&self, f: impl FnMut(&LintDoc<'_>));
+}
+
+impl Rows for ReportDoc {
+    fn dependences(&self, f: impl FnMut(&DepDoc<'_>)) {
+        self.profile.dependences.iter().for_each(f);
+    }
+    fn pet(&self, f: impl FnMut(&PetNodeDoc<'_>)) {
+        self.profile.pet.iter().for_each(f);
+    }
+    fn loops(&self, f: impl FnMut(&LoopDoc<'_>)) {
+        self.discovery.loops.iter().for_each(f);
+    }
+    fn spmd(&self, f: impl FnMut(&SpmdDoc<'_>)) {
+        self.discovery.spmd.iter().for_each(f);
+    }
+    fn mpmd(&self, f: impl FnMut(&MpmdDoc<'_>)) {
+        self.discovery.mpmd.iter().for_each(f);
+    }
+    fn ranked(&self, f: impl FnMut(&RankedDoc<'_>)) {
+        self.discovery.ranked.iter().for_each(f);
+    }
+    fn patterns(&self, f: impl FnMut(&PatternDoc<'_>)) {
+        self.discovery.patterns.iter().for_each(f);
+    }
+    fn static_loops(&self, f: impl FnMut(&StaticLoopDoc<'_>)) {
+        self.statics.iter().flat_map(|s| &s.loops).for_each(f);
+    }
+    fn claims(&self, f: impl FnMut(&ClaimDoc<'_>)) {
+        self.statics.iter().flat_map(|s| &s.claims).for_each(f);
+    }
+    fn lints(&self, f: impl FnMut(&LintDoc<'_>)) {
+        self.statics.iter().flat_map(|s| &s.lints).for_each(f);
+    }
+}
+
+/// A [`Report`] beside the program that resolves its names: the rows of
+/// the document it would mirror to, without the mirror.
+struct Live<'a> {
+    program: &'a interp::Program,
+    report: &'a Report,
+    /// `report.profile.deps`, sorted once, counts beside them.
+    deps: Vec<(Dep, u64)>,
+}
+
+impl<'a> Live<'a> {
+    fn new(program: &'a interp::Program, report: &'a Report) -> Self {
+        Live {
+            program,
+            report,
+            deps: report.profile.deps.sorted_counted(),
+        }
+    }
+
+    /// The document with all ten arrays empty.
+    fn head(&self) -> ReportDoc {
+        ReportDoc {
+            schema_version: SCHEMA_VERSION,
+            program: self.report.program.clone(),
+            engine: self.report.engine.clone(),
+            profile: ProfileDoc::head(&self.report.profile),
+            discovery: DiscoveryDoc::default(),
+            statics: self.report.statics.as_ref().map(StaticDoc::head),
+        }
+    }
+
+    fn statics<T>(&self, rows: impl Fn(&'a StaticReport) -> &'a [T]) -> &'a [T] {
+        self.report.statics.as_ref().map_or(&[], rows)
+    }
+}
+
+impl Rows for Live<'_> {
+    fn dependences(&self, mut f: impl FnMut(&DepDoc<'_>)) {
+        for (d, count) in &self.deps {
+            f(&DepDoc::of(self.program, d, *count));
+        }
+    }
+    fn pet(&self, mut f: impl FnMut(&PetNodeDoc<'_>)) {
+        for n in &self.report.profile.pet.nodes {
+            f(&PetNodeDoc::of(self.program, n));
+        }
+    }
+    fn loops(&self, mut f: impl FnMut(&LoopDoc<'_>)) {
+        // One buffer for every loop's blocking rows, so a loop costs no
+        // allocation of its own.
+        let deps = &self.report.profile.deps;
+        let mut blocking = Vec::new();
+        for l in &self.report.discovery.loops {
+            blocking.clear();
+            blocking.extend(
+                l.blocking
+                    .iter()
+                    .map(|d| DepDoc::of(self.program, d, deps.count(d))),
+            );
+            f(&LoopDoc::of(l, &blocking));
+        }
+    }
+    fn spmd(&self, mut f: impl FnMut(&SpmdDoc<'_>)) {
+        for t in &self.report.discovery.spmd {
+            f(&SpmdDoc::of(t));
+        }
+    }
+    fn mpmd(&self, mut f: impl FnMut(&MpmdDoc<'_>)) {
+        let mut tasks = Vec::new();
+        for m in &self.report.discovery.mpmd {
+            tasks.clear();
+            tasks.extend(m.tasks.iter().map(|t| (t.start_line, t.end_line, t.weight)));
+            f(&MpmdDoc::of(m, &tasks));
+        }
+    }
+    fn ranked(&self, mut f: impl FnMut(&RankedDoc<'_>)) {
+        for r in &self.report.discovery.ranked {
+            f(&RankedDoc::of(r));
+        }
+    }
+    fn patterns(&self, mut f: impl FnMut(&PatternDoc<'_>)) {
+        for p in &self.report.discovery.patterns {
+            f(&PatternDoc::of(p));
+        }
+    }
+    fn static_loops(&self, mut f: impl FnMut(&StaticLoopDoc<'_>)) {
+        for l in self.statics(|s| &s.loops) {
+            f(&StaticLoopDoc::of(l));
+        }
+    }
+    fn claims(&self, mut f: impl FnMut(&ClaimDoc<'_>)) {
+        for c in self.statics(|s| &s.claims) {
+            f(&ClaimDoc::of(c));
+        }
+    }
+    fn lints(&self, mut f: impl FnMut(&LintDoc<'_>)) {
+        for l in self.statics(|s| &s.lints) {
+            f(&LintDoc::of(l));
+        }
+    }
+}
+
+/// The document: every block's keys in order, once, around the rows of
+/// `rows`. `head` supplies everything else (its own arrays are not read):
+/// for an owned document both are the document itself, for a live report
+/// [`Live::head`] and the [`Live`] rows.
+fn emit_doc<S: Emitter>(head: &ReportDoc, rows: &impl Rows, s: &mut S) {
+    s.begin_object();
+    s.key("schema_version").u64(head.schema_version);
+    s.key("program").str(&head.program);
+    s.key("engine").str(&head.engine);
+
+    let p = &head.profile;
+    s.key("profile").begin_object();
+    s.key("steps").u64(p.steps);
+    s.key("accesses").u64(p.accesses);
+    s.key("dependences_found").u64(p.dependences_found);
+    s.key("profiler_bytes").u64(p.profiler_bytes);
+    strs(s.key("printed"), &p.printed);
+    s.key("dependences").begin_array();
+    rows.dependences(|d| d.emit(s));
+    s.end_array();
+    s.key("pet").begin_array();
+    rows.pet(|n| n.emit(s));
+    s.end_array();
+    opt_block(s.key("parallel"), &p.parallel, ParallelDoc::emit);
+    opt_block(s.key("resource"), &p.resource, ResourceDoc::emit);
+    opt_block(s.key("summary"), &p.summary, SummaryDoc::emit);
+    opt_block(s.key("actors"), &p.actors, ActorsDoc::emit);
+    s.end_object();
+
+    s.key("discovery").begin_object();
+    s.key("loops").begin_array();
+    rows.loops(|l| l.emit(s));
+    s.end_array();
+    s.key("spmd").begin_array();
+    rows.spmd(|t| t.emit(s));
+    s.end_array();
+    s.key("mpmd").begin_array();
+    rows.mpmd(|m| m.emit(s));
+    s.end_array();
+    s.key("ranked").begin_array();
+    rows.ranked(|r| r.emit(s));
+    s.end_array();
+    s.key("patterns").begin_array();
+    rows.patterns(|p| p.emit(s));
+    s.end_array();
+    s.end_object();
+
+    opt_block(s.key("static"), &head.statics, |st, s| {
+        s.begin_object();
+        s.key("spawns_threads").bool(st.spawns_threads);
+        s.key("affine_ops").u64(st.affine_ops);
+        s.key("mem_ops").u64(st.mem_ops);
+        s.key("loops").begin_array();
+        rows.static_loops(|l| l.emit(s));
+        s.end_array();
+        s.key("claims").begin_array();
+        rows.claims(|c| c.emit(s));
+        s.end_array();
+        s.key("lints").begin_array();
+        rows.lints(|l| l.emit(s));
+        s.end_array();
+        s.end_object();
+    });
+    s.end_object();
+}
+
+/// Write a live report into `s`: the events [`ReportDoc::from_report`]'s
+/// document would emit, without building it.
+pub(crate) fn emit_live<S: Emitter>(program: &interp::Program, report: &Report, s: &mut S) {
+    let live = Live::new(program, report);
+    emit_doc(&live.head(), &live, s);
+}
+
+/// The owned, name-resolved form of a full [`Report`], versioned: what a
+/// JSON report parses into ([`ReportDoc::from_json_str`]), and what
+/// [`ReportDoc::from_report`] (or [`Report::to_doc`]) copies a live report
+/// into when a caller wants to keep or inspect it. Writing a report does
+/// not need one — [`Report::to_json_string`] emits the same events straight
+/// from the report.
 ///
 /// ```
 /// let src = "global int a[16];\nfn main() {\nfor (int i = 0; i < 16; i = i + 1) {\na[i] = i;\n}\n}";
@@ -1570,7 +1863,7 @@ impl DiscoveryDoc {
 /// let doc = discopop::report::ReportDoc::from_json_str(&json).unwrap();
 /// assert_eq!(doc.schema_version, discopop::report::SCHEMA_VERSION);
 /// assert_eq!(doc.program, "doc-demo");
-/// assert_eq!(doc.discovery.loops[0].class, "Doall");
+/// assert_eq!(doc.discovery.loops[0].class.as_str(), "Doall");
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportDoc {
@@ -1590,185 +1883,43 @@ pub struct ReportDoc {
 }
 
 impl ReportDoc {
-    /// Mirror an in-memory report, resolving symbol and function names
-    /// against `program`.
+    /// Copy a live report into an owned document, resolving symbol and
+    /// function names against `program`: the rows [`Report::to_json_string`]
+    /// writes, kept.
     pub fn from_report(program: &interp::Program, report: &Report) -> ReportDoc {
-        let deps = &report.profile.deps;
-        let dependences = deps
-            .sorted()
-            .iter()
-            .map(|d| DepDoc::from_dep(program, d, deps.count(d)))
-            .collect();
-        let pet = report
-            .profile
-            .pet
-            .nodes
-            .iter()
-            .map(|n| PetNodeDoc::from_node(program, n))
-            .collect();
-        let parallel = report.profile.parallel.as_ref().map(|p| ParallelDoc {
-            chunks: p.chunks,
-            rebalances: 0,
-            combined: 0,
-            merges: 0,
-            queue_stalls: p.queue_stalls,
-            spawned_workers: p.spawned_workers as u64,
-            worker_recoveries: p.worker_recoveries,
-            worker_processed: p.worker_processed.clone(),
-        });
-        let resource = report
-            .profile
-            .resource
-            .as_ref()
-            .map(ResourceDoc::from_stats);
-        let loops = report
-            .discovery
-            .loops
-            .iter()
-            .map(|l| LoopDoc {
-                func: l.info.func,
-                region: l.info.region,
-                start_line: l.info.start_line,
-                end_line: l.info.end_line,
-                iters: l.info.iters,
-                dyn_instrs: l.info.dyn_instrs,
-                class: format!("{:?}", l.class),
-                blocking: l
-                    .blocking
-                    .iter()
-                    .map(|d| DepDoc::from_dep(program, d, deps.count(d)))
-                    .collect(),
-                reduction_vars: l.reduction_vars.clone(),
-                pipeline_stages: l.pipeline_stages as u64,
-            })
-            .collect();
-        let spmd = report
-            .discovery
-            .spmd
-            .iter()
-            .map(|s| SpmdDoc {
-                kind: match s.kind {
-                    SpmdKind::LoopTask => "LoopTask".to_string(),
-                    SpmdKind::SiblingCalls => "SiblingCalls".to_string(),
-                },
-                func: s.func,
-                lines: s.lines.clone(),
-                callees: s.callees.clone(),
-                loop_line: s.loop_line,
-            })
-            .collect();
-        let mpmd = report
-            .discovery
-            .mpmd
-            .iter()
-            .map(|m| MpmdDoc {
-                func: m.func,
-                tasks: m
-                    .tasks
-                    .iter()
-                    .map(|t| (t.start_line, t.end_line, t.weight))
-                    .collect(),
-            })
-            .collect();
-        // JSON has no NaN/Infinity (jsonio renders them as `null`, which
-        // would make the document unreadable by our own parser), so metric
-        // values are pinned to finite numbers here.
-        let finite = |x: f64| if x.is_finite() { x } else { 0.0 };
-        let ranked = report
-            .discovery
-            .ranked
-            .iter()
-            .map(|r| RankedDoc {
-                target: match &r.target {
-                    SuggestionTarget::Loop {
-                        func,
-                        region,
-                        start_line,
-                        class,
-                    } => TargetDoc::Loop {
-                        func: *func,
-                        region: *region,
-                        start_line: *start_line,
-                        class: format!("{class:?}"),
-                    },
-                    SuggestionTarget::TaskSet { func, spans } => TargetDoc::TaskSet {
-                        func: *func,
-                        spans: spans.clone(),
-                    },
-                },
-                instruction_coverage: finite(r.ranking.instruction_coverage),
-                local_speedup: finite(r.ranking.local_speedup),
-                cu_imbalance: finite(r.ranking.cu_imbalance),
-                score: finite(r.score),
-            })
-            .collect();
-        let patterns = report
-            .discovery
-            .patterns
-            .iter()
-            .map(PatternDoc::from_pattern)
-            .collect();
-        ReportDoc {
-            schema_version: SCHEMA_VERSION,
-            program: report.program.clone(),
-            engine: report.engine.clone(),
-            profile: ProfileDoc {
-                steps: report.profile.steps,
-                accesses: report.profile.skip_stats.total_accesses,
-                dependences_found: report.profile.deps.total_found,
-                profiler_bytes: report.profile.profiler_bytes as u64,
-                printed: report.profile.printed.clone(),
-                dependences,
-                pet,
-                parallel,
-                resource,
-                summary: Some(SummaryDoc::from_synth(&report.profile.synth)),
-                actors: report.profile.actors.as_ref().map(ActorsDoc::from_summary),
-            },
-            discovery: DiscoveryDoc {
-                loops,
-                spmd,
-                mpmd,
-                ranked,
-                patterns,
-            },
-            statics: report.statics.as_ref().map(StaticDoc::from_static),
+        let live = Live::new(program, report);
+        let mut doc = live.head();
+        let (p, d) = (&mut doc.profile, &mut doc.discovery);
+        live.dependences(|row| p.dependences.push(row.owned()));
+        live.pet(|row| p.pet.push(row.owned()));
+        live.loops(|row| d.loops.push(row.owned()));
+        live.spmd(|row| d.spmd.push(row.owned()));
+        live.mpmd(|row| d.mpmd.push(row.owned()));
+        live.ranked(|row| d.ranked.push(row.owned()));
+        live.patterns(|row| d.patterns.push(row.owned()));
+        if let Some(st) = &mut doc.statics {
+            live.static_loops(|row| st.loops.push(row.owned()));
+            live.claims(|row| st.claims.push(row.owned()));
+            live.lints(|row| st.lints.push(row.owned()));
         }
-    }
-
-    /// The document's shape, defined once: scalars and small blocks as
-    /// ready values, every array that grows with the program as a
-    /// per-element producer over the element types' `to_json`. Collected,
-    /// it is the tree of [`ReportDoc::to_json`]; written out, the bytes of
-    /// [`ReportDoc::to_json_string`].
-    fn lazy(&self) -> Lazy<'_> {
-        Lazy::Object(vec![
-            ("schema_version", small(self.schema_version)),
-            ("program", small(self.program.as_str())),
-            ("engine", small(self.engine.as_str())),
-            ("profile", self.profile.lazy()),
-            ("discovery", self.discovery.lazy()),
-            (
-                "static",
-                self.statics
-                    .as_ref()
-                    .map_or(small(Value::Null), StaticDoc::lazy),
-            ),
-        ])
+        doc
     }
 
     /// Serialize to a JSON tree — the reference rendering
-    /// (`to_json().to_string_pretty()`), and what the service embeds in
-    /// its responses.
+    /// (`to_json().to_string_pretty()`) every written report is tested
+    /// against, and what a parsed report re-renders from.
     pub fn to_json(&self) -> Value {
-        self.lazy().into_value()
+        let mut tree = TreeSink::default();
+        emit_doc(self, self, &mut tree);
+        tree.finish()
     }
 
-    /// Serialize to pretty-printed JSON text, streamed: each array element
-    /// is built, written and dropped in turn, so the document tree never
-    /// exists. Byte-identical to `to_json().to_string_pretty()`.
+    /// Serialize to pretty-printed JSON text, written as the document is
+    /// walked. Byte-identical to `to_json().to_string_pretty()`.
     pub fn to_json_string(&self) -> String {
-        self.lazy().to_string_pretty()
+        let mut text = TextSink::pretty();
+        emit_doc(self, self, &mut text);
+        text.finish()
     }
 
     /// Deserialize from a JSON tree.
@@ -1786,10 +1937,7 @@ impl ReportDoc {
             engine: get_str(v, "engine")?,
             profile: ProfileDoc::from_json(field(v, "profile")?)?,
             discovery: DiscoveryDoc::from_json(field(v, "discovery")?)?,
-            statics: match v.get("static") {
-                None | Some(Value::Null) => None,
-                Some(other) => Some(StaticDoc::from_json(other)?),
-            },
+            statics: get_block(v, "static", StaticDoc::from_json)?,
         })
     }
 

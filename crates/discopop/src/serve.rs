@@ -34,10 +34,11 @@
 //! `tests/serve.rs`.
 
 use crate::protocol::{
-    ErrorBody, ErrorKind, JobOptions, PartialStats, Request, Response, StatusBody, PROTOCOL_VERSION,
+    self, ErrorBody, ErrorKind, JobOptions, PartialStats, Request, Response, StatusBody,
+    PROTOCOL_VERSION,
 };
 use crate::{Analysis, Error, StageEvent};
-use jsonio::{ParseErrorKind, ParseLimits, Value};
+use jsonio::{ParseErrorKind, ParseLimits, TextSink, Value};
 use profiler::{Budget, EngineKind, MemGauge};
 use std::collections::VecDeque;
 use std::hash::Hasher;
@@ -115,7 +116,40 @@ struct Job {
     name: String,
     source: String,
     options: JobOptions,
-    reply: mpsc::Sender<Response>,
+    reply: mpsc::Sender<Reply>,
+}
+
+/// What a connection is answered with: a protocol message, or a finished
+/// job's report as the worker rendered it — compact JSON text, written once
+/// from the live report and spliced into the `report` envelope as it
+/// stands. The wire bytes are those of the [`Response::Report`] a client
+/// parses them into.
+enum Reply {
+    Message(Response),
+    Report {
+        id: u64,
+        cached: bool,
+        elapsed_ms: u64,
+        report: String,
+    },
+}
+
+impl Reply {
+    fn to_wire(&self) -> String {
+        match self {
+            Reply::Message(resp) => resp.to_wire(),
+            Reply::Report {
+                id,
+                cached,
+                elapsed_ms,
+                report,
+            } => {
+                let mut text = TextSink::compact();
+                protocol::emit_report(&mut text, *id, *cached, *elapsed_ms, |s| s.raw(report));
+                text.finish()
+            }
+        }
+    }
 }
 
 struct CacheEntry {
@@ -303,13 +337,11 @@ impl Server {
             let jobs: Vec<Job> = q.drain(..).collect();
             drop(q);
             for job in &jobs {
-                let _ = job.reply.send(Response::Error(ErrorBody {
-                    id: job.id,
-                    kind: ErrorKind::ShuttingDown,
-                    message: "daemon shut down before the job started".to_string(),
-                    retry_after_ms: None,
-                    partial: None,
-                }));
+                let _ = job.reply.send(error_reply(
+                    job.id,
+                    ErrorKind::ShuttingDown,
+                    "daemon shut down before the job started",
+                ));
             }
             jobs.len() as u64
         };
@@ -458,22 +490,22 @@ fn read_line_bounded(
     }
 }
 
-fn send_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
+fn send_reply(stream: &mut TcpStream, reply: &Reply) -> std::io::Result<()> {
     profiler::faultpoint!("serve:respond");
-    let mut line = resp.to_wire();
+    let mut line = reply.to_wire();
     line.push('\n');
     stream.write_all(line.as_bytes())?;
     stream.flush()
 }
 
-fn error_response(id: u64, kind: ErrorKind, message: impl Into<String>) -> Response {
-    Response::Error(ErrorBody {
+fn error_reply(id: u64, kind: ErrorKind, message: impl Into<String>) -> Reply {
+    Reply::Message(Response::Error(ErrorBody {
         id,
         kind,
         message: message.into(),
         retry_after_ms: None,
         partial: None,
-    })
+    }))
 }
 
 /// Serve one connection: read request lines, answer each in order.
@@ -499,9 +531,9 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
             Ok(LineRead::TooLarge) => {
                 // The oversized line was drained to its newline, so the
                 // session survives the typed rejection.
-                if send_response(
+                if send_reply(
                     &mut stream,
-                    &error_response(
+                    &error_reply(
                         0,
                         ErrorKind::TooLarge,
                         format!("request exceeds {} bytes", shared.cfg.max_request_bytes),
@@ -527,9 +559,9 @@ fn handle_request_line(shared: &Arc<Shared>, stream: &mut TcpStream, line: &[u8]
         return true; // tolerate blank keep-alive lines
     }
     let Ok(text) = std::str::from_utf8(line) else {
-        return send_response(
+        return send_reply(
             stream,
-            &error_response(0, ErrorKind::Malformed, "request is not UTF-8"),
+            &error_reply(0, ErrorKind::Malformed, "request is not UTF-8"),
         )
         .is_ok();
     };
@@ -544,7 +576,7 @@ fn handle_request_line(shared: &Arc<Shared>, stream: &mut TcpStream, line: &[u8]
                 ParseErrorKind::TooLarge => ErrorKind::TooLarge,
                 ParseErrorKind::TooDeep | ParseErrorKind::Syntax => ErrorKind::Malformed,
             };
-            return send_response(stream, &error_response(0, kind, e.to_string())).is_ok();
+            return send_reply(stream, &error_reply(0, kind, e.to_string())).is_ok();
         }
     };
     // Salvage the correlation id even from requests that fail validation,
@@ -552,23 +584,21 @@ fn handle_request_line(shared: &Arc<Shared>, stream: &mut TcpStream, line: &[u8]
     let id = value.get("id").and_then(Value::as_u64).unwrap_or(0);
     let req = match Request::from_json(&value) {
         Ok(r) => r,
-        Err(msg) => {
-            return send_response(stream, &error_response(id, ErrorKind::Malformed, msg)).is_ok()
-        }
+        Err(msg) => return send_reply(stream, &error_reply(id, ErrorKind::Malformed, msg)).is_ok(),
     };
     match req {
-        Request::Status { id } => send_response(
+        Request::Status { id } => send_reply(
             stream,
-            &Response::Status {
+            &Reply::Message(Response::Status {
                 id,
                 status: shared.status(),
-            },
+            }),
         )
         .is_ok(),
         Request::Shutdown { id } => {
             shared.shutdown_requested.store(true, Ordering::Release);
             shared.begin_drain();
-            let _ = send_response(stream, &Response::ShutdownAck { id });
+            let _ = send_reply(stream, &Reply::Message(Response::ShutdownAck { id }));
             false
         }
         Request::Analyze {
@@ -578,7 +608,7 @@ fn handle_request_line(shared: &Arc<Shared>, stream: &mut TcpStream, line: &[u8]
             options,
         } => {
             let resp = submit_job(shared, id, name, source, options);
-            send_response(stream, &resp).is_ok()
+            send_reply(stream, &resp).is_ok()
         }
     }
 }
@@ -590,9 +620,9 @@ fn submit_job(
     name: String,
     source: String,
     options: JobOptions,
-) -> Response {
+) -> Reply {
     if shared.draining() {
-        return error_response(
+        return error_reply(
             id,
             ErrorKind::ShuttingDown,
             "daemon is draining and accepts no new work",
@@ -604,13 +634,13 @@ fn submit_job(
         if q.len() >= shared.cfg.queue_cap {
             drop(q);
             shared.jobs_shed.fetch_add(1, Ordering::Relaxed);
-            return Response::Error(ErrorBody {
+            return Reply::Message(Response::Error(ErrorBody {
                 id,
                 kind: ErrorKind::Overloaded,
                 message: format!("job queue is full ({} jobs)", shared.cfg.queue_cap),
                 retry_after_ms: Some(shared.retry_after_ms()),
                 partial: None,
-            });
+            }));
         }
         q.push_back(Job {
             id,
@@ -626,7 +656,7 @@ fn submit_job(
     // model, which still must not take the connection down silently.
     result
         .recv()
-        .unwrap_or_else(|_| error_response(id, ErrorKind::Panic, "job was lost by the worker pool"))
+        .unwrap_or_else(|_| error_reply(id, ErrorKind::Panic, "job was lost by the worker pool"))
 }
 
 // ---------------------------------------------------------------------------
@@ -661,12 +691,12 @@ fn worker_loop(shared: &Arc<Shared>) {
                 // The job crashed inside the pipeline; the worker absorbs
                 // it and stays in the pool.
                 shared.worker_recoveries.fetch_add(1, Ordering::Relaxed);
-                error_response(id, ErrorKind::Panic, panic_message(payload.as_ref()))
+                error_reply(id, ErrorKind::Panic, panic_message(payload.as_ref()))
             }
         };
         match &resp {
-            Response::Report { .. } => shared.jobs_done.fetch_add(1, Ordering::Relaxed),
-            _ => shared.jobs_failed.fetch_add(1, Ordering::Relaxed),
+            Reply::Report { .. } => shared.jobs_done.fetch_add(1, Ordering::Relaxed),
+            Reply::Message(_) => shared.jobs_failed.fetch_add(1, Ordering::Relaxed),
         };
         let _ = reply.send(resp);
         shared.in_flight.fetch_sub(1, Ordering::AcqRel);
@@ -685,21 +715,21 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Run one job through the staged pipeline. Everything here executes
 /// under the worker's `catch_unwind`.
-fn run_job(shared: &Arc<Shared>, job: Job) -> Response {
+fn run_job(shared: &Arc<Shared>, job: Job) -> Reply {
     profiler::faultpoint!("serve:job-start");
     let t0 = Instant::now();
 
     let engine = match &job.options.engine {
         Some(spec) => match EngineKind::parse(spec) {
             Ok(e) => Some(e),
-            Err(msg) => return error_response(job.id, ErrorKind::Malformed, msg),
+            Err(msg) => return error_reply(job.id, ErrorKind::Malformed, msg),
         },
         None => None,
     };
 
     let (program, cached) = match lookup_program(shared, &job.name, &job.source) {
         Ok(pair) => pair,
-        Err(e) => return error_response(job.id, ErrorKind::Compile, e.to_string()),
+        Err(e) => return error_reply(job.id, ErrorKind::Compile, e.to_string()),
     };
 
     let mut analysis = Analysis::new()
@@ -716,15 +746,18 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> Response {
     analysis = analysis.budget(job_budget(shared, &job.options));
 
     match analysis.analyze_program(&program) {
-        Ok(report) => Response::Report {
-            id: job.id,
-            cached,
-            elapsed_ms: t0.elapsed().as_millis() as u64,
-            report: report.to_doc(&program).to_json(),
-        },
-        Err(Error::Compile(e)) => error_response(job.id, ErrorKind::Compile, e.to_string()),
-        Err(Error::Runtime(e)) => error_response(job.id, ErrorKind::Runtime, e.to_string()),
-        Err(Error::DeadlineExceeded { partial }) => Response::Error(ErrorBody {
+        Ok(report) => {
+            let report = report.render(&program, TextSink::compact());
+            Reply::Report {
+                id: job.id,
+                cached,
+                elapsed_ms: t0.elapsed().as_millis() as u64,
+                report,
+            }
+        }
+        Err(Error::Compile(e)) => error_reply(job.id, ErrorKind::Compile, e.to_string()),
+        Err(Error::Runtime(e)) => error_reply(job.id, ErrorKind::Runtime, e.to_string()),
+        Err(Error::DeadlineExceeded { partial }) => Reply::Message(Response::Error(ErrorBody {
             id: job.id,
             kind: ErrorKind::Deadline,
             message: format!(
@@ -737,7 +770,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> Response {
                 steps: partial.steps,
                 dependences: partial.deps.len() as u64,
             }),
-        }),
+        })),
     }
 }
 

@@ -750,3 +750,60 @@ fn submit_deadline_partial_exits_code_3_too() {
     assert!(res.status.success());
     daemon.wait_clean();
 }
+
+#[test]
+fn hostile_module_names_round_trip_through_analyze_and_the_daemon() {
+    // A module name is the caller's: a file stem for `analyze`, `--name`
+    // for `submit`. Quotes, backslashes and control characters must reach
+    // the report escaped, and come back out as they went in.
+    const NAME: &str = "a\"b\\c\n";
+    let dir = scratch("hostile-name");
+    let src = dir.join(format!("{NAME}.dp"));
+    let plain = dir.join("plain.dp");
+    std::fs::write(&src, SRC).unwrap();
+    std::fs::write(&plain, SRC).unwrap();
+
+    let direct = dir.join("direct.json");
+    let res = Command::new(BIN)
+        .args(["analyze", src.to_str().unwrap(), "--quiet", "--json"])
+        .arg(&direct)
+        .output()
+        .unwrap();
+    assert!(
+        res.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&res.stderr)
+    );
+    let direct = std::fs::read_to_string(&direct).unwrap();
+    let doc = discopop::report::ReportDoc::from_json_str(&direct).expect("report parses");
+    assert_eq!(doc.program, NAME);
+    assert!(
+        direct.contains(r#""program": "a\"b\\c\n","#),
+        "escaped once"
+    );
+
+    let (daemon, addr) = spawn_daemon(&dir, &[]);
+    let served = dir.join("served.json");
+    let res = Command::new(BIN)
+        .args(["submit", plain.to_str().unwrap(), "--name", NAME])
+        .args(["--addr", &addr, "--quiet", "--json"])
+        .arg(&served)
+        .output()
+        .unwrap();
+    assert!(
+        res.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&res.stderr)
+    );
+    assert_eq!(
+        std::fs::read_to_string(&served).unwrap(),
+        direct,
+        "the daemon's raw-spliced report must be the direct report"
+    );
+    let res = Command::new(BIN)
+        .args(["shutdown", "--addr", &addr])
+        .output()
+        .unwrap();
+    assert!(res.status.success());
+    daemon.wait_clean();
+}

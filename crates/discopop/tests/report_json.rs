@@ -69,7 +69,7 @@ fn report_covers_every_section() {
         .profile
         .dependences
         .iter()
-        .any(|d| d.var == "total" && d.ty == "RAW"));
+        .any(|d| d.var == "total" && d.ty == profiler::DepType::Raw));
     assert!(doc
         .profile
         .pet

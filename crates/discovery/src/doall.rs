@@ -42,6 +42,43 @@ pub enum LoopClass {
     NotExecuted,
 }
 
+impl LoopClass {
+    /// Every class, in declaration order.
+    pub const ALL: [LoopClass; 5] = [
+        LoopClass::Doall,
+        LoopClass::Reduction,
+        LoopClass::Doacross,
+        LoopClass::Sequential,
+        LoopClass::NotExecuted,
+    ];
+
+    /// The class's name as reports carry it (the variant's name).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            LoopClass::Doall => "Doall",
+            LoopClass::Reduction => "Reduction",
+            LoopClass::Doacross => "Doacross",
+            LoopClass::Sequential => "Sequential",
+            LoopClass::NotExecuted => "NotExecuted",
+        }
+    }
+}
+
+impl std::fmt::Display for LoopClass {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl std::str::FromStr for LoopClass {
+    type Err = ();
+
+    /// The inverse of [`LoopClass::as_str`].
+    fn from_str(s: &str) -> Result<Self, ()> {
+        Self::ALL.into_iter().find(|c| c.as_str() == s).ok_or(())
+    }
+}
+
 /// The result of analysing one loop.
 #[derive(Debug, Clone, Serialize)]
 pub struct LoopResult {
@@ -349,6 +386,15 @@ mod tests {
             .into_iter()
             .map(|l| analyze_loop(&p, &out.deps, &l))
             .collect()
+    }
+
+    #[test]
+    fn class_names_are_the_variant_names_and_parse_back() {
+        for class in LoopClass::ALL {
+            assert_eq!(class.as_str(), format!("{class:?}"));
+            assert_eq!(class.to_string().parse(), Ok(class));
+        }
+        assert_eq!("doall".parse::<LoopClass>(), Err(()));
     }
 
     #[test]

@@ -1,9 +1,15 @@
-//! `jsonio` — a minimal JSON tree, writer, and parser.
+//! `jsonio` — a minimal JSON tree, event emitter, writer, and parser.
 //!
 //! The workspace's `serde` is an offline no-op shim (see `shims/README.md`),
 //! so anything that actually needs a wire format serializes through this
 //! crate instead: build a [`Value`] tree, render it with [`Value::to_string`]
 //! or [`Value::to_string_pretty`], and read it back with [`Value::parse`].
+//!
+//! A type with a large or performance-critical rendering describes itself
+//! once, as events pushed into an [`Emitter`], and gets both forms from
+//! the two sinks: [`TextSink`] writes the text directly (it is the one
+//! writer — rendering a [`Value`] is emitting the tree into it), and
+//! [`TreeSink`] builds the [`Value`] those same bytes parse back to.
 //!
 //! Numbers are kept in two lanes — [`Value::Int`] for integers (covering the
 //! full `i64`/`u64` range used by profiler counters) and [`Value::Float`] for
@@ -183,47 +189,16 @@ impl Value {
     /// Render without whitespace.
     #[allow(clippy::inherent_to_string)]
     pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, false, 0);
-        out
+        let mut sink = TextSink::compact();
+        sink.value(self);
+        sink.finish()
     }
 
     /// Render with two-space indentation.
     pub fn to_string_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, true, 0);
-        out.push('\n');
-        out
-    }
-
-    /// Append this value to `out` — the one writer every rendering goes
-    /// through. With `pretty`, the value is laid out as it would be `depth`
-    /// containers deep in a two-space-indented document (the caller has
-    /// already written whatever precedes it on its first line).
-    fn write(&self, out: &mut String, pretty: bool, depth: usize) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(n) => write_i64(out, *n),
-            Value::Float(n) => write_f64(out, *n),
-            Value::Str(s) => write_escaped(out, s),
-            Value::Array(items) => {
-                write_seq(out, pretty, depth, ('[', ']'), items.iter(), |out, v| {
-                    v.write(out, pretty, depth + 1)
-                })
-            }
-            Value::Object(fields) => write_seq(
-                out,
-                pretty,
-                depth,
-                ('{', '}'),
-                fields.iter(),
-                |out, (k, v)| {
-                    write_key(out, pretty, k);
-                    v.write(out, pretty, depth + 1)
-                },
-            ),
-        }
+        let mut sink = TextSink::pretty();
+        sink.value(self);
+        sink.finish()
     }
 
     /// Parse a JSON document. The entire input must be consumed (trailing
@@ -269,128 +244,324 @@ impl Value {
     }
 }
 
-/// A document described piece by piece: small parts as ready [`Value`]s,
-/// large arrays as iterators that build one element at a time. Rendering
-/// it writes each element and drops it, so the whole document never exists
-/// as one tree; [`Lazy::into_value`] collects the same description into the
-/// tree, byte for byte the same once rendered. A type's shape is then
-/// defined once and serves both.
+/// A JSON document as a sequence of events, pushed by whoever knows the
+/// document's shape into whichever sink wants it: [`TextSink`] writes the
+/// text as the events arrive, [`TreeSink`] builds the [`Value`]. A type that
+/// describes itself once, as `fn emit<S: Emitter>(&self, s: &mut S)`, gets
+/// both renderings, and they agree to the byte
+/// (`tree.to_string_pretty() == text`): [`Value::to_string`] is itself
+/// "emit this tree into the text sink".
+///
+/// Events must nest properly — every value in an object preceded by its
+/// [`key`](Emitter::key), every `begin_*` closed — as the methods of a
+/// well-typed `emit` do by construction; the sinks do not check.
 ///
 /// ```
-/// use jsonio::{Lazy, Value};
+/// use jsonio::{Emitter, TextSink, TreeSink};
 ///
-/// let rows = [1u32, 2, 3];
-/// let doc = || {
-///     Lazy::Object(vec![
-///         ("n", Lazy::Value(Value::from(rows.len()))),
-///         ("rows", Lazy::array(&rows, |&r| Value::from(r))),
-///     ])
-/// };
-/// assert_eq!(doc().to_string(), r#"{"n":3,"rows":[1,2,3]}"#);
-/// assert_eq!(doc().to_string_pretty(), doc().into_value().to_string_pretty());
+/// fn rows<S: Emitter>(s: &mut S, rows: &[u32]) {
+///     s.begin_object();
+///     s.key("n").u64(rows.len() as u64);
+///     s.key("rows").array(rows, |&r, s| s.u64(r));
+///     s.end_object();
+/// }
+/// let mut text = TextSink::compact();
+/// rows(&mut text, &[1, 2, 3]);
+/// assert_eq!(text.finish(), r#"{"n":3,"rows":[1,2,3]}"#);
+/// let mut tree = TreeSink::default();
+/// rows(&mut tree, &[1, 2, 3]);
+/// assert_eq!(tree.finish().to_string(), r#"{"n":3,"rows":[1,2,3]}"#);
 /// ```
-pub enum Lazy<'a> {
-    /// An already-built value, owned.
-    Value(Value),
-    /// An already-built value, borrowed: rendered in place, cloned only by
-    /// [`Lazy::into_value`].
-    Ref(&'a Value),
-    /// An object, in field order.
-    Object(Vec<(&'a str, Lazy<'a>)>),
-    /// An array whose elements are built as they are needed.
-    Array(Box<dyn Iterator<Item = Value> + 'a>),
-}
+pub trait Emitter {
+    /// Open an object.
+    fn begin_object(&mut self);
+    /// Name the next value of the open object; returns `self` so the value
+    /// follows on the same line.
+    fn key(&mut self, key: &str) -> &mut Self;
+    /// Close the open object.
+    fn end_object(&mut self);
+    /// Open an array.
+    fn begin_array(&mut self);
+    /// Close the open array.
+    fn end_array(&mut self);
+    /// `null`.
+    fn null(&mut self);
+    /// `true` / `false`.
+    fn bool(&mut self, b: bool);
+    /// An integer.
+    fn i64(&mut self, n: i64);
+    /// A number in the float lane ([`Value::Float`]: `2.0` stays `2.0`,
+    /// non-finite becomes `null`).
+    fn f64(&mut self, n: f64);
+    /// A string.
+    fn str(&mut self, s: &str);
+    /// A string holding `d`'s `Display` text, formatted in place.
+    fn display<D: fmt::Display + ?Sized>(&mut self, d: &D);
 
-impl<'a> Lazy<'a> {
-    /// An array with one element per item, built by `to_json` on demand.
-    pub fn array<T>(items: &'a [T], to_json: impl Fn(&'a T) -> Value + 'a) -> Lazy<'a> {
-        Lazy::Array(Box::new(items.iter().map(to_json)))
+    /// A counter; saturates like `Value::from(u64)`.
+    fn u64(&mut self, n: impl Into<u64>) {
+        self.i64(i64::try_from(n.into()).unwrap_or(i64::MAX))
     }
 
-    /// Build the whole tree.
-    pub fn into_value(self) -> Value {
-        match self {
-            Lazy::Value(v) => v,
-            Lazy::Ref(v) => v.clone(),
-            Lazy::Object(fields) => Value::Object(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v.into_value()))
-                    .collect(),
-            ),
-            Lazy::Array(items) => Value::Array(items.collect()),
+    /// An array with one element per item, each written by `each`.
+    fn array<T>(&mut self, items: impl IntoIterator<Item = T>, mut each: impl FnMut(T, &mut Self)) {
+        self.begin_array();
+        for item in items {
+            each(item, self);
         }
+        self.end_array();
     }
 
-    /// Render without whitespace; equals `self.into_value().to_string()`.
-    #[allow(clippy::inherent_to_string)]
-    pub fn to_string(self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, false, 0);
-        out
-    }
-
-    /// Render with two-space indentation; equals
-    /// `self.into_value().to_string_pretty()`.
-    pub fn to_string_pretty(self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, true, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(self, out: &mut String, pretty: bool, depth: usize) {
-        match self {
-            Lazy::Value(v) => v.write(out, pretty, depth),
-            Lazy::Ref(v) => v.write(out, pretty, depth),
-            Lazy::Object(fields) => write_seq(
-                out,
-                pretty,
-                depth,
-                ('{', '}'),
-                fields.into_iter(),
-                |out, (k, v)| {
-                    write_key(out, pretty, k);
-                    v.write(out, pretty, depth + 1)
-                },
-            ),
-            Lazy::Array(items) => write_seq(out, pretty, depth, ('[', ']'), items, |out, v| {
-                v.write(out, pretty, depth + 1)
-            }),
+    /// An existing subtree, event by event.
+    fn value(&mut self, v: &Value) {
+        match v {
+            Value::Null => self.null(),
+            Value::Bool(b) => self.bool(*b),
+            Value::Int(n) => self.i64(*n),
+            Value::Float(n) => self.f64(*n),
+            Value::Str(s) => self.str(s),
+            Value::Array(items) => self.array(items, |v, s| s.value(v)),
+            Value::Object(fields) => {
+                self.begin_object();
+                for (k, v) in fields {
+                    self.key(k).value(v);
+                }
+                self.end_object();
+            }
         }
     }
 }
 
-/// Container framing, written in one place for trees and [`Lazy`]
-/// documents alike: brackets, commas, one line per element when `pretty`,
-/// and `[]`/`{}` when there is none.
-fn write_seq<T>(
-    out: &mut String,
+/// The sink that writes JSON text as the events arrive — the one writer
+/// behind every rendering. Pretty output is two-space indented, one line
+/// per element, `[]`/`{}` for empty containers, with a final newline.
+/// Its only allocation is the output buffer.
+pub struct TextSink {
+    out: String,
     pretty: bool,
+    /// Containers open around the next event.
     depth: usize,
-    (open, close): (char, char),
-    items: impl Iterator<Item = T>,
-    mut write_item: impl FnMut(&mut String, T),
-) {
-    out.push(open);
-    let mut empty = true;
-    for item in items {
-        if !empty {
-            out.push(',');
-        }
-        empty = false;
-        newline(out, pretty, depth + 1);
-        write_item(out, item);
-    }
-    if !empty {
-        newline(out, pretty, depth);
-    }
-    out.push(close);
+    /// The innermost open container has no element yet.
+    empty: bool,
+    /// The last event was a key: its value continues the line.
+    after_key: bool,
 }
 
-fn write_key(out: &mut String, pretty: bool, key: &str) {
-    write_escaped(out, key);
-    out.push_str(if pretty { ": " } else { ":" });
+impl TextSink {
+    /// A sink writing without whitespace.
+    pub fn compact() -> Self {
+        TextSink {
+            out: String::new(),
+            pretty: false,
+            depth: 0,
+            empty: true,
+            after_key: false,
+        }
+    }
+
+    /// A sink writing with two-space indentation.
+    pub fn pretty() -> Self {
+        TextSink {
+            pretty: true,
+            ..Self::compact()
+        }
+    }
+
+    /// The text written so far, plus the final newline when pretty.
+    pub fn finish(mut self) -> String {
+        if self.pretty {
+            self.out.push('\n');
+        }
+        self.out
+    }
+
+    /// Splice in a value that is already compact JSON text (the caller
+    /// vouches for it; it is not parsed). For a compact sink only: pretty
+    /// output would need the text re-indented.
+    pub fn raw(&mut self, json: &str) {
+        debug_assert!(!self.pretty, "raw text cannot be re-indented");
+        self.lead();
+        self.out.push_str(json);
+    }
+
+    /// What precedes an element: nothing after its key, else a comma
+    /// unless it is the container's first, and its own line when pretty.
+    /// Runs once per event; without `inline` the scalar events measured
+    /// 20–30% slower (100,000 `key` + `u64` pairs: 3.7 ms → 4.5 ms).
+    #[inline]
+    fn lead(&mut self) {
+        if self.after_key {
+            self.after_key = false;
+        } else if self.depth > 0 {
+            if !self.empty {
+                self.out.push(',');
+            }
+            newline(&mut self.out, self.pretty, self.depth);
+        }
+        self.empty = false;
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.lead();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.empty = true;
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.empty {
+            newline(&mut self.out, self.pretty, self.depth);
+        }
+        self.out.push(bracket);
+        self.empty = false;
+    }
+}
+
+impl Emitter for TextSink {
+    fn begin_object(&mut self) {
+        self.open('{');
+    }
+    fn key(&mut self, key: &str) -> &mut Self {
+        self.lead();
+        write_escaped(&mut self.out, key);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.after_key = true;
+        self
+    }
+    fn end_object(&mut self) {
+        self.close('}');
+    }
+    fn begin_array(&mut self) {
+        self.open('[');
+    }
+    fn end_array(&mut self) {
+        self.close(']');
+    }
+    fn null(&mut self) {
+        self.lead();
+        self.out.push_str("null");
+    }
+    fn bool(&mut self, b: bool) {
+        self.lead();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+    fn i64(&mut self, n: i64) {
+        self.lead();
+        write_i64(&mut self.out, n);
+    }
+    fn f64(&mut self, n: f64) {
+        self.lead();
+        write_f64(&mut self.out, n);
+    }
+    fn str(&mut self, s: &str) {
+        self.lead();
+        write_escaped(&mut self.out, s);
+    }
+    fn display<D: fmt::Display + ?Sized>(&mut self, d: &D) {
+        use fmt::Write;
+        self.lead();
+        self.out.push('"');
+        let _ = write!(Escaping(&mut self.out), "{d}");
+        self.out.push('"');
+    }
+}
+
+/// The sink that builds the [`Value`] tree the events describe.
+///
+/// Finished values wait on a stack shared by every open container of their
+/// kind until their own closes and splits them off, so each container is
+/// allocated once, at its final size, however many elements it turns out
+/// to have (measured: building a report's tree costs what building it by
+/// hand from `Value::object` did; growing each container's own `Vec`, or
+/// draining the stack element by element, cost 25% more).
+#[derive(Default)]
+pub struct TreeSink {
+    /// Finished elements of the arrays still open (and the root).
+    elements: Vec<Value>,
+    /// Finished members of the objects still open.
+    members: Vec<(String, Value)>,
+    /// Per open container: the key it goes under itself, whether it is an
+    /// object, and where its own begin in `members` or `elements`.
+    open: Vec<(String, bool, usize)>,
+    /// The key the next value goes under.
+    key: String,
+}
+
+impl TreeSink {
+    /// The finished tree (`null` if no event arrived).
+    pub fn finish(mut self) -> Value {
+        self.elements.pop().unwrap_or(Value::Null)
+    }
+
+    fn put(&mut self, v: Value) {
+        match self.open.last() {
+            Some((_, true, _)) => self.members.push((std::mem::take(&mut self.key), v)),
+            _ => self.elements.push(v),
+        }
+    }
+
+    fn begin(&mut self, object: bool) {
+        let start = if object {
+            self.members.len()
+        } else {
+            self.elements.len()
+        };
+        self.open
+            .push((std::mem::take(&mut self.key), object, start));
+    }
+
+    fn end(&mut self) {
+        if let Some((key, object, start)) = self.open.pop() {
+            let v = if object {
+                Value::Object(self.members.split_off(start))
+            } else {
+                Value::Array(self.elements.split_off(start))
+            };
+            self.key = key;
+            self.put(v);
+        }
+    }
+}
+
+impl Emitter for TreeSink {
+    fn begin_object(&mut self) {
+        self.begin(true);
+    }
+    fn key(&mut self, key: &str) -> &mut Self {
+        self.key = key.to_string();
+        self
+    }
+    fn end_object(&mut self) {
+        self.end();
+    }
+    fn begin_array(&mut self) {
+        self.begin(false);
+    }
+    fn end_array(&mut self) {
+        self.end();
+    }
+    fn null(&mut self) {
+        self.put(Value::Null);
+    }
+    fn bool(&mut self, b: bool) {
+        self.put(Value::Bool(b));
+    }
+    fn i64(&mut self, n: i64) {
+        self.put(Value::Int(n));
+    }
+    fn f64(&mut self, n: f64) {
+        self.put(Value::Float(n));
+    }
+    fn str(&mut self, s: &str) {
+        self.put(Value::Str(s.to_string()));
+    }
+    fn display<D: fmt::Display + ?Sized>(&mut self, d: &D) {
+        self.put(Value::Str(d.to_string()));
+    }
+    fn value(&mut self, v: &Value) {
+        self.put(v.clone());
+    }
 }
 
 fn newline(out: &mut String, pretty: bool, depth: usize) {
@@ -443,8 +614,14 @@ fn write_f64(out: &mut String, n: f64) {
 }
 
 fn write_escaped(out: &mut String, s: &str) {
-    use fmt::Write;
     out.push('"');
+    escape(out, s);
+    out.push('"');
+}
+
+/// `s` as it stands between the quotes of a JSON string.
+fn escape(out: &mut String, s: &str) {
+    use fmt::Write;
     // Everything that needs an escape is one ASCII byte, so the text
     // between two of them is pushed as a whole run — the entire string in
     // the usual case of none.
@@ -469,7 +646,17 @@ fn write_escaped(out: &mut String, s: &str) {
         clean = i + 1;
     }
     out.push_str(&s[clean..]);
-    out.push('"');
+}
+
+/// Formatting into a JSON string: every piece `Display` hands over is
+/// escaped on its way into the buffer.
+struct Escaping<'a>(&'a mut String);
+
+impl fmt::Write for Escaping<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape(self.0, s);
+        Ok(())
+    }
 }
 
 /// Resource limits for parsing untrusted input. The defaults keep
@@ -1049,8 +1236,17 @@ mod tests {
             match self.below(if depth == 0 { 5 } else { 8 }) {
                 0 => Value::Null,
                 1 => Value::Bool(self.below(2) == 0),
-                2 => Value::Int(self.below(2000) as i64 - 1000),
-                3 => Value::Float(self.below(2000) as f64 / 8.0 - 100.0),
+                2 => Value::Int(match self.below(8) {
+                    0 => i64::MIN,
+                    1 => i64::MAX,
+                    _ => self.below(2000) as i64 - 1000,
+                }),
+                3 => Value::Float(match self.below(8) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => 1e300,
+                    _ => self.below(2000) as f64 / 8.0 - 100.0,
+                }),
                 4 => Value::Str(self.string()),
                 _ => self.container(depth, false),
             }
@@ -1073,25 +1269,37 @@ mod tests {
         }
     }
 
-    /// The same document with containers taken apart at random: arrays into
-    /// element iterators, objects into lazy fields, the rest borrowed or
-    /// cloned whole.
-    fn take_apart<'a>(rng: &mut Rng, v: &'a Value) -> Lazy<'a> {
+    /// `v` as events, taken apart at random: some containers by hand,
+    /// `begin`/`key`/`end` around their children, some scalars through
+    /// their typed event (strings also through `Display`), the rest handed
+    /// over whole.
+    fn push<S: Emitter>(rng: &mut Rng, s: &mut S, v: &Value) {
+        if rng.below(3) == 0 {
+            return s.value(v);
+        }
         match v {
-            Value::Array(items) if rng.below(3) > 0 => Lazy::array(items, Value::clone),
-            Value::Object(fields) if rng.below(3) > 0 => Lazy::Object(
-                fields
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), take_apart(rng, v)))
-                    .collect(),
-            ),
-            v if rng.below(2) == 0 => Lazy::Ref(v),
-            v => Lazy::Value(v.clone()),
+            Value::Null => s.null(),
+            Value::Bool(b) => s.bool(*b),
+            Value::Int(n) => match u64::try_from(*n) {
+                Ok(n) if rng.below(2) == 0 => s.u64(n),
+                _ => s.i64(*n),
+            },
+            Value::Float(x) => s.f64(*x),
+            Value::Str(text) if rng.below(2) == 0 => s.display(text),
+            Value::Str(text) => s.str(text),
+            Value::Array(items) => s.array(items, |v, s| push(rng, s, v)),
+            Value::Object(fields) => {
+                s.begin_object();
+                for (k, v) in fields {
+                    push(rng, s.key(k), v);
+                }
+                s.end_object();
+            }
         }
     }
 
     #[test]
-    fn lazy_documents_render_and_collect_like_their_trees() {
+    fn emitted_documents_render_and_collect_like_their_trees() {
         let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
         let mut deepest = 0;
         for case in 0..300 {
@@ -1106,22 +1314,75 @@ mod tests {
                     / 2,
             );
             for _ in 0..3 {
-                assert_eq!(
-                    take_apart(&mut rng, &tree).to_string_pretty(),
-                    tree.to_string_pretty()
-                );
-                assert_eq!(take_apart(&mut rng, &tree).to_string(), tree.to_string());
-                assert_eq!(take_apart(&mut rng, &tree).into_value(), tree);
+                let (mut pretty, mut compact, mut built) =
+                    (TextSink::pretty(), TextSink::compact(), TreeSink::default());
+                push(&mut rng, &mut pretty, &tree);
+                push(&mut rng, &mut compact, &tree);
+                push(&mut rng, &mut built, &tree);
+                assert_eq!(pretty.finish(), tree.to_string_pretty());
+                assert_eq!(compact.finish(), tree.to_string());
+                assert_eq!(built.finish(), tree);
             }
             assert_eq!(Value::parse(&tree.to_string_pretty()).unwrap(), tree);
         }
         assert!(deepest >= 8, "deepest generated nesting was {deepest}");
 
-        // Empty containers at any position, lazily or not.
-        let empty = || Lazy::Object(vec![("a", Lazy::array::<Value>(&[], Value::clone))]);
-        assert_eq!(empty().to_string_pretty(), "{\n  \"a\": []\n}\n");
-        assert_eq!(empty().to_string(), r#"{"a":[]}"#);
-        assert_eq!(Lazy::Object(Vec::new()).to_string_pretty(), "{}\n");
+        // Empty containers at any position, and a bare scalar.
+        let empty = |mut s: TextSink| {
+            s.begin_object();
+            s.key("a").array([0u32; 0], |n, s| s.u64(n));
+            s.key("o").begin_object();
+            s.end_object();
+            s.end_object();
+            s.finish()
+        };
+        assert_eq!(
+            empty(TextSink::pretty()),
+            "{\n  \"a\": [],\n  \"o\": {}\n}\n"
+        );
+        assert_eq!(empty(TextSink::compact()), r#"{"a":[],"o":{}}"#);
+        assert_eq!(Value::Object(Vec::new()).to_string_pretty(), "{}\n");
+        assert_eq!(TreeSink::default().finish(), Value::Null);
+        let mut s = TextSink::pretty();
+        s.u64(u64::MAX);
+        assert_eq!(s.finish(), format!("{}\n", i64::MAX));
+    }
+
+    #[test]
+    fn raw_text_is_spliced_where_a_value_goes() {
+        let inner = Value::object([("k", Value::array([1i64, 2]))]);
+        let envelope = |report: &dyn Fn(&mut TextSink)| {
+            let mut s = TextSink::compact();
+            s.begin_object();
+            s.key("id").u64(7u64);
+            report(s.key("report"));
+            s.key("after").bool(true);
+            s.end_object();
+            s.finish()
+        };
+        assert_eq!(
+            envelope(&|s| s.raw(&inner.to_string())),
+            envelope(&|s| s.value(&inner))
+        );
+    }
+
+    #[test]
+    fn display_values_are_escaped_like_strings() {
+        struct Hostile;
+        impl fmt::Display for Hostile {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                // Several pieces, so the escaping is seen to hold across them.
+                f.write_str("a\"b")?;
+                f.write_str("\\c\n")?;
+                f.write_str("\u{1}")
+            }
+        }
+        let (mut text, mut tree) = (TextSink::compact(), TreeSink::default());
+        text.display(&Hostile);
+        tree.display(&Hostile);
+        let tree = tree.finish();
+        assert_eq!(tree, Value::Str("a\"b\\c\n\u{1}".to_string()));
+        assert_eq!(text.finish(), tree.to_string());
     }
 
     fn indent_of(line: &str) -> usize {

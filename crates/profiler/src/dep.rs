@@ -30,6 +30,21 @@ impl std::fmt::Display for DepType {
     }
 }
 
+impl std::str::FromStr for DepType {
+    type Err = ();
+
+    /// The inverse of `Display`.
+    fn from_str(s: &str) -> Result<Self, ()> {
+        match s {
+            "RAW" => Ok(DepType::Raw),
+            "WAR" => Ok(DepType::War),
+            "WAW" => Ok(DepType::Waw),
+            "INIT" => Ok(DepType::Init),
+            _ => Err(()),
+        }
+    }
+}
+
 /// A source location `fileID:lineID`. This reproduction profiles one module
 /// at a time, so `file` is always 1 — kept for format fidelity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
@@ -50,6 +65,19 @@ impl SrcLoc {
 impl std::fmt::Display for SrcLoc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}:{}", self.file, self.line)
+    }
+}
+
+impl std::str::FromStr for SrcLoc {
+    type Err = ();
+
+    /// The inverse of `Display`: `file:line`, both decimal.
+    fn from_str(s: &str) -> Result<Self, ()> {
+        let (file, line) = s.split_once(':').ok_or(())?;
+        Ok(SrcLoc {
+            file: file.parse().map_err(|_| ())?,
+            line: line.parse().map_err(|_| ())?,
+        })
     }
 }
 
@@ -285,6 +313,15 @@ impl DepSet {
         v
     }
 
+    /// [`DepSet::sorted`] with each dependence's occurrence count beside
+    /// it: one sort, no [`DepSet::count`] probe per dependence.
+    pub fn sorted_counted(&self) -> Vec<(Dep, u64)> {
+        let mut v: Vec<(Dep, u64)> = self.iter().collect();
+        // Dependences are distinct, so the count never decides the order.
+        v.sort_unstable();
+        v
+    }
+
     /// Occurrence count of a dependence, 0 if absent.
     pub fn count(&self, dep: &Dep) -> u64 {
         match DepKey::pack(dep) {
@@ -485,6 +522,37 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.total_found, 3);
         assert_eq!(s.count(&dep(3, DepType::Raw, 2, 0)), 2);
+    }
+
+    #[test]
+    fn sorted_counted_is_sorted_with_each_count() {
+        let mut s = DepSet::new();
+        for (sink, n) in [(9, 3), (2, 1), (5, 2)] {
+            for _ in 0..n {
+                s.insert(dep(sink, DepType::Raw, 1, 0));
+            }
+        }
+        // Does not fit the packed key: lives in the wide map.
+        let mut wide = dep(4, DepType::War, 1, 0);
+        wide.sink.file = u32::MAX;
+        s.insert(wide);
+        let pairs = s.sorted_counted();
+        let deps: Vec<Dep> = pairs.iter().map(|&(d, _)| d).collect();
+        assert_eq!(deps, s.sorted());
+        assert!(pairs.iter().all(|(d, n)| *n == s.count(d)));
+    }
+
+    #[test]
+    fn locations_and_types_parse_back_from_their_display() {
+        for ty in [DepType::Raw, DepType::War, DepType::Waw, DepType::Init] {
+            assert_eq!(ty.to_string().parse(), Ok(ty));
+        }
+        let loc = SrcLoc { file: 7, line: 42 };
+        assert_eq!(loc.to_string().parse(), Ok(loc));
+        for bad in ["", "7", "7:", ":42", "7:42:1", "a:b", "-1:2"] {
+            assert_eq!(bad.parse::<SrcLoc>(), Err(()), "{bad:?}");
+        }
+        assert_eq!("raw".parse::<DepType>(), Err(()));
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! large C programs this reproduction cannot execute; instead, each
 //! benchmark is re-created as a mini-C kernel with the **same loop and
 //! dependence structure** — true DOALL loops stay DOALL, reductions stay
-//! reductions, recurrences stay recurrences, pipelines stay pipelines (see
-//! DESIGN.md for the substitution rationale). Every workload carries a
+//! reductions, recurrences stay recurrences, pipelines stay pipelines: what
+//! discovery is scored on is the structure, which a kernel a hundredth the
+//! size can carry whole. Every workload carries a
 //! ground-truth annotation per loop, used to score detection quality
 //! (Table 4.1's 92.5% headline).
 //!

@@ -1,0 +1,37 @@
+//! Shared by the report gates (`pinned_discovery`, `one_pass_report`).
+
+/// `functions` one-loop functions cycling through the four loop kinds of
+/// the benchmark's `wide_program` (DOALL map, first-order recurrence,
+/// scalar reduction, running max), one 16-word global each, `main` calling
+/// every function once.
+pub fn wide_program(functions: usize) -> String {
+    let mut src = String::new();
+    for i in 0..functions {
+        src.push_str(&format!("global int g{i}[16];\n"));
+    }
+    for i in 0..functions {
+        let (c, m) = (i * 7 % 97 + 1, i % 7 + 2);
+        src.push_str(&format!("fn f{i}() {{\n"));
+        src.push_str(&match i % 4 {
+            0 => format!(
+                "    for (int i = 0; i < 16; i = i + 1) {{\n        g{i}[i] = i * {m} + {c};\n    }}\n"
+            ),
+            1 => format!(
+                "    g{i}[0] = {c};\n    for (int i = 1; i < 16; i = i + 1) {{\n        g{i}[i] = g{i}[i - 1] + {m};\n    }}\n"
+            ),
+            2 => format!(
+                "    int s = 0;\n    for (int i = 0; i < 16; i = i + 1) {{\n        s = s + g{i}[i] * {m};\n    }}\n    g{i}[0] = s + {c};\n"
+            ),
+            _ => format!(
+                "    int m = {c};\n    for (int i = 0; i < 16; i = i + 1) {{\n        if (g{i}[i] > m) {{\n            m = g{i}[i];\n        }}\n    }}\n    g{i}[0] = m;\n"
+            ),
+        });
+        src.push_str("}\n");
+    }
+    src.push_str("fn main() {\n");
+    for i in 0..functions {
+        src.push_str(&format!("    f{i}();\n"));
+    }
+    src.push_str("}\n");
+    src
+}

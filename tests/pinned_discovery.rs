@@ -1,9 +1,14 @@
 //! Answers pinned across the cu/discovery/report rewrite of PR 18: the
 //! rendered `discovery` block of every catalogue program, and the whole
 //! `--static` report of a generated wide program, must hash to the digest
-//! recorded at the parent commit (cf1b80f). A change that alters any of
-//! them on purpose re-records the table from this test's failure output.
+//! recorded at the parent commit (cf1b80f). So must five whole reports
+//! across the one-pass report writer of PR 24, recorded at its parent
+//! (df901ad). A change that alters any of them on purpose re-records the
+//! table from the failing test's output.
 
+mod common;
+
+use common::wide_program;
 use discopop::{Analysis, EngineKind};
 
 /// FNV-1a 64 over the rendered bytes.
@@ -11,42 +16,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
-}
-
-/// `functions` one-loop functions cycling through the four loop kinds of
-/// the benchmark's `wide_program` (DOALL map, first-order recurrence,
-/// scalar reduction, running max), one 16-word global each, `main` calling
-/// every function once.
-fn wide_program(functions: usize) -> String {
-    let mut src = String::new();
-    for i in 0..functions {
-        src.push_str(&format!("global int g{i}[16];\n"));
-    }
-    for i in 0..functions {
-        let (c, m) = (i * 7 % 97 + 1, i % 7 + 2);
-        src.push_str(&format!("fn f{i}() {{\n"));
-        src.push_str(&match i % 4 {
-            0 => format!(
-                "    for (int i = 0; i < 16; i = i + 1) {{\n        g{i}[i] = i * {m} + {c};\n    }}\n"
-            ),
-            1 => format!(
-                "    g{i}[0] = {c};\n    for (int i = 1; i < 16; i = i + 1) {{\n        g{i}[i] = g{i}[i - 1] + {m};\n    }}\n"
-            ),
-            2 => format!(
-                "    int s = 0;\n    for (int i = 0; i < 16; i = i + 1) {{\n        s = s + g{i}[i] * {m};\n    }}\n    g{i}[0] = s + {c};\n"
-            ),
-            _ => format!(
-                "    int m = {c};\n    for (int i = 0; i < 16; i = i + 1) {{\n        if (g{i}[i] > m) {{\n            m = g{i}[i];\n        }}\n    }}\n    g{i}[0] = m;\n"
-            ),
-        });
-        src.push_str("}\n");
-    }
-    src.push_str("fn main() {\n");
-    for i in 0..functions {
-        src.push_str(&format!("    f{i}();\n"));
-    }
-    src.push_str("}\n");
-    src
 }
 
 /// `(program, digest)` at the parent commit; `wide_40` is the whole
@@ -156,4 +125,43 @@ fn discovery_blocks_match_the_digests_taken_before_the_rewrite() {
         );
     }
     assert_eq!(got.len(), PINNED.len(), "measured table:\n{table}");
+}
+
+/// Whole reports, `Report::to_json_string` to the byte, recorded at the
+/// parent of the one-pass writer (df901ad) — before any code changed.
+const PINNED_WHOLE: &[(&str, u64)] = &[
+    ("actors_10k", 0xcf003d54efabffc4),
+    ("matmul on parallel:2", 0x4a4e0aa67f01712d),
+    ("CG", 0x3dcdad8ca11dae5b),
+    ("fib", 0x9956da7adf99341e),
+    ("actor_ring", 0x42c1c01adfc402a6),
+];
+
+#[test]
+fn whole_reports_match_the_digests_taken_before_the_one_pass_writer() {
+    let whole = |name: &str, engine: Option<EngineKind>| {
+        let program = workloads::by_name(name).unwrap().program().unwrap();
+        let report = Analysis::new()
+            .engine(engine.unwrap_or_else(|| EngineKind::auto_for(&program)))
+            .analyze_program(&program)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        fnv1a(report.to_json_string(&program).as_bytes())
+    };
+    // `matmul` is too small to spawn workers, so its `parallel` block is
+    // the same on every host.
+    let got = [
+        ("actors_10k", whole("actors_10k", None)),
+        (
+            "matmul on parallel:2",
+            whole("matmul", Some(EngineKind::parallel(2))),
+        ),
+        ("CG", whole("CG", None)),
+        ("fib", whole("fib", None)),
+        ("actor_ring", whole("actor_ring", None)),
+    ];
+    let table: String = got
+        .iter()
+        .map(|(name, h)| format!("    (\"{name}\", {h:#018x}),\n"))
+        .collect();
+    assert!(got == PINNED_WHOLE, "measured table:\n{table}");
 }

@@ -1,45 +1,118 @@
-//! The streamed report (`Report::to_json_string`, which writes each array
-//! element as it is built) must be byte-identical to the reference
-//! rendering through the whole document tree
-//! (`to_doc().to_json().to_string_pretty()`) — on every catalogue program,
-//! with and without the static block, and on runs that fill the optional
-//! `resource` and `parallel` blocks.
+//! What `Report::to_json_string` writes in one pass, straight from the live
+//! report, must be byte-identical to the reference rendering through the
+//! owned document and the whole tree
+//! (`to_doc().to_json().to_string_pretty()`), and must be the document:
+//! parsed back it gives that tree and re-renders to the same bytes.
+//! The daemon's reply — the same rows written compactly and spliced into
+//! the envelope as text — must be, on the wire, the `Response::Report`
+//! built around the reference tree. On every catalogue program, with and
+//! without the static block, and on runs that fill the optional `resource`
+//! and `parallel` blocks.
 
+use discopop::protocol::{JobOptions, Request, Response};
+use discopop::report::ReportDoc;
+use discopop::serve::{serve, ServeConfig};
 use discopop::{Analysis, EngineKind, Report};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 
-fn assert_streamed_equals_tree(what: &str, program: &interp::Program, report: &Report) {
-    let streamed = report.to_json_string(program);
-    let tree = report.to_doc(program).to_json();
+/// The three renderings agree; returns the owned document.
+fn assert_written_equals_reference(
+    what: &str,
+    program: &interp::Program,
+    report: &Report,
+) -> ReportDoc {
+    let written = report.to_json_string(program);
+    let doc = report.to_doc(program);
+    let tree = doc.to_json();
     assert!(
-        streamed == tree.to_string_pretty(),
-        "{what}: streamed bytes differ from the tree's"
+        written == tree.to_string_pretty(),
+        "{what}: written bytes differ from the tree's"
     );
-    // And the streamed text is the document: it parses back to the tree.
-    let parsed = discopop::report::ReportDoc::from_json_str(&streamed).unwrap();
+    assert!(
+        written == doc.to_json_string(),
+        "{what}: the owned document writes other bytes than the live report"
+    );
+    // And the written text is the document: it parses back to the tree.
+    let parsed = ReportDoc::from_json_str(&written).unwrap();
     assert_eq!(parsed.to_json(), tree, "{what}");
+    assert!(
+        parsed.to_json().to_string_pretty() == written,
+        "{what}: the parsed document re-renders other bytes"
+    );
+    doc
+}
+
+/// One `analyze` request over a fresh connection; the reply line as it
+/// came off the wire.
+fn served_line(addr: std::net::SocketAddr, request: &Request) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut line = request.to_json().to_string();
+    line.push('\n');
+    stream.write_all(line.as_bytes()).unwrap();
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    assert!(reply.ends_with('\n'), "reply is one whole line");
+    reply.pop();
+    reply
+}
+
+/// `"elapsed_ms":<digits>` replaced by `"elapsed_ms":0` — the one field of
+/// a reply that a second run does not reproduce.
+fn without_elapsed(wire: &str) -> String {
+    let key = "\"elapsed_ms\":";
+    let at = wire.find(key).expect("a report reply") + key.len();
+    let digits = wire[at..].bytes().take_while(u8::is_ascii_digit).count();
+    assert!(digits > 0);
+    format!("{}0{}", &wire[..at], &wire[at + digits..])
 }
 
 #[test]
 fn every_catalogue_program_streams_the_bytes_its_tree_renders() {
+    let server = serve(ServeConfig::default()).unwrap();
     let all = workloads::all();
     assert_eq!(all.len(), 55);
     assert!(all.iter().any(|w| w.name == "actors_10k"));
     for w in all {
         let program = w.program().unwrap();
         for statics in [false, true] {
+            let what = format!("{} (static: {statics})", w.name);
             let report = Analysis::new()
                 .with_static(statics)
                 .engine(EngineKind::auto_for(&program))
                 .analyze_program(&program)
                 .unwrap_or_else(|e| panic!("{}: {e}", w.name));
             assert_eq!(report.statics.is_some(), statics);
-            assert_streamed_equals_tree(
-                &format!("{} (static: {statics})", w.name),
-                &program,
-                &report,
+            let doc = assert_written_equals_reference(&what, &program, &report);
+            drop(report);
+
+            // The daemon runs the same job; the second request for a
+            // program finds it compiled.
+            let expected = Response::Report {
+                id: 7,
+                cached: statics,
+                elapsed_ms: 0,
+                report: doc.to_json(),
+            };
+            let line = served_line(
+                server.local_addr(),
+                &Request::Analyze {
+                    id: 7,
+                    name: w.name.to_string(),
+                    source: w.source.to_string(),
+                    options: JobOptions {
+                        statics,
+                        ..JobOptions::default()
+                    },
+                },
+            );
+            assert!(
+                without_elapsed(&line) == expected.to_wire(),
+                "{what}: served wire bytes differ from the tree form's"
             );
         }
     }
+    assert!(server.shutdown().drained);
 }
 
 #[test]
@@ -52,12 +125,28 @@ fn governed_and_parallel_runs_stream_their_optional_blocks() {
         .unwrap();
     let resource = governed.profile.resource.as_ref().expect("governed run");
     assert!(!resource.degradation_steps.is_empty(), "the ladder fired");
-    assert_streamed_equals_tree("matmul under 16K", &program, &governed);
+    assert_written_equals_reference("matmul under 16K", &program, &governed);
 
     let parallel = Analysis::new()
         .engine(EngineKind::parallel(2))
         .analyze_program(&program)
         .unwrap();
     assert!(parallel.profile.parallel.is_some());
-    assert_streamed_equals_tree("matmul on parallel:2", &program, &parallel);
+    let doc = assert_written_equals_reference("matmul on parallel:2", &program, &parallel);
+
+    // The three reserved keys of `profile.parallel` are still written, as
+    // zeros: the parser requires `rebalances`, and saved reports must keep
+    // loading (see `ParallelDoc`).
+    let tree = doc.to_json();
+    let block = tree
+        .get("profile")
+        .and_then(|p| p.get("parallel"))
+        .expect("parallel block");
+    for reserved in ["rebalances", "combined", "merges"] {
+        assert_eq!(
+            block.get(reserved).and_then(|v| v.as_u64()),
+            Some(0),
+            "`{reserved}` must stay in the block"
+        );
+    }
 }
