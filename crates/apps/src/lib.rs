@@ -13,6 +13,8 @@
 //!   (§5.3, Fig. 5.1) — thread-to-thread communication matrices from
 //!   cross-thread dependences.
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod comm;
 pub mod ml;
 pub mod stm;

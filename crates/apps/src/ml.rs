@@ -255,7 +255,7 @@ fn best_stump(data: &Dataset, w: &[f64]) -> (Stump, f64) {
     let mut best_err = f64::INFINITY;
     for f in 0..NUM_FEATURES {
         let mut vals: Vec<f64> = data.samples.iter().map(|s| s.x.0[f]).collect();
-        vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        vals.sort_by(f64::total_cmp);
         vals.dedup();
         let mut cands = vec![vals[0] - 0.5];
         for win in vals.windows(2) {

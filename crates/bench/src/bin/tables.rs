@@ -220,11 +220,8 @@ fn profiler_slowdown() {
     println!("\n(paper averages: serial 190×, 8T lock-free ~97-101×, 16T lock-free 78-93×,");
     println!("lock-based ~1.3-1.6× slower than lock-free)");
     println!("\nThe figure's 8T lock-based column is not reproduced: the mutex-guarded queue was");
-    println!("the slower baseline by construction and no engine selected it, so PR 23 removed it");
-    println!("from the engine (`cargo bench -p bench --bench queues` still times the two queues");
-    println!(
-        "head to head). Partitions are exact below 2^18 words of footprint, signatures above."
-    );
+    println!("the slower baseline by construction and no engine selected it, so PR 23 removed it.");
+    println!("Partitions are exact below 2^18 words of footprint, signatures above.");
 }
 
 // ---- E5: Fig 2.9b ----

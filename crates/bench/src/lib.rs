@@ -2,8 +2,9 @@
 //!
 //! The `tables` binary regenerates every table and figure of the
 //! dissertation's evaluation (the binary's module doc indexes them); the
-//! criterion benches under `benches/` measure the performance-sensitive
-//! pieces in isolation. Shared measurement helpers live here.
+//! oracles the equivalence tests hold the engine against and the shared
+//! measurement helpers live here. Performance claims are made with the
+//! `benchmark/` package (`BENCHMARK.json`).
 
 pub mod seed_baseline;
 
@@ -16,8 +17,7 @@ use std::time::Instant;
 /// The legacy `HashMap` shadow behind today's dependence builder, driven by
 /// a front half of its own (loop context, instance table, PET, lifetime
 /// eviction — nothing shared with [`profiler::Profiler`]): the reference the
-/// equivalence tests hold the engine's exact map against, and the
-/// `serial_hashmap_shadow` row of `perfjson`.
+/// equivalence tests hold the engine's exact map against.
 pub struct HashShadowOracle {
     ctx: LoopContext,
     table: InstanceTable,
@@ -71,29 +71,6 @@ pub fn time_median<F: FnMut()>(reps: usize, mut f: F) -> f64 {
         .collect();
     times.sort_by(|a, b| a.partial_cmp(b).unwrap());
     times[times.len() / 2]
-}
-
-/// Minimum wall time per candidate with the reps *interleaved*: rep `r`
-/// of every candidate runs before rep `r + 1` of any of them.
-///
-/// Two noise defenses for A-vs-B rows in a benchmark table:
-/// - Back-to-back reps (`time_median` once per candidate) bias comparisons
-///   on busy or thermally-throttled hosts — whichever candidate runs last
-///   absorbs the drift the earlier ones caused. Interleaving spreads the
-///   drift evenly.
-/// - The *minimum* is the noise-robust estimator for same-work
-///   comparisons on shared hosts: external interference only ever adds
-///   time, so the smallest observation is the closest to the true cost.
-pub fn time_interleaved(reps: usize, candidates: &mut [&mut dyn FnMut()]) -> Vec<f64> {
-    let mut best = vec![f64::INFINITY; candidates.len()];
-    for _ in 0..reps.max(1) {
-        for (f, b) in candidates.iter_mut().zip(best.iter_mut()) {
-            let t = Instant::now();
-            f();
-            *b = b.min(t.elapsed().as_secs_f64());
-        }
-    }
-    best
 }
 
 /// Native (uninstrumented) execution time of a program.

@@ -4,10 +4,8 @@
 //! it existed before the shadow-memory overhaul: `HashMap<u64, Cell>` shadow
 //! memory and a SipHash-keyed dependence store, a `HashMap`-backed loop
 //! context probed per event, the path-materializing (allocating) carried-by
-//! walk, and strictly per-event sink delivery. `perfjson` runs it next to
-//! the current engine so `BENCH_profiler.json` records the speedup of the
-//! overhaul against the true "before", and the equivalence tests assert
-//! both produce identical dependences.
+//! walk, and strictly per-event sink delivery. The equivalence tests
+//! assert it and the current engine produce identical dependences.
 //!
 //! Deliberately *not* kept in sync with profiler-internal optimizations —
 //! its whole value is staying slow the old way.

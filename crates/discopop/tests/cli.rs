@@ -423,6 +423,44 @@ fn bad_inputs_fail_with_diagnostics() {
 }
 
 #[test]
+fn hostile_nesting_exits_1_with_a_one_line_diagnostic_not_a_stack_overflow() {
+    let dir = scratch("nesting");
+    let limit = lang::MAX_NESTING.to_string();
+    for (name, src) in [
+        // 100,000 terms, 200 KB: a left-deep chain the parser builds in a
+        // loop, which lowering and `Drop` would recurse on.
+        (
+            "chain",
+            format!("fn main() {{ int x = 1{}; }}", "+1".repeat(99_999)),
+        ),
+        (
+            "unary",
+            format!("fn main() {{ int x = {}1; }}", "-".repeat(100_000)),
+        ),
+        (
+            "if",
+            format!(
+                "fn main() {{ int x = 0; {} x = 1; {} }}",
+                "if (x < 1) {".repeat(20_000),
+                "}".repeat(20_000)
+            ),
+        ),
+    ] {
+        let path = dir.join(format!("{name}.dp"));
+        std::fs::write(&path, src).unwrap();
+        let res = Command::new(BIN)
+            .args(["analyze", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&res.stderr);
+        assert_eq!(res.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains("compile error"), "{name}: {stderr}");
+        assert!(stderr.contains(&limit), "{name}: names the limit: {stderr}");
+        assert_eq!(stderr.trim_end().lines().count(), 1, "{name}: {stderr}");
+    }
+}
+
+#[test]
 fn unreadable_input_exits_code_2_with_one_line_diagnostic() {
     let dir = scratch("unreadable");
 

@@ -296,6 +296,39 @@ fn malformed_requests_get_typed_errors_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn hostile_source_nesting_is_a_typed_compile_error_and_the_daemon_keeps_serving() {
+    session(|| {
+        let server = serve(test_config()).expect("bind");
+        let addr = server.local_addr();
+
+        // 40 KB of source nesting 20,000 parentheses used to overflow a
+        // worker's stack and abort the process with every queued job.
+        let deep = format!(
+            "fn main() {{ int x = {}1{}; }}",
+            "(".repeat(20_000),
+            ")".repeat(20_000)
+        );
+        match submit(&client(addr), &analyze_req(1, "deep", &deep)) {
+            Ok(Response::Error(e)) => {
+                assert_eq!(e.kind, ErrorKind::Compile, "{}", e.message);
+                assert!(
+                    e.message.contains(&lang::MAX_NESTING.to_string()),
+                    "names the limit: {}",
+                    e.message
+                );
+            }
+            other => panic!("expected a typed compile error, got {other:?}"),
+        }
+
+        assert_eq!(
+            report_json_via(addr, 2, "demo", HEALTHY_SRC),
+            direct_report_json("demo", HEALTHY_SRC)
+        );
+        server.shutdown();
+    });
+}
+
+#[test]
 fn oversized_requests_are_rejected_while_reading() {
     session(|| {
         let server = serve(ServeConfig {

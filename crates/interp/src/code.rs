@@ -16,64 +16,20 @@
 //!     element count, symbol, line, static memory-op id) for loads/stores,
 //!   - immediate pool: deduplicated constant [`Value`]s, referenced by
 //!     [`Opnd`] operands,
-//!   - call-arg pool: argument operand slices for calls,
-//!   - superinstruction pools: the cold bodies of fused ops (below).
+//!   - call-arg pool: argument operand slices for calls.
 //! - Block starts are flattened to absolute pcs (block terminators become
 //!   explicit [`HotOp::Jump`]/[`HotOp::Branch`]/[`HotOp::Return`] ops, so
-//!   one dynamic instruction is exactly one decoded slot and step counts
-//!   are unchanged); branch successors are pc *deltas* relative to the
+//!   one dynamic instruction is exactly one decoded slot, one step and one
+//!   dispatch); branch successors are pc *deltas* relative to the
 //!   branching op.
 //! - Call targets are pre-resolved to function indices
 //!   ([`HotOp::CallUser`]) or [`Builtin`] ids ([`HotOp::CallBuiltin`]);
 //!   names that resolve to nothing decode to [`HotOp::CallUnknown`] so the
 //!   runtime error still surfaces only if the call actually executes.
 //!
-//! # Superinstructions
-//!
-//! A decode-time peephole (on by default, [`DecodeConfig::fuse`]) fuses the
-//! frequent adjacent sequences of the dispatch loop into single ops:
-//!
-//! | fused op                  | constituent slots          | typical shape |
-//! |---------------------------|----------------------------|---------------|
-//! | [`HotOp::CmpBranch`]      | `Bin`,`Branch`             | loop/if condition |
-//! | [`HotOp::LoadCmpBranch`]  | `Load`,`Bin`,`Branch`      | `i < n` loop header |
-//! | [`HotOp::Rmw`]            | `Load`,`Bin`,`Store`       | `i = i + 1`, `x += v` |
-//! | [`HotOp::RmwJump`]        | `Load`,`Bin`,`Store`,`Jump`| loop-increment block |
-//! | [`HotOp::LoadRmw`]        | `Load`,`Load`,`Bin`,`Store`| `a[i] = a[i] op b[j]` |
-//! | [`HotOp::LoadRmwJump`]    | `Load`,`Load`,`Bin`,`Store`,`Jump` | body-final array update |
-//! | [`HotOp::LoadLoadBin`]    | `Load`,`Load`,`Bin`        | `a[i] op b[j]` subterm |
-//! | [`HotOp::LoadBin`]        | `Load`,`Bin`                | `a[i] * x` subterm |
-//!
-//! The `*Jump` variants fold a block's trailing unconditional `Jump`
-//! terminator into the superinstruction exit (the jump is one charged
-//! constituent, its delta rides in the hot record relative to the jump's
-//! own slot), so a loop's increment block or body-final update dispatches
-//! once instead of twice.
-//!
-//! Fusion is *observationally invisible* — the invariants, pinned by
-//! `tests/decode_equivalence.rs` against the tree-walking oracle in
-//! [`crate::reference`]:
-//!
-//! - A fused op executes its constituents verbatim, in order, emitting the
-//!   same [`Event`](crate::Event)/[`MemEvent`](crate::MemEvent) sequence
-//!   with the same static op ids and timestamps.
-//! - Each constituent counts as one logical step against the scheduler
-//!   slice budget, so slice boundaries — and therefore batch/racy delivery
-//!   boundaries — are unchanged.
-//! - Only the *head* slot of a fused sequence is rewritten; the tail slots
-//!   keep their plain ops. When the budget expires or a constituent traps
-//!   mid-sequence, the machine parks the pc at the first unexecuted (or
-//!   trapping) constituent's own slot, and execution resumes — or the
-//!   error reports — exactly as in the unfused stream.
-//! - The peephole never crosses a block seam (patterns match only inside
-//!   one block's slot range, so no jump target can land between a head and
-//!   its tail expecting fused state), and it skips `Div`/`Rem` bins, whose
-//!   division-by-zero trap would need the cold line table mid-sequence.
-//!
 //! The decode is purely mechanical: [`crate::reference`] interprets the
 //! original tree form and must produce a byte-identical event stream
-//! (`tests/decode_equivalence.rs` pins this on real workloads, with the
-//! peephole both enabled and disabled).
+//! (`tests/decode_equivalence.rs` pins this on real workloads).
 
 use crate::program::{MemOpMeta, GLOBAL_BASE, WORD};
 use fxhash::FxHashMap;
@@ -188,22 +144,6 @@ impl Builtin {
     }
 }
 
-/// Decode options for [`crate::Program`] construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecodeConfig {
-    /// Run the superinstruction peephole (fusion). Off, the stream is the
-    /// plain one-op-per-slot form; on (the default), frequent adjacent
-    /// sequences fuse into single dispatches. Both forms are required to
-    /// produce byte-identical event streams.
-    pub fuse: bool,
-}
-
-impl Default for DecodeConfig {
-    fn default() -> Self {
-        DecodeConfig { fuse: true }
-    }
-}
-
 /// High bit of a packed operand: set for immediates.
 const IMM_BIT: u32 = 1 << 31;
 /// Second-highest bit: among immediates, set for inline small integers.
@@ -270,9 +210,8 @@ impl Opnd {
 }
 
 /// A precompiled memory reference — the cold record behind
-/// [`HotOp::Load`]/[`HotOp::Store`] (and the fused ops' mem constituents):
-/// everything address resolution and event emission need without touching
-/// the module.
+/// [`HotOp::Load`]/[`HotOp::Store`]: everything address resolution and
+/// event emission need without touching the module.
 ///
 /// The interpreter resolves a global reference as
 /// `GLOBAL_BASE + (base + index) * WORD` and a local one as
@@ -301,124 +240,8 @@ pub struct MemRef {
     pub global: bool,
 }
 
-/// Cold body of a fused `Bin`+`Branch` ([`HotOp::CmpBranch`]).
-///
-/// Branch deltas stay relative to the *branch constituent's* slot (head pc
-/// + 1), exactly as in the unfused stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CmpBranchCode {
-    /// The (non-trapping) binary operator.
-    pub op: BinOp,
-    /// Bin destination register.
-    pub dst: u32,
-    /// Bin left operand.
-    pub lhs: Opnd,
-    /// Bin right operand.
-    pub rhs: Opnd,
-    /// Branch condition operand.
-    pub cond: Opnd,
-    /// Taken-successor delta from the branch slot.
-    pub then_delta: i32,
-    /// Not-taken-successor delta from the branch slot.
-    pub else_delta: i32,
-}
-
-/// Cold body of a fused `Load`+`Bin`+`Branch` ([`HotOp::LoadCmpBranch`]) —
-/// the `i < n` loop-header triple.
-///
-/// Memory constituents embed their [`MemRef`] by value (duplicating the
-/// pool entry the plain tail op still uses), so the fused path reads one
-/// sequential record instead of chasing a second dependent pool hop.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadCmpBranchCode {
-    /// Load destination register.
-    pub load_dst: u32,
-    /// Load memory reference (copy of the tail slot's pool entry).
-    pub load: MemRef,
-    /// The compare-and-branch tail (deltas relative to head pc + 2).
-    pub cmp: CmpBranchCode,
-}
-
-/// Cold body of a fused `Load`+`Bin`+`Store` ([`HotOp::Rmw`]) — the
-/// read-modify-write triple (`i = i + 1`, `x += v`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RmwCode {
-    /// Load destination register.
-    pub load_dst: u32,
-    /// Load memory reference (copy of the head slot's pool entry).
-    pub load: MemRef,
-    /// The (non-trapping) binary operator.
-    pub op: BinOp,
-    /// Bin destination register.
-    pub bin_dst: u32,
-    /// Bin left operand.
-    pub lhs: Opnd,
-    /// Bin right operand.
-    pub rhs: Opnd,
-    /// Store memory reference (copy of the tail slot's pool entry).
-    pub store: MemRef,
-    /// Store value operand.
-    pub store_src: Opnd,
-}
-
-/// Cold body of a fused `Load`+`Load`+`Bin`+`Store` ([`HotOp::LoadRmw`]) —
-/// the array-update quadruple (`a[i] = a[i] op b[j]`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadRmwCode {
-    /// First load destination register.
-    pub load_dst: u32,
-    /// First load memory reference (copy of the head slot's pool entry).
-    pub load: MemRef,
-    /// Second load + bin + store tail.
-    pub rmw: RmwCode,
-}
-
-/// Cold body of a fused `Load`+`Load`+`Bin` ([`HotOp::LoadLoadBin`]) —
-/// the two-array subterm triple (`a[i] op b[j]`), hot in CG's
-/// sparse-matrix inner products per PR 5's static counts.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadLoadBinCode {
-    /// First load destination register.
-    pub load_dst: u32,
-    /// First load memory reference (copy of the head slot's pool entry).
-    pub load: MemRef,
-    /// Second load destination register.
-    pub load2_dst: u32,
-    /// Second load memory reference (copy of the tail slot's pool entry).
-    pub load2: MemRef,
-    /// The (non-trapping) binary operator.
-    pub op: BinOp,
-    /// Bin destination register.
-    pub bin_dst: u32,
-    /// Bin left operand.
-    pub lhs: Opnd,
-    /// Bin right operand.
-    pub rhs: Opnd,
-}
-
-/// Cold body of a fused `Load`+`Bin` ([`HotOp::LoadBin`]) — the
-/// array-subterm pair (`a[i] op x`), the most frequent 2-op pattern left
-/// after the longer fusions per PR 5's static counts.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadBinCode {
-    /// Load destination register.
-    pub load_dst: u32,
-    /// Load memory reference (copy of the head slot's pool entry).
-    pub load: MemRef,
-    /// The (non-trapping) binary operator.
-    pub op: BinOp,
-    /// Bin destination register.
-    pub bin_dst: u32,
-    /// Bin left operand.
-    pub lhs: Opnd,
-    /// Bin right operand.
-    pub rhs: Opnd,
-}
-
 /// A decoded instruction slot of the flat stream — the fixed-size hot
-/// record of the hot/cold split. Exactly one slot per dynamic instruction
-/// of the unfused stream; fused ops occupy their head constituent's slot
-/// (tails keep their plain ops for mid-sequence resume).
+/// record of the hot/cold split. Exactly one slot per dynamic instruction.
 ///
 /// The 16-byte bound is what makes the dispatch loop walk a dense array —
 /// enforced at compile time below and regression-guarded in CI.
@@ -546,62 +369,6 @@ pub enum HotOp {
     /// A `Terminator::Unreachable` left in an unverified module; panics if
     /// executed (verified IR never contains one).
     Unreachable,
-    /// Fused `Bin`+`Branch` (2 logical steps); body in
-    /// [`FuncCode::cmp_branches`].
-    CmpBranch {
-        /// Superinstruction pool index.
-        fused: u32,
-    },
-    /// Fused `Load`+`Bin`+`Branch` (3 logical steps); body in
-    /// [`FuncCode::load_cmp_branches`].
-    LoadCmpBranch {
-        /// Superinstruction pool index.
-        fused: u32,
-    },
-    /// Fused `Load`+`Bin`+`Store` (3 logical steps); body in
-    /// [`FuncCode::rmws`].
-    Rmw {
-        /// Superinstruction pool index.
-        fused: u32,
-    },
-    /// Fused `Load`+`Bin`+`Store`+`Jump` (4 logical steps): an [`HotOp::Rmw`]
-    /// body (in [`FuncCode::rmws`]) whose block ends in an unconditional
-    /// jump — the canonical loop-increment block. The jump delta is
-    /// relative to the jump constituent's own slot (head pc + 3).
-    RmwJump {
-        /// Superinstruction pool index (shares [`FuncCode::rmws`]).
-        fused: u32,
-        /// Jump delta from the jump constituent's slot.
-        delta: i32,
-    },
-    /// Fused `Load`+`Load`+`Bin`+`Store` (4 logical steps); body in
-    /// [`FuncCode::load_rmws`].
-    LoadRmw {
-        /// Superinstruction pool index.
-        fused: u32,
-    },
-    /// Fused `Load`+`Load`+`Bin`+`Store`+`Jump` (5 logical steps): a
-    /// [`HotOp::LoadRmw`] body (in [`FuncCode::load_rmws`]) whose block ends
-    /// in an unconditional jump — a body-final array update. The jump delta
-    /// is relative to the jump constituent's own slot (head pc + 4).
-    LoadRmwJump {
-        /// Superinstruction pool index (shares [`FuncCode::load_rmws`]).
-        fused: u32,
-        /// Jump delta from the jump constituent's slot.
-        delta: i32,
-    },
-    /// Fused `Load`+`Load`+`Bin` (3 logical steps); body in
-    /// [`FuncCode::load_load_bins`].
-    LoadLoadBin {
-        /// Superinstruction pool index.
-        fused: u32,
-    },
-    /// Fused `Load`+`Bin` (2 logical steps); body in
-    /// [`FuncCode::load_bins`].
-    LoadBin {
-        /// Superinstruction pool index.
-        fused: u32,
-    },
 }
 
 // The whole point of the hot/cold split: growing any variant past the
@@ -638,8 +405,7 @@ pub struct RegionCode {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuncCode {
     /// The hot instruction stream; block 0 starts at pc 0. One slot per
-    /// dynamic instruction of the unfused stream (fused heads replace
-    /// their first constituent's slot; tails stay plain).
+    /// dynamic instruction.
     pub hot: Box<[HotOp]>,
     /// Memory-reference pool behind load/store slots.
     pub mems: Box<[MemRef]>,
@@ -649,18 +415,6 @@ pub struct FuncCode {
     pub call_args: Box<[Box<[Opnd]>]>,
     /// Unresolved callee names ([`HotOp::CallUnknown`]).
     pub unknown_names: Box<[Box<str>]>,
-    /// Fused compare-and-branch bodies.
-    pub cmp_branches: Box<[CmpBranchCode]>,
-    /// Fused load-compare-branch bodies.
-    pub load_cmp_branches: Box<[LoadCmpBranchCode]>,
-    /// Fused read-modify-write bodies.
-    pub rmws: Box<[RmwCode]>,
-    /// Fused load-read-modify-write bodies.
-    pub load_rmws: Box<[LoadRmwCode]>,
-    /// Fused load-load-bin bodies.
-    pub load_load_bins: Box<[LoadLoadBinCode]>,
-    /// Fused load-bin bodies.
-    pub load_bins: Box<[LoadBinCode]>,
     /// `(pc, source line)` for every [`HotOp::BinChecked`] slot, sorted by
     /// pc — consulted only on the cold division-by-zero path.
     pub trap_lines: Box<[(u32, u32)]>,
@@ -729,12 +483,6 @@ struct FuncBuilder {
     imms: Vec<Value>,
     call_args: Vec<Box<[Opnd]>>,
     unknown_names: Vec<Box<str>>,
-    cmp_branches: Vec<CmpBranchCode>,
-    load_cmp_branches: Vec<LoadCmpBranchCode>,
-    rmws: Vec<RmwCode>,
-    load_rmws: Vec<LoadRmwCode>,
-    load_load_bins: Vec<LoadLoadBinCode>,
-    load_bins: Vec<LoadBinCode>,
     trap_lines: Vec<(u32, u32)>,
     mbox_ops: Vec<(u32, u32)>,
 }
@@ -804,8 +552,6 @@ pub(crate) struct DecodeCtx<'m> {
     /// `(line, is_write)` per mailbox op, in ordinal order; `Program`
     /// extends `mem_meta` from this.
     pub mbox_meta: Vec<(u32, bool)>,
-    /// Decode options (superinstruction peephole).
-    pub cfg: DecodeConfig,
 }
 
 impl<'m> DecodeCtx<'m> {
@@ -816,7 +562,6 @@ impl<'m> DecodeCtx<'m> {
         local_off: &'m [Vec<u64>],
         local_syms: &'m [Vec<u32>],
         frame_words: &'m [usize],
-        cfg: DecodeConfig,
     ) -> Self {
         let mut func_by_name = FxHashMap::default();
         for (i, f) in module.functions.iter().enumerate() {
@@ -838,7 +583,6 @@ impl<'m> DecodeCtx<'m> {
             mem_meta: Vec::new(),
             next_mbox: 0,
             mbox_meta: Vec::new(),
-            cfg,
         }
     }
 
@@ -891,8 +635,7 @@ impl<'m> DecodeCtx<'m> {
 
     /// Lower one function into its flat form, assigning static memory-op
     /// ids in program order (function → block → instruction, the same order
-    /// the side-table scheme used), then run the superinstruction peephole
-    /// when enabled.
+    /// the side-table scheme used).
     pub fn decode_function(&mut self, fx: usize) -> FuncCode {
         let f: &Function = &self.module.functions[fx];
         // First pass: absolute pc of each block (instrs + 1 terminator op).
@@ -938,9 +681,6 @@ impl<'m> DecodeCtx<'m> {
             };
             fb.hot.push(term);
         }
-        if self.cfg.fuse {
-            fuse_function(&mut fb, &block_starts);
-        }
         let regions = f
             .regions
             .iter()
@@ -964,16 +704,10 @@ impl<'m> DecodeCtx<'m> {
             imms: fb.imms.into_boxed_slice(),
             call_args: fb.call_args.into_boxed_slice(),
             unknown_names: fb.unknown_names.into_boxed_slice(),
-            cmp_branches: fb.cmp_branches.into_boxed_slice(),
-            load_cmp_branches: fb.load_cmp_branches.into_boxed_slice(),
-            rmws: fb.rmws.into_boxed_slice(),
-            load_rmws: fb.load_rmws.into_boxed_slice(),
-            load_load_bins: fb.load_load_bins.into_boxed_slice(),
-            load_bins: fb.load_bins.into_boxed_slice(),
             trap_lines: fb.trap_lines.into_boxed_slice(),
             mbox_ops: fb.mbox_ops.into_boxed_slice(),
             // Skip-tier plans are compiled after decode (they need the
-            // static fact table), in `Program::with_decode_config`.
+            // static fact table), in `Program::new`.
             plans: Box::new([]),
             plan_idx: Box::new([]),
             regions,
@@ -1082,184 +816,6 @@ impl<'m> DecodeCtx<'m> {
     }
 }
 
-/// The superinstruction peephole: greedily fuse the longest matching
-/// pattern at each slot, per block (never across a seam), rewriting only
-/// the head slot. Tails keep their plain ops so mid-sequence suspension,
-/// traps, and (hypothetical) jumps into the middle all execute unfused.
-fn fuse_function(fb: &mut FuncBuilder, block_starts: &[u32]) {
-    for (bi, &start) in block_starts.iter().enumerate() {
-        let end = block_starts
-            .get(bi + 1)
-            .map(|&s| s as usize)
-            .unwrap_or(fb.hot.len());
-        let mut i = start as usize;
-        while i < end {
-            i += try_fuse_at(fb, i, end).max(1);
-        }
-    }
-}
-
-/// Try every pattern (longest first) at slot `i`; returns the number of
-/// slots consumed (0 = no fusion).
-fn try_fuse_at(fb: &mut FuncBuilder, i: usize, end: usize) -> usize {
-    use HotOp::*;
-    // Load + Load + Bin + Store (+ trailing Jump terminator).
-    if i + 3 < end {
-        if let (
-            Load { dst: d0, mem: m0 },
-            Load { dst: d1, mem: m1 },
-            Bin { op, dst, lhs, rhs },
-            Store { mem: sm, src },
-        ) = (fb.hot[i], fb.hot[i + 1], fb.hot[i + 2], fb.hot[i + 3])
-        {
-            fb.load_rmws.push(LoadRmwCode {
-                load_dst: d0,
-                load: fb.mems[m0 as usize],
-                rmw: RmwCode {
-                    load_dst: d1,
-                    load: fb.mems[m1 as usize],
-                    op,
-                    bin_dst: dst,
-                    lhs,
-                    rhs,
-                    store: fb.mems[sm as usize],
-                    store_src: src,
-                },
-            });
-            let fused = (fb.load_rmws.len() - 1) as u32;
-            // Fold the block's unconditional Jump terminator into the exit
-            // when it directly follows the store (body-final array update).
-            if i + 4 < end {
-                if let Jump { delta } = fb.hot[i + 4] {
-                    fb.hot[i] = LoadRmwJump { fused, delta };
-                    return 5;
-                }
-            }
-            fb.hot[i] = LoadRmw { fused };
-            return 4;
-        }
-    }
-    if i + 2 < end {
-        // Load + Bin + Store (+ trailing Jump terminator).
-        if let (Load { dst: d0, mem: m0 }, Bin { op, dst, lhs, rhs }, Store { mem: sm, src }) =
-            (fb.hot[i], fb.hot[i + 1], fb.hot[i + 2])
-        {
-            fb.rmws.push(RmwCode {
-                load_dst: d0,
-                load: fb.mems[m0 as usize],
-                op,
-                bin_dst: dst,
-                lhs,
-                rhs,
-                store: fb.mems[sm as usize],
-                store_src: src,
-            });
-            let fused = (fb.rmws.len() - 1) as u32;
-            // The canonical loop-increment block: `i = i + 1; jump header`.
-            if i + 3 < end {
-                if let Jump { delta } = fb.hot[i + 3] {
-                    fb.hot[i] = RmwJump { fused, delta };
-                    return 4;
-                }
-            }
-            fb.hot[i] = Rmw { fused };
-            return 3;
-        }
-        // Load + Bin + Branch.
-        if let (
-            Load { dst: d0, mem: m0 },
-            Bin { op, dst, lhs, rhs },
-            Branch {
-                cond,
-                then_delta,
-                else_delta,
-            },
-        ) = (fb.hot[i], fb.hot[i + 1], fb.hot[i + 2])
-        {
-            fb.load_cmp_branches.push(LoadCmpBranchCode {
-                load_dst: d0,
-                load: fb.mems[m0 as usize],
-                cmp: CmpBranchCode {
-                    op,
-                    dst,
-                    lhs,
-                    rhs,
-                    cond,
-                    then_delta,
-                    else_delta,
-                },
-            });
-            fb.hot[i] = LoadCmpBranch {
-                fused: (fb.load_cmp_branches.len() - 1) as u32,
-            };
-            return 3;
-        }
-        // Load + Load + Bin — the two-array subterm (`a[i] op b[j]`), once
-        // the Store-ending quadruple above has declined the slot.
-        if let (Load { dst: d0, mem: m0 }, Load { dst: d1, mem: m1 }, Bin { op, dst, lhs, rhs }) =
-            (fb.hot[i], fb.hot[i + 1], fb.hot[i + 2])
-        {
-            fb.load_load_bins.push(LoadLoadBinCode {
-                load_dst: d0,
-                load: fb.mems[m0 as usize],
-                load2_dst: d1,
-                load2: fb.mems[m1 as usize],
-                op,
-                bin_dst: dst,
-                lhs,
-                rhs,
-            });
-            fb.hot[i] = LoadLoadBin {
-                fused: (fb.load_load_bins.len() - 1) as u32,
-            };
-            return 3;
-        }
-    }
-    if i + 1 < end {
-        // Bin + Branch.
-        if let (
-            Bin { op, dst, lhs, rhs },
-            Branch {
-                cond,
-                then_delta,
-                else_delta,
-            },
-        ) = (fb.hot[i], fb.hot[i + 1])
-        {
-            fb.cmp_branches.push(CmpBranchCode {
-                op,
-                dst,
-                lhs,
-                rhs,
-                cond,
-                then_delta,
-                else_delta,
-            });
-            fb.hot[i] = CmpBranch {
-                fused: (fb.cmp_branches.len() - 1) as u32,
-            };
-            return 2;
-        }
-        // Load + Bin — only once every longer Load-headed pattern above
-        // has declined the slot.
-        if let (Load { dst: d0, mem: m0 }, Bin { op, dst, lhs, rhs }) = (fb.hot[i], fb.hot[i + 1]) {
-            fb.load_bins.push(LoadBinCode {
-                load_dst: d0,
-                load: fb.mems[m0 as usize],
-                op,
-                bin_dst: dst,
-                lhs,
-                rhs,
-            });
-            fb.hot[i] = LoadBin {
-                fused: (fb.load_bins.len() - 1) as u32,
-            };
-            return 2;
-        }
-    }
-    0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1267,13 +823,6 @@ mod tests {
 
     fn program(src: &str) -> Program {
         Program::new(lang::compile(src, "t").unwrap())
-    }
-
-    fn program_unfused(src: &str) -> Program {
-        Program::with_decode_config(
-            lang::compile(src, "t").unwrap(),
-            DecodeConfig { fuse: false },
-        )
     }
 
     #[test]
@@ -1285,7 +834,7 @@ mod tests {
 
     #[test]
     fn decode_flattens_blocks_with_terminators() {
-        let p = program_unfused("fn main() -> int { int x = 1; if (x > 0) { x = 2; } return x; }");
+        let p = program("fn main() -> int { int x = 1; if (x > 0) { x = 2; } return x; }");
         let code = &p.code()[0];
         // One slot per instruction plus one per terminator; block starts
         // are absolute and strictly increasing.
@@ -1349,7 +898,7 @@ mod tests {
 
     #[test]
     fn mem_op_ids_match_program_order() {
-        let p = program_unfused("global int g;\nfn main() { g = 1; int x = g; }");
+        let p = program("global int g;\nfn main() { g = 1; int x = g; }");
         let mut ids = Vec::new();
         for f in p.code() {
             for op in f.hot.iter() {
@@ -1366,7 +915,7 @@ mod tests {
 
     #[test]
     fn places_carry_layout() {
-        let p = program_unfused("global int a[8];\nfn main() { a[3] = 7; int y = a[3]; }");
+        let p = program("global int a[8];\nfn main() { a[3] = 7; int y = a[3]; }");
         let main = &p.code()[0];
         let store = main
             .hot
@@ -1385,222 +934,20 @@ mod tests {
     #[test]
     fn immediates_encode_inline_or_deduplicate() {
         // Small integers ride inline in the operand word: no pool entries.
-        let p = program_unfused("fn main() { int a = 7; int b = 7; int c = 0 - 7; }");
+        let p = program("fn main() { int a = 7; int b = 7; int c = 0 - 7; }");
         assert!(
             p.code()[0].imms.is_empty(),
             "small ints must not reach the pool: {:?}",
             p.code()[0].imms
         );
         // Floats (and out-of-range ints) intern into the pool, deduplicated.
-        let p = program_unfused("fn main() { float a = 2.5; float b = 2.5; float c = 2.5; }");
+        let p = program("fn main() { float a = 2.5; float b = 2.5; float c = 2.5; }");
         let imms = &p.code()[0].imms;
         let hits = imms
             .iter()
             .filter(|v| matches!(v, Value::F64(x) if *x == 2.5))
             .count();
         assert_eq!(hits, 1, "identical constants intern to one pool slot");
-    }
-
-    #[test]
-    fn peephole_fuses_the_named_patterns() {
-        // A loop with `i = i + 1` (Load+Bin+Store, block terminated by a
-        // Jump → the folded RmwJump), `s = s + a[i]`
-        // (Load+Load+Bin+Store, likewise Jump-terminated), and an `i < n`
-        // header (Load+Bin+Branch); the plain Bin+Branch pair appears in
-        // register-condition branches.
-        let p = program(
-            "global int a[16];
-            global int s;
-            fn main() {
-                for (int i = 0; i < 16; i = i + 1) {
-                    s = s + a[i];
-                }
-            }",
-        );
-        let main = &p.code()[0];
-        let has = |pat: fn(&HotOp) -> bool| main.hot.iter().any(pat);
-        assert!(
-            has(|o| matches!(o, HotOp::Rmw { .. } | HotOp::RmwJump { .. })),
-            "i = i + 1 fuses"
-        );
-        assert!(
-            has(|o| matches!(o, HotOp::LoadRmw { .. } | HotOp::LoadRmwJump { .. })),
-            "s = s + a[i] fuses"
-        );
-        assert!(
-            has(|o| matches!(o, HotOp::LoadCmpBranch { .. })),
-            "loop header fuses"
-        );
-        assert!(!main.rmws.is_empty() && !main.load_rmws.is_empty());
-    }
-
-    #[test]
-    fn trailing_jumps_fold_into_superinstruction_exits() {
-        // The for-loop increment block is exactly Load+Bin+Store+Jump, and
-        // the body-final `s = s + a[i]` sits directly before the body
-        // block's jump: both must fold their terminators.
-        let p = program(
-            "global int a[16];
-            global int s;
-            fn main() {
-                for (int i = 0; i < 16; i = i + 1) {
-                    s = s + a[i];
-                }
-            }",
-        );
-        let main = &p.code()[0];
-        let rmw_jump = main
-            .hot
-            .iter()
-            .enumerate()
-            .find_map(|(pc, o)| match o {
-                HotOp::RmwJump { delta, .. } => Some((pc, *delta)),
-                _ => None,
-            })
-            .expect("increment block folds its jump");
-        let llb_jump = main
-            .hot
-            .iter()
-            .enumerate()
-            .find_map(|(pc, o)| match o {
-                HotOp::LoadRmwJump { delta, .. } => Some((pc, *delta)),
-                _ => None,
-            })
-            .expect("body-final update folds its jump");
-        // The folded delta is relative to the jump constituent's own slot,
-        // which still holds the plain Jump with the same delta (tail-resume
-        // invariant), and targets a block start.
-        for (head, delta, jump_slot) in [
-            (rmw_jump.0, rmw_jump.1, rmw_jump.0 + 3),
-            (llb_jump.0, llb_jump.1, llb_jump.0 + 4),
-        ] {
-            assert!(
-                matches!(main.hot[jump_slot], HotOp::Jump { delta: d } if d == delta),
-                "head {head}: tail slot {jump_slot} keeps the plain jump"
-            );
-            let target = (jump_slot as i64 + delta as i64) as u32;
-            assert!(
-                main.block_starts.contains(&target),
-                "head {head}: folded jump target {target} is a block start"
-            );
-        }
-    }
-
-    #[test]
-    fn load_load_bin_triples_fuse() {
-        // `s = s + a[i] * b[i]` — the dotprod kernel: a[i], b[i] load pair
-        // feeding a Bin whose result is consumed by another Bin, so the
-        // Store-ending quadruple declines and Load+Load+Bin takes it.
-        let p = program(
-            "global int a[16];
-            global int b[16];
-            global int s;
-            fn main() {
-                for (int i = 0; i < 16; i = i + 1) {
-                    s = s + a[i] * b[i];
-                }
-            }",
-        );
-        let main = &p.code()[0];
-        assert!(
-            main.hot
-                .iter()
-                .any(|o| matches!(o, HotOp::LoadLoadBin { .. })),
-            "a[i] * b[i] subterm fuses to LoadLoadBin"
-        );
-        assert!(!main.load_load_bins.is_empty());
-    }
-
-    #[test]
-    fn load_bin_pairs_fuse() {
-        // `s * 2 + 1` leaves a bare Load+Bin pair once the longer patterns
-        // decline it (the second Bin breaks the Rmw shapes, and a single
-        // load cannot head the Load+Load+Bin triple).
-        let p = program(
-            "global int s;
-            fn main() {
-                for (int i = 0; i < 16; i = i + 1) {
-                    s = s * 2 + 1;
-                }
-            }",
-        );
-        let main = &p.code()[0];
-        assert!(
-            main.hot.iter().any(|o| matches!(o, HotOp::LoadBin { .. })),
-            "s * 2 subterm fuses to LoadBin"
-        );
-        assert!(!main.load_bins.is_empty());
-    }
-
-    #[test]
-    fn fusion_preserves_slot_count_and_tails() {
-        let src = "global int s;
-            fn main() {
-                for (int i = 0; i < 8; i = i + 1) { s = s + 1; }
-            }";
-        let fused = program(src);
-        let unfused = program_unfused(src);
-        let (f, u) = (&fused.code()[0], &unfused.code()[0]);
-        // One slot per dynamic instruction in both forms.
-        assert_eq!(f.hot.len(), u.hot.len());
-        assert_eq!(f.block_starts, u.block_starts);
-        // Every slot is either identical to the unfused op (tails and
-        // unfused slots) or a fused head.
-        let mut heads = 0;
-        for (i, (a, b)) in f.hot.iter().zip(u.hot.iter()).enumerate() {
-            if a != b {
-                assert!(
-                    matches!(
-                        a,
-                        HotOp::CmpBranch { .. }
-                            | HotOp::LoadCmpBranch { .. }
-                            | HotOp::Rmw { .. }
-                            | HotOp::RmwJump { .. }
-                            | HotOp::LoadRmw { .. }
-                            | HotOp::LoadRmwJump { .. }
-                            | HotOp::LoadLoadBin { .. }
-                            | HotOp::LoadBin { .. }
-                    ),
-                    "slot {i} diverges but is not a fused head: {a:?}"
-                );
-                heads += 1;
-            }
-        }
-        assert!(heads > 0, "the loop must fuse something");
-    }
-
-    #[test]
-    fn div_and_rem_never_fuse() {
-        // Div/Rem can trap with a source line from the cold table; the
-        // peephole must leave them as plain BinChecked slots.
-        let p = program(
-            "global int s;
-            fn main() {
-                for (int i = 1; i < 8; i = i + 1) { s = s / i; }
-            }",
-        );
-        for f in p.code() {
-            for (pc, op) in f.hot.iter().enumerate() {
-                if let HotOp::BinChecked { .. } = op {
-                    assert_ne!(f.trap_line(pc as u32), 0, "checked bin has a line");
-                }
-            }
-            for r in f.rmws.iter() {
-                assert!(!matches!(r.op, BinOp::Div | BinOp::Rem));
-            }
-            for r in f.load_rmws.iter() {
-                assert!(!matches!(r.rmw.op, BinOp::Div | BinOp::Rem));
-            }
-            for c in f.cmp_branches.iter() {
-                assert!(!matches!(c.op, BinOp::Div | BinOp::Rem));
-            }
-            for r in f.load_load_bins.iter() {
-                assert!(!matches!(r.op, BinOp::Div | BinOp::Rem));
-            }
-            for r in f.load_bins.iter() {
-                assert!(!matches!(r.op, BinOp::Div | BinOp::Rem));
-            }
-        }
     }
 
     #[test]

@@ -26,13 +26,11 @@
 //! instruction stream ([`code`]): a dense array of fixed-size (≤ 16-byte)
 //! [`HotOp`] records backed by cold side pools (memory references,
 //! immediates, call arguments), with call targets resolved to indices,
-//! blocks flattened to absolute pcs, and a decode-time peephole that fuses
-//! frequent adjacent sequences (compare-and-branch, read-modify-write)
-//! into superinstructions — observationally invisible: same events, same
-//! timestamps, same step accounting. [`machine`] executes that stream;
-//! [`mod@reference`] keeps the original tree-walking interpreter as an
-//! equivalence oracle — both emit byte-identical event streams for any
-//! program, configuration, and decode mode.
+//! and blocks flattened to absolute pcs — one slot per instruction, one
+//! dispatch per slot. [`machine`] executes that stream; [`mod@reference`]
+//! keeps the original tree-walking interpreter as an equivalence oracle —
+//! both emit byte-identical event streams for any program and
+//! configuration.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
@@ -44,7 +42,7 @@ pub mod reference;
 pub mod sched;
 pub mod synth;
 
-pub use code::{Builtin, DecodeConfig, FuncCode, HotOp, MemRef, Opnd};
+pub use code::{Builtin, FuncCode, HotOp, MemRef, Opnd};
 pub use event::{
     Event, MemEvent, NullSink, PlanRun, RecordingSink, RegionExitEvent, RunStream, Sink,
 };

@@ -5,15 +5,10 @@
 //! form built at [`Program::new`] — with the current frame's code slice and
 //! pc cached in locals for the duration of a scheduler slice. The pc is
 //! written back to the frame only when the frame changes (call/return), the
-//! thread blocks, or the slice's step budget runs out. Fused
-//! superinstructions execute their constituents in order, each charged one
-//! step against the slice budget and emitting exactly the events of its
-//! plain form; when the budget expires or a constituent traps mid-sequence,
-//! the pc parks at that constituent's own slot (which still holds the plain
-//! op), so suspension and errors are indistinguishable from the unfused
-//! stream. [`crate::reference`] keeps the original tree-walking loop as an
-//! equivalence oracle: both interpreters must emit byte-identical event
-//! streams.
+//! thread blocks, or the slice's step budget runs out. Every dispatch
+//! executes one slot and charges one step. [`crate::reference`] keeps the
+//! original tree-walking loop as an equivalence oracle: both interpreters
+//! must emit byte-identical event streams.
 
 // The execution core leans on machine invariants — a ready thread always
 // has a frame, decoded operands index in-bounds side pools — established
@@ -170,11 +165,10 @@ pub struct RunResult {
     /// Total executed instructions across all threads.
     pub steps: u64,
     /// Dispatch-loop iterations: how many times the interpreter actually
-    /// decoded-and-dispatched an op. Fused superinstructions count one
-    /// dispatch for several steps; plan-replayed loop cycles count zero.
-    /// `steps` is the architectural count (identical under every decode
-    /// and skip configuration), `dispatches` is the work the interpreter
-    /// did to produce it — the skip tier's perf claim is measured here.
+    /// dispatched an op — `steps` minus the plan-replayed steps. `steps` is
+    /// the architectural count (identical under every skip configuration),
+    /// `dispatches` is the work the interpreter did to produce it — the
+    /// skip tier's perf claim is measured here.
     pub dispatches: u64,
     /// Affine skip tier activity counters.
     pub synth: SynthStats,
@@ -354,13 +348,13 @@ fn jump(pc: usize, delta: i32) -> usize {
     (pc as i64 + delta as i64) as usize
 }
 
-/// Evaluate a fused bin constituent. The peephole excludes `Div`/`Rem`, so
+/// Evaluate a `Bin` op. Decode routes `Div`/`Rem` to `BinChecked`, so
 /// evaluation cannot fail.
 #[inline]
 fn bin_eval_nontrap(op: BinOp, a: Value, b: Value) -> Value {
     match bin_eval(op, a, b, 0) {
         Ok(v) => v,
-        Err(_) => unreachable!("fused bins exclude Div/Rem"),
+        Err(_) => unreachable!("Bin never holds Div/Rem"),
     }
 }
 
@@ -615,12 +609,6 @@ impl<'p, S: Sink> Interp<'p, S> {
     /// blocking, or budget exhaustion; everything else advances `pc` in
     /// place and indexes the local `regs` slice directly instead of going
     /// through `threads[t].frames.last()` per operand.
-    ///
-    /// Fused superinstructions charge the budget once per *constituent*
-    /// (`tick_or_park!`), so slice boundaries — and with them batch and
-    /// racy delivery — are identical to the unfused stream; a mid-sequence
-    /// suspension or trap parks the pc at the constituent's own slot, where
-    /// the plain op still lives, and resumes unfused.
     fn run_slice(&mut self, t: usize, quantum: u32) -> Result<(), RuntimeError> {
         let prog = self.prog;
         let mut budget = quantum;
@@ -659,39 +647,21 @@ impl<'p, S: Sink> Interp<'p, S> {
                     fr.regs = regs;
                 }};
             }
-            // One constituent step of a fused op: charge the slice budget,
-            // or suspend with the pc parked at slot `$at` — the plain op
-            // there resumes the remaining constituents unfused.
-            macro_rules! tick_or_park {
-                ($at:expr) => {{
-                    if budget == 0 {
-                        pc = $at;
-                        park!();
-                        break 'frame;
-                    }
-                    budget -= 1;
-                    steps += 1;
-                    th_steps += 1;
-                }};
-            }
-            // A load constituent (also the plain `Load` body); an
-            // out-of-bounds trap parks the pc at slot `$at`, identical to
-            // the unfused stream. The body is shared ([`Interp::exec_load`])
-            // so the dispatch loop stays compact.
+            // A load; an out-of-bounds trap parks the pc at the load
+            // itself. The body is shared ([`Interp::exec_load`]) so the
+            // dispatch loop stays compact.
             macro_rules! do_load {
-                ($mem:expr, $dst:expr, $at:expr) => {{
+                ($mem:expr, $dst:expr) => {{
                     if let Err(e) = self.exec_load(t, imms, &mut regs, base, $mem, $dst, steps) {
-                        pc = $at;
                         park!();
                         return Err(e);
                     }
                 }};
             }
-            // A store constituent (also the plain `Store` body).
+            // A store, trapping like a load.
             macro_rules! do_store {
-                ($mem:expr, $src:expr, $at:expr) => {{
+                ($mem:expr, $src:expr) => {{
                     if let Err(e) = self.exec_store(t, imms, &mut regs, base, $mem, $src, steps) {
-                        pc = $at;
                         park!();
                         return Err(e);
                     }
@@ -708,11 +678,11 @@ impl<'p, S: Sink> Interp<'p, S> {
                 dispatches += 1;
                 match ops[pc] {
                     HotOp::Load { dst, mem } => {
-                        do_load!(&code.mems[mem as usize], dst, pc);
+                        do_load!(&code.mems[mem as usize], dst);
                         pc += 1;
                     }
                     HotOp::Store { mem, src } => {
-                        do_store!(&code.mems[mem as usize], src, pc);
+                        do_store!(&code.mems[mem as usize], src);
                         pc += 1;
                     }
                     HotOp::Bin { op, dst, lhs, rhs } => {
@@ -955,116 +925,6 @@ impl<'p, S: Sink> Interp<'p, S> {
                     HotOp::Unreachable => {
                         unreachable!("verified IR has no unreachable terminators")
                     }
-                    HotOp::CmpBranch { fused } => {
-                        let cb = &code.cmp_branches[fused as usize];
-                        // Constituent 1: Bin (charged at the loop top).
-                        let a = cb.lhs.value(&regs, imms);
-                        let b = cb.rhs.value(&regs, imms);
-                        regs[cb.dst as usize] = bin_eval_nontrap(cb.op, a, b);
-                        // Constituent 2: Branch at pc + 1; deltas are
-                        // relative to the branch slot, as decoded.
-                        tick_or_park!(pc + 1);
-                        let v = cb.cond.value(&regs, imms);
-                        pc = jump(
-                            pc + 1,
-                            if v.is_truthy() {
-                                cb.then_delta
-                            } else {
-                                cb.else_delta
-                            },
-                        );
-                    }
-                    HotOp::LoadCmpBranch { fused } => {
-                        let c = &code.load_cmp_branches[fused as usize];
-                        do_load!(&c.load, c.load_dst, pc);
-                        tick_or_park!(pc + 1);
-                        let a = c.cmp.lhs.value(&regs, imms);
-                        let b = c.cmp.rhs.value(&regs, imms);
-                        regs[c.cmp.dst as usize] = bin_eval_nontrap(c.cmp.op, a, b);
-                        tick_or_park!(pc + 2);
-                        let v = c.cmp.cond.value(&regs, imms);
-                        pc = jump(
-                            pc + 2,
-                            if v.is_truthy() {
-                                c.cmp.then_delta
-                            } else {
-                                c.cmp.else_delta
-                            },
-                        );
-                    }
-                    HotOp::Rmw { fused } => {
-                        let r = &code.rmws[fused as usize];
-                        do_load!(&r.load, r.load_dst, pc);
-                        tick_or_park!(pc + 1);
-                        let a = r.lhs.value(&regs, imms);
-                        let b = r.rhs.value(&regs, imms);
-                        regs[r.bin_dst as usize] = bin_eval_nontrap(r.op, a, b);
-                        tick_or_park!(pc + 2);
-                        do_store!(&r.store, r.store_src, pc + 2);
-                        pc += 3;
-                    }
-                    HotOp::RmwJump { fused, delta } => {
-                        let r = &code.rmws[fused as usize];
-                        do_load!(&r.load, r.load_dst, pc);
-                        tick_or_park!(pc + 1);
-                        let a = r.lhs.value(&regs, imms);
-                        let b = r.rhs.value(&regs, imms);
-                        regs[r.bin_dst as usize] = bin_eval_nontrap(r.op, a, b);
-                        tick_or_park!(pc + 2);
-                        do_store!(&r.store, r.store_src, pc + 2);
-                        // Constituent 4: the folded trailing Jump at pc + 3;
-                        // the delta is relative to the jump's own slot.
-                        tick_or_park!(pc + 3);
-                        pc = jump(pc + 3, delta);
-                    }
-                    HotOp::LoadRmw { fused } => {
-                        let r = &code.load_rmws[fused as usize];
-                        do_load!(&r.load, r.load_dst, pc);
-                        tick_or_park!(pc + 1);
-                        do_load!(&r.rmw.load, r.rmw.load_dst, pc + 1);
-                        tick_or_park!(pc + 2);
-                        let a = r.rmw.lhs.value(&regs, imms);
-                        let b = r.rmw.rhs.value(&regs, imms);
-                        regs[r.rmw.bin_dst as usize] = bin_eval_nontrap(r.rmw.op, a, b);
-                        tick_or_park!(pc + 3);
-                        do_store!(&r.rmw.store, r.rmw.store_src, pc + 3);
-                        pc += 4;
-                    }
-                    HotOp::LoadRmwJump { fused, delta } => {
-                        let r = &code.load_rmws[fused as usize];
-                        do_load!(&r.load, r.load_dst, pc);
-                        tick_or_park!(pc + 1);
-                        do_load!(&r.rmw.load, r.rmw.load_dst, pc + 1);
-                        tick_or_park!(pc + 2);
-                        let a = r.rmw.lhs.value(&regs, imms);
-                        let b = r.rmw.rhs.value(&regs, imms);
-                        regs[r.rmw.bin_dst as usize] = bin_eval_nontrap(r.rmw.op, a, b);
-                        tick_or_park!(pc + 3);
-                        do_store!(&r.rmw.store, r.rmw.store_src, pc + 3);
-                        // Constituent 5: the folded trailing Jump at pc + 4.
-                        tick_or_park!(pc + 4);
-                        pc = jump(pc + 4, delta);
-                    }
-                    HotOp::LoadLoadBin { fused } => {
-                        let r = &code.load_load_bins[fused as usize];
-                        do_load!(&r.load, r.load_dst, pc);
-                        tick_or_park!(pc + 1);
-                        do_load!(&r.load2, r.load2_dst, pc + 1);
-                        tick_or_park!(pc + 2);
-                        let a = r.lhs.value(&regs, imms);
-                        let b = r.rhs.value(&regs, imms);
-                        regs[r.bin_dst as usize] = bin_eval_nontrap(r.op, a, b);
-                        pc += 3;
-                    }
-                    HotOp::LoadBin { fused } => {
-                        let r = &code.load_bins[fused as usize];
-                        do_load!(&r.load, r.load_dst, pc);
-                        tick_or_park!(pc + 1);
-                        let a = r.lhs.value(&regs, imms);
-                        let b = r.rhs.value(&regs, imms);
-                        regs[r.bin_dst as usize] = bin_eval_nontrap(r.op, a, b);
-                        pc += 2;
-                    }
                 }
             }
         }
@@ -1077,12 +937,12 @@ impl<'p, S: Sink> Interp<'p, S> {
     /// so the plan's steps (which start at `trigger + 1`) continue it.
     ///
     /// The replay is observationally identical to interpretation: every
-    /// constituent charges exactly one step *before* executing (memory
-    /// events carry the post-increment counter as their timestamp, exactly
-    /// like `tick_or_park!` + `do_load!`), the cycle-heading `LoopIter` is
-    /// charged and emitted the way its dispatch arm would, and the exit
-    /// test runs live every cycle — the statically proven trip count is
-    /// eligibility evidence, never trusted at runtime.
+    /// plan step charges exactly one step *before* executing (memory events
+    /// carry the post-increment counter as their timestamp, exactly like
+    /// the dispatch loop's charge + `do_load!`), the cycle-heading
+    /// `LoopIter` is charged and emitted the way its dispatch arm would,
+    /// and the exit test runs live every cycle — the statically proven trip
+    /// count is eligibility evidence, never trusted at runtime.
     ///
     /// **Slices.** A spent slice budget is refilled in place when no other
     /// actor is runnable ([`Interp::reslice`]); a contended thread parks.
@@ -1098,14 +958,13 @@ impl<'p, S: Sink> Interp<'p, S> {
     ///
     /// **Five exits.** `Ok(pc)` with the pc interpretation resumes at:
     /// 1. the exit target, when the loop's live exit test fails;
-    /// 2. the first uncharged constituent's own slot, when a contended
-    ///    thread's budget expires mid-cycle (the plain op there resumes
-    ///    interpreted — the exact fused-op park semantics);
+    /// 2. the first uncharged step's own slot, when a contended thread's
+    ///    budget expires mid-cycle (the op there resumes interpreted);
     /// 3. the trigger slot, when it expires at a cycle boundary —
     ///    interpretation re-dispatches the `LoopIter` there;
     /// 4. the trigger slot, when the injected fault
     ///    ([`RunConfig::affine_skip_fault`]) trips;
-    /// 5. `Err((pc, e))` when a constituent traps: the caller parks at `pc`
+    /// 5. `Err((pc, e))` when a step traps: the caller parks at `pc`
     ///    and propagates, identical to `do_load!`/`do_store!`.
     // Out of line: entered once per engagement, and the dispatch loop of
     // `run_slice` should not carry this body around its hot arms.
@@ -1377,9 +1236,8 @@ impl<'p, S: Sink> Interp<'p, S> {
     }
 
     /// One load step: move the value into `regs[dst]` and emit the memory
-    /// event — the shared body behind the plain `Load` op and every fused
-    /// load constituent. `ts` is the slice-local step counter (the event
-    /// timestamp).
+    /// event — the body of the `Load` op. `ts` is the slice-local step
+    /// counter (the event timestamp).
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn exec_load(
@@ -1397,8 +1255,7 @@ impl<'p, S: Sink> Interp<'p, S> {
         Ok(())
     }
 
-    /// One store step — the shared body behind the plain `Store` op and
-    /// every fused store constituent.
+    /// One store step — the body of the `Store` op.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn exec_store(

@@ -2,7 +2,7 @@
 //! symbol table, and the pre-decoded instruction streams the interpreter
 //! executes (see [`crate::code`]).
 
-use crate::code::{Builtin, DecodeConfig, DecodeCtx, FuncCode, HotOp};
+use crate::code::{Builtin, DecodeCtx, FuncCode, HotOp};
 use mir::{Module, Ty};
 
 /// Static metadata of one memory operation: everything a [`MemEvent`]
@@ -91,18 +91,10 @@ pub struct Program {
 }
 
 impl Program {
-    /// Prepare a module for execution with the default decode options
-    /// (superinstruction fusion on). The module must pass
+    /// Prepare a module for execution. The module must pass
     /// [`mir::verify_module`]; use `lang::compile` to obtain verified
     /// modules from source.
     pub fn new(module: Module) -> Self {
-        Self::with_decode_config(module, DecodeConfig::default())
-    }
-
-    /// Prepare a module for execution with explicit decode options. The
-    /// fused and unfused forms must produce byte-identical event streams;
-    /// the knob exists for differential testing and dispatch benchmarking.
-    pub fn with_decode_config(module: Module, decode: DecodeConfig) -> Self {
         let mut symbols = Vec::new();
         let intern = |name: &str, symbols: &mut Vec<String>| -> u32 {
             if let Some(i) = symbols.iter().position(|s| s == name) {
@@ -149,7 +141,6 @@ impl Program {
             &local_off,
             &local_syms,
             &frame_words,
-            decode,
         );
         let mut code: Vec<FuncCode> = (0..module.functions.len())
             .map(|fx| ctx.decode_function(fx))
@@ -196,9 +187,7 @@ impl Program {
         // Skip-tier plan compilation: with the fact table and trip counts
         // in hand, compile each eligible loop's cycle into a straight-line
         // plan the machine can replay without dispatching (see
-        // [`crate::synth`]). Fused and unfused decodes yield identical
-        // plans, since tracing expands superinstructions back into their
-        // constituents.
+        // [`crate::synth`]).
         for (fx, c) in code.iter_mut().enumerate() {
             crate::synth::compile_plans(c, &mem_facts, &statics.trip_counts[fx]);
         }
@@ -227,9 +216,7 @@ impl Program {
     }
 
     /// Total decoded op slots across all functions (instructions +
-    /// flattened terminators) — the size of the flat execution form. Fusion
-    /// does not change this: fused heads occupy their first constituent's
-    /// slot and tails keep their plain ops.
+    /// flattened terminators) — the size of the flat execution form.
     pub fn num_decoded_ops(&self) -> usize {
         self.code.iter().map(|c| c.hot.len()).sum()
     }
@@ -283,8 +270,7 @@ impl Program {
 
     /// True if any decoded op can spawn a target thread or actor. Engine
     /// auto-selection uses this to route large multithreaded targets to the
-    /// parallel engine. Calls never fuse, so scanning the hot stream is
-    /// exhaustive under any decode configuration.
+    /// parallel engine.
     pub fn spawns_threads(&self) -> bool {
         self.code.iter().any(|c| {
             c.hot.iter().any(|op| {

@@ -5,10 +5,9 @@
 //! [`Program::new`]; this module keeps the original slow path — per-step
 //! frame/block/pc re-resolution, match dispatch on the tree-shaped IR,
 //! name-map call resolution, and the `op_ids` side table (re-derived here) —
-//! as an independent oracle. The decode layer is pure lowering and the
-//! superinstruction peephole is observationally invisible, so for any
-//! program, sink, configuration, and decode mode (fused or unfused) the two
-//! interpreters must produce **byte-identical event streams** and results;
+//! as an independent oracle. The decode layer is pure lowering, so for any
+//! program, sink and configuration the two interpreters must produce
+//! **byte-identical event streams** and results;
 //! `tests/decode_equivalence.rs` pins this on real workloads. Keep this
 //! module dumb and obvious: its value is that it cannot share a bug with
 //! the decoder. (The only change since the pre-decode implementation is the

@@ -15,18 +15,16 @@
 //!   classified affine by the static pass. Division (`BinChecked`) also
 //!   disqualifies: its trap needs the cold line table mid-cycle.
 //! - **Plan** ([`LoopPlan`]): the cycle pre-expanded into a flat array of
-//!   [`PlanStep`]s — fused superinstructions broken back into their
-//!   constituents, each step carrying its own pc and (for memory steps) an
-//!   embedded [`MemRef`] copy. The machine executes the array in a tight
-//!   loop (`Interp::exec_plan` in [`crate::machine`], the only plan
-//!   executor), bypassing `run_slice` dispatch entirely.
+//!   [`PlanStep`]s, one per slot of the cycle, each carrying its own pc
+//!   and (for memory steps) an embedded [`MemRef`] copy. The machine
+//!   executes the array in a tight loop (`Interp::exec_plan` in
+//!   [`crate::machine`], the only plan executor), bypassing `run_slice`
+//!   dispatch entirely.
 //! - **Identity**: every step charges exactly one logical step and every
 //!   memory step carries the op id and timestamp interpretation would give
 //!   it, so events, timestamps, batching, and budget accounting are
-//!   bit-identical to full interpretation — the same invariant the
-//!   superinstruction peephole keeps, pinned by `tests/affine_skip.rs`.
-//!   Because fused ops expand to the same constituents the unfused stream
-//!   holds, the compiled plan is identical under both decode modes.
+//!   bit-identical to full interpretation, pinned by
+//!   `tests/affine_skip.rs`.
 //! - **Record, check**: a sink that takes runs
 //!   ([`crate::Sink::TAKES_RUNS`]) gets an engagement as one
 //!   [`crate::PlanRun`] instead of its events. The replayer records each
@@ -52,22 +50,22 @@
 use crate::code::{FuncCode, HotOp, MemRef, Opnd};
 use mir::{BinOp, UnOp};
 
-/// Hard cap on plan length in constituent steps: a cycle longer than this
+/// Hard cap on plan length in steps: a cycle longer than this
 /// would not be loop-shaped hot code, and the cap bounds trace time on
 /// pathological (hand-built) streams.
 const MAX_PLAN_STEPS: usize = 4096;
 
-/// One pre-expanded constituent of a loop cycle.
+/// One pre-expanded step of a loop cycle.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanOp {
-    /// A load constituent; `mem` is an embedded copy of the pool entry.
+    /// A load; `mem` is an embedded copy of the pool entry.
     Load {
         /// Destination register.
         dst: u32,
         /// Memory reference (copy of the slot's pool entry).
         mem: MemRef,
     },
-    /// A store constituent.
+    /// A store.
     Store {
         /// Value operand.
         src: Opnd,
@@ -118,12 +116,11 @@ pub enum PlanOp {
 }
 
 /// One step of a loop plan: the operation plus the pc of the slot it came
-/// from. The pc is the park/trap point — the slot still holds the plain
-/// (or head) op, so suspending there and resuming interpreted is exactly
-/// the fused-op mid-sequence park.
+/// from. The pc is the park/trap point — the slot holds the op itself, so
+/// suspending there resumes interpreted exactly where the plan stopped.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanStep {
-    /// Absolute pc of the constituent's own slot.
+    /// Absolute pc of the step's own slot.
     pub pc: u32,
     /// The operation.
     pub op: PlanOp,
@@ -137,7 +134,7 @@ pub struct LoopPlan {
     pub region: u32,
     /// The pc of the [`HotOp::LoopIter`] slot the plan is anchored at.
     pub trigger: u32,
-    /// The cycle's constituents, starting at `trigger + 1`. The
+    /// The cycle's steps, starting at `trigger + 1`. The
     /// [`PlanOp::Exit`] step, when the loop has one, sits wherever the
     /// header's branch sat.
     pub steps: Box<[PlanStep]>,
@@ -201,7 +198,7 @@ pub(crate) fn compile_plans(
 }
 
 /// Trace one full cycle of the loop anchored at the `LoopIter` slot
-/// `trigger`: the constituent steps executed from `trigger + 1` until
+/// `trigger`: the steps executed from `trigger + 1` until
 /// control returns to `trigger`. Returns `None` when the cycle is not
 /// straight-line replayable (calls, inner loops, region traffic, trapping
 /// bins, more than one branch, or over-long traces).
@@ -225,274 +222,60 @@ fn walk(code: &FuncCode, trigger: u32, take_then: bool) -> Option<Vec<PlanStep>>
         if steps.len() >= MAX_PLAN_STEPS {
             return None;
         }
-        let at = pc as u32;
-        // A branch constituent: record the live exit test, continue along
-        // the chosen successor. Only one branch may appear in the cycle.
-        let branch = |steps: &mut Vec<PlanStep>,
-                      branch_seen: &mut bool,
-                      bpc: usize,
-                      cond: Opnd,
-                      then_delta: i32,
-                      else_delta: i32|
-         -> Option<usize> {
-            if *branch_seen {
-                return None;
-            }
-            *branch_seen = true;
-            let (cont, exit) = if take_then {
-                (then_delta, else_delta)
-            } else {
-                (else_delta, then_delta)
-            };
-            steps.push(PlanStep {
-                pc: bpc as u32,
-                op: PlanOp::Exit {
-                    cond,
-                    cont_on_true: take_then,
-                    exit_pc: jump(bpc, exit) as u32,
-                },
-            });
-            Some(jump(bpc, cont))
-        };
-        match *code.hot.get(pc)? {
-            HotOp::Load { dst, mem } => {
-                steps.push(PlanStep {
-                    pc: at,
-                    op: PlanOp::Load {
-                        dst,
-                        mem: code.mems[mem as usize],
-                    },
-                });
-                pc += 1;
-            }
-            HotOp::Store { mem, src } => {
-                steps.push(PlanStep {
-                    pc: at,
-                    op: PlanOp::Store {
-                        src,
-                        mem: code.mems[mem as usize],
-                    },
-                });
-                pc += 1;
-            }
-            HotOp::Bin { op, dst, lhs, rhs } => {
-                steps.push(PlanStep {
-                    pc: at,
-                    op: PlanOp::Bin { op, dst, lhs, rhs },
-                });
-                pc += 1;
-            }
-            HotOp::Un { op, dst, src } => {
-                steps.push(PlanStep {
-                    pc: at,
-                    op: PlanOp::Un { op, dst, src },
-                });
-                pc += 1;
-            }
-            HotOp::LoopBody { region } => {
-                steps.push(PlanStep {
-                    pc: at,
-                    op: PlanOp::Body { region },
-                });
-                pc += 1;
-            }
+        let op = match *code.hot.get(pc)? {
+            HotOp::Load { dst, mem } => PlanOp::Load {
+                dst,
+                mem: code.mems[mem as usize],
+            },
+            HotOp::Store { mem, src } => PlanOp::Store {
+                src,
+                mem: code.mems[mem as usize],
+            },
+            HotOp::Bin { op, dst, lhs, rhs } => PlanOp::Bin { op, dst, lhs, rhs },
+            HotOp::Un { op, dst, src } => PlanOp::Un { op, dst, src },
+            HotOp::LoopBody { region } => PlanOp::Body { region },
             HotOp::Jump { delta } => {
                 steps.push(PlanStep {
-                    pc: at,
+                    pc: pc as u32,
                     op: PlanOp::Skip,
                 });
                 pc = jump(pc, delta);
+                continue;
             }
+            // The live exit test: continue along the chosen successor. Only
+            // one branch may appear in the cycle.
             HotOp::Branch {
                 cond,
                 then_delta,
                 else_delta,
             } => {
-                pc = branch(
-                    &mut steps,
-                    &mut branch_seen,
-                    pc,
-                    cond,
-                    then_delta,
-                    else_delta,
-                )?;
-            }
-            HotOp::CmpBranch { fused } => {
-                let cb = code.cmp_branches[fused as usize];
-                steps.push(PlanStep {
-                    pc: at,
-                    op: PlanOp::Bin {
-                        op: cb.op,
-                        dst: cb.dst,
-                        lhs: cb.lhs,
-                        rhs: cb.rhs,
-                    },
-                });
-                pc = branch(
-                    &mut steps,
-                    &mut branch_seen,
-                    pc + 1,
-                    cb.cond,
-                    cb.then_delta,
-                    cb.else_delta,
-                )?;
-            }
-            HotOp::LoadCmpBranch { fused } => {
-                let c = code.load_cmp_branches[fused as usize];
-                steps.push(PlanStep {
-                    pc: at,
-                    op: PlanOp::Load {
-                        dst: c.load_dst,
-                        mem: c.load,
-                    },
-                });
-                steps.push(PlanStep {
-                    pc: at + 1,
-                    op: PlanOp::Bin {
-                        op: c.cmp.op,
-                        dst: c.cmp.dst,
-                        lhs: c.cmp.lhs,
-                        rhs: c.cmp.rhs,
-                    },
-                });
-                pc = branch(
-                    &mut steps,
-                    &mut branch_seen,
-                    pc + 2,
-                    c.cmp.cond,
-                    c.cmp.then_delta,
-                    c.cmp.else_delta,
-                )?;
-            }
-            HotOp::Rmw { fused } | HotOp::RmwJump { fused, .. } => {
-                let r = code.rmws[fused as usize];
-                steps.push(PlanStep {
-                    pc: at,
-                    op: PlanOp::Load {
-                        dst: r.load_dst,
-                        mem: r.load,
-                    },
-                });
-                steps.push(PlanStep {
-                    pc: at + 1,
-                    op: PlanOp::Bin {
-                        op: r.op,
-                        dst: r.bin_dst,
-                        lhs: r.lhs,
-                        rhs: r.rhs,
-                    },
-                });
-                steps.push(PlanStep {
-                    pc: at + 2,
-                    op: PlanOp::Store {
-                        src: r.store_src,
-                        mem: r.store,
-                    },
-                });
-                if let HotOp::RmwJump { delta, .. } = code.hot[pc] {
-                    steps.push(PlanStep {
-                        pc: at + 3,
-                        op: PlanOp::Skip,
-                    });
-                    pc = jump(pc + 3, delta);
-                } else {
-                    pc += 3;
+                if branch_seen {
+                    return None;
                 }
-            }
-            HotOp::LoadRmw { fused } | HotOp::LoadRmwJump { fused, .. } => {
-                let r = code.load_rmws[fused as usize];
-                steps.push(PlanStep {
-                    pc: at,
-                    op: PlanOp::Load {
-                        dst: r.load_dst,
-                        mem: r.load,
-                    },
-                });
-                steps.push(PlanStep {
-                    pc: at + 1,
-                    op: PlanOp::Load {
-                        dst: r.rmw.load_dst,
-                        mem: r.rmw.load,
-                    },
-                });
-                steps.push(PlanStep {
-                    pc: at + 2,
-                    op: PlanOp::Bin {
-                        op: r.rmw.op,
-                        dst: r.rmw.bin_dst,
-                        lhs: r.rmw.lhs,
-                        rhs: r.rmw.rhs,
-                    },
-                });
-                steps.push(PlanStep {
-                    pc: at + 3,
-                    op: PlanOp::Store {
-                        src: r.rmw.store_src,
-                        mem: r.rmw.store,
-                    },
-                });
-                if let HotOp::LoadRmwJump { delta, .. } = code.hot[pc] {
-                    steps.push(PlanStep {
-                        pc: at + 4,
-                        op: PlanOp::Skip,
-                    });
-                    pc = jump(pc + 4, delta);
+                branch_seen = true;
+                let (cont, exit) = if take_then {
+                    (then_delta, else_delta)
                 } else {
-                    pc += 4;
-                }
-            }
-            HotOp::LoadLoadBin { fused } => {
-                let r = code.load_load_bins[fused as usize];
+                    (else_delta, then_delta)
+                };
                 steps.push(PlanStep {
-                    pc: at,
-                    op: PlanOp::Load {
-                        dst: r.load_dst,
-                        mem: r.load,
+                    pc: pc as u32,
+                    op: PlanOp::Exit {
+                        cond,
+                        cont_on_true: take_then,
+                        exit_pc: jump(pc, exit) as u32,
                     },
                 });
-                steps.push(PlanStep {
-                    pc: at + 1,
-                    op: PlanOp::Load {
-                        dst: r.load2_dst,
-                        mem: r.load2,
-                    },
-                });
-                steps.push(PlanStep {
-                    pc: at + 2,
-                    op: PlanOp::Bin {
-                        op: r.op,
-                        dst: r.bin_dst,
-                        lhs: r.lhs,
-                        rhs: r.rhs,
-                    },
-                });
-                pc += 3;
-            }
-            HotOp::LoadBin { fused } => {
-                let r = code.load_bins[fused as usize];
-                steps.push(PlanStep {
-                    pc: at,
-                    op: PlanOp::Load {
-                        dst: r.load_dst,
-                        mem: r.load,
-                    },
-                });
-                steps.push(PlanStep {
-                    pc: at + 1,
-                    op: PlanOp::Bin {
-                        op: r.op,
-                        dst: r.bin_dst,
-                        lhs: r.lhs,
-                        rhs: r.rhs,
-                    },
-                });
-                pc += 2;
+                pc = jump(pc, cont);
+                continue;
             }
             // Everything else disqualifies the loop: calls (unbounded
             // effects), BinChecked (cold-table trap), region markers and
             // inner loop markers (nesting), returns, unreachable.
             _ => return None,
-        }
+        };
+        steps.push(PlanStep { pc: pc as u32, op });
+        pc += 1;
     }
     Some(steps)
 }
@@ -500,7 +283,7 @@ fn walk(code: &FuncCode, trigger: u32, take_then: bool) -> Option<Vec<PlanStep>>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DecodeConfig, Program};
+    use crate::Program;
 
     fn program(src: &str) -> Program {
         Program::new(lang::compile(src, "t").unwrap())
@@ -544,27 +327,6 @@ mod tests {
         ));
         assert!(p.code()[0].plan_at(plan.trigger).is_some());
         assert!(p.code()[0].plan_at(plan.trigger + 1).is_none());
-    }
-
-    #[test]
-    fn plans_are_identical_with_fusion_on_and_off() {
-        let src = "global int a[64];
-            global int b[64];
-            global int s;
-            fn main() {
-                for (int i = 0; i < 64; i = i + 1) {
-                    b[i] = a[i] + 1;
-                    s = s + a[i] * b[i];
-                }
-            }";
-        let m = lang::compile(src, "t").unwrap();
-        let fused = Program::new(m.clone());
-        let unfused = Program::with_decode_config(m, DecodeConfig { fuse: false });
-        for (f, u) in fused.code().iter().zip(unfused.code().iter()) {
-            assert_eq!(f.plans, u.plans, "fusion must not change the plan");
-            assert_eq!(f.plan_idx, u.plan_idx);
-        }
-        assert!(!all_plans(&fused).is_empty(), "the loop must qualify");
     }
 
     #[test]

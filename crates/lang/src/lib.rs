@@ -22,12 +22,25 @@
 //! assert!(module.function("main").is_some());
 //! ```
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod ast;
 pub mod lexer;
 pub mod lower;
 pub mod parser;
 
 use std::fmt;
+
+/// The deepest nesting the frontend accepts, in AST levels: a block, a
+/// statement in it, an operand (unary, parenthesised, indexed, call
+/// argument or atom), and each link of an operator chain — `a + b + c` is
+/// as deep as `a + (b + (c))`, because lowering and `Drop` recurse on the
+/// left-deep tree just as the parser recurses on the right-deep one.
+/// Deeper source is a [`CompileError`] naming this limit, not a stack
+/// overflow: a program at exactly the limit compiles and profiles, static
+/// analysis included, on a thread with a 2 MiB stack (`tests/nesting.rs`,
+/// which also reports how deep the catalogue goes).
+pub const MAX_NESTING: usize = 256;
 
 /// A compilation failure with a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -195,12 +195,20 @@ impl<'a> FnLower<'a> {
         Ok(self.fb.build(end))
     }
 
+    /// The innermost open region; the body region sits at the bottom of
+    /// the stack for the whole function.
     fn cur_region(&self) -> RegionId {
-        *self.regions.last().expect("region stack never empty")
+        self.regions
+            .last()
+            .copied()
+            .unwrap_or_else(|| self.fb.body_region())
     }
 
     fn bind(&mut self, name: String, b: Binding, line: u32) -> Result<(), CompileError> {
-        let scope = self.scopes.last_mut().expect("scope stack never empty");
+        let scope = self
+            .scopes
+            .last_mut()
+            .ok_or_else(|| CompileError::new(line, "internal: no open scope"))?;
         if scope.contains_key(&name) {
             return Err(CompileError::new(
                 line,
@@ -553,7 +561,7 @@ impl<'a> FnLower<'a> {
                 ops.push(self.coerce(v, vty, pty, line));
             }
             let dst = self.fb.call(name, ops, true, line);
-            return Ok(Some((Operand::Reg(dst.unwrap()), Type::Int)));
+            return Ok(dst.map(|r| (Operand::Reg(r), Type::Int)));
         }
 
         if let Some(sig) = self.sigs.get(name).cloned() {
@@ -572,10 +580,9 @@ impl<'a> FnLower<'a> {
                 let (v, vty) = self.expr(a)?;
                 ops.push(self.coerce(v, vty, *pty, line));
             }
-            let has_result = sig.ret.is_some();
-            let dst = self.fb.call(name, ops, has_result, line);
-            return match (sig.ret, as_stmt) {
-                (Some(t), _) => Ok(Some((Operand::Reg(dst.unwrap()), t))),
+            let dst = self.fb.call(name, ops, sig.ret.is_some(), line);
+            return match (sig.ret.zip(dst), as_stmt) {
+                (Some((t, r)), _) => Ok(Some((Operand::Reg(r), t))),
                 (None, true) => Ok(None),
                 (None, false) => Err(CompileError::new(
                     line,
@@ -605,10 +612,9 @@ impl<'a> FnLower<'a> {
                 };
                 ops.push(v);
             }
-            let has_result = b.ret.is_some();
-            let dst = self.fb.call(name, ops, has_result, line);
-            return match (b.ret, as_stmt) {
-                (Some(t), _) => Ok(Some((Operand::Reg(dst.unwrap()), t))),
+            let dst = self.fb.call(name, ops, b.ret.is_some(), line);
+            return match (b.ret.zip(dst), as_stmt) {
+                (Some((t, r)), _) => Ok(Some((Operand::Reg(r), t))),
                 (None, true) => Ok(None),
                 (None, false) => Err(CompileError::new(
                     line,

@@ -2,21 +2,42 @@
 
 use crate::ast::*;
 use crate::lexer::{Tok, Token};
-use crate::CompileError;
+use crate::{CompileError, MAX_NESTING};
 use mir::BinOp;
 
 /// Parse a token stream into a [`Program`].
 pub fn parse(tokens: Vec<Token>) -> Result<Program, CompileError> {
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     p.program()
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// AST levels open at the current position (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
+    /// Open one more AST level: past [`MAX_NESTING`] the parse fails here
+    /// instead of overflowing the stack, here or in lowering and `Drop`.
+    /// A successful caller closes the level with `self.depth -= 1`; an
+    /// error ends the parse, so nothing needs closing then.
+    fn enter(&mut self) -> Result<(), CompileError> {
+        if self.depth >= MAX_NESTING {
+            return Err(CompileError::new(
+                self.line(),
+                format!("nesting exceeds the limit of {MAX_NESTING} levels"),
+            ));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn peek(&self) -> Option<&Tok> {
         self.tokens.get(self.pos).map(|t| &t.tok)
     }
@@ -171,6 +192,7 @@ impl Parser {
 
     fn block(&mut self) -> Result<Block, CompileError> {
         let line = self.line();
+        self.enter()?;
         self.expect(Tok::LBrace, "`{`")?;
         let mut stmts = Vec::new();
         while self.peek() != Some(&Tok::RBrace) {
@@ -181,6 +203,7 @@ impl Parser {
         }
         let end_line = self.line();
         self.expect(Tok::RBrace, "`}`")?;
+        self.depth -= 1;
         Ok(Block {
             stmts,
             line,
@@ -189,8 +212,9 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, CompileError> {
+        self.enter()?;
         let line = self.line();
-        match self.peek() {
+        let s = match self.peek() {
             Some(Tok::KwInt) | Some(Tok::KwFloat) => self.decl_stmt(),
             Some(Tok::KwIf) => self.if_stmt(),
             Some(Tok::KwWhile) => self.while_stmt(),
@@ -225,7 +249,9 @@ impl Parser {
                 line,
                 format!("expected statement, found {other:?}"),
             )),
-        }
+        }?;
+        self.depth -= 1;
+        Ok(s)
     }
 
     fn decl_stmt(&mut self) -> Result<Stmt, CompileError> {
@@ -324,8 +350,11 @@ impl Parser {
         let mut end_line = then_blk.end_line;
         let else_blk = if self.eat(&Tok::KwElse) {
             let blk = if self.peek() == Some(&Tok::KwIf) {
-                // `else if` — wrap the nested if in a synthetic block.
-                let nested = self.if_stmt()?;
+                // `else if` — wrap the nested if in a synthetic block, one
+                // level like any other block.
+                self.enter()?;
+                let nested = self.stmt()?;
+                self.depth -= 1;
                 let l = nested.line();
                 let e = match &nested {
                     Stmt::If { end_line, .. } => *end_line,
@@ -414,6 +443,9 @@ impl Parser {
 
     fn bin_expr(&mut self, min_prec: u8) -> Result<Expr, CompileError> {
         let mut lhs = self.unary()?;
+        // Each link of a left-deep chain `a + b + c` is one more level of
+        // the tree, though the loop below does not recurse.
+        let mut links = 0;
         loop {
             let (op, prec) = match self.peek() {
                 Some(Tok::PipePipe) => (BinOp::Or, 1),
@@ -440,6 +472,8 @@ impl Parser {
                 break;
             }
             let line = self.line();
+            self.enter()?;
+            links += 1;
             self.bump();
             let rhs = self.bin_expr(prec + 1)?;
             lhs = Expr::Bin {
@@ -449,28 +483,31 @@ impl Parser {
                 line,
             };
         }
+        self.depth -= links;
         Ok(lhs)
     }
 
+    /// A unary, parenthesised, indexed, call or atomic operand: one level.
     fn unary(&mut self) -> Result<Expr, CompileError> {
+        self.enter()?;
         let line = self.line();
-        if self.eat(&Tok::Minus) {
-            let e = self.unary()?;
-            return Ok(Expr::Un {
-                op: UnOpKind::Neg,
-                expr: Box::new(e),
+        let op = if self.eat(&Tok::Minus) {
+            Some(UnOpKind::Neg)
+        } else if self.eat(&Tok::Bang) {
+            Some(UnOpKind::Not)
+        } else {
+            None
+        };
+        let e = match op {
+            Some(op) => Expr::Un {
+                op,
+                expr: Box::new(self.unary()?),
                 line,
-            });
-        }
-        if self.eat(&Tok::Bang) {
-            let e = self.unary()?;
-            return Ok(Expr::Un {
-                op: UnOpKind::Not,
-                expr: Box::new(e),
-                line,
-            });
-        }
-        self.primary()
+            },
+            None => self.primary()?,
+        };
+        self.depth -= 1;
+        Ok(e)
     }
 
     fn primary(&mut self) -> Result<Expr, CompileError> {

@@ -30,10 +30,9 @@
 //!   reusable batches ([`interp::Sink::events`]); and the worker transport
 //!   recycles chunk buffers through a pool so steady-state profiling
 //!   allocates nothing per chunk. The repo's benchmark (`benchmark/`,
-//!   `BENCHMARK.json`) is the yardstick; `crates/bench/src/bin/perfjson.rs`
-//!   additionally times the engine kinds against the reconstructed
-//!   pre-overhaul engine (`bench::seed_baseline`) into
-//!   `BENCH_profiler.json`.
+//!   `BENCHMARK.json`) is the yardstick; the reconstructed pre-overhaul
+//!   engine (`bench::seed_baseline`) stays as an oracle the equivalence
+//!   tests hold the engine against.
 //! - **Explicit engine selection** ([`EngineKind`]): the exact shadow, the
 //!   signature algorithm, and the parallel pipeline are settings of the one
 //!   engine, selected through one enum and all returning the same

@@ -12,8 +12,8 @@
 //!   release store. Nodes are recycled only at drop (the allocate-only
 //!   variant the dissertation notes trades memory for speed and safety).
 //!
-//! The mutex-guarded baseline of Fig. 2.9 lives where it is measured
-//! (`crates/bench/benches/queues.rs`); no engine is built on it.
+//! The mutex-guarded baseline of Fig. 2.9 is not reproduced: no engine was
+//! built on it.
 
 use crossbeam::utils::CachePadded;
 use std::cell::UnsafeCell;

@@ -397,7 +397,7 @@ fn one_step_quantum(skip: bool) -> ProfileConfig {
 }
 
 /// Slice-budget exhaustion inside a plan cycle: with a second runnable
-/// thread a quantum of 1 parks the replay at every constituent, forcing the
+/// thread a quantum of 1 parks the replay at every plan step, forcing the
 /// interpreted-resume path on each park, yet the profile is unchanged.
 #[test]
 fn skip_tier_budget_exhaustion_parks_and_resumes_identically() {

@@ -1,17 +1,16 @@
 //! Decode-equivalence suite for the pre-decoded interpreter.
 //!
 //! `Program::new` lowers the tree-shaped MIR into a compact flat
-//! instruction stream — with the superinstruction peephole on by default —
-//! and `interp::machine` executes it; `interp::reference` keeps the
-//! original tree-walking loop (per-step frame/block/pc resolution, name-map
-//! calls). The decode is pure lowering and fusion is observationally
-//! invisible, so all three forms (fused, unfused, tree-walking) must
-//! produce **byte-identical event streams** — not merely identical
-//! dependence sets — on every workload, configuration, seed, and delivery
-//! mode, including slices whose step budget expires in the middle of a
-//! superinstruction.
+//! instruction stream and `interp::machine` executes it;
+//! `interp::reference` keeps the original tree-walking loop (per-step
+//! frame/block/pc resolution, name-map calls). The decode is pure
+//! lowering, so both must produce **byte-identical event streams** — not
+//! merely identical dependence sets — on every workload, configuration,
+//! seed, and delivery mode, including slices whose step budget expires
+//! after every single step. With the skip tier off, every step is one
+//! dispatch on both.
 
-use interp::{DecodeConfig, HotOp, Program, RecordingSink, RunConfig};
+use interp::{Program, RecordingSink, RunConfig};
 
 fn multithreaded_src() -> &'static str {
     "global int counter;
@@ -46,41 +45,18 @@ fn programs() -> Vec<(&'static str, Program)> {
     ]
 }
 
-/// The same programs with the superinstruction peephole disabled —
-/// derived from [`programs`] so the two lists cannot drift apart.
-fn unfuse(programs: Vec<(&'static str, Program)>) -> Vec<(&'static str, Program)> {
-    programs
-        .into_iter()
-        .map(|(name, p)| {
-            (
-                name,
-                Program::with_decode_config(p.module, DecodeConfig { fuse: false }),
-            )
-        })
-        .collect()
-}
-
-fn has_superinstructions(p: &Program) -> bool {
-    p.code().iter().any(|f| {
-        f.hot.iter().any(|op| {
-            matches!(
-                op,
-                HotOp::CmpBranch { .. }
-                    | HotOp::LoadCmpBranch { .. }
-                    | HotOp::Rmw { .. }
-                    | HotOp::RmwJump { .. }
-                    | HotOp::LoadRmw { .. }
-                    | HotOp::LoadRmwJump { .. }
-                    | HotOp::LoadBin { .. }
-                    | HotOp::LoadLoadBin { .. }
-            )
-        })
-    })
-}
-
+/// Run on the machine. One op per dispatch: with the skip tier off the
+/// dispatch count is the step count; with it on, plan-replayed steps are
+/// the only ones not dispatched.
 fn record(p: &Program, cfg: RunConfig) -> (interp::RunResult, Vec<interp::Event>) {
+    let skip = cfg.affine_skip;
     let mut sink = RecordingSink::default();
     let r = interp::run_with_config(p, &mut sink, cfg).unwrap();
+    if skip {
+        assert!(r.dispatches <= r.steps);
+    } else {
+        assert_eq!(r.dispatches, r.steps, "skip off: one dispatch per step");
+    }
     (r, sink.events)
 }
 
@@ -199,62 +175,47 @@ fn decoded_errors_match_reference() {
 }
 
 #[test]
-fn fusion_on_and_off_are_byte_identical_everywhere() {
-    // The four combinations — {fused, unfused} × {deterministic, racy} —
-    // must all reproduce the tree-walking oracle's stream byte for byte,
-    // across workloads and seeds. CG joins the sweep as the heaviest
-    // superinstruction consumer (long Load+Load+Bin+Store chains).
-    let mut fused = programs();
-    fused.push(("CG", workloads::by_name("CG").unwrap().program().unwrap()));
-    let unfused = unfuse(fused.clone());
-    let fused = fused;
-    for ((name, pf), (_, pu)) in fused.iter().zip(unfused.iter()) {
-        assert!(
-            has_superinstructions(pf),
-            "{name}: fused program must contain superinstructions for this sweep to mean anything"
-        );
-        assert!(
-            !has_superinstructions(pu),
-            "{name}: fuse=false must not fuse"
-        );
+fn one_dispatch_per_step_with_the_skip_tier_off() {
+    // With the skip tier off, the machine dispatches exactly once per step
+    // — as the tree walker does — and both emit the same stream, across
+    // workloads, seeds and delivery modes. CG joins the sweep as the
+    // heaviest straight-line consumer (long Load+Load+Bin+Store chains).
+    let mut all = programs();
+    all.push(("CG", workloads::by_name("CG").unwrap().program().unwrap()));
+    for (name, p) in &all {
         for seed in [1u64, 0x5eed] {
             for racy in [false, true] {
                 let cfg = || RunConfig {
                     seed,
                     racy_delivery: racy,
                     buffer_cap: 8,
+                    affine_skip: false,
                     ..Default::default()
                 };
-                let (fr, fev) = record(pf, cfg());
-                let (ur, uev) = record(pu, cfg());
-                let (rr, rev) = record_reference(pf, cfg());
+                let (mr, mev) = record(p, cfg());
+                let (rr, rev) = record_reference(p, cfg());
                 assert_eq!(
-                    fev, uev,
-                    "{name}: fused vs unfused (seed {seed}, racy {racy})"
+                    mev, rev,
+                    "{name}: machine vs oracle (seed {seed}, racy {racy})"
                 );
-                assert_eq!(
-                    fev, rev,
-                    "{name}: fused vs oracle (seed {seed}, racy {racy})"
-                );
-                assert_eq!(fr.steps, ur.steps, "{name}: step counts");
-                assert_eq!(fr.steps, rr.steps, "{name}: step counts vs oracle");
-                assert_eq!(fr.ret, rr.ret, "{name}: return values");
-                assert!(!fev.is_empty(), "{name}: empty stream proves nothing");
+                assert_eq!(mr.steps, rr.steps, "{name}: step counts vs oracle");
+                assert_eq!(mr.dispatches, mr.steps, "{name}: dispatches vs steps");
+                assert_eq!(mr.dispatches, rr.dispatches, "{name}: dispatches vs oracle");
+                assert_eq!(mr.ret, rr.ret, "{name}: return values");
+                assert!(!mev.is_empty(), "{name}: empty stream proves nothing");
             }
         }
     }
 }
 
 #[test]
-fn budget_expiry_mid_superinstruction_suspends_and_resumes_identically() {
-    // The sharpest hazard fusion introduces: the scheduler's step budget
-    // can expire between two constituents of a fused op. `quantum: 1`
-    // forces that on *every* multi-constituent superinstruction (each
-    // slice admits exactly one logical step, so every fused op parks
-    // mid-sequence and resumes through its plain tail slots); 2, 3, and 5
-    // exercise every other split point. The suspended/resumed stream must
-    // stay byte-identical to the oracle and the unfused stream — same
-    // events, same timestamps, same batch boundaries.
+fn budget_expiry_at_every_quantum_suspends_and_resumes_identically() {
+    // `quantum: 1` parks the thread after every single step (each slice
+    // admits exactly one), 2, 3 and 5 exercise every other split of the
+    // loop body, and the skip tier on puts the split inside a replayed
+    // plan cycle as well. The suspended/resumed stream must stay
+    // byte-identical to the oracle — same events, same timestamps, same
+    // batch boundaries.
     let src = "global int a[16];
 global int s;
 fn main() {
@@ -263,103 +224,74 @@ fn main() {
         a[i] = a[i] + 1;
     }
 }";
-    let m = lang::compile(src, "budget").unwrap();
-    let fused = Program::new(m.clone());
-    let unfused = Program::with_decode_config(m, DecodeConfig { fuse: false });
-    assert!(
-        has_superinstructions(&fused),
-        "the loop must fuse for this test to bite"
-    );
-    for quantum in [1u32, 2, 3, 5, 64] {
-        for batch_cap in [0usize, 3, 256] {
-            let cfg = || RunConfig {
-                quantum,
-                batch_cap,
-                ..Default::default()
-            };
-            let (fr, fev) = record(&fused, cfg());
-            let (ur, uev) = record(&unfused, cfg());
-            let (rr, rev) = record_reference(&fused, cfg());
-            if let Some(i) = (0..fev.len().min(rev.len())).find(|&i| fev[i] != rev[i]) {
-                panic!(
-                    "quantum {quantum} batch {batch_cap}: divergence at event {i}:\n  fused:  {:?}\n  oracle: {:?}",
-                    fev[i], rev[i]
-                );
+    let p = Program::new(lang::compile(src, "budget").unwrap());
+    for affine_skip in [false, true] {
+        for quantum in [1u32, 2, 3, 5, 64] {
+            for batch_cap in [0usize, 3, 256] {
+                let cfg = || RunConfig {
+                    quantum,
+                    batch_cap,
+                    affine_skip,
+                    ..Default::default()
+                };
+                let (mr, mev) = record(&p, cfg());
+                let (rr, rev) = record_reference(&p, cfg());
+                let at = format!("skip {affine_skip} quantum {quantum} batch {batch_cap}");
+                if let Some(i) = (0..mev.len().min(rev.len())).find(|&i| mev[i] != rev[i]) {
+                    panic!(
+                        "{at}: divergence at event {i}:\n  machine: {:?}\n  oracle:  {:?}",
+                        mev[i], rev[i]
+                    );
+                }
+                assert_eq!(mev.len(), rev.len(), "{at}");
+                assert_eq!(mr.steps, rr.steps, "{at}");
             }
-            assert_eq!(fev.len(), rev.len(), "quantum {quantum} batch {batch_cap}");
-            assert_eq!(
-                fev, uev,
-                "quantum {quantum} batch {batch_cap}: fused vs unfused"
-            );
-            assert_eq!(fr.steps, rr.steps);
-            assert_eq!(fr.steps, ur.steps);
         }
     }
     // The multithreaded workload adds scheduler interleaving on top: a
-    // thread parked mid-superinstruction must resume correctly even when
-    // other threads ran in between.
-    let m = lang::compile(multithreaded_src(), "mtq").unwrap();
-    let fused = Program::new(m.clone());
-    let unfused = Program::with_decode_config(m, DecodeConfig { fuse: false });
-    assert!(has_superinstructions(&fused));
+    // thread parked mid-body must resume correctly even when other threads
+    // ran in between.
+    let p = Program::new(lang::compile(multithreaded_src(), "mtq").unwrap());
     for quantum in [1u32, 3, 64] {
         let cfg = || RunConfig {
             quantum,
+            affine_skip: false,
             ..Default::default()
         };
-        let (_, fev) = record(&fused, cfg());
-        let (_, uev) = record(&unfused, cfg());
-        let (_, rev) = record_reference(&fused, cfg());
-        assert_eq!(fev, rev, "mt quantum {quantum}: fused vs oracle");
-        assert_eq!(fev, uev, "mt quantum {quantum}: fused vs unfused");
+        let (_, mev) = record(&p, cfg());
+        let (_, rev) = record_reference(&p, cfg());
+        assert_eq!(mev, rev, "mt quantum {quantum}: machine vs oracle");
     }
 }
 
 #[test]
-fn traps_inside_fused_constituents_match_reference() {
-    // An out-of-bounds trap can fire in any memory constituent of a fused
-    // op (the load, the second load, or the store). The error and the
-    // emitted event *prefix* must match the oracle and the unfused form
-    // exactly — including under quantum 1, where the trap happens in a
-    // resumed tail rather than inside the fused head.
+fn memory_traps_match_reference() {
+    // An out-of-bounds trap can fire in a load or a store. The error and
+    // the emitted event *prefix* must match the oracle exactly — including
+    // under quantum 1, where the trapping op runs in a slice of its own.
     let srcs = [
-        // Load constituent traps: reading a[i] walks past the end.
+        // A load traps: reading a[i] walks past the end.
         "global int a[8];\nglobal int s;\nfn main() { for (int i = 0; i < 9; i = i + 1) { s = s + a[i]; } }",
-        // Store constituent traps: a[i] = a[i] + 1 where the bound check
-        // fails only at the last iteration's store-side index.
+        // The store traps too: a[i] = a[i] + 1 past the end (the load of
+        // the same element traps first on the last iteration).
         "global int a[8];\nglobal int s;\nfn main() { for (int i = 0; i < 9; i = i + 1) { a[i] = a[i] + 1; } }",
     ];
     for src in srcs {
-        let m = lang::compile(src, "trap").unwrap();
-        let fused = Program::new(m.clone());
-        let unfused = Program::with_decode_config(m, DecodeConfig { fuse: false });
-        assert!(has_superinstructions(&fused), "{src}");
+        let p = Program::new(lang::compile(src, "trap").unwrap());
         for quantum in [1u32, 64] {
             let cfg = || RunConfig {
                 quantum,
                 ..Default::default()
             };
-            let run = |p: &Program| {
-                let mut sink = RecordingSink::default();
-                let err = interp::run_with_config(p, &mut sink, cfg()).unwrap_err();
-                (err, sink.events)
-            };
-            let run_ref = |p: &Program| {
-                let mut sink = RecordingSink::default();
-                let err = interp::reference::run_with_config(p, &mut sink, cfg()).unwrap_err();
-                (err, sink.events)
-            };
-            let (fe, fev) = run(&fused);
-            let (ue, uev) = run(&unfused);
-            let (re, rev) = run_ref(&fused);
-            assert_eq!(fe, re, "{src} (quantum {quantum})");
-            assert_eq!(fe, ue, "{src} (quantum {quantum})");
-            assert_eq!(fev, rev, "{src} (quantum {quantum}): error-path prefix");
-            assert_eq!(
-                fev, uev,
-                "{src} (quantum {quantum}): fused vs unfused prefix"
-            );
-            assert!(!fev.is_empty(), "{src}: the trap must happen mid-run");
+            let mut sink = RecordingSink::default();
+            let me = interp::run_with_config(&p, &mut sink, cfg()).unwrap_err();
+            let mev = sink.events;
+            let mut sink = RecordingSink::default();
+            let re = interp::reference::run_with_config(&p, &mut sink, cfg()).unwrap_err();
+            let rev = sink.events;
+            assert_eq!(me, re, "{src} (quantum {quantum})");
+            assert_eq!(mev, rev, "{src} (quantum {quantum}): error-path prefix");
+            assert!(!mev.is_empty(), "{src}: the trap must happen mid-run");
         }
     }
 }

@@ -6,12 +6,12 @@
 //! feeds [`PlanRun::expand`] where the run arrives observes, event for
 //! event, the stream [`RecordingSink`] records, and the run itself (steps,
 //! return value, output) is untouched by which kind of sink listens. Held
-//! over the catalogue, fused and unfused, across quanta, under the injected
+//! over the catalogue across quanta, under the injected
 //! tier fault and under a stop flag raised mid-run. The generated nests of
 //! `tests/affine_skip.rs` run the same check there; a forged non-affine plan
 //! and a mid-run trap are unit tests beside `exec_plan`.
 
-use interp::{DecodeConfig, Event, PlanRun, Program, RecordingSink, RunConfig, RunResult, Sink};
+use interp::{Event, PlanRun, Program, RecordingSink, RunConfig, RunResult, Sink};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -88,22 +88,9 @@ fn assert_same_outcome(label: &str, a: &RunResult, b: &RunResult) {
     assert_eq!(a.dispatches, b.dispatches, "{label}: dispatches");
 }
 
-fn decodes(p: &Program) -> [(&'static str, Program); 2] {
-    [
-        (
-            "fused",
-            Program::with_decode_config(p.module.clone(), DecodeConfig { fuse: true }),
-        ),
-        (
-            "unfused",
-            Program::with_decode_config(p.module.clone(), DecodeConfig { fuse: false }),
-        ),
-    ]
-}
-
 /// Every catalogue program but `actors_10k` (whose 10,002 stacks make two
-/// recorded streams a memory test, not a plan test), fused and unfused, at
-/// quanta from "every step a slice" to "one slice".
+/// recorded streams a memory test, not a plan test), at quanta from "every
+/// step a slice" to "one slice".
 #[test]
 fn catalogue_runs_expand_to_the_recorded_stream() {
     let mut runs = 0;
@@ -112,15 +99,13 @@ fn catalogue_runs_expand_to_the_recorded_stream() {
             continue;
         }
         let p = w.program().expect("workload compiles");
-        for (mode, p) in decodes(&p) {
-            for quantum in [1u32, 3, 64, 1 << 20] {
-                let cfg = RunConfig {
-                    quantum,
-                    ..Default::default()
-                };
-                let label = format!("{}/{mode}/quantum={quantum}", w.name);
-                runs += assert_runs_expand_to_the_stream(&label, &p, &cfg);
-            }
+        for quantum in [1u32, 3, 64, 1 << 20] {
+            let cfg = RunConfig {
+                quantum,
+                ..Default::default()
+            };
+            let label = format!("{}/quantum={quantum}", w.name);
+            runs += assert_runs_expand_to_the_stream(&label, &p, &cfg);
         }
     }
     assert!(runs > 4000, "only {runs} runs: the gate barely engaged");
