@@ -945,16 +945,13 @@ fn fp_model() {
             let mut sig = profiler::SignatureMap::new(m);
             for &a in &sink.0 {
                 use profiler::AccessMap;
-                sig.set(
-                    a,
-                    profiler::Cell {
-                        ts: 0,
-                        op: 0,
-                        instance: u32::MAX,
-                        iter: 0,
-                        thread: 0,
-                    },
-                );
+                sig.entry(a).write = profiler::Cell {
+                    ts: 0,
+                    op: 0,
+                    instance: u32::MAX,
+                    iter: 0,
+                    thread: 0,
+                };
             }
             let occupied = sig.occupied();
             let collided = sink.0.len().saturating_sub(occupied);

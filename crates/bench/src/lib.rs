@@ -33,7 +33,6 @@ impl HashShadowOracle {
             table: InstanceTable::new(),
             builder: DepBuilder::new(
                 HashShadowMap::new(),
-                HashShadowMap::new(),
                 prog.mem_op_meta(),
                 EngineConfig::default(),
             ),

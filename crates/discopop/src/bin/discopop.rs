@@ -109,13 +109,20 @@ fn main() -> ExitCode {
             println!("engine specs accepted by --engine:");
             println!("  serial-perfect                    exact page-table shadow memory");
             println!(
-                "  serial-signature[:slots]          bounded-memory signature (default 2^18 slots)"
+                "  serial-signature[:slots]          bounded-memory signature (default 2^18 slots;"
             );
+            println!("                                    a slot pairs an address's read and write status)");
             println!("  parallel[:[workers=]N[xchunk]]    producer/consumer pipeline: N partitions, inline");
             println!(
                 "                                    until the run is big enough for N workers"
             );
             println!("                                    N and chunk must be positive (parallel:0 is an error)");
+            println!(
+                "a serial engine is one partition: past 2^20 accesses it moves to one worker \
+                 thread while the interpreter runs on, unless the host has one core, \
+                 --max-memory is set, or a plan run was resolved in closed form; the report \
+                 is the same either way, and the [2/3] progress line says where tracking ran"
+            );
             println!(
                 "without --engine, the engine is auto-selected (EngineKind::auto_for): \
                  serial-perfect for small address footprints, and beyond them \
@@ -284,6 +291,7 @@ fn analyze(args: &[String]) -> ExitCode {
                 steps,
                 dependences,
                 plan_runs,
+                tracking,
             } => {
                 // Why a loop was or was not fast: how many engagements of
                 // the skip tier reached the engine as runs, and how much of
@@ -298,7 +306,7 @@ fn analyze(args: &[String]) -> ExitCode {
                         (plan_runs.resolved_pct() * 10.0).floor() / 10.0
                     )
                 };
-                eprintln!("[2/3] profiled with {engine}: {steps} instructions, {dependences} distinct dependences{runs}");
+                eprintln!("[2/3] profiled with {engine}: {steps} instructions, {dependences} distinct dependences{runs}; {tracking}");
             }
             StageEvent::StaticAnalyzed {
                 loops,

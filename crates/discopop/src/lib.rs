@@ -210,6 +210,9 @@ pub enum StageEvent<'a> {
         /// and how much of them resolved in closed form (all zeros when the
         /// skip tier was off or the engine takes events only).
         plan_runs: profiler::RunStats,
+        /// Where the accesses were tracked: on the interpreting thread, and
+        /// why, or on a worker from which access on.
+        tracking: profiler::Tracking,
     },
     /// The static pre-pass finished (only with [`Analysis::with_static`]).
     StaticAnalyzed {
@@ -577,6 +580,7 @@ impl Analysis {
             steps: profiled.output.steps,
             dependences: profiled.output.deps.len(),
             plan_runs: profiled.output.plan_runs,
+            tracking: profiled.output.tracking,
         });
         profiled
     }

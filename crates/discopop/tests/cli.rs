@@ -225,6 +225,86 @@ fn default_engine_is_auto_selected() {
     );
 }
 
+/// Analyze `src` and return the `[2/3] profiled …` line and the report.
+fn profiled_line(dir: &Path, src: &str, extra: &[&str]) -> (String, discopop::report::ReportDoc) {
+    let file = dir.join("prog.dp");
+    let out = dir.join("prog.json");
+    std::fs::write(&file, src).unwrap();
+    let mut args = vec!["analyze", file.to_str().unwrap(), "--json"];
+    args.push(out.to_str().unwrap());
+    args.extend_from_slice(extra);
+    let res = Command::new(BIN).args(&args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&res.stderr).to_string();
+    assert!(res.status.success(), "{stderr}");
+    let line = stderr
+        .lines()
+        .find(|l| l.starts_with("[2/3] profiled"))
+        .unwrap_or_else(|| panic!("no profiled line: {stderr}"))
+        .to_string();
+    let doc = discopop::report::ReportDoc::from_json_str(&std::fs::read_to_string(&out).unwrap())
+        .unwrap();
+    (line, doc)
+}
+
+#[test]
+fn the_profiled_line_says_where_tracking_ran() {
+    // A short run stays on the interpreting thread, and says how short.
+    let dir = scratch("tracking");
+    let (line, doc) = profiled_line(&dir, SRC, &[]);
+    assert!(
+        line.ends_with(&format!(
+            "; tracked inline: {} accesses, too few to move to a worker",
+            doc.profile.accesses
+        )),
+        "{line}"
+    );
+    // A memory ceiling keeps any run inline, and says so.
+    let (line, _) = profiled_line(&dir, SRC, &["--max-memory", "1G"]);
+    assert!(
+        line.ends_with("; tracked inline: a memory ceiling is set"),
+        "{line}"
+    );
+}
+
+/// 2.1 M accesses, all delivered one by one: past the 2^20 at which a
+/// serial engine's partition moves to a worker thread.
+const LONG_SRC: &str = "global int a[4096];
+fn main() {
+    for (int r = 0; r < 64; r = r + 1) {
+        for (int i = 0; i < 4096; i = i + 1) {
+            a[i] = a[i] + i;
+        }
+    }
+}
+";
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only: 2.1 M accesses")]
+fn a_long_run_moves_to_a_worker_and_says_from_which_access() {
+    let dir = scratch("moved");
+    let (line, moved) = profiled_line(&dir, LONG_SRC, &[]);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores < 2 {
+        assert!(line.ends_with("; tracked inline: one core"), "{line}");
+        return;
+    }
+    let at: u64 = line
+        .split("; tracked on a worker thread from access ")
+        .nth(1)
+        .unwrap_or_else(|| panic!("not moved: {line}"))
+        .parse()
+        .unwrap_or_else(|e| panic!("{e}: {line}"));
+    // Moved at the first checkpoint past 2^20 accesses.
+    assert!((1 << 20..(1 << 20) + 4096).contains(&at), "{line}");
+    assert!(moved.profile.accesses > at);
+    // The move is invisible in the report.
+    let (line, inline) = profiled_line(&dir, LONG_SRC, &["--max-memory", "1G"]);
+    assert!(line.ends_with("a memory ceiling is set"), "{line}");
+    assert_eq!(moved.profile.dependences, inline.profile.dependences);
+    assert_eq!(moved.profile.profiler_bytes, inline.profile.profiler_bytes);
+    assert_eq!(moved.discovery, inline.discovery);
+}
+
 #[test]
 fn json_to_stdout_is_pure_json() {
     // `--json -` must own stdout even without --quiet: no human-readable

@@ -37,29 +37,22 @@ pub struct PackedAccess {
     pub instance: u32,
     /// Iteration number within that instance.
     pub iter: u32,
-    /// Executing thread. Interpreter thread ids are a dense counter;
-    /// the packed form supports up to 65535 of them over a target's
-    /// lifetime (checked at pack time, also in release builds) — far
-    /// beyond what the deterministic scheduler can usefully run, but a
-    /// real bound: widen this field before lifting it.
-    pub thread: u16,
+    /// Executing thread. Full width: the record pads to 32 bytes either
+    /// way, and a serial run that moves to a worker must take any thread
+    /// count its inline path takes.
+    pub thread: u32,
 }
 
 impl PackedAccess {
     /// Pack an annotated access (drops the op-determined fields).
-    ///
-    /// # Panics
-    /// If the thread id exceeds the packed form's 16-bit budget — failing
-    /// loudly beats silently aliasing two threads' dependences.
     pub fn pack(a: &Access) -> Self {
-        assert!(a.thread <= u16::MAX as u32, "thread id exceeds u16 budget");
         PackedAccess {
             addr: a.addr,
             ts: a.ts,
             op: a.op,
             instance: a.instance,
             iter: a.iter,
-            thread: a.thread as u16,
+            thread: a.thread,
         }
     }
 
@@ -70,7 +63,7 @@ impl PackedAccess {
             op: self.op,
             line: meta.line,
             var: meta.var,
-            thread: self.thread as u32,
+            thread: self.thread,
             ts: self.ts,
             is_write: meta.is_write,
             instance: self.instance,

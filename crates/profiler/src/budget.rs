@@ -212,7 +212,7 @@ pub enum ShadowTier {
     Perfect,
     /// Fixed-size signature with the given slot count.
     Signature {
-        /// Slots per access map.
+        /// Slots, each a read/write status pair.
         slots: usize,
     },
 }
@@ -242,7 +242,8 @@ pub struct DegradationStep {
     /// `None` when the resident set was empty or unenumerable (signature
     /// halving re-keys *all* addresses).
     pub affected: Option<(u64, u64)>,
-    /// Slot pairs merged by a halving step (0 for perfect → signature).
+    /// Recorded cells a halving step merged with another — slot `i` with
+    /// slot `i + m/2`, read and write half each (0 for perfect → signature).
     pub merged_slots: u64,
 }
 
@@ -317,14 +318,12 @@ impl From<RuntimeError> for ProfileError {
 }
 
 /// Signature slot count the ladder drops to when leaving the perfect tier:
-/// the largest power of two whose *worst-case* two-map footprint fits in
-/// half the budget, clamped to `[LADDER_MIN_SLOTS, AUTO_SIGNATURE_SLOTS]`.
-/// Powers of two stay even all the way down, so every later halving rung
-/// remains available.
+/// the largest power of two whose *worst-case* footprint — every page of
+/// [`crate::maps::Slot`]s allocated — fits in half the budget, clamped to
+/// `[LADDER_MIN_SLOTS, AUTO_SIGNATURE_SLOTS]`. Powers of two stay even all
+/// the way down, so every later halving rung remains available.
 pub(crate) fn signature_slots_for_budget(max_memory_bytes: usize) -> usize {
-    // One slot in each of the read and write maps.
-    let per_slot = 2 * crate::maps::SLOT_BYTES;
-    let want = (max_memory_bytes / 2) / per_slot;
+    let want = (max_memory_bytes / 2) / std::mem::size_of::<crate::maps::Slot>();
     let cap = crate::run::EngineKind::AUTO_SIGNATURE_SLOTS;
     let mut slots = LADDER_MIN_SLOTS;
     while slots * 2 <= want && slots * 2 <= cap {
@@ -373,6 +372,11 @@ mod tests {
         let s = signature_slots_for_budget(1 << 20);
         assert!(s.is_power_of_two());
         assert!(s >= LADDER_MIN_SLOTS);
+        // 48-byte slots: 512 KiB of a 1 MiB budget holds 10,922 of them,
+        // and the largest power of two below is 2^13.
+        assert_eq!(std::mem::size_of::<crate::maps::Slot>(), 48);
+        assert_eq!(s, 1 << 13);
+        assert!(s * std::mem::size_of::<crate::maps::Slot>() <= (1 << 20) / 2);
         assert_eq!(signature_slots_for_budget(0), LADDER_MIN_SLOTS);
         assert!(
             signature_slots_for_budget(usize::MAX / 4)

@@ -42,7 +42,7 @@
 
 use crate::access::{Access, CarriedResolver, LoopKey, NO_INSTANCE};
 use crate::dep::{Dep, DepSet, DepType, SrcLoc};
-use crate::maps::{AccessMap, Cell, NO_OP};
+use crate::maps::{AccessMap, Cell, Slot, NO_OP};
 use interp::{MemOpMeta, PlanRun, RunStream};
 use serde::Serialize;
 use std::sync::Arc;
@@ -419,8 +419,9 @@ impl RunScratch {
 /// Dependence builder over an access map `M` (signature or perfect).
 #[derive(Debug)]
 pub struct DepBuilder<M: AccessMap> {
-    read_map: M,
-    write_map: M,
+    /// The shadow: per address, the last read's and the last write's status
+    /// in one [`Slot`].
+    shadow: M,
     /// Merged dependence set behind its per-op memo; read it through
     /// [`DepBuilder::deps`].
     out: DepStore,
@@ -433,17 +434,12 @@ pub struct DepBuilder<M: AccessMap> {
 }
 
 impl<M: AccessMap> DepBuilder<M> {
-    /// Create an engine with separate read/write maps. `meta` is the
-    /// target's static op table ([`interp::Program::mem_op_meta`]): every
-    /// access processed must carry an op id inside it, with the line and
-    /// variable the table gives — stored cells keep only the op id, and a
-    /// dependence's source line is read back from here.
-    pub fn new(
-        read_map: M,
-        write_map: M,
-        meta: impl Into<Arc<[MemOpMeta]>>,
-        cfg: EngineConfig,
-    ) -> Self {
+    /// Create an engine over `shadow`. `meta` is the target's static op
+    /// table ([`interp::Program::mem_op_meta`]): every access processed must
+    /// carry an op id inside it, with the line and variable the table gives
+    /// — stored cells keep only the op id, and a dependence's source line is
+    /// read back from here.
+    pub fn new(shadow: M, meta: impl Into<Arc<[MemOpMeta]>>, cfg: EngineConfig) -> Self {
         let meta = meta.into();
         let skip = if cfg.skip_loops {
             vec![SkipState::default(); meta.len()]
@@ -451,8 +447,7 @@ impl<M: AccessMap> DepBuilder<M> {
             Vec::new()
         };
         DepBuilder {
-            read_map,
-            write_map,
+            shadow,
             out: DepStore::new(meta),
             cfg,
             skip,
@@ -478,38 +473,29 @@ impl<M: AccessMap> DepBuilder<M> {
         self.runs.stats
     }
 
-    /// Evict a dead address range from both maps (lifetime analysis).
+    /// Evict a dead address range from the shadow (lifetime analysis).
     pub fn clear_range(&mut self, addr: u64, words: u64) {
-        self.read_map.clear_range(addr, words);
-        self.write_map.clear_range(addr, words);
+        self.shadow.clear_range(addr, words);
     }
 
     /// Estimated bytes held by the engine's state.
     pub fn bytes(&self) -> usize {
-        self.read_map.bytes()
-            + self.write_map.bytes()
+        self.shadow.bytes()
             + self.out.bytes()
             + self.skip.capacity() * std::mem::size_of::<SkipState>()
     }
 
-    /// Process one annotated access.
+    /// Process one annotated access: one shadow probe, through which both
+    /// statuses are read and the access's own cell is stored.
     pub fn process(&mut self, a: &Access, resolver: &impl CarriedResolver) {
         self.stats.total_accesses += 1;
+        let slot = self.shadow.entry(a.addr);
         if !self.cfg.skip_loops {
-            // Algorithm 2 consults the read status only to classify writes
-            // (WAR vs WAW); for reads the probe's result is never used, so
-            // skip it — one shadow lookup per read saved.
-            let status_write = self.write_map.get(a.addr);
-            let status_read = if a.is_write {
-                self.read_map.get(a.addr)
-            } else {
-                None
-            };
-            self.build(a, status_read, status_write, resolver);
+            build(&mut self.out, &mut self.stats, slot, a, resolver);
             return;
         }
-        let status_read = self.read_map.get(a.addr);
-        let status_write = self.write_map.get(a.addr);
+        let status_read = slot.read.status();
+        let status_write = slot.write.status();
 
         let sr_op = status_read.map_or(NO_OP, |c| c.op);
         let sw_op = status_write.map_or(NO_OP, |c| c.op);
@@ -561,7 +547,7 @@ impl<M: AccessMap> DepBuilder<M> {
                 if sw_op == a.op && st.last_status_write == a.op {
                     self.stats.skipped_shadow_update += 1;
                 }
-                self.write_map.set(a.addr, Cell::from_access(a));
+                slot.write = Cell::from_access(a);
             } else {
                 if status_write.is_some() {
                     self.stats.read_dep_total += 1;
@@ -571,7 +557,7 @@ impl<M: AccessMap> DepBuilder<M> {
                 if sr_op == a.op && st.last_status_read == a.op {
                     self.stats.skipped_shadow_update += 1;
                 }
-                self.read_map.set(a.addr, Cell::from_access(a));
+                slot.read = Cell::from_access(a);
             }
             return;
         }
@@ -582,7 +568,7 @@ impl<M: AccessMap> DepBuilder<M> {
         st.last_carried = cur_carried;
         st.last_read_newer = read_newer;
 
-        self.build(a, status_read, status_write, resolver);
+        build(&mut self.out, &mut self.stats, slot, a, resolver);
     }
 
     /// Process one plan run: the accesses [`PlanRun::expand`] stands for,
@@ -714,11 +700,12 @@ impl<M: AccessMap> DepBuilder<M> {
                 // A stride-0 group keeps one word: the last cycle's cells.
                 let from = if g.first.stride == 0 { last } else { cycle };
                 for c in from..=last {
+                    let slot = self.shadow.entry(g.first.addr_at(c));
                     if let Some(k) = g.last_read {
-                        self.read_map.set(g.first.addr_at(c), cell(k, c));
+                        slot.read = cell(k, c);
                     }
                     if let Some(k) = g.last_write {
-                        self.write_map.set(g.first.addr_at(c), cell(k, c));
+                        slot.write = cell(k, c);
                     }
                 }
             }
@@ -760,54 +747,14 @@ impl<M: AccessMap> DepBuilder<M> {
                 })
             })
         };
-        let w = self.write_map.get(addr);
-        let r = g.first.is_write.then(|| self.read_map.get(addr)).flatten();
+        let slot = self.shadow.get(addr);
+        let w = slot.write.status();
+        let r = g.first.is_write.then(|| slot.read.status()).flatten();
         Some(GroupState {
             write: reduce(w)?,
             read: reduce(r)?,
             read_newer: matches!((r, w), (Some(r), Some(w)) if r.ts > w.ts),
         })
-    }
-
-    /// Algorithm 2: signature-based dependence detection.
-    // Always inlined into `process`, its only caller: out of line, the two
-    // statuses travel through memory on every access (measured 5% on the
-    // signature engine's `sparse_gather`), and whether the inliner takes it
-    // changed with the codegen-unit partition.
-    #[inline(always)]
-    fn build(
-        &mut self,
-        a: &Access,
-        status_read: Option<Cell>,
-        status_write: Option<Cell>,
-        resolver: &impl CarriedResolver,
-    ) {
-        let cell = Cell::from_access(a);
-        if a.is_write {
-            match status_write {
-                // First write: initialization.
-                None => self.out.record_init(a),
-                Some(w) => {
-                    // A write is a WAR against a read that happened after
-                    // the last write, and a WAW only against a *consecutive*
-                    // write (§2.5.2: "we build WAW dependence only for
-                    // consecutive write instructions to the same address";
-                    // cf. the worked example of Table 2.3).
-                    match status_read {
-                        Some(r) if r.ts > w.ts => self.out.record(DepType::War, a, &r, resolver),
-                        _ => self.out.record(DepType::Waw, a, &w, resolver),
-                    }
-                    self.stats.write_dep_total += 1;
-                }
-            }
-            self.write_map.set(a.addr, cell);
-        } else {
-            if let Some(w) = status_write {
-                self.out.record(DepType::Raw, a, &w, resolver);
-                self.stats.read_dep_total += 1;
-            }
-            self.read_map.set(a.addr, cell);
-        }
     }
 
     /// Consume the engine, returning its dependence set, its stats, and
@@ -824,11 +771,9 @@ impl<M: AccessMap> DepBuilder<M> {
     /// far — the degradation ladder's tier transition. Dependences, stats,
     /// and skip state carry over unchanged (skipping is a per-op property
     /// independent of the map).
-    pub fn map_shadow<N: AccessMap>(self, f: impl FnOnce(M, M) -> (N, N)) -> DepBuilder<N> {
-        let (read_map, write_map) = f(self.read_map, self.write_map);
+    pub fn map_shadow<N: AccessMap>(self, f: impl FnOnce(M) -> N) -> DepBuilder<N> {
         DepBuilder {
-            read_map,
-            write_map,
+            shadow: f(self.shadow),
             out: self.out,
             cfg: self.cfg,
             skip: self.skip,
@@ -838,24 +783,67 @@ impl<M: AccessMap> DepBuilder<M> {
     }
 }
 
+/// Algorithm 2: signature-based dependence detection for access `a`, whose
+/// shadow slot is `slot`: build the dependence its statuses call for, then
+/// store its own cell.
+// Always inlined into `process`, its only caller: out of line, the statuses
+// travel through memory on every access (measured 5% on the signature
+// engine's `sparse_gather`), and whether the inliner takes it changed with
+// the codegen-unit partition.
+#[inline(always)]
+fn build(
+    out: &mut DepStore,
+    stats: &mut SkipStats,
+    slot: &mut Slot,
+    a: &Access,
+    resolver: &impl CarriedResolver,
+) {
+    let cell = Cell::from_access(a);
+    if a.is_write {
+        match slot.write.status() {
+            // First write: initialization.
+            None => out.record_init(a),
+            Some(w) => {
+                // A write is a WAR against a read that happened after the
+                // last write, and a WAW only against a *consecutive* write
+                // (§2.5.2: "we build WAW dependence only for consecutive
+                // write instructions to the same address"; cf. the worked
+                // example of Table 2.3).
+                match slot.read.status() {
+                    Some(r) if r.ts > w.ts => out.record(DepType::War, a, &r, resolver),
+                    _ => out.record(DepType::Waw, a, &w, resolver),
+                }
+                stats.write_dep_total += 1;
+            }
+        }
+        slot.write = cell;
+    } else {
+        if let Some(w) = slot.write.status() {
+            out.record(DepType::Raw, a, &w, resolver);
+            stats.read_dep_total += 1;
+        }
+        slot.read = cell;
+    }
+}
+
 impl DepBuilder<crate::maps::SignatureMap> {
-    /// Halve both signature maps in place — one ladder rung. Returns the
-    /// number of occupied slot pairs merged across the two maps. See
+    /// Halve the signature in place — one ladder rung. Returns the number
+    /// of recorded-cell merges over both halves of every slot. See
     /// [`crate::maps::SignatureMap::halve`] for why this is exact at the
     /// slot level.
     pub fn halve_signature(&mut self) -> u64 {
-        self.read_map.halve() + self.write_map.halve()
+        self.shadow.halve()
     }
 
-    /// Slot count of the signature shadow (both maps share it).
+    /// Slot count of the signature shadow.
     pub fn signature_slots(&self) -> usize {
-        self.read_map.num_slots()
+        self.shadow.num_slots()
     }
 
-    /// Occupied slots across both maps — the address-set proxy for the
-    /// false-positive estimate (Eq. 2.2).
+    /// Recorded cells over both halves of every slot — the address-set
+    /// proxy for the false-positive estimate (Eq. 2.2).
     pub fn signature_occupied(&self) -> usize {
-        self.read_map.occupied() + self.write_map.occupied()
+        self.shadow.occupied()
     }
 }
 
@@ -863,18 +851,8 @@ impl DepBuilder<crate::maps::PerfectMap> {
     /// Move the entire shadow state out of this builder, leaving it empty —
     /// how a differential test compares the final shadows of two builders.
     /// Only exact maps can do this (signatures store no addresses).
-    pub fn drain_shadow(&mut self) -> Vec<(u64, Option<Cell>, Option<Cell>)> {
-        let read = std::mem::take(&mut self.read_map);
-        let write = std::mem::take(&mut self.write_map);
-        let mut merged: fxhash::FxHashMap<u64, (Option<Cell>, Option<Cell>)> =
-            fxhash::FxHashMap::default();
-        for (a, c) in read.entries() {
-            merged.entry(a).or_default().0 = Some(c);
-        }
-        for (a, c) in write.entries() {
-            merged.entry(a).or_default().1 = Some(c);
-        }
-        merged.into_iter().map(|(a, (r, w))| (a, r, w)).collect()
+    pub fn drain_shadow(&mut self) -> Vec<(u64, Slot)> {
+        std::mem::take(&mut self.shadow).entries()
     }
 }
 
@@ -914,7 +892,6 @@ mod tests {
 
     fn engine(skip: bool, lines: &[u32]) -> DepBuilder<PerfectMap> {
         DepBuilder::new(
-            PerfectMap::new(),
             PerfectMap::new(),
             meta_for(lines),
             EngineConfig { skip_loops: skip },

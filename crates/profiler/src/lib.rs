@@ -9,10 +9,12 @@
 //!   bounded memory (§2.3.2). A [`maps::PerfectMap`] provides the exact
 //!   shadow-memory baseline used to quantify accuracy (Table 2.6).
 //! - **One engine, serial to parallel** ([`pipeline::Profiler`]): serial
-//!   profiling is one partition and no workers; the parallel setting deals
-//!   addresses out over partitions that move into worker threads fed
-//!   through lock-free SPSC queues (producer/consumer, §2.3.3); a lock-free
-//!   MPSC queue serves multi-threaded targets (§2.3.4, Fig. 2.5).
+//!   profiling is one partition, the parallel setting deals addresses out
+//!   over several; past 2^20 accesses the partitions move into worker
+//!   threads fed through lock-free SPSC queues (producer/consumer, §2.3.3)
+//!   — for a serial engine, one worker tracks while the producer
+//!   interprets; a lock-free MPSC queue serves multi-threaded targets
+//!   (§2.3.4, Fig. 2.5).
 //! - **Skipping repeatedly-executed memory operations in loops** (§2.4):
 //!   per-operation `lastAddr`/`lastStatusRead`/`lastStatusWrite` conditions
 //!   let the profiler bypass dependence construction once a loop's
@@ -76,13 +78,13 @@ pub use access::{
 };
 pub use dep::{render_text, ControlSpan, Dep, DepSet, DepType, SrcLoc};
 pub use engine::{DepBuilder, EngineConfig, RunStats, SkipStats};
-pub use maps::{estimated_fp_rate, AccessMap, Cell, HashShadowMap, PerfectMap, SignatureMap};
+pub use maps::{estimated_fp_rate, AccessMap, Cell, HashShadowMap, PerfectMap, SignatureMap, Slot};
 pub use parallel::{profile_multithreaded_target, profile_parallel, ParallelConfig, SharedTable};
 pub use pet::{Pet, PetBuilder, PetNode, PetNodeKind};
 pub use pipeline::Profiler;
 pub use queue::{MpscQueue, SpscQueue};
 pub use run::{
-    profile_program, profile_program_with, ActorSummary, EngineKind, ParallelStats, ProfileConfig,
-    ProfileOutput, SynthSummary,
+    profile_program, profile_program_with, ActorSummary, EngineKind, InlineReason, ParallelStats,
+    ProfileConfig, ProfileOutput, SynthSummary, Tracking,
 };
 pub use serial::control_spans;

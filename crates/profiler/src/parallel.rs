@@ -1,13 +1,15 @@
 //! The worker transport of the profiling engine (dissertation §2.3.3) and
 //! the multi-producer replay for multi-threaded targets (§2.3.4).
 //!
-//! **Sequential targets** ([`profile_parallel`], `EngineKind::Parallel`):
-//! the engine ([`crate::pipeline::Profiler`]) starts with `W` partitions it
+//! **Sequential targets** (every engine kind — `serial-*` is one partition
+//! of this dial, [`profile_parallel`] and `EngineKind::Parallel` are `W`):
+//! the engine ([`crate::pipeline::Profiler`]) starts with the partitions it
 //! processes itself — no threads, no queues, so small workloads never pay
 //! transport setup and machines without spare cores never lose to context
-//! switching. Once the observed access volume crosses
-//! [`ParallelConfig::spawn_threshold`] *and* spare hardware parallelism
-//! exists, it *escalates*: each partition's `Shadow` moves into a spawned
+//! switching. Once [`ParallelConfig::spawn_threshold`] accesses have
+//! arrived one by one, spare hardware parallelism exists, no memory ceiling
+//! is set and no plan run has been resolved in closed form, it *escalates*:
+//! each partition's `Shadow` moves into a spawned
 //! consumer thread (its shadow state travels with it, so the hand-off is
 //! output-invisible) fed over a bounded lock-free SPSC queue. From then on
 //! the thread executing the target is the *producer*: it packs annotated
@@ -47,7 +49,7 @@ use crate::engine::{EngineConfig, SkipStats};
 use crate::pet::PetBuilder;
 use crate::pipeline::Profiler;
 use crate::queue::{MpscQueue, SpscQueue};
-use crate::run::{ActorSummary, EngineKind, ParallelStats, ProfileOutput, SynthSummary};
+use crate::run::{ActorSummary, EngineKind, ParallelStats, ProfileOutput, SynthSummary, Tracking};
 use crate::shadow::{Finished, Shadow};
 use fxhash::FxHashMap;
 use interp::{Event, MemOpMeta, Program, RunConfig};
@@ -73,8 +75,9 @@ pub struct ParallelConfig {
     /// Enable variable-lifetime analysis.
     pub lifetime: bool,
     /// Accesses before the engine escalates from inline processing to
-    /// spawned workers (given ≥ 2 available cores). `0` spawns at
-    /// construction, whatever the host; `u64::MAX` never spawns.
+    /// spawned workers (given ≥ 2 available cores, no memory ceiling and no
+    /// plan run resolved in closed form). `0` spawns at construction,
+    /// whatever the host and budget; `u64::MAX` never spawns.
     pub spawn_threshold: u64,
     /// Resource budget. When active, the producer and every spawned worker
     /// publish their tracked bytes to a shared [`MemGauge`] and degrade
@@ -84,14 +87,36 @@ pub struct ParallelConfig {
 }
 
 impl ParallelConfig {
-    /// Default [`ParallelConfig::spawn_threshold`]: below ~1M accesses the
-    /// pipeline's setup + per-chunk transport costs outweigh any consumer
-    /// overlap (programs of 30–50k accesses measured 5–8× slower through
-    /// workers spawned up front than serially).
+    /// Default [`ParallelConfig::spawn_threshold`], for every engine kind
+    /// (a serial engine's lone partition moves to one worker past it):
+    /// below ~1M accesses the pipeline's setup + per-chunk transport costs
+    /// outweigh any consumer overlap (programs of 30–50k accesses measured
+    /// 5–8× slower through workers spawned up front than serially). Every
+    /// catalogue program stays below it (the largest, `c-ray`, makes 215 k
+    /// accesses); `sparse_gather`'s 6.3 M move to a worker at the first
+    /// checkpoint past it.
     pub const ADAPTIVE_SPAWN_THRESHOLD: u64 = 1 << 20;
 
     /// First rung of the chunk-size ramp.
     pub const MIN_CHUNK: usize = 64;
+
+    /// The dial set to one partition — what the serial engine kinds run,
+    /// with `sig_slots` the tier the ladder or a recovery falls back to.
+    /// Its worker, if the run earns one, is fed over a short queue: at the
+    /// default 512 queued chunks one worker measured +4.4 MB RSS against a
+    /// 33 MB baseline on `sparse_gather`, at 16 chunks of 256 accesses
+    /// +0.6 MB.
+    pub(crate) fn serial(sig_slots: usize, lifetime: bool, budget: Budget) -> Self {
+        ParallelConfig {
+            workers: 1,
+            chunk_size: 256,
+            sig_slots,
+            queue_cap: 16,
+            lifetime,
+            spawn_threshold: Self::ADAPTIVE_SPAWN_THRESHOLD,
+            budget,
+        }
+    }
 
     /// The partitions' starting tier, chosen from the program's address
     /// footprint: exact page-table maps below the auto-selection threshold,
@@ -831,6 +856,10 @@ pub fn profile_multithreaded_target(
             worker_processed,
         }),
         resource: None,
+        tracking: Tracking::Moved {
+            at_access: 0,
+            recoveries: worker_recoveries,
+        },
     })
 }
 

@@ -14,17 +14,23 @@
 //!   calls `Shadow::process` directly), or a spawned consumer behind a
 //!   queue ([`crate::parallel`]).
 //!
-//! `serial-perfect` is one exact partition and no workers;
-//! `serial-signature:S` one signature partition and no workers;
-//! `parallel:WxC` is `W` partitions that start with the producer and move
-//! into `W` workers once the run has shown itself big enough. One
-//! `Governor` checkpoints whatever the producer owns, at one cadence,
-//! whatever the dials say.
+//! `serial-perfect` is one exact partition, `serial-signature:S` one
+//! signature partition, `parallel:WxC` `W` partitions. Every configuration
+//! starts with the producer owning its partitions and moves them into one
+//! worker each once the run has shown itself long enough (`Partitions::
+//! stay_reason`: [`ParallelConfig::spawn_threshold`] accesses arrived one
+//! by one, a second core, no memory ceiling, no plan run resolved in closed
+//! form) — for a serial engine, one worker tracks while the producer
+//! interprets. One partition processes accesses in delivery order wherever
+//! it lives, so the move is invisible in the output; where tracking ran is
+//! reported beside it ([`Tracking`]). One `Governor` checkpoints whatever
+//! the producer owns, at one cadence, whatever the dials say.
 //!
 //! Plan runs ([`interp::PlanRun`]): a lone exact partition the producer
 //! owns resolves them in closed form ([`crate::DepBuilder::process_run`]) —
 //! under a budget too, until a degradation leaves the exact tier. Every
-//! other configuration expands them into the per-access path.
+//! other configuration, a moved partition included, expands them into the
+//! per-access path.
 
 use crate::access::{Access, InstanceTable, LoopContext, PackedAccess, NO_INSTANCE};
 use crate::budget::{
@@ -33,19 +39,19 @@ use crate::budget::{
 };
 use crate::dep::DepSet;
 use crate::engine::{DepBuilder, EngineConfig, RunStats, SkipStats};
-use crate::maps::{AccessMap, Cell};
+use crate::maps::{AccessMap, Slot};
 use crate::parallel::{
     apply_msg, drain_dead_worker, producer_reserve_ceiling, push_supervised, spawn_worker,
     ChunkAlloc, ChunkPool, Msg, ParallelConfig, SharedTable, WorkerGov, WorkerOutcome, WorkerQueue,
 };
 use crate::pet::PetBuilder;
 use crate::queue::SpscQueue;
-use crate::run::{EngineKind, ParallelStats, ProfileConfig, ProfileOutput};
+use crate::run::{EngineKind, InlineReason, ParallelStats, ProfileConfig, ProfileOutput, Tracking};
 use crate::shadow::{Finished, Shadow};
 use interp::{Event, MemOpMeta, PlanRun, RunConfig, Sink};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -141,8 +147,18 @@ enum Part {
     },
 }
 
+/// Hardware threads of the host, probed once per process and only by a run
+/// that has reached its spawn threshold: the probe reads cgroup files, and a
+/// sweep builds dozens of short-lived profilers.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// What exists only once workers do.
 struct Spawned {
+    /// Accesses the producer had tracked when the partitions moved.
+    at_access: u64,
     shared: Arc<SharedTable>,
     /// Instances of the producer's table already in `shared`.
     published: usize,
@@ -161,13 +177,11 @@ struct Partitions {
     /// `parts.len() - 1` when the partition count is a power of two (the
     /// modulo in `route` becomes a mask).
     mask: Option<u64>,
-    /// The worker dial; `None` for the serial engine kinds, which never
-    /// escalate.
-    par: Option<ParallelConfig>,
+    /// The worker dial; a serial engine is the dial set to one partition
+    /// ([`ParallelConfig::serial`]).
+    par: ParallelConfig,
     /// The target's static op table, for rebuilding a partition.
     op_meta: Arc<[MemOpMeta]>,
-    /// Hardware threads available at construction.
-    avail: usize,
     spawned: Option<Spawned>,
     chunks: u64,
     queue_stalls: u64,
@@ -265,7 +279,7 @@ impl Partitions {
             // (theoretical) stray finish cannot wedge delivery.
             Ok(WorkerOutcome::Finished(_)) => Shadow::new(
                 ShadowTier::Signature {
-                    slots: self.par.as_ref().map_or(1, |p| p.sig_slots),
+                    slots: self.par.sig_slots,
                 },
                 &self.op_meta,
                 EngineConfig::default(),
@@ -278,23 +292,53 @@ impl Partitions {
         self.worker_recoveries += 1;
     }
 
-    /// Is it time to move the partitions into workers? When the volume
-    /// shows the run is big AND there is hardware to overlap with: on a
-    /// single-core host the engine stays inline for the whole run.
-    fn spawn_due(&self) -> bool {
-        let Some(par) = &self.par else { return false };
-        let processed = self.parts.iter().map(|p| match p {
-            Part::Local(s) => s.accesses(),
-            Part::Remote { .. } => 0,
-        });
-        self.spawned.is_none() && self.avail >= 2 && processed.sum::<u64>() >= par.spawn_threshold
+    /// The partitions the producer owns.
+    fn local(&self) -> impl Iterator<Item = &Shadow> {
+        self.parts.iter().filter_map(|p| match p {
+            Part::Local(s) => Some(s),
+            Part::Remote { .. } => None,
+        })
+    }
+
+    /// Accesses the producer's partitions have tracked.
+    fn local_accesses(&self) -> u64 {
+        self.local().map(Shadow::accesses).sum()
+    }
+
+    /// Why the partitions stay with the producer for now; `None` when it is
+    /// time to move them into workers. Each reason keeps the output what it
+    /// is inline, or keeps a move from paying:
+    ///
+    /// - a memory ceiling: inline, the ladder's rungs fall at the same
+    ///   access on every run;
+    /// - a plan run resolved in closed form: resolution needs the exact
+    ///   shadow on the producer, and moving would expand every later run;
+    /// - fewer than [`ParallelConfig::spawn_threshold`] accesses so far,
+    ///   which with no run resolved all arrived one by one: below that,
+    ///   transport setup outweighs the overlap;
+    /// - one core: a worker would only take turns with the producer.
+    ///
+    /// Cheapest first: the core count is probed only past the threshold.
+    fn stay_reason(&self) -> Option<InlineReason> {
+        if self.par.budget.max_memory_bytes.is_some() {
+            return Some(InlineReason::MemoryCeiling);
+        }
+        if self.local().any(|s| s.run_stats().cycles_resolved > 0) {
+            return Some(InlineReason::PlanRunResolved);
+        }
+        let accesses = self.local_accesses();
+        if accesses < self.par.spawn_threshold {
+            return Some(InlineReason::Short { accesses });
+        }
+        (cores() < 2).then_some(InlineReason::OneCore)
     }
 
     /// Move every partition into its own worker thread and switch the
     /// transport to queues. The shadow state travels with the partition, so
     /// escalation is invisible in the output.
     fn escalate(&mut self, table: &InstanceTable, gov: Option<&Governor>) {
-        let Some(par) = &self.par else { return };
+        let at_access = self.local_accesses();
+        let par = &self.par;
         let shared = Arc::new(SharedTable::new());
         shared.extend(table.as_slice());
         let pool: ChunkPool = Arc::new(Mutex::new(Vec::new()));
@@ -327,6 +371,7 @@ impl Partitions {
             })
             .collect();
         self.spawned = Some(Spawned {
+            at_access,
             shared,
             published: table.len(),
             alloc,
@@ -567,6 +612,9 @@ pub struct Profiler {
     gov: Option<Box<Governor>>,
     /// Events since the last checkpoint.
     since_check: u64,
+    /// Fill [`ProfileOutput::parallel`]: set for [`EngineKind::Parallel`]
+    /// alone, the one thing the engine kind decides beyond the dial.
+    transport_stats: bool,
 }
 
 impl Profiler {
@@ -576,28 +624,50 @@ impl Profiler {
     /// is `footprint_words` ([`interp::Program::footprint_words`]; consulted
     /// only by [`EngineKind::Parallel`], to choose its partitions' tier).
     pub fn new(meta: &[MemOpMeta], footprint_words: usize, cfg: &ProfileConfig) -> Self {
-        let serial = |tier| {
-            let engine_cfg = EngineConfig {
-                skip_loops: cfg.skip_loops,
-            };
-            Self::build(meta, tier, None, engine_cfg, cfg.lifetime, cfg.budget)
-        };
-        match cfg.engine {
-            EngineKind::SerialPerfect => serial(ShadowTier::Perfect),
-            EngineKind::SerialSignature { slots } => serial(ShadowTier::Signature { slots }),
-            EngineKind::Parallel { workers, chunk } => Self::parallel(
-                meta,
-                footprint_words,
-                ParallelConfig {
+        Self::with_spawn_threshold(
+            meta,
+            footprint_words,
+            cfg,
+            ParallelConfig::ADAPTIVE_SPAWN_THRESHOLD,
+        )
+    }
+
+    /// [`Profiler::new`] with the partitions moving into workers past
+    /// `spawn_threshold` accesses — `0` moves them at construction on any
+    /// host, which is how crate tests put a serial engine's partition on its
+    /// worker.
+    pub(crate) fn with_spawn_threshold(
+        meta: &[MemOpMeta],
+        footprint_words: usize,
+        cfg: &ProfileConfig,
+        spawn_threshold: u64,
+    ) -> Self {
+        let serial = |sig_slots| ParallelConfig::serial(sig_slots, cfg.lifetime, cfg.budget);
+        let (tier, mut par) = match cfg.engine {
+            EngineKind::SerialPerfect => (
+                ShadowTier::Perfect,
+                serial(EngineKind::AUTO_SIGNATURE_SLOTS),
+            ),
+            EngineKind::SerialSignature { slots } => {
+                (ShadowTier::Signature { slots }, serial(slots))
+            }
+            EngineKind::Parallel { workers, chunk } => {
+                let par = ParallelConfig {
                     workers: workers.max(1),
                     chunk_size: chunk.max(1),
                     sig_slots: EngineKind::parallel_worker_slots(workers),
                     lifetime: cfg.lifetime,
                     budget: cfg.budget,
                     ..ParallelConfig::default()
-                },
-            ),
-        }
+                };
+                return Self::parallel(meta, footprint_words, par);
+            }
+        };
+        par.spawn_threshold = spawn_threshold;
+        let engine_cfg = EngineConfig {
+            skip_loops: cfg.skip_loops,
+        };
+        Self::build(meta, tier, par, engine_cfg, false)
     }
 
     /// The parallel engine under an explicit [`ParallelConfig`].
@@ -606,24 +676,23 @@ impl Profiler {
         footprint_words: usize,
         pcfg: ParallelConfig,
     ) -> Self {
-        let (tier, lifetime, budget) = (pcfg.tier_for(footprint_words), pcfg.lifetime, pcfg.budget);
+        let tier = pcfg.tier_for(footprint_words);
         // §2.4 skipping is per-op state that wants one builder to see every
         // access of an op; partitions split them by address.
-        let engine_cfg = EngineConfig::default();
-        Self::build(meta, tier, Some(pcfg), engine_cfg, lifetime, budget)
+        Self::build(meta, tier, pcfg, EngineConfig::default(), true)
     }
 
     fn build(
         meta: &[MemOpMeta],
         tier: ShadowTier,
-        par: Option<ParallelConfig>,
+        par: ParallelConfig,
         engine_cfg: EngineConfig,
-        lifetime: bool,
-        budget: Budget,
+        transport_stats: bool,
     ) -> Self {
         let op_meta: Arc<[MemOpMeta]> = meta.into();
-        let nparts = par.as_ref().map_or(1, |p| p.workers.max(1));
-        let spawn_now = par.as_ref().is_some_and(|p| p.spawn_threshold == 0);
+        let nparts = par.workers.max(1);
+        let spawn_now = par.spawn_threshold == 0;
+        let (lifetime, budget) = (par.lifetime, par.budget);
         let mut p = Profiler {
             front: Front {
                 ctx: LoopContext::new(),
@@ -636,10 +705,6 @@ impl Profiler {
                     .map(|_| Part::Local(Shadow::new(tier, &op_meta, engine_cfg.clone())))
                     .collect(),
                 mask: nparts.is_power_of_two().then(|| nparts as u64 - 1),
-                avail: match &par {
-                    Some(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-                    None => 1,
-                },
                 par,
                 op_meta,
                 spawned: None,
@@ -649,6 +714,7 @@ impl Profiler {
             },
             gov: budget.is_active().then(|| Box::new(Governor::new(budget))),
             since_check: 0,
+            transport_stats,
         };
         // A zero threshold is an explicit "always spawn" request: no volume
         // to wait for, and no core check.
@@ -688,11 +754,11 @@ impl Profiler {
         self.back.owned_bytes() + self.front.table.bytes()
     }
 
-    /// Move the whole exact shadow out of a lone exact partition, leaving
-    /// it empty ([`DepBuilder::drain_shadow`]) — how a differential test
-    /// compares the final shadow state of two profilers. Empty for any
-    /// other configuration.
-    pub fn drain_shadow(&mut self) -> Vec<(u64, Option<Cell>, Option<Cell>)> {
+    /// Move the whole exact shadow out of a lone exact partition the
+    /// producer owns, leaving it empty ([`DepBuilder::drain_shadow`]) — how
+    /// a differential test compares the final shadow state of two
+    /// profilers. Empty for any other configuration.
+    pub fn drain_shadow(&mut self) -> Vec<(u64, Slot)> {
         match self.back.sole() {
             Some(Shadow::Perfect(b)) => b.drain_shadow(),
             _ => Vec::new(),
@@ -726,7 +792,7 @@ impl Profiler {
 
     #[cold]
     fn checkpoint(&mut self) {
-        if self.back.spawn_due() {
+        if self.back.spawned.is_none() && self.back.stay_reason().is_none() {
             self.back.escalate(&self.front.table, self.gov.as_deref());
         }
         if let Some(g) = self.gov.as_deref_mut() {
@@ -745,12 +811,25 @@ impl Profiler {
             front,
             mut back,
             mut gov,
+            transport_stats,
             ..
         } = self;
         let table = &front.table;
         for w in 0..back.parts.len() {
             back.flush_partition(w, table);
         }
+        // Where tracking ran; a worker recovered below is counted in. A run
+        // that crossed its threshold after the last checkpoint stayed short
+        // as far as any checkpoint saw.
+        let mut tracking = match &back.spawned {
+            Some(sp) => Tracking::Moved {
+                at_access: sp.at_access,
+                recoveries: 0,
+            },
+            None => Tracking::Inline(back.stay_reason().unwrap_or(InlineReason::Short {
+                accesses: back.local_accesses(),
+            })),
+        };
         // Growth since the previous checkpoint must not outlive the run.
         if let Some(g) = gov.as_deref_mut() {
             g.enforce_memory(&mut back, table.bytes());
@@ -813,7 +892,10 @@ impl Profiler {
                 deps.merge(d.deps);
             }
         }
-        let parallel = back.par.as_ref().map(|_| ParallelStats {
+        if let Tracking::Moved { recoveries, .. } = &mut tracking {
+            *recoveries = back.worker_recoveries;
+        }
+        let parallel = transport_stats.then_some(ParallelStats {
             chunks: back.chunks,
             queue_stalls: back.queue_stalls,
             spawned_workers,
@@ -832,6 +914,7 @@ impl Profiler {
             parallel,
             resource: gov.map(|g| g.finish(fill)),
             actors: None,
+            tracking,
         }
     }
 }
@@ -885,5 +968,194 @@ impl Sink for Profiler {
             _ => self.feed(run),
         }
         self.tick(events_in(run));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Escalation is invisible: a serial engine's lone partition moved to
+    //! its worker (a crate-private threshold of 0 moves it at construction,
+    //! on any host) reports what the inline partition reports.
+
+    use super::*;
+    use crate::dep::Dep;
+    use crate::run::drive;
+    use interp::Program;
+
+    fn program(src: &str) -> Program {
+        Program::new(lang::compile(src, "t").expect("test source compiles"))
+    }
+
+    /// Stack reuse and lifetime eviction across calls: dealloc messages
+    /// travel the queue between chunks.
+    const CALLS: &str = "global int acc;
+fn leaf(int x) -> int { int t = x * 2; int u = t + 1; return u; }
+fn mid(int n) -> int {
+    int s = 0;
+    for (int i = 0; i < n; i = i + 1) { s = s + leaf(i); }
+    return s;
+}
+fn main() {
+    for (int r = 0; r < 30; r = r + 1) { acc = acc + mid(40); }
+}";
+
+    /// An affine nest: plan runs under the skip tier, carried dependences
+    /// on `b` and `s` without it.
+    const NEST: &str = "global int a[1024];\nglobal int b[1024];\nglobal int s;\nfn main() {\n\
+        for (int r = 0; r < 8; r = r + 1) {\n\
+        for (int i = 1; i < 1024; i = i + 1) {\nb[i] = a[i - 1] + b[i];\ns = s + b[i];\n}\n}\n}";
+
+    /// 3,000 words strided 97 apart: a 1,021-slot signature collides on
+    /// them.
+    const STRIDED: &str = "global int a[300000];\nglobal int s;\nfn main() {\n\
+        for (int i = 0; i < 3000; i = i + 1) { a[i * 97] = i; }\n\
+        for (int i = 1; i < 3000; i = i + 1) { s = s + a[i * 97] - a[(i - 1) * 97]; }\n}";
+
+    /// A fill loop the skip tier declines (a checked `%` in the body), then
+    /// the plan-eligible nest: the first plan run arrives long after the
+    /// first checkpoint.
+    const FILL_THEN_NEST: &str = "global int big[8192];\nglobal int a[512];\nglobal int b[512];\nglobal int s;\nfn main() {\n\
+        for (int i = 0; i < 8192; i = i + 1) { big[(i * 7) % 8192] = i; }\n\
+        for (int r = 0; r < 20; r = r + 1) {\n\
+        for (int i = 1; i < 512; i = i + 1) {\nb[i] = a[i - 1] + b[i] + big[i];\ns = s + b[i];\n}\n}\n}";
+
+    fn profile(p: &Program, cfg: &ProfileConfig, spawn_threshold: u64) -> ProfileOutput {
+        let prof = Profiler::with_spawn_threshold(
+            p.mem_op_meta(),
+            p.footprint_words(),
+            cfg,
+            spawn_threshold,
+        );
+        drive(p, prof, cfg.run.clone()).expect("profiles")
+    }
+
+    /// `DepSet::iter()` as it comes (counts included), `total_found`, the
+    /// skip counters, the PET and the tracked bytes: what the report is
+    /// built from.
+    fn output(out: &ProfileOutput) -> (Vec<(Dep, u64)>, u64, String, String, usize) {
+        (
+            out.deps.iter().collect(),
+            out.deps.total_found,
+            format!("{:?}", out.skip_stats),
+            format!("{:?}", out.pet.nodes),
+            out.profiler_bytes,
+        )
+    }
+
+    fn cfg(engine: EngineKind, skip_loops: bool, affine_skip: bool) -> ProfileConfig {
+        ProfileConfig {
+            engine,
+            skip_loops,
+            run: interp::RunConfig {
+                affine_skip,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn a_moved_serial_partition_reports_what_the_inline_one_does() {
+        let engines = [
+            EngineKind::SerialPerfect,
+            EngineKind::signature(1 << 18),
+            EngineKind::signature(1021),
+        ];
+        for (name, src) in [("calls", CALLS), ("nest", NEST), ("strided", STRIDED)] {
+            let p = program(src);
+            for engine in engines {
+                for skip_loops in [false, true] {
+                    let label = format!("{name}: {engine}, skip_loops {skip_loops}");
+                    let cfg = cfg(engine, skip_loops, false);
+                    let inline = profile(&p, &cfg, u64::MAX);
+                    let moved = profile(&p, &cfg, 0);
+                    assert_eq!(output(&moved), output(&inline), "{label}");
+                    assert_eq!(moved.plan_runs, inline.plan_runs, "{label}");
+                    assert!(moved.parallel.is_none() && inline.parallel.is_none());
+                    assert_eq!(
+                        moved.tracking,
+                        Tracking::Moved {
+                            at_access: 0,
+                            recoveries: 0
+                        },
+                        "{label}"
+                    );
+                    assert_eq!(
+                        inline.tracking,
+                        Tracking::Inline(InlineReason::Short {
+                            accesses: inline.skip_stats.total_accesses
+                        }),
+                        "{label}"
+                    );
+                }
+            }
+        }
+        // The small signature did collide: the equality above covers
+        // aliasing, not just exact answers.
+        let p = program(STRIDED);
+        let exact = profile(&p, &cfg(EngineKind::SerialPerfect, false, false), 0);
+        let small = profile(&p, &cfg(EngineKind::signature(1021), false, false), 0);
+        assert_ne!(exact.deps.sorted(), small.deps.sorted());
+    }
+
+    #[test]
+    fn plan_runs_after_the_move_expand_to_the_inline_closed_form() {
+        let p = program(NEST);
+        let cfg = cfg(EngineKind::SerialPerfect, false, true);
+        let inline = profile(&p, &cfg, u64::MAX);
+        assert!(
+            inline.plan_runs.cycles_resolved > 0,
+            "{:?}",
+            inline.plan_runs
+        );
+        assert_eq!(
+            inline.tracking,
+            Tracking::Inline(InlineReason::PlanRunResolved)
+        );
+        let moved = profile(&p, &cfg, 0);
+        assert_eq!(moved.plan_runs, RunStats::default(), "runs are expanded");
+        assert_eq!(output(&moved), output(&inline));
+        assert_eq!(moved.synth, inline.synth, "the machine sees no difference");
+    }
+
+    #[test]
+    fn a_mid_run_move_keeps_the_output() {
+        // A real threshold: the partition moves at a checkpoint during the
+        // fill, before the first plan run — where a second core exists.
+        let p = program(FILL_THEN_NEST);
+        let cfg = cfg(EngineKind::SerialPerfect, false, true);
+        let inline = profile(&p, &cfg, u64::MAX);
+        assert!(inline.plan_runs.runs > 0);
+        let moved = profile(&p, &cfg, 4096);
+        if cores() < 2 {
+            assert_eq!(moved.tracking, Tracking::Inline(InlineReason::OneCore));
+            return;
+        }
+        let Tracking::Moved { at_access, .. } = moved.tracking else {
+            panic!("no move: {:?}", moved.tracking);
+        };
+        assert!((4096..8192 * 3).contains(&at_access), "{at_access}");
+        assert_eq!(moved.plan_runs, RunStats::default());
+        assert_eq!(output(&moved), output(&inline));
+    }
+
+    #[test]
+    fn a_memory_ceiling_or_a_resolved_run_keeps_the_partition_home() {
+        let p = program(FILL_THEN_NEST);
+        let mut capped = cfg(EngineKind::SerialPerfect, false, false);
+        capped.budget.max_memory_bytes = Some(1 << 30);
+        assert_eq!(
+            profile(&p, &capped, 4096).tracking,
+            Tracking::Inline(InlineReason::MemoryCeiling)
+        );
+        // A run resolved before the threshold is reached pins the
+        // partition: the nest alone, threshold just past its first run.
+        let nest = program(NEST);
+        let out = profile(&nest, &cfg(EngineKind::SerialPerfect, false, true), 4096);
+        assert!(out.skip_stats.total_accesses > 4096);
+        assert_eq!(
+            out.tracking,
+            Tracking::Inline(InlineReason::PlanRunResolved)
+        );
     }
 }

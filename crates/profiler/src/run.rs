@@ -10,7 +10,8 @@
 //! knobs, and [`profile_program_with`] runs the program under them. Every
 //! kind produces the same [`ProfileOutput`]; [`EngineKind::Parallel`]
 //! additionally fills [`ProfileOutput::parallel`] with its transport
-//! statistics.
+//! statistics, and every kind says where its accesses were tracked
+//! ([`ProfileOutput::tracking`]).
 
 use crate::budget::{Budget, ProfileError, ResourceStats};
 use crate::dep::DepSet;
@@ -48,13 +49,17 @@ use serde::Serialize;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum EngineKind {
     /// The exact two-level page-table shadow memory: ground truth, memory
-    /// proportional to the touched address space.
+    /// proportional to the touched address space. One partition, tracked by
+    /// the producer — or by one worker thread once the run is long enough
+    /// (see [`Tracking`]).
     #[default]
     SerialPerfect,
     /// The fixed-size signature algorithm: bounded memory, a measurable
     /// collision rate once `slots` is small relative to the address set.
+    /// One partition, placed like [`EngineKind::SerialPerfect`]'s.
     SerialSignature {
-        /// Signature slots per access map.
+        /// Signature slots. Each slot is a pair — the last read's and the
+        /// last write's status ([`crate::maps::Slot`]), 48 bytes.
         slots: usize,
     },
     /// The producer/consumer parallel pipeline: accesses are routed by
@@ -412,6 +417,75 @@ impl ActorSummary {
     }
 }
 
+/// Where a run's accesses were tracked (§2.3.3's consumer side): on the
+/// producer thread that interprets the target, or — past
+/// [`crate::ParallelConfig::spawn_threshold`] — in worker threads. Decided
+/// from access volume, core count, memory ceiling and plan runs alone, and
+/// invisible in the output, so it is reported beside the report, not in it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tracking {
+    /// The partitions moved into worker threads once the producer had
+    /// tracked `at_access` accesses (`0`: at construction).
+    Moved {
+        /// Accesses tracked on the producer before the move.
+        at_access: u64,
+        /// Workers that panicked and whose partition the producer finished.
+        recoveries: u64,
+    },
+    /// Tracked on the producer for the whole run, for this reason.
+    Inline(InlineReason),
+}
+
+/// Why a run's partitions stayed with the producer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InlineReason {
+    /// Too few accesses — `accesses` at the end — to pay for a worker as of
+    /// the last checkpoint.
+    Short {
+        /// Accesses tracked.
+        accesses: u64,
+    },
+    /// The host has one core: a worker would only take turns with the
+    /// producer.
+    OneCore,
+    /// A memory ceiling is set: inline, the degradation ladder's rungs fall
+    /// at the same access on every run.
+    MemoryCeiling,
+    /// An exact partition resolved a plan run in closed form, which needs
+    /// the shadow on the producer.
+    PlanRunResolved,
+}
+
+impl std::fmt::Display for Tracking {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Tracking::Moved {
+                at_access,
+                recoveries: 0,
+            } => write!(f, "tracked on a worker thread from access {at_access}"),
+            Tracking::Moved {
+                at_access,
+                recoveries,
+            } => write!(
+                f,
+                "tracked on a worker thread from access {at_access}, \
+                 {recoveries} dead worker(s) finished inline"
+            ),
+            Tracking::Inline(InlineReason::Short { accesses }) => write!(
+                f,
+                "tracked inline: {accesses} accesses, too few to move to a worker"
+            ),
+            Tracking::Inline(InlineReason::OneCore) => f.write_str("tracked inline: one core"),
+            Tracking::Inline(InlineReason::MemoryCeiling) => {
+                f.write_str("tracked inline: a memory ceiling is set")
+            }
+            Tracking::Inline(InlineReason::PlanRunResolved) => {
+                f.write_str("tracked inline: plan runs resolved in closed form")
+            }
+        }
+    }
+}
+
 /// Everything a profiling run produces, identical across engines.
 #[derive(Debug, Serialize)]
 pub struct ProfileOutput {
@@ -442,6 +516,9 @@ pub struct ProfileOutput {
     pub resource: Option<ResourceStats>,
     /// Actor-tier activity; `None` for single-actor, message-free runs.
     pub actors: Option<ActorSummary>,
+    /// Where the accesses were tracked, and why. Diagnostics: not part of
+    /// the JSON report.
+    pub tracking: Tracking,
 }
 
 /// Profile a program with default options ([`EngineKind::SerialPerfect`],

@@ -43,22 +43,19 @@ pub(crate) struct Finished {
     pub(crate) runs: RunStats,
     /// Tracked bytes as of the end ([`DepBuilder::finish`]).
     pub(crate) bytes: usize,
-    /// Signature fill `(occupied cells, total cells)`, for the governed
-    /// run's false-positive-rate estimate; `None` for an exact partition.
+    /// Signature fill `(recorded cells, total cells)` — two cells per slot
+    /// — for the governed run's false-positive-rate estimate; `None` for an
+    /// exact partition.
     pub(crate) fill: Option<(usize, usize)>,
 }
 
 impl Shadow {
     pub(crate) fn new(tier: ShadowTier, meta: &Arc<[MemOpMeta]>, cfg: EngineConfig) -> Self {
         match tier {
-            ShadowTier::Perfect => Shadow::Perfect(DepBuilder::new(
-                PerfectMap::new(),
-                PerfectMap::new(),
-                Arc::clone(meta),
-                cfg,
-            )),
+            ShadowTier::Perfect => {
+                Shadow::Perfect(DepBuilder::new(PerfectMap::new(), Arc::clone(meta), cfg))
+            }
             ShadowTier::Signature { slots } => Shadow::Sig(DepBuilder::new(
-                SignatureMap::new(slots),
                 SignatureMap::new(slots),
                 Arc::clone(meta),
                 cfg,
@@ -137,7 +134,6 @@ impl Shadow {
             Shadow::Perfect(_) => {
                 let placeholder = Shadow::Sig(DepBuilder::new(
                     SignatureMap::new(1),
-                    SignatureMap::new(1),
                     Vec::new(),
                     EngineConfig::default(),
                 ));
@@ -147,17 +143,14 @@ impl Shadow {
                 // The `[lo, hi]` word-address range resident in the exact
                 // shadow: the addresses whose tracking becomes approximate.
                 let mut affected = None;
-                *self = Shadow::Sig(b.map_shadow(|read, write| {
-                    for (addr, _) in read.entries().into_iter().chain(write.entries()) {
+                *self = Shadow::Sig(b.map_shadow(|exact| {
+                    for (addr, _) in exact.entries() {
                         affected = Some(match affected {
                             None => (addr, addr),
                             Some((lo, hi)) => (addr.min(lo), addr.max(hi)),
                         });
                     }
-                    (
-                        SignatureMap::from_perfect(&read, sig_slots),
-                        SignatureMap::from_perfect(&write, sig_slots),
-                    )
+                    SignatureMap::from_perfect(&exact, sig_slots)
                 }));
                 (affected, 0)
             }

@@ -15,8 +15,9 @@ use std::time::Duration;
 
 use interp::{Program, RunConfig};
 use profiler::{
-    fault, profile_parallel, profile_program_with, Budget, EngineKind, ParallelConfig,
-    ParallelStats, ProfileConfig, ProfileError, ProfileOutput, ShadowTier,
+    fault, profile_parallel, profile_program_with, Budget, EngineKind, InlineReason,
+    ParallelConfig, ParallelStats, ProfileConfig, ProfileError, ProfileOutput, ShadowTier,
+    Tracking,
 };
 
 /// A loop-heavy sequential target: ~65k memory accesses, far past the
@@ -164,6 +165,70 @@ fn killed_worker_on_dealloc_message_is_recovered() {
             "dealloc faultpoint fired"
         );
         assert_eq!(out.deps.sorted(), baseline);
+    });
+}
+
+/// Past `ParallelConfig::ADAPTIVE_SPAWN_THRESHOLD`: 2.1 M accesses, every
+/// one delivered one by one with the skip tier off, so a serial engine's
+/// partition moves to its worker on a host with a second core.
+const LONG_SRC: &str = "\
+global int a[4096];
+fn main() {
+    for (int r = 0; r < 64; r = r + 1) {
+        for (int i = 0; i < 4096; i = i + 1) {
+            a[i] = a[i] + i;
+        }
+    }
+}
+";
+
+#[test]
+fn killed_worker_of_a_moved_serial_run_is_recovered_bit_identical() {
+    fault_session(|| {
+        let prog = program(LONG_SRC);
+        let cfg = ProfileConfig {
+            engine: EngineKind::SerialPerfect,
+            run: RunConfig {
+                affine_skip: false,
+                ..RunConfig::default()
+            },
+            ..ProfileConfig::default()
+        };
+        let oracle = profile_program_with(&prog, &cfg).expect("uninjected run succeeds");
+        match oracle.tracking {
+            Tracking::Moved { recoveries: 0, .. } => {}
+            // Nothing to kill: the partition never left the producer.
+            Tracking::Inline(InlineReason::OneCore) => return,
+            other => panic!("a 2.1 M-access serial run must move: {other:?}"),
+        }
+        let sequence = |out: &ProfileOutput| {
+            (
+                out.deps.iter().collect::<Vec<_>>(),
+                out.deps.total_found,
+                format!("{:?}", out.skip_stats),
+                out.profiler_bytes,
+            )
+        };
+        // On its first chunk, early, and deep into the run.
+        for after in [0u64, 7, 1000] {
+            fault::arm("worker:chunk", after);
+            let out = profile_program_with(&prog, &cfg)
+                .unwrap_or_else(|e| panic!("injected run (after={after}) failed: {e}"));
+            assert!(
+                matches!(out.tracking, Tracking::Moved { recoveries: 1, .. }),
+                "after={after}: {:?}",
+                out.tracking
+            );
+            assert!(
+                out.parallel.is_none(),
+                "a serial report has no transport block"
+            );
+            assert_eq!(
+                sequence(&out),
+                sequence(&oracle),
+                "the partition finished on the producer must match (after={after})"
+            );
+        }
     });
 }
 

@@ -35,3 +35,28 @@ pub fn wide_program(functions: usize) -> String {
     src.push_str("}\n");
     src
 }
+
+/// The benchmark's `sparse_gather` shape at one pass, with fixed constants
+/// instead of seed-drawn ones: a 2^19-word footprint, past
+/// `EngineKind::AUTO_PERFECT_MAX_WORDS`, so `auto_for` picks the signature
+/// engine, and 1.5 M accesses, every one delivered one by one — past
+/// `ParallelConfig::ADAPTIVE_SPAWN_THRESHOLD`.
+#[allow(dead_code)]
+pub fn gather() -> String {
+    "global int idx[65536];
+global int data[524288];
+global int out[524288];
+global int s;
+fn main() {
+    for (int i = 0; i < 65536; i = i + 1) {
+        idx[i] = (i * 24691 + 777) % 524288;
+    }
+    for (int k = 0; k < 65536; k = k + 1) {
+        int j = idx[(k * 7) % 65536];
+        out[j] = data[(j + k) % 524288] + out[j];
+        s = s + out[j];
+    }
+}
+"
+    .to_string()
+}

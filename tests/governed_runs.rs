@@ -9,7 +9,8 @@
 
 use interp::{Program, RunConfig};
 use profiler::{
-    profile_program_with, Budget, EngineKind, ProfileConfig, ProfileOutput, ShadowTier,
+    profile_program_with, Budget, EngineKind, InlineReason, ProfileConfig, ProfileOutput,
+    ShadowTier, Tracking,
 };
 use std::time::Duration;
 
@@ -168,4 +169,49 @@ fn runs_resolve_until_the_exact_tier_is_left() {
         on.synth, free.synth,
         "the machine never sees the tier change"
     );
+}
+
+/// A memory ceiling keeps a serial run's partition on the producer however
+/// long the run, so the ladder's rungs fall at the same access every time; a
+/// deadline alone does not. 2.1 M accesses, all delivered one by one (the
+/// skip tier off), past the 2^20 at which an unbudgeted run moves on a host
+/// with two cores.
+#[test]
+fn a_run_under_a_memory_ceiling_never_spawns() {
+    let p = program(
+        "global int a[4096];\nfn main() {\n\
+         for (int r = 0; r < 64; r = r + 1) {\n\
+         for (int i = 0; i < 4096; i = i + 1) {\na[i] = a[i] + i;\n}\n}\n}",
+    );
+    let capped = profile(
+        &p,
+        Budget {
+            deadline: None,
+            max_memory_bytes: Some(1 << 30),
+        },
+        false,
+    );
+    assert!(capped.skip_stats.total_accesses > 1 << 20);
+    assert_eq!(
+        capped.tracking,
+        Tracking::Inline(InlineReason::MemoryCeiling)
+    );
+    let timed = profile(
+        &p,
+        Budget {
+            deadline: Some(Duration::from_secs(3600)),
+            max_memory_bytes: None,
+        },
+        false,
+    );
+    let free = profile(&p, Budget::unlimited(), false);
+    assert_eq!(timed.tracking, free.tracking, "a deadline does not pin it");
+    assert!(matches!(
+        free.tracking,
+        Tracking::Moved { .. } | Tracking::Inline(InlineReason::OneCore)
+    ));
+    for out in [&capped, &timed] {
+        assert_eq!(sequence(out), sequence(&free));
+        assert_eq!(out.profiler_bytes, free.profiler_bytes);
+    }
 }

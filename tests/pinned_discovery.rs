@@ -3,7 +3,8 @@
 //! `--static` report of a generated wide program, must hash to the digest
 //! recorded at the parent commit (cf1b80f). So must five whole reports
 //! across the one-pass report writer of PR 24, recorded at its parent
-//! (df901ad). A change that alters any of them on purpose re-records the
+//! (df901ad), and one long signature run recorded at the parent of PR 26
+//! (53662e2). A change that alters any of them on purpose re-records the
 //! table from the failing test's output.
 
 mod common;
@@ -84,8 +85,11 @@ const PINNED: &[(&str, u64)] = &[
     // boundaries. Re-recorded in PR 25 (was 0x02eb94bc693ea702): with the
     // superinstruction peephole gone one line changes, `dispatches`
     // 1,972 → 3,111 — the parent's digest is the parent CLI's report, and
-    // the two reports differ in that line only.
-    ("wide_40", 0x464c8041a218ba2b),
+    // the two reports differ in that line only. Re-recorded in PR 26 (was
+    // 0x464c8041a218ba2b): a read and a write status now share one shadow
+    // slot, and the CLI reports at the parent and after differ in
+    // `profiler_bytes` alone, 72,256 → 71,904.
+    ("wide_40", 0xbfdad81d9f24943a),
 ];
 
 #[test]
@@ -136,12 +140,17 @@ fn discovery_blocks_match_the_digests_taken_before_the_rewrite() {
 /// `profile.summary.dispatches` line alone (one op per dispatch); the
 /// digests before were 0xcf003d54efabffc4, 0x4a4e0aa67f01712d,
 /// 0x3dcdad8ca11dae5b, 0x9956da7adf99341e and 0x42c1c01adfc402a6.
+/// Re-recorded in PR 26, whose reports differ from its parent's in the
+/// `profile.profiler_bytes` line alone (one shadow slot per address, read
+/// and write status paired); the digests before were 0x3973a8345c0cb2f5,
+/// 0x13743fc01c7d04f2, 0xa28d511d88675e18, 0x1c3ea69d3da363db and
+/// 0x4ffda0f858d0454e.
 const PINNED_WHOLE: &[(&str, u64)] = &[
-    ("actors_10k", 0x3973a8345c0cb2f5),
-    ("matmul on parallel:2", 0x13743fc01c7d04f2),
-    ("CG", 0xa28d511d88675e18),
-    ("fib", 0x1c3ea69d3da363db),
-    ("actor_ring", 0x4ffda0f858d0454e),
+    ("actors_10k", 0x63d58084c041d425),
+    ("matmul on parallel:2", 0x5d19b3cabda4fc16),
+    ("CG", 0x3303c10c770a1384),
+    ("fib", 0x54b3365c77d1d5be),
+    ("actor_ring", 0x70015fe45e79acea),
 ];
 
 #[test]
@@ -171,4 +180,32 @@ fn whole_reports_match_the_digests_taken_before_the_one_pass_writer() {
         .map(|(name, h)| format!("    (\"{name}\", {h:#018x}),\n"))
         .collect();
     assert!(got == PINNED_WHOLE, "measured table:\n{table}");
+}
+
+/// The whole report of a signature run past
+/// `ParallelConfig::ADAPTIVE_SPAWN_THRESHOLD` accesses ([`common::gather`]):
+/// on a host with two cores its lone partition moves to a worker mid-run,
+/// and the report must not show it. Recorded in PR 26 at its parent
+/// (53662e2), before any code changed, as 0xf94f6e99df6296e8; re-recorded
+/// after a diff of the two CLI reports showed `profiler_bytes` alone
+/// moving, 12,596,152 → 12,592,056 (the paired slot).
+const PINNED_GATHER: u64 = 0x5978c56c5fbe0bcf;
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only: 1.5 M accesses")]
+fn a_long_signature_run_matches_its_pinned_digest() {
+    let mut analysis = Analysis::new();
+    let compiled = analysis.compile(&common::gather(), "gather").unwrap();
+    let program = compiled.program();
+    assert_eq!(
+        EngineKind::auto_for(program),
+        EngineKind::signature(EngineKind::AUTO_SIGNATURE_SLOTS)
+    );
+    let report = analysis
+        .engine_mut(EngineKind::auto_for(program))
+        .analyze_compiled(&compiled)
+        .unwrap();
+    assert!(report.profile.skip_stats.total_accesses > 1 << 20);
+    let got = fnv1a(report.to_json_string(program).as_bytes());
+    assert_eq!(got, PINNED_GATHER, "measured {got:#018x}");
 }

@@ -53,12 +53,10 @@ proptest! {
         let t = InstanceTable::new();
         let mut sig = DepBuilder::new(
             SignatureMap::new(1 << 16),
-            SignatureMap::new(1 << 16),
             trace_meta(),
             EngineConfig::default(),
         );
         let mut per = DepBuilder::new(
-            PerfectMap::new(),
             PerfectMap::new(),
             trace_meta(),
             EngineConfig::default(),
@@ -77,12 +75,10 @@ proptest! {
         let t = InstanceTable::new();
         let mut page = DepBuilder::new(
             PerfectMap::new(),
-            PerfectMap::new(),
             trace_meta(),
             EngineConfig::default(),
         );
         let mut hash = DepBuilder::new(
-            HashShadowMap::new(),
             HashShadowMap::new(),
             trace_meta(),
             EngineConfig::default(),
@@ -101,12 +97,10 @@ proptest! {
         let t = InstanceTable::new();
         let mut plain = DepBuilder::new(
             PerfectMap::new(),
-            PerfectMap::new(),
             trace_meta(),
             EngineConfig { skip_loops: false },
         );
         let mut skip = DepBuilder::new(
-            PerfectMap::new(),
             PerfectMap::new(),
             trace_meta(),
             EngineConfig { skip_loops: true },
@@ -127,7 +121,6 @@ proptest! {
         let t = InstanceTable::new();
         let mut e = DepBuilder::new(
             PerfectMap::new(),
-            PerfectMap::new(),
             trace_meta(),
             EngineConfig::default(),
         );
@@ -139,23 +132,32 @@ proptest! {
         prop_assert!(first_merged <= first_total.max(1));
     }
 
-    /// Signature membership: after inserting an address, `get` on a
-    /// collision-free table returns exactly what was stored.
+    /// Signature membership: after storing into an address's slot, `get`
+    /// on a collision-free table returns exactly what was stored, in the
+    /// half it was stored in.
     #[test]
     fn signature_roundtrip(addrs in prop::collection::btree_set(0u64..512, 1..64)) {
         let mut m = SignatureMap::new(1 << 16);
+        let cell = |i: usize| Cell {
+            ts: i as u64,
+            op: i as u32,
+            instance: NO_INSTANCE,
+            iter: 0,
+            thread: 0,
+        };
         for (i, &a) in addrs.iter().enumerate() {
-            m.set(0x4000 + a * 8, Cell {
-                ts: i as u64,
-                op: i as u32,
-                instance: NO_INSTANCE,
-                iter: 0,
-                thread: 0,
-            });
+            let slot = m.entry(0x4000 + a * 8);
+            if i % 2 == 0 {
+                slot.write = cell(i);
+            } else {
+                slot.read = cell(i);
+            }
         }
         for (i, &a) in addrs.iter().enumerate() {
-            let c = m.get(0x4000 + a * 8);
-            prop_assert_eq!(c.map(|c| c.op), Some(i as u32));
+            let slot = m.get(0x4000 + a * 8);
+            let (stored, other) = if i % 2 == 0 { (slot.write, slot.read) } else { (slot.read, slot.write) };
+            prop_assert_eq!(stored.status().map(|c| c.op), Some(i as u32));
+            prop_assert!(other.is_empty());
         }
     }
 
@@ -349,25 +351,30 @@ mod governance_props {
             .collect()
     }
 
+    /// Store `c` as the write status of `addr`'s slot.
+    fn set_write(m: &mut impl AccessMap, addr: u64, c: Cell) {
+        m.entry(addr).write = c;
+    }
+
     /// Detect collision-freedom differentially: write one distinct marker
     /// per address, then check every marker reads back intact.
     fn collision_free(slots: usize, addrs: &[u64]) -> bool {
         let mut m = SignatureMap::new(slots);
         for (i, &a) in addrs.iter().enumerate() {
-            m.set(a, marker(i));
+            set_write(&mut m, a, marker(i));
         }
         addrs
             .iter()
             .enumerate()
-            .all(|(i, &a)| m.get(a).map(|c| c.op) == Some(i as u32))
+            .all(|(i, &a)| m.get(a).write.status().map(|c| c.op) == Some(i as u32))
     }
 
     /// Two distinct addresses share a slot at this size (detected
     /// differentially: plant a marker under `a`, probe through `b`).
     fn same_slot(slots: usize, a: u64, b: u64) -> bool {
         let mut m = SignatureMap::new(slots);
-        m.set(a, marker(0));
-        m.get(b).is_some()
+        set_write(&mut m, a, marker(0));
+        !m.get(b).is_empty()
     }
 
     /// Addresses of the set whose slot is shared with a *different*
@@ -392,7 +399,6 @@ mod governance_props {
             let t = InstanceTable::new();
             let mut per = DepBuilder::new(
                 PerfectMap::new(),
-                PerfectMap::new(),
                 trace_meta(),
                 EngineConfig::default(),
             );
@@ -404,7 +410,6 @@ mod governance_props {
 
             for tier in TIERS {
                 let mut sig = DepBuilder::new(
-                    SignatureMap::new(tier),
                     SignatureMap::new(tier),
                     trace_meta(),
                     EngineConfig::default(),
@@ -440,18 +445,27 @@ mod governance_props {
         /// Halving re-keys exactly (the ladder's slot-level exactness
         /// claim): inserting a stream into `m` slots and halving `k` times
         /// leaves precisely the state of a fresh `m/2^k`-slot signature
-        /// fed the same stream. Timestamps grow with insertion order, so
-        /// the halving merge (newest wins) and direct insertion (last
-        /// write wins) must pick identical survivors.
+        /// fed the same stream, in both halves of every slot. Timestamps
+        /// grow with insertion order, so the halving merge (newest wins)
+        /// and direct insertion (last store wins) must pick identical
+        /// survivors.
         #[test]
         fn halving_matches_directly_built_signature(
-            raw in prop::collection::vec(0u64..4096, 1..128),
+            raw in prop::collection::vec((0u64..4096, any::<bool>()), 1..128),
             halvings in 1usize..4,
         ) {
+            let store = |m: &mut SignatureMap, i: usize, (a, write): (u64, bool)| {
+                let slot = m.entry(0x2000 + a * 8);
+                if write {
+                    slot.write = marker(i);
+                } else {
+                    slot.read = marker(i);
+                }
+            };
             let start = 1usize << 10;
             let mut halved = SignatureMap::new(start);
-            for (i, &a) in raw.iter().enumerate() {
-                halved.set(0x2000 + a * 8, marker(i));
+            for (i, &r) in raw.iter().enumerate() {
+                store(&mut halved, i, r);
             }
             for _ in 0..halvings {
                 halved.halve();
@@ -460,18 +474,18 @@ mod governance_props {
             prop_assert_eq!(halved.num_slots(), finals);
 
             let mut direct = SignatureMap::new(finals);
-            for (i, &a) in raw.iter().enumerate() {
-                direct.set(0x2000 + a * 8, marker(i));
+            for (i, &r) in raw.iter().enumerate() {
+                store(&mut direct, i, r);
             }
-            for &a in &raw {
+            for &(a, _) in &raw {
                 let addr = 0x2000 + a * 8;
                 prop_assert_eq!(
-                    halved.get(addr).map(|c| (c.op, c.ts)),
-                    direct.get(addr).map(|c| (c.op, c.ts)),
+                    halved.get(addr),
+                    direct.get(addr),
                     "address {:#x} diverges after {} halvings", addr, halvings
                 );
             }
-            prop_assert!(halved.occupied() <= direct.occupied().max(raw.len()));
+            prop_assert_eq!(halved.occupied(), direct.occupied());
         }
 
         /// `from_perfect` (the ladder's first rung) preserves exactly the
@@ -484,16 +498,18 @@ mod governance_props {
         ) {
             let mut per = PerfectMap::new();
             for (i, &a) in raw.iter().enumerate() {
-                per.set(0x3000 + a * 8, marker(i));
+                let slot = per.entry(0x3000 + a * 8);
+                if i % 3 == 0 {
+                    slot.read = marker(i);
+                } else {
+                    slot.write = marker(i);
+                }
             }
             let addrs: Vec<u64> = raw.iter().map(|&a| 0x3000 + a * 8).collect::<BTreeSet<_>>().into_iter().collect();
             let sig = SignatureMap::from_perfect(&per, 1 << 16);
             if collision_free(1 << 16, &addrs) {
                 for &addr in &addrs {
-                    prop_assert_eq!(
-                        sig.get(addr).map(|c| (c.op, c.ts)),
-                        per.get(addr).map(|c| (c.op, c.ts))
-                    );
+                    prop_assert_eq!(sig.get(addr), per.get(addr));
                 }
             }
         }

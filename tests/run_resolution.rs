@@ -5,15 +5,15 @@
 //! state that feeding [`PlanRun::expand`] through the per-event path leaves
 //! — the `DepSet` *iteration sequence* (insertion history is part of the
 //! contract: a resolved stretch inserts nothing and replaces no memo entry),
-//! every count, `total_found`, the skip counters, tracked bytes, every
-//! shadow cell of both maps, and the PET. Held over the catalogue, generated
+//! every count, `total_found`, the skip counters, tracked bytes, both
+//! cells of every shadow slot, and the PET. Held over the catalogue, generated
 //! nests and hand-built runs that take each branch of the resolver; an
 //! engagement floor keeps the gate from passing on fallbacks alone.
 
 use interp::{Event, MemEvent, MemOpMeta, PlanRun, Program, RegionExitEvent, RunStream, Sink};
 use mir::RegionKind;
 use profiler::engine::RunStats;
-use profiler::{Cell, Dep, ProfileConfig, Profiler};
+use profiler::{Dep, ProfileConfig, Profiler, Slot};
 
 /// The reference: a profiler that is handed runs and feeds it their
 /// expansion, event by event.
@@ -46,7 +46,7 @@ struct Snapshot {
     live_bytes: usize,
     /// Tracked bytes at `finish`, shadow moved out.
     final_bytes: usize,
-    shadow: Vec<(u64, Option<Cell>, Option<Cell>)>,
+    shadow: Vec<(u64, Slot)>,
     pet: String,
 }
 
