@@ -119,9 +119,13 @@ fn main() -> ExitCode {
             println!("                                    N and chunk must be positive (parallel:0 is an error)");
             println!(
                 "a serial engine is one partition: past 2^20 accesses it moves to one worker \
-                 thread while the interpreter runs on, unless the host has one core, \
-                 --max-memory is set, or a plan run was resolved in closed form; the report \
-                 is the same either way, and the [2/3] progress line says where tracking ran"
+                 thread while the interpreter runs on, unless the host has one core or a plan \
+                 run was resolved in closed form; the report is the same either way, and the \
+                 [2/3] progress line says where tracking ran"
+            );
+            println!(
+                "--max-memory keeps every partition of every engine on the producer, which \
+                 governs the budget alone (parallel:N tracks inline under it too)"
             );
             println!(
                 "without --engine, the engine is auto-selected (EngineKind::auto_for): \

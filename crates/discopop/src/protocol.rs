@@ -315,8 +315,8 @@ pub struct StatusBody {
     pub conn_recoveries: u64,
     /// Compiled programs resident in the cache.
     pub cache_entries: u64,
-    /// Estimated bytes of cached programs (admitted through the shared
-    /// memory gauge).
+    /// Estimated bytes of cached programs, counted by the cache under the
+    /// lock that guards its entries (read together with `cache_entries`).
     pub cache_bytes: u64,
     /// Cache hits (compile + decode skipped).
     pub cache_hits: u64,

@@ -20,9 +20,10 @@
 //!   connection thread, never the acceptor or a worker. Request JSON is
 //!   parsed under [`jsonio::ParseLimits`] (size + nesting depth).
 //! - **Graceful degradation.** Compiled programs are cached by source
-//!   hash; cache bytes are admitted through a shared
-//!   [`MemGauge`] and evicted LRU under pressure — overflow costs cache
-//!   misses, never memory.
+//!   hash; the cache counts its bytes under the lock that guards its
+//!   entries and evicts LRU under pressure — overflow costs cache misses,
+//!   never memory, and a program larger than the whole cache is simply not
+//!   cached.
 //! - **Graceful shutdown.** [`Server::shutdown`] stops accepting, drains
 //!   queued + in-flight work up to [`ServeConfig::drain_deadline`],
 //!   answers whatever must be abandoned with a typed `shutting_down`
@@ -39,7 +40,7 @@ use crate::protocol::{
 };
 use crate::{Analysis, Error, StageEvent};
 use jsonio::{ParseErrorKind, ParseLimits, TextSink, Value};
-use profiler::{Budget, EngineKind, MemGauge};
+use profiler::{Budget, EngineKind};
 use std::collections::VecDeque;
 use std::hash::Hasher;
 use std::io::{BufRead, BufReader, Write};
@@ -162,6 +163,8 @@ struct CacheEntry {
 #[derive(Default)]
 struct ProgramCache {
     entries: Vec<CacheEntry>,
+    /// Sum of the entries' `bytes`.
+    bytes: usize,
     tick: u64,
 }
 
@@ -182,7 +185,6 @@ struct Shared {
     worker_recoveries: AtomicU64,
     conn_recoveries: AtomicU64,
     cache: Mutex<ProgramCache>,
-    cache_gauge: MemGauge,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     cache_evictions: AtomicU64,
@@ -211,10 +213,11 @@ impl Shared {
     }
 
     fn status(&self) -> StatusBody {
-        let (queue_depth, cache_entries) = (
-            lock(&self.queue).len() as u64,
-            lock(&self.cache).entries.len() as u64,
-        );
+        let queue_depth = lock(&self.queue).len() as u64;
+        let (cache_entries, cache_bytes) = {
+            let c = lock(&self.cache);
+            (c.entries.len() as u64, c.bytes as u64)
+        };
         StatusBody {
             protocol: PROTOCOL_VERSION as u64,
             accepting: !self.draining(),
@@ -229,7 +232,7 @@ impl Shared {
             worker_recoveries: self.worker_recoveries.load(Ordering::Relaxed),
             conn_recoveries: self.conn_recoveries.load(Ordering::Relaxed),
             cache_entries,
-            cache_bytes: self.cache_gauge.tracked() as u64,
+            cache_bytes,
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
@@ -269,7 +272,6 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<Server> {
         worker_recoveries: AtomicU64::new(0),
         conn_recoveries: AtomicU64::new(0),
         cache: Mutex::new(ProgramCache::default()),
-        cache_gauge: MemGauge::new(),
         cache_hits: AtomicU64::new(0),
         cache_misses: AtomicU64::new(0),
         cache_evictions: AtomicU64::new(0),
@@ -804,7 +806,7 @@ fn cache_key(name: &str, source: &str) -> u64 {
 
 /// Rough resident-size estimate of a compiled program: source text plus
 /// the decoded instruction streams and static memory layout. Only has to
-/// be consistent, not exact — it is what the cache gauge admits against.
+/// be consistent, not exact — it is what the cache admits against.
 fn program_bytes(source: &str, program: &interp::Program) -> usize {
     source.len()
         + program.num_decoded_ops() * 16
@@ -843,20 +845,16 @@ fn lookup_program(
     Ok((program, false))
 }
 
-/// Admit a freshly compiled program into the cache through the shared
-/// gauge, evicting LRU entries under pressure. A program too large for
-/// the whole cache is simply not cached (graceful degradation: misses,
-/// never OOM).
+/// Admit a freshly compiled program into the cache, evicting LRU entries
+/// until it fits. A program too large for the whole cache is simply not
+/// cached and evicts nothing (graceful degradation: misses, never OOM).
 fn admit_program(shared: &Arc<Shared>, key: u64, program: Arc<interp::Program>, bytes: usize) {
+    let cap = shared.cfg.cache_bytes;
     let mut c = lock(&shared.cache);
-    if c.entries.iter().any(|e| e.key == key) {
-        return; // a concurrent miss beat us to it
+    if bytes > cap || c.entries.iter().any(|e| e.key == key) {
+        return; // oversized, or a concurrent miss beat us to it
     }
-    while shared
-        .cache_gauge
-        .try_adjust(bytes, shared.cfg.cache_bytes)
-        .is_err()
-    {
+    while c.bytes + bytes > cap {
         let Some(lru) = c
             .entries
             .iter()
@@ -864,14 +862,15 @@ fn admit_program(shared: &Arc<Shared>, key: u64, program: Arc<interp::Program>, 
             .min_by_key(|(_, e)| e.last_use)
             .map(|(i, _)| i)
         else {
-            return; // cache empty and still no room: skip caching
+            break; // not reached: an empty cache holds no bytes, so it fits
         };
         let evicted = c.entries.remove(lru);
-        shared.cache_gauge.adjust(-(evicted.bytes as isize));
+        c.bytes -= evicted.bytes;
         shared.cache_evictions.fetch_add(1, Ordering::Relaxed);
     }
     c.tick += 1;
     let tick = c.tick;
+    c.bytes += bytes;
     c.entries.push(CacheEntry {
         key,
         program,
@@ -950,7 +949,6 @@ mod tests {
             worker_recoveries: AtomicU64::new(0),
             conn_recoveries: AtomicU64::new(0),
             cache: Mutex::new(ProgramCache::default()),
-            cache_gauge: MemGauge::new(),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             cache_evictions: AtomicU64::new(0),
@@ -958,21 +956,33 @@ mod tests {
         });
         let src = "fn main() { int x = 0; x = x + 1; }";
         let program = Arc::new(interp::Program::new(lang::compile(src, "m").unwrap()));
+        // Keys in the cache, and the byte count checked against them.
+        let keys = || {
+            let c = lock(&shared.cache);
+            assert_eq!(c.bytes, c.entries.iter().map(|e| e.bytes).sum::<usize>());
+            assert!(c.bytes <= 10_000);
+            c.entries.iter().map(|e| e.key).collect::<Vec<u64>>()
+        };
+        let evictions = || shared.cache_evictions.load(Ordering::Relaxed);
 
         admit_program(&shared, 1, program.clone(), 6_000);
-        admit_program(&shared, 2, program.clone(), 6_000);
+        assert_eq!(keys(), vec![1]);
+        admit_program(&shared, 2, program.clone(), 3_000);
+        assert_eq!(keys(), vec![1, 2]);
+        assert_eq!(evictions(), 0);
+        admit_program(&shared, 3, program.clone(), 6_000);
         // Key 1 is LRU and must go to make room.
-        assert_eq!(shared.cache_evictions.load(Ordering::Relaxed), 1);
-        let keys: Vec<u64> = lock(&shared.cache).entries.iter().map(|e| e.key).collect();
-        assert_eq!(keys, vec![2]);
+        assert_eq!(evictions(), 1);
+        assert_eq!(keys(), vec![2, 3]);
 
-        // Larger than the whole cache: evicts everything, then gives up.
-        admit_program(&shared, 3, program.clone(), 100_000);
-        assert!(lock(&shared.cache).entries.is_empty());
-        assert_eq!(shared.cache_gauge.tracked(), 0);
+        // Larger than the whole cache: not cached, and nothing evicted.
+        admit_program(&shared, 4, program.clone(), 100_000);
+        assert_eq!(keys(), vec![2, 3]);
+        assert_eq!(evictions(), 1);
 
         // And the cache still works afterwards.
-        admit_program(&shared, 4, program, 6_000);
-        assert_eq!(lock(&shared.cache).entries.len(), 1);
+        admit_program(&shared, 5, program, 6_000);
+        assert_eq!(evictions(), 3);
+        assert_eq!(keys(), vec![5]);
     }
 }

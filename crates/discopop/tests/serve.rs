@@ -227,9 +227,21 @@ fn healthy_jobs_match_direct_runs_and_hit_the_cache() {
 #[test]
 fn cache_evicts_under_pressure_and_keeps_serving() {
     session(|| {
+        // What each program costs the cache, read off a roomy daemon.
+        let (a_bytes, b_bytes) = {
+            let server = serve(test_config()).expect("bind");
+            let addr = server.local_addr();
+            report_json_via(addr, 1, "a", HEALTHY_SRC);
+            let a = status_of(&server).cache_bytes;
+            report_json_via(addr, 2, "b", OTHER_SRC);
+            let b = status_of(&server).cache_bytes - a;
+            server.shutdown();
+            (a, b)
+        };
+        // Room for either program, never for both: every insert evicts.
+        let cap = a_bytes.max(b_bytes);
         let server = serve(ServeConfig {
-            // Far too small for two programs: every insert evicts.
-            cache_bytes: 3_000,
+            cache_bytes: cap as usize,
             ..test_config()
         })
         .expect("bind");
@@ -250,8 +262,10 @@ fn cache_evicts_under_pressure_and_keeps_serving() {
 
         let s = status_of(&server);
         assert_eq!(s.jobs_done, 3, "degradation costs misses, never jobs");
-        assert!(s.cache_evictions >= 1, "pressure must evict, got {s:?}");
-        assert!(s.cache_bytes <= 3_000, "gauge must respect the ceiling");
+        assert_eq!(s.cache_misses, 3, "{s:?}");
+        assert_eq!(s.cache_evictions, 2, "every insert after the first evicts");
+        assert_eq!((s.cache_entries, s.cache_bytes), (1, a_bytes), "{s:?}");
+        assert!(s.cache_bytes <= cap, "the cache must respect its ceiling");
         server.shutdown();
     });
 }
@@ -597,11 +611,14 @@ fn shutdown_with_a_spent_drain_deadline_abandons_queued_jobs_typed() {
                 })
             })
             .collect();
-        // Wait until the backlog is real: one in flight, at least one queued.
+        // Wait until the backlog is real: one in flight, at least one queued,
+        // and every client admitted — a request still on its way when the
+        // drain begins is refused at admission, typed but not "abandoned".
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             let s = status_of(&server);
-            if s.in_flight >= 1 && s.queue_depth >= 1 {
+            let admitted = s.jobs_done + s.in_flight + s.queue_depth;
+            if s.in_flight >= 1 && s.queue_depth >= 1 && admitted >= 4 {
                 break;
             }
             assert!(Instant::now() < deadline, "backlog never formed: {s:?}");

@@ -3,15 +3,19 @@
 //!
 //! The signature engine (§2.3.2) bounds memory only implicitly — pick small
 //! slots, get collisions — and the exact shadow grows with the touched
-//! address space. A [`Budget`] makes the trade explicit: the profiler
-//! publishes its tracked bytes to a [`MemGauge`] at checkpoint cadence, and
-//! crossing `max_memory_bytes` triggers the **degradation ladder**
+//! address space. A [`Budget`] makes the trade explicit: at checkpoint
+//! cadence the producer — the one thread that governs, and under a memory
+//! ceiling the one that owns every partition — samples its tracked bytes,
+//! and crossing `max_memory_bytes` triggers the **degradation ladder**
 //!
 //! ```text
 //! perfect shadow  →  signature shadow  →  halved signature slots  →  …
 //! ```
 //!
-//! instead of unbounded growth. Every rung is recorded as a
+//! instead of unbounded growth. Workers never govern: a run under a ceiling
+//! keeps its partitions home, and a run that moved under a deadline alone
+//! counts its workers' partitions once, at their final size, when they are
+//! joined. Every rung is recorded as a
 //! [`DegradationStep`] in the run's [`ResourceStats`], together with the
 //! peak tracked bytes and — for signature-mode runs — the estimated
 //! false-positive rate (dissertation Eq. 2.2), so the report says exactly
@@ -30,7 +34,6 @@
 use crate::run::ProfileOutput;
 use interp::RuntimeError;
 use serde::Serialize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Smallest signature the degradation ladder will shrink to. Below this the
@@ -62,146 +65,6 @@ impl Budget {
     /// taken for active budgets.
     pub fn is_active(&self) -> bool {
         self.max_memory_bytes.is_some() || self.deadline.is_some()
-    }
-}
-
-/// Shared tracked-bytes gauge. Components (serial shadow, inline partition
-/// builders, spawned workers) publish byte *deltas* at checkpoint cadence;
-/// the gauge maintains the current total and the high-water mark.
-///
-/// Publishing is delta-based so concurrent components never overwrite each
-/// other: each keeps its last-published figure locally and adjusts by the
-/// difference.
-#[derive(Debug, Default)]
-pub struct MemGauge {
-    tracked: AtomicUsize,
-    peak: AtomicUsize,
-    /// Admission shortfall reported by publishers stuck at their
-    /// degradation floor: the governing component drains this and sheds at
-    /// least as much of its own footprint to let the starved publisher in.
-    pressure: AtomicUsize,
-}
-
-impl MemGauge {
-    /// A zeroed gauge.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Apply a byte delta (positive = growth) and refresh the peak.
-    /// Returns the new total.
-    pub fn adjust(&self, delta: isize) -> usize {
-        let now = if delta >= 0 {
-            self.tracked.fetch_add(delta as usize, Ordering::Relaxed) + delta as usize
-        } else {
-            let sub = delta.unsigned_abs();
-            self.tracked
-                .fetch_sub(sub, Ordering::Relaxed)
-                .saturating_sub(sub)
-        };
-        self.peak.fetch_max(now, Ordering::Relaxed);
-        now
-    }
-
-    /// Apply a positive byte delta only if the resulting total stays at or
-    /// below `ceiling`: `Ok(new_total)` on success (peak refreshed),
-    /// `Err(projected_total)` leaving the gauge untouched. The admission is
-    /// a single CAS, so concurrent publishers cannot race the total — and
-    /// therefore the recorded peak — past the ceiling.
-    pub fn try_adjust(&self, delta: usize, ceiling: usize) -> Result<usize, usize> {
-        let mut cur = self.tracked.load(Ordering::Relaxed);
-        loop {
-            let new = cur + delta;
-            if new > ceiling {
-                return Err(new);
-            }
-            match self
-                .tracked
-                .compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => {
-                    self.peak.fetch_max(new, Ordering::Relaxed);
-                    return Ok(new);
-                }
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Record that a publisher at its degradation floor was refused
-    /// admission and still needs `bytes` of headroom. Monotonic max rather
-    /// than a sum: starved publishers re-raise at every checkpoint, so
-    /// accumulating would over-shed; the max admits one publisher per
-    /// governing cadence and converges.
-    pub fn raise_pressure(&self, bytes: usize) {
-        self.pressure.fetch_max(bytes, Ordering::Relaxed);
-    }
-
-    /// Take and clear the outstanding admission pressure.
-    pub fn take_pressure(&self) -> usize {
-        self.pressure.swap(0, Ordering::Relaxed)
-    }
-
-    /// Current tracked bytes across all publishers.
-    pub fn tracked(&self) -> usize {
-        self.tracked.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of tracked bytes.
-    pub fn peak(&self) -> usize {
-        self.peak.load(Ordering::Relaxed)
-    }
-}
-
-/// Publishes one component's bytes to a shared [`MemGauge`] as deltas,
-/// remembering the last published figure.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct GaugeSlot {
-    last: usize,
-}
-
-impl GaugeSlot {
-    /// A slot that has published nothing yet.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Publish this component's current byte count; the gauge receives the
-    /// delta against the previous publication. Returns the gauge total.
-    pub fn publish(&mut self, gauge: &MemGauge, bytes: usize) -> usize {
-        let delta = bytes as isize - self.last as isize;
-        self.last = bytes;
-        gauge.adjust(delta)
-    }
-
-    /// Publish only if the gauge total stays within `ceiling`; shrinking
-    /// (and unchanged) publications always succeed. `Err(projected_total)`
-    /// leaves both the gauge and this slot unchanged, telling the caller to
-    /// degrade and retry with a smaller figure. Unlike [`GaugeSlot::preview`]
-    /// followed by [`GaugeSlot::publish`], the admission is atomic across
-    /// concurrent publishers.
-    pub fn try_publish(
-        &mut self,
-        gauge: &MemGauge,
-        bytes: usize,
-        ceiling: usize,
-    ) -> Result<usize, usize> {
-        let delta = bytes as isize - self.last as isize;
-        if delta <= 0 {
-            self.last = bytes;
-            return Ok(gauge.adjust(delta));
-        }
-        let total = gauge.try_adjust(delta as usize, ceiling)?;
-        self.last = bytes;
-        Ok(total)
-    }
-
-    /// What the gauge total *would* become if `bytes` were published now,
-    /// without publishing. Lets a component degrade first and only publish
-    /// the post-degradation figure, so the recorded peak never exceeds the
-    /// budget at a checkpoint.
-    pub fn preview(&self, gauge: &MemGauge, bytes: usize) -> usize {
-        (gauge.tracked() + bytes).saturating_sub(self.last)
     }
 }
 
@@ -257,7 +120,9 @@ pub struct ResourceStats {
     /// The configured deadline in milliseconds, if any.
     pub deadline_ms: Option<u64>,
     /// High-water mark of tracked bytes, sampled at governor checkpoints
-    /// (after any degradation the checkpoint performed).
+    /// (after any degradation the checkpoint performed) and, for a run
+    /// whose partitions moved to workers, once more at the end with every
+    /// moved partition at its final size.
     pub peak_tracked_bytes: u64,
     /// Ladder rungs taken, in order.
     pub degradation_steps: Vec<DegradationStep>,
@@ -335,22 +200,6 @@ pub(crate) fn signature_slots_for_budget(max_memory_bytes: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gauge_tracks_peak_across_deltas() {
-        let g = MemGauge::new();
-        let mut a = GaugeSlot::new();
-        let mut b = GaugeSlot::new();
-        a.publish(&g, 100);
-        b.publish(&g, 50);
-        assert_eq!(g.tracked(), 150);
-        a.publish(&g, 30); // shrink
-        assert_eq!(g.tracked(), 80);
-        assert_eq!(g.peak(), 150);
-        b.publish(&g, 200);
-        assert_eq!(g.tracked(), 230);
-        assert_eq!(g.peak(), 230);
-    }
 
     #[test]
     fn budget_activity() {

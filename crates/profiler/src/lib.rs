@@ -45,9 +45,10 @@
 //! - **Race hints** for multi-threaded targets: timestamp inversions on the
 //!   same address expose unsynchronized access pairs (§2.3.4).
 //! - **Resource governance** ([`budget`]): hard memory/time budgets with a
-//!   degradation ladder (perfect → signature → halved signature), worker
-//!   supervision with panic recovery, and a [`fault`] injection facility
-//!   that the fault-tolerance suite uses to kill pipeline stages on demand.
+//!   degradation ladder (perfect → signature → halved signature), enforced
+//!   by the producer alone — a memory ceiling keeps every partition on it —
+//!   worker supervision with panic recovery, and a [`fault`] injection
+//!   facility that the fault-tolerance suite uses to kill workers on demand.
 
 // Library code must not panic on malformed state — budgeted and supervised
 // runs recover instead. Tests assert freely.
@@ -68,8 +69,7 @@ pub mod serial;
 mod shadow;
 
 pub use budget::{
-    Budget, DegradationStep, GaugeSlot, MemGauge, ProfileError, ResourceStats, ShadowTier,
-    LADDER_MIN_SLOTS,
+    Budget, DegradationStep, ProfileError, ResourceStats, ShadowTier, LADDER_MIN_SLOTS,
 };
 
 pub use access::{

@@ -23,7 +23,9 @@
 //! chunks ship; buffers recycle through a pool. This module holds that
 //! transport: messages, queues, the chunk pool, the worker loop and its
 //! supervision (a panicking worker hands its partition back to the
-//! producer, which finishes it inline with the same dependences).
+//! producer, which finishes it inline with the same dependences). A worker
+//! only consumes: budgets are the producer's to govern, and a memory
+//! ceiling keeps every partition on the producer.
 //!
 //! Not here: §2.3.3's hot-address load balancing and the lock-based queue
 //! of Fig. 2.9a. Both were implemented and measured (CHANGES.md, PR 23):
@@ -43,7 +45,7 @@ use crate::access::{
     carried_by_in, CarriedResolver, Instance, InstanceRegistry, LoopContext, LoopKey, PackedAccess,
     NO_INSTANCE,
 };
-use crate::budget::{Budget, DegradationStep, GaugeSlot, MemGauge, ProfileError, ShadowTier};
+use crate::budget::{Budget, ProfileError, ShadowTier};
 use crate::dep::DepSet;
 use crate::engine::{EngineConfig, SkipStats};
 use crate::pet::PetBuilder;
@@ -77,12 +79,15 @@ pub struct ParallelConfig {
     /// Accesses before the engine escalates from inline processing to
     /// spawned workers (given ≥ 2 available cores, no memory ceiling and no
     /// plan run resolved in closed form). `0` spawns at construction,
-    /// whatever the host and budget; `u64::MAX` never spawns.
+    /// whatever the host — but a memory ceiling still wins: under one the
+    /// partitions never leave the producer. `u64::MAX` never spawns.
     pub spawn_threshold: u64,
-    /// Resource budget. When active, the producer and every spawned worker
-    /// publish their tracked bytes to a shared [`MemGauge`] and degrade
-    /// their shadow maps when the total crosses the ceiling; the producer
-    /// checks the deadline at its checkpoint cadence.
+    /// Resource budget. When active, the producer governs it alone: at its
+    /// checkpoint cadence it checks the deadline and, under a memory
+    /// ceiling (which keeps every partition on it), walks its partitions
+    /// down the degradation ladder. Workers report no bytes while running;
+    /// a run that moved under a deadline counts their partitions once, when
+    /// they are joined.
     pub budget: Budget,
 }
 
@@ -350,77 +355,6 @@ pub(crate) enum WorkerOutcome {
     },
 }
 
-/// The ceiling spawned workers govern against: the budget minus a reserve
-/// for the producer's non-degradable transport state (shared instance
-/// table, in-flight chunk buffers). In spawned mode
-/// the producer owns no shadow maps to shed, so when its side tables are
-/// denied admission it publishes anyway; keeping the workers below
-/// `budget - reserve` makes that forced publication still land under the
-/// budget.
-pub(crate) fn producer_reserve_ceiling(max: usize) -> usize {
-    max.saturating_sub((max / 8).clamp(16 << 10, 256 << 10))
-}
-
-/// A spawned worker's view of the shared memory budget: publish tracked
-/// bytes at chunk boundaries, degrade the own partition first whenever the
-/// projected total would cross the ceiling (so the recorded peak never
-/// exceeds the budget at a checkpoint).
-pub(crate) struct WorkerGov {
-    pub(crate) gauge: Arc<MemGauge>,
-    pub(crate) slot: GaugeSlot,
-    pub(crate) max_bytes: usize,
-    /// The full budget, used as a last-resort ceiling once the own ladder
-    /// is at the floor (the reserve no longer buys anything there).
-    pub(crate) hard_max: usize,
-    /// Slot count a perfect partition re-keys to when it leaves the exact
-    /// tier.
-    pub(crate) sig_slots: usize,
-    pub(crate) steps: Arc<Mutex<Vec<DegradationStep>>>,
-}
-
-impl WorkerGov {
-    fn checkpoint(&mut self, builder: &mut Shadow) {
-        let mut bytes = builder.bytes();
-        loop {
-            // Atomic admission: growth is published only if the total stays
-            // under the ceiling, so concurrent worker checkpoints cannot
-            // race the recorded peak past the budget.
-            match self.slot.try_publish(&self.gauge, bytes, self.max_bytes) {
-                Ok(_) => return,
-                Err(projected) => {
-                    let Some(mut step) = builder.degrade(self.sig_slots) else {
-                        // Ladder floor: what remains is non-degradable
-                        // (dependence stores, floor-size maps). Admit it
-                        // against the *full* budget if it fits; otherwise
-                        // leave it unpublished and pressure the producer —
-                        // which may be holding most of the budget for a
-                        // recovered partition — to shed. Force-publishing
-                        // here would race the recorded peak past the
-                        // budget; the retry happens at the next checkpoint.
-                        if let Err(projected) =
-                            self.slot.try_publish(&self.gauge, bytes, self.hard_max)
-                        {
-                            self.gauge.raise_pressure(projected - self.hard_max);
-                        }
-                        return;
-                    };
-                    step.bytes_before = projected as u64;
-                    bytes = builder.bytes();
-                    step.bytes_after = self.slot.preview(&self.gauge, bytes) as u64;
-                    self.steps.lock().push(step);
-                }
-            }
-        }
-    }
-
-    /// Withdraw this worker's entire published figure from the gauge
-    /// (supervisor teardown after a panic, before the partition's state is
-    /// handed back to the producer).
-    fn retract(&mut self) {
-        self.slot.publish(&self.gauge, 0);
-    }
-}
-
 /// Chunk recycling pool (the paper: "empty chunks are recycled").
 pub(crate) type ChunkPool = Arc<Mutex<Vec<Vec<PackedAccess>>>>;
 
@@ -523,7 +457,6 @@ pub(crate) fn spawn_worker(
     shadow: Shadow,
     shared: Arc<SharedTable>,
     pool: ChunkPool,
-    gov: Option<WorkerGov>,
 ) -> JoinHandle<WorkerOutcome> {
     std::thread::spawn(move || {
         let resolver = WorkerResolver::new(shared);
@@ -533,26 +466,11 @@ pub(crate) fn spawn_worker(
         // down with the thread.
         let mut shadow = shadow;
         let mut current: Option<Msg> = None;
-        let mut gov = gov;
         let unwound = catch_unwind(AssertUnwindSafe(|| {
-            worker_loop(
-                &queue,
-                &mut shadow,
-                &resolver,
-                &mut returner,
-                &mut current,
-                &mut gov,
-            )
+            worker_loop(&queue, &mut shadow, &resolver, &mut returner, &mut current)
         }))
         .is_err();
         if unwound {
-            // Retract this worker's gauge contribution: the recovered
-            // partition finishes under the producer, whose own checkpoints
-            // re-count it — leaving the figure in place would double-count
-            // the partition and inflate the recorded peak.
-            if let Some(g) = gov.as_mut() {
-                g.retract();
-            }
             return WorkerOutcome::Panicked {
                 shadow: Box::new(shadow),
                 failed: current,
@@ -570,7 +488,6 @@ fn worker_loop(
     resolver: &WorkerResolver,
     returner: &mut ChunkReturner,
     current: &mut Option<Msg>,
-    gov: &mut Option<WorkerGov>,
 ) {
     let mut idle = 0u32;
     loop {
@@ -595,9 +512,6 @@ fn worker_loop(
                 }
                 if let Some(Msg::Chunk(ch)) = current.take() {
                     returner.put(ch);
-                    if let Some(g) = gov.as_mut() {
-                        g.checkpoint(shadow);
-                    }
                 }
             }
             None => {
@@ -692,7 +606,6 @@ pub fn profile_multithreaded_target(
             Shadow::new(tier, &op_meta, EngineConfig::default()),
             Arc::clone(&shared),
             Arc::clone(&pool),
-            None,
         ));
     }
     // Per-lock ticket counters: a producer replays its critical section

@@ -23,8 +23,12 @@
 //! form) — for a serial engine, one worker tracks while the producer
 //! interprets. One partition processes accesses in delivery order wherever
 //! it lives, so the move is invisible in the output; where tracking ran is
-//! reported beside it ([`Tracking`]). One `Governor` checkpoints whatever
-//! the producer owns, at one cadence, whatever the dials say.
+//! reported beside it ([`Tracking`]). One `Governor`, on the producer,
+//! checkpoints what the producer owns at one cadence; workers never govern.
+//! A memory ceiling keeps every partition home whatever the dials say — a
+//! spawn threshold of 0 included — so under a ceiling the governor sees the
+//! whole footprint, and a run that moved under a deadline alone counts its
+//! workers' partitions once, at their final size, when they are joined.
 //!
 //! Plan runs ([`interp::PlanRun`]): a lone exact partition the producer
 //! owns resolves them in closed form ([`crate::DepBuilder::process_run`]) —
@@ -34,15 +38,14 @@
 
 use crate::access::{Access, InstanceTable, LoopContext, PackedAccess, NO_INSTANCE};
 use crate::budget::{
-    signature_slots_for_budget, Budget, DegradationStep, GaugeSlot, MemGauge, ResourceStats,
-    ShadowTier,
+    signature_slots_for_budget, Budget, DegradationStep, ResourceStats, ShadowTier,
 };
 use crate::dep::DepSet;
 use crate::engine::{DepBuilder, EngineConfig, RunStats, SkipStats};
 use crate::maps::{AccessMap, Slot};
 use crate::parallel::{
-    apply_msg, drain_dead_worker, producer_reserve_ceiling, push_supervised, spawn_worker,
-    ChunkAlloc, ChunkPool, Msg, ParallelConfig, SharedTable, WorkerGov, WorkerOutcome, WorkerQueue,
+    apply_msg, drain_dead_worker, push_supervised, spawn_worker, ChunkAlloc, ChunkPool, Msg,
+    ParallelConfig, SharedTable, WorkerOutcome, WorkerQueue,
 };
 use crate::pet::PetBuilder;
 use crate::queue::SpscQueue;
@@ -310,7 +313,7 @@ impl Partitions {
     /// is inline, or keeps a move from paying:
     ///
     /// - a memory ceiling: inline, the ladder's rungs fall at the same
-    ///   access on every run;
+    ///   access on every run, and the governor sees every partition;
     /// - a plan run resolved in closed form: resolution needs the exact
     ///   shadow on the producer, and moving would expand every later run;
     /// - fewer than [`ParallelConfig::spawn_threshold`] accesses so far,
@@ -336,7 +339,7 @@ impl Partitions {
     /// Move every partition into its own worker thread and switch the
     /// transport to queues. The shadow state travels with the partition, so
     /// escalation is invisible in the output.
-    fn escalate(&mut self, table: &InstanceTable, gov: Option<&Governor>) {
+    fn escalate(&mut self, table: &InstanceTable) {
         let at_access = self.local_accesses();
         let par = &self.par;
         let shared = Arc::new(SharedTable::new());
@@ -353,13 +356,11 @@ impl Partitions {
             .map(|part| match part {
                 Part::Local(shadow) => {
                     let queue = WorkerQueue::Spsc(Arc::new(SpscQueue::new(queue_cap)));
-                    let worker_gov = gov.map(|g| g.for_worker(nparts, par.sig_slots));
                     let handle = spawn_worker(
                         queue.clone(),
                         shadow,
                         Arc::clone(&shared),
                         Arc::clone(&pool),
-                        worker_gov,
                     );
                     Part::Remote {
                         queue,
@@ -381,8 +382,8 @@ impl Partitions {
         });
     }
 
-    /// Bytes the producer itself holds: the partitions it owns (spawned
-    /// workers publish their own) and the transport side tables.
+    /// Bytes the producer itself holds: the partitions it owns (not those
+    /// in workers) and the transport side tables.
     fn owned_bytes(&self) -> usize {
         let parts = self.parts.iter().map(|p| match p {
             Part::Local(s) => s.bytes(),
@@ -461,22 +462,20 @@ impl Drop for Partitions {
     }
 }
 
-/// The resource governor: enforces a [`Budget`] on whatever the producer
-/// owns. Every [`CHECKPOINT_CADENCE`] events it checks the deadline
-/// (setting the interpreter's stop flag when expired) and the memory
-/// ceiling (walking the producer's partitions down the degradation ladder
-/// until the footprint fits again), and publishes the post-degradation
-/// footprint to the gauge spawned workers share. The budget invariant —
-/// tracked bytes never exceed the ceiling at any checkpoint, ladder
-/// permitting — is exactly what the fault-injection suite asserts.
+/// The resource governor: enforces a [`Budget`] on what the producer owns —
+/// under a memory ceiling, every partition. Every [`CHECKPOINT_CADENCE`]
+/// events it checks the deadline (setting the interpreter's stop flag when
+/// expired) and the memory ceiling (walking the producer's partitions down
+/// the degradation ladder until the footprint fits again), and samples the
+/// post-degradation footprint into the peak. The budget invariant — tracked
+/// bytes never exceed the ceiling at any checkpoint, ladder permitting — is
+/// exactly what the fault-injection suite asserts.
 struct Governor {
     budget: Budget,
-    /// Shared tracked-bytes gauge (producer + spawned workers publish).
-    gauge: Arc<MemGauge>,
-    /// The producer's own publisher slot on the gauge.
-    slot: GaugeSlot,
-    /// Degradation steps taken anywhere in the pipeline, in rough order.
-    steps: Arc<Mutex<Vec<DegradationStep>>>,
+    /// High-water mark of the sampled footprint.
+    peak: usize,
+    /// Degradation steps taken, in order.
+    steps: Vec<DegradationStep>,
     started: Instant,
     /// Set once the wall-clock deadline has passed; the stop flag is
     /// raised at the same moment.
@@ -490,28 +489,11 @@ impl Governor {
     fn new(budget: Budget) -> Self {
         Governor {
             budget,
-            gauge: Arc::new(MemGauge::new()),
-            slot: GaugeSlot::new(),
-            steps: Arc::new(Mutex::new(Vec::new())),
+            peak: 0,
+            steps: Vec::new(),
             started: Instant::now(),
             deadline_hit: false,
             stop: None,
-        }
-    }
-
-    /// A spawned worker's share of the budget: each of `nworkers` degrades
-    /// toward its share of the ceiling.
-    fn for_worker(&self, nworkers: usize, sig_slots: usize) -> WorkerGov {
-        let max = self.budget.max_memory_bytes;
-        WorkerGov {
-            gauge: Arc::clone(&self.gauge),
-            slot: GaugeSlot::new(),
-            max_bytes: max.map_or(usize::MAX, producer_reserve_ceiling),
-            hard_max: max.unwrap_or(usize::MAX),
-            sig_slots: max.map_or(sig_slots, |m| {
-                signature_slots_for_budget(m / nworkers.max(1))
-            }),
-            steps: Arc::clone(&self.steps),
         }
     }
 
@@ -528,60 +510,39 @@ impl Governor {
         self.enforce_memory(back, table_bytes);
     }
 
-    /// Degrade-then-publish: walk the producer-owned partitions down the
-    /// ladder (fattest first) until the gauge total fits the ceiling, then
-    /// publish. The peak the gauge records at a checkpoint therefore never
-    /// exceeds the budget unless the ladder bottomed out.
-    ///
-    /// Workers stuck at their own ladder floor (their remaining bytes are
-    /// non-degradable) report their admission shortfall as *pressure*: the
-    /// producer sheds below `max - pressure` so the starved worker's retry
-    /// fits under the budget. Shedding is also triggered when the gauge
-    /// *total* is over the ceiling even though the producer's own figure
-    /// shrank — a shrinking publication is always admitted, so without the
-    /// explicit total check the producer would never make room once its
-    /// delta went non-positive.
+    /// Degrade-then-sample: walk the producer's partitions down the ladder
+    /// (fattest first) until the owned bytes fit the ceiling, then sample
+    /// them once. The peak recorded at a checkpoint therefore never exceeds
+    /// the budget unless every partition bottomed out — the one documented
+    /// case, where the footprint is accepted as it stands.
     fn enforce_memory(&mut self, back: &mut Partitions, table_bytes: usize) {
-        let Some(max) = self.budget.max_memory_bytes else {
-            self.slot
-                .publish(&self.gauge, back.owned_bytes() + table_bytes);
-            return;
-        };
-        let ceiling = max.saturating_sub(self.gauge.take_pressure());
-        let sig_slots = signature_slots_for_budget(max / back.parts.len().max(1));
-        loop {
-            let bytes = back.owned_bytes() + table_bytes;
-            let projected = match self.slot.try_publish(&self.gauge, bytes, ceiling) {
-                Ok(total) if total <= ceiling => return,
-                Ok(total) => total,
-                Err(projected) => projected,
-            };
-            let mut owned: Vec<&mut Shadow> = back
-                .parts
-                .iter_mut()
-                .filter_map(|p| match p {
-                    Part::Local(s) => Some(s),
-                    Part::Remote { .. } => None,
-                })
-                .collect();
-            owned.sort_by_key(|s| std::cmp::Reverse(s.bytes()));
-            match owned.into_iter().find_map(|s| s.degrade(sig_slots)) {
-                Some(mut step) => {
-                    step.bytes_before = projected as u64;
-                    let after = back.owned_bytes() + table_bytes;
-                    step.bytes_after = self.slot.preview(&self.gauge, after) as u64;
-                    self.steps.lock().push(step);
-                }
-                None => {
-                    // Every producer-owned partition is at the floor: the
-                    // ladder bottomed out, the footprint is accepted (the
-                    // one documented case where the peak may exceed the
-                    // budget).
-                    self.slot.publish(&self.gauge, bytes);
-                    return;
-                }
+        let mut bytes = back.owned_bytes() + table_bytes;
+        if let Some(max) = self.budget.max_memory_bytes {
+            let sig_slots = signature_slots_for_budget(max / back.parts.len().max(1));
+            while bytes > max {
+                let mut owned: Vec<&mut Shadow> = back
+                    .parts
+                    .iter_mut()
+                    .filter_map(|p| match p {
+                        Part::Local(s) => Some(s),
+                        Part::Remote { .. } => None,
+                    })
+                    .collect();
+                owned.sort_by_key(|s| std::cmp::Reverse(s.bytes()));
+                let Some(mut step) = owned.into_iter().find_map(|s| s.degrade(sig_slots)) else {
+                    break;
+                };
+                step.bytes_before = bytes as u64;
+                bytes = back.owned_bytes() + table_bytes;
+                step.bytes_after = bytes as u64;
+                self.steps.push(step);
             }
         }
+        self.sample(bytes);
+    }
+
+    fn sample(&mut self, bytes: usize) {
+        self.peak = self.peak.max(bytes);
     }
 
     /// The run's resource block. `fill` is the summed signature fill
@@ -591,8 +552,8 @@ impl Governor {
     /// occupancy.
     fn finish(self, (occupied, cells): (usize, usize)) -> ResourceStats {
         let mut res = ResourceStats::for_budget(&self.budget);
-        res.peak_tracked_bytes = self.gauge.peak() as u64;
-        res.degradation_steps = std::mem::take(&mut *self.steps.lock());
+        res.peak_tracked_bytes = self.peak as u64;
+        res.degradation_steps = self.steps;
         res.fp_rate_estimate = if cells > 0 {
             occupied as f64 / cells as f64
         } else {
@@ -634,8 +595,8 @@ impl Profiler {
 
     /// [`Profiler::new`] with the partitions moving into workers past
     /// `spawn_threshold` accesses — `0` moves them at construction on any
-    /// host, which is how crate tests put a serial engine's partition on its
-    /// worker.
+    /// host (but never under a memory ceiling), which is how crate tests put
+    /// a serial engine's partition on its worker.
     pub(crate) fn with_spawn_threshold(
         meta: &[MemOpMeta],
         footprint_words: usize,
@@ -691,7 +652,11 @@ impl Profiler {
     ) -> Self {
         let op_meta: Arc<[MemOpMeta]> = meta.into();
         let nparts = par.workers.max(1);
-        let spawn_now = par.spawn_threshold == 0;
+        // A zero threshold is an explicit "always spawn" request: no volume
+        // to wait for, and no core check. A memory ceiling still wins, as
+        // it does at every checkpoint: the governor only ever sees
+        // partitions the producer owns.
+        let spawn_now = par.spawn_threshold == 0 && par.budget.max_memory_bytes.is_none();
         let (lifetime, budget) = (par.lifetime, par.budget);
         let mut p = Profiler {
             front: Front {
@@ -716,10 +681,8 @@ impl Profiler {
             since_check: 0,
             transport_stats,
         };
-        // A zero threshold is an explicit "always spawn" request: no volume
-        // to wait for, and no core check.
         if spawn_now {
-            p.back.escalate(&p.front.table, p.gov.as_deref());
+            p.back.escalate(&p.front.table);
         }
         p
     }
@@ -749,7 +712,7 @@ impl Profiler {
     }
 
     /// Tracked bytes the producer holds right now — what the governor
-    /// publishes at checkpoint cadence.
+    /// samples at checkpoint cadence.
     pub fn current_bytes(&self) -> usize {
         self.back.owned_bytes() + self.front.table.bytes()
     }
@@ -793,7 +756,7 @@ impl Profiler {
     #[cold]
     fn checkpoint(&mut self) {
         if self.back.spawned.is_none() && self.back.stay_reason().is_none() {
-            self.back.escalate(&self.front.table, self.gov.as_deref());
+            self.back.escalate(&self.front.table);
         }
         if let Some(g) = self.gov.as_deref_mut() {
             g.checkpoint(&mut self.back, self.front.table.bytes());
@@ -834,6 +797,11 @@ impl Profiler {
         if let Some(g) = gov.as_deref_mut() {
             g.enforce_memory(&mut back, table.bytes());
         }
+        // The last sample: what the producer holds, plus each partition that
+        // was in a worker at its final size — nothing a partition allocates
+        // is freed, so with no ceiling (the only way to move) that is its
+        // peak. For a run that never moved it repeats the sample just taken.
+        let mut last_sample = back.owned_bytes() + table.bytes();
         let parts = std::mem::take(&mut back.parts);
         for part in &parts {
             if let Part::Remote {
@@ -853,21 +821,28 @@ impl Profiler {
             .into_iter()
             .map(|part| match part {
                 Part::Local(shadow) => shadow.finish(),
-                Part::Remote { queue, handle, .. } => match handle.map(JoinHandle::join) {
-                    Some(Ok(WorkerOutcome::Finished(done))) => {
-                        spawned_workers += 1;
-                        done
-                    }
-                    Some(Ok(WorkerOutcome::Panicked { mut shadow, failed })) => {
-                        drain_dead_worker(&mut shadow, failed, &queue, table);
-                        back.worker_recoveries += 1;
-                        shadow.finish()
-                    }
-                    Some(Err(e)) => std::panic::resume_unwind(e),
-                    None => unreachable!("a joined worker's partition is taken back at once"),
-                },
+                Part::Remote { queue, handle, .. } => {
+                    let done = match handle.map(JoinHandle::join) {
+                        Some(Ok(WorkerOutcome::Finished(done))) => {
+                            spawned_workers += 1;
+                            done
+                        }
+                        Some(Ok(WorkerOutcome::Panicked { mut shadow, failed })) => {
+                            drain_dead_worker(&mut shadow, failed, &queue, table);
+                            back.worker_recoveries += 1;
+                            shadow.finish()
+                        }
+                        Some(Err(e)) => std::panic::resume_unwind(e),
+                        None => unreachable!("a joined worker's partition is taken back at once"),
+                    };
+                    last_sample += done.bytes;
+                    done
+                }
             })
             .collect();
+        if let Some(g) = gov.as_deref_mut() {
+            g.sample(last_sample);
+        }
 
         // One partition's set is the output as it stands (its iteration
         // order is its insertion history, which report bytes follow) and
@@ -1148,6 +1123,11 @@ fn main() {
             profile(&p, &capped, 4096).tracking,
             Tracking::Inline(InlineReason::MemoryCeiling)
         );
+        // Threshold 0 moves at construction on any host — but not under a
+        // ceiling, and the run reports what the inline one does.
+        let home = profile(&p, &capped, 0);
+        assert_eq!(home.tracking, Tracking::Inline(InlineReason::MemoryCeiling));
+        assert_eq!(output(&home), output(&profile(&p, &capped, u64::MAX)));
         // A run resolved before the threshold is reached pins the
         // partition: the nest alone, threshold just past its first run.
         let nest = program(NEST);

@@ -126,8 +126,8 @@ impl Shadow {
     /// Take one rung down the degradation ladder: an exact partition
     /// re-keys into a signature of `sig_slots` (keeping every dependence
     /// found so far), a signature halves its slots. Returns the step with
-    /// `bytes_before`/`bytes_after` zeroed (only the governor knows the
-    /// gauge totals), or `None` at the floor.
+    /// `bytes_before`/`bytes_after` zeroed (the governor fills in the
+    /// producer's totals), or `None` at the floor.
     pub(crate) fn degrade(&mut self, sig_slots: usize) -> Option<DegradationStep> {
         let from = self.tier();
         let (affected, merged_slots) = match self {

@@ -277,19 +277,33 @@ fn serial_ladder_never_exceeds_budget() {
     });
 }
 
+/// Threshold 0 asks for workers at construction on any host, but a memory
+/// ceiling keeps every partition on the producer: the governor sees the
+/// whole footprint, and no worker exists for an armed fault to kill.
 #[test]
-fn parallel_budget_is_enforced_at_chunk_boundaries() {
+fn a_forced_spawn_under_a_ceiling_stays_home() {
     fault_session(|| {
         let prog = program(BIG_SRC);
-        // 100k words of exact shadow over 4 workers is ~5MB of pages;
-        // 2MB forces real degradation while staying above the run's
-        // non-degradable floor (dependence stores, transport side tables),
-        // so the strict peak ≤ budget invariant must hold.
+        // 100k words of exact shadow over 4 partitions is megabytes of
+        // pages; 2MB forces real degradation while staying above the run's
+        // non-degradable floor (dependence stores, the instance table), so
+        // the strict peak ≤ budget invariant must hold. The skip tier is
+        // off so that accesses arrive one by one: a checkpoint falls every
+        // 2,048 events and each rung is taken as soon as the footprint
+        // crosses (one plan run would bring the whole fill loop at once).
         let budget_bytes = 2 << 20;
         let mut cfg = fixed_pipeline();
         cfg.budget.max_memory_bytes = Some(budget_bytes);
-        let out =
-            profile_parallel(&prog, cfg, RunConfig::default()).expect("governed run completes");
+        let run = RunConfig {
+            affine_skip: false,
+            ..RunConfig::default()
+        };
+        fault::arm("worker:chunk", 0);
+        let out = profile_parallel(&prog, cfg, run).expect("governed run completes");
+        assert_eq!(out.tracking, Tracking::Inline(InlineReason::MemoryCeiling));
+        let t = transport(&out);
+        assert_eq!(t.spawned_workers, 0);
+        assert_eq!(t.worker_recoveries, 0, "no worker ran the armed chunk");
         assert!(!out.deps.sorted().is_empty());
 
         let res = out
@@ -298,8 +312,14 @@ fn parallel_budget_is_enforced_at_chunk_boundaries() {
             .expect("budgeted parallel run reports resources");
         assert!(
             !res.degradation_steps.is_empty(),
-            "workers under a 2MB collective ceiling must shed shadow pages"
+            "4 partitions under a 2MB ceiling must shed shadow pages"
         );
+        for step in &res.degradation_steps {
+            assert!(
+                step.bytes_after <= budget_bytes as u64,
+                "every rung lands back under the ceiling: {step:?}"
+            );
+        }
         assert_eq!(res.budget_bytes, Some(budget_bytes as u64));
         assert!(
             res.peak_tracked_bytes <= budget_bytes as u64,
@@ -307,23 +327,6 @@ fn parallel_budget_is_enforced_at_chunk_boundaries() {
             res.peak_tracked_bytes
         );
         assert!(!res.deadline_hit);
-        assert_eq!(transport(&out).worker_recoveries, 0);
-    });
-}
-
-#[test]
-fn budget_and_worker_kill_compose() {
-    fault_session(|| {
-        let prog = program(SEQ_SRC);
-        let mut cfg = fixed_pipeline();
-        cfg.budget.max_memory_bytes = Some(1 << 20);
-        fault::arm("worker:chunk", 20);
-        let out =
-            profile_parallel(&prog, cfg, RunConfig::default()).expect("injected governed run");
-        assert_eq!(transport(&out).worker_recoveries, 1);
-        assert!(!out.deps.sorted().is_empty());
-        let res = out.resource.as_ref().expect("resource stats present");
-        assert!(res.peak_tracked_bytes <= 1 << 20);
     });
 }
 

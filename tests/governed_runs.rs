@@ -173,7 +173,8 @@ fn runs_resolve_until_the_exact_tier_is_left() {
 
 /// A memory ceiling keeps a serial run's partition on the producer however
 /// long the run, so the ladder's rungs fall at the same access every time; a
-/// deadline alone does not. 2.1 M accesses, all delivered one by one (the
+/// deadline alone does not, and the moved run's peak still covers what its
+/// worker tracked. 2.1 M accesses, all delivered one by one (the
 /// skip tier off), past the 2^20 at which an unbudgeted run moves on a host
 /// with two cores.
 #[test]
@@ -213,5 +214,19 @@ fn a_run_under_a_memory_ceiling_never_spawns() {
     for out in [&capped, &timed] {
         assert_eq!(sequence(out), sequence(&free));
         assert_eq!(out.profiler_bytes, free.profiler_bytes);
+    }
+    // A moved run's peak still counts its worker's partition: sampled once,
+    // at its final size, when the worker is joined.
+    if let Tracking::Moved { .. } = timed.tracking {
+        let res = timed
+            .resource
+            .as_ref()
+            .expect("governed runs report resources");
+        assert!(
+            res.peak_tracked_bytes >= timed.profiler_bytes as u64,
+            "peak {} below the {} tracked at the end",
+            res.peak_tracked_bytes,
+            timed.profiler_bytes
+        );
     }
 }
