@@ -587,30 +587,31 @@ impl Analysis {
 
     /// Stage 2: execute the program under the configured engine.
     pub fn profile(&mut self, compiled: &Compiled) -> Result<Profiled, Error> {
-        let output = profiler::profile_program_with(&compiled.program, &self.profile_config())?;
-        Ok(self.profiled(self.engine.label(), output))
+        self.profile_with(&compiled.program, self.profile_config())
     }
 
-    /// Stage 2, multi-threaded targets: profile a program that spawns its
-    /// own threads through the lock-free MPSC engine (§2.3.4). Worker
-    /// count and chunking are taken from the configured engine when it is
-    /// [`EngineKind::Parallel`]; other engines use the parallel defaults.
+    /// Stage 2, multi-threaded targets: [`Analysis::profile`] with the
+    /// interpreter delivering each target thread's accesses as real threads
+    /// would ([`interp::RunConfig::racy_delivery`], §2.3.4). Every thread's
+    /// events are buffered and flushed at its synchronization points — lock
+    /// release, spawn, join, thread end, send, receive — so lock-ordered
+    /// accesses and message handoffs arrive in order, and unsynchronized
+    /// accesses may not: the engine flags those as race hints through
+    /// timestamp inversion. Same engine, budget and options as
+    /// [`Analysis::profile`], and as deterministic: a run is repeatable.
     pub fn profile_threads(&mut self, compiled: &Compiled) -> Result<Profiled, Error> {
-        let mut pcfg = profiler::ParallelConfig {
-            lifetime: self.lifetime,
-            ..Default::default()
-        };
-        if let EngineKind::Parallel { workers, chunk } = self.engine {
-            pcfg.workers = workers.max(1);
-            pcfg.chunk_size = chunk.max(1);
-        }
-        // Same per-worker signature sizing as the sequential-target path:
-        // a fixed total budget split across workers.
-        pcfg.sig_slots = EngineKind::parallel_worker_slots(pcfg.workers);
-        let label = format!("multithreaded:{}x{}", pcfg.workers, pcfg.chunk_size);
-        let run = self.profile_config().run;
-        let output = profiler::profile_multithreaded_target(&compiled.program, pcfg, run)?;
-        Ok(self.profiled(label, output))
+        let mut cfg = self.profile_config();
+        cfg.run.racy_delivery = true;
+        self.profile_with(&compiled.program, cfg)
+    }
+
+    fn profile_with(
+        &mut self,
+        program: &interp::Program,
+        cfg: profiler::ProfileConfig,
+    ) -> Result<Profiled, Error> {
+        let output = profiler::profile_program_with(program, &cfg)?;
+        Ok(self.profiled(self.engine.label(), output))
     }
 
     /// Stage 3: run parallelism discovery and assemble the [`Report`].
@@ -663,8 +664,7 @@ impl Analysis {
     /// Profile + discover on a borrowed [`interp::Program`] (e.g. a
     /// `workloads` entry) without wrapping it in a [`Compiled`].
     pub fn analyze_program(&mut self, program: &interp::Program) -> Result<Report, Error> {
-        let output = profiler::profile_program_with(program, &self.profile_config())?;
-        let profiled = self.profiled(self.engine.label(), output);
+        let profiled = self.profile_with(program, self.profile_config())?;
         let name = program.module.name.clone();
         Ok(self.discover_program(program, &name, profiled))
     }
@@ -1026,7 +1026,8 @@ fn main() { int a = spawn(w, 20); int b = spawn(w, 20); join(a); join(b); }";
         let compiled = analysis.compile(src, "mt").unwrap();
         let profiled = analysis.profile_threads(&compiled).unwrap();
         assert!(profiled.deps().sorted().iter().any(|d| d.is_cross_thread()));
+        assert!(profiled.deps().race_hints().is_empty());
         let report = analysis.discover(&compiled, profiled);
-        assert!(report.engine.starts_with("multithreaded:"));
+        assert_eq!(report.engine, "serial-perfect");
     }
 }

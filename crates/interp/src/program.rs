@@ -268,23 +268,6 @@ impl Program {
         &self.mem_facts
     }
 
-    /// True if any decoded op can spawn a target thread or actor. Engine
-    /// auto-selection uses this to route large multithreaded targets to the
-    /// parallel engine.
-    pub fn spawns_threads(&self) -> bool {
-        self.code.iter().any(|c| {
-            c.hot.iter().any(|op| {
-                matches!(
-                    op,
-                    HotOp::CallBuiltin {
-                        builtin: Builtin::Spawn | Builtin::SpawnActor,
-                        ..
-                    }
-                )
-            })
-        })
-    }
-
     /// True if the target passes messages (`spawn_actor`/`send`/`receive`
     /// sites decoded). Scheduler-aware engine auto-detection and the
     /// report's `actors` block key off this.

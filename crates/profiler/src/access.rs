@@ -127,20 +127,6 @@ pub struct Instance {
     pub iter_in_parent: u32,
 }
 
-/// Anything loop instances can be registered with: the plain
-/// [`InstanceTable`] in the serial profiler, or the shared, lock-protected
-/// table of the parallel profiler.
-pub trait InstanceRegistry {
-    /// Register a fresh instance, returning its id.
-    fn register(&mut self, loop_key: LoopKey, parent: u32, iter_in_parent: u32) -> u32;
-}
-
-impl InstanceRegistry for InstanceTable {
-    fn register(&mut self, loop_key: LoopKey, parent: u32, iter_in_parent: u32) -> u32 {
-        self.enter(loop_key, parent, iter_in_parent)
-    }
-}
-
 /// Resolves which loop carries a dependence between two access contexts.
 /// Implemented by [`InstanceTable`] (serial profiling) and by the parallel
 /// profiler's cached shared table.
@@ -333,7 +319,7 @@ impl LoopContext {
     }
 
     /// Process one event; returns the annotated access for memory events.
-    pub fn handle<R: InstanceRegistry>(&mut self, ev: &Event, table: &mut R) -> Option<Access> {
+    pub fn handle(&mut self, ev: &Event, table: &mut InstanceTable) -> Option<Access> {
         match ev {
             Event::Mem(m) => Some(self.annotate(m)),
             Event::RegionEnter {
@@ -344,7 +330,7 @@ impl LoopContext {
                 ..
             } => {
                 let (parent, parent_iter) = self.current(*thread);
-                let inst = table.register((*func, *region), parent, parent_iter);
+                let inst = table.enter((*func, *region), parent, parent_iter);
                 self.stack_mut(*thread).push((inst, 0));
                 None
             }

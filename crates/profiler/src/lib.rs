@@ -13,8 +13,10 @@
 //!   over several; past 2^20 accesses the partitions move into worker
 //!   threads fed through lock-free SPSC queues (producer/consumer, §2.3.3)
 //!   — for a serial engine, one worker tracks while the producer
-//!   interprets; a lock-free MPSC queue serves multi-threaded targets
-//!   (§2.3.4, Fig. 2.5).
+//!   interprets. Multi-threaded targets take the same engine: the
+//!   interpreter delivers each thread's accesses as real threads would
+//!   ([`interp::RunConfig::racy_delivery`], §2.3.4), so the thread that
+//!   interprets stays the one producer.
 //! - **Skipping repeatedly-executed memory operations in loops** (§2.4):
 //!   per-operation `lastAddr`/`lastStatusRead`/`lastStatusWrite` conditions
 //!   let the profiler bypass dependence construction once a loop's
@@ -42,8 +44,9 @@
 //!   benchmarks) swap engines without changing shape. See [`run`].
 //! - **Program Execution Tree** ([`pet::Pet`], §2.3.6) for pattern detection
 //!   and ranking.
-//! - **Race hints** for multi-threaded targets: timestamp inversions on the
-//!   same address expose unsynchronized access pairs (§2.3.4).
+//! - **Race hints** for multi-threaded targets under racy delivery:
+//!   timestamp inversions on the same address expose unsynchronized access
+//!   pairs (§2.3.4).
 //! - **Resource governance** ([`budget`]): hard memory/time budgets with a
 //!   degradation ladder (perfect → signature → halved signature), enforced
 //!   by the producer alone — a memory ceiling keeps every partition on it —
@@ -73,16 +76,16 @@ pub use budget::{
 };
 
 pub use access::{
-    carried_by_in, Access, CarriedResolver, Instance, InstanceRegistry, InstanceTable, LoopContext,
-    LoopKey, PackedAccess, NO_INSTANCE,
+    carried_by_in, Access, CarriedResolver, Instance, InstanceTable, LoopContext, LoopKey,
+    PackedAccess, NO_INSTANCE,
 };
 pub use dep::{render_text, ControlSpan, Dep, DepSet, DepType, SrcLoc};
 pub use engine::{DepBuilder, EngineConfig, RunStats, SkipStats};
 pub use maps::{estimated_fp_rate, AccessMap, Cell, HashShadowMap, PerfectMap, SignatureMap, Slot};
-pub use parallel::{profile_multithreaded_target, profile_parallel, ParallelConfig, SharedTable};
+pub use parallel::{profile_parallel, ParallelConfig};
 pub use pet::{Pet, PetBuilder, PetNode, PetNodeKind};
 pub use pipeline::Profiler;
-pub use queue::{MpscQueue, SpscQueue};
+pub use queue::SpscQueue;
 pub use run::{
     profile_program, profile_program_with, ActorSummary, EngineKind, InlineReason, ParallelStats,
     ProfileConfig, ProfileOutput, SynthSummary, Tracking,

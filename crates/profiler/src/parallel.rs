@@ -1,9 +1,9 @@
-//! The worker transport of the profiling engine (dissertation §2.3.3) and
-//! the multi-producer replay for multi-threaded targets (§2.3.4).
+//! The worker transport of the profiling engine (dissertation §2.3.3).
 //!
-//! **Sequential targets** (every engine kind — `serial-*` is one partition
-//! of this dial, [`profile_parallel`] and `EngineKind::Parallel` are `W`):
-//! the engine ([`crate::pipeline::Profiler`]) starts with the partitions it
+//! Every engine kind is this dial — `serial-*` is one partition,
+//! [`profile_parallel`] and `EngineKind::Parallel` are `W` — and every
+//! target, multi-threaded ones included, runs through it: the engine
+//! ([`crate::pipeline::Profiler`]) starts with the partitions it
 //! processes itself — no threads, no queues, so small workloads never pay
 //! transport setup and machines without spare cores never lose to context
 //! switching. Once [`ParallelConfig::spawn_threshold`] accesses have
@@ -32,29 +32,35 @@
 //! at the paper's rebalance interval no workload ever migrated an address,
 //! and keeping the per-address counts cost 15–37% with two workers.
 //!
-//! **Multi-threaded targets** ([`profile_multithreaded_target`]): every
-//! target thread becomes a real producer, so each worker's queue has
-//! multiple producers — the lock-free MPSC queue of Fig. 2.5. Accesses
-//! performed under a target-program lock are delivered under an equivalent
-//! replay lock, reproducing the requirement that access and push be atomic
-//! (Fig. 2.4c); unsynchronized accesses may be delivered out of order,
-//! which the engine detects via timestamp inversion and reports as a race
-//! hint.
+//! Not here either: the multi-producer replay of §2.3.4 and the lock-free
+//! MPSC queue of Fig. 2.5 it fed. A multi-threaded target is profiled like
+//! any other, with [`interp::RunConfig::racy_delivery`] set: the
+//! interpreter buffers each thread's events and flushes them at lock
+//! release, spawn, join, thread end, send and receive, so lock-ordered
+//! accesses arrive in order (Fig. 2.4c) and unsynchronized ones may not —
+//! which the engine reports as race hints through timestamp inversion. The
+//! replay recorded the run, then re-delivered each target thread's stream
+//! from its own OS thread; its producers synchronised only on lock, spawn
+//! and join, so a mailbox handoff arrived in either order. Measured against
+//! racy delivery before the replay was deleted (release build, 2-core host;
+//! details in CHANGES.md):
+//!
+//! | target | replay | racy delivery |
+//! |---|---|---|
+//! | `race_hint` example | 32 deps, 4 race hints on `counter` | identical |
+//! | lock-ordered counter | == `HashShadowOracle` | == `HashShadowOracle` |
+//! | six pthread-style `-par` programs | sorted deps equal | sorted deps equal |
+//! | `rotate-par` | 81–83 deps across nine runs | 91 deps, every run |
+//! | three actor programs | 34 / 124–128 / 115–116 deps, 2 false hints | 37 / 132 / 121, none |
+//! | `actors_10k` | 39,910–40,015 deps, ~9,900 false hints, 2.9–3.4 s | 50,042 deps, none, 61 ms |
 
-use crate::access::{
-    carried_by_in, CarriedResolver, Instance, InstanceRegistry, LoopContext, LoopKey, PackedAccess,
-    NO_INSTANCE,
-};
+use crate::access::{carried_by_in, CarriedResolver, Instance, LoopKey, PackedAccess, NO_INSTANCE};
 use crate::budget::{Budget, ProfileError, ShadowTier};
-use crate::dep::DepSet;
-use crate::engine::{EngineConfig, SkipStats};
-use crate::pet::PetBuilder;
 use crate::pipeline::Profiler;
-use crate::queue::{MpscQueue, SpscQueue};
-use crate::run::{ActorSummary, EngineKind, ParallelStats, ProfileOutput, SynthSummary, Tracking};
+use crate::queue::SpscQueue;
+use crate::run::{EngineKind, ProfileOutput};
 use crate::shadow::{Finished, Shadow};
-use fxhash::FxHashMap;
-use interp::{Event, MemOpMeta, Program, RunConfig};
+use interp::{Program, RunConfig};
 use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -151,54 +157,30 @@ impl Default for ParallelConfig {
     }
 }
 
-/// Grow-only instance table workers read. The engine's producer keeps its
-/// own plain [`crate::InstanceTable`] and publishes what is new before each
-/// chunk it ships (`SharedTable::extend`); the replay producers of a
-/// multi-threaded target register here directly.
+/// Grow-only instance table workers read. The producer keeps its own plain
+/// [`crate::InstanceTable`] and publishes what is new before each chunk it
+/// ships (`SharedTable::extend`).
 ///
 /// Writes (loop entries) are rare relative to reads (every dependence), and
 /// entries are immutable once pushed, so workers keep a local cache and
 /// refresh it only when they encounter an unknown instance id.
 #[derive(Debug, Default)]
-pub struct SharedTable {
+pub(crate) struct SharedTable {
     inner: RwLock<Vec<Instance>>,
 }
 
 impl SharedTable {
-    /// An empty shared table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register an instance (producer side).
-    pub fn register(&self, loop_key: LoopKey, parent: u32, iter_in_parent: u32) -> u32 {
-        let mut v = self.inner.write();
-        let id = v.len() as u32;
-        v.push(Instance {
-            loop_key,
-            parent,
-            iter_in_parent,
-        });
-        id
-    }
-
-    /// Append instances registered elsewhere (single-producer side).
+    /// Append instances the producer registered (producer side).
     pub(crate) fn extend(&self, new: &[Instance]) {
         self.inner.write().extend_from_slice(new);
     }
 
-    /// Extend `cache` with entries it has not seen yet.
-    pub fn refresh(&self, cache: &mut Vec<Instance>) {
+    /// Extend `cache` with entries it has not seen yet (worker side).
+    pub(crate) fn refresh(&self, cache: &mut Vec<Instance>) {
         let v = self.inner.read();
         if cache.len() < v.len() {
             cache.extend_from_slice(&v[cache.len()..]);
         }
-    }
-}
-
-impl InstanceRegistry for &SharedTable {
-    fn register(&mut self, loop_key: LoopKey, parent: u32, iter_in_parent: u32) -> u32 {
-        SharedTable::register(self, loop_key, parent, iter_in_parent)
     }
 }
 
@@ -244,52 +226,12 @@ pub(crate) enum Msg {
     Stop,
 }
 
-/// Queue handle, unified over the two implementations.
-#[derive(Clone)]
-pub(crate) enum WorkerQueue {
-    /// Bounded, one producer: the sequential-target transport.
-    Spsc(Arc<SpscQueue<Msg>>),
-    /// Unbounded, many producers: the multi-threaded-target replay.
-    Mpsc(Arc<MpscQueue<Msg>>),
-}
-
-impl WorkerQueue {
-    /// Non-blocking push; the bounded queue hands the message back when
-    /// full.
-    fn try_push(&self, msg: Msg) -> Result<(), Msg> {
-        match self {
-            WorkerQueue::Spsc(q) => q.try_push(msg),
-            WorkerQueue::Mpsc(q) => {
-                q.push(msg);
-                Ok(())
-            }
-        }
-    }
-
-    /// Push, yielding while a bounded queue is full. For producers with no
-    /// handle to supervise the consumer through (the replay producers, whose
-    /// MPSC queues are unbounded and never refuse).
-    fn push(&self, mut msg: Msg) {
-        while let Err(m) = self.try_push(msg) {
-            msg = m;
-            std::thread::yield_now();
-        }
-    }
-
-    fn try_pop(&self) -> Option<Msg> {
-        match self {
-            WorkerQueue::Spsc(q) => q.try_pop(),
-            WorkerQueue::Mpsc(q) => q.try_pop(),
-        }
-    }
-}
-
 /// Push to a live worker, spinning while its bounded queue is full — but
 /// watch for the consumer dying: every 256 stalls the join handle is
 /// checked, and a dead worker hands the message back so the supervisor can
 /// recover the partition instead of spinning forever.
 pub(crate) fn push_supervised(
-    queue: &WorkerQueue,
+    queue: &SpscQueue<Msg>,
     handle: &JoinHandle<WorkerOutcome>,
     mut msg: Msg,
     stalls: &mut u64,
@@ -328,7 +270,7 @@ pub(crate) fn apply_msg(shadow: &mut Shadow, msg: Msg, resolver: &impl CarriedRe
 pub(crate) fn drain_dead_worker(
     shadow: &mut Shadow,
     failed: Option<Msg>,
-    queue: &WorkerQueue,
+    queue: &SpscQueue<Msg>,
     resolver: &impl CarriedResolver,
 ) {
     if let Some(m) = failed {
@@ -402,24 +344,6 @@ impl ChunkAlloc {
     }
 }
 
-/// Ship every non-empty open chunk to its worker, replacing it with a
-/// recycled buffer (the multi-producer replay path's flush).
-fn flush_open(
-    open: &mut [Vec<PackedAccess>],
-    queues: &[WorkerQueue],
-    alloc: &mut ChunkAlloc,
-    chunks_total: &std::sync::atomic::AtomicU64,
-) {
-    for (w, ch) in open.iter_mut().enumerate() {
-        if !ch.is_empty() {
-            let fresh = alloc.fresh();
-            let c = std::mem::replace(ch, fresh);
-            queues[w].push(Msg::Chunk(c));
-            chunks_total.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-}
-
 /// Worker-side return batcher: hands processed (cleared) chunks back to the
 /// shared pool in [`POOL_BATCH`]-sized bundles.
 struct ChunkReturner {
@@ -453,7 +377,7 @@ impl ChunkReturner {
 }
 
 pub(crate) fn spawn_worker(
-    queue: WorkerQueue,
+    queue: Arc<SpscQueue<Msg>>,
     shadow: Shadow,
     shared: Arc<SharedTable>,
     pool: ChunkPool,
@@ -483,7 +407,7 @@ pub(crate) fn spawn_worker(
 /// The consumer loop of §2.3.3, factored out so the supervisor in
 /// [`spawn_worker`] can wrap it in a single unwind boundary.
 fn worker_loop(
-    queue: &WorkerQueue,
+    queue: &SpscQueue<Msg>,
     shadow: &mut Shadow,
     resolver: &WorkerResolver,
     returner: &mut ChunkReturner,
@@ -526,8 +450,11 @@ fn worker_loop(
     }
 }
 
-/// Profile a sequential target with the parallel profiler: the engine of
-/// `EngineKind::Parallel` under an explicit [`ParallelConfig`].
+/// Profile a target with the parallel profiler: the engine of
+/// `EngineKind::Parallel` under an explicit [`ParallelConfig`]. A
+/// multi-threaded target is profiled the same way; set
+/// [`RunConfig::racy_delivery`] to deliver its threads' accesses as real
+/// threads would (race hints, §2.3.4).
 pub fn profile_parallel(
     prog: &Program,
     pcfg: ParallelConfig,
@@ -537,249 +464,10 @@ pub fn profile_parallel(
     crate::run::drive(prog, p, rcfg)
 }
 
-/// Profile a multi-threaded target program.
-///
-/// The target runs once under the deterministic scheduler to obtain its
-/// per-thread instrumentation streams; then one real producer thread per
-/// target thread replays its stream concurrently into the workers' MPSC
-/// queues, emulating target-program locks with real mutexes so that lock-
-/// ordered accesses are delivered in order (Fig. 2.4c) while unsynchronized
-/// accesses may race — which the engine reports via timestamp-inversion
-/// race hints.
-pub fn profile_multithreaded_target(
-    prog: &Program,
-    pcfg: ParallelConfig,
-    rcfg: RunConfig,
-) -> Result<ProfileOutput, ProfileError> {
-    // Phase 1: execute and record.
-    let mut rec = interp::RecordingSink::default();
-    let r = interp::run_with_config(prog, &mut rec, rcfg)?;
-
-    // PET from the full stream.
-    let mut pet = PetBuilder::new();
-    for ev in &rec.events {
-        pet.handle(ev);
-    }
-
-    // Partition per target thread. Each LockAcquire is tagged with its
-    // global per-lock sequence number so the replay can reproduce the
-    // original lock order exactly (otherwise producers would acquire the
-    // replay locks in arbitrary order and lock-protected accesses would be
-    // misreported as racing).
-    let mut per_thread: FxHashMap<u32, Vec<(Event, u64)>> = FxHashMap::default();
-    let mut lock_seq: FxHashMap<i64, u64> = FxHashMap::default();
-    let mut spawned: Vec<u32> = Vec::new();
-    let mut max_tid = 0u32;
-    for ev in rec.events {
-        max_tid = max_tid.max(ev.thread());
-        if let Event::ThreadSpawn { child, .. } = ev {
-            max_tid = max_tid.max(child);
-        }
-        let mut seq = 0u64;
-        if let Event::LockAcquire { id, .. } = ev {
-            let c = lock_seq.entry(id).or_insert(0);
-            seq = *c;
-            *c += 1;
-        }
-        if let Event::ThreadSpawn { child, .. } = ev {
-            spawned.push(child);
-        }
-        per_thread.entry(ev.thread()).or_default().push((ev, seq));
-    }
-
-    // Phase 2: replay concurrently. The same footprint-chosen tier as the
-    // sequential path (exact below the threshold), but the workers are
-    // always real threads: the replay producers are threads by
-    // construction.
-    let workers = pcfg.workers.max(1);
-    let shared = Arc::new(SharedTable::new());
-    let pool: ChunkPool = Arc::new(Mutex::new(Vec::new()));
-    let op_meta: Arc<[MemOpMeta]> = prog.mem_op_meta().into();
-    let tier = pcfg.tier_for(prog.footprint_words());
-    let mut queues = Vec::new();
-    let mut handles = Vec::new();
-    for _ in 0..workers {
-        let q = WorkerQueue::Mpsc(Arc::new(MpscQueue::new(256)));
-        queues.push(q.clone());
-        handles.push(spawn_worker(
-            q,
-            Shadow::new(tier, &op_meta, EngineConfig::default()),
-            Arc::clone(&shared),
-            Arc::clone(&pool),
-        ));
-    }
-    // Per-lock ticket counters: a producer replays its critical section
-    // only when the counter reaches the acquire's original sequence number.
-    let replay_locks: Arc<FxHashMap<i64, std::sync::atomic::AtomicU64>> = Arc::new(
-        lock_seq
-            .keys()
-            .map(|&id| (id, std::sync::atomic::AtomicU64::new(0)))
-            .collect(),
-    );
-    // Start signals: a child producer begins only after its parent replayed
-    // the spawn, mirroring real thread creation order.
-    let mut start_tx: FxHashMap<u32, std::sync::mpsc::Sender<()>> = FxHashMap::default();
-    let mut start_rx: FxHashMap<u32, std::sync::mpsc::Receiver<()>> = FxHashMap::default();
-    for &child in &spawned {
-        let (tx, rx) = std::sync::mpsc::channel();
-        start_tx.insert(child, tx);
-        start_rx.insert(child, rx);
-    }
-
-    let chunks_total = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    // Per-producer completion flags: join replays wait on them, making
-    // join a synchronization point (all of the target's accesses are
-    // enqueued before the joiner's subsequent accesses).
-    let done: Arc<Vec<std::sync::atomic::AtomicBool>> = Arc::new(
-        (0..=max_tid)
-            .map(|t| std::sync::atomic::AtomicBool::new(!per_thread.contains_key(&t)))
-            .collect(),
-    );
-    std::thread::scope(|scope| {
-        for (tid, events) in per_thread {
-            let queues = queues.clone();
-            let shared = Arc::clone(&shared);
-            let replay_locks = Arc::clone(&replay_locks);
-            let rx = start_rx.remove(&tid);
-            let txs: Vec<(u32, std::sync::mpsc::Sender<()>)> =
-                start_tx.iter().map(|(k, v)| (*k, v.clone())).collect();
-            let chunk_size = pcfg.chunk_size.max(1);
-            let lifetime = pcfg.lifetime;
-            let chunks_total = Arc::clone(&chunks_total);
-            let done = Arc::clone(&done);
-            let producer_pool = Arc::clone(&pool);
-            scope.spawn(move || {
-                if let Some(rx) = rx {
-                    let _ = rx.recv(); // wait for the parent's spawn
-                }
-                let mut ctx = LoopContext::new();
-                // Each producer recycles chunks through the shared pool.
-                let mut alloc = ChunkAlloc::new(producer_pool, chunk_size);
-                let mut open: Vec<Vec<PackedAccess>> =
-                    (0..queues.len()).map(|_| alloc.fresh()).collect();
-                let route = |addr: u64| ((addr / 8) % queues.len() as u64) as usize;
-                for (ev, seq) in &events {
-                    match ev {
-                        Event::LockAcquire { id, .. } => {
-                            // Wait for our ticket: critical sections replay
-                            // in their original global order.
-                            if let Some(turn) = replay_locks.get(id) {
-                                while turn.load(std::sync::atomic::Ordering::Acquire) != *seq {
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                        Event::LockRelease { id, .. } => {
-                            // Everything accessed under the lock must be
-                            // enqueued before the release (Fig. 2.4c).
-                            flush_open(&mut open, &queues, &mut alloc, &chunks_total);
-                            if let Some(turn) = replay_locks.get(id) {
-                                turn.fetch_add(1, std::sync::atomic::Ordering::Release);
-                            }
-                        }
-                        Event::ThreadSpawn { child, .. } => {
-                            flush_open(&mut open, &queues, &mut alloc, &chunks_total);
-                            if let Some((_, tx)) = txs.iter().find(|(k, _)| k == child) {
-                                let _ = tx.send(());
-                            }
-                        }
-                        Event::ThreadJoin { target, .. } => {
-                            // Wait until the joined thread's producer has
-                            // flushed everything it will ever enqueue.
-                            while !done[*target as usize].load(std::sync::atomic::Ordering::Acquire)
-                            {
-                                std::thread::yield_now();
-                            }
-                        }
-                        Event::VarDealloc { addr, words, .. } if lifetime => {
-                            flush_open(&mut open, &queues, &mut alloc, &chunks_total);
-                            for q in &queues {
-                                q.push(Msg::Dealloc {
-                                    addr: *addr,
-                                    words: *words,
-                                });
-                            }
-                        }
-                        _ => {}
-                    }
-                    let mut reg: &SharedTable = &shared;
-                    if let Some(a) = ctx.handle(ev, &mut reg) {
-                        let w = route(a.addr);
-                        open[w].push(PackedAccess::pack(&a));
-                        if open[w].len() >= chunk_size {
-                            let fresh = alloc.fresh();
-                            let c = std::mem::replace(&mut open[w], fresh);
-                            queues[w].push(Msg::Chunk(c));
-                            chunks_total.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                    }
-                }
-                flush_open(&mut open, &queues, &mut alloc, &chunks_total);
-                done[tid as usize].store(true, std::sync::atomic::Ordering::Release);
-            });
-        }
-        drop(start_tx);
-    });
-
-    for q in &queues {
-        q.push(Msg::Stop);
-    }
-    let mut deps = DepSet::new();
-    let mut skip_stats = SkipStats::default();
-    let mut profiler_bytes = 0usize;
-    let mut worker_processed = Vec::new();
-    let mut spawned_workers = 0;
-    let mut worker_recoveries = 0u64;
-    let recovery_resolver = WorkerResolver::new(Arc::clone(&shared));
-    for (w, h) in handles.into_iter().enumerate() {
-        let done = match h.join() {
-            Ok(WorkerOutcome::Finished(done)) => {
-                spawned_workers += 1;
-                done
-            }
-            Ok(WorkerOutcome::Panicked { mut shadow, failed }) => {
-                // All producers have finished (the scope above joined
-                // them), so the queue is drainable from here.
-                drain_dead_worker(&mut shadow, failed, &queues[w], &recovery_resolver);
-                worker_recoveries += 1;
-                shadow.finish()
-            }
-            Err(e) => std::panic::resume_unwind(e),
-        };
-        deps.merge(done.deps);
-        skip_stats.absorb(&done.stats);
-        profiler_bytes += done.bytes;
-        worker_processed.push(done.stats.total_accesses);
-    }
-    Ok(ProfileOutput {
-        deps,
-        pet: pet.finish(r.steps),
-        skip_stats,
-        synth: SynthSummary::from_run(&r),
-        plan_runs: Default::default(),
-        profiler_bytes,
-        steps: r.steps,
-        actors: ActorSummary::from_run(&r),
-        printed: r.printed,
-        parallel: Some(ParallelStats {
-            chunks: chunks_total.load(std::sync::atomic::Ordering::Relaxed),
-            queue_stalls: 0,
-            spawned_workers,
-            worker_recoveries,
-            worker_processed,
-        }),
-        resource: None,
-        tracking: Tracking::Moved {
-            at_access: 0,
-            recoveries: worker_recoveries,
-        },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::{profile_program_with, EngineKind, ProfileConfig};
+    use crate::run::{profile_program_with, ParallelStats, ProfileConfig};
 
     fn program(src: &str) -> Program {
         Program::new(lang::compile(src, "t").unwrap())
@@ -891,38 +579,47 @@ mod tests {
         assert!(stats(&par).chunks > 0);
     }
 
+    /// Multi-threaded targets take the same engine; the interpreter
+    /// delivers each thread's accesses as real threads would.
+    fn racy() -> RunConfig {
+        RunConfig {
+            racy_delivery: true,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn multithreaded_target_cross_thread_deps() {
+        // Lock-ordered accesses arrive in order: cross-thread flow on the
+        // counter, and no race hint on it.
         let src = "global int counter;
 fn w(int n) { for (int i = 0; i < n; i = i + 1) { lock(1); counter = counter + 1; unlock(1); } }
 fn main() { int a = spawn(w, 40); int b = spawn(w, 40); join(a); join(b); }";
         let p = program(src);
-        let out = profile_multithreaded_target(&p, spawned_cfg(), RunConfig::default()).unwrap();
-        let cross: Vec<_> = out
-            .deps
-            .sorted()
-            .into_iter()
-            .filter(|d| d.is_cross_thread())
-            .collect();
+        let out = profile_parallel(&p, spawned_cfg(), racy()).unwrap();
         assert!(
-            !cross.is_empty(),
+            out.deps.sorted().iter().any(|d| d.is_cross_thread()),
             "lock-protected shared counter must produce cross-thread dependences"
+        );
+        assert!(
+            out.deps.race_hints().is_empty(),
+            "{:?}",
+            out.deps.race_hints()
         );
     }
 
     #[test]
     fn unsynchronized_access_may_yield_race_hint() {
-        // No locks around the shared counter: the replay may deliver
-        // accesses out of order, which must be flagged — and even if the
-        // schedule happens to be benign, profiling must succeed.
+        // No locks around the shared counter: buffered deliveries of the
+        // two threads interleave out of timestamp order, which is flagged.
+        // Delivery is deterministic, so the hint is too.
         let src = "global int counter;
-fn w(int n) { for (int i = 0; i < 2000; i = i + 1) { counter = counter + 1; } }
+fn w(int n) { for (int i = 0; i < n; i = i + 1) { counter = counter + 1; } }
 fn main() { int a = spawn(w, 2000); int b = spawn(w, 2000); join(a); join(b); }";
         let p = program(src);
-        let out = profile_multithreaded_target(&p, spawned_cfg(), RunConfig::default()).unwrap();
-        assert!(!out.deps.is_empty());
-        // Cross-thread deps must exist for the shared counter.
+        let out = profile_parallel(&p, spawned_cfg(), racy()).unwrap();
         assert!(out.deps.sorted().iter().any(|d| d.is_cross_thread()));
+        assert!(!out.deps.race_hints().is_empty());
     }
 
     #[test]
@@ -937,9 +634,8 @@ fn w(int n) { for (int i = 0; i < n; i = i + 1) { counter = counter + 1; } }
 fn main() { int a = spawn(w, 300); int b = spawn(w, 300); join(a); join(b); }";
         let p = program(src);
         let racy = RunConfig {
-            racy_delivery: true,
             buffer_cap: 16,
-            ..Default::default()
+            ..racy()
         };
         let serial = profile_program_with(
             &p,
@@ -964,18 +660,21 @@ fn main() { int a = spawn(w, 300); int b = spawn(w, 300); join(a); join(b); }";
 
     #[test]
     fn shared_table_refresh() {
-        let t = SharedTable::new();
-        let a = t.register((0, 1), NO_INSTANCE, 0);
-        t.extend(&[Instance {
-            loop_key: (0, 2),
-            parent: a,
+        let t = SharedTable::default();
+        let instance = |loop_key, parent| Instance {
+            loop_key,
+            parent,
             iter_in_parent: 3,
-        }]);
+        };
+        t.extend(&[instance((0, 1), NO_INSTANCE)]);
         let mut cache = Vec::new();
         t.refresh(&mut cache);
+        assert_eq!(cache.len(), 1);
+        t.extend(&[instance((0, 2), 0)]);
+        t.refresh(&mut cache);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache[a as usize].loop_key, (0, 1));
-        assert_eq!(cache[1].parent, a);
+        assert_eq!(cache[0].loop_key, (0, 1));
+        assert_eq!(cache[1].parent, 0);
     }
 }
 

@@ -45,7 +45,7 @@ use crate::engine::{DepBuilder, EngineConfig, RunStats, SkipStats};
 use crate::maps::{AccessMap, Slot};
 use crate::parallel::{
     apply_msg, drain_dead_worker, push_supervised, spawn_worker, ChunkAlloc, ChunkPool, Msg,
-    ParallelConfig, SharedTable, WorkerOutcome, WorkerQueue,
+    ParallelConfig, SharedTable, WorkerOutcome,
 };
 use crate::pet::PetBuilder;
 use crate::queue::SpscQueue;
@@ -142,7 +142,7 @@ enum Part {
     Local(Shadow),
     /// Moved into a worker thread.
     Remote {
-        queue: WorkerQueue,
+        queue: Arc<SpscQueue<Msg>>,
         /// `None` once joined.
         handle: Option<JoinHandle<WorkerOutcome>>,
         /// The chunk being filled for this worker.
@@ -342,7 +342,7 @@ impl Partitions {
     fn escalate(&mut self, table: &InstanceTable) {
         let at_access = self.local_accesses();
         let par = &self.par;
-        let shared = Arc::new(SharedTable::new());
+        let shared = Arc::new(SharedTable::default());
         shared.extend(table.as_slice());
         let pool: ChunkPool = Arc::new(Mutex::new(Vec::new()));
         // Deep pipelines stall less; keep at least a few chunks in flight
@@ -355,9 +355,9 @@ impl Partitions {
             .into_iter()
             .map(|part| match part {
                 Part::Local(shadow) => {
-                    let queue = WorkerQueue::Spsc(Arc::new(SpscQueue::new(queue_cap)));
+                    let queue = Arc::new(SpscQueue::new(queue_cap));
                     let handle = spawn_worker(
-                        queue.clone(),
+                        Arc::clone(&queue),
                         shadow,
                         Arc::clone(&shared),
                         Arc::clone(&pool),

@@ -109,25 +109,19 @@ impl EngineKind {
     /// footprints.
     pub const AUTO_SIGNATURE_SLOTS: usize = 1 << 18;
 
-    /// Pick an engine from the program's static shape: the exact
-    /// page-table shadow for small address sets, and beyond
-    /// [`EngineKind::AUTO_PERFECT_MAX_WORDS`] words (globals + one frame
-    /// per function — a static proxy for the touched address space) either
-    /// `serial-signature` or — for targets that spawn their own threads —
-    /// the parallel engine. Spawning targets with big footprints are the
-    /// long, access-heavy runs the worker transport is built for (the
-    /// engine stays inline until volume and cores justify workers). Note
-    /// this selects the single-producer
-    /// [`crate::profile_parallel`] engine; the multi-producer replay of
-    /// §2.3.4 remains the explicit `profile_threads` facade API. This is
-    /// the `discopop` CLI's default engine, so the out-of-the-box
+    /// Pick an engine from one rule, the program's static footprint
+    /// (globals + one frame per function — a static proxy for the touched
+    /// address space): the exact page-table shadow up to
+    /// [`EngineKind::AUTO_PERFECT_MAX_WORDS`] words, `serial-signature`
+    /// beyond. Whether the target spawns threads or actors does not enter:
+    /// a multi-threaded target is one more access stream to the engine, and
+    /// any long run moves its tracking to a worker thread on its own. This
+    /// is the `discopop` CLI's default engine, so the out-of-the-box
     /// configuration is exact where exactness is cheap and bounded where
     /// it is not.
     pub fn auto_for(prog: &Program) -> EngineKind {
         if prog.footprint_words() <= Self::AUTO_PERFECT_MAX_WORDS {
             EngineKind::SerialPerfect
-        } else if prog.spawns_threads() {
-            EngineKind::parallel(8)
         } else {
             EngineKind::SerialSignature {
                 slots: Self::AUTO_SIGNATURE_SLOTS,
@@ -625,20 +619,20 @@ mod tests {
     }
 
     #[test]
-    fn auto_routes_large_multithreaded_targets_to_parallel() {
-        // Big footprint + spawn(): the parallel engine is the
-        // auto-selected default.
+    fn auto_routes_large_multithreaded_targets_like_any_large_target() {
+        // Big footprint + spawn(): the signature, as without the spawn.
         let big_mt = program(
             "global int a[300000];\nfn w(int n) { for (int i = 0; i < n; i = i + 1) { a[i] = i; } }\nfn main() { int t = spawn(w, 8); join(t); a[1] = a[0]; }",
         );
         assert!(big_mt.footprint_words() > EngineKind::AUTO_PERFECT_MAX_WORDS);
-        assert!(big_mt.spawns_threads());
-        assert_eq!(EngineKind::auto_for(&big_mt), EngineKind::parallel(8));
-        // Small footprint + spawn(): exactness still wins.
+        assert_eq!(
+            EngineKind::auto_for(&big_mt),
+            EngineKind::signature(EngineKind::AUTO_SIGNATURE_SLOTS)
+        );
+        // Small footprint + spawn(): exact.
         let small_mt = program(
             "global int c;\nfn w(int n) { c = c + n; }\nfn main() { int t = spawn(w, 3); join(t); }",
         );
-        assert!(small_mt.spawns_threads());
         assert_eq!(EngineKind::auto_for(&small_mt), EngineKind::SerialPerfect);
     }
 

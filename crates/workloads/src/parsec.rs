@@ -307,6 +307,17 @@ mod tests {
     use super::*;
     use discovery::LoopClass;
 
+    /// Each target thread's accesses delivered as real threads would.
+    fn racy() -> profiler::ProfileConfig {
+        profiler::ProfileConfig {
+            run: interp::RunConfig {
+                racy_delivery: true,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn blackscholes_pricing_is_doall() {
         let p = BLACKSCHOLES.program().unwrap();
@@ -321,15 +332,7 @@ mod tests {
     fn splash_programs_profile_with_cross_thread_deps() {
         for w in [&BARNES_PAR, &RADIX_PAR] {
             let p = w.program().unwrap();
-            let out = profiler::profile_multithreaded_target(
-                &p,
-                profiler::ParallelConfig {
-                    workers: 4,
-                    ..Default::default()
-                },
-                interp::RunConfig::default(),
-            )
-            .unwrap();
+            let out = profiler::profile_program_with(&p, &racy()).unwrap();
             let cross = out
                 .deps
                 .sorted()

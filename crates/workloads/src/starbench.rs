@@ -773,6 +773,17 @@ mod tests {
     use super::*;
     use discovery::LoopClass;
 
+    /// Each target thread's accesses delivered as real threads would.
+    fn racy() -> profiler::ProfileConfig {
+        profiler::ProfileConfig {
+            run: interp::RunConfig {
+                racy_delivery: true,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
+
     fn classify(w: &Workload, marker: &str) -> LoopClass {
         let p = w.program().unwrap();
         let out = profiler::profile_program(&p).unwrap();
@@ -827,15 +838,7 @@ mod tests {
     fn parallel_variants_run_and_profile() {
         for w in [&C_RAY_PAR, &KMEANS_PAR, &MD5_PAR, &ROTATE_PAR] {
             let p = w.program().unwrap();
-            let out = profiler::profile_multithreaded_target(
-                &p,
-                profiler::ParallelConfig {
-                    workers: 4,
-                    ..Default::default()
-                },
-                interp::RunConfig::default(),
-            )
-            .unwrap();
+            let out = profiler::profile_program_with(&p, &racy()).unwrap();
             assert!(!out.deps.is_empty(), "{} produced no deps", w.name);
         }
     }

@@ -1,5 +1,7 @@
 //! Detect thread communication patterns of the splash2x-style programs
-//! (§5.3 / Fig. 5.1), profiling through the facade's multithreaded path.
+//! (§5.3 / Fig. 5.1), profiling through the facade's multithreaded path
+//! (`Analysis::profile_threads`: the configured engine, with each target
+//! thread's accesses delivered as real threads would deliver them).
 //!
 //! Run with: `cargo run --example comm_pattern`
 

@@ -1,6 +1,13 @@
 //! Profile a multi-threaded target program through the facade and show
 //! cross-thread dependences and race hints (§2.3.4).
 //!
+//! `Analysis::profile_threads` runs the configured engine with the
+//! interpreter delivering each thread's accesses as real threads would:
+//! buffered, and flushed at lock release, spawn, join and thread end. The
+//! locked counter's accesses therefore arrive in order; the unsynchronized
+//! one's may not, and the engine flags the inversions as race hints. The
+//! delivery is deterministic, so the hint count is the same on every run.
+//!
 //! Run with: `cargo run --example race_hint`
 
 use discopop::{Analysis, Compiled, EngineKind};

@@ -5,14 +5,13 @@
 //! seed implementation. And the profiler is one engine with a worker dial:
 //! every setting of the dial must report what `serial-perfect` reports.
 //! These tests pin both down on real workloads, for the merged
-//! [`profiler::DepSet`] and the rendered text format, and for the
-//! multithreaded-target engine.
+//! [`profiler::DepSet`] and the rendered text format, and for multi-threaded
+//! targets under racy delivery (the parallel-target gate).
 
 use interp::{Program, RunConfig, Sink};
 use profiler::{
-    control_spans, profile_multithreaded_target, profile_parallel, profile_program,
-    profile_program_with, render_text, DepSet, EngineKind, ParallelConfig, ProfileConfig,
-    ProfileOutput,
+    control_spans, profile_parallel, profile_program, profile_program_with, render_text, DepSet,
+    EngineKind, ParallelConfig, ProfileConfig, ProfileOutput,
 };
 
 fn program(src: &str) -> Program {
@@ -372,33 +371,126 @@ fn one_signature_partition_is_the_serial_signature_engine() {
     }
 }
 
+/// Racy delivery, what `discopop::Analysis::profile_threads` profiles
+/// with: each target thread's events are buffered and flushed at its
+/// synchronization points, as real threads would deliver them (§2.3.4).
+fn racy() -> RunConfig {
+    RunConfig {
+        racy_delivery: true,
+        ..Default::default()
+    }
+}
+
+/// Every catalogue workload that spawns its own threads or actors,
+/// `actors_10k` included (under a second per engine in a debug build).
+fn parallel_targets() -> Vec<(&'static str, workloads::Suite, Program)> {
+    let targets: Vec<_> = workloads::all()
+        .into_iter()
+        .filter(|w| w.parallel_target)
+        .map(|w| (w.name, w.suite, w.program().unwrap()))
+        .collect();
+    assert_eq!(targets.len(), 11, "the parallel-target catalogue changed");
+    targets
+}
+
+/// The race_hint example's program: `counter` is bumped unsynchronized,
+/// `safe_counter` under a lock.
+const RACE_HINT_SRC: &str = "global int counter;
+global int safe_counter;
+fn worker(int n) {
+    for (int i = 0; i < n; i = i + 1) {
+        counter = counter + 1;
+        lock(1);
+        safe_counter = safe_counter + 1;
+        unlock(1);
+    }
+}
+fn main() {
+    int a = spawn(worker, 500);
+    int b = spawn(worker, 500);
+    join(a);
+    join(b);
+    print(counter, safe_counter);
+}";
+
+/// The parallel-target gate, with the two tests below: every workload that
+/// spawns threads or actors, under racy delivery, reports the same
+/// dependences — counts and `total_found` included — on one exact partition,
+/// on four partitions moved into workers at access 0, and on four that stay
+/// inline. The pthread-style programs show cross-thread flow; on the
+/// race_hint program only the unsynchronized counter carries hints.
+#[test]
+fn parallel_targets_agree_across_engines_under_racy_delivery() {
+    let four = |spawn_threshold| ParallelConfig {
+        workers: 4,
+        spawn_threshold,
+        ..Default::default()
+    };
+    for (name, suite, p) in parallel_targets() {
+        assert!(p.footprint_words() <= EngineKind::AUTO_PERFECT_MAX_WORDS);
+        let perfect = profile_program_with(
+            &p,
+            &ProfileConfig {
+                run: racy(),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        for (path, spawn_threshold, spawned) in [("workers", 0, 4), ("inline", u64::MAX, 0)] {
+            let par = profile_parallel(&p, four(spawn_threshold), racy()).unwrap();
+            assert_eq!(counted(&par.deps), counted(&perfect.deps), "{name}: {path}");
+            assert_eq!(par.deps.total_found, perfect.deps.total_found, "{name}");
+            assert_eq!(transport(&par).spawned_workers, spawned, "{name}: {path}");
+        }
+        if suite != workloads::Suite::Actors {
+            assert!(
+                perfect.deps.sorted().iter().any(|d| d.is_cross_thread()),
+                "{name} must show cross-thread communication"
+            );
+        }
+    }
+
+    let p = program(RACE_HINT_SRC);
+    let out = profile_program_with(
+        &p,
+        &ProfileConfig {
+            run: racy(),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let hinted = |var: &str| {
+        out.deps
+            .race_hints()
+            .iter()
+            .filter(|d| p.symbol(d.var) == var)
+            .count()
+    };
+    assert!(hinted("counter") >= 1, "{:?}", out.deps.race_hints());
+    assert_eq!(hinted("safe_counter"), 0, "{:?}", out.deps.race_hints());
+}
+
 #[test]
 fn multithreaded_target_matches_serial_replay() {
     // Lock-ordered multithreaded target: every cross-thread access to the
-    // shared counter is serialized, so the parallel MPSC engine must agree
-    // exactly with a serial replay of the recorded stream through the
-    // legacy HashMap shadow.
+    // shared counter is serialized, so racy delivery into the engine must
+    // agree exactly with the legacy HashMap shadow replaying the recorded
+    // stream.
     let src = "global int counter;
 fn w(int n) { for (int i = 0; i < n; i = i + 1) { lock(1); counter = counter + 1; unlock(1); } }
 fn main() { int a = spawn(w, 30); int b = spawn(w, 30); join(a); join(b); }";
     let p = program(src);
+    let cfg = ParallelConfig {
+        workers: 4,
+        chunk_size: 16,
+        queue_cap: 64,
+        spawn_threshold: 0,
+        ..Default::default()
+    };
+    let par = profile_parallel(&p, cfg, racy()).unwrap();
 
-    let par = profile_multithreaded_target(
-        &p,
-        ParallelConfig {
-            workers: 4,
-            chunk_size: 16,
-            sig_slots: 1 << 18,
-            queue_cap: 64,
-            ..Default::default()
-        },
-        RunConfig::default(),
-    )
-    .unwrap();
-
-    // Serial replay baseline over the same recorded execution.
     let mut rec = interp::RecordingSink::default();
-    interp::run_with_config(&p, &mut rec, RunConfig::default()).unwrap();
+    interp::run_with_config(&p, &mut rec, racy()).unwrap();
     let mut serial = bench::HashShadowOracle::new(&p);
     for ev in &rec.events {
         serial.event(ev);
@@ -406,27 +498,30 @@ fn main() { int a = spawn(w, 30); int b = spawn(w, 30); join(a); join(b); }";
     let (serial_deps, _, _) = serial.finish(0);
 
     assert_eq!(
-        par.deps.sorted(),
-        serial_deps.sorted(),
-        "multithreaded engine diverged from serial replay"
+        counted(&par.deps),
+        counted(&serial_deps),
+        "racy delivery diverged from the serial replay"
     );
     assert!(par.deps.sorted().iter().any(|d| d.is_cross_thread()));
+    assert!(par.deps.race_hints().is_empty());
 }
 
 #[test]
 fn multithreaded_target_is_deterministic() {
-    let src = "global int counter;
-fn w(int n) { for (int i = 0; i < n; i = i + 1) { lock(9); counter = counter + 2; unlock(9); } }
-fn main() { int a = spawn(w, 25); int b = spawn(w, 25); join(a); join(b); }";
-    let p = program(src);
+    // Delivery order is a function of the seed, not of the host: two runs
+    // of every parallel target through spawned workers agree in
+    // `DepSet::iter()` order, counts, race hints, skip counters and PET.
     let cfg = || ParallelConfig {
         workers: 4,
         chunk_size: 8,
-        sig_slots: 1 << 18,
         queue_cap: 64,
+        spawn_threshold: 0,
         ..Default::default()
     };
-    let a = profile_multithreaded_target(&p, cfg(), RunConfig::default()).unwrap();
-    let b = profile_multithreaded_target(&p, cfg(), RunConfig::default()).unwrap();
-    assert_eq!(a.deps.sorted(), b.deps.sorted());
+    for (name, _, p) in parallel_targets() {
+        let a = profile_parallel(&p, cfg(), racy()).unwrap();
+        let b = profile_parallel(&p, cfg(), racy()).unwrap();
+        assert_eq!(sequence(&a), sequence(&b), "{name}");
+        assert_eq!(a.deps.race_hints(), b.deps.race_hints(), "{name}");
+    }
 }

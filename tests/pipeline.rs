@@ -190,6 +190,28 @@ fn main() {
         .sorted()
         .iter()
         .any(|d| d.is_cross_thread() && program.symbol(d.var) == "shared"));
-    let report = analysis.discover(&compiled, profiled);
-    assert!(report.engine.starts_with("multithreaded:4x256"));
+}
+
+#[test]
+fn a_message_handoff_is_not_a_race() {
+    // A receive is ordered after its send by the scheduler, so delivering
+    // each actor's accesses as real threads would must neither lose the
+    // send→receive flow nor flag it: the threaded profile is the plain one.
+    for name in ["actor_pipeline", "actor_fanout", "actor_ring"] {
+        let compiled = Compiled::new(workloads::by_name(name).unwrap().program().unwrap());
+        let mut analysis = Analysis::new();
+        let plain = analysis.profile(&compiled).unwrap();
+        let threaded = analysis.profile_threads(&compiled).unwrap();
+        assert_eq!(
+            threaded.deps().sorted(),
+            plain.deps().sorted(),
+            "{name}: racy delivery changed the dependences"
+        );
+        assert!(
+            threaded.deps().race_hints().is_empty(),
+            "{name}: a handoff was flagged as a race: {:?}",
+            threaded.deps().race_hints()
+        );
+        assert_eq!(threaded.engine, plain.engine);
+    }
 }
