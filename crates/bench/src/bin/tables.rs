@@ -29,7 +29,7 @@
 
 use bench::{count_addresses, fmt_pct, fmt_x, native_time, time_median};
 use interp::RunConfig;
-use profiler::{ParallelConfig, ProfileConfig};
+use profiler::{EngineKind, ProfileConfig};
 use workloads::Suite;
 
 fn main() {
@@ -159,10 +159,9 @@ fn fpr_fnr() {
 
 /// The pipeline of Fig 2.9/2.10: `workers` consumers spawned before the
 /// first access, whatever the host and the run's size.
-fn spawned_up_front(workers: usize, sig_slots: usize) -> ParallelConfig {
-    ParallelConfig {
-        workers,
-        sig_slots,
+fn spawned_up_front(workers: usize) -> ProfileConfig {
+    ProfileConfig {
+        engine: EngineKind::parallel(workers),
         spawn_threshold: 0,
         ..Default::default()
     }
@@ -200,12 +199,7 @@ fn profiler_slowdown() {
         });
         let par = |workers: usize| {
             time_median(3, || {
-                profiler::profile_parallel(
-                    &p,
-                    spawned_up_front(workers, 1 << 17),
-                    RunConfig::default(),
-                )
-                .unwrap();
+                profiler::profile_program_with(&p, &spawned_up_front(workers)).unwrap();
             })
         };
         let slows = [serial / base, par(8) / base, par(16) / base];
@@ -239,16 +233,18 @@ fn profiler_memory() {
     println!("\n## Fig 2.9b — profiler memory consumption (MB)\n");
     println!("| program | serial (perfect) | 8T lock-free | 16T lock-free |");
     println!("|---|---|---|---|");
-    for w in sequential_workloads(&[Suite::Nas, Suite::Starbench]) {
+    let ws = sequential_workloads(&[Suite::Nas, Suite::Starbench]);
+    let mut exact = 0;
+    for w in &ws {
         let p = w.program().unwrap();
         let serial = profile(&p);
         let mb = |b: usize| b as f64 / 1e6;
-        let par8 =
-            profiler::profile_parallel(&p, spawned_up_front(8, 1 << 17), RunConfig::default())
-                .unwrap();
-        let par16 =
-            profiler::profile_parallel(&p, spawned_up_front(16, 1 << 17), RunConfig::default())
-                .unwrap();
+        let par = |workers| profiler::profile_program_with(&p, &spawned_up_front(workers)).unwrap();
+        let (par8, par16) = (par(8), par(16));
+        exact += usize::from(
+            EngineKind::parallel(16).dials(p.footprint_words()).tier
+                == profiler::ShadowTier::Perfect,
+        );
         println!(
             "| {} | {:.1} | {:.1} | {:.1} |",
             w.name,
@@ -257,7 +253,16 @@ fn profiler_memory() {
             mb(par16.profiler_bytes)
         );
     }
-    println!("\n(memory scales with worker count × signature size, as in the paper)");
+    println!(
+        "\n(tracked bytes at the end of each run: shadow maps, dependence sets and the instance"
+    );
+    println!(
+        "table. {exact} of {} programs fit {} footprint words, so their partitions are exact",
+        ws.len(),
+        EngineKind::AUTO_PERFECT_MAX_WORDS
+    );
+    println!("page-table shadows: memory follows the pages each partition touches, not worker");
+    println!("count × signature size as with the paper's signature partitions)");
 }
 
 // ---- E6: Fig 2.10/2.11 ----
@@ -269,12 +274,14 @@ fn parallel_target() {
         let p = w.program().unwrap();
         let base = native_time(&p, 3).max(1e-7);
         let run = |workers: usize| {
+            let cfg = ProfileConfig {
+                run: racy(),
+                ..spawned_up_front(workers)
+            };
             let t = time_median(3, || {
-                profiler::profile_parallel(&p, spawned_up_front(workers, 1 << 16), racy()).unwrap();
+                profiler::profile_program_with(&p, &cfg).unwrap();
             });
-            let out =
-                profiler::profile_parallel(&p, spawned_up_front(workers, 1 << 16), racy()).unwrap();
-            (t, out)
+            (t, profiler::profile_program_with(&p, &cfg).unwrap())
         };
         let (t8, o8) = run(8);
         let (t16, o16) = run(16);
@@ -881,7 +888,11 @@ fn comm_pattern() {
     for name in ["barnes-par", "radix-par", "ocean-par"] {
         let w = workloads::by_name(name).unwrap();
         let p = w.program().unwrap();
-        let out = profiler::profile_parallel(&p, spawned_up_front(4, 1 << 16), racy()).unwrap();
+        let cfg = ProfileConfig {
+            run: racy(),
+            ..spawned_up_front(4)
+        };
+        let out = profiler::profile_program_with(&p, &cfg).unwrap();
         let m = apps::comm_matrix(&out.deps, 5);
         println!("### {name}\n```");
         print!("{}", apps::render_matrix(&m));

@@ -117,10 +117,18 @@ fn main() -> ExitCode {
             );
             println!("                                    N and chunk must be positive (parallel:0 is an error)");
             println!(
+                "parallel:N partitions are exact up to {} footprint words and signatures \
+                 beyond, of max({} / N, {}) slots each (parallel:4: {} slots per partition)",
+                EngineKind::AUTO_PERFECT_MAX_WORDS,
+                EngineKind::PARALLEL_TOTAL_SLOTS,
+                EngineKind::PARALLEL_MIN_WORKER_SLOTS,
+                EngineKind::parallel_worker_slots(4)
+            );
+            println!(
                 "a serial engine is one partition: past 2^20 accesses it moves to one worker \
                  thread while the interpreter runs on, unless the host has one core or a plan \
                  run was resolved in closed form; the report is the same either way, and the \
-                 [2/3] progress line says where tracking ran"
+                 [2/3] progress line names the partitions and says where tracking ran"
             );
             println!(
                 "--max-memory keeps every partition of every engine on the producer, which \
@@ -281,6 +289,7 @@ fn analyze(args: &[String]) -> ExitCode {
             }
             StageEvent::Profiled {
                 engine,
+                dials,
                 steps,
                 dependences,
                 plan_runs,
@@ -299,7 +308,7 @@ fn analyze(args: &[String]) -> ExitCode {
                         (plan_runs.resolved_pct() * 10.0).floor() / 10.0
                     )
                 };
-                eprintln!("[2/3] profiled with {engine}: {steps} instructions, {dependences} distinct dependences{runs}; {tracking}");
+                eprintln!("[2/3] profiled with {engine} ({dials}): {steps} instructions, {dependences} distinct dependences{runs}; {tracking}");
             }
             StageEvent::StaticAnalyzed {
                 loops,

@@ -202,6 +202,9 @@ pub enum StageEvent<'a> {
     Profiled {
         /// Engine label.
         engine: &'a str,
+        /// What the engine spec resolved to for this program: its map and
+        /// partition count.
+        dials: profiler::Dials,
         /// Executed target instructions.
         steps: u64,
         /// Distinct (merged) dependences.
@@ -389,42 +392,23 @@ pub fn cross_check(
 ///     .unwrap();
 /// assert_eq!(exact.deps().sorted(), parallel.deps().sorted());
 /// ```
+#[derive(Default)]
 pub struct Analysis {
-    engine: EngineKind,
-    skip_loops: bool,
+    /// What the engine is handed, the affine skip tier aside: the profiler's
+    /// own defaults until a builder method overrides one.
+    cfg: profiler::ProfileConfig,
     /// Affine skip tier policy: `None` = auto (on exactly when the static
     /// pre-pass runs), `Some(v)` = forced.
     affine_skip: Option<bool>,
-    lifetime: bool,
-    budget: Budget,
     statics: bool,
     progress: Option<ProgressSink>,
-}
-
-impl Default for Analysis {
-    fn default() -> Self {
-        // Derived from the profiler's own defaults so the facade cannot
-        // silently diverge from them.
-        let p = profiler::ProfileConfig::default();
-        Analysis {
-            engine: p.engine,
-            skip_loops: p.skip_loops,
-            affine_skip: None,
-            lifetime: p.lifetime,
-            budget: p.budget,
-            statics: false,
-            progress: None,
-        }
-    }
 }
 
 impl std::fmt::Debug for Analysis {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Analysis")
-            .field("engine", &self.engine)
-            .field("skip_loops", &self.skip_loops)
+            .field("cfg", &self.cfg)
             .field("affine_skip", &self.affine_skip)
-            .field("lifetime", &self.lifetime)
             .field("statics", &self.statics)
             .field("progress", &self.progress.is_some())
             .finish()
@@ -440,20 +424,20 @@ impl Analysis {
 
     /// Select the profiling engine (builder style).
     pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
+        self.cfg.engine = engine;
         self
     }
 
     /// Select the profiling engine on an existing pipeline, e.g. to
     /// re-profile the same [`Compiled`] program under another engine.
     pub fn engine_mut(&mut self, engine: EngineKind) -> &mut Self {
-        self.engine = engine;
+        self.cfg.engine = engine;
         self
     }
 
     /// Enable the §2.4 loop-skipping optimization (serial engines only).
     pub fn skip_loops(mut self, on: bool) -> Self {
-        self.skip_loops = on;
+        self.cfg.skip_loops = on;
         self
     }
 
@@ -480,7 +464,7 @@ impl Analysis {
 
     /// Enable variable-lifetime analysis (§2.3.5); on by default.
     pub fn lifetime(mut self, on: bool) -> Self {
-        self.lifetime = on;
+        self.cfg.lifetime = on;
         self
     }
 
@@ -489,19 +473,19 @@ impl Analysis {
     /// signature), a deadline aborts with [`Error::DeadlineExceeded`]
     /// carrying the partial profile. Unlimited by default.
     pub fn budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
+        self.cfg.budget = budget;
         self
     }
 
     /// Shorthand: set only the memory ceiling of the [`Budget`].
     pub fn max_memory(mut self, bytes: usize) -> Self {
-        self.budget.max_memory_bytes = Some(bytes);
+        self.cfg.budget.max_memory_bytes = Some(bytes);
         self
     }
 
     /// Shorthand: set only the deadline of the [`Budget`].
     pub fn deadline(mut self, deadline: std::time::Duration) -> Self {
-        self.budget.deadline = Some(deadline);
+        self.cfg.budget.deadline = Some(deadline);
         self
     }
 
@@ -534,19 +518,9 @@ impl Analysis {
 
     /// The [`profiler::ProfileConfig`] this pipeline profiles with.
     pub fn profile_config(&self) -> profiler::ProfileConfig {
-        // Start from the profiler's defaults so the facade only ever
-        // overrides the knobs it exposes.
-        let base = profiler::ProfileConfig::default();
-        profiler::ProfileConfig {
-            engine: self.engine,
-            skip_loops: self.skip_loops,
-            lifetime: self.lifetime,
-            budget: self.budget,
-            run: interp::RunConfig {
-                affine_skip: self.affine_skip_effective(),
-                ..base.run
-            },
-        }
+        let mut cfg = self.cfg.clone();
+        cfg.run.affine_skip = self.affine_skip_effective();
+        cfg
     }
 
     /// Stage 1: compile and instrument a mini-C source module.
@@ -562,10 +536,16 @@ impl Analysis {
     }
 
     /// Wrap a finished profiler run as the stage-2 artifact and announce it.
-    fn profiled(&mut self, engine: String, output: profiler::ProfileOutput) -> Profiled {
+    fn profiled(
+        &mut self,
+        engine: String,
+        dials: profiler::Dials,
+        output: profiler::ProfileOutput,
+    ) -> Profiled {
         let profiled = Profiled { engine, output };
         self.notify(StageEvent::Profiled {
             engine: &profiled.engine,
+            dials,
             steps: profiled.output.steps,
             dependences: profiled.output.deps.len(),
             plan_runs: profiled.output.plan_runs,
@@ -600,7 +580,8 @@ impl Analysis {
         cfg: profiler::ProfileConfig,
     ) -> Result<Profiled, Error> {
         let output = profiler::profile_program_with(program, &cfg)?;
-        Ok(self.profiled(self.engine.label(), output))
+        let dials = cfg.engine.dials(program.footprint_words());
+        Ok(self.profiled(cfg.engine.label(), dials, output))
     }
 
     /// Stage 3: run parallelism discovery and assemble the [`Report`].

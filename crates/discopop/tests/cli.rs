@@ -288,6 +288,58 @@ fn the_profiled_line_says_where_tracking_ran() {
     );
 }
 
+/// `engines` states the `parallel` map rule from the constants, and the
+/// `[2/3]` line names what the spec resolved to; the report keeps the spec's
+/// label alone.
+#[test]
+fn the_cli_names_the_parallel_map_and_the_resolved_dials() {
+    let engines = Command::new(BIN).arg("engines").output().unwrap();
+    let text = String::from_utf8_lossy(&engines.stdout);
+    assert!(
+        text.contains(
+            "parallel:N partitions are exact up to 262144 footprint words and signatures \
+             beyond, of max(524288 / N, 16384) slots each (parallel:4: 131072 slots per partition)"
+        ),
+        "{text}"
+    );
+
+    let dir = scratch("dials");
+    let big = "global int a[300000];\nfn main() {\nfor (int i = 0; i < 8; i = i + 1) {\na[i] = i;\n}\n}\n";
+    for (src, extra, dials, label) in [
+        (
+            SRC,
+            &[][..],
+            "serial-perfect (1 exact partition)",
+            "serial-perfect",
+        ),
+        (
+            SRC,
+            &["--engine", "parallel:4"][..],
+            "parallel:4x256 (4 exact partitions)",
+            "parallel:4x256",
+        ),
+        (
+            big,
+            &[][..],
+            "serial-signature:262144 (1 signature partition of 262144 slots)",
+            "serial-signature:262144",
+        ),
+        (
+            big,
+            &["--engine", "parallel:4"][..],
+            "parallel:4x256 (4 signature partitions of 131072 slots)",
+            "parallel:4x256",
+        ),
+    ] {
+        let (line, doc) = profiled_line(&dir, src, extra);
+        assert!(
+            line.starts_with(&format!("[2/3] profiled with {dials}: ")),
+            "{line}"
+        );
+        assert_eq!(doc.engine, label);
+    }
+}
+
 /// 2.1 M accesses, all delivered one by one: past the 2^20 at which a
 /// serial engine's partition moves to a worker thread.
 const LONG_SRC: &str = "global int a[4096];

@@ -91,7 +91,7 @@ fn report_covers_every_section() {
 }
 
 #[test]
-fn parallel_engine_report_carries_transport_stats() {
+fn parallel_engine_report_carries_parallel_stats() {
     let (compiled, report) = full_report(EngineKind::parallel(4));
     let doc = report.to_doc(compiled.program());
     assert_eq!(doc.engine, "parallel:4x256");

@@ -404,6 +404,31 @@ pub struct ControlSpan {
     pub iters: u64,
 }
 
+/// Build `BGN`/`END` control spans for the text renderer from a program's
+/// loop regions and the PET's iteration counts.
+pub fn control_spans(prog: &interp::Program, pet: &crate::pet::Pet) -> Vec<ControlSpan> {
+    let agg = pet.loops_aggregated();
+    let mut spans = Vec::new();
+    for (fi, f) in prog.module.functions.iter().enumerate() {
+        for (ri, r) in f.regions.iter().enumerate() {
+            if r.kind == mir::RegionKind::Loop {
+                let iters = agg
+                    .get(&(fi as u32, ri as u32))
+                    .map(|(_, it, _)| *it)
+                    .unwrap_or(0);
+                spans.push(ControlSpan {
+                    kind: "loop",
+                    start: r.start_line,
+                    end: r.end_line,
+                    iters,
+                });
+            }
+        }
+    }
+    spans.sort_by_key(|s| (s.start, s.end));
+    spans
+}
+
 /// Render the dependence set in the DiscoPoP text format (Fig. 2.1 /
 /// Fig. 2.3): one output line per sink, dependences aggregated, `NOM` for
 /// plain lines, `BGN`/`END` markers for control spans. `multithreaded`

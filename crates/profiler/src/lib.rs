@@ -39,9 +39,12 @@
 //!   oracle the equivalence tests hold the engine against.
 //! - **Explicit engine selection** ([`EngineKind`]): the exact shadow, the
 //!   signature algorithm, and the parallel pipeline are settings of the one
-//!   engine, selected through one enum and all returning the same
-//!   [`ProfileOutput`], so callers (the `discopop` facade, its CLI, the
-//!   benchmarks) swap engines without changing shape. See [`run`].
+//!   engine, spelled by one enum, resolved in one place
+//!   ([`EngineKind::dials`]) to a map and a partition count, configured by
+//!   one [`ProfileConfig`] and run by one entry point
+//!   ([`profile_program_with`]), all returning the same [`ProfileOutput`],
+//!   so callers (the `discopop` facade, its CLI, the benchmarks) swap
+//!   engines without changing shape. See [`run`].
 //! - **Program Execution Tree** ([`pet::Pet`], §2.3.6) for pattern detection
 //!   and ranking.
 //! - **Race hints** for multi-threaded targets under racy delivery:
@@ -68,7 +71,6 @@ pub mod pet;
 pub mod pipeline;
 pub mod queue;
 pub mod run;
-pub mod serial;
 mod shadow;
 
 pub use budget::{
@@ -78,15 +80,13 @@ pub use budget::{
 pub use access::{
     Access, Instance, InstanceTable, LoopContext, LoopKey, PackedAccess, NO_INSTANCE,
 };
-pub use dep::{render_text, ControlSpan, Dep, DepSet, DepType, SrcLoc};
+pub use dep::{control_spans, render_text, ControlSpan, Dep, DepSet, DepType, SrcLoc};
 pub use engine::{DepBuilder, EngineConfig, RunStats, SkipStats};
 pub use maps::{estimated_fp_rate, AccessMap, Cell, HashShadowMap, PerfectMap, SignatureMap, Slot};
-pub use parallel::{profile_parallel, ParallelConfig};
 pub use pet::{Pet, PetBuilder, PetNode, PetNodeKind};
 pub use pipeline::Profiler;
 pub use queue::SpscQueue;
 pub use run::{
-    profile_program, profile_program_with, ActorSummary, EngineKind, InlineReason, ParallelStats,
-    ProfileConfig, ProfileOutput, SynthSummary, Tracking,
+    profile_program, profile_program_with, ActorSummary, Dials, EngineKind, InlineReason,
+    ParallelStats, ProfileConfig, ProfileOutput, SynthSummary, Tracking,
 };
-pub use serial::control_spans;

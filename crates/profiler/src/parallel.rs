@@ -1,12 +1,12 @@
 //! The worker transport of the profiling engine (dissertation §2.3.3).
 //!
 //! Every engine kind is this dial — `serial-*` is one partition,
-//! [`profile_parallel`] and `EngineKind::Parallel` are `W` — and every
+//! `EngineKind::Parallel` is `W` ([`crate::EngineKind::dials`]) — and every
 //! target, multi-threaded ones included, runs through it: the engine
 //! ([`crate::pipeline::Profiler`]) starts with the partitions it
 //! processes itself — no threads, no queues, so small workloads never pay
 //! transport setup and machines without spare cores never lose to context
-//! switching. Once [`ParallelConfig::spawn_threshold`] accesses have
+//! switching. Once [`crate::ProfileConfig::spawn_threshold`] accesses have
 //! arrived one by one, spare hardware parallelism exists, no memory ceiling
 //! is set and no plan run has been resolved in closed form, it *escalates*:
 //! each partition's `Shadow` moves into a spawned
@@ -14,7 +14,7 @@
 //! output-invisible) fed over a bounded lock-free SPSC queue. From then on
 //! the thread executing the target is the *producer*: it packs annotated
 //! accesses into compact [`PackedAccess`] chunks of
-//! [`ParallelConfig::chunk_size`] records (32 bytes each — line, variable
+//! [`crate::Dials::chunk`] records (32 bytes each — line, variable
 //! and direction resolve through the shared [`interp::MemOpMeta`] table)
 //! and routes each by address — the paper's modulo (Eq. 2.1), so the
 //! temporal order per address is preserved — to its partition's worker,
@@ -62,103 +62,11 @@
 //! | `actors_10k` | 39,910–40,015 deps, ~9,900 false hints, 2.9–3.4 s | 50,042 deps, none, 61 ms |
 
 use crate::access::{Instance, InstanceTable, PackedAccess};
-use crate::budget::{Budget, ProfileError, ShadowTier};
-use crate::pipeline::Profiler;
 use crate::queue::SpscQueue;
-use crate::run::{EngineKind, ProfileOutput};
 use crate::shadow::{Finished, Shadow};
-use interp::{Program, RunConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// Configuration of the parallel profiler.
-#[derive(Debug, Clone)]
-pub struct ParallelConfig {
-    /// Number of partitions, i.e. consumer (worker) threads once spawned.
-    pub workers: usize,
-    /// Accesses per chunk shipped to a worker (`0` is taken as `1`).
-    pub chunk_size: usize,
-    /// Signature slots **per worker** per signature (the paper uses
-    /// 6.25e6 × 16 threads = 1e8 total). Only used when the footprint
-    /// forces the signature backend.
-    pub sig_slots: usize,
-    /// Capacity in messages of each worker's inbound queue, and in chunks
-    /// of its spent-chunk queue (at least 4 each).
-    pub queue_cap: usize,
-    /// Enable variable-lifetime analysis.
-    pub lifetime: bool,
-    /// Accesses before the engine escalates from inline processing to
-    /// spawned workers (given ≥ 2 available cores, no memory ceiling and no
-    /// plan run resolved in closed form). `0` spawns at construction,
-    /// whatever the host — but a memory ceiling still wins: under one the
-    /// partitions never leave the producer. `u64::MAX` never spawns.
-    pub spawn_threshold: u64,
-    /// Resource budget. When active, the producer governs it alone: at its
-    /// checkpoint cadence it checks the deadline and, under a memory
-    /// ceiling (which keeps every partition on it), walks its partitions
-    /// down the degradation ladder. Workers report no bytes while running;
-    /// a run that moved under a deadline counts their partitions once, when
-    /// they are joined.
-    pub budget: Budget,
-}
-
-impl ParallelConfig {
-    /// Default [`ParallelConfig::spawn_threshold`], for every engine kind
-    /// (a serial engine's lone partition moves to one worker past it):
-    /// below ~1M accesses the pipeline's setup + per-chunk transport costs
-    /// outweigh any consumer overlap (programs of 30–50k accesses measured
-    /// 5–8× slower through workers spawned up front than serially). Every
-    /// catalogue program stays below it (the largest, `c-ray`, makes 215 k
-    /// accesses); `sparse_gather`'s 6.3 M move to a worker at the first
-    /// checkpoint past it.
-    pub const ADAPTIVE_SPAWN_THRESHOLD: u64 = 1 << 20;
-
-    /// The dial set to one partition — what the serial engine kinds run,
-    /// with `sig_slots` the tier the ladder or a recovery falls back to.
-    /// Its worker, if the run earns one, is fed over a short queue: at the
-    /// default 512 queued chunks one worker measured +4.4 MB RSS against a
-    /// 33 MB baseline on `sparse_gather`, at 16 chunks of 256 accesses
-    /// +0.6 MB.
-    pub(crate) fn serial(sig_slots: usize, lifetime: bool, budget: Budget) -> Self {
-        ParallelConfig {
-            workers: 1,
-            chunk_size: 256,
-            sig_slots,
-            queue_cap: 16,
-            lifetime,
-            spawn_threshold: Self::ADAPTIVE_SPAWN_THRESHOLD,
-            budget,
-        }
-    }
-
-    /// The partitions' starting tier, chosen from the program's address
-    /// footprint: exact page-table maps below the auto-selection threshold,
-    /// bounded signatures of [`ParallelConfig::sig_slots`] beyond it.
-    pub(crate) fn tier_for(&self, footprint_words: usize) -> ShadowTier {
-        if footprint_words <= EngineKind::AUTO_PERFECT_MAX_WORDS {
-            ShadowTier::Perfect
-        } else {
-            ShadowTier::Signature {
-                slots: self.sig_slots,
-            }
-        }
-    }
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig {
-            workers: 8,
-            chunk_size: 256,
-            sig_slots: 1 << 18,
-            queue_cap: 512,
-            lifetime: true,
-            spawn_threshold: Self::ADAPTIVE_SPAWN_THRESHOLD,
-            budget: Budget::unlimited(),
-        }
-    }
-}
 
 /// Message to a worker.
 pub(crate) enum Msg {
@@ -234,41 +142,45 @@ pub(crate) fn apply_msg(shadow: &mut Shadow, msg: Msg, table: &InstanceTable) {
     }
 }
 
-/// Fold a dead worker's remaining input into its recovered partition:
-/// replay the message it was processing when it panicked (faultpoints fire
-/// before any builder mutation, so the replay is exact), then drain its
-/// queue in FIFO order.
-///
-/// Safe to call only after the worker thread has been joined: the producer
-/// is then the sole consumer of the queue.
-pub(crate) fn drain_dead_worker(
-    shadow: &mut Shadow,
-    failed: Option<Msg>,
-    queue: &SpscQueue<Msg>,
-    table: &InstanceTable,
-) {
-    if let Some(m) = failed {
-        apply_msg(shadow, m, table);
-    }
-    while let Some(m) = queue.try_pop() {
-        apply_msg(shadow, m, table);
-    }
-}
-
 /// What a worker thread reports when joined.
 pub(crate) enum WorkerOutcome {
-    /// Clean shutdown after a [`Msg::Stop`].
-    Finished(Finished),
-    /// The worker panicked. Its partition and the message it was processing
-    /// survive the unwind, so the supervisor can drain the partition back
-    /// into inline processing and the run still completes.
-    Panicked {
-        /// Boxed: the builder dwarfs the `Finished` payload, and this
-        /// variant is built once per dead worker, off the hot path.
-        shadow: Box<Shadow>,
-        /// The message in flight when the panic fired, not yet applied.
-        failed: Option<Msg>,
-    },
+    /// Clean shutdown after a [`Msg::Stop`] — which only the end of a run
+    /// sends.
+    Stopped(Finished),
+    /// The worker panicked.
+    Panicked(DeadWorker),
+}
+
+/// What survives a worker's panic: its partition and the message it was
+/// processing, so the supervisor can drain the partition back into inline
+/// processing and the run still completes.
+pub(crate) struct DeadWorker {
+    /// Boxed: the builder dwarfs the `Finished` payload, and this is built
+    /// once per dead worker, off the hot path.
+    shadow: Box<Shadow>,
+    /// The message in flight when the panic fired, not yet applied.
+    failed: Option<Msg>,
+}
+
+impl DeadWorker {
+    /// Take the partition back with the worker's remaining input folded in:
+    /// replay the message it was processing when it panicked (faultpoints
+    /// fire before any builder mutation, so the replay is exact), then drain
+    /// its queue in FIFO order.
+    ///
+    /// Safe to call only after the worker thread has been joined: the
+    /// producer is then the sole consumer of the queue.
+    pub(crate) fn recover(self, queue: &SpscQueue<Msg>, table: &InstanceTable) -> Shadow {
+        let mut shadow = *self.shadow;
+        for m in self
+            .failed
+            .into_iter()
+            .chain(std::iter::from_fn(|| queue.try_pop()))
+        {
+            apply_msg(&mut shadow, m, table);
+        }
+        shadow
+    }
 }
 
 pub(crate) fn spawn_worker(chan: Arc<Channel>, shadow: Shadow) -> JoinHandle<WorkerOutcome> {
@@ -284,12 +196,12 @@ pub(crate) fn spawn_worker(chan: Arc<Channel>, shadow: Shadow) -> JoinHandle<Wor
         }))
         .is_err();
         if unwound {
-            return WorkerOutcome::Panicked {
+            return WorkerOutcome::Panicked(DeadWorker {
                 shadow: Box::new(shadow),
                 failed: current,
-            };
+            });
         }
-        WorkerOutcome::Finished(shadow.finish())
+        WorkerOutcome::Stopped(shadow.finish())
     })
 }
 
@@ -339,40 +251,44 @@ fn worker_loop(chan: &Channel, shadow: &mut Shadow, current: &mut Option<Msg>) {
     }
 }
 
-/// Profile a target with the parallel profiler: the engine of
-/// `EngineKind::Parallel` under an explicit [`ParallelConfig`]. A
-/// multi-threaded target is profiled the same way; set
-/// [`RunConfig::racy_delivery`] to deliver its threads' accesses as real
-/// threads would (race hints, §2.3.4).
-pub fn profile_parallel(
-    prog: &Program,
-    pcfg: ParallelConfig,
-    rcfg: RunConfig,
-) -> Result<ProfileOutput, ProfileError> {
-    let p = Profiler::parallel(prog.mem_op_meta(), prog.footprint_words(), pcfg);
-    crate::run::drive(prog, p, rcfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::{ProfileError, ShadowTier};
     use crate::dep::DepType;
-    use crate::run::{profile_program_with, ParallelStats, ProfileConfig};
+    use crate::run::{
+        profile_program_with, EngineKind, ParallelStats, ProfileConfig, ProfileOutput,
+    };
+    use interp::{Program, RunConfig};
 
     fn program(src: &str) -> Program {
         Program::new(lang::compile(src, "t").unwrap())
+    }
+
+    /// `cfg` with the interpreter configuration `run`.
+    pub(super) fn run_with(
+        p: &Program,
+        cfg: ProfileConfig,
+        run: RunConfig,
+    ) -> Result<ProfileOutput, ProfileError> {
+        profile_program_with(p, &ProfileConfig { run, ..cfg })
+    }
+
+    /// Four partitions shipping chunks of 32.
+    fn four_by_32() -> EngineKind {
+        EngineKind::Parallel {
+            workers: 4,
+            chunk: 32,
+        }
     }
 
     pub(super) const SEQ_SRC: &str = "global int a[64];\nglobal int s;\nfn main() {\nfor (int i = 0; i < 64; i = i + 1) { a[i] = i; }\nfor (int r = 0; r < 4; r = r + 1) {\nfor (int i = 1; i < 64; i = i + 1) {\ns = s + a[i] - a[i - 1];\n}\n}\n}";
 
     /// Workers spawned at construction — the transport-coverage
     /// configuration.
-    pub(super) fn spawned_cfg() -> ParallelConfig {
-        ParallelConfig {
-            workers: 4,
-            chunk_size: 32,
-            sig_slots: 1 << 16,
-            queue_cap: 64,
+    pub(super) fn spawned_cfg() -> ProfileConfig {
+        ProfileConfig {
+            engine: four_by_32(),
             spawn_threshold: 0,
             ..Default::default()
         }
@@ -380,10 +296,9 @@ mod tests {
 
     /// The default spawn threshold, high enough that test workloads stay
     /// inline.
-    pub(super) fn inline_cfg() -> ParallelConfig {
-        ParallelConfig {
-            workers: 4,
-            chunk_size: 32,
+    pub(super) fn inline_cfg() -> ProfileConfig {
+        ProfileConfig {
+            engine: four_by_32(),
             ..Default::default()
         }
     }
@@ -405,7 +320,7 @@ mod tests {
             },
         )
         .unwrap();
-        let par = profile_parallel(&p, spawned_cfg(), RunConfig::default()).unwrap();
+        let par = run_with(&p, spawned_cfg(), RunConfig::default()).unwrap();
         assert_eq!(
             par.deps.sorted(),
             serial.deps.sorted(),
@@ -418,7 +333,7 @@ mod tests {
     fn adaptive_inline_matches_perfect_and_spawns_nothing() {
         let p = program(SEQ_SRC);
         let perfect = profile_program_with(&p, &ProfileConfig::default()).unwrap();
-        let par = profile_parallel(&p, inline_cfg(), RunConfig::default()).unwrap();
+        let par = run_with(&p, inline_cfg(), RunConfig::default()).unwrap();
         assert_eq!(
             par.deps.sorted(),
             perfect.deps.sorted(),
@@ -446,7 +361,7 @@ mod tests {
         let perfect = profile_program_with(&p, &ProfileConfig::default()).unwrap();
         let mut cfg = inline_cfg();
         cfg.spawn_threshold = 0;
-        let par = profile_parallel(&p, cfg, RunConfig::default()).unwrap();
+        let par = run_with(&p, cfg, RunConfig::default()).unwrap();
         assert_eq!(par.deps.sorted(), perfect.deps.sorted());
         assert_eq!(par.deps.total_found, perfect.deps.total_found);
         assert_eq!(
@@ -459,7 +374,7 @@ mod tests {
     #[test]
     fn work_distributed_across_workers() {
         let p = program(SEQ_SRC);
-        let par = profile_parallel(&p, spawned_cfg(), RunConfig::default()).unwrap();
+        let par = run_with(&p, spawned_cfg(), RunConfig::default()).unwrap();
         let busy = stats(&par)
             .worker_processed
             .iter()
@@ -486,7 +401,7 @@ mod tests {
 fn w(int n) { for (int i = 0; i < n; i = i + 1) { lock(1); counter = counter + 1; unlock(1); } }
 fn main() { int a = spawn(w, 40); int b = spawn(w, 40); join(a); join(b); }";
         let p = program(src);
-        let out = profile_parallel(&p, spawned_cfg(), racy()).unwrap();
+        let out = run_with(&p, spawned_cfg(), racy()).unwrap();
         assert!(
             out.deps.sorted().iter().any(|d| d.is_cross_thread()),
             "lock-protected shared counter must produce cross-thread dependences"
@@ -507,7 +422,7 @@ fn main() { int a = spawn(w, 40); int b = spawn(w, 40); join(a); join(b); }";
 fn w(int n) { for (int i = 0; i < n; i = i + 1) { counter = counter + 1; } }
 fn main() { int a = spawn(w, 2000); int b = spawn(w, 2000); join(a); join(b); }";
         let p = program(src);
-        let out = profile_parallel(&p, spawned_cfg(), racy()).unwrap();
+        let out = run_with(&p, spawned_cfg(), racy()).unwrap();
         assert!(out.deps.sorted().iter().any(|d| d.is_cross_thread()));
         assert!(!out.deps.race_hints().is_empty());
     }
@@ -539,7 +454,7 @@ fn main() { int a = spawn(w, 300); int b = spawn(w, 300); join(a); join(b); }";
         for spawn_threshold in [u64::MAX, 0] {
             let mut cfg = inline_cfg();
             cfg.spawn_threshold = spawn_threshold;
-            let par = profile_parallel(&p, cfg, racy.clone()).unwrap();
+            let par = run_with(&p, cfg, racy.clone()).unwrap();
             assert_eq!(
                 par.deps.sorted(),
                 serial.deps.sorted(),
@@ -597,7 +512,7 @@ fn main() { int a = spawn(w, 300); int b = spawn(w, 300); join(a); join(b); }";
         for msg in [update, Msg::Chunk(chunk), Msg::Stop] {
             assert!(chan.inbox.try_push(msg).is_ok());
         }
-        let Ok(WorkerOutcome::Finished(done)) = worker.join() else {
+        let Ok(WorkerOutcome::Stopped(done)) = worker.join() else {
             panic!("the worker did not finish cleanly");
         };
         let raw = done
@@ -613,8 +528,8 @@ fn main() { int a = spawn(w, 300); int b = spawn(w, 300); join(a); join(b); }";
 
 #[cfg(test)]
 mod regression_tests {
-    use super::*;
     use crate::run::{profile_program_with, EngineKind, ProfileConfig};
+    use interp::{Program, RunConfig};
     /// Set-level agreement between parallel and serial engines (the
     /// Vec-level check lives in `parallel_matches_serial_lock_free`).
     #[test]
@@ -629,7 +544,8 @@ mod regression_tests {
             },
         )
         .unwrap();
-        let par = profile_parallel(&p, super::tests::spawned_cfg(), RunConfig::default()).unwrap();
+        let par =
+            super::tests::run_with(&p, super::tests::spawned_cfg(), RunConfig::default()).unwrap();
         let ps: std::collections::HashSet<_> = par.deps.sorted().into_iter().collect();
         let ss: std::collections::HashSet<_> = serial.deps.sorted().into_iter().collect();
         let extra: Vec<_> = ps.difference(&ss).collect();

@@ -3,7 +3,8 @@
 //! The paper's parallel profiler (§2.3.3) is the serial algorithm with the
 //! address space dealt out to consumers, and must report "the same data
 //! dependences as the serial version". So there is one engine,
-//! [`Profiler`], and every [`EngineKind`] is a setting of its dials:
+//! [`Profiler`], built from one [`ProfileConfig`], and every [`EngineKind`]
+//! resolves to a setting of its dials ([`EngineKind::dials`]):
 //!
 //! - The **front**, written once: the dynamic loop context, the instance
 //!   table, the PET builder, and variable-lifetime eviction.
@@ -18,7 +19,7 @@
 //! signature partition, `parallel:WxC` `W` partitions. Every configuration
 //! starts with the producer owning its partitions and moves them into one
 //! worker each once the run has shown itself long enough (`Partitions::
-//! stay_reason`: [`ParallelConfig::spawn_threshold`] accesses arrived one
+//! stay_reason`: [`ProfileConfig::spawn_threshold`] accesses arrived one
 //! by one, a second core, no memory ceiling, no plan run resolved in closed
 //! form) — for a serial engine, one worker tracks while the producer
 //! interprets. One partition processes accesses in delivery order wherever
@@ -37,18 +38,15 @@
 //! per-access path.
 
 use crate::access::{Access, Instance, InstanceTable, LoopContext, PackedAccess, NO_INSTANCE};
-use crate::budget::{
-    signature_slots_for_budget, Budget, DegradationStep, ResourceStats, ShadowTier,
-};
+use crate::budget::{signature_slots_for_budget, Budget, DegradationStep, ResourceStats};
 use crate::dep::DepSet;
 use crate::engine::{DepBuilder, EngineConfig, RunStats, SkipStats};
 use crate::maps::{AccessMap, Slot};
-use crate::parallel::{
-    apply_msg, drain_dead_worker, push_supervised, spawn_worker, Channel, Msg, ParallelConfig,
-    WorkerOutcome,
-};
+use crate::parallel::{apply_msg, push_supervised, spawn_worker, Channel, Msg, WorkerOutcome};
 use crate::pet::PetBuilder;
-use crate::run::{EngineKind, InlineReason, ParallelStats, ProfileConfig, ProfileOutput, Tracking};
+use crate::run::{
+    Dials, EngineKind, InlineReason, ParallelStats, ProfileConfig, ProfileOutput, Tracking,
+};
 use crate::shadow::{Finished, Shadow};
 use interp::{Event, MemOpMeta, PlanRun, RunConfig, Sink};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -165,11 +163,12 @@ struct Partitions {
     /// `parts.len() - 1` when the partition count is a power of two (the
     /// modulo in `route` becomes a mask).
     mask: Option<u64>,
-    /// The worker dial; a serial engine is the dial set to one partition
-    /// ([`ParallelConfig::serial`]).
-    par: ParallelConfig,
-    /// The target's static op table, for rebuilding a partition.
-    op_meta: Arc<[MemOpMeta]>,
+    /// What the engine spec resolved to: how partitions move and are fed.
+    dials: Dials,
+    /// [`ProfileConfig::spawn_threshold`].
+    spawn_threshold: u64,
+    /// A memory ceiling is set, so the partitions never leave the producer.
+    ceiling: bool,
     /// Accesses the producer had tracked when the partitions moved; `None`
     /// while they have not.
     moved_at: Option<u64>,
@@ -220,7 +219,7 @@ impl Partitions {
         if open.is_empty() {
             return;
         }
-        let chunk = std::mem::replace(open, chan.fresh_chunk(self.par.chunk_size));
+        let chunk = std::mem::replace(open, chan.fresh_chunk(self.dials.chunk));
         let unsent = &table.as_slice()[*published..];
         *published = table.len();
         if !unsent.is_empty() {
@@ -252,28 +251,18 @@ impl Partitions {
         }
     }
 
-    /// Supervisor: worker `w` died. Join it, replay its in-flight message,
-    /// drain its queue, and take the partition back.
+    /// Supervisor: worker `w` died behind a full queue. Join it, replay its
+    /// in-flight message, drain its queue, and take the partition back.
     fn recover_worker(&mut self, w: usize, table: &InstanceTable) {
         let Part::Remote { chan, handle, .. } = &mut self.parts[w] else {
             return;
         };
         let Some(h) = handle.take() else { return };
         let shadow = match h.join() {
-            Ok(WorkerOutcome::Panicked { mut shadow, failed }) => {
-                drain_dead_worker(&mut shadow, failed, &chan.inbox, table);
-                *shadow
-            }
-            // Only a Stop produces a clean finish, and none is sent
-            // mid-run; keep routing alive with a fresh partition so a
-            // (theoretical) stray finish cannot wedge delivery.
-            Ok(WorkerOutcome::Finished(_)) => Shadow::new(
-                ShadowTier::Signature {
-                    slots: self.par.sig_slots,
-                },
-                &self.op_meta,
-                EngineConfig::default(),
-            ),
+            Ok(WorkerOutcome::Panicked(dead)) => dead.recover(&chan.inbox, table),
+            // Only a Stop ends a worker cleanly, and only `finish` and
+            // `Drop` send one — after the last delivery.
+            Ok(WorkerOutcome::Stopped(_)) => unreachable!("a worker stopped mid-run"),
             // A panic that escaped the worker's own catch_unwind: nothing
             // left to recover, surface it.
             Err(e) => std::panic::resume_unwind(e),
@@ -303,21 +292,21 @@ impl Partitions {
     ///   access on every run, and the governor sees every partition;
     /// - a plan run resolved in closed form: resolution needs the exact
     ///   shadow on the producer, and moving would expand every later run;
-    /// - fewer than [`ParallelConfig::spawn_threshold`] accesses so far,
+    /// - fewer than [`ProfileConfig::spawn_threshold`] accesses so far,
     ///   which with no run resolved all arrived one by one: below that,
     ///   transport setup outweighs the overlap;
     /// - one core: a worker would only take turns with the producer.
     ///
     /// Cheapest first: the core count is probed only past the threshold.
     fn stay_reason(&self) -> Option<InlineReason> {
-        if self.par.budget.max_memory_bytes.is_some() {
+        if self.ceiling {
             return Some(InlineReason::MemoryCeiling);
         }
         if self.local().any(|s| s.run_stats().cycles_resolved > 0) {
             return Some(InlineReason::PlanRunResolved);
         }
         let accesses = self.local_accesses();
-        if accesses < self.par.spawn_threshold {
+        if accesses < self.spawn_threshold {
             return Some(InlineReason::Short { accesses });
         }
         (cores() < 2).then_some(InlineReason::OneCore)
@@ -328,10 +317,9 @@ impl Partitions {
     /// escalation is invisible in the output.
     fn escalate(&mut self) {
         self.moved_at = Some(self.local_accesses());
-        // Deep pipelines stall less; keep at least a few chunks in flight
-        // per worker even when the configured cap is tiny.
-        let queue_cap = self.par.queue_cap.max(4);
-        let chunk_size = self.par.chunk_size;
+        let Dials {
+            chunk, queue_cap, ..
+        } = self.dials;
         self.parts = std::mem::take(&mut self.parts)
             .into_iter()
             .map(|part| match part {
@@ -341,7 +329,7 @@ impl Partitions {
                     Part::Remote {
                         chan,
                         handle: Some(handle),
-                        open: Vec::with_capacity(chunk_size),
+                        open: Vec::with_capacity(chunk),
                         published: 0,
                     }
                 }
@@ -371,7 +359,7 @@ impl Back for Partitions {
             Part::Local(s) => s.process(a, table),
             Part::Remote { open, .. } => {
                 open.push(PackedAccess::pack(a));
-                if open.len() >= self.par.chunk_size {
+                if open.len() >= self.dials.chunk {
                     self.flush_partition(w, table);
                 }
             }
@@ -539,116 +527,61 @@ pub struct Profiler {
     gov: Option<Box<Governor>>,
     /// Events since the last checkpoint.
     since_check: u64,
-    /// Fill [`ProfileOutput::parallel`]: set for [`EngineKind::Parallel`]
-    /// alone, the one thing the engine kind decides beyond the dial.
-    transport_stats: bool,
+    /// The spec this engine runs: an [`EngineKind::Parallel`] one reports
+    /// its transport ([`ProfileOutput::parallel`]), the one thing a spelling
+    /// decides beyond its [`Dials`].
+    engine: EngineKind,
 }
 
 impl Profiler {
     /// The engine `cfg` names (its `run` field aside — that is the
     /// interpreter's), for a target whose static op table is `meta`
     /// ([`interp::Program::mem_op_meta`]) and whose static address footprint
-    /// is `footprint_words` ([`interp::Program::footprint_words`]; consulted
-    /// only by [`EngineKind::Parallel`], to choose its partitions' tier).
+    /// is `footprint_words` ([`interp::Program::footprint_words`]; what
+    /// [`EngineKind::dials`] sizes [`EngineKind::Parallel`]'s partitions by).
     pub fn new(meta: &[MemOpMeta], footprint_words: usize, cfg: &ProfileConfig) -> Self {
-        Self::with_spawn_threshold(
-            meta,
-            footprint_words,
-            cfg,
-            ParallelConfig::ADAPTIVE_SPAWN_THRESHOLD,
-        )
-    }
-
-    /// [`Profiler::new`] with the partitions moving into workers past
-    /// `spawn_threshold` accesses — `0` moves them at construction on any
-    /// host (but never under a memory ceiling), which is how crate tests put
-    /// a serial engine's partition on its worker.
-    pub(crate) fn with_spawn_threshold(
-        meta: &[MemOpMeta],
-        footprint_words: usize,
-        cfg: &ProfileConfig,
-        spawn_threshold: u64,
-    ) -> Self {
-        let serial = |sig_slots| ParallelConfig::serial(sig_slots, cfg.lifetime, cfg.budget);
-        let (tier, mut par) = match cfg.engine {
-            EngineKind::SerialPerfect => (
-                ShadowTier::Perfect,
-                serial(EngineKind::AUTO_SIGNATURE_SLOTS),
-            ),
-            EngineKind::SerialSignature { slots } => {
-                (ShadowTier::Signature { slots }, serial(slots))
-            }
-            EngineKind::Parallel { workers, chunk } => {
-                let par = ParallelConfig {
-                    workers: workers.max(1),
-                    chunk_size: chunk,
-                    sig_slots: EngineKind::parallel_worker_slots(workers),
-                    lifetime: cfg.lifetime,
-                    budget: cfg.budget,
-                    ..ParallelConfig::default()
-                };
-                return Self::parallel(meta, footprint_words, par);
-            }
-        };
-        par.spawn_threshold = spawn_threshold;
-        let engine_cfg = EngineConfig {
-            skip_loops: cfg.skip_loops,
-        };
-        Self::build(meta, tier, par, engine_cfg, false)
-    }
-
-    /// The parallel engine under an explicit [`ParallelConfig`].
-    pub(crate) fn parallel(
-        meta: &[MemOpMeta],
-        footprint_words: usize,
-        pcfg: ParallelConfig,
-    ) -> Self {
-        let tier = pcfg.tier_for(footprint_words);
+        let dials = cfg.engine.dials(footprint_words);
+        let parallel = matches!(cfg.engine, EngineKind::Parallel { .. });
         // §2.4 skipping is per-op state that wants one builder to see every
         // access of an op; partitions split them by address.
-        Self::build(meta, tier, pcfg, EngineConfig::default(), true)
-    }
-
-    fn build(
-        meta: &[MemOpMeta],
-        tier: ShadowTier,
-        mut par: ParallelConfig,
-        engine_cfg: EngineConfig,
-        transport_stats: bool,
-    ) -> Self {
-        par.chunk_size = par.chunk_size.max(1);
+        let engine_cfg = EngineConfig {
+            skip_loops: cfg.skip_loops && !parallel,
+        };
         let op_meta: Arc<[MemOpMeta]> = meta.into();
-        let nparts = par.workers.max(1);
-        // A zero threshold is an explicit "always spawn" request: no volume
-        // to wait for, and no core check. A memory ceiling still wins, as
-        // it does at every checkpoint: the governor only ever sees
-        // partitions the producer owns.
-        let spawn_now = par.spawn_threshold == 0 && par.budget.max_memory_bytes.is_none();
-        let (lifetime, budget) = (par.lifetime, par.budget);
+        let nparts = dials.partitions;
+        let ceiling = cfg.budget.max_memory_bytes.is_some();
         let mut p = Profiler {
             front: Front {
                 ctx: LoopContext::new(),
                 table: InstanceTable::new(),
                 pet: PetBuilder::new(),
-                lifetime,
+                lifetime: cfg.lifetime,
             },
             back: Partitions {
                 parts: (0..nparts)
-                    .map(|_| Part::Local(Shadow::new(tier, &op_meta, engine_cfg.clone())))
+                    .map(|_| Part::Local(Shadow::new(dials.tier, &op_meta, engine_cfg.clone())))
                     .collect(),
                 mask: nparts.is_power_of_two().then(|| nparts as u64 - 1),
-                par,
-                op_meta,
+                dials,
+                spawn_threshold: cfg.spawn_threshold,
+                ceiling,
                 moved_at: None,
                 chunks: 0,
                 queue_stalls: 0,
                 worker_recoveries: 0,
             },
-            gov: budget.is_active().then(|| Box::new(Governor::new(budget))),
+            gov: cfg
+                .budget
+                .is_active()
+                .then(|| Box::new(Governor::new(cfg.budget))),
             since_check: 0,
-            transport_stats,
+            engine: cfg.engine,
         };
-        if spawn_now {
+        // A zero threshold is an explicit "always spawn" request: no volume
+        // to wait for, and no core check. A memory ceiling still wins, as
+        // it does at every checkpoint: the governor only ever sees
+        // partitions the producer owns.
+        if cfg.spawn_threshold == 0 && !ceiling {
             p.back.escalate();
         }
         p
@@ -741,7 +674,7 @@ impl Profiler {
             front,
             mut back,
             mut gov,
-            transport_stats,
+            engine,
             ..
         } = self;
         let table = &front.table;
@@ -796,14 +729,13 @@ impl Profiler {
                     ..
                 } => {
                     let done = match handle.map(JoinHandle::join) {
-                        Some(Ok(WorkerOutcome::Finished(done))) => {
+                        Some(Ok(WorkerOutcome::Stopped(done))) => {
                             spawned_workers += 1;
                             done
                         }
-                        Some(Ok(WorkerOutcome::Panicked { mut shadow, failed })) => {
-                            drain_dead_worker(&mut shadow, failed, &chan.inbox, table);
+                        Some(Ok(WorkerOutcome::Panicked(dead))) => {
                             back.worker_recoveries += 1;
-                            shadow.finish()
+                            dead.recover(&chan.inbox, table).finish()
                         }
                         Some(Err(e)) => std::panic::resume_unwind(e),
                         None => unreachable!("a joined worker's partition is taken back at once"),
@@ -843,7 +775,7 @@ impl Profiler {
         if let Tracking::Moved { recoveries, .. } = &mut tracking {
             *recoveries = back.worker_recoveries;
         }
-        let parallel = transport_stats.then_some(ParallelStats {
+        let parallel = matches!(engine, EngineKind::Parallel { .. }).then_some(ParallelStats {
             chunks: back.chunks,
             queue_stalls: back.queue_stalls,
             spawned_workers,
@@ -922,12 +854,11 @@ impl Sink for Profiler {
 #[cfg(test)]
 mod tests {
     //! Escalation is invisible: a serial engine's lone partition moved to
-    //! its worker (a crate-private threshold of 0 moves it at construction,
-    //! on any host) reports what the inline partition reports.
+    //! its worker (a spawn threshold of 0 moves it at construction, on any
+    //! host) reports what the inline partition reports.
 
     use super::*;
     use crate::dep::Dep;
-    use crate::run::drive;
     use interp::Program;
 
     fn program(src: &str) -> Program {
@@ -968,13 +899,11 @@ fn main() {
         for (int i = 1; i < 512; i = i + 1) {\nb[i] = a[i - 1] + b[i] + big[i];\ns = s + b[i];\n}\n}\n}";
 
     fn profile(p: &Program, cfg: &ProfileConfig, spawn_threshold: u64) -> ProfileOutput {
-        let prof = Profiler::with_spawn_threshold(
-            p.mem_op_meta(),
-            p.footprint_words(),
-            cfg,
+        let cfg = ProfileConfig {
             spawn_threshold,
-        );
-        drive(p, prof, cfg.run.clone()).expect("profiles")
+            ..cfg.clone()
+        };
+        crate::profile_program_with(p, &cfg).expect("profiles")
     }
 
     /// `DepSet::iter()` as it comes (counts included), `total_found`, the

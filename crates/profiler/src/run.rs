@@ -1,19 +1,20 @@
-//! Engine selection and the one-call profiling entry points.
+//! Engine selection and the one profiling entry point.
 //!
-//! For sequential targets the profiler offers the exact page-table shadow
-//! memory, the bounded-memory signature algorithm (§2.3.2), and the
-//! producer/consumer parallel pipeline (§2.3.3). They all answer the same
-//! question ("which dependences does this program have?") and are one
-//! engine ([`crate::pipeline::Profiler`]) under different settings, so
-//! selecting one is data, not a separate API: [`EngineKind`] names the
-//! settings, [`ProfileConfig`] carries them plus the engine-independent
-//! knobs, and [`profile_program_with`] runs the program under them. Every
-//! kind produces the same [`ProfileOutput`]; [`EngineKind::Parallel`]
-//! additionally fills [`ProfileOutput::parallel`] with its transport
-//! statistics, and every kind says where its accesses were tracked
-//! ([`ProfileOutput::tracking`]).
+//! The profiler offers the exact page-table shadow memory, the
+//! bounded-memory signature algorithm (§2.3.2), and the producer/consumer
+//! parallel pipeline (§2.3.3). They all answer the same question ("which
+//! dependences does this program have?") and are one engine
+//! ([`crate::pipeline::Profiler`]) under different settings, so selecting
+//! one is data, not a separate API: [`EngineKind`] spells the settings,
+//! [`EngineKind::dials`] resolves a spelling for one program — in one place
+//! — to a map and a partition count ([`Dials`]), [`ProfileConfig`] carries
+//! the spelling plus the engine-independent knobs, and
+//! [`profile_program_with`] runs the program under them. Every kind produces
+//! the same [`ProfileOutput`]; [`EngineKind::Parallel`] additionally fills
+//! [`ProfileOutput::parallel`] with its transport statistics, and every kind
+//! says where its accesses were tracked ([`ProfileOutput::tracking`]).
 
-use crate::budget::{Budget, ProfileError, ResourceStats};
+use crate::budget::{Budget, ProfileError, ResourceStats, ShadowTier};
 use crate::dep::DepSet;
 use crate::engine::{RunStats, SkipStats};
 use crate::pet::Pet;
@@ -66,11 +67,10 @@ pub enum EngineKind {
     /// address over `workers` partitions, which start inline and move into
     /// `workers` consumer threads — fed chunks of up to `chunk` accesses
     /// over lock-free queues — once the run is large enough
-    /// ([`crate::ParallelConfig::spawn_threshold`]). Partitions are exact
-    /// for small address footprints and signatures beyond (per-worker slot
-    /// count: [`EngineKind::parallel_worker_slots`]; for other slot sizes
-    /// use [`crate::profile_parallel`] with an explicit
-    /// [`crate::ParallelConfig`]).
+    /// ([`ProfileConfig::spawn_threshold`]). Partitions are exact up to
+    /// [`EngineKind::AUTO_PERFECT_MAX_WORDS`] words of address footprint and
+    /// signatures of [`EngineKind::parallel_worker_slots`] slots beyond
+    /// ([`EngineKind::dials`]).
     Parallel {
         /// Partitions, i.e. consumer (worker) threads once spawned.
         workers: usize,
@@ -113,18 +113,63 @@ impl EngineKind {
     /// (globals + one frame per function — a static proxy for the touched
     /// address space): the exact page-table shadow up to
     /// [`EngineKind::AUTO_PERFECT_MAX_WORDS`] words, `serial-signature`
-    /// beyond. Whether the target spawns threads or actors does not enter:
-    /// a multi-threaded target is one more access stream to the engine, and
+    /// beyond — the rule that sizes [`EngineKind::Parallel`]'s partitions
+    /// too. Whether the target spawns threads or actors does not enter: a
+    /// multi-threaded target is one more access stream to the engine, and
     /// any long run moves its tracking to a worker thread on its own. This
     /// is the `discopop` CLI's default engine, so the out-of-the-box
     /// configuration is exact where exactness is cheap and bounded where
     /// it is not.
     pub fn auto_for(prog: &Program) -> EngineKind {
-        if prog.footprint_words() <= Self::AUTO_PERFECT_MAX_WORDS {
-            EngineKind::SerialPerfect
-        } else {
-            EngineKind::SerialSignature {
-                slots: Self::AUTO_SIGNATURE_SLOTS,
+        match map_for(prog.footprint_words(), Self::AUTO_SIGNATURE_SLOTS) {
+            ShadowTier::Perfect => EngineKind::SerialPerfect,
+            ShadowTier::Signature { slots } => EngineKind::SerialSignature { slots },
+        }
+    }
+
+    /// What this spelling runs for a program of `footprint_words` static
+    /// address footprint ([`interp::Program::footprint_words`]) — the one
+    /// place an engine spec becomes settings:
+    ///
+    /// - `serial-perfect` is one exact partition, `serial-signature:S` one
+    ///   signature partition of `S` slots;
+    /// - `parallel:WxC` is `W` partitions shipping chunks of `C` accesses,
+    ///   exact up to [`EngineKind::AUTO_PERFECT_MAX_WORDS`] footprint words
+    ///   (the [`EngineKind::auto_for`] rule) and signatures of
+    ///   [`EngineKind::parallel_worker_slots`]`(W)` slots beyond; zero
+    ///   counts, which only code can construct, run as 1.
+    ///
+    /// A serial partition that moves is fed over a short queue: at
+    /// `parallel`'s 512 queued chunks one worker measured +4.4 MB RSS
+    /// against a 33 MB baseline on `sparse_gather`, at 16 chunks of 256
+    /// accesses +0.6 MB.
+    ///
+    /// ```
+    /// use profiler::{EngineKind, ShadowTier};
+    /// let big = EngineKind::AUTO_PERFECT_MAX_WORDS + 1;
+    /// let d = EngineKind::parallel(4).dials(big);
+    /// assert_eq!((d.tier, d.partitions), (ShadowTier::Signature { slots: 1 << 17 }, 4));
+    /// assert_eq!(d.to_string(), "4 signature partitions of 131072 slots");
+    /// assert_eq!(EngineKind::SerialPerfect.dials(big).to_string(), "1 exact partition");
+    /// ```
+    pub fn dials(&self, footprint_words: usize) -> Dials {
+        let serial = |tier| Dials {
+            tier,
+            partitions: 1,
+            chunk: 256,
+            queue_cap: 16,
+        };
+        match *self {
+            EngineKind::SerialPerfect => serial(ShadowTier::Perfect),
+            EngineKind::SerialSignature { slots } => serial(ShadowTier::Signature { slots }),
+            EngineKind::Parallel { workers, chunk } => {
+                let partitions = workers.max(1);
+                Dials {
+                    tier: map_for(footprint_words, Self::parallel_worker_slots(partitions)),
+                    partitions,
+                    chunk: chunk.max(1),
+                    queue_cap: 512,
+                }
             }
         }
     }
@@ -240,12 +285,54 @@ impl EngineKind {
         match self {
             EngineKind::SerialPerfect => "serial-perfect".to_string(),
             EngineKind::SerialSignature { slots } => format!("serial-signature:{slots}"),
-            EngineKind::Parallel { workers, chunk } => {
-                // Execution clamps degenerate counts to 1; the label
-                // records what actually runs, so it round-trips through
-                // `parse`.
-                let (workers, chunk) = ((*workers).max(1), (*chunk).max(1));
-                format!("parallel:{workers}x{chunk}")
+            EngineKind::Parallel { .. } => {
+                // The label records what actually runs, degenerate counts
+                // clamped, so it round-trips through `parse`.
+                let Dials {
+                    partitions, chunk, ..
+                } = self.dials(0);
+                format!("parallel:{partitions}x{chunk}")
+            }
+        }
+    }
+}
+
+/// The one footprint rule: exact up to [`EngineKind::AUTO_PERFECT_MAX_WORDS`]
+/// words, a signature of `slots` slots beyond.
+fn map_for(footprint_words: usize, slots: usize) -> ShadowTier {
+    if footprint_words <= EngineKind::AUTO_PERFECT_MAX_WORDS {
+        ShadowTier::Perfect
+    } else {
+        ShadowTier::Signature { slots }
+    }
+}
+
+/// What an [`EngineKind`] resolves to for one program
+/// ([`EngineKind::dials`]): a map and a partition count, and how a moved
+/// partition is fed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Dials {
+    /// Every partition's starting map — the top of its degradation ladder.
+    pub tier: ShadowTier,
+    /// Address partitions, each moved into a worker thread of its own past
+    /// [`ProfileConfig::spawn_threshold`].
+    pub partitions: usize,
+    /// Accesses per chunk shipped to a worker.
+    pub chunk: usize,
+    /// Capacity in messages of each worker's inbound queue, and in chunks of
+    /// its spent-chunk queue.
+    pub queue_cap: usize,
+}
+
+impl std::fmt::Display for Dials {
+    /// `1 exact partition`, `4 signature partitions of 131072 slots`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let n = self.partitions;
+        let plural = if n == 1 { "" } else { "s" };
+        match self.tier {
+            ShadowTier::Perfect => write!(f, "{n} exact partition{plural}"),
+            ShadowTier::Signature { slots } => {
+                write!(f, "{n} signature partition{plural} of {slots} slots")
             }
         }
     }
@@ -288,8 +375,26 @@ pub struct ProfileConfig {
     /// is unlimited; an active budget gives the engine a resource governor
     /// (see [`crate::budget`]) and changes nothing else about how it runs.
     pub budget: Budget,
+    /// Accesses before the partitions move from the producer into one
+    /// worker thread each (given ≥ 2 available cores, no memory ceiling and
+    /// no plan run resolved in closed form). `0` moves them at construction,
+    /// whatever the host — but a memory ceiling still wins: under one the
+    /// partitions never leave the producer. `u64::MAX` never moves them.
+    pub spawn_threshold: u64,
     /// Interpreter configuration.
     pub run: RunConfig,
+}
+
+impl ProfileConfig {
+    /// Default [`ProfileConfig::spawn_threshold`], for every engine kind (a
+    /// serial engine's lone partition moves to one worker past it): below
+    /// ~1M accesses the pipeline's setup + per-chunk transport costs
+    /// outweigh any consumer overlap (programs of 30–50k accesses measured
+    /// 5–8× slower through workers spawned up front than serially). Every
+    /// catalogue program stays below it (the largest, `c-ray`, makes 215 k
+    /// accesses); `sparse_gather`'s 6.3 M move to a worker at the first
+    /// checkpoint past it.
+    pub const ADAPTIVE_SPAWN_THRESHOLD: u64 = 1 << 20;
 }
 
 impl Default for ProfileConfig {
@@ -299,6 +404,7 @@ impl Default for ProfileConfig {
             skip_loops: false,
             lifetime: true,
             budget: Budget::unlimited(),
+            spawn_threshold: Self::ADAPTIVE_SPAWN_THRESHOLD,
             run: RunConfig::default(),
         }
     }
@@ -413,7 +519,7 @@ impl ActorSummary {
 
 /// Where a run's accesses were tracked (§2.3.3's consumer side): on the
 /// producer thread that interprets the target, or — past
-/// [`crate::ParallelConfig::spawn_threshold`] — in worker threads. Decided
+/// [`ProfileConfig::spawn_threshold`] — in worker threads. Decided
 /// from access volume, core count, memory ceiling and plan runs alone, and
 /// invisible in the output, so it is reported beside the report, not in it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -529,28 +635,20 @@ pub fn profile_program(prog: &Program) -> Result<ProfileOutput, ProfileError> {
 
 /// Profile a program with an explicit engine and options.
 ///
-/// One engine runs every [`EngineKind`]; an active
-/// [`ProfileConfig::budget`] adds the resource governor (degradation
-/// ladder + deadline watchdog) to it. A run the governor interrupts on an
-/// expired deadline returns [`ProfileError::DeadlineExceeded`] carrying the
-/// partial output.
+/// One engine runs every [`EngineKind`], and multi-threaded targets too (set
+/// [`RunConfig::racy_delivery`] to deliver their threads' accesses as real
+/// threads would: race hints, §2.3.4); an active [`ProfileConfig::budget`]
+/// adds the resource governor (degradation ladder + deadline watchdog) to
+/// it. The one deadline rule: a run fails on its deadline, with
+/// [`ProfileError::DeadlineExceeded`] carrying the partial output, iff the
+/// governor's stop flag actually interrupted the interpreter (a deadline
+/// that passes after the last slice boundary leaves a complete profile).
 pub fn profile_program_with(
     prog: &Program,
     cfg: &ProfileConfig,
 ) -> Result<ProfileOutput, ProfileError> {
-    let p = Profiler::new(prog.mem_op_meta(), prog.footprint_words(), cfg);
-    drive(prog, p, cfg.run.clone())
-}
-
-/// Run `prog` under `p` and assemble the output. The one deadline rule:
-/// the run failed on its deadline iff the governor's stop flag actually
-/// interrupted the interpreter (a deadline that passes after the last
-/// slice boundary leaves a complete profile).
-pub(crate) fn drive(
-    prog: &Program,
-    mut p: Profiler,
-    mut run: RunConfig,
-) -> Result<ProfileOutput, ProfileError> {
+    let mut p = Profiler::new(prog.mem_op_meta(), prog.footprint_words(), cfg);
+    let mut run = cfg.run.clone();
     p.govern_run(&mut run);
     let r = interp::run_with_config(prog, &mut p, run)?;
     let mut out = p.finish(r.steps);
@@ -570,6 +668,7 @@ pub(crate) fn drive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dep::DepType;
 
     fn program(src: &str) -> Program {
         Program::new(lang::compile(src, "t").unwrap())
@@ -765,6 +864,91 @@ mod tests {
         );
     }
 
+    /// Every spelling resolves in `dials`, on both sides of the footprint
+    /// rule: `(tier, partitions, chunk, queue_cap)`.
+    #[test]
+    fn every_spelling_resolves_to_its_dials() {
+        let (exact, over) = (
+            EngineKind::AUTO_PERFECT_MAX_WORDS,
+            EngineKind::AUTO_PERFECT_MAX_WORDS + 1,
+        );
+        assert_eq!((exact, over), (1 << 18, (1 << 18) + 1));
+        let sig = |slots| ShadowTier::Signature { slots };
+        let perfect = ShadowTier::Perfect;
+        let parse = |spec: &str| EngineKind::parse(spec).unwrap();
+        let degenerate = EngineKind::Parallel {
+            workers: 0,
+            chunk: 0,
+        };
+        for (engine, at_exact, over_it) in [
+            (
+                parse("serial-perfect"),
+                (perfect, 1, 256, 16),
+                (perfect, 1, 256, 16),
+            ),
+            (
+                parse("serial-signature"),
+                (sig(1 << 18), 1, 256, 16),
+                (sig(1 << 18), 1, 256, 16),
+            ),
+            (
+                parse("serial-signature:4096"),
+                (sig(4096), 1, 256, 16),
+                (sig(4096), 1, 256, 16),
+            ),
+            (
+                parse("parallel"),
+                (perfect, 8, 256, 512),
+                (sig(1 << 16), 8, 256, 512),
+            ),
+            (
+                parse("parallel:4"),
+                (perfect, 4, 256, 512),
+                (sig(1 << 17), 4, 256, 512),
+            ),
+            (
+                parse("parallel:2x64"),
+                (perfect, 2, 64, 512),
+                (sig(1 << 18), 2, 64, 512),
+            ),
+            (
+                parse("parallel:1x1"),
+                (perfect, 1, 1, 512),
+                (sig(1 << 19), 1, 1, 512),
+            ),
+            (
+                parse("parallel:64"),
+                (perfect, 64, 256, 512),
+                (sig(1 << 14), 64, 256, 512),
+            ),
+            (degenerate, (perfect, 1, 1, 512), (sig(1 << 19), 1, 1, 512)),
+        ] {
+            for (words, want) in [(exact, at_exact), (over, over_it)] {
+                let d = engine.dials(words);
+                assert_eq!(
+                    (d.tier, d.partitions, d.chunk, d.queue_cap),
+                    want,
+                    "{engine} at {words} words"
+                );
+            }
+        }
+        // `auto_for` and the `parallel` spelling switch maps at the same word.
+        let sized = |n: usize| program(&format!("global int a[{n}];\nfn main() {{ a[0] = 1; }}"));
+        let frame = sized(2).footprint_words() - 2;
+        for words in [exact, over] {
+            let p = sized(words - frame);
+            assert_eq!(p.footprint_words(), words);
+            let auto = EngineKind::auto_for(&p).dials(words).tier;
+            let parallel = EngineKind::parallel(4).dials(words).tier;
+            assert_eq!(
+                auto == perfect,
+                parallel == perfect,
+                "{words} words: {auto} vs {parallel}"
+            );
+            assert_eq!(auto == perfect, words == exact);
+        }
+    }
+
     #[test]
     fn worker_slots_follow_fixed_total_budget() {
         assert_eq!(
@@ -801,5 +985,209 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.parallel.unwrap().worker_processed.len(), 1);
+    }
+
+    /// Fig. 2.7 / Table 2.2: `while (k > 0) { sum += k * 2; k--; }`.
+    ///
+    /// Table 2.2 idealizes WAR detection (it lists a WAR from the write of
+    /// `k` to *every* preceding read); the signature of Algorithm 2 keeps a
+    /// single read slot per address, so the profiler reports the WAR
+    /// against the most recent read. All RAW (true) dependences of the
+    /// table — the ones parallelism discovery consumes — are reproduced
+    /// exactly, including their loop-carried tags.
+    #[test]
+    fn fig_2_7_dependences() {
+        let p = program(
+            "fn main() -> int {\nint k = 5; int sum = 0;\nwhile (k > 0) {\nsum += k * 2;\nk = k - 1;\n}\nreturn sum;\n}",
+        );
+        // line 3 = while header, 4 = sum +=, 5 = k = k - 1
+        let out = profile_program(&p).unwrap();
+        let deps = out.deps.sorted();
+        let has = |sink: u32, ty: DepType, source: u32, var: &str, carried: bool| {
+            deps.iter().any(|d| {
+                d.sink.line == sink
+                    && d.ty == ty
+                    && d.source.line == source
+                    && d.var != u32::MAX
+                    && p.symbol(d.var) == var
+                    && d.is_loop_carried() == carried
+            })
+        };
+        // WARs against the most recent read (intra-iteration).
+        assert!(
+            has(4, DepType::War, 4, "sum", false),
+            "WAR sum@4<-4: {deps:?}"
+        );
+        assert!(has(5, DepType::War, 5, "k", false), "WAR k 5<-5");
+        // Loop-carried RAWs (Table 2.2 rows 5-8).
+        assert!(has(3, DepType::Raw, 5, "k", true), "RAW k 3<-5 (carried)");
+        assert!(
+            has(4, DepType::Raw, 4, "sum", true),
+            "RAW sum 4<-4 (carried)"
+        );
+        assert!(has(4, DepType::Raw, 5, "k", true), "RAW k 4<-5 (carried)");
+        assert!(has(5, DepType::Raw, 5, "k", true), "RAW k 5<-5 (carried)");
+        // Intra-iteration RAWs from the initializers.
+        assert!(has(4, DepType::Raw, 2, "sum", false), "RAW sum 4<-2");
+        assert_eq!(out.printed.len(), 0);
+    }
+
+    #[test]
+    fn parallel_loop_has_no_carried_raw() {
+        let p = program(
+            "global int a[64];\nglobal int b[64];\nfn main() {\nfor (int i = 0; i < 64; i = i + 1) {\nb[i] = a[i] * 2;\n}\n}",
+        );
+        let out = profile_program(&p).unwrap();
+        // The loop at lines 4..6: no RAW carried by it except the induction
+        // variable `i`, which is scoped to the loop and treated as private
+        // by discovery (§3.2.5).
+        let (_, f) = p.module.function("main").unwrap();
+        let loop_region = f
+            .regions
+            .iter()
+            .position(|r| r.kind == mir::RegionKind::Loop)
+            .unwrap() as u32;
+        let fid = p.module.function("main").unwrap().0 .0;
+        let carried: Vec<_> = out
+            .deps
+            .carried_raws((fid, loop_region))
+            .into_iter()
+            .filter(|d| p.symbol(d.var) != "i")
+            .collect();
+        assert!(carried.is_empty(), "{carried:?}");
+    }
+
+    #[test]
+    fn signature_matches_perfect_when_large() {
+        let src = "global int a[32];\nfn main() {\nfor (int i = 1; i < 32; i = i + 1) {\na[i] = a[i - 1] + i;\n}\n}";
+        let p = program(src);
+        let perfect = profile_program(&p).unwrap();
+        let sig = profile_program_with(
+            &p,
+            &ProfileConfig {
+                engine: EngineKind::signature(1 << 20),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let (fpr, fnr) = sig.deps.accuracy_vs(&perfect.deps);
+        assert_eq!((fpr, fnr), (0.0, 0.0), "large signature must be exact");
+    }
+
+    #[test]
+    fn tiny_signature_introduces_errors() {
+        let src = "global int a[512];\nglobal int b[512];\nfn main() {\nfor (int i = 0; i < 512; i = i + 1) { a[i] = i; }\nfor (int i = 1; i < 512; i = i + 1) { b[i] = a[i] + b[i - 1]; }\n}";
+        let p = program(src);
+        let perfect = profile_program(&p).unwrap();
+        let sig = profile_program_with(
+            &p,
+            &ProfileConfig {
+                engine: EngineKind::signature(13),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let (fpr, fnr) = sig.deps.accuracy_vs(&perfect.deps);
+        assert!(
+            fpr > 0.0 || fnr > 0.0,
+            "a 13-slot signature on 1024 addresses must collide"
+        );
+    }
+
+    #[test]
+    fn skip_opt_output_identical_on_workload() {
+        let src = "global int a[16];\nglobal int s;\nfn main() {\nfor (int r = 0; r < 8; r = r + 1) {\nfor (int i = 0; i < 16; i = i + 1) {\ns = s + a[i];\na[i] = s - 1;\n}\n}\n}";
+        let p = program(src);
+        let plain = profile_program(&p).unwrap();
+        let skip = profile_program_with(
+            &p,
+            &ProfileConfig {
+                skip_loops: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(plain.deps.sorted(), skip.deps.sorted());
+        assert!(skip.skip_stats.total_skipped > 0);
+    }
+
+    #[test]
+    fn lifetime_analysis_blocks_stale_stack_deps() {
+        // Two functions reuse the same stack slot; without lifetime analysis
+        // a false RAW from f's local to g's local appears.
+        let src = "fn f() -> int { int x = 1; return x; }\nfn g() -> int { int y; int r = y; return r; }\nfn main() { int a = f(); int b = g(); }";
+        let p = program(src);
+        let with = profile_program_with(
+            &p,
+            &ProfileConfig {
+                lifetime: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let without = profile_program_with(
+            &p,
+            &ProfileConfig {
+                lifetime: false,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let cross = |o: &ProfileOutput| {
+            o.deps
+                .sorted()
+                .iter()
+                .filter(|d| d.ty == DepType::Raw && p.symbol(d.var) == "y")
+                .count()
+        };
+        assert_eq!(cross(&with), 0, "lifetime analysis must evict x");
+        assert!(cross(&without) > 0, "without it the stale dep appears");
+    }
+
+    #[test]
+    fn pet_contains_main_and_loop() {
+        let p =
+            program("fn main() {\nint s = 0;\nfor (int i = 0; i < 5; i = i + 1) { s += i; }\n}");
+        let out = profile_program(&p).unwrap();
+        assert!(out.pet.nodes.len() >= 3); // root + main + loop
+        let spans = crate::dep::control_spans(&p, &out.pet);
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].iters, 5);
+    }
+
+    #[test]
+    fn render_text_roundtrip() {
+        let p = program(
+            "global int g;\nfn main() {\nfor (int i = 0; i < 3; i = i + 1) {\ng = g + i;\n}\n}",
+        );
+        let out = profile_program(&p).unwrap();
+        let spans = crate::dep::control_spans(&p, &out.pet);
+        let text = crate::dep::render_text(&out.deps, &|s| p.symbol(s).to_string(), &spans, false);
+        assert!(text.contains("BGN loop"));
+        assert!(text.contains("END loop 3"));
+        assert!(text.contains("RAW"));
+    }
+
+    /// A mid-sized signature must agree exactly with the perfect shadow on
+    /// this collision-prone mix of global-array and stack addresses.
+    #[test]
+    fn signature_agrees_with_perfect_on_mixed_addresses() {
+        let src = "global int a[32];\nfn main() {\nfor (int i = 1; i < 32; i = i + 1) {\na[i] = a[i - 1] + i;\n}\n}";
+        let p = Program::new(lang::compile(src, "t").unwrap());
+        let perfect = profile_program(&p).unwrap();
+        let sig = profile_program_with(
+            &p,
+            &ProfileConfig {
+                engine: EngineKind::signature(1 << 20),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let ps: std::collections::HashSet<_> = perfect.deps.sorted().into_iter().collect();
+        let ss: std::collections::HashSet<_> = sig.deps.sorted().into_iter().collect();
+        let fp: Vec<_> = ss.difference(&ps).collect();
+        let fnn: Vec<_> = ps.difference(&ss).collect();
+        assert!(fp.is_empty(), "signature-only deps: {fp:?}");
+        assert!(fnn.is_empty(), "missed deps: {fnn:?}");
     }
 }

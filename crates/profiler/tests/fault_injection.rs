@@ -15,9 +15,8 @@ use std::time::Duration;
 
 use interp::{Program, RunConfig};
 use profiler::{
-    fault, profile_parallel, profile_program_with, Budget, EngineKind, InlineReason,
-    ParallelConfig, ParallelStats, ProfileConfig, ProfileError, ProfileOutput, ShadowTier,
-    Tracking,
+    fault, profile_program_with, Budget, EngineKind, InlineReason, ParallelStats, ProfileConfig,
+    ProfileError, ProfileOutput, ShadowTier, Tracking,
 };
 
 /// A loop-heavy sequential target: ~65k memory accesses, far past the
@@ -56,15 +55,14 @@ fn program(src: &str) -> Program {
 /// workers spawn at construction regardless of core count, so injected
 /// faults reliably land on real consumer threads even on a single-core
 /// container.
-fn fixed_pipeline() -> ParallelConfig {
-    ParallelConfig {
-        workers: 4,
-        chunk_size: 32,
-        sig_slots: 1 << 16,
-        queue_cap: 64,
-        lifetime: true,
+fn fixed_pipeline() -> ProfileConfig {
+    ProfileConfig {
+        engine: EngineKind::Parallel {
+            workers: 4,
+            chunk: 32,
+        },
         spawn_threshold: 0,
-        budget: Budget::unlimited(),
+        ..ProfileConfig::default()
     }
 }
 
@@ -118,8 +116,8 @@ fn fault_session<T>(body: impl FnOnce() -> T) -> T {
 fn killed_worker_is_recovered_bit_identical() {
     fault_session(|| {
         let prog = program(SEQ_SRC);
-        let oracle = profile_parallel(&prog, fixed_pipeline(), RunConfig::default())
-            .expect("uninjected run succeeds");
+        let oracle =
+            profile_program_with(&prog, &fixed_pipeline()).expect("uninjected run succeeds");
         assert_eq!(transport(&oracle).spawned_workers, 4);
         assert_eq!(transport(&oracle).worker_recoveries, 0);
         let baseline = oracle.deps.sorted();
@@ -129,7 +127,7 @@ fn killed_worker_is_recovered_bit_identical() {
         // chunk, early, and deep into the run.
         for after in [0u64, 7, 200] {
             fault::arm("worker:chunk", after);
-            let out = profile_parallel(&prog, fixed_pipeline(), RunConfig::default())
+            let out = profile_program_with(&prog, &fixed_pipeline())
                 .unwrap_or_else(|e| panic!("injected run (after={after}) failed: {e}"));
             let t = transport(&out);
             assert_eq!(
@@ -151,14 +149,13 @@ fn killed_worker_is_recovered_bit_identical() {
 fn killed_worker_on_dealloc_message_is_recovered() {
     fault_session(|| {
         let prog = program(SEQ_SRC);
-        let baseline = profile_parallel(&prog, fixed_pipeline(), RunConfig::default())
+        let baseline = profile_program_with(&prog, &fixed_pipeline())
             .expect("uninjected run succeeds")
             .deps
             .sorted();
 
         fault::arm("worker:dealloc", 0);
-        let out = profile_parallel(&prog, fixed_pipeline(), RunConfig::default())
-            .expect("injected run completes");
+        let out = profile_program_with(&prog, &fixed_pipeline()).expect("injected run completes");
         assert_eq!(
             transport(&out).worker_recoveries,
             1,
@@ -168,7 +165,7 @@ fn killed_worker_on_dealloc_message_is_recovered() {
     });
 }
 
-/// Past `ParallelConfig::ADAPTIVE_SPAWN_THRESHOLD`: 2.1 M accesses, every
+/// Past `ProfileConfig::ADAPTIVE_SPAWN_THRESHOLD`: 2.1 M accesses, every
 /// one delivered one by one with the skip tier off, so a serial engine's
 /// partition moves to its worker on a host with a second core.
 const LONG_SRC: &str = "\
@@ -294,12 +291,9 @@ fn a_forced_spawn_under_a_ceiling_stays_home() {
         let budget_bytes = 2 << 20;
         let mut cfg = fixed_pipeline();
         cfg.budget.max_memory_bytes = Some(budget_bytes);
-        let run = RunConfig {
-            affine_skip: false,
-            ..RunConfig::default()
-        };
+        cfg.run.affine_skip = false;
         fault::arm("worker:chunk", 0);
-        let out = profile_parallel(&prog, cfg, run).expect("governed run completes");
+        let out = profile_program_with(&prog, &cfg).expect("governed run completes");
         assert_eq!(out.tracking, Tracking::Inline(InlineReason::MemoryCeiling));
         let t = transport(&out);
         assert_eq!(t.spawned_workers, 0);

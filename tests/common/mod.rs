@@ -40,7 +40,7 @@ pub fn wide_program(functions: usize) -> String {
 /// instead of seed-drawn ones: a 2^19-word footprint, past
 /// `EngineKind::AUTO_PERFECT_MAX_WORDS`, so `auto_for` picks the signature
 /// engine, and 1.5 M accesses, every one delivered one by one — past
-/// `ParallelConfig::ADAPTIVE_SPAWN_THRESHOLD`.
+/// `ProfileConfig::ADAPTIVE_SPAWN_THRESHOLD`.
 #[allow(dead_code)]
 pub fn gather() -> String {
     "global int idx[65536];

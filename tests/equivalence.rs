@@ -10,8 +10,8 @@
 
 use interp::{Program, RunConfig, Sink};
 use profiler::{
-    control_spans, profile_parallel, profile_program, profile_program_with, render_text, DepSet,
-    EngineKind, ParallelConfig, ProfileConfig, ProfileOutput,
+    control_spans, profile_program, profile_program_with, render_text, DepSet, EngineKind,
+    ProfileConfig, ProfileOutput,
 };
 
 fn program(src: &str) -> Program {
@@ -132,12 +132,12 @@ fn memoized_counts_match_seed_on_every_catalogue_workload() {
         assert_eq!(counted(&scalar.deps), want, "{}: one partition", w.name);
 
         for (path, spawn_threshold, spawned) in [("inline", u64::MAX, 0), ("workers", 0, 2)] {
-            let cfg = ParallelConfig {
-                workers: 2,
+            let cfg = ProfileConfig {
+                engine: EngineKind::parallel(2),
                 spawn_threshold,
                 ..Default::default()
             };
-            let par = profile_parallel(&p, cfg, RunConfig::default()).unwrap();
+            let par = profile_program_with(&p, &cfg).unwrap();
             assert_eq!(counted(&par.deps), want, "{}: {path} path", w.name);
             assert_eq!(transport(&par).spawned_workers, spawned, "{}", w.name);
         }
@@ -296,16 +296,14 @@ fn adaptive_parallel_matches_perfect_across_configs() {
         let perfect = profile_program(p).unwrap();
         for &workers in workers {
             for spawn_threshold in [u64::MAX, 0, 4096] {
-                for &chunk_size in chunks {
-                    let label = format!("{name}: {workers}w t{spawn_threshold} x{chunk_size}");
-                    let cfg = ParallelConfig {
-                        workers,
-                        chunk_size,
-                        queue_cap: 64,
+                for &chunk in chunks {
+                    let label = format!("{name}: {workers}w t{spawn_threshold} x{chunk}");
+                    let cfg = ProfileConfig {
+                        engine: EngineKind::Parallel { workers, chunk },
                         spawn_threshold,
                         ..Default::default()
                     };
-                    let par = profile_parallel(p, cfg, RunConfig::default()).unwrap();
+                    let par = profile_program_with(p, &cfg).unwrap();
                     assert_eq!(counted(&par.deps), counted(&perfect.deps), "{label}");
                     assert_eq!(par.deps.total_found, perfect.deps.total_found, "{label}");
                     let t = transport(&par);
@@ -337,9 +335,10 @@ fn adaptive_parallel_matches_perfect_across_configs() {
     }
 }
 
-/// Past 2^18 words of footprint the parallel engine's partitions are
-/// signatures. One of them, never spawned, is `serial-signature:S` with the
-/// same slot count — collisions included, in the same order.
+/// A signature partition moved to its worker at access 0 is the same
+/// `serial-signature:S` run inline — collisions included, in the same order,
+/// with the same tracked bytes — at two slot counts small enough that the
+/// 3,000 touched words collide.
 #[test]
 fn one_signature_partition_is_the_serial_signature_engine() {
     let p = program(
@@ -347,27 +346,35 @@ fn one_signature_partition_is_the_serial_signature_engine() {
          for (int i = 0; i < 3000; i = i + 1) { a[i * 97] = i; }\n\
          for (int i = 1; i < 3000; i = i + 1) { s = s + a[i * 97] - a[(i - 1) * 97]; }\n}",
     );
-    assert!(p.footprint_words() > EngineKind::AUTO_PERFECT_MAX_WORDS);
-    // Small enough that the 3,000 touched words collide.
+    let exact = profile_program(&p).unwrap();
     for slots in [1 << 16, 1021] {
-        let serial = profile_program_with(
-            &p,
-            &ProfileConfig {
-                engine: EngineKind::signature(slots),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let cfg = ParallelConfig {
-            workers: 1,
-            sig_slots: slots,
-            spawn_threshold: u64::MAX,
-            ..Default::default()
+        let profile = |spawn_threshold| {
+            profile_program_with(
+                &p,
+                &ProfileConfig {
+                    engine: EngineKind::signature(slots),
+                    spawn_threshold,
+                    ..Default::default()
+                },
+            )
+            .unwrap()
         };
-        let par = profile_parallel(&p, cfg, RunConfig::default()).unwrap();
-        assert_eq!(sequence(&par), sequence(&serial), "{slots} slots");
-        assert_eq!(par.deps.total_found, serial.deps.total_found);
-        assert_eq!(par.profiler_bytes, serial.profiler_bytes);
+        let (inline, moved) = (profile(u64::MAX), profile(0));
+        assert!(
+            matches!(
+                moved.tracking,
+                profiler::Tracking::Moved { at_access: 0, .. }
+            ),
+            "{slots} slots: {:?}",
+            moved.tracking
+        );
+        assert!(matches!(inline.tracking, profiler::Tracking::Inline(_)));
+        assert_eq!(sequence(&moved), sequence(&inline), "{slots} slots");
+        assert_eq!(moved.deps.total_found, inline.deps.total_found);
+        assert_eq!(moved.profiler_bytes, inline.profiler_bytes);
+        // The signature did collide: the equalities above cover aliasing,
+        // not just exact answers.
+        assert_ne!(inline.deps.sorted(), exact.deps.sorted(), "{slots} slots");
     }
 }
 
@@ -421,9 +428,10 @@ fn main() {
 /// race_hint program only the unsynchronized counter carries hints.
 #[test]
 fn parallel_targets_agree_across_engines_under_racy_delivery() {
-    let four = |spawn_threshold| ParallelConfig {
-        workers: 4,
+    let four = |spawn_threshold| ProfileConfig {
+        engine: EngineKind::parallel(4),
         spawn_threshold,
+        run: racy(),
         ..Default::default()
     };
     for (name, suite, p) in parallel_targets() {
@@ -437,7 +445,7 @@ fn parallel_targets_agree_across_engines_under_racy_delivery() {
         )
         .unwrap();
         for (path, spawn_threshold, spawned) in [("workers", 0, 4), ("inline", u64::MAX, 0)] {
-            let par = profile_parallel(&p, four(spawn_threshold), racy()).unwrap();
+            let par = profile_program_with(&p, &four(spawn_threshold)).unwrap();
             assert_eq!(counted(&par.deps), counted(&perfect.deps), "{name}: {path}");
             assert_eq!(par.deps.total_found, perfect.deps.total_found, "{name}");
             assert_eq!(transport(&par).spawned_workers, spawned, "{name}: {path}");
@@ -480,14 +488,16 @@ fn multithreaded_target_matches_serial_replay() {
 fn w(int n) { for (int i = 0; i < n; i = i + 1) { lock(1); counter = counter + 1; unlock(1); } }
 fn main() { int a = spawn(w, 30); int b = spawn(w, 30); join(a); join(b); }";
     let p = program(src);
-    let cfg = ParallelConfig {
-        workers: 4,
-        chunk_size: 16,
-        queue_cap: 64,
+    let cfg = ProfileConfig {
+        engine: EngineKind::Parallel {
+            workers: 4,
+            chunk: 16,
+        },
         spawn_threshold: 0,
+        run: racy(),
         ..Default::default()
     };
-    let par = profile_parallel(&p, cfg, racy()).unwrap();
+    let par = profile_program_with(&p, &cfg).unwrap();
 
     let mut rec = interp::RecordingSink::default();
     interp::run_with_config(&p, &mut rec, racy()).unwrap();
@@ -511,16 +521,18 @@ fn multithreaded_target_is_deterministic() {
     // Delivery order is a function of the seed, not of the host: two runs
     // of every parallel target through spawned workers agree in
     // `DepSet::iter()` order, counts, race hints, skip counters and PET.
-    let cfg = || ParallelConfig {
-        workers: 4,
-        chunk_size: 8,
-        queue_cap: 64,
+    let cfg = ProfileConfig {
+        engine: EngineKind::Parallel {
+            workers: 4,
+            chunk: 8,
+        },
         spawn_threshold: 0,
+        run: racy(),
         ..Default::default()
     };
     for (name, _, p) in parallel_targets() {
-        let a = profile_parallel(&p, cfg(), racy()).unwrap();
-        let b = profile_parallel(&p, cfg(), racy()).unwrap();
+        let a = profile_program_with(&p, &cfg).unwrap();
+        let b = profile_program_with(&p, &cfg).unwrap();
         assert_eq!(sequence(&a), sequence(&b), "{name}");
         assert_eq!(a.deps.race_hints(), b.deps.race_hints(), "{name}");
     }

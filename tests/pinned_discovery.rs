@@ -183,7 +183,7 @@ fn whole_reports_match_the_digests_taken_before_the_one_pass_writer() {
 }
 
 /// The whole report of a signature run past
-/// `ParallelConfig::ADAPTIVE_SPAWN_THRESHOLD` accesses ([`common::gather`]):
+/// `ProfileConfig::ADAPTIVE_SPAWN_THRESHOLD` accesses ([`common::gather`]):
 /// on a host with two cores its lone partition moves to a worker mid-run,
 /// and the report must not show it. Recorded in PR 26 at its parent
 /// (53662e2), before any code changed, as 0xf94f6e99df6296e8; re-recorded

@@ -547,7 +547,10 @@ mod failure_injection {
     }
 
     /// The parallel profiler shuts its workers down cleanly even when the
-    /// target program fails mid-run.
+    /// target program fails mid-run: four workers spawned at construction,
+    /// and a division by zero on the first iteration (`z * z + z - 30` is 0
+    /// at `z = 5`). `Drop` stops and joins them; a leaked worker would spin
+    /// on its queue forever.
     #[test]
     fn parallel_profiler_cleans_up_on_error() {
         let m = lang::compile(
@@ -556,15 +559,23 @@ mod failure_injection {
         )
         .unwrap();
         let p = interp::Program::new(m);
-        // Runs to completion or fails; either way this must not hang or
-        // leak worker threads (thread join happens in finalize/drop).
-        let _ = profiler::profile_parallel(
+        let out = profiler::profile_program_with(
             &p,
-            profiler::ParallelConfig {
-                workers: 4,
+            &profiler::ProfileConfig {
+                engine: profiler::EngineKind::parallel(4),
+                spawn_threshold: 0,
                 ..Default::default()
             },
-            interp::RunConfig::default(),
+        );
+        assert!(
+            matches!(
+                out,
+                Err(profiler::ProfileError::Runtime(
+                    interp::RuntimeError::DivByZero { .. }
+                ))
+            ),
+            "{:?}",
+            out.map(|o| o.steps)
         );
     }
 
