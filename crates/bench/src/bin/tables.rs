@@ -1,6 +1,13 @@
-//! Regenerate every table and figure of the evaluation.
+//! Regenerate every table and figure of the evaluation, and check the
+//! paper's claims against them.
 //!
 //! Usage: `cargo run --release -p bench --bin tables -- [experiment|all]`
+//!
+//! An experiment prints its table and the claims it checks (Table 2.6,
+//! Table 2.7, Figs 2.12/2.13, Table 4.1 and Eq 2.2 check the ones computed
+//! from deterministic counts). A claim the reproduction does not meet for a
+//! known reason is a documented deviation, printed with that reason. Any
+//! other failed claim is printed again at the end and the exit code is 1.
 //!
 //! Experiments, each with the table or figure it reproduces:
 //!   dep-tables           Tables 2.2-2.5 (worked examples)
@@ -8,7 +15,7 @@
 //!   profiler-slowdown    Fig 2.9a (serial vs lock-free; see the note it prints)
 //!   profiler-memory      Fig 2.9b (memory consumption)
 //!   parallel-target      Fig 2.10/2.11 (multi-threaded targets, racy delivery)
-//!   skip-slowdown        Fig 2.12 (loop-skipping on/off)
+//!   skip-slowdown        Fig 2.12 (plan runs expanded vs resolved)
 //!   skip-stats           Table 2.7 (skipped instruction statistics)
 //!   skip-dep-types       Fig 2.13 (skip distribution by dep type)
 //!   cu-graphs            Figs 3.6/3.7 (CU graph DOT export)
@@ -27,14 +34,18 @@
 //!   cu-ablation          §3.2.3/§3.3 (top-down vs bottom-up granularity)
 //!   fp-model             Eq 2.2 (estimated vs measured signature FPR)
 
-use bench::{count_addresses, fmt_pct, fmt_x, native_time, time_median};
+use bench::{check_report, count_addresses, fmt_pct, fmt_x, native_time, time_median, Claim};
 use interp::RunConfig;
-use profiler::{EngineKind, ProfileConfig};
+use profiler::{EngineKind, ProfileConfig, Profiler};
 use workloads::Suite;
+
+/// An experiment prints its table or figure and returns the claims it
+/// checked.
+type Experiment = fn() -> Vec<Claim>;
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    let experiments: Vec<(&str, fn())> = vec![
+    let experiments: Vec<(&str, Experiment)> = vec![
         ("dep-tables", dep_tables),
         ("fpr-fnr", fpr_fnr),
         ("profiler-slowdown", profiler_slowdown),
@@ -59,15 +70,32 @@ fn main() {
         ("cu-ablation", cu_ablation),
         ("fp-model", fp_model),
     ];
-    if arg == "all" {
-        for (name, f) in experiments {
-            eprintln!(">>> {name}");
-            f();
-        }
-    } else if let Some((_, f)) = experiments.iter().find(|(n, _)| *n == arg) {
-        f();
-    } else {
+    let chosen: Vec<_> = experiments
+        .into_iter()
+        .filter(|(n, _)| arg == "all" || *n == arg)
+        .collect();
+    if chosen.is_empty() {
         eprintln!("unknown experiment `{arg}`");
+        std::process::exit(1);
+    }
+    let mut claims = Vec::new();
+    for (name, f) in chosen {
+        eprintln!(">>> {name}");
+        let checked = f();
+        if !checked.is_empty() {
+            println!("\nClaims checked:\n");
+        }
+        for c in &checked {
+            println!("- {c}");
+        }
+        claims.extend(checked);
+    }
+    let failed = check_report(&claims);
+    eprintln!("\n{} claims checked, {} failed", claims.len(), failed.len());
+    for line in &failed {
+        eprintln!("{line}");
+    }
+    if !failed.is_empty() {
         std::process::exit(1);
     }
 }
@@ -84,7 +112,7 @@ fn sequential_workloads(suites: &[Suite]) -> Vec<workloads::Workload> {
 }
 
 // ---- E1/E2: Tables 2.2-2.5 ----
-fn dep_tables() {
+fn dep_tables() -> Vec<Claim> {
     println!("\n## Tables 2.2/2.3 — worked-example dependences\n");
     let src = "fn main() -> int {\nint k = 5; int sum = 0;\nwhile (k > 0) {\nsum += k * 2;\nk = k - 1;\n}\nreturn sum;\n}";
     let p = interp::Program::new(lang::compile(src, "fig2_7").unwrap());
@@ -105,10 +133,11 @@ fn dep_tables() {
             if d.is_loop_carried() { "yes" } else { "no" }
         );
     }
+    Vec::new()
 }
 
 // ---- E3: Table 2.6 ----
-fn fpr_fnr() {
+fn fpr_fnr() -> Vec<Claim> {
     println!("\n## Table 2.6 — signature accuracy on Starbench (FPR/FNR %)\n");
     let sizes = [256usize, 4096, 65536];
     println!("| program | #addresses | #accesses | #deps | FPR@{} | FNR@{} | FPR@{} | FNR@{} | FPR@{} | FNR@{} |",
@@ -116,6 +145,7 @@ fn fpr_fnr() {
     println!("|---|---|---|---|---|---|---|---|---|---|");
     let mut avg = vec![(0.0, 0.0); sizes.len()];
     let ws = sequential_workloads(&[Suite::Starbench]);
+    let mut monotone = 0;
     for w in &ws {
         let p = w.program().unwrap();
         let (addrs, accesses) = count_addresses(&p);
@@ -127,6 +157,7 @@ fn fpr_fnr() {
             accesses,
             perfect.deps.len()
         );
+        let mut fprs = Vec::with_capacity(sizes.len());
         for (i, &slots) in sizes.iter().enumerate() {
             let sig = profiler::profile_program_with(
                 &p,
@@ -137,10 +168,12 @@ fn fpr_fnr() {
             )
             .unwrap();
             let (fpr, fnr) = sig.deps.accuracy_vs(&perfect.deps);
+            fprs.push(fpr);
             avg[i].0 += fpr;
             avg[i].1 += fnr;
             row.push_str(&format!(" {:.2} | {:.2} |", fpr * 100.0, fnr * 100.0));
         }
+        monotone += usize::from(fprs.windows(2).all(|f| f[1] <= f[0]));
         println!("{row}");
     }
     let n = ws.len() as f64;
@@ -155,6 +188,13 @@ fn fpr_fnr() {
     println!("{row}");
     println!("\n(paper: 24.47/5.42 at 1e6 slots, 4.71/0.71 at 1e7, 0.35/0.04 at 1e8 —");
     println!("our address counts are ~1e3, so sizes scale down by 1e3 to match load factors)");
+    vec![Claim::check(
+        format!(
+            "Table 2.6: FPR does not increase as slots grow ({monotone} of {} rows)",
+            ws.len()
+        ),
+        monotone == ws.len(),
+    )]
 }
 
 /// The pipeline of Fig 2.9/2.10: `workers` consumers spawned before the
@@ -178,7 +218,7 @@ fn racy() -> RunConfig {
 }
 
 // ---- E4: Fig 2.9a ----
-fn profiler_slowdown() {
+fn profiler_slowdown() -> Vec<Claim> {
     println!("\n## Fig 2.9a — profiler slowdowns (NAS + Starbench)\n");
     println!("| program | serial | 8T lock-free | 16T lock-free |");
     println!("|---|---|---|---|");
@@ -188,14 +228,7 @@ fn profiler_slowdown() {
         let p = w.program().unwrap();
         let base = native_time(&p, 3).max(1e-7);
         let serial = time_median(3, || {
-            profiler::profile_program_with(
-                &p,
-                &ProfileConfig {
-                    engine: profiler::EngineKind::signature(1 << 20),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            profile(&p);
         });
         let par = |workers: usize| {
             time_median(3, || {
@@ -225,11 +258,14 @@ fn profiler_slowdown() {
     println!("lock-based ~1.3-1.6× slower than lock-free)");
     println!("\nThe figure's 8T lock-based column is not reproduced: the mutex-guarded queue was");
     println!("the slower baseline by construction and no engine selected it, so PR 23 removed it.");
-    println!("Partitions are exact below 2^18 words of footprint, signatures above.");
+    println!("The serial column is `profile_program`: the engine `auto_for` picks, an exact");
+    println!("page-table shadow below 2^18 words of footprint, a signature above (Fig 2.9b");
+    println!("counts which). The parallel columns' partitions follow the same footprint rule.");
+    Vec::new()
 }
 
 // ---- E5: Fig 2.9b ----
-fn profiler_memory() {
+fn profiler_memory() -> Vec<Claim> {
     println!("\n## Fig 2.9b — profiler memory consumption (MB)\n");
     println!("| program | serial (perfect) | 8T lock-free | 16T lock-free |");
     println!("|---|---|---|---|");
@@ -263,10 +299,11 @@ fn profiler_memory() {
     );
     println!("page-table shadows: memory follows the pages each partition touches, not worker");
     println!("count × signature size as with the paper's signature partitions)");
+    Vec::new()
 }
 
 // ---- E6: Fig 2.10/2.11 ----
-fn parallel_target() {
+fn parallel_target() -> Vec<Claim> {
     println!("\n## Fig 2.10/2.11 — profiling multi-threaded targets (4-thread pthread-style)\n");
     println!("| program | slowdown 8T | slowdown 16T | memory 8T (MB) | memory 16T (MB) | cross-thread deps | race hints |");
     println!("|---|---|---|---|---|---|---|");
@@ -308,70 +345,91 @@ fn parallel_target() {
     println!("Here the target's threads run on the interpreter's one thread, which delivers");
     println!("their accesses racily into the 8 or 16 workers: one producer, so no producer");
     println!("contention, and the same dependences and race hints on every run.");
+    Vec::new()
 }
 
 // ---- E7: Fig 2.12 ----
-fn skip_slowdown() {
+/// The default profiler with every plan run expanded access by access:
+/// §2.4 as the per-op memo alone, without resolving runs in closed form.
+fn expanded_profile(p: &interp::Program) -> profiler::ProfileOutput {
+    let cfg = ProfileConfig::default();
+    let mut sink = bench::Expanding(Profiler::new(p.mem_op_meta(), p.footprint_words(), &cfg));
+    let r = interp::run_with_config(p, &mut sink, cfg.run).expect("runs");
+    sink.0.finish(r.steps)
+}
+
+fn skip_slowdown() -> Vec<Claim> {
     println!("\n## Fig 2.12 — skipping repeatedly-executed memory operations\n");
-    println!("| program | DiscoPoP | DiscoPoP+opt | time reduction |");
-    println!("|---|---|---|---|");
-    let mut reds = Vec::new();
-    for w in sequential_workloads(&[Suite::Nas, Suite::Starbench]) {
+    println!("| program | DiscoPoP | DiscoPoP+opt | time reduction | cycles resolved |");
+    println!("|---|---|---|---|---|");
+    let ws = sequential_workloads(&[Suite::Nas, Suite::Starbench]);
+    let (mut reds, mut same) = (Vec::new(), 0);
+    for w in &ws {
         let p = w.program().unwrap();
         let base = native_time(&p, 3).max(1e-7);
-        let plain = time_median(3, || {
-            profiler::profile_program(&p).unwrap();
-        });
-        let opt = time_median(3, || {
-            profiler::profile_program_with(
-                &p,
-                &ProfileConfig {
-                    skip_loops: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        });
+        let mut plain_out = None;
+        let plain = time_median(3, || plain_out = Some(expanded_profile(&p)));
+        let mut opt_out = None;
+        let opt = time_median(3, || opt_out = Some(profile(&p)));
+        let (plain_out, opt_out) = (plain_out.unwrap(), opt_out.unwrap());
+        same += usize::from(plain_out.deps.iter().eq(opt_out.deps.iter()));
         let red = 1.0 - opt / plain;
         reds.push(red);
         println!(
-            "| {} | {} | {} | {} |",
+            "| {} | {} | {} | {} | {:.1}% |",
             w.name,
             fmt_x(plain / base),
             fmt_x(opt / base),
-            fmt_pct(red)
+            fmt_pct(red),
+            opt_out.plan_runs.resolved_pct()
         );
     }
     let avg = reds.iter().sum::<f64>() / reds.len() as f64;
-    println!("| **average reduction** | | | {} |", fmt_pct(avg));
+    println!("| **average reduction** | | | {} | |", fmt_pct(avg));
     println!("\n(paper: 31.1%-52.0% reduction, 41.3% on average)");
+    println!("DiscoPoP is the default profiler with every plan run expanded access by access;");
+    println!("DiscoPoP+opt resolves the runs in closed form (`profile_program`). Both skip");
+    println!("through the per-op memo. Programs whose loops yield no plan runs read noise.");
+    vec![
+        Claim::check(
+            format!(
+                "Fig 2.12: both sides build identical DepSet::iter() sequences ({same} of {} programs)",
+                ws.len()
+            ),
+            same == ws.len(),
+        ),
+        Claim::check(
+            format!("Fig 2.12: the optimization reduces profiling time ({} on average)", fmt_pct(avg)),
+            avg > 0.0,
+        )
+        .or_deviation(
+            "wall time on runs of milliseconds; per-program rows are noise-level, so timing never gates",
+        ),
+    ]
 }
 
 // ---- E8: Table 2.7 ----
-fn skip_stats() {
+/// The per-op memo's repeats (§2.4's skips) of the default profile of every
+/// sequential NAS and Starbench program.
+fn skip_counts() -> Vec<(&'static str, profiler::SkipStats)> {
+    sequential_workloads(&[Suite::Nas, Suite::Starbench])
+        .into_iter()
+        .map(|w| (w.name, profile(&w.program().unwrap()).skip_stats))
+        .collect()
+}
+
+fn skip_stats() -> Vec<Claim> {
     println!("\n## Table 2.7 — skipped dependence-leading memory instructions\n");
     println!("| program | read total | read skip % | write total | write skip % | total skip % |");
     println!("|---|---|---|---|---|---|");
-    let mut rs = Vec::new();
-    let mut wssum = Vec::new();
-    let mut ts = Vec::new();
-    for w in sequential_workloads(&[Suite::Nas, Suite::Starbench]) {
-        let p = w.program().unwrap();
-        let out = profiler::profile_program_with(
-            &p,
-            &ProfileConfig {
-                skip_loops: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let s = out.skip_stats;
+    let (mut rs, mut ws, mut ts) = (Vec::new(), Vec::new(), Vec::new());
+    for (name, s) in skip_counts() {
         rs.push(s.read_skip_pct());
-        wssum.push(s.write_skip_pct());
+        ws.push(s.write_skip_pct());
         ts.push(s.total_skip_pct());
         println!(
             "| {} | {} | {:.2} | {} | {:.2} | {:.2} |",
-            w.name,
+            name,
             s.read_dep_total,
             s.read_skip_pct(),
             s.write_dep_total,
@@ -383,42 +441,60 @@ fn skip_stats() {
     println!(
         "| **average** | | {:.2} | | {:.2} | {:.2} |",
         avg(&rs),
-        avg(&wssum),
+        avg(&ws),
         avg(&ts)
     );
     println!("\n(paper averages: reads 82.08%, writes 66.56%, total 80.06%)");
+    println!("A skip here is a repeat of the op's memo entry: the access built the very merged");
+    println!("dependence its op built last time. The paper matches an op's address and shadow");
+    println!("status instead, so an op sweeping an array skips here and not there.");
+    vec![Claim::check(
+        format!("Table 2.7: at least 70% of dependence-leading instructions are skipped on average ({:.2}%)", avg(&ts)),
+        avg(&ts) >= 70.0,
+    )]
 }
 
 // ---- E9: Fig 2.13 ----
-fn skip_dep_types() {
+fn skip_dep_types() -> Vec<Claim> {
     println!("\n## Fig 2.13 — skipped instructions by dependence type (%)\n");
     println!("| program | RAW_skip | WAR_skip | WAW_skip |");
     println!("|---|---|---|---|");
-    for w in sequential_workloads(&[Suite::Nas, Suite::Starbench]) {
-        let p = w.program().unwrap();
-        let out = profiler::profile_program_with(
-            &p,
-            &ProfileConfig {
-                skip_loops: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let s = out.skip_stats;
+    let rows = skip_counts();
+    let (mut raw_first, mut ft_waw) = (0, None);
+    for (name, s) in &rows {
         let total = (s.skipped_raw + s.skipped_war + s.skipped_waw).max(1) as f64;
+        let share = |n: u64| n as f64 / total * 100.0;
+        raw_first += usize::from(s.skipped_raw >= s.skipped_war.max(s.skipped_waw));
+        if *name == "FT" {
+            ft_waw = Some(share(s.skipped_waw));
+        }
         println!(
             "| {} | {:.2} | {:.2} | {:.2} |",
-            w.name,
-            s.skipped_raw as f64 / total * 100.0,
-            s.skipped_war as f64 / total * 100.0,
-            s.skipped_waw as f64 / total * 100.0
+            name,
+            share(s.skipped_raw),
+            share(s.skipped_war),
+            share(s.skipped_waw)
         );
     }
     println!("\n(paper: RAW dominates everywhere; FT shows >10% WAW due to the dummy variable)");
+    let ft_waw = ft_waw.unwrap_or(0.0);
+    vec![
+        Claim::check(
+            format!(
+                "Fig 2.13: RAW is the largest share ({raw_first} of {} rows)",
+                rows.len()
+            ),
+            raw_first == rows.len(),
+        ),
+        Claim::check(
+            format!("Fig 2.13: FT's WAW share is at least 10% ({ft_waw:.2}%)"),
+            ft_waw >= 10.0,
+        ),
+    ]
 }
 
 // ---- E22: Figs 3.6/3.7 ----
-fn cu_graphs() {
+fn cu_graphs() -> Vec<Claim> {
     println!("\n## Figs 3.6/3.7 — CU graphs (DOT)\n");
     std::fs::create_dir_all("target/cu-graphs").ok();
     for name in ["rot-cc", "CG"] {
@@ -441,10 +517,11 @@ fn cu_graphs() {
             g.edges.len()
         );
     }
+    Vec::new()
 }
 
 // ---- E10: Table 4.1 ----
-fn doall_nas() {
+fn doall_nas() -> Vec<Claim> {
     println!("\n## Table 4.1 — detection of parallelizable loops in NAS\n");
     println!("| program | annotated parallel | detected | missed | false positives |");
     println!("|---|---|---|---|---|");
@@ -491,10 +568,17 @@ fn doall_nas() {
         tot.2
     );
     println!("\n(paper: 92.5% of the parallelized NAS loops identified)");
+    let recall = tot.1 as f64 / tot.0 as f64 * 100.0;
+    vec![Claim::check(
+        format!(
+            "Table 4.1: at least 92.5% of the annotated parallel loops are detected ({recall:.1}%)"
+        ),
+        recall >= 92.5,
+    )]
 }
 
 // ---- E11: Table 4.2 ----
-fn textbook_speedup() {
+fn textbook_speedup() -> Vec<Claim> {
     println!("\n## Table 4.2 — measured speedups of suggested parallelizations (4 threads)\n");
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(4)
@@ -596,10 +680,11 @@ fn textbook_speedup() {
         );
     }
     println!("\n(paper Table 4.2: speedups between ~1.5× and ~3.9× with four threads)");
+    Vec::new()
 }
 
 // ---- E12: Table 4.3 ----
-fn histogram_suggestions() {
+fn histogram_suggestions() -> Vec<Claim> {
     println!("\n## Table 4.3 — suggestions for the histogram program\n");
     let w = workloads::by_name("histogram").unwrap();
     let p = w.program().unwrap();
@@ -618,10 +703,11 @@ fn histogram_suggestions() {
             l.blocking.len()
         );
     }
+    Vec::new()
 }
 
 // ---- E13: Table 4.4 ----
-fn doacross() {
+fn doacross() -> Vec<Claim> {
     println!("\n## Table 4.4 — hottest-loop classification (Starbench + NAS)\n");
     println!("| program | hot loop line | iterations | class | pipeline stages |");
     println!("|---|---|---|---|---|");
@@ -636,10 +722,11 @@ fn doacross() {
             );
         }
     }
+    Vec::new()
 }
 
 // ---- E14: Table 4.5 ----
-fn gzip_bzip2() {
+fn gzip_bzip2() -> Vec<Claim> {
     println!("\n## Table 4.5 — gzip / bzip2 parallelization opportunities\n");
     for name in ["gzip", "bzip2"] {
         let w = workloads::by_name(name).unwrap();
@@ -677,10 +764,11 @@ fn gzip_bzip2() {
             l.class
         );
     }
+    Vec::new()
 }
 
 // ---- E15: Table 4.6 ----
-fn bots_spmd() {
+fn bots_spmd() -> Vec<Claim> {
     println!("\n## Table 4.6 — SPMD task detection in BOTS\n");
     println!("| program | loop tasks | sibling tasks | annotated verdicts correct |");
     println!("|---|---|---|---|");
@@ -721,10 +809,11 @@ fn bots_spmd() {
         );
     }
     println!("\n(paper: correct decisions on all 20 BOTS hot spots)");
+    Vec::new()
 }
 
 // ---- E16: Table 4.7 ----
-fn mpmd() {
+fn mpmd() -> Vec<Claim> {
     println!("\n## Table 4.7 — MPMD task detection (PARSEC, libVorbis, FaceDetection)\n");
     println!("| program | MPMD task sets | largest set | sibling-call tasks |");
     println!("|---|---|---|---|");
@@ -749,10 +838,11 @@ fn mpmd() {
             .count();
         println!("| {} | {} | {} | {} |", name, d.mpmd.len(), largest, sib);
     }
+    Vec::new()
 }
 
 // ---- E17: Fig 4.11 ----
-fn facedetection_speedup() {
+fn facedetection_speedup() -> Vec<Claim> {
     println!("\n## Fig 4.11 — FaceDetection task-graph speedups\n");
     use workloads::native::{face_detection_pipeline, FaceDetectInput};
     let input = FaceDetectInput {
@@ -773,10 +863,11 @@ fn facedetection_speedup() {
         println!("| {threads} | {:.1} | {} |", t * 1e3, fmt_x(t1 / t));
     }
     println!("\n(paper: speedup 9.92 at 32 threads on a 32-core machine; shape depends on cores available)");
+    Vec::new()
 }
 
 // ---- E18: §4.4.5 ----
-fn ranking() {
+fn ranking() -> Vec<Claim> {
     println!("\n## §4.4.5 — ranking of parallelization targets\n");
     for name in ["CG", "MG", "kmeans"] {
         let w = workloads::by_name(name).unwrap();
@@ -809,10 +900,11 @@ fn ranking() {
         }
         println!();
     }
+    Vec::new()
 }
 
 // ---- E19: Tables 5.1-5.3 ----
-fn ml_doall() {
+fn ml_doall() -> Vec<Claim> {
     println!("\n## Tables 5.1-5.3 — ML classification of DOALL loops\n");
     // Dataset: every annotated loop across all sequential suites.
     let mut data = apps::Dataset::default();
@@ -861,10 +953,11 @@ fn ml_doall() {
         "| test | {:.3} | {:.3} | {:.3} | {:.3} |",
         s_test.accuracy, s_test.precision, s_test.recall, s_test.f1
     );
+    Vec::new()
 }
 
 // ---- E20: Table 5.4 ----
-fn stm() {
+fn stm() -> Vec<Claim> {
     println!("\n## Table 5.4 — transaction candidates in NAS\n");
     println!("| program | transactions | total atomic lines | largest write set |");
     println!("|---|---|---|---|");
@@ -880,10 +973,11 @@ fn stm() {
         let maxw = txs.iter().map(|t| t.write_set).max().unwrap_or(0);
         println!("| {} | {} | {} | {} |", w.name, txs.len(), lines, maxw);
     }
+    Vec::new()
 }
 
 // ---- E21: Fig 5.1 ----
-fn comm_pattern() {
+fn comm_pattern() -> Vec<Claim> {
     println!("\n## Fig 5.1 — communication patterns (splash2x-style)\n");
     for name in ["barnes-par", "radix-par", "ocean-par"] {
         let w = workloads::by_name(name).unwrap();
@@ -898,10 +992,11 @@ fn comm_pattern() {
         print!("{}", apps::render_matrix(&m));
         println!("```");
     }
+    Vec::new()
 }
 
 // ---- Ablation: §3.2.3/§3.3 — top-down vs bottom-up CU granularity ----
-fn cu_ablation() {
+fn cu_ablation() -> Vec<Claim> {
     println!("\n## §3.2.3/§3.3 ablation — CU construction granularity\n");
     println!("| program | top-down CUs | fine top-down CUs | bottom-up CUs (hot loop) |");
     println!("|---|---|---|---|");
@@ -926,15 +1021,17 @@ fn cu_ablation() {
     println!("\n(the dissertation's finding: bottom-up CUs are \"too fine to discover");
     println!("coarse-grained parallel tasks\"; the top-down approach stays coarse and");
     println!("only refines where read-compute-write is violated)");
+    Vec::new()
 }
 
 // ---- Eq 2.2 — estimated vs measured false-positive probability ----
-fn fp_model() {
+fn fp_model() -> Vec<Claim> {
     println!("\n## Eq 2.2 — signature false-positive model vs measurement\n");
     println!(
         "| program | #addresses n | slots m | predicted P_fp | measured slot-collision rate |"
     );
     println!("|---|---|---|---|---|");
+    let (mut rows, mut bounded) = (0, 0);
     for name in ["kmeans", "c-ray", "rotate"] {
         let w = workloads::by_name(name).unwrap();
         let p = w.program().unwrap();
@@ -966,6 +1063,8 @@ fn fp_model() {
             let occupied = sig.occupied();
             let collided = sink.0.len().saturating_sub(occupied);
             let measured = collided as f64 / sink.0.len().max(1) as f64;
+            rows += 1;
+            bounded += usize::from(measured <= predicted);
             println!(
                 "| {} | {} | {} | {:.3} | {:.3} |",
                 name, n, m, predicted, measured
@@ -973,4 +1072,8 @@ fn fp_model() {
         }
     }
     println!("\n(Eq 2.2: P = 1 - (1 - 1/m)^n; the measured rate tracks the prediction)");
+    vec![Claim::check(
+        format!("Eq 2.2: the measured collision rate is at most the predicted P_fp ({bounded} of {rows} rows)"),
+        bounded == rows,
+    )]
 }

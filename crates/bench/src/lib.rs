@@ -1,16 +1,17 @@
 //! `bench` — the experiment harness.
 //!
 //! The `tables` binary regenerates every table and figure of the
-//! dissertation's evaluation (the binary's module doc indexes them); the
-//! oracles the equivalence tests hold the engine against and the shared
-//! measurement helpers live here. Performance claims are made with the
+//! dissertation's evaluation (the binary's module doc indexes them) and
+//! checks the paper's claims against them ([`Claim`]); the oracles the
+//! equivalence tests hold the engine against and the shared measurement
+//! helpers live here. Performance claims are made with the
 //! `benchmark/` package (`BENCHMARK.json`).
 
 pub mod seed_baseline;
 
-use interp::{Event, NullSink, Program, RunConfig, Sink};
+use interp::{Event, NullSink, PlanRun, Program, RunConfig, Sink};
 use profiler::{
-    DepBuilder, DepSet, EngineConfig, HashShadowMap, InstanceTable, LoopContext, Pet, PetBuilder,
+    DepBuilder, DepSet, HashShadowMap, InstanceTable, LoopContext, Pet, PetBuilder, Profiler,
 };
 use std::time::Instant;
 
@@ -31,11 +32,7 @@ impl HashShadowOracle {
         HashShadowOracle {
             ctx: LoopContext::new(),
             table: InstanceTable::new(),
-            builder: DepBuilder::new(
-                HashShadowMap::new(),
-                prog.mem_op_meta(),
-                EngineConfig::default(),
-            ),
+            builder: DepBuilder::new(HashShadowMap::new(), prog.mem_op_meta()),
             pet: PetBuilder::new(),
         }
     }
@@ -57,6 +54,79 @@ impl Sink for HashShadowOracle {
             self.builder.clear_range(*addr, *words);
         }
     }
+}
+
+/// A profiler that is handed plan runs and feeds it their expansion
+/// ([`PlanRun::expand`]), event by event: the per-access path the closed
+/// form ([`profiler::DepBuilder::process_run`]) must agree with, and what
+/// that closed form saves (Fig. 2.12).
+pub struct Expanding(pub Profiler);
+
+impl Sink for Expanding {
+    const TAKES_RUNS: bool = true;
+
+    fn event(&mut self, ev: &Event) {
+        self.0.event(ev);
+    }
+
+    fn events(&mut self, evs: &[Event]) {
+        self.0.events(evs);
+    }
+
+    fn plan_run(&mut self, run: &PlanRun<'_>) {
+        run.expand(|ev| self.0.event(ev));
+    }
+}
+
+/// One of the paper's claims, checked against what an experiment measured.
+#[derive(Debug, Clone)]
+pub struct Claim {
+    /// The claim, naming its table or figure and what was measured.
+    pub what: String,
+    /// Whether the measurement bears it out.
+    pub holds: bool,
+    /// Why the reproduction may not meet it. A claim that does not hold
+    /// but carries a reason is a documented deviation: printed, not failed.
+    pub deviation: Option<&'static str>,
+}
+
+impl Claim {
+    /// The claim `what`, held or not.
+    pub fn check(what: impl Into<String>, holds: bool) -> Claim {
+        Claim {
+            what: what.into(),
+            holds,
+            deviation: None,
+        }
+    }
+
+    /// The same claim, documented as a deviation for `reason` if it fails.
+    pub fn or_deviation(self, reason: &'static str) -> Claim {
+        Claim {
+            deviation: Some(reason),
+            ..self
+        }
+    }
+}
+
+impl std::fmt::Display for Claim {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match (self.holds, self.deviation) {
+            (true, _) => write!(f, "[ok] {}", self.what),
+            (false, Some(reason)) => write!(f, "[deviation] {} — {reason}", self.what),
+            (false, None) => write!(f, "[FAILED] {}", self.what),
+        }
+    }
+}
+
+/// The failed claims among `claims`, one line each: empty iff every claim
+/// holds or is a documented deviation.
+pub fn check_report(claims: &[Claim]) -> Vec<String> {
+    claims
+        .iter()
+        .filter(|c| !c.holds && c.deviation.is_none())
+        .map(|c| c.to_string())
+        .collect()
 }
 
 /// Median wall-clock seconds of `reps` runs of `f`.
@@ -121,6 +191,17 @@ mod tests {
         let (addrs, total) = count_addresses(&p);
         assert!(addrs >= 1024, "two 512-element arrays: {addrs}");
         assert!(total > 2048);
+    }
+
+    #[test]
+    fn a_failed_claim_makes_the_check_report_non_empty() {
+        let held = Claim::check("holds", true);
+        let documented = Claim::check("documented", false).or_deviation("a reason");
+        assert!(check_report(&[held.clone(), documented.clone()]).is_empty());
+        assert_eq!(documented.to_string(), "[deviation] documented — a reason");
+        let failed = Claim::check("fails", false);
+        let report = check_report(&[held, failed, documented]);
+        assert_eq!(report, ["[FAILED] fails"]);
     }
 
     #[test]

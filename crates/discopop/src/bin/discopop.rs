@@ -1,7 +1,7 @@
 //! `discopop` — the command-line front end of the analysis pipeline.
 //!
 //! ```text
-//! discopop analyze <file> [--engine SPEC] [--skip-loops] [--no-lifetime]
+//! discopop analyze <file> [--engine SPEC] [--no-lifetime] [--static]
 //!                         [--json PATH] [--quiet] ...
 //! discopop report <report.json>
 //! discopop engines
@@ -41,7 +41,6 @@ const USAGE: &str = "usage:
 analyze options:
   --engine SPEC     profiling engine (default: auto-selected from the
                     program's address footprint); see `discopop engines`
-  --skip-loops      enable the loop-skipping optimization (serial engines)
   --no-lifetime     disable variable-lifetime analysis
   --max-memory SIZE hard ceiling on tracked profiler bytes; accepts K/M/G
                     suffixes (e.g. 64M). Crossing it degrades the shadow
@@ -165,7 +164,6 @@ struct AnalyzeArgs {
     file: String,
     /// `None` = auto-select from the compiled program's address footprint.
     engine: Option<EngineKind>,
-    skip_loops: bool,
     lifetime: bool,
     max_memory: Option<usize>,
     deadline: Option<std::time::Duration>,
@@ -196,7 +194,6 @@ fn parse_analyze_args(args: &[String]) -> Result<AnalyzeArgs, String> {
     let mut parsed = AnalyzeArgs {
         file: String::new(),
         engine: None,
-        skip_loops: false,
         lifetime: true,
         max_memory: None,
         deadline: None,
@@ -215,7 +212,6 @@ fn parse_analyze_args(args: &[String]) -> Result<AnalyzeArgs, String> {
         };
         match a.as_str() {
             "--engine" => parsed.engine = Some(EngineKind::parse(&value_of("--engine")?)?),
-            "--skip-loops" => parsed.skip_loops = true,
             "--no-lifetime" => parsed.lifetime = false,
             "--max-memory" => parsed.max_memory = Some(parse_size(&value_of("--max-memory")?)?),
             "--deadline" => {
@@ -266,7 +262,6 @@ fn analyze(args: &[String]) -> ExitCode {
         .to_string();
 
     let mut analysis = Analysis::new()
-        .skip_loops(args.skip_loops)
         .lifetime(args.lifetime)
         .with_static(args.statics);
     if args.no_skip {

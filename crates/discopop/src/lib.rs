@@ -435,12 +435,6 @@ impl Analysis {
         self
     }
 
-    /// Enable the §2.4 loop-skipping optimization (serial engines only).
-    pub fn skip_loops(mut self, on: bool) -> Self {
-        self.cfg.skip_loops = on;
-        self
-    }
-
     /// Force the interpreter's affine skip tier on or off. The tier
     /// replays a precompiled straight-line plan for counted loops whose
     /// in-loop accesses are all statically proven affine, eliminating

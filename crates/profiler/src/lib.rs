@@ -18,9 +18,9 @@
 //!   ([`interp::RunConfig::racy_delivery`], §2.3.4), so the thread that
 //!   interprets stays the one producer.
 //! - **Skipping repeatedly-executed memory operations in loops** (§2.4):
-//!   per-operation `lastAddr`/`lastStatusRead`/`lastStatusWrite` conditions
-//!   let the profiler bypass dependence construction once a loop's
-//!   dependences are complete.
+//!   each memory operation remembers the last dependence it built, so a
+//!   loop's once-per-iteration rebuild is a compare and an increment; plan
+//!   runs repeat it in closed form ([`DepBuilder::process_run`]).
 //! - **Variable-lifetime analysis** (§2.3.5): dead address ranges are
 //!   evicted from the signatures so reused stack slots do not create false
 //!   dependences.
@@ -81,7 +81,7 @@ pub use access::{
     Access, Instance, InstanceTable, LoopContext, LoopKey, PackedAccess, NO_INSTANCE,
 };
 pub use dep::{control_spans, render_text, ControlSpan, Dep, DepSet, DepType, SrcLoc};
-pub use engine::{DepBuilder, EngineConfig, RunStats, SkipStats};
+pub use engine::{DepBuilder, RunStats, SkipStats};
 pub use maps::{estimated_fp_rate, AccessMap, Cell, HashShadowMap, PerfectMap, SignatureMap, Slot};
 pub use pet::{Pet, PetBuilder, PetNode, PetNodeKind};
 pub use pipeline::Profiler;

@@ -482,7 +482,7 @@ fn main() { int a = spawn(w, 300); int b = spawn(w, 300); join(a); join(b); }";
         ]
         .into();
         let chan = Arc::new(Channel::new(4));
-        let shadow = Shadow::new(ShadowTier::Perfect, &meta, Default::default());
+        let shadow = Shadow::new(ShadowTier::Perfect, &meta);
         let worker = spawn_worker(Arc::clone(&chan), shadow);
         // An outer loop and two instances of an inner one, entered in outer
         // iterations 1 and 2.

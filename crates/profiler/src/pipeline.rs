@@ -40,7 +40,7 @@
 use crate::access::{Access, Instance, InstanceTable, LoopContext, PackedAccess, NO_INSTANCE};
 use crate::budget::{signature_slots_for_budget, Budget, DegradationStep, ResourceStats};
 use crate::dep::DepSet;
-use crate::engine::{DepBuilder, EngineConfig, RunStats, SkipStats};
+use crate::engine::{DepBuilder, RunStats, SkipStats};
 use crate::maps::{AccessMap, Slot};
 use crate::parallel::{apply_msg, push_supervised, spawn_worker, Channel, Msg, WorkerOutcome};
 use crate::pet::PetBuilder;
@@ -541,12 +541,6 @@ impl Profiler {
     /// [`EngineKind::dials`] sizes [`EngineKind::Parallel`]'s partitions by).
     pub fn new(meta: &[MemOpMeta], footprint_words: usize, cfg: &ProfileConfig) -> Self {
         let dials = cfg.engine.dials(footprint_words);
-        let parallel = matches!(cfg.engine, EngineKind::Parallel { .. });
-        // §2.4 skipping is per-op state that wants one builder to see every
-        // access of an op; partitions split them by address.
-        let engine_cfg = EngineConfig {
-            skip_loops: cfg.skip_loops && !parallel,
-        };
         let op_meta: Arc<[MemOpMeta]> = meta.into();
         let nparts = dials.partitions;
         let ceiling = cfg.budget.max_memory_bytes.is_some();
@@ -559,7 +553,7 @@ impl Profiler {
             },
             back: Partitions {
                 parts: (0..nparts)
-                    .map(|_| Part::Local(Shadow::new(dials.tier, &op_meta, engine_cfg.clone())))
+                    .map(|_| Part::Local(Shadow::new(dials.tier, &op_meta)))
                     .collect(),
                 mask: nparts.is_power_of_two().then(|| nparts as u64 - 1),
                 dials,
@@ -919,10 +913,9 @@ fn main() {
         )
     }
 
-    fn cfg(engine: EngineKind, skip_loops: bool, affine_skip: bool) -> ProfileConfig {
+    fn cfg(engine: EngineKind, affine_skip: bool) -> ProfileConfig {
         ProfileConfig {
             engine,
-            skip_loops,
             run: interp::RunConfig {
                 affine_skip,
                 ..Default::default()
@@ -941,44 +934,42 @@ fn main() {
         for (name, src) in [("calls", CALLS), ("nest", NEST), ("strided", STRIDED)] {
             let p = program(src);
             for engine in engines {
-                for skip_loops in [false, true] {
-                    let label = format!("{name}: {engine}, skip_loops {skip_loops}");
-                    let cfg = cfg(engine, skip_loops, false);
-                    let inline = profile(&p, &cfg, u64::MAX);
-                    let moved = profile(&p, &cfg, 0);
-                    assert_eq!(output(&moved), output(&inline), "{label}");
-                    assert_eq!(moved.plan_runs, inline.plan_runs, "{label}");
-                    assert!(moved.parallel.is_none() && inline.parallel.is_none());
-                    assert_eq!(
-                        moved.tracking,
-                        Tracking::Moved {
-                            at_access: 0,
-                            recoveries: 0
-                        },
-                        "{label}"
-                    );
-                    assert_eq!(
-                        inline.tracking,
-                        Tracking::Inline(InlineReason::Short {
-                            accesses: inline.skip_stats.total_accesses
-                        }),
-                        "{label}"
-                    );
-                }
+                let label = format!("{name}: {engine}");
+                let cfg = cfg(engine, false);
+                let inline = profile(&p, &cfg, u64::MAX);
+                let moved = profile(&p, &cfg, 0);
+                assert_eq!(output(&moved), output(&inline), "{label}");
+                assert_eq!(moved.plan_runs, inline.plan_runs, "{label}");
+                assert!(moved.parallel.is_none() && inline.parallel.is_none());
+                assert_eq!(
+                    moved.tracking,
+                    Tracking::Moved {
+                        at_access: 0,
+                        recoveries: 0
+                    },
+                    "{label}"
+                );
+                assert_eq!(
+                    inline.tracking,
+                    Tracking::Inline(InlineReason::Short {
+                        accesses: inline.skip_stats.total_accesses
+                    }),
+                    "{label}"
+                );
             }
         }
         // The small signature did collide: the equality above covers
         // aliasing, not just exact answers.
         let p = program(STRIDED);
-        let exact = profile(&p, &cfg(EngineKind::SerialPerfect, false, false), 0);
-        let small = profile(&p, &cfg(EngineKind::signature(1021), false, false), 0);
+        let exact = profile(&p, &cfg(EngineKind::SerialPerfect, false), 0);
+        let small = profile(&p, &cfg(EngineKind::signature(1021), false), 0);
         assert_ne!(exact.deps.sorted(), small.deps.sorted());
     }
 
     #[test]
     fn plan_runs_after_the_move_expand_to_the_inline_closed_form() {
         let p = program(NEST);
-        let cfg = cfg(EngineKind::SerialPerfect, false, true);
+        let cfg = cfg(EngineKind::SerialPerfect, true);
         let inline = profile(&p, &cfg, u64::MAX);
         assert!(
             inline.plan_runs.cycles_resolved > 0,
@@ -1000,7 +991,7 @@ fn main() {
         // A real threshold: the partition moves at a checkpoint during the
         // fill, before the first plan run — where a second core exists.
         let p = program(FILL_THEN_NEST);
-        let cfg = cfg(EngineKind::SerialPerfect, false, true);
+        let cfg = cfg(EngineKind::SerialPerfect, true);
         let inline = profile(&p, &cfg, u64::MAX);
         assert!(inline.plan_runs.runs > 0);
         let moved = profile(&p, &cfg, 4096);
@@ -1019,7 +1010,7 @@ fn main() {
     #[test]
     fn a_memory_ceiling_or_a_resolved_run_keeps_the_partition_home() {
         let p = program(FILL_THEN_NEST);
-        let mut capped = cfg(EngineKind::SerialPerfect, false, false);
+        let mut capped = cfg(EngineKind::SerialPerfect, false);
         capped.budget.max_memory_bytes = Some(1 << 30);
         assert_eq!(
             profile(&p, &capped, 4096).tracking,
@@ -1033,7 +1024,7 @@ fn main() {
         // A run resolved before the threshold is reached pins the
         // partition: the nest alone, threshold just past its first run.
         let nest = program(NEST);
-        let out = profile(&nest, &cfg(EngineKind::SerialPerfect, false, true), 4096);
+        let out = profile(&nest, &cfg(EngineKind::SerialPerfect, true), 4096);
         assert!(out.skip_stats.total_accesses > 4096);
         assert_eq!(
             out.tracking,

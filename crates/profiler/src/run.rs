@@ -364,11 +364,6 @@ impl std::fmt::Display for EngineKind {
 pub struct ProfileConfig {
     /// Engine selection.
     pub engine: EngineKind,
-    /// Enable the §2.4 skip optimization. Serial engine kinds only: its
-    /// state is per memory operation and wants one builder to see all of
-    /// an operation's accesses, which [`EngineKind::Parallel`] deals out by
-    /// address. With it on, plan runs are fed access by access.
-    pub skip_loops: bool,
     /// Enable variable-lifetime analysis (§2.3.5).
     pub lifetime: bool,
     /// Resource limits (memory ceiling, wall-clock deadline). The default
@@ -401,7 +396,6 @@ impl Default for ProfileConfig {
     fn default() -> Self {
         ProfileConfig {
             engine: EngineKind::SerialPerfect,
-            skip_loops: false,
             lifetime: true,
             budget: Budget::unlimited(),
             spawn_threshold: Self::ADAPTIVE_SPAWN_THRESHOLD,
@@ -593,7 +587,7 @@ pub struct ProfileOutput {
     pub deps: DepSet,
     /// Program execution tree.
     pub pet: Pet,
-    /// Skip-optimization statistics.
+    /// §2.4 statistics (Table 2.7, Fig. 2.13).
     pub skip_stats: SkipStats,
     /// Affine skip tier activity (loops replayed, accesses synthesized,
     /// fallbacks, dispatch count).
@@ -1092,23 +1086,6 @@ mod tests {
             fpr > 0.0 || fnr > 0.0,
             "a 13-slot signature on 1024 addresses must collide"
         );
-    }
-
-    #[test]
-    fn skip_opt_output_identical_on_workload() {
-        let src = "global int a[16];\nglobal int s;\nfn main() {\nfor (int r = 0; r < 8; r = r + 1) {\nfor (int i = 0; i < 16; i = i + 1) {\ns = s + a[i];\na[i] = s - 1;\n}\n}\n}";
-        let p = program(src);
-        let plain = profile_program(&p).unwrap();
-        let skip = profile_program_with(
-            &p,
-            &ProfileConfig {
-                skip_loops: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(plain.deps.sorted(), skip.deps.sorted());
-        assert!(skip.skip_stats.total_skipped > 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::access::{Access, InstanceTable, PackedAccess};
 use crate::budget::{DegradationStep, ShadowTier, LADDER_MIN_SLOTS};
 use crate::dep::DepSet;
-use crate::engine::{DepBuilder, EngineConfig, RunStats, SkipStats};
+use crate::engine::{DepBuilder, RunStats, SkipStats};
 use crate::maps::{PerfectMap, SignatureMap};
 use interp::MemOpMeta;
 use std::sync::Arc;
@@ -50,16 +50,14 @@ pub(crate) struct Finished {
 }
 
 impl Shadow {
-    pub(crate) fn new(tier: ShadowTier, meta: &Arc<[MemOpMeta]>, cfg: EngineConfig) -> Self {
+    pub(crate) fn new(tier: ShadowTier, meta: &Arc<[MemOpMeta]>) -> Self {
         match tier {
             ShadowTier::Perfect => {
-                Shadow::Perfect(DepBuilder::new(PerfectMap::new(), Arc::clone(meta), cfg))
+                Shadow::Perfect(DepBuilder::new(PerfectMap::new(), Arc::clone(meta)))
             }
-            ShadowTier::Signature { slots } => Shadow::Sig(DepBuilder::new(
-                SignatureMap::new(slots),
-                Arc::clone(meta),
-                cfg,
-            )),
+            ShadowTier::Signature { slots } => {
+                Shadow::Sig(DepBuilder::new(SignatureMap::new(slots), Arc::clone(meta)))
+            }
         }
     }
 
@@ -128,11 +126,7 @@ impl Shadow {
         let from = self.tier();
         let (affected, merged_slots) = match self {
             Shadow::Perfect(_) => {
-                let placeholder = Shadow::Sig(DepBuilder::new(
-                    SignatureMap::new(1),
-                    Vec::new(),
-                    EngineConfig::default(),
-                ));
+                let placeholder = Shadow::Sig(DepBuilder::new(SignatureMap::new(1), Vec::new()));
                 let Shadow::Perfect(b) = std::mem::replace(self, placeholder) else {
                     unreachable!("matched Perfect above");
                 };

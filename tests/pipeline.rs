@@ -102,25 +102,6 @@ fn signature_accuracy_high_on_real_workload() {
 }
 
 #[test]
-fn skip_optimization_is_output_transparent_across_suites() {
-    for name in ["MG", "dotprod", "histogram"] {
-        let w = workloads::by_name(name).unwrap();
-        let compiled = Compiled::new(w.program().unwrap());
-        let plain = Analysis::new().profile(&compiled).unwrap();
-        let skip = Analysis::new().skip_loops(true).profile(&compiled).unwrap();
-        assert_eq!(
-            plain.deps().sorted(),
-            skip.deps().sorted(),
-            "{name}: skipping changed the output"
-        );
-        assert!(
-            skip.output.skip_stats.total_skipped > 0,
-            "{name}: nothing was skipped"
-        );
-    }
-}
-
-#[test]
 fn report_renders_for_every_textbook_program() {
     for w in workloads::suite(workloads::Suite::Textbook) {
         let program = w.program().unwrap();

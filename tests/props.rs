@@ -2,8 +2,8 @@
 //! programs and generated access traces.
 
 use profiler::{
-    Access, AccessMap, Cell, DepBuilder, EngineConfig, HashShadowMap, InstanceTable, PerfectMap,
-    SignatureMap, NO_INSTANCE,
+    Access, AccessMap, Cell, DepBuilder, HashShadowMap, InstanceTable, PerfectMap, SignatureMap,
+    NO_INSTANCE,
 };
 use proptest::prelude::*;
 
@@ -51,16 +51,8 @@ proptest! {
     #[test]
     fn large_signature_equals_perfect(trace in traces()) {
         let t = InstanceTable::new();
-        let mut sig = DepBuilder::new(
-            SignatureMap::new(1 << 16),
-            trace_meta(),
-            EngineConfig::default(),
-        );
-        let mut per = DepBuilder::new(
-            PerfectMap::new(),
-            trace_meta(),
-            EngineConfig::default(),
-        );
+        let mut sig = DepBuilder::new(SignatureMap::new(1 << 16), trace_meta());
+        let mut per = DepBuilder::new(PerfectMap::new(), trace_meta());
         for a in &trace {
             sig.process(a, &t);
             per.process(a, &t);
@@ -73,43 +65,14 @@ proptest! {
     #[test]
     fn page_table_equals_hash_shadow(trace in traces()) {
         let t = InstanceTable::new();
-        let mut page = DepBuilder::new(
-            PerfectMap::new(),
-            trace_meta(),
-            EngineConfig::default(),
-        );
-        let mut hash = DepBuilder::new(
-            HashShadowMap::new(),
-            trace_meta(),
-            EngineConfig::default(),
-        );
+        let mut page = DepBuilder::new(PerfectMap::new(), trace_meta());
+        let mut hash = DepBuilder::new(HashShadowMap::new(), trace_meta());
         for a in &trace {
             page.process(a, &t);
             hash.process(a, &t);
         }
         prop_assert_eq!(page.deps().sorted(), hash.deps().sorted());
         prop_assert_eq!(page.deps().total_found, hash.deps().total_found);
-    }
-
-    /// Skipping never changes the dependence output, on any trace.
-    #[test]
-    fn skip_is_output_transparent(trace in traces()) {
-        let t = InstanceTable::new();
-        let mut plain = DepBuilder::new(
-            PerfectMap::new(),
-            trace_meta(),
-            EngineConfig { skip_loops: false },
-        );
-        let mut skip = DepBuilder::new(
-            PerfectMap::new(),
-            trace_meta(),
-            EngineConfig { skip_loops: true },
-        );
-        for a in &trace {
-            plain.process(a, &t);
-            skip.process(a, &t);
-        }
-        prop_assert_eq!(plain.deps().sorted(), skip.deps().sorted());
     }
 
     /// Merging is idempotent in the merged size: processing a trace twice
@@ -119,11 +82,7 @@ proptest! {
     #[test]
     fn dep_counts_accumulate(trace in traces()) {
         let t = InstanceTable::new();
-        let mut e = DepBuilder::new(
-            PerfectMap::new(),
-            trace_meta(),
-            EngineConfig::default(),
-        );
+        let mut e = DepBuilder::new(PerfectMap::new(), trace_meta());
         for a in &trace {
             e.process(a, &t);
         }
@@ -397,11 +356,7 @@ mod governance_props {
         #[test]
         fn signature_tiers_against_perfect_oracle(trace in traces()) {
             let t = InstanceTable::new();
-            let mut per = DepBuilder::new(
-                PerfectMap::new(),
-                trace_meta(),
-                EngineConfig::default(),
-            );
+            let mut per = DepBuilder::new(PerfectMap::new(), trace_meta());
             for a in &trace {
                 per.process(a, &t);
             }
@@ -409,11 +364,7 @@ mod governance_props {
             let addrs = addrs_of(&trace);
 
             for tier in TIERS {
-                let mut sig = DepBuilder::new(
-                    SignatureMap::new(tier),
-                    trace_meta(),
-                    EngineConfig::default(),
-                );
+                let mut sig = DepBuilder::new(SignatureMap::new(tier), trace_meta());
                 for a in &trace {
                     sig.process(a, &t);
                 }

@@ -10,30 +10,11 @@
 //! nests and hand-built runs that take each branch of the resolver; an
 //! engagement floor keeps the gate from passing on fallbacks alone.
 
+use bench::Expanding;
 use interp::{Event, MemEvent, MemOpMeta, PlanRun, Program, RegionExitEvent, RunStream, Sink};
 use mir::RegionKind;
 use profiler::engine::RunStats;
 use profiler::{Dep, ProfileConfig, Profiler, Slot};
-
-/// The reference: a profiler that is handed runs and feeds it their
-/// expansion, event by event.
-struct Expanding(Profiler);
-
-impl Sink for Expanding {
-    const TAKES_RUNS: bool = true;
-
-    fn event(&mut self, ev: &Event) {
-        self.0.event(ev);
-    }
-
-    fn events(&mut self, evs: &[Event]) {
-        self.0.events(evs);
-    }
-
-    fn plan_run(&mut self, run: &PlanRun<'_>) {
-        run.expand(|ev| self.0.event(ev));
-    }
-}
 
 /// Everything a profiler holds at the end of a run.
 #[derive(Debug, PartialEq)]
@@ -101,20 +82,16 @@ fn assert_same(label: &str, resolved: Snapshot, reference: Snapshot) {
     );
 }
 
-fn profiler_for(meta: &[MemOpMeta], skip_loops: bool) -> Profiler {
-    let cfg = ProfileConfig {
-        skip_loops,
-        ..Default::default()
-    };
-    Profiler::new(meta, 0, &cfg)
+fn profiler_for(meta: &[MemOpMeta]) -> Profiler {
+    Profiler::new(meta, 0, &ProfileConfig::default())
 }
 
 /// Profile `p` both ways and demand one final state. Returns what became of
 /// its runs.
-fn differential_program(label: &str, p: &Program, skip_loops: bool) -> RunStats {
-    let mut resolved = profiler_for(p.mem_op_meta(), skip_loops);
+fn differential_program(label: &str, p: &Program) -> RunStats {
+    let mut resolved = profiler_for(p.mem_op_meta());
     let r = interp::run(p, &mut resolved).expect("runs");
-    let mut reference = Expanding(profiler_for(p.mem_op_meta(), skip_loops));
+    let mut reference = Expanding(profiler_for(p.mem_op_meta()));
     let r2 = interp::run(p, &mut reference).expect("runs");
     assert_eq!(r.steps, r2.steps, "{label}");
     let stats = resolved.run_stats();
@@ -149,7 +126,7 @@ fn catalogue_resolves_to_the_expanded_state() {
             continue;
         }
         let p = w.program().expect("workload compiles");
-        let s = differential_program(w.name, &p, false);
+        let s = differential_program(w.name, &p);
         total.runs += s.runs;
         total.cycles += s.cycles;
         total.cycles_resolved += s.cycles_resolved;
@@ -181,25 +158,12 @@ fn main() {
     }
 }",
     );
-    let s = differential_program("hot_loop", &p, false);
+    let s = differential_program("hot_loop", &p);
     assert_eq!((s.runs, s.cycles), (12, 12 * 4095), "{s:?}");
     assert_eq!(s.declined_overlap, 0, "{s:?}");
     assert_eq!(s.cycles_resolved, 12 * 4093, "{s:?}");
     assert!(s.resolved_pct() >= 99.0);
     assert_eq!(s.splits, 0, "{s:?}");
-}
-
-/// Under `skip_loops` every access goes through the per-op skip state: the
-/// record is fed access by access and nothing is resolved.
-#[test]
-fn skip_loops_takes_runs_but_resolves_nothing() {
-    let p = workloads::by_name("matmul")
-        .expect("workload exists")
-        .program()
-        .expect("compiles");
-    let s = differential_program("matmul/skip_loops", &p, true);
-    assert!(s.runs > 0 && s.cycles > 0, "{s:?}");
-    assert_eq!(s.cycles_resolved, 0, "{s:?}");
 }
 
 /// Small loops of the branches a real program reaches: a lagged stream
@@ -214,7 +178,7 @@ fn main() {
     for (int i = 1; i < 64; i = i + 1) { a[i] = a[i - 1] + 1; }
 }",
     );
-    let s = differential_program("lagged", &lagged, false);
+    let s = differential_program("lagged", &lagged);
     assert_eq!(
         (s.runs, s.declined_overlap, s.cycles_resolved),
         (1, 1, 0),
@@ -230,7 +194,7 @@ fn main() {
     for (int i = 0; i < 64; i = i + 1) { s = s + a[i]; }
 }",
     );
-    let s = differential_program("halves", &halves, false);
+    let s = differential_program("halves", &halves);
     assert_eq!((s.runs, s.declined_overlap), (3, 0), "{s:?}");
     assert_eq!(
         s.splits, 1,
@@ -250,7 +214,7 @@ fn main() {
     }
 }",
     );
-    let s = differential_program("scalar_read", &scalar_read, false);
+    let s = differential_program("scalar_read", &scalar_read);
     assert_eq!(
         (s.runs, s.splits, s.cycles_resolved),
         (3, 0, 3 * 62),
@@ -268,7 +232,7 @@ fn main() {
     for (int i = 0; i < 64; i = i + 1) { a[i] = 0; }
 }",
     );
-    let s = differential_program("write_first", &write_first, false);
+    let s = differential_program("write_first", &write_first);
     // The reader splits once (a[48] on was never written), the final
     // writer at a[16], a[32] and a[48].
     assert_eq!((s.runs, s.declined_overlap, s.splits), (3, 0, 4), "{s:?}");
@@ -289,7 +253,7 @@ fn main() {
     for (int i = 0; i < 64; i = i + 1) { s = s + a[i]; }
 }",
     );
-    let s = differential_program("two_writers", &two_writers, false);
+    let s = differential_program("two_writers", &two_writers);
     assert!(s.splits >= 1 && s.cycles_resolved >= 61, "{s:?}");
 
     for trip in 1..=5 {
@@ -302,7 +266,7 @@ fn main() {{
     }}
 }}"
         ));
-        let s = differential_program(&format!("trip={trip}"), &p, false);
+        let s = differential_program(&format!("trip={trip}"), &p);
         assert_eq!((s.runs, s.cycles), (2, 2 * trip), "{s:?}");
         assert_eq!(
             s.cycles_resolved,
@@ -339,7 +303,7 @@ fn generated_nests_resolve_to_the_expanded_state() {
             "global int a[64];\nglobal int b[64];\nglobal int s;\nfn main() {{\n\
              for (int r = 0; r < 3; r = r + 1) {{\nfor (int i = 0; i < {trip}; i = i + 1) {{\n{body}}}\n}}\n}}\n"
         );
-        let s = differential_program(&format!("nest {case}:\n{src}"), &compile(&src), false);
+        let s = differential_program(&format!("nest {case}:\n{src}"), &compile(&src));
         assert_eq!(s.runs, 3, "nest {case}:\n{src}");
         resolved += s.cycles_resolved;
         declined += s.declined_overlap;
@@ -480,7 +444,6 @@ impl Trace {
     fn check(
         mut self,
         label: &str,
-        skip_loops: bool,
         streams: &[RunStream],
         (started, completed, partial_steps): (u64, u64, u32),
     ) -> RunStats {
@@ -508,8 +471,8 @@ impl Trace {
             thread: 0,
         });
         let close = self.prefix.split_off(after);
-        let mut resolved = profiler_for(&self.meta, skip_loops);
-        let mut reference = Expanding(profiler_for(&self.meta, skip_loops));
+        let mut resolved = profiler_for(&self.meta);
+        let mut reference = Expanding(profiler_for(&self.meta));
         for ev in &self.prefix {
             resolved.event(ev);
             reference.event(ev);
@@ -544,12 +507,7 @@ fn short_and_partial_runs_are_fed_access_by_access() {
     for partial in 0..=4 {
         let t = Trace::new(&REDUCE_OPS);
         let streams = reduce_streams(&t, A, 8);
-        let s = t.check(
-            &format!("partial={partial}"),
-            false,
-            &streams,
-            (1, 0, partial),
-        );
+        let s = t.check(&format!("partial={partial}"), &streams, (1, 0, partial));
         assert_eq!((s.cycles, s.cycles_resolved), (0, 0));
     }
     // 1–5 full cycles, with and without a partial tail.
@@ -562,7 +520,7 @@ fn short_and_partial_runs_are_fed_access_by_access() {
                 completed,
                 tail.unwrap_or(0),
             );
-            let s = t.check(&format!("run {shape:?}"), false, &streams, shape);
+            let s = t.check(&format!("run {shape:?}"), &streams, shape);
             let want = if completed >= 4 { completed - 2 } else { 0 };
             assert_eq!(
                 (s.cycles, s.cycles_resolved),
@@ -578,7 +536,7 @@ fn a_negative_stride_resolves_downwards() {
     let mut t = Trace::new(&[(4, false), (4, false), (4, true), (2, true)]);
     t.producer(1, 3, A, 32);
     let streams = reduce_streams(&t, A + 8 * 31, -8);
-    let s = t.check("negative stride", false, &streams, (33, 32, 1));
+    let s = t.check("negative stride", &streams, (33, 32, 1));
     assert_eq!(
         (s.declined_overlap, s.splits, s.cycles_resolved),
         (0, 0, 30),
@@ -592,7 +550,7 @@ fn overlapping_groups_are_declined() {
     let mut t = Trace::new(&[(4, false), (4, true), (2, true)]);
     t.mem(2, A);
     let streams = [t.stream(0, 0, A, 8), t.stream(1, 2, A + 8, 8)];
-    let s = t.check("lagged", false, &streams, (17, 16, 0));
+    let s = t.check("lagged", &streams, (17, 16, 0));
     assert_eq!((s.declined_overlap, s.cycles_resolved), (1, 0), "{s:?}");
 }
 
@@ -603,7 +561,7 @@ fn a_shadow_that_changes_halfway_splits_once() {
     t.producer(1, 3, A, 16);
     t.producer(2, 4, A + 8 * 16, 16);
     let streams = reduce_streams(&t, A, 8);
-    let s = t.check("halves", false, &streams, (33, 32, 1));
+    let s = t.check("halves", &streams, (33, 32, 1));
     assert_eq!((s.splits, s.cycles_resolved), (1, 32 - 3), "{s:?}");
 }
 
@@ -614,7 +572,7 @@ fn a_read_only_scalar_whose_writer_predates_the_run_resolves() {
     let mut t = Trace::new(&[(4, false), (4, true), (1, true)]);
     t.mem(2, S);
     let streams = [t.stream(0, 0, S, 0), t.stream(1, 1, A, 8)];
-    let s = t.check("read-only scalar", false, &streams, (25, 24, 1));
+    let s = t.check("read-only scalar", &streams, (25, 24, 1));
     assert_eq!((s.splits, s.cycles_resolved), (0, 22), "{s:?}");
 }
 
@@ -627,7 +585,7 @@ fn a_write_first_group_classifies_by_the_read_status() {
     t.producer(1, 1, A + 8 * 8, 16);
     t.producer(2, 2, A + 8 * 16, 16);
     let streams = [t.stream(0, 0, A, 8)];
-    let s = t.check("write-first", false, &streams, (32, 32, 0));
+    let s = t.check("write-first", &streams, (32, 32, 0));
     assert_eq!(s.splits, 3, "{s:?}");
     assert_eq!(s.cycles_resolved, 32 - 1 - 4, "{s:?}");
 }
@@ -642,7 +600,7 @@ fn the_order_of_last_read_and_last_write_splits_a_write_first_group() {
     t.producer(2, 2, A, 32);
     t.producer(1, 1, A + 8 * 16, 16);
     let streams = [t.stream(0, 0, A, 8)];
-    let s = t.check("read-newer flips", false, &streams, (32, 32, 0));
+    let s = t.check("read-newer flips", &streams, (32, 32, 0));
     assert_eq!((s.splits, s.cycles_resolved), (1, 32 - 3), "{s:?}");
 }
 
@@ -660,17 +618,8 @@ fn a_change_of_carrying_loop_splits_a_stretch() {
     t.iter(OUTER);
     t.producer(1, 3, A + 8 * 16, 16);
     let streams = reduce_streams(&t, A, 8);
-    let s = t.check("carried flips", false, &streams, (33, 32, 1));
+    let s = t.check("carried flips", &streams, (33, 32, 1));
     assert_eq!((s.splits, s.cycles_resolved), (1, 32 - 3), "{s:?}");
-}
-
-#[test]
-fn skip_loops_feeds_a_hand_built_run_access_by_access() {
-    let mut t = Trace::new(&[(4, false), (4, false), (4, true), (2, true)]);
-    t.producer(1, 3, A, 32);
-    let streams = reduce_streams(&t, A, 8);
-    let s = t.check("skip_loops", true, &streams, (33, 32, 1));
-    assert_eq!(s.cycles_resolved, 0, "{s:?}");
 }
 
 #[test]
@@ -683,6 +632,6 @@ fn a_cell_newer_than_the_run_is_never_resolved_over() {
         t.mem_at(3, A + 8 * w, 1 << 40);
     }
     let streams = reduce_streams(&t, A, 8);
-    let s = t.check("future cells", false, &streams, (17, 16, 1));
+    let s = t.check("future cells", &streams, (17, 16, 1));
     assert_eq!(s.cycles_resolved, 0, "{s:?}");
 }
