@@ -133,6 +133,13 @@ use std::borrow::Cow;
 /// still read, because the parser requires `rebalances` and every saved
 /// report must keep loading, but the machinery they counted is gone. No
 /// bump: the key set and every type are unchanged. See [`ParallelDoc`].
+///
+/// Also within version 6, a `SiblingCalls` row of `discovery.spmd` became a
+/// fork–join **group**: `lines` holds every call site of a maximal run of
+/// mutually independent sibling calls (two or more), where it held exactly
+/// one independent pair, and `callees` their sorted, distinct names. No
+/// bump: the keys and their types are unchanged, and the reader takes both
+/// forms. See [`SpmdDoc`].
 pub const SCHEMA_VERSION: u32 = 6;
 
 /// Oldest schema version [`ReportDoc::from_json`] still reads.
@@ -1000,7 +1007,8 @@ pub struct SpmdDoc<'a> {
     pub kind: Cow<'a, str>,
     /// Containing function index.
     pub func: u32,
-    /// Task body / call-site lines.
+    /// Task body / call-site lines: a `SiblingCalls` group's two or more
+    /// call sites, in instruction order.
     pub lines: Cow<'a, [u32]>,
     /// Callee names.
     pub callees: Cow<'a, [String]>,

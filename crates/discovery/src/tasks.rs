@@ -4,7 +4,7 @@ use crate::doall::{LoopClass, LoopResult};
 use cu::{Cu, CuGraph, DepIndex, Partition};
 use fxhash::FxHashMap;
 use interp::Program;
-use mir::{Instr, VarRef};
+use mir::{Function, Instr, VarRef};
 use serde::Serialize;
 use std::collections::BTreeSet;
 
@@ -14,8 +14,10 @@ pub enum SpmdKind {
     /// A parallelizable loop whose body performs calls: each iteration
     /// becomes a task (BOTS `nqueens` pattern, Fig. 4.2).
     LoopTask,
-    /// Independent sibling calls (same or different callee) inside one
-    /// function: each call becomes a task (BOTS `fib` pattern, Fig. 4.3).
+    /// A fork–join group of sibling calls (same or different callees) inside
+    /// one function: a maximal contiguous run of call sites, in instruction
+    /// order, that are pairwise independent; each call becomes a task and
+    /// the group joins after the last (BOTS `fib` pattern, Fig. 4.3).
     SiblingCalls,
 }
 
@@ -26,7 +28,9 @@ pub struct SpmdSuggestion {
     pub kind: SpmdKind,
     /// Function containing the opportunity.
     pub func: u32,
-    /// Source lines of the task bodies / call sites.
+    /// Source lines of the task bodies / call sites: for `LoopTask` the
+    /// calls in the loop body, for `SiblingCalls` the group's two or more
+    /// call sites in instruction order.
     pub lines: Vec<u32>,
     /// Callee names involved.
     pub callees: Vec<String>,
@@ -136,6 +140,102 @@ fn global_sets(
     reads.into_iter().zip(writes).collect()
 }
 
+/// The open sibling group of one function: which call lines and globals its
+/// members cover, as stamps of the current `epoch`, so closing it is one
+/// increment. A site conflicts with some member iff it conflicts with the
+/// union of their sets, because intersection distributes over union.
+struct OpenGroup {
+    epoch: u32,
+    lines: Vec<u32>,
+    reads: Vec<u32>,
+    writes: Vec<u32>,
+}
+
+impl OpenGroup {
+    fn new(globals: usize, sites: &[Vec<(u32, usize)>]) -> OpenGroup {
+        let max_line = sites.iter().flatten().map(|&(line, _)| line).max();
+        OpenGroup {
+            epoch: 1,
+            lines: vec![0; max_line.map_or(0, |l| l as usize + 1)],
+            reads: vec![0; globals],
+            writes: vec![0; globals],
+        }
+    }
+
+    fn covers(stamps: &[u32], i: u32, epoch: u32) -> bool {
+        stamps.get(i as usize) == Some(&epoch)
+    }
+
+    /// May the call at `line` (with local-flow `partners` lines and the
+    /// callee's transitive global sets) join every member of the group?
+    fn admits(
+        &self,
+        line: u32,
+        partners: &[u32],
+        reads: &BTreeSet<u32>,
+        writes: &BTreeSet<u32>,
+    ) -> bool {
+        let e = self.epoch;
+        !Self::covers(&self.lines, line, e)
+            && !partners.iter().any(|&p| Self::covers(&self.lines, p, e))
+            && !writes
+                .iter()
+                .any(|&g| Self::covers(&self.reads, g, e) || Self::covers(&self.writes, g, e))
+            && !reads.iter().any(|&g| Self::covers(&self.writes, g, e))
+    }
+
+    fn join(&mut self, line: u32, reads: &BTreeSet<u32>, writes: &BTreeSet<u32>) {
+        let e = self.epoch;
+        let stamp = |stamps: &mut [u32], i: u32| {
+            if let Some(s) = stamps.get_mut(i as usize) {
+                *s = e;
+            }
+        };
+        stamp(&mut self.lines, line);
+        for &g in reads {
+            stamp(&mut self.reads, g);
+        }
+        for &g in writes {
+            stamp(&mut self.writes, g);
+        }
+    }
+
+    fn close(&mut self) {
+        self.epoch += 1;
+    }
+}
+
+/// The sorted, distinct callee names of `calls`.
+fn callee_names(functions: &[Function], calls: &[(u32, usize)]) -> Vec<String> {
+    let mut callees: Vec<String> = calls
+        .iter()
+        .map(|&(_, c)| functions[c].name.clone())
+        .collect();
+    callees.sort();
+    callees.dedup();
+    callees
+}
+
+/// Emit `group`, a closed run of sibling call sites in function `func`, if
+/// it holds two or more: one fork–join group of tasks.
+fn push_sibling_group(
+    out: &mut Vec<SpmdSuggestion>,
+    functions: &[Function],
+    func: usize,
+    group: &[(u32, usize)],
+) {
+    if group.len() < 2 {
+        return;
+    }
+    out.push(SpmdSuggestion {
+        kind: SpmdKind::SiblingCalls,
+        func: func as u32,
+        lines: group.iter().map(|&(line, _)| line).collect(),
+        callees: callee_names(functions, group),
+        loop_line: None,
+    });
+}
+
 /// Detect SPMD-style tasks.
 pub fn find_spmd_tasks(
     program: &Program,
@@ -157,59 +257,55 @@ pub fn find_spmd_tasks(
             .filter(|(line, _)| *line > l.info.start_line && *line <= l.info.end_line)
             .collect();
         if !calls.is_empty() {
-            let mut callees: Vec<String> = calls
-                .iter()
-                .map(|&(_, c)| functions[c].name.clone())
-                .collect();
-            callees.sort();
-            callees.dedup();
             out.push(SpmdSuggestion {
                 kind: SpmdKind::LoopTask,
                 func: l.info.func,
                 lines: calls.iter().map(|(l, _)| *l).collect(),
-                callees,
+                callees: callee_names(functions, &calls),
                 loop_line: Some(l.info.start_line),
             });
         }
     }
 
-    // (b) Independent sibling calls: two call sites whose computations
-    // satisfy the Bernstein condition (§1.2.1) — no flow between the call
-    // lines locally, and the callees' transitive global read/write sets do
-    // not conflict.
+    // (b) Independent sibling calls, as fork–join groups: each maximal
+    // contiguous run of call sites that are pairwise independent under the
+    // Bernstein condition (§1.2.1) — distinct lines, no flow between the
+    // two call lines locally, and the callees' transitive global read/write
+    // sets do not conflict.
     let globals = global_sets(program, &sites);
+    let mut open = OpenGroup::new(program.module.globals.len(), &sites);
     for (fi, calls) in sites.iter().enumerate() {
-        for (i, &(la, ca)) in calls.iter().enumerate() {
-            for &(lb, cb) in &calls[i + 1..] {
-                if la == lb {
-                    continue;
-                }
-                // Local flow: the later call's line must not read what the
-                // earlier call's line produced (`b = f(a)` after `a = f(x)`).
-                if index.has_raw(la.min(lb), la.max(lb)) {
-                    continue;
-                }
-                // Bernstein on transitive global sets.
-                let (ra, wa) = &globals[ca];
-                let (rb, wb) = &globals[cb];
-                let conflict = wa.intersection(rb).next().is_some()
-                    || ra.intersection(wb).next().is_some()
-                    || wa.intersection(wb).next().is_some();
-                if conflict {
-                    continue;
-                }
-                let mut callees = vec![functions[ca].name.clone(), functions[cb].name.clone()];
-                callees.sort();
-                callees.dedup();
-                out.push(SpmdSuggestion {
-                    kind: SpmdKind::SiblingCalls,
-                    func: fi as u32,
-                    lines: vec![la, lb],
-                    callees,
-                    loop_line: None,
-                });
+        if calls.len() < 2 {
+            continue;
+        }
+        // Local flow: a later call's line must not read what an earlier
+        // call's line produced (`b = f(a)` after `a = f(x)`). The RAWs
+        // `has_raw(min, max)` would find between two call lines, bucketed
+        // by line once.
+        let mut flow: FxHashMap<u32, Vec<u32>> = fxhash::map_with_capacity(calls.len());
+        for &(line, _) in calls {
+            flow.entry(line).or_default();
+        }
+        for d in index.raws_within(fi as u32) {
+            let (lo, hi) = (d.source.line, d.sink.line);
+            if lo < hi && flow.contains_key(&lo) && flow.contains_key(&hi) {
+                flow.entry(lo).or_default().push(hi);
+                flow.entry(hi).or_default().push(lo);
             }
         }
+        let mut start = 0;
+        for (i, &(line, callee)) in calls.iter().enumerate() {
+            let (reads, writes) = &globals[callee];
+            let partners = flow.get(&line).map_or(&[][..], Vec::as_slice);
+            if !open.admits(line, partners, reads, writes) {
+                push_sibling_group(&mut out, functions, fi, &calls[start..i]);
+                open.close();
+                start = i;
+            }
+            open.join(line, reads, writes);
+        }
+        push_sibling_group(&mut out, functions, fi, &calls[start..]);
+        open.close();
     }
     out
 }
@@ -346,6 +442,27 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Independent calls form one fork–join group until a call conflicts
+    /// with a member; that call opens the next group.
+    #[test]
+    fn a_conflicting_call_closes_the_group_and_opens_the_next() {
+        let src = "global int a;\nglobal int b;\nglobal int d;\nfn fa() { a = 1; }\nfn fb() { b = 2; }\nfn fc() -> int { return a + b; }\nfn fd() { d = 3; }\nfn main() {\nfa();\nfb();\nint r = fc();\nfd();\nprint(r);\n}";
+        let (p, index, _graph, loops) = setup(src);
+        let groups: Vec<(Vec<u32>, Vec<String>)> = find_spmd_tasks(&p, &index, &loops)
+            .into_iter()
+            .filter(|s| s.kind == SpmdKind::SiblingCalls)
+            .map(|s| (s.lines, s.callees))
+            .collect();
+        let names = |n: &[&str]| n.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            groups,
+            vec![
+                (vec![9, 10], names(&["fa", "fb"])),
+                (vec![11, 12], names(&["fc", "fd"])),
+            ]
+        );
     }
 
     #[test]

@@ -76,18 +76,20 @@ fn rendering_allocates_for_the_output_not_for_the_rows() {
     );
     drop((program, report));
 
-    // Twice the program: twice the loops and dependences, four times the
-    // pairwise task suggestions, and the same fresh allocations — only the
-    // output buffer (and the buffers reused from row to row) grew, by
-    // reallocation.
+    // Twice the program: twice the rows — loops, dependences, and call
+    // sites in the one sibling-call group — about twice the bytes, and the
+    // same fresh allocations — only the output buffer (and the buffers
+    // reused from row to row) grew, by reallocation.
     let (small_program, small) = wide(40);
     let (large_program, large) = wide(80);
     assert_eq!(large.discovery.loops.len(), 2 * small.discovery.loops.len());
     assert_eq!(large.profile.deps.len(), 2 * small.profile.deps.len());
-    assert!(large.discovery.spmd.len() > 4 * small.discovery.spmd.len());
+    let sites =
+        |r: &Report| -> Vec<usize> { r.discovery.spmd.iter().map(|s| s.lines.len()).collect() };
+    assert_eq!((sites(&small), sites(&large)), (vec![40], vec![80]));
     let (small_fresh, small_grown, small_bytes) = render_cost(&small_program, &small);
     let (large_fresh, large_grown, large_bytes) = render_cost(&large_program, &large);
-    assert!(large_bytes > 3 * small_bytes);
+    assert!(large_bytes > 3 * small_bytes / 2 && large_bytes < 2 * small_bytes);
     assert_eq!(
         large_fresh, small_fresh,
         "fresh allocations must not depend on the number of rows"
