@@ -24,6 +24,9 @@ pub struct DepIndex {
     raw_lines: FxHashSet<(u32, u32)>,
     /// `(line, variable)` of every non-carried WAR from a line to itself.
     same_line_wars: FxHashSet<(u32, u32)>,
+    /// Per `(source line, variable)`: the other lines a RAW on it reaches,
+    /// sorted and distinct.
+    raws_leaving: FxHashMap<(u32, u32), Vec<u32>>,
     /// Per function: the RAWs with both ends inside its line span.
     raws_within: Vec<Vec<Dep>>,
 }
@@ -60,6 +63,13 @@ impl DepIndex {
             match d.ty {
                 DepType::Raw => {
                     index.raw_lines.insert((d.source.line, d.sink.line));
+                    if d.sink.line != d.source.line {
+                        index
+                            .raws_leaving
+                            .entry((d.source.line, d.var))
+                            .or_default()
+                            .push(d.sink.line);
+                    }
                     if let Some(key) = d.carried_by {
                         index.carried_raws.entry(key).or_default().push(d);
                     }
@@ -78,6 +88,10 @@ impl DepIndex {
                 }
                 _ => {}
             }
+        }
+        for sinks in index.raws_leaving.values_mut() {
+            sinks.sort_unstable();
+            sinks.dedup();
         }
         index
     }
@@ -103,6 +117,15 @@ impl DepIndex {
     /// iteration?
     pub fn has_same_line_war(&self, line: u32, var: u32) -> bool {
         self.same_line_wars.contains(&(line, var))
+    }
+
+    /// Is there a RAW on `var` from `line` to another line in `lo < sink ≤
+    /// hi` — is the value written on `line` read elsewhere in that span?
+    pub fn has_raw_leaving(&self, line: u32, var: u32, lo: u32, hi: u32) -> bool {
+        self.raws_leaving.get(&(line, var)).is_some_and(|sinks| {
+            let first = sinks.partition_point(|&sink| sink <= lo);
+            sinks.get(first).is_some_and(|&sink| sink <= hi)
+        })
     }
 
     /// The RAWs whose sink and source both lie within function `func`'s
@@ -209,6 +232,18 @@ mod tests {
                             && w.var == var
                     });
                     assert_eq!(index.has_same_line_war(a, var), same_addr_war);
+                    for (lo, hi) in [(0, 14), (2, 7), (a, a + 3), (5, 5), (9, 2)] {
+                        // `LoopAnalyzer::analyze`'s reduction veto.
+                        let leaving = all.iter().any(|d| {
+                            d.ty == DepType::Raw
+                                && d.source.line == a
+                                && d.sink.line != a
+                                && d.var == var
+                                && lo < d.sink.line
+                                && d.sink.line <= hi
+                        });
+                        assert_eq!(index.has_raw_leaving(a, var, lo, hi), leaving);
+                    }
                 }
             }
             for (fi, f) in p.module.functions.iter().enumerate() {
@@ -262,6 +297,7 @@ mod tests {
         assert!(index.carried_raws((0, 1)).is_empty());
         assert!(!index.has_raw(1, 1));
         assert!(!index.has_same_line_war(1, 0));
+        assert!(!index.has_raw_leaving(1, 0, 0, 14));
         assert!(index.raws_within(2).is_empty());
     }
 }

@@ -265,9 +265,14 @@ impl<'a> LoopAnalyzer<'a> {
             // *same address* within an iteration — witnessed by a same-line,
             // non-carried WAR. This separates `s += a[i]` and `h[b] += 1`
             // (reductions) from `a[i] = a[i-1] + 1` (a genuine recurrence,
-            // which reads one element and writes another).
+            // which reads one element and writes another). And (c) no other
+            // line of the body may read the running value: in
+            // `s = s + a[i]; t[i] = s;` the partial sums are the output.
             if d.sink.line == d.source.line
                 && self.index.has_same_line_war(d.sink.line, d.var)
+                && !self
+                    .index
+                    .has_raw_leaving(d.sink.line, d.var, info.start_line, info.end_line)
                 && is_reduction_line(f, d.sink.line, name, program)
             {
                 reduction_vars.insert(name.to_string());
@@ -413,6 +418,34 @@ mod tests {
         );
         assert_eq!(r[0].class, LoopClass::Reduction, "{:?}", r[0]);
         assert_eq!(r[0].reduction_vars, vec!["s".to_string()]);
+    }
+
+    #[test]
+    fn a_running_value_read_on_another_body_line_is_not_a_reduction() {
+        // `b[i]` passes the one-line test on line 7, but line 8 reads the
+        // value it stores: the outer loop is not a reduction on `b`.
+        let r = analyze(
+            "global int a[64];\nglobal int b[64];\nglobal int s;\nfn main() {\nfor (int r = 0; r < 4; r = r + 1) {\nfor (int i = 1; i < 64; i = i + 1) {\nb[i] = a[i - 1] + b[i];\ns = s + b[i];\n}\n}\n}",
+        );
+        let (outer, inner) = (&r[0], &r[1]);
+        assert_eq!((outer.info.start_line, inner.info.start_line), (5, 6));
+        assert_ne!(outer.class, LoopClass::Reduction, "{outer:?}");
+        assert!(
+            !outer.reduction_vars.contains(&"b".to_string()),
+            "{outer:?}"
+        );
+        assert_eq!(inner.class, LoopClass::Reduction, "{inner:?}");
+        assert_eq!(inner.reduction_vars, vec!["s".to_string()]);
+    }
+
+    #[test]
+    fn a_scan_is_not_a_reduction() {
+        let r = analyze(
+            "global int a[64];\nglobal int t[64];\nglobal int s;\nfn main() {\nfor (int i = 0; i < 64; i = i + 1) {\ns = s + a[i];\nt[i] = s;\n}\n}",
+        );
+        assert_ne!(r[0].class, LoopClass::Reduction, "{:?}", r[0]);
+        assert_ne!(r[0].class, LoopClass::Doall, "{:?}", r[0]);
+        assert!(r[0].reduction_vars.is_empty(), "{:?}", r[0]);
     }
 
     #[test]
