@@ -8,11 +8,10 @@
 //! renderings of Fig. 5.1.
 
 use profiler::{DepSet, DepType};
-use serde::Serialize;
 
 /// A thread-to-thread communication matrix: `m[producer][consumer]` counts
 /// distinct cross-thread flow dependences.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CommMatrix {
     /// Number of threads.
     pub threads: usize,
@@ -90,7 +89,7 @@ pub fn comm_matrix(deps: &DepSet, threads: usize) -> CommMatrix {
 /// same mailbox slot, so message handoffs appear as RAW dependences,
 /// slot reuse at the capacity bound as WAR/WAW coupling, and unsynchronized
 /// delivery as race hints.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ActorComm {
     /// Actor×actor message counts (`matrix.get(from, to)` = messages sent
     /// from `from` to `to`). Pattern classification applies unchanged.

@@ -9,7 +9,6 @@
 use discovery::LoopInfo;
 use interp::Program;
 use profiler::{DepSet, DepType};
-use serde::Serialize;
 
 /// Number of features.
 pub const NUM_FEATURES: usize = 8;
@@ -27,7 +26,7 @@ pub const FEATURE_NAMES: [&str; NUM_FEATURES] = [
 ];
 
 /// A feature vector for one loop.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Features(pub [f64; NUM_FEATURES]);
 
 /// Extract the Table 5.1 dynamic features for a loop.
@@ -83,7 +82,7 @@ pub fn extract(program: &Program, deps: &DepSet, info: &LoopInfo) -> Features {
 }
 
 /// One labelled loop.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Sample {
     /// The features.
     pub x: Features,
@@ -92,7 +91,7 @@ pub struct Sample {
 }
 
 /// A labelled dataset.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Dataset {
     /// The samples.
     pub samples: Vec<Sample>,
@@ -116,7 +115,7 @@ impl Dataset {
 }
 
 /// A decision stump: `x[feature] > threshold` votes `polarity`.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Stump {
     feature: usize,
     threshold: f64,
@@ -133,7 +132,7 @@ impl Stump {
 }
 
 /// AdaBoost.M1 over decision stumps.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AdaBoost {
     stumps: Vec<Stump>,
 }
@@ -235,7 +234,7 @@ impl AdaBoost {
 }
 
 /// Classification scores (Table 5.3 columns).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Scores {
     pub accuracy: f64,
     pub precision: f64,

@@ -11,13 +11,12 @@
 use discovery::{LoopClass, LoopResult};
 use interp::Program;
 use profiler::{DepSet, DepType};
-use serde::Serialize;
 use std::collections::BTreeSet;
 
 /// A transaction candidate: a source line (or small line group) inside a
 /// parallelizable loop whose accesses to a shared variable conflict across
 /// iterations.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Transaction {
     /// Loop header line.
     pub loop_line: u32,

@@ -8,11 +8,10 @@ use fxhash::FxHashMap;
 use interp::Program;
 use mir::{RegionId, RegionKind};
 use profiler::{DepSet, DepType, Pet, PetNodeKind};
-use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How a CU came to be.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CuKind {
     /// A whole control region satisfied the read-compute-write condition.
     Region,
@@ -21,7 +20,7 @@ pub enum CuKind {
 }
 
 /// A computational unit.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Cu {
     /// Function index.
     pub func: u32,

@@ -4,7 +4,6 @@
 
 use fxhash::{FxHashMap, FxHashSet};
 use profiler::DepType;
-use serde::Serialize;
 use std::collections::BTreeSet;
 
 /// Index of a CU within its graph.
@@ -12,7 +11,7 @@ pub type CuId = usize;
 
 /// An edge `from → to` meaning "`from` depends on `to`" (the sink of the
 /// dependence points at its source, as in §3.2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CuEdge {
     /// The dependent (later) CU.
     pub from: CuId,
@@ -26,7 +25,7 @@ pub struct CuEdge {
 
 /// A CU graph over any vertex payload `V` (the `build` module instantiates
 /// it with [`crate::build::Cu`]).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CuGraph<V> {
     /// Vertex payloads.
     pub cus: Vec<V>,

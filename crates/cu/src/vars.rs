@@ -20,7 +20,7 @@ pub enum VarClass {
 }
 
 /// A variable as seen by CU analysis: module global or function local.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum VarId {
     /// Module global by index.
     Global(u32),

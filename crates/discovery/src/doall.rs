@@ -4,12 +4,11 @@ use cu::{Cu, CuGraph, DepIndex, Partition};
 use interp::Program;
 use mir::{BinOp, Function, Instr, Operand, RegionKind};
 use profiler::{Dep, DepSet, DepType, Pet};
-use serde::Serialize;
 use std::cell::OnceCell;
 use std::collections::BTreeSet;
 
 /// A dynamic loop: static identity plus execution metrics from the PET.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LoopInfo {
     /// Function index.
     pub func: u32,
@@ -26,7 +25,7 @@ pub struct LoopInfo {
 }
 
 /// Classification of a loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoopClass {
     /// No loop-carried true dependence: iterations are independent.
     Doall,
@@ -80,7 +79,7 @@ impl std::str::FromStr for LoopClass {
 }
 
 /// The result of analysing one loop.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LoopResult {
     /// The loop.
     pub info: LoopInfo,

@@ -27,7 +27,6 @@ pub mod tasks;
 use cu::{Cu, CuGraph, DepIndex, Partition};
 use interp::Program;
 use profiler::{DepSet, Pet};
-use serde::Serialize;
 
 pub use doall::{analyze_loop, hot_loops, LoopAnalyzer, LoopClass, LoopInfo, LoopResult};
 pub use patterns::{classify as classify_patterns, Pattern};
@@ -35,7 +34,7 @@ pub use ranking::{rank, RankedSuggestion, Ranking};
 pub use tasks::{find_mpmd_tasks, find_spmd_tasks, MpmdSuggestion, SpmdKind, SpmdSuggestion};
 
 /// Everything discovery produces for one program.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Discovery {
     /// Per-loop classification, hottest first.
     pub loops: Vec<LoopResult>,

@@ -9,10 +9,9 @@
 
 use crate::doall::{LoopClass, LoopResult};
 use crate::tasks::MpmdSuggestion;
-use serde::Serialize;
 
 /// A classic parallel pattern instance.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Pattern {
     /// Independent iterations over disjoint data: `parallel for`.
     GeometricDecomposition {

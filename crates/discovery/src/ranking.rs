@@ -5,10 +5,9 @@ use crate::doall::{LoopClass, LoopResult};
 use crate::tasks::MpmdSuggestion;
 use cu::{Cu, CuEdge, CuGraph, Partition};
 use profiler::{DepType, Pet};
-use serde::Serialize;
 
 /// The three §4.3 metrics for one candidate region.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Ranking {
     /// Fraction of all executed instructions spent in the region (§4.3.1).
     pub instruction_coverage: f64,
@@ -31,7 +30,7 @@ impl Ranking {
 }
 
 /// What a ranked suggestion refers to.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub enum SuggestionTarget {
     /// A parallelizable loop (line of the header).
     Loop {
@@ -45,7 +44,7 @@ pub enum SuggestionTarget {
 }
 
 /// A ranked parallelization opportunity.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RankedSuggestion {
     /// What to parallelize.
     pub target: SuggestionTarget,

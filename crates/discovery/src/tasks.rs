@@ -5,11 +5,10 @@ use cu::{Cu, CuGraph, DepIndex, Partition};
 use fxhash::FxHashMap;
 use interp::Program;
 use mir::{Function, Instr, VarRef};
-use serde::Serialize;
 use std::collections::BTreeSet;
 
 /// Kinds of SPMD-style task suggestions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpmdKind {
     /// A parallelizable loop whose body performs calls: each iteration
     /// becomes a task (BOTS `nqueens` pattern, Fig. 4.2).
@@ -22,7 +21,7 @@ pub enum SpmdKind {
 }
 
 /// One SPMD suggestion.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SpmdSuggestion {
     /// What shape of task parallelism this is.
     pub kind: SpmdKind,
@@ -40,7 +39,7 @@ pub struct SpmdSuggestion {
 
 /// One MPMD suggestion: a set of mutually independent condensed CU groups
 /// that may execute as concurrent tasks (fork-join).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MpmdSuggestion {
     /// Function the tasks live in (tasks spanning functions are reported
     /// under the caller).
@@ -50,7 +49,7 @@ pub struct MpmdSuggestion {
 }
 
 /// One task of an MPMD suggestion.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MpmdTask {
     /// First line.
     pub start_line: u32,

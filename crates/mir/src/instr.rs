@@ -2,11 +2,10 @@
 
 use crate::module::{BlockId, GlobalId, LocalId, RegId, RegionId};
 use crate::types::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Reference to a memory-resident variable: global or function-local.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VarRef {
     /// A module-level variable.
     Global(GlobalId),
@@ -18,7 +17,7 @@ pub enum VarRef {
 ///
 /// Loads and stores name a place; the interpreter resolves it to a concrete
 /// address, which is what the DiscoPoP profiler sees.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Place {
     /// The base variable.
     pub var: VarRef,
@@ -42,7 +41,7 @@ impl Place {
 }
 
 /// An operand of an instruction: a virtual register or a constant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Operand {
     /// A virtual register.
     Reg(RegId),
@@ -69,7 +68,7 @@ impl From<i64> for Operand {
 }
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     Add,
     Sub,
@@ -100,7 +99,7 @@ impl BinOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Arithmetic negation.
     Neg,
@@ -116,7 +115,7 @@ pub enum UnOp {
 ///
 /// Every instruction carries its source `line`; memory instructions are the
 /// instrumentation points of the profiler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
     /// `dst = load place`
     Load { dst: RegId, place: Place, line: u32 },
@@ -201,7 +200,7 @@ impl Instr {
 }
 
 /// Block terminators.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Terminator {
     /// Unconditional jump.
     Jump(BlockId),

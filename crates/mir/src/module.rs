@@ -2,14 +2,11 @@
 
 use crate::instr::{Instr, Terminator};
 use crate::types::Ty;
-use serde::{Deserialize, Serialize};
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
         pub struct $name(pub u32);
 
         impl $name {
@@ -53,7 +50,7 @@ id_type!(
 );
 
 /// A module-level (global) variable or array.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Global {
     /// Source-level name.
     pub name: String,
@@ -66,7 +63,7 @@ pub struct Global {
 }
 
 /// A function-local variable or array.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Var {
     /// Source-level name.
     pub name: String,
@@ -87,7 +84,7 @@ pub struct Var {
 }
 
 /// The kind of a control region (dissertation §2.3.6: loop, if-else, …).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegionKind {
     /// A `for`/`while` loop.
     Loop,
@@ -113,7 +110,7 @@ impl std::fmt::Display for RegionKind {
 /// (dissertation §1.5.1); our frontend records them directly, and the
 /// interpreter emits entry/exit events when `RegionEnter`/`RegionExit`
 /// marker instructions execute.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Region {
     /// The region kind.
     pub kind: RegionKind,
@@ -128,7 +125,7 @@ pub struct Region {
 }
 
 /// A straight-line sequence of instructions ended by a terminator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BasicBlock {
     /// Instructions in execution order.
     pub instrs: Vec<Instr>,
@@ -153,7 +150,7 @@ impl Default for BasicBlock {
 }
 
 /// A function: a CFG over basic blocks plus local-variable metadata.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Function {
     /// Source-level name.
     pub name: String,
@@ -205,7 +202,7 @@ impl Function {
 }
 
 /// A compilation unit: globals plus functions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Module {
     /// Module name (used as the `fileID` in dependence output).
     pub name: String,

@@ -1,6 +1,5 @@
 //! Scalar types and runtime values of the mini-IR.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The scalar types supported by the IR.
@@ -8,7 +7,7 @@ use std::fmt;
 /// Arrays are not first-class types; a variable declares an element type and
 /// an element count (see [`crate::module::Var`]). This mirrors how the
 /// DiscoPoP profiler sees memory: as addressed cells of machine words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Ty {
     /// 64-bit signed integer.
     I64,
@@ -26,7 +25,7 @@ impl fmt::Display for Ty {
 }
 
 /// A runtime value flowing through registers and memory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
     I64(i64),
     F64(f64),

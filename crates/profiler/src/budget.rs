@@ -33,7 +33,6 @@
 
 use crate::run::ProfileOutput;
 use interp::RuntimeError;
-use serde::Serialize;
 use std::time::Duration;
 
 /// Smallest signature the degradation ladder will shrink to. Below this the
@@ -69,7 +68,7 @@ impl Budget {
 }
 
 /// The shadow-memory tiers the ladder moves through, most accurate first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShadowTier {
     /// Exact two-level page-table shadow memory.
     Perfect,
@@ -90,7 +89,7 @@ impl std::fmt::Display for ShadowTier {
 }
 
 /// One rung taken on the degradation ladder.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegradationStep {
     /// Tier before the step.
     pub from: ShadowTier,
@@ -113,7 +112,7 @@ pub struct DegradationStep {
 /// Resource accounting of one governed run, carried in
 /// [`ProfileOutput::resource`] and serialized as the schema-v3 `resource`
 /// block.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResourceStats {
     /// The configured memory ceiling, if any.
     pub budget_bytes: Option<u64>,

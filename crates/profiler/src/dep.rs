@@ -3,11 +3,10 @@
 
 use crate::access::LoopKey;
 use fxhash::FxHashMap;
-use serde::Serialize;
 use std::fmt::Write;
 
 /// Dependence type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DepType {
     /// Read-after-write (flow/true dependence).
     Raw,
@@ -47,7 +46,7 @@ impl std::str::FromStr for DepType {
 
 /// A source location `fileID:lineID`. This reproduction profiles one module
 /// at a time, so `file` is always 1 — kept for format fidelity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SrcLoc {
     /// Module ("file") id.
     pub file: u32,
@@ -87,7 +86,7 @@ impl std::str::FromStr for SrcLoc {
 ///
 /// Two dependences are identical — and merged — iff every field matches
 /// (§2.3.5, "runtime data dependence merging").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Dep {
     /// Location of the later access.
     pub sink: SrcLoc,
@@ -142,7 +141,7 @@ impl Dep {
 /// | type/race/carried flag | 4 |                       |
 ///
 /// File ids must be 1 (the single-module invariant of [`SrcLoc::new`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DepKey(u64, u64);
 
 /// 24-bit variable sentinel standing in for `u32::MAX` ("no variable").
@@ -229,7 +228,7 @@ impl DepKey {
 /// fields exceed the packed bit budgets — possible only for synthetic
 /// inputs, never for profiler-built dependences on realistic modules — fall
 /// back to a wide map keyed by the full `Dep`, preserving exactness.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DepSet {
     map: FxHashMap<DepKey, u64>,
     /// Fallback for dependences that do not fit [`DepKey`]; almost always

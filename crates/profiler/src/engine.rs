@@ -49,7 +49,6 @@ use crate::access::{Access, InstanceTable, LoopKey, NO_INSTANCE};
 use crate::dep::{Dep, DepSet, DepType, SrcLoc};
 use crate::maps::{AccessMap, Cell, Slot};
 use interp::{MemOpMeta, PlanRun, RunStream};
-use serde::Serialize;
 use std::sync::Arc;
 
 /// Counters for §2.4, matching Table 2.7 and Fig. 2.13.
@@ -60,7 +59,7 @@ use std::sync::Arc;
 /// the very dependence its op built last time, which §2.4 skips and the
 /// memo counts with one increment. The `skipped_*` counters are filled in
 /// by [`DepBuilder::finish`].
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SkipStats {
     /// Dynamic read instructions that led to a RAW.
     pub read_dep_total: u64,

@@ -9,10 +9,9 @@
 use fxhash::FxHashMap;
 use interp::Event;
 use mir::RegionKind;
-use serde::Serialize;
 
 /// What a PET node represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PetNodeKind {
     /// The virtual root (program entry).
     Root,
@@ -23,7 +22,7 @@ pub enum PetNodeKind {
 }
 
 /// A node of the PET.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PetNode {
     /// Node kind.
     pub kind: PetNodeKind,
@@ -43,7 +42,7 @@ pub struct PetNode {
 }
 
 /// The finished tree.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Pet {
     /// All nodes; index 0 is the root.
     pub nodes: Vec<PetNode>,

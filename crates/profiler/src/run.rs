@@ -20,7 +20,6 @@ use crate::engine::{RunStats, SkipStats};
 use crate::pet::Pet;
 use crate::pipeline::Profiler;
 use interp::{Program, RunConfig, RunResult};
-use serde::Serialize;
 
 /// Which dependence-profiling engine to run.
 ///
@@ -47,7 +46,7 @@ use serde::Serialize;
 /// .unwrap();
 /// assert_eq!(exact.deps.sorted(), sig.deps.sorted());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
     /// The exact two-level page-table shadow memory: ground truth, memory
     /// proportional to the touched address space. One partition, tracked by
@@ -406,7 +405,7 @@ impl Default for ProfileConfig {
 
 /// Transport statistics of a parallel profiling run, carried in
 /// [`ProfileOutput::parallel`].
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ParallelStats {
     /// Chunks shipped to workers (`0` for a run that stayed inline).
     pub chunks: u64,
@@ -429,7 +428,7 @@ pub struct ParallelStats {
 /// so it serializes with the rest of the profile (the report's schema-v5
 /// `summary` block). All zeros when the tier was off or nothing
 /// qualified.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SynthSummary {
     /// Distinct loops replayed through compiled plans.
     pub loops_skipped: u64,
@@ -478,7 +477,7 @@ impl SynthSummary {
 /// sequential targets: present as soon as the run spawned a second
 /// actor or passed a message, generalizing the old thread count to
 /// full per-actor attribution.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ActorSummary {
     /// Actors ever spawned (main included).
     pub spawned: u32,
@@ -581,7 +580,7 @@ impl std::fmt::Display for Tracking {
 }
 
 /// Everything a profiling run produces, identical across engines.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct ProfileOutput {
     /// Merged dependences.
     pub deps: DepSet,
