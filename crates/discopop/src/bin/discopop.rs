@@ -54,10 +54,7 @@ analyze options:
                     against the dynamic dependences (a contradiction is an
                     analysis failure). Also arms the affine skip tier: loops
                     whose accesses are all proven affine are plan-replayed
-                    instead of interpreted (same output, less dispatch)
-  --no-skip         keep full interpretation even with --static: disables
-                    the affine skip tier. Dependence output is bit-identical
-                    either way; only profiling speed changes
+                    instead of interpreted (same dependences, less dispatch)
   --text            also print the dependences in the line-oriented
                     DiscoPoP text format (NOM/BGN/END lines)
   --json PATH       write the versioned JSON report to PATH (`-` = stdout)
@@ -82,7 +79,7 @@ submit options:
   --addr HOST:PORT  daemon address (default 127.0.0.1:7077)
   --name NAME       module name (default: file stem)
   --id N            correlation id echoed in the response (default 1)
-  --engine SPEC / --static / --no-skip / --deadline SECS / --max-memory SIZE
+  --engine SPEC / --static / --deadline SECS / --max-memory SIZE
                     forwarded as per-job options
   --attempts N      total attempts on overloaded/connect failure, with
                     exponential backoff + jitter (default 5)
@@ -143,9 +140,9 @@ fn main() -> ExitCode {
                  parallel:4x128"
             );
             println!(
-                "every engine reads the same interpreter access stream; with --static \
-                 the affine skip tier synthesizes it for proven-affine loops \
-                 (disable with --no-skip; the stream is identical either way)"
+                "every engine reads the same interpreter access stream; --static \
+                 arms the affine skip tier, which synthesizes it for proven-affine \
+                 loops (the stream is identical either way)"
             );
             ExitCode::SUCCESS
         }
@@ -168,7 +165,6 @@ struct AnalyzeArgs {
     max_memory: Option<usize>,
     deadline: Option<std::time::Duration>,
     statics: bool,
-    no_skip: bool,
     text: bool,
     json: Option<String>,
     quiet: bool,
@@ -198,7 +194,6 @@ fn parse_analyze_args(args: &[String]) -> Result<AnalyzeArgs, String> {
         max_memory: None,
         deadline: None,
         statics: false,
-        no_skip: false,
         text: false,
         json: None,
         quiet: false,
@@ -223,7 +218,6 @@ fn parse_analyze_args(args: &[String]) -> Result<AnalyzeArgs, String> {
                 parsed.deadline = Some(std::time::Duration::from_secs_f64(secs));
             }
             "--static" => parsed.statics = true,
-            "--no-skip" => parsed.no_skip = true,
             "--text" => parsed.text = true,
             "--json" => parsed.json = Some(value_of("--json")?),
             "--quiet" => parsed.quiet = true,
@@ -264,9 +258,6 @@ fn analyze(args: &[String]) -> ExitCode {
     let mut analysis = Analysis::new()
         .lifetime(args.lifetime)
         .with_static(args.statics);
-    if args.no_skip {
-        analysis = analysis.affine_skip(false);
-    }
     if let Some(bytes) = args.max_memory {
         analysis = analysis.max_memory(bytes);
     }
@@ -475,13 +466,12 @@ fn render_saved(args: &[String]) -> ExitCode {
         doc.profile.dependences.len(),
         doc.profile.dependences_found,
     );
-    if let Some(s) = &doc.profile.summary {
-        if s.loops_skipped > 0 {
-            println!(
-                "affine skip tier: {} loops plan-replayed, {} accesses synthesized, {} dispatches",
-                s.loops_skipped, s.synthesized_accesses, s.dispatches
-            );
-        }
+    let s = &doc.profile.summary;
+    if s.loops_skipped > 0 {
+        println!(
+            "affine skip tier: {} loops plan-replayed, {} accesses synthesized, {} dispatches",
+            s.loops_skipped, s.synthesized_accesses, s.dispatches
+        );
     }
     if let Some(a) = &doc.profile.actors {
         println!(
@@ -722,7 +712,6 @@ fn parse_submit_args(args: &[String]) -> Result<SubmitArgs, String> {
                 parsed.options.engine = Some(spec);
             }
             "--static" => parsed.options.statics = true,
-            "--no-skip" => parsed.options.no_skip = true,
             "--deadline" => {
                 let d = parse_secs("--deadline", &value_of("--deadline")?)?;
                 parsed.options.deadline_ms = Some(d.as_millis() as u64);

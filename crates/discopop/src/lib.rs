@@ -82,10 +82,8 @@ pub mod submit;
 
 pub use profiler::{Budget, EngineKind, ProfileError, ResourceStats};
 
-use serde::Serialize;
-
 /// Everything one analysis run produces.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Report {
     /// Name of the analysed program (module name).
     pub program: String,
@@ -242,7 +240,7 @@ pub type ProgressSink = Box<dyn FnMut(&StageEvent<'_>)>;
 
 /// Results of the static pre-pass ([`analysis`]): per-loop affine coverage,
 /// statically-proven independence claims, and lint findings.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct StaticReport {
     /// Per-loop affine coverage and independence statistics.
     pub loops: Vec<analysis::LoopReport>,
@@ -397,9 +395,7 @@ pub struct Analysis {
     /// What the engine is handed, the affine skip tier aside: the profiler's
     /// own defaults until a builder method overrides one.
     cfg: profiler::ProfileConfig,
-    /// Affine skip tier policy: `None` = auto (on exactly when the static
-    /// pre-pass runs), `Some(v)` = forced.
-    affine_skip: Option<bool>,
+    /// The static pre-pass runs, and with it the affine skip tier.
     statics: bool,
     progress: Option<ProgressSink>,
 }
@@ -408,7 +404,6 @@ impl std::fmt::Debug for Analysis {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Analysis")
             .field("cfg", &self.cfg)
-            .field("affine_skip", &self.affine_skip)
             .field("statics", &self.statics)
             .field("progress", &self.progress.is_some())
             .finish()
@@ -433,27 +428,6 @@ impl Analysis {
     pub fn engine_mut(&mut self, engine: EngineKind) -> &mut Self {
         self.cfg.engine = engine;
         self
-    }
-
-    /// Force the interpreter's affine skip tier on or off. The tier
-    /// replays a precompiled straight-line plan for counted loops whose
-    /// in-loop accesses are all statically proven affine, eliminating
-    /// per-op dispatch; its access stream is bit-identical to full
-    /// interpretation (same events, op ids, timestamps), so only
-    /// profiling speed changes. By default (without this call) the tier
-    /// is active exactly when the static pre-pass runs
-    /// ([`Analysis::with_static`]) — the same affine facts that justify
-    /// skipping are then part of the report. The CLI's `--no-skip` maps
-    /// to `affine_skip(false)`.
-    pub fn affine_skip(mut self, on: bool) -> Self {
-        self.affine_skip = Some(on);
-        self
-    }
-
-    /// Whether the affine skip tier will be active for the next profiling
-    /// run (resolves the auto policy against [`Analysis::with_static`]).
-    pub fn affine_skip_effective(&self) -> bool {
-        self.affine_skip.unwrap_or(self.statics)
     }
 
     /// Enable variable-lifetime analysis (§2.3.5); on by default.
@@ -487,6 +461,13 @@ impl Analysis {
     /// affine coverage, independence claims, and lints, and the
     /// [`StageEvent::StaticAnalyzed`] event fires between profile and
     /// discovery. Off by default.
+    ///
+    /// This is also the one switch of the interpreter's affine skip tier,
+    /// which replays a precompiled straight-line plan for counted loops
+    /// whose in-loop accesses are all statically proven affine instead of
+    /// dispatching every op. Its access stream is bit-identical to full
+    /// interpretation (same events, op ids, timestamps), so only profiling
+    /// speed and `profile.summary` change.
     pub fn with_static(mut self, on: bool) -> Self {
         self.statics = on;
         self
@@ -513,7 +494,7 @@ impl Analysis {
     /// The [`profiler::ProfileConfig`] this pipeline profiles with.
     pub fn profile_config(&self) -> profiler::ProfileConfig {
         let mut cfg = self.cfg.clone();
-        cfg.run.affine_skip = self.affine_skip_effective();
+        cfg.run.affine_skip = self.statics;
         cfg
     }
 
@@ -940,14 +921,10 @@ mod tests {
     #[test]
     fn affine_skip_defaults_to_the_static_switch_and_changes_nothing() {
         let src = "global int a[64];\nglobal int s;\nfn main() {\nfor (int i = 0; i < 64; i = i + 1) { a[i] = i * 2; }\nfor (int i = 0; i < 64; i = i + 1) { s = s + a[i]; }\n}";
-        // Auto policy: off without statics, on with them, forcible both ways.
-        assert!(!Analysis::new().affine_skip_effective());
-        assert!(Analysis::new().with_static(true).affine_skip_effective());
-        assert!(Analysis::new().affine_skip(true).affine_skip_effective());
-        assert!(!Analysis::new()
-            .with_static(true)
-            .affine_skip(false)
-            .affine_skip_effective());
+        for statics in [false, true] {
+            let analysis = Analysis::new().with_static(statics);
+            assert_eq!(analysis.profile_config().run.affine_skip, statics);
+        }
 
         let mut on = Analysis::new().with_static(true);
         let compiled = on.compile(src, "skip").unwrap();
@@ -957,8 +934,7 @@ mod tests {
             "fully-affine counted loops engage the tier: {:?}",
             skipped.profile.synth
         );
-        let mut off = Analysis::new().with_static(true).affine_skip(false);
-        let interpreted = off.analyze_compiled(&compiled).unwrap();
+        let interpreted = Analysis::new().analyze_compiled(&compiled).unwrap();
         assert_eq!(interpreted.profile.synth.loops_skipped, 0);
         // Bit-identical dependence output, fewer interpreter dispatches.
         assert_eq!(

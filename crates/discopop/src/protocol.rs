@@ -10,7 +10,7 @@
 //! ```json
 //! {"type":"analyze","id":1,"name":"demo","source":"fn main() { ... }",
 //!  "options":{"engine":"parallel:4","static":true,"deadline_ms":5000,
-//!             "max_memory":1048576,"no_skip":false}}
+//!             "max_memory":1048576}}
 //! {"type":"status","id":2}
 //! {"type":"shutdown","id":3}
 //! ```
@@ -61,8 +61,6 @@ pub struct JobOptions {
     /// Run the static pre-pass (adds the `static` report block and arms
     /// the affine skip tier).
     pub statics: bool,
-    /// Force the affine skip tier off even with `statics`.
-    pub no_skip: bool,
     /// Per-job wall-clock deadline in milliseconds.
     pub deadline_ms: Option<u64>,
     /// Per-job tracked-memory ceiling in bytes.
@@ -77,7 +75,6 @@ impl JobOptions {
         Value::object([
             ("engine", opt(self.engine.clone())),
             ("static", Value::from(self.statics)),
-            ("no_skip", Value::from(self.no_skip)),
             ("deadline_ms", opt(self.deadline_ms)),
             ("max_memory", opt(self.max_memory)),
         ])
@@ -97,7 +94,6 @@ impl JobOptions {
                 ),
             },
             statics: get_bool_or(v, "static", false),
-            no_skip: get_bool_or(v, "no_skip", false),
             deadline_ms: opt_u64(v, "deadline_ms")?,
             max_memory: opt_u64(v, "max_memory")?,
         })
@@ -578,7 +574,6 @@ mod tests {
                 options: JobOptions {
                     engine: Some("parallel:4".to_string()),
                     statics: true,
-                    no_skip: true,
                     deadline_ms: Some(250),
                     max_memory: Some(1 << 20),
                 },

@@ -28,11 +28,11 @@
 //!   are tested against (`tests/streamed_report.rs`) and what
 //!   [`ReportDoc::from_json`] reads back.
 //!
-//! # Schema (version 6)
+//! # Schema (version 7)
 //!
 //! ```json
 //! {
-//!   "schema_version": 6,
+//!   "schema_version": 7,
 //!   "program": "demo",
 //!   "engine": "serial-perfect",
 //!   "profile": {
@@ -90,9 +90,12 @@
 //! }
 //! ```
 //!
-//! The `static` block is only present for runs with the static pre-pass
-//! enabled ([`crate::Analysis::with_static`]); the `actors` block only
-//! for targets that spawned a second actor or passed a message.
+//! Every key is always present. Four blocks may be `null`: `parallel`
+//! (`chunks`, `queue_stalls`, `spawned_workers`, `worker_recoveries`,
+//! `worker_processed`) for runs off the `parallel:N` engine, `resource`
+//! for ungoverned runs, `actors` for targets that neither spawned a second
+//! actor nor passed a message, and `static` for runs without the static
+//! pre-pass ([`crate::Analysis::with_static`]).
 
 use crate::{Report, StaticReport};
 use discovery::ranking::SuggestionTarget;
@@ -103,47 +106,15 @@ use jsonio::{Emitter, TextSink, TreeSink, Value};
 use profiler::{Dep, DepType, PetNode, PetNodeKind, SrcLoc};
 use std::borrow::Cow;
 
-/// Version stamp of the JSON schema written by [`ReportDoc::to_json`].
+/// Version stamp of the JSON schema [`ReportDoc::to_json`] writes, and the
+/// only version [`ReportDoc::from_json`] reads: a document of any other
+/// version is a [`SchemaError`] that names it.
 ///
-/// Version history:
-/// - **1**: initial schema.
-/// - **2**: `profile.parallel` gained the adaptive-transport statistics
-///   `combined`, `merges`, `queue_stalls`, and `spawned_workers`. Version-1
-///   documents are still read; the new fields default to 0.
-/// - **3**: `profile` gained the `resource` block (budget, peak tracked
-///   bytes, degradation ladder, estimated FP rate, deadline flag) for
-///   governed runs, and `profile.parallel` gained `worker_recoveries`.
-///   Version-1/2 documents are still read; `resource` defaults to absent
-///   and `worker_recoveries` to 0.
-/// - **4**: new top-level `static` block (per-loop affine coverage,
-///   statically-proven independence claims, lint findings) for runs with
-///   the static pre-pass enabled. Version-1/2/3 documents are still read;
-///   `static` defaults to absent.
-/// - **5**: `profile` gained the `summary` block (affine skip tier
-///   accounting: plan-replayed loops, synthesized accesses, fallback
-///   reasons, interpreter dispatches). Version-1..4 documents are still
-///   read; `summary` defaults to absent.
-/// - **6**: `profile` gained the `actors` block (actors spawned, peak
-///   live, messages sent/received, per-channel matrix plus its digest)
-///   for targets that run under the actor scheduler. Version-1..5
-///   documents are still read; `actors` defaults to absent.
-///
-/// Within version 6, three keys of `profile.parallel` — `rebalances`,
-/// `combined`, `merges` — became **reserved**: still written (as `0`) and
-/// still read, because the parser requires `rebalances` and every saved
-/// report must keep loading, but the machinery they counted is gone. No
-/// bump: the key set and every type are unchanged. See [`ParallelDoc`].
-///
-/// Also within version 6, a `SiblingCalls` row of `discovery.spmd` became a
-/// fork–join **group**: `lines` holds every call site of a maximal run of
-/// mutually independent sibling calls (two or more), where it held exactly
-/// one independent pair, and `callees` their sorted, distinct names. No
-/// bump: the keys and their types are unchanged, and the reader takes both
-/// forms. See [`SpmdDoc`].
-pub const SCHEMA_VERSION: u32 = 6;
-
-/// Oldest schema version [`ReportDoc::from_json`] still reads.
-pub const MIN_SCHEMA_VERSION: u32 = 1;
+/// Version 7 is version 6 with the three reserved zero keys of
+/// `profile.parallel` (`rebalances`, `combined`, `merges`) gone, read with
+/// every key required: `summary` is always an object, and `parallel`,
+/// `resource`, `actors` and `static` are present even when `null`.
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// Error produced when a JSON document does not match the schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -179,17 +150,6 @@ fn get_u64(v: &Value, key: &str) -> DocResult<u64> {
     field(v, key)?
         .as_u64()
         .ok_or_else(|| SchemaError(format!("`{key}` must be a non-negative integer")))
-}
-
-/// `get_u64` for fields added after schema version 1: absent means
-/// `default` (the migration path for older documents).
-fn get_u64_or(v: &Value, key: &str, default: u64) -> DocResult<u64> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(f) => f
-            .as_u64()
-            .ok_or_else(|| SchemaError(format!("`{key}` must be a non-negative integer"))),
-    }
 }
 
 fn get_u32(v: &Value, key: &str) -> DocResult<u32> {
@@ -275,16 +235,15 @@ fn get_str_array(v: &Value, key: &str) -> DocResult<Vec<String>> {
     })
 }
 
-/// A block added after schema version 1: absent (or `null`) in older
-/// documents and in runs that have nothing to say there.
+/// A required block that is `null` when the run had nothing to say there.
 fn get_block<T>(
     v: &Value,
     key: &str,
     block: impl FnOnce(&Value) -> DocResult<T>,
 ) -> DocResult<Option<T>> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(other) => block(other).map(Some),
+    match field(v, key)? {
+        Value::Null => Ok(None),
+        other => block(other).map(Some),
     }
 }
 
@@ -506,31 +465,15 @@ impl<'a> PetNodeDoc<'a> {
 }
 
 /// Parallel-engine transport statistics.
-///
-/// `rebalances`, `combined` and `merges` are **reserved**: the machinery
-/// they counted (hot-address migration, producer-side repeat combining,
-/// inline partition merging) is gone, and reports written today carry `0`
-/// in all three. The keys stay — this parser has always required
-/// `rebalances`, and every saved report must keep loading — so there is no
-/// schema bump; documents from before the removal read back whatever they
-/// recorded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParallelDoc {
     /// Chunks shipped to workers.
     pub chunks: u64,
-    /// Reserved, `0` (was: hot-address rebalance operations).
-    pub rebalances: u64,
-    /// Reserved, `0` (was: accesses absorbed by repeat combining;
-    /// schema ≥ 2).
-    pub combined: u64,
-    /// Reserved, `0` (was: underloaded-partition merges; schema ≥ 2).
-    pub merges: u64,
-    /// Full-queue retries the producer suffered (schema ≥ 2).
+    /// Full-queue retries the producer suffered.
     pub queue_stalls: u64,
-    /// Worker threads actually spawned; 0 = fully inline (schema ≥ 2).
+    /// Worker threads actually spawned; 0 = fully inline.
     pub spawned_workers: u64,
-    /// Panicked workers recovered by draining their partition back inline
-    /// (schema ≥ 3).
+    /// Panicked workers recovered by draining their partition back inline.
     pub worker_recoveries: u64,
     /// Accesses processed per partition.
     pub worker_processed: Vec<u64>,
@@ -540,9 +483,6 @@ impl ParallelDoc {
     fn from_stats(p: &profiler::ParallelStats) -> ParallelDoc {
         ParallelDoc {
             chunks: p.chunks,
-            rebalances: 0,
-            combined: 0,
-            merges: 0,
             queue_stalls: p.queue_stalls,
             spawned_workers: p.spawned_workers as u64,
             worker_recoveries: p.worker_recoveries,
@@ -553,9 +493,6 @@ impl ParallelDoc {
     fn emit<S: Emitter>(&self, s: &mut S) {
         s.begin_object();
         s.key("chunks").u64(self.chunks);
-        s.key("rebalances").u64(self.rebalances);
-        s.key("combined").u64(self.combined);
-        s.key("merges").u64(self.merges);
         s.key("queue_stalls").u64(self.queue_stalls);
         s.key("spawned_workers").u64(self.spawned_workers);
         s.key("worker_recoveries").u64(self.worker_recoveries);
@@ -567,18 +504,15 @@ impl ParallelDoc {
     fn from_json(v: &Value) -> DocResult<ParallelDoc> {
         Ok(ParallelDoc {
             chunks: get_u64(v, "chunks")?,
-            rebalances: get_u64(v, "rebalances")?,
-            combined: get_u64_or(v, "combined", 0)?,
-            merges: get_u64_or(v, "merges", 0)?,
-            queue_stalls: get_u64_or(v, "queue_stalls", 0)?,
-            spawned_workers: get_u64_or(v, "spawned_workers", 0)?,
-            worker_recoveries: get_u64_or(v, "worker_recoveries", 0)?,
+            queue_stalls: get_u64(v, "queue_stalls")?,
+            spawned_workers: get_u64(v, "spawned_workers")?,
+            worker_recoveries: get_u64(v, "worker_recoveries")?,
             worker_processed: get_ints(v, "worker_processed")?,
         })
     }
 }
 
-/// One degradation-ladder rung of a governed run (schema ≥ 3).
+/// One degradation-ladder rung of a governed run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DegradationStepDoc {
     /// Tier before the step (`perfect` or `signature:<slots>`).
@@ -630,8 +564,7 @@ impl DegradationStepDoc {
     }
 }
 
-/// Resource accounting of a governed run (schema ≥ 3). Absent for
-/// ungoverned runs and in older documents.
+/// Resource accounting of a governed run; `null` for ungoverned runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResourceDoc {
     /// Configured memory ceiling in bytes, if any.
@@ -696,8 +629,7 @@ impl ResourceDoc {
     }
 }
 
-/// Affine-skip-tier accounting (schema ≥ 5). Written by every v5
-/// document; absent in older documents and `None` when reading them.
+/// Affine-skip-tier accounting, in every report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SummaryDoc {
     /// Distinct loops whose iterations were plan-replayed.
@@ -713,7 +645,7 @@ pub struct SummaryDoc {
     /// Tier shutdowns forced by fault injection.
     pub fallback_fault: u64,
     /// Interpreter dispatch-loop iterations for the whole run (plan
-    /// replay performs none; compare against a `--no-skip` run).
+    /// replay performs none; compare against a run without `--static`).
     pub dispatches: u64,
 }
 
@@ -758,9 +690,8 @@ impl SummaryDoc {
     }
 }
 
-/// Actor-scheduler accounting (schema ≥ 6). Present when the run
-/// spawned a second actor or passed a message; absent for sequential
-/// targets and in older documents.
+/// Actor-scheduler accounting: present when the run spawned a second actor
+/// or passed a message, `null` for sequential targets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActorsDoc {
     /// Actors ever spawned (main included).
@@ -864,14 +795,11 @@ pub struct ProfileDoc {
     pub pet: Vec<PetNodeDoc<'static>>,
     /// Parallel-engine statistics, when the parallel engine ran.
     pub parallel: Option<ParallelDoc>,
-    /// Resource accounting, when the run was governed by a budget
-    /// (schema ≥ 3).
+    /// Resource accounting, when the run was governed by a budget.
     pub resource: Option<ResourceDoc>,
-    /// Affine-skip-tier accounting (schema ≥ 5; absent in older
-    /// documents).
-    pub summary: Option<SummaryDoc>,
-    /// Actor-scheduler accounting (schema ≥ 6; absent for sequential
-    /// targets and in older documents).
+    /// Affine-skip-tier accounting.
+    pub summary: SummaryDoc,
+    /// Actor-scheduler accounting, for targets that ran actors.
     pub actors: Option<ActorsDoc>,
 }
 
@@ -888,7 +816,7 @@ impl ProfileDoc {
             pet: Vec::new(),
             parallel: p.parallel.as_ref().map(ParallelDoc::from_stats),
             resource: p.resource.as_ref().map(ResourceDoc::from_stats),
-            summary: Some(SummaryDoc::from_synth(&p.synth)),
+            summary: SummaryDoc::from_synth(&p.synth),
             actors: p.actors.as_ref().map(ActorsDoc::from_summary),
         }
     }
@@ -902,12 +830,9 @@ impl ProfileDoc {
             printed: get_str_array(v, "printed")?,
             dependences: get_rows(v, "dependences", DepDoc::from_json)?,
             pet: get_rows(v, "pet", PetNodeDoc::from_json)?,
-            parallel: match field(v, "parallel")? {
-                Value::Null => None,
-                other => Some(ParallelDoc::from_json(other)?),
-            },
+            parallel: get_block(v, "parallel", ParallelDoc::from_json)?,
             resource: get_block(v, "resource", ResourceDoc::from_json)?,
-            summary: get_block(v, "summary", SummaryDoc::from_json)?,
+            summary: SummaryDoc::from_json(field(v, "summary")?)?,
             actors: get_block(v, "actors", ActorsDoc::from_json)?,
         })
     }
@@ -1344,7 +1269,7 @@ impl<'a> PatternDoc<'a> {
     }
 }
 
-/// Per-loop static coverage and independence statistics (schema ≥ 4).
+/// Per-loop static coverage and independence statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StaticLoopDoc<'a> {
     /// Function index.
@@ -1443,7 +1368,7 @@ impl<'a> StaticLoopDoc<'a> {
     }
 }
 
-/// One statically-proven independence claim (schema ≥ 4).
+/// One statically-proven independence claim.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClaimDoc<'a> {
     /// Function index of the carrying loop.
@@ -1500,7 +1425,7 @@ impl<'a> ClaimDoc<'a> {
     }
 }
 
-/// One lint finding (schema ≥ 4).
+/// One lint finding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LintDoc<'a> {
     /// Stable lint code (`uninit-read`, `const-oob`, `range-oob`,
@@ -1558,8 +1483,8 @@ impl<'a> LintDoc<'a> {
     }
 }
 
-/// The static pre-pass section of the report (schema ≥ 4; absent for runs
-/// without [`crate::Analysis::with_static`] and in older documents).
+/// The static pre-pass section of the report; `null` for runs without
+/// [`crate::Analysis::with_static`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StaticDoc {
     /// The module spawns threads (claims suppressed).
@@ -1807,7 +1732,7 @@ fn emit_doc<S: Emitter>(head: &ReportDoc, rows: &impl Rows, s: &mut S) {
     s.end_array();
     opt_block(s.key("parallel"), &p.parallel, ParallelDoc::emit);
     opt_block(s.key("resource"), &p.resource, ResourceDoc::emit);
-    opt_block(s.key("summary"), &p.summary, SummaryDoc::emit);
+    p.summary.emit(s.key("summary"));
     opt_block(s.key("actors"), &p.actors, ActorsDoc::emit);
     s.end_object();
 
@@ -1885,8 +1810,8 @@ pub struct ReportDoc {
     pub profile: ProfileDoc,
     /// Discovery section.
     pub discovery: DiscoveryDoc,
-    /// Static pre-pass section (schema ≥ 4; `None` when the run did not
-    /// enable static analysis or the document predates the block).
+    /// Static pre-pass section (`None` when the run did not enable static
+    /// analysis).
     pub statics: Option<StaticDoc>,
 }
 
@@ -1933,10 +1858,10 @@ impl ReportDoc {
     /// Deserialize from a JSON tree.
     pub fn from_json(v: &Value) -> DocResult<ReportDoc> {
         let schema_version = get_u32(v, "schema_version")?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema_version) {
+        if schema_version != SCHEMA_VERSION {
             return err(format!(
                 "unsupported schema version {schema_version} \
-                 (this build reads {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})"
+                 (this build reads {SCHEMA_VERSION} only)"
             ));
         }
         Ok(ReportDoc {

@@ -741,11 +741,8 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> Reply {
             if matches!(ev, StageEvent::Profiled { .. }) {
                 profiler::faultpoint!("serve:mid-job");
             }
-        });
-    if job.options.no_skip {
-        analysis = analysis.affine_skip(false);
-    }
-    analysis = analysis.budget(job_budget(shared, &job.options));
+        })
+        .budget(job_budget(shared, &job.options));
 
     match analysis.analyze_program(&program) {
         Ok(report) => {

@@ -63,8 +63,8 @@ fn analyze_emits_versioned_json_with_all_sections() {
 }
 
 #[test]
-fn no_skip_flag_disables_the_affine_tier_without_changing_output() {
-    let dir = scratch("noskip");
+fn static_arms_the_skip_tier_and_changes_nothing_else() {
+    let dir = scratch("skip");
     let src = dir.join("skip.dp");
     std::fs::write(&src, SRC).unwrap();
 
@@ -83,31 +83,53 @@ fn no_skip_flag_disables_the_affine_tier_without_changing_output() {
 
     // Without --static the tier stays off even though plans exist.
     let plain = run(&[], &dir.join("plain.json"));
-    let plain_summary = plain.profile.summary.as_ref().expect("summary block");
-    assert_eq!(plain_summary.loops_skipped, 0);
+    let p = &plain.profile.summary;
+    assert_eq!(p.loops_skipped, 0);
 
     // --static arms it; both SRC loops are fully affine and counted.
     let skipped = run(&["--static"], &dir.join("skip.json"));
-    let s = skipped.profile.summary.as_ref().expect("summary block");
+    let s = &skipped.profile.summary;
     assert!(s.loops_skipped > 0, "{s:?}");
     assert!(s.synthesized_accesses > 0, "{s:?}");
-
-    // --no-skip overrides --static back to full interpretation.
-    let unskipped = run(&["--static", "--no-skip"], &dir.join("noskip.json"));
-    let u = unskipped.profile.summary.as_ref().expect("summary block");
-    assert_eq!(u.loops_skipped, 0);
     assert!(
-        s.dispatches < u.dispatches,
+        s.dispatches < p.dispatches,
         "plan replay must reduce dispatches: {} vs {}",
         s.dispatches,
-        u.dispatches
+        p.dispatches
     );
 
-    // The dependence output is bit-identical across all three runs.
-    assert_eq!(skipped.profile.dependences, unskipped.profile.dependences);
+    // The profile is bit-identical either way.
     assert_eq!(skipped.profile.dependences, plain.profile.dependences);
-    assert_eq!(skipped.profile.steps, unskipped.profile.steps);
-    assert_eq!(skipped.profile.pet, unskipped.profile.pet);
+    assert_eq!(skipped.profile.steps, plain.profile.steps);
+    assert_eq!(skipped.profile.pet, plain.profile.pet);
+}
+
+/// `--static` is the one switch of the skip tier: the flag that used to
+/// override it is unknown to `analyze` and `submit`, and neither `--help`
+/// nor `engines` mentions it.
+#[test]
+fn no_skip_is_an_unknown_flag() {
+    let flag = "--no-skip";
+    for cmd in ["analyze", "submit"] {
+        let res = Command::new(BIN)
+            .args([cmd, "x.dp", flag])
+            .output()
+            .unwrap();
+        assert_eq!(res.status.code(), Some(1), "{cmd}");
+        let stderr = String::from_utf8_lossy(&res.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{cmd}: {stderr}"
+        );
+    }
+    for arg in ["--help", "engines"] {
+        let out = Command::new(BIN).arg(arg).output().unwrap();
+        assert!(out.status.success());
+        assert!(
+            !String::from_utf8_lossy(&out.stdout).contains(flag),
+            "{arg}"
+        );
+    }
 }
 
 #[test]
@@ -115,7 +137,6 @@ fn help_and_engines_mention_the_skip_tier() {
     let help = Command::new(BIN).arg("--help").output().unwrap();
     assert!(help.status.success());
     let text = String::from_utf8_lossy(&help.stdout);
-    assert!(text.contains("--no-skip"), "{text}");
     assert!(text.contains("affine skip tier"), "{text}");
 
     let engines = Command::new(BIN).arg("engines").output().unwrap();
@@ -441,7 +462,7 @@ fn report_subcommand_renders_saved_json() {
         .unwrap();
     assert!(res.status.success());
     let stdout = String::from_utf8_lossy(&res.stdout);
-    assert!(stdout.contains("schema v6"), "{stdout}");
+    assert!(stdout.contains("schema v7"), "{stdout}");
     assert!(stdout.contains("Doall"), "{stdout}");
     assert!(stdout.contains("Ranked opportunities"), "{stdout}");
 }

@@ -118,145 +118,51 @@ fn schema_version_is_enforced() {
     assert!(err.0.contains("schema version"), "{err}");
 }
 
-/// Schema evolution: a version-1 document — no adaptive-transport fields
-/// in `profile.parallel` — must still parse, with the v2 fields defaulting
-/// to zero.
+/// Version 7 is the only schema read: a v7 document round-trips; stamped
+/// with any other version, the six before it included, it is rejected
+/// with an error naming that version; and every block is a required key,
+/// even where it may be `null`.
 #[test]
-fn schema_v1_documents_still_parse() {
+fn only_schema_v7_documents_parse() {
+    assert_eq!(SCHEMA_VERSION, 7);
     let (compiled, report) = full_report(EngineKind::parallel(2));
-    let mut json = report.to_json_string(compiled.program());
-    json = json.replacen(
-        &format!("\"schema_version\": {SCHEMA_VERSION}"),
-        "\"schema_version\": 1",
-        1,
-    );
-    for v2_field in ["combined", "merges", "queue_stalls", "spawned_workers"] {
-        let needle = format!("\"{v2_field}\":");
-        let start = json.find(&needle).expect("v2 field present");
-        let end = start + json[start..].find('\n').unwrap() + 1;
-        json.replace_range(start..end, "");
+    let json = report.to_json_string(compiled.program());
+    let doc = ReportDoc::from_json_str(&json).expect("v7 documents parse");
+    assert_eq!(doc.to_json().to_string_pretty(), json, "and round-trip");
+
+    for version in (1..=6).chain([8]) {
+        let stamped = json.replacen(
+            "\"schema_version\": 7",
+            &format!("\"schema_version\": {version}"),
+            1,
+        );
+        let err = ReportDoc::from_json_str(&stamped).unwrap_err();
+        assert!(
+            err.0.contains(&format!("schema version {version} ")),
+            "v{version}: {err}"
+        );
     }
-    let doc = ReportDoc::from_json_str(&json).expect("v1 documents must parse");
-    assert_eq!(doc.schema_version, 1);
-    let par = doc.profile.parallel.expect("parallel stats survive");
-    assert!(
-        par.worker_processed.iter().sum::<u64>() > 0,
-        "v1 fields read normally"
-    );
-    assert_eq!(
-        (
-            par.combined,
-            par.merges,
-            par.queue_stalls,
-            par.spawned_workers
-        ),
-        (0, 0, 0, 0),
-        "v2 fields default to zero"
-    );
-}
 
-/// Schema evolution: a version-3 document — no top-level `static` block —
-/// must still parse, with `statics` defaulting to absent.
-#[test]
-fn schema_v3_documents_still_parse() {
-    let mut analysis = Analysis::new().with_static(true);
-    let compiled = analysis.compile(SRC, "v3compat").unwrap();
-    let report = analysis.analyze_compiled(&compiled).unwrap();
-    assert!(report.statics.is_some(), "static pre-pass ran");
-
-    let doc = report.to_doc(compiled.program());
-    let mut json = doc.to_json();
-    // A v3 writer never emitted the block; drop it and restamp.
-    let jsonio::Value::Object(ref mut fields) = json else {
+    for key in ["parallel", "resource", "summary", "actors"] {
+        let mut tree = doc.to_json();
+        let jsonio::Value::Object(fields) = &mut tree else {
+            panic!("document must be an object");
+        };
+        let profile = fields.iter_mut().find(|(k, _)| k == "profile").unwrap();
+        let jsonio::Value::Object(pfields) = &mut profile.1 else {
+            panic!("profile must be an object");
+        };
+        pfields.retain(|(k, _)| k != key);
+        let err = ReportDoc::from_json(&tree).unwrap_err();
+        assert!(err.0.contains(&format!("`{key}`")), "{key}: {err}");
+    }
+    let mut tree = doc.to_json();
+    let jsonio::Value::Object(fields) = &mut tree else {
         panic!("document must be an object");
     };
     fields.retain(|(k, _)| k != "static");
-    fields
-        .iter_mut()
-        .find(|(k, _)| k == "schema_version")
-        .expect("version stamp present")
-        .1 = jsonio::Value::from(3u32);
-
-    let parsed =
-        ReportDoc::from_json_str(&json.to_string_pretty()).expect("v3 documents must parse");
-    assert_eq!(parsed.schema_version, 3);
-    assert!(parsed.statics.is_none(), "static defaults to absent");
-    assert_eq!(parsed.discovery, doc.discovery, "v3 fields read normally");
-}
-
-/// Schema evolution: a version-4 document — no `profile.summary` block —
-/// must still parse, with `summary` defaulting to absent.
-#[test]
-fn schema_v4_documents_still_parse() {
-    let (compiled, report) = full_report(EngineKind::SerialPerfect);
-    let doc = report.to_doc(compiled.program());
-    assert!(
-        doc.profile.summary.is_some(),
-        "v5 writers always emit the summary block"
-    );
-
-    let mut json = doc.to_json();
-    // A v4 writer never emitted the block; drop it and restamp.
-    let jsonio::Value::Object(ref mut fields) = json else {
-        panic!("document must be an object");
-    };
-    fields
-        .iter_mut()
-        .find(|(k, _)| k == "schema_version")
-        .expect("version stamp present")
-        .1 = jsonio::Value::from(4u32);
-    let profile = &mut fields
-        .iter_mut()
-        .find(|(k, _)| k == "profile")
-        .expect("profile section present")
-        .1;
-    let jsonio::Value::Object(ref mut pfields) = profile else {
-        panic!("profile must be an object");
-    };
-    pfields.retain(|(k, _)| k != "summary");
-
-    let parsed =
-        ReportDoc::from_json_str(&json.to_string_pretty()).expect("v4 documents must parse");
-    assert_eq!(parsed.schema_version, 4);
-    assert!(
-        parsed.profile.summary.is_none(),
-        "summary defaults to absent"
-    );
-    assert_eq!(parsed.discovery, doc.discovery, "v4 fields read normally");
-}
-
-/// Schema evolution: a version-5 document — no `profile.actors` block —
-/// must still parse, with `actors` defaulting to absent.
-#[test]
-fn schema_v5_documents_still_parse() {
-    let (compiled, report) = full_report(EngineKind::SerialPerfect);
-    let doc = report.to_doc(compiled.program());
-
-    let mut json = doc.to_json();
-    // A v5 writer never emitted the block; drop it and restamp.
-    let jsonio::Value::Object(ref mut fields) = json else {
-        panic!("document must be an object");
-    };
-    fields
-        .iter_mut()
-        .find(|(k, _)| k == "schema_version")
-        .expect("version stamp present")
-        .1 = jsonio::Value::from(5u32);
-    let profile = &mut fields
-        .iter_mut()
-        .find(|(k, _)| k == "profile")
-        .expect("profile section present")
-        .1;
-    let jsonio::Value::Object(ref mut pfields) = profile else {
-        panic!("profile must be an object");
-    };
-    pfields.retain(|(k, _)| k != "actors");
-
-    let parsed =
-        ReportDoc::from_json_str(&json.to_string_pretty()).expect("v5 documents must parse");
-    assert_eq!(parsed.schema_version, 5);
-    assert!(parsed.profile.actors.is_none(), "actors defaults to absent");
-    assert_eq!(parsed.discovery, doc.discovery, "v5 fields read normally");
+    let err = ReportDoc::from_json(&tree).unwrap_err();
+    assert!(err.0.contains("`static`"), "{err}");
 }
 
 /// A message-passing program that exercises the scheduler and mailboxes.
@@ -274,7 +180,7 @@ fn stage(int x) {
 }
 "#;
 
-/// The schema-v6 `actors` block is emitted for message-passing programs,
+/// The `actors` block is emitted for message-passing programs,
 /// carries the channel matrix and its digest, and round-trips byte-for-byte.
 #[test]
 fn actors_block_roundtrips_for_message_passing_programs() {
@@ -310,25 +216,24 @@ fn actors_block_roundtrips_for_message_passing_programs() {
     assert!(doc.profile.actors.is_none());
 }
 
-/// The schema-v5 `summary` block reports plan replay when the affine skip
-/// tier engages, and zeroes (but still round-trips) when it is off.
+/// The `summary` block reports plan replay when `--static` arms the affine
+/// skip tier, and zeroes (but still round-trips) without it.
 #[test]
 fn summary_block_reflects_the_affine_skip_tier() {
     let mut on = Analysis::new().with_static(true);
     let compiled = on.compile(SRC, "summary").unwrap();
     let report = on.analyze_compiled(&compiled).unwrap();
     let doc = report.to_doc(compiled.program());
-    let s = doc.profile.summary.as_ref().expect("summary present");
+    let s = &doc.profile.summary;
     // The recurrence and reduction loops are fully affine and counted; the
     // call-bearing first loop is not eligible.
     assert!(s.loops_skipped > 0, "{s:?}");
     assert!(s.synthesized_accesses > 0, "{s:?}");
     assert!(s.dispatches > 0);
 
-    let mut off = Analysis::new().with_static(true).affine_skip(false);
-    let report_off = off.analyze_compiled(&compiled).unwrap();
+    let report_off = Analysis::new().analyze_compiled(&compiled).unwrap();
     let doc_off = report_off.to_doc(compiled.program());
-    let s_off = doc_off.profile.summary.as_ref().expect("summary present");
+    let s_off = &doc_off.profile.summary;
     assert_eq!(s_off.loops_skipped, 0);
     assert_eq!(s_off.synthesized_accesses, 0);
     assert!(
@@ -345,7 +250,7 @@ fn summary_block_reflects_the_affine_skip_tier() {
     assert_eq!(parsed, doc, "summary round-trips");
 }
 
-/// The schema-v4 `static` block survives a full JSON round trip and
+/// The `static` block survives a full JSON round trip and
 /// reports sensible numbers for the roundtrip program.
 #[test]
 fn static_block_roundtrips_and_reports_coverage() {

@@ -105,8 +105,9 @@ const PINNED: &[(&str, u64)] = &[
     // `profiler_bytes` alone, 72,256 → 71,904. Re-recorded with `strassen`
     // (was 0xbfdad81d9f24943a): `discovery.spmd` holds one fork–join group
     // of the 40 calls in `main` where it held 780 pairs, and the rest of
-    // the CLI reports before and after is identical.
-    ("wide_40", 0x62930d507805c8ab),
+    // the CLI reports before and after is identical. Then (was
+    // 0x62930d507805c8ab) the schema went to v7: the version stamp alone.
+    ("wide_40", 0xfccbbb4918d6c714),
 ];
 
 #[test]
@@ -165,13 +166,17 @@ fn discovery_blocks_match_the_digests_taken_before_the_rewrite() {
 /// 0x13743fc01c7d04f2, 0xa28d511d88675e18, 0x1c3ea69d3da363db and
 /// 0x4ffda0f858d0454e. `actors_10k`, CG and `actor_ring` were re-recorded
 /// with the reduction veto (see [`PINNED`]); they were 0x63d58084c041d425,
-/// 0x3303c10c770a1384 and 0x70015fe45e79acea.
+/// 0x3303c10c770a1384 and 0x70015fe45e79acea. All five were re-recorded
+/// for schema v7, whose reports differ from v6's in the version stamp and,
+/// on `parallel:2`, in the three reserved zero keys of `profile.parallel`
+/// alone; they were 0x64cffef441ca8d96, 0x5d19b3cabda4fc16,
+/// 0xefac63e61f8b357b, 0x54b3365c77d1d5be and 0x2ff87f289b79c6dd.
 const PINNED_WHOLE: &[(&str, u64)] = &[
-    ("actors_10k", 0x64cffef441ca8d96),
-    ("matmul on parallel:2", 0x5d19b3cabda4fc16),
-    ("CG", 0xefac63e61f8b357b),
-    ("fib", 0x54b3365c77d1d5be),
-    ("actor_ring", 0x2ff87f289b79c6dd),
+    ("actors_10k", 0xce6d2eb4076e4281),
+    ("matmul on parallel:2", 0x087c04c9eafc6389),
+    ("CG", 0x7fdb7ccb8b0d907a),
+    ("fib", 0xf0ec86206d416a35),
+    ("actor_ring", 0xa286478fa59e1256),
 ];
 
 #[test]
@@ -212,8 +217,9 @@ fn whole_reports_match_the_digests_taken_before_the_one_pass_writer() {
 /// moving, 12,596,152 → 12,592,056 (the paired slot). Re-recorded from
 /// 0x5978c56c5fbe0bcf with the reduction veto: the `k` loop's `out`, whose
 /// update is read by `s = s + out[j]`, moved from `reduction_vars` to
-/// `blocking`, and nothing else.
-const PINNED_GATHER: u64 = 0xd8eda0763e206c08;
+/// `blocking`, and nothing else. Re-recorded from 0xd8eda0763e206c08 for
+/// schema v7: the version stamp alone.
+const PINNED_GATHER: u64 = 0x7b5e29c337f24ac9;
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release only: 1.5 M accesses")]
