@@ -118,10 +118,11 @@ fn schema_version_is_enforced() {
     assert!(err.0.contains("schema version"), "{err}");
 }
 
-/// Version 7 is the only schema read: a v7 document round-trips; stamped
-/// with any other version, the six before it included, it is rejected
-/// with an error naming that version; and every block is a required key,
-/// even where it may be `null`.
+/// Version 7 is the only schema read: a v7 document round-trips, and
+/// stamped with another version it is rejected with an error naming that
+/// version (versions 1, 3, 4 and 5 have tests of their own below).
+/// `parallel` and `resource` are required keys, even where they may be
+/// `null`.
 #[test]
 fn only_schema_v7_documents_parse() {
     assert_eq!(SCHEMA_VERSION, 7);
@@ -130,39 +131,114 @@ fn only_schema_v7_documents_parse() {
     let doc = ReportDoc::from_json_str(&json).expect("v7 documents parse");
     assert_eq!(doc.to_json().to_string_pretty(), json, "and round-trip");
 
-    for version in (1..=6).chain([8]) {
-        let stamped = json.replacen(
-            "\"schema_version\": 7",
-            &format!("\"schema_version\": {version}"),
-            1,
-        );
-        let err = ReportDoc::from_json_str(&stamped).unwrap_err();
-        assert!(
-            err.0.contains(&format!("schema version {version} ")),
-            "v{version}: {err}"
-        );
+    for version in [2, 6, 8] {
+        assert_rejected_as_version(&doc.to_json(), version);
     }
-
-    for key in ["parallel", "resource", "summary", "actors"] {
+    for key in ["parallel", "resource"] {
         let mut tree = doc.to_json();
-        let jsonio::Value::Object(fields) = &mut tree else {
-            panic!("document must be an object");
-        };
-        let profile = fields.iter_mut().find(|(k, _)| k == "profile").unwrap();
-        let jsonio::Value::Object(pfields) = &mut profile.1 else {
-            panic!("profile must be an object");
-        };
-        pfields.retain(|(k, _)| k != key);
-        let err = ReportDoc::from_json(&tree).unwrap_err();
-        assert!(err.0.contains(&format!("`{key}`")), "{key}: {err}");
+        profile_fields(&mut tree).retain(|(k, _)| k != key);
+        assert_rejected_for_missing(&tree, key);
     }
-    let mut tree = doc.to_json();
-    let jsonio::Value::Object(fields) = &mut tree else {
+}
+
+/// The top-level fields of a report document.
+fn fields(tree: &mut jsonio::Value) -> &mut Vec<(String, jsonio::Value)> {
+    let jsonio::Value::Object(fields) = tree else {
         panic!("document must be an object");
     };
-    fields.retain(|(k, _)| k != "static");
+    fields
+}
+
+/// The fields of a report document's `profile` section.
+fn profile_fields(tree: &mut jsonio::Value) -> &mut Vec<(String, jsonio::Value)> {
+    let profile = fields(tree)
+        .iter_mut()
+        .find(|(k, _)| k == "profile")
+        .expect("profile section present");
+    let jsonio::Value::Object(pfields) = &mut profile.1 else {
+        panic!("profile must be an object");
+    };
+    pfields
+}
+
+/// Restamps `tree` with `version` and checks the reader rejects it by name.
+fn assert_rejected_as_version(tree: &jsonio::Value, version: u32) {
+    let mut tree = tree.clone();
+    fields(&mut tree)
+        .iter_mut()
+        .find(|(k, _)| k == "schema_version")
+        .expect("version stamp present")
+        .1 = jsonio::Value::from(version);
     let err = ReportDoc::from_json(&tree).unwrap_err();
-    assert!(err.0.contains("`static`"), "{err}");
+    assert!(
+        err.0.contains(&format!("schema version {version} ")),
+        "v{version}: {err}"
+    );
+}
+
+/// Checks the reader rejects the v7 document `tree` for lacking `key`.
+fn assert_rejected_for_missing(tree: &jsonio::Value, key: &str) {
+    let err = ReportDoc::from_json(tree).unwrap_err();
+    assert!(err.0.contains(&format!("`{key}`")), "{key}: {err}");
+}
+
+/// A version-1 document — no adaptive-transport fields in
+/// `profile.parallel` — is rejected by its version; a v7 parallel block
+/// no longer carries the reserved `combined`, `merges` and `rebalances`.
+#[test]
+fn schema_v1_documents_are_rejected() {
+    let (compiled, report) = full_report(EngineKind::parallel(2));
+    let json = report.to_json_string(compiled.program());
+    for reserved in ["combined", "merges", "rebalances"] {
+        assert!(!json.contains(&format!("\"{reserved}\":")), "{reserved}");
+    }
+    let mut tree = ReportDoc::from_json_str(&json).unwrap().to_json();
+    let parallel = profile_fields(&mut tree)
+        .iter_mut()
+        .find(|(k, _)| k == "parallel")
+        .expect("parallel stats present");
+    let jsonio::Value::Object(par_fields) = &mut parallel.1 else {
+        panic!("parallel stats must be an object");
+    };
+    par_fields.retain(|(k, _)| k != "queue_stalls" && k != "spawned_workers");
+    assert_rejected_as_version(&tree, 1);
+}
+
+/// A version-3 document — no top-level `static` block — is rejected by
+/// its version; stamped v7, it is rejected for the missing key.
+#[test]
+fn schema_v3_documents_are_rejected() {
+    let mut analysis = Analysis::new().with_static(true);
+    let compiled = analysis.compile(SRC, "v3compat").unwrap();
+    let report = analysis.analyze_compiled(&compiled).unwrap();
+    assert!(report.statics.is_some(), "static pre-pass ran");
+
+    let mut tree = report.to_doc(compiled.program()).to_json();
+    fields(&mut tree).retain(|(k, _)| k != "static");
+    assert_rejected_as_version(&tree, 3);
+    assert_rejected_for_missing(&tree, "static");
+}
+
+/// A version-4 document — no `profile.summary` block — is rejected by its
+/// version; stamped v7, it is rejected for the missing key.
+#[test]
+fn schema_v4_documents_are_rejected() {
+    let (compiled, report) = full_report(EngineKind::SerialPerfect);
+    let mut tree = report.to_doc(compiled.program()).to_json();
+    profile_fields(&mut tree).retain(|(k, _)| k != "summary");
+    assert_rejected_as_version(&tree, 4);
+    assert_rejected_for_missing(&tree, "summary");
+}
+
+/// A version-5 document — no `profile.actors` block — is rejected by its
+/// version; stamped v7, it is rejected for the missing key.
+#[test]
+fn schema_v5_documents_are_rejected() {
+    let (compiled, report) = full_report(EngineKind::SerialPerfect);
+    let mut tree = report.to_doc(compiled.program()).to_json();
+    profile_fields(&mut tree).retain(|(k, _)| k != "actors");
+    assert_rejected_as_version(&tree, 5);
+    assert_rejected_for_missing(&tree, "actors");
 }
 
 /// A message-passing program that exercises the scheduler and mailboxes.
