@@ -36,17 +36,17 @@
 //! interpreter emits 8-byte-aligned addresses only):
 //!
 //! ```text
-//! addr:  63 ............ 9 | 8 ........ 3 | 2..0
+//! addr:  63 ............ 6 | 5 ........ 3 | 2..0
 //!        page id           | slot in page | 0 (word-aligned)
 //!
 //!   page cache (16 entries, indexed by a hash of the page id)
 //!        │ miss
 //!        ▼
-//!   dir: page id ─► arena index ─► pages[index]: [Slot; 64]   (3,072 B)
+//!   dir: page id ─► arena index ─► pages[index]: [Slot; 8]   (384 B)
 //! ```
 //!
-//! Each page shadows 512 bytes of target address space (64 word slots), so a
-//! touched region costs 3 KiB however far it lies from its neighbours — an
+//! Each page shadows 64 bytes of target address space (8 word slots), so a
+//! touched region costs 384 B however far it lies from its neighbours — an
 //! actor's stack or mailbox, 16 MiB from the next one, costs what it touches
 //! rather than what a 4 KiB page would round it up to. Pages live in a
 //! grow-only arena (`Vec<Box<Page>>`); a directory keyed with the in-repo
@@ -365,14 +365,28 @@ impl AccessMap for SignatureMap {
     }
 }
 
-/// Word slots per shadow page: one page covers 512 bytes of address space
-/// and costs 3,072 bytes. The size is a trade between scattered and dense
+/// Word slots per shadow page: one page covers 64 bytes of address space
+/// and costs 384 bytes. The size is a trade between scattered and dense
 /// targets: a region of a few touched words (an actor's stack, a mailbox)
 /// costs one page whatever the page size, while a dense sweep pays one
 /// directory entry and one page-cache refill per page.
-const PAGE_WORDS: usize = 64;
-/// Address bits consumed by the in-page slot (3 word bits + 6 slot bits).
-const PAGE_SHIFT: u32 = 9;
+///
+/// Eight is the measured knee (the benchmark at seed 1 on a 2-core host).
+/// At 64 words, `actors_10k`'s 10,128 live words held about 21,700 pages,
+/// 66.8 MB of shadow whose allocation and first touch were about 40% of
+/// the job; at 8 the shadow is 13.0 MB and `analyze_ms` reads 99.3 →
+/// 64.6 ms, while the dense workloads read the same. Rejected:
+/// - 4 words: `suite_sweep` reads about 4% slower (72.9/72.8/73.4 →
+///   75.0/76.2/76.9 ms);
+/// - 16 words: 20.7 MB of shadow on `actors_10k` and no extra speed;
+/// - a flat table for the globals, grown by doubling: a doubling overshoots
+///   a memory ceiling, and `fault_injection`'s
+///   `a_forced_spawn_under_a_ceiling_stays_home` fails ("every rung lands
+///   back under the ceiling");
+/// - a slab of 64 pages in place of one `Box` per page: no faster.
+const PAGE_WORDS: usize = 8;
+/// Address bits consumed by the in-page slot (3 word bits + 3 slot bits).
+const PAGE_SHIFT: u32 = 6;
 /// Entries in the direct-mapped page cache (a power of two). A loop body
 /// cycles through a handful of pages — its arrays' current pages plus a
 /// stack page — and sixteen hashed entries keep them all resident.
@@ -395,7 +409,8 @@ pub struct PerfectMap {
     dir: FxHashMap<u64, u32>,
     /// Grow-only page arena. Pages are boxed so that growing the spine
     /// moves pointers, never pages, and reserves no page storage ahead of
-    /// use: held bytes are exactly touched pages plus 8 bytes each.
+    /// use: held bytes are the touched pages plus the spine's capacity and
+    /// the directory's ([`AccessMap::bytes`]).
     #[allow(clippy::vec_box)]
     pages: Vec<Box<Page>>,
     /// Recently touched pages as `(page id, arena index)`, indexed by
@@ -518,7 +533,7 @@ impl AccessMap for PerfectMap {
 
     fn clear_range(&mut self, addr: u64, words: u64) {
         // Walk page by page so a frame-sized range costs one page lookup
-        // per 64 words instead of one per word.
+        // per page instead of one per word.
         let mut word = addr >> 3;
         let end = word + words;
         while word < end {
@@ -922,7 +937,7 @@ mod tests {
             };
             match r % 16 {
                 0 => {
-                    // Up to 255 words: from inside one page to across four
+                    // Up to 255 words: from inside one page to across 32
                     // page boundaries.
                     let words = r >> 32 & 0xFF;
                     pt.clear_range(addr, words);
@@ -958,6 +973,29 @@ mod tests {
         );
         // The spine is part of the figure.
         assert!(p.bytes() >= 1000 * (std::mem::size_of::<Page>() + 8));
+    }
+
+    #[test]
+    fn shadow_pages_trade_scattered_against_dense() {
+        // Both sides of the page-size trade. Scattered: one word on each of
+        // N thread stacks costs one page apiece, a page is at most 384 B,
+        // and with its share of the spine and directory a region stays
+        // under 512 B. Dense: a 4,096-word sweep (one of `hot_loop`'s
+        // arrays) costs one page per 8 words.
+        const N: u64 = 1000;
+        let mut p = PerfectMap::new();
+        for t in 0..N {
+            let addr = interp::STACK_BASE + t * interp::STACK_SPAN;
+            put(&mut p, addr, true, cell(t as u32));
+        }
+        assert_eq!(p.num_pages(), N as usize);
+        assert!(std::mem::size_of::<Page>() <= 384);
+        assert!(p.bytes() <= N as usize * 512, "{} bytes", p.bytes());
+        let mut p = PerfectMap::new();
+        for w in 0..4096u64 {
+            put(&mut p, interp::GLOBAL_BASE + w * 8, false, cell(w as u32));
+        }
+        assert_eq!(p.num_pages(), 512);
     }
 
     #[test]
