@@ -459,8 +459,13 @@ fn render_saved(args: &[String]) -> ExitCode {
         "== DiscoPoP report: {} == (schema v{}, engine {})",
         doc.program, doc.schema_version, doc.engine
     );
+    // A multi-threaded report folds its thread pairs: say into how much.
+    let folded = match doc.folded_dependences() {
+        (_, 0) => String::new(),
+        (rows, runs) => format!(" in {rows} rows and {runs} thread runs"),
+    };
     println!(
-        "{} instructions, {} accesses, {} distinct dependences ({} before merging)",
+        "{} instructions, {} accesses, {} distinct dependences{folded} ({} before merging)",
         doc.profile.steps,
         doc.profile.accesses,
         doc.profile.dependences.len(),

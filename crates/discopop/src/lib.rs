@@ -694,9 +694,8 @@ pub fn render_dependence_text(program: &interp::Program, report: &Report) -> Str
     let multithreaded = report
         .profile
         .deps
-        .sorted()
         .iter()
-        .any(|d| d.sink_thread != 0 || d.source_thread != 0);
+        .any(|(d, _)| d.sink_thread != 0 || d.source_thread != 0);
     profiler::render_text(
         &report.profile.deps,
         &|sym| program.symbol(sym).to_string(),

@@ -28,11 +28,11 @@
 //!   are tested against (`tests/streamed_report.rs`) and what
 //!   [`ReportDoc::from_json`] reads back.
 //!
-//! # Schema (version 7)
+//! # Schema (version 8)
 //!
 //! ```json
 //! {
-//!   "schema_version": 7,
+//!   "schema_version": 8,
 //!   "program": "demo",
 //!   "engine": "serial-perfect",
 //!   "profile": {
@@ -47,8 +47,11 @@
 //!                    "merged_slots": 0}]},
 //!     "dependences": [
 //!       {"sink": "1:4", "type": "RAW", "source": "1:2", "var": "sum",
-//!        "sink_thread": 0, "source_thread": 0, "carried_by": [0, 1],
-//!        "race_hint": false, "count": 63}
+//!        "threads": null, "carried_by": [0, 1], "race_hint": false,
+//!        "count": 63},
+//!       {"sink": "1:9", "type": "RAW", "source": "1:12", "var": "mailbox",
+//!        "threads": [[1, 0, 1, 0, 3, 2], [9, 4, 0, 0, 1, 5]],
+//!        "carried_by": null, "race_hint": false, "count": 11}
 //!     ],
 //!     "pet": [{"kind": "function", "name": "main", "entries": 1, "iters": 0,
 //!              "dyn_instrs": 1384, "start_line": 2, "end_line": 7,
@@ -60,8 +63,7 @@
 //!                                      "fault": 0},
 //!                 "dispatches": 412},
 //!     "actors": {"spawned": 3, "peak_live": 3, "sent": 16, "received": 16,
-//!                "channels": [{"from": 0, "to": 1, "messages": 8},
-//!                             {"from": 1, "to": 2, "messages": 8}],
+//!                "channels": [[0, 1, 1, 1, 2, 8]],
 //!                "channel_digest": 1234567890}
 //!   },
 //!   "discovery": {
@@ -90,6 +92,28 @@
 //! }
 //! ```
 //!
+//! # Folded thread pairs
+//!
+//! A dependence row is keyed by everything but its two thread ids (sink,
+//! type, source, var, carried_by, race_hint). The dependences that share
+//! a key and differ only in `(sink_thread, source_thread)` are one row:
+//! `count` is their sum, and `threads` lists them as arithmetic runs
+//! `[sink0, source0, d_sink, d_source, n, count_each]` — the `n` pairs
+//! `(sink0 + i·d_sink, source0 + i·d_source)`, `i` in `0..n`, each merged
+//! `count_each` times. A row whose only pair is `(0, 0)` — every row of a
+//! single-threaded target — writes `"threads": null`. Above, the second
+//! row is the four dependences (1, 0), (2, 0) and (3, 0) with count 2 each
+//! and (9, 4) with count 5. `actors.channels` folds the same way:
+//! `[from0, to0, d_from, d_to, n, messages_each]`, so above actor 0 sends
+//! 8 messages to actor 1 and actor 1 sends 8 to actor 2.
+//!
+//! The fold is greedy, over the rows in the order they are written (live
+//! reports sort theirs by key, then sink thread, then source thread): a
+//! run grows while the next pair has its count and steps by its stride.
+//! [`ReportDoc::from_json`] unfolds the runs back into one [`DepDoc`] (or
+//! one channel triple) per pair, so the fold loses nothing and re-folds
+//! to the same bytes.
+//!
 //! Every key is always present. Four blocks may be `null`: `parallel`
 //! (`chunks`, `queue_stalls`, `spawned_workers`, `worker_recoveries`,
 //! `worker_processed`) for runs off the `parallel:N` engine, `resource`
@@ -114,7 +138,12 @@ use std::borrow::Cow;
 /// `profile.parallel` (`rebalances`, `combined`, `merges`) gone, read with
 /// every key required: `summary` is always an object, and `parallel`,
 /// `resource`, `actors` and `static` are present even when `null`.
-pub const SCHEMA_VERSION: u32 = 7;
+///
+/// Version 8 folds thread pairs (see the module docs): a dependence row
+/// trades `sink_thread`/`source_thread` for `threads` (runs, or `null` for
+/// the lone pair `(0, 0)`), and `actors.channels` holds runs instead of
+/// `{from, to, messages}` objects. Nothing else changed.
+pub const SCHEMA_VERSION: u32 = 8;
 
 /// Error produced when a JSON document does not match the schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -287,6 +316,202 @@ fn own<B: ToOwned + ?Sized + 'static>(field: &B) -> Cow<'static, B> {
     Cow::Owned(field.to_owned())
 }
 
+/// The most rows [`ReportDoc::from_json`] unfolds a document's runs into,
+/// dependences, blocking rows and channels together: 2^24, the thread
+/// pairs one static dependence can hold in the profiler's packed key
+/// (`profiler::DepKey` gives each thread id 12 bits). A document past it
+/// is a [`SchemaError`], found before any of its rows is built
+/// ([`unfolded_rows`]).
+const MAX_UNFOLDED_ROWS: u64 = 1 << 24;
+
+/// One arithmetic run of thread pairs: `(a + i·da, b + i·db)` for `i` in
+/// `0..n`, each counted `each` times. Written `[a, b, da, db, n, each]`.
+/// A run of one pair has strides `(0, 0)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    a: u32,
+    b: u32,
+    da: i64,
+    db: i64,
+    n: u64,
+    each: u64,
+}
+
+impl Run {
+    /// The run that stands for `"threads": null`: the pair `(0, 0)` alone.
+    fn is_lone_origin(&self) -> bool {
+        (self.a, self.b, self.n) == (0, 0, 1)
+    }
+
+    /// The count the run's pairs add up to.
+    fn total(&self) -> u64 {
+        self.n.saturating_mul(self.each)
+    }
+
+    /// Its `n` pairs with their counts. Thread ids stay in `u32`: the fold
+    /// builds runs from `u32` pairs, and [`Run::from_json`] checks the last.
+    fn unfold(self) -> impl Iterator<Item = (u32, u32, u64)> {
+        let at = |x: u32, d: i64, i: u64| (x as i64 + d * i as i64) as u32;
+        (0..self.n).map(move |i| (at(self.a, self.da, i), at(self.b, self.db, i), self.each))
+    }
+
+    fn emit<S: Emitter>(&self, s: &mut S) {
+        s.begin_array();
+        s.u64(self.a);
+        s.u64(self.b);
+        s.i64(self.da);
+        s.i64(self.db);
+        s.u64(self.n);
+        s.u64(self.each);
+        s.end_array();
+    }
+
+    fn from_json(v: &Value, what: &str) -> DocResult<Run> {
+        let bad = || SchemaError(format!("{what} runs must be six integers in range"));
+        let [a, b, da, db, n, each] = v.as_array().ok_or_else(bad)? else {
+            return Err(bad());
+        };
+        let id = |x: &Value| {
+            x.as_u64()
+                .and_then(|x| u32::try_from(x).ok())
+                .ok_or_else(bad)
+        };
+        let (a, b) = (id(a)?, id(b)?);
+        let (da, db) = (da.as_i64().ok_or_else(bad)?, db.as_i64().ok_or_else(bad)?);
+        let (n, each) = (n.as_u64().ok_or_else(bad)?, each.as_u64().ok_or_else(bad)?);
+        if n == 0 {
+            return err(format!("{what} run of zero pairs"));
+        }
+        // The ids are linear in `i`: the first and the last pair in range
+        // puts every pair in range. `i128` holds `(n - 1)·d` exactly.
+        let last = |x: u32, d: i64| x as i128 + (n - 1) as i128 * d as i128;
+        if !(0..=u32::MAX as i128).contains(&last(a, da))
+            || !(0..=u32::MAX as i128).contains(&last(b, db))
+        {
+            return err(format!("{what} run leaves the u32 thread ids"));
+        }
+        Ok(Run {
+            a,
+            b,
+            da,
+            db,
+            n,
+            each,
+        })
+    }
+}
+
+/// Greedy fold of `(a, b, count)` triples, in the order given, into runs:
+/// a run takes the next triple while its count is the run's and — from the
+/// third pair on — it steps by the run's stride.
+fn runs(triples: impl Iterator<Item = (u32, u32, u64)>) -> impl Iterator<Item = Run> {
+    let mut triples = triples.peekable();
+    std::iter::from_fn(move || {
+        let (a, b, each) = triples.next()?;
+        let mut run = Run {
+            a,
+            b,
+            da: 0,
+            db: 0,
+            n: 1,
+            each,
+        };
+        let mut last = (a, b);
+        while let Some(&(x, y, count)) = triples.peek() {
+            let step = (x as i64 - last.0 as i64, y as i64 - last.1 as i64);
+            if count != each || (run.n > 1 && step != (run.da, run.db)) {
+                break;
+            }
+            (run.da, run.db) = step;
+            run.n += 1;
+            last = (x, y);
+            triples.next();
+        }
+        Some(run)
+    })
+}
+
+/// A folded dependence row's thread pairs, as [`fold_rows`] hands them out.
+enum Threads<'r> {
+    /// The pair `(0, 0)` alone, with its count: written `null`.
+    Lone(u64),
+    /// The runs, in order.
+    Runs(&'r mut dyn Iterator<Item = Run>),
+}
+
+/// Fold `rows` into the rows v8 writes: each maximal stretch of
+/// consecutive rows that share a key ([`DepDoc::same_key`]) becomes one,
+/// handed to `row` as its first row and its [`Threads`]. Allocates nothing.
+fn fold_rows<'r>(
+    rows: impl Iterator<Item = DepDoc<'r>>,
+    mut row: impl FnMut(&DepDoc<'r>, Threads<'_>),
+) {
+    let mut rows = rows.peekable();
+    while let Some(first) = rows.next() {
+        let next = || rows.next_if(|r| r.same_key(&first)).map(|r| r.pair());
+        let mut runs =
+            runs(std::iter::once(first.pair()).chain(std::iter::from_fn(next))).peekable();
+        let head = runs.next();
+        match head {
+            Some(run) if run.is_lone_origin() && runs.peek().is_none() => {
+                row(&first, Threads::Lone(run.each))
+            }
+            _ => row(&first, Threads::Runs(&mut head.into_iter().chain(runs))),
+        }
+    }
+}
+
+/// `rows`, folded, as the array of v8 rows.
+fn emit_deps<'r, S: Emitter>(s: &mut S, rows: impl Iterator<Item = DepDoc<'r>>) {
+    s.begin_array();
+    fold_rows(rows, |first, threads| first.emit(threads, s));
+    s.end_array();
+}
+
+/// The runs of the array `v`, each checked as it is read.
+fn get_runs<'v>(
+    v: &'v Value,
+    what: &'v str,
+) -> DocResult<impl Iterator<Item = DocResult<Run>> + 'v> {
+    let runs = v
+        .as_array()
+        .ok_or_else(|| SchemaError(format!("{what} must be an array of runs")))?;
+    Ok(runs.iter().map(move |r| Run::from_json(r, what)))
+}
+
+/// The rows the runs of document `v` unfold into — dependences, blocking
+/// rows and channels — read leniently (what is malformed counts 0 and
+/// fails the typed read later) and summed before anything is built.
+fn unfolded_rows(v: &Value) -> u64 {
+    fn array(v: Option<&Value>) -> &[Value] {
+        v.and_then(Value::as_array).unwrap_or(&[])
+    }
+    fn sum(xs: &[Value], f: impl Fn(&Value) -> u64) -> u64 {
+        xs.iter().map(f).fold(0, u64::saturating_add)
+    }
+    /// The `n`s of an array of runs.
+    fn runs(runs: Option<&Value>) -> u64 {
+        sum(array(runs), |r| {
+            array(Some(r)).get(4).and_then(Value::as_u64).unwrap_or(0)
+        })
+    }
+    fn deps(rows: Option<&Value>) -> u64 {
+        sum(array(rows), |r| match r.get("threads") {
+            Some(Value::Null) | None => 1,
+            threads => runs(threads),
+        })
+    }
+    let profile = v.get("profile");
+    let loops = array(v.get("discovery").and_then(|d| d.get("loops")));
+    deps(profile.and_then(|p| p.get("dependences")))
+        .saturating_add(sum(loops, |l| deps(l.get("blocking"))))
+        .saturating_add(runs(
+            profile
+                .and_then(|p| p.get("actors"))
+                .and_then(|a| a.get("channels")),
+        ))
+}
+
 /// One merged dependence. `sink`/`source` render in the DiscoPoP
 /// `file:line` notation, `ty` as `RAW` / `WAR` / `WAW` / `INIT`.
 #[derive(Debug, Clone, PartialEq)]
@@ -332,10 +557,18 @@ impl<'a> DepDoc<'a> {
 
     fn owned(&self) -> DepDoc<'static> {
         DepDoc {
+            var: own(&self.var),
+            ..self.view()
+        }
+    }
+
+    /// The same row, borrowing its name from `self`.
+    fn view(&self) -> DepDoc<'_> {
+        DepDoc {
             sink: self.sink,
             ty: self.ty,
             source: self.source,
-            var: own(&self.var),
+            var: Cow::Borrowed(&self.var),
             sink_thread: self.sink_thread,
             source_thread: self.source_thread,
             carried_by: self.carried_by,
@@ -344,36 +577,114 @@ impl<'a> DepDoc<'a> {
         }
     }
 
-    fn emit<S: Emitter>(&self, s: &mut S) {
+    /// Equal in everything but the thread pair and the count: the rows one
+    /// folded row stands for.
+    fn same_key(&self, other: &DepDoc<'_>) -> bool {
+        self.sink == other.sink
+            && self.ty == other.ty
+            && self.source == other.source
+            && self.var == other.var
+            && self.carried_by == other.carried_by
+            && self.race_hint == other.race_hint
+    }
+
+    /// `(sink_thread, source_thread, count)`.
+    fn pair(&self) -> (u32, u32, u64) {
+        (self.sink_thread, self.source_thread, self.count)
+    }
+
+    /// The folded row: this row's key with `threads`, and their sum as
+    /// `count`.
+    fn emit<S: Emitter>(&self, threads: Threads<'_>, s: &mut S) {
         s.begin_object();
         s.key("sink").display(&self.sink);
         s.key("type").display(&self.ty);
         s.key("source").display(&self.source);
         s.key("var").str(&self.var);
-        s.key("sink_thread").u64(self.sink_thread);
-        s.key("source_thread").u64(self.source_thread);
+        let count = match threads {
+            Threads::Lone(count) => {
+                s.key("threads").null();
+                count
+            }
+            Threads::Runs(runs) => {
+                let mut count = 0u64;
+                s.key("threads").begin_array();
+                for run in runs {
+                    count = count.saturating_add(run.total());
+                    run.emit(s);
+                }
+                s.end_array();
+                count
+            }
+        };
         opt_pair(s.key("carried_by"), self.carried_by);
         s.key("race_hint").bool(self.race_hint);
-        s.key("count").u64(self.count);
+        s.key("count").u64(count);
         s.end_object();
     }
 
-    fn from_json(v: &Value) -> DocResult<DepDoc<'static>> {
-        Ok(DepDoc {
+    /// Read one folded row into `out`, one [`DepDoc`] per thread pair.
+    fn unfold(v: &Value, out: &mut Vec<DepDoc<'static>>) -> DocResult<()> {
+        let row = DepDoc {
             sink: get_parsed(v, "sink")?,
             ty: get_parsed(v, "type")?,
             source: get_parsed(v, "source")?,
             var: get_str(v, "var")?.into(),
-            sink_thread: get_u32(v, "sink_thread")?,
-            source_thread: get_u32(v, "source_thread")?,
+            sink_thread: 0,
+            source_thread: 0,
             carried_by: match field(v, "carried_by")? {
                 Value::Null => None,
                 other => Some(pair_u32(other, "carried_by")?),
             },
             race_hint: get_bool(v, "race_hint")?,
             count: get_u64(v, "count")?,
-        })
+        };
+        let threads = match field(v, "threads")? {
+            Value::Null => {
+                out.push(row);
+                return Ok(());
+            }
+            threads => threads,
+        };
+        let (mut sum, mut runs, mut lone) = (0u64, 0usize, false);
+        for run in get_runs(threads, "`threads`")? {
+            let run = run?;
+            lone = runs == 0 && run.is_lone_origin();
+            runs += 1;
+            sum = sum.saturating_add(run.total());
+            out.extend(
+                run.unfold()
+                    .map(|(sink_thread, source_thread, count)| DepDoc {
+                        sink_thread,
+                        source_thread,
+                        count,
+                        ..row.clone()
+                    }),
+            );
+        }
+        if runs == 0 {
+            return err("`threads` must be null or hold at least one run");
+        }
+        if lone {
+            return err("`threads` holding the pair (0, 0) alone must be null");
+        }
+        if sum != row.count {
+            return err(format!(
+                "`count` {} is not the sum of its thread runs, {sum}",
+                row.count
+            ));
+        }
+        Ok(())
     }
+}
+
+/// Every folded row of the array `key`, unfolded.
+fn get_deps(v: &Value, key: &str) -> DocResult<Vec<DepDoc<'static>>> {
+    let mut out = Vec::new();
+    for row in get_array(v, key)? {
+        DepDoc::unfold(row, &mut out)?;
+    }
+    Ok(out)
 }
 
 /// One PET node (§2.3.6), with function names resolved.
@@ -703,7 +1014,7 @@ pub struct ActorsDoc {
     /// Messages received across all mailboxes.
     pub received: u64,
     /// Per-channel message counts `(from, to, messages)`, sorted by
-    /// `(from, to)`.
+    /// `(from, to)`; written folded into runs (see the module docs).
     pub channels: Vec<(u32, u32, u64)>,
     /// FNV-1a digest of the channel matrix — a compact, order-stable
     /// fingerprint for determinism checks across runs ([`ActorsDoc::digest_channels`]).
@@ -747,30 +1058,22 @@ impl ActorsDoc {
         s.key("sent").u64(self.sent);
         s.key("received").u64(self.received);
         s.key("channels")
-            .array(&self.channels, |&(from, to, messages), s| {
-                s.begin_object();
-                s.key("from").u64(from);
-                s.key("to").u64(to);
-                s.key("messages").u64(messages);
-                s.end_object();
-            });
+            .array(runs(self.channels.iter().copied()), |run, s| run.emit(s));
         s.key("channel_digest").u64(self.channel_digest);
         s.end_object();
     }
 
     fn from_json(v: &Value) -> DocResult<ActorsDoc> {
+        let mut channels = Vec::new();
+        for run in get_runs(field(v, "channels")?, "`channels`")? {
+            channels.extend(run?.unfold());
+        }
         Ok(ActorsDoc {
             spawned: get_u32(v, "spawned")?,
             peak_live: get_u32(v, "peak_live")?,
             sent: get_u64(v, "sent")?,
             received: get_u64(v, "received")?,
-            channels: get_rows(v, "channels", |c| {
-                Ok((
-                    get_u32(c, "from")?,
-                    get_u32(c, "to")?,
-                    get_u64(c, "messages")?,
-                ))
-            })?,
+            channels,
             channel_digest: get_u64(v, "channel_digest")?,
         })
     }
@@ -789,7 +1092,8 @@ pub struct ProfileDoc {
     pub profiler_bytes: u64,
     /// Target program output.
     pub printed: Vec<String>,
-    /// Merged dependences, totally ordered.
+    /// Merged dependences, one per thread pair, in the order they fold
+    /// in (key, then sink thread, then source thread).
     pub dependences: Vec<DepDoc<'static>>,
     /// PET nodes (index 0 is the root; `children` index into this list).
     pub pet: Vec<PetNodeDoc<'static>>,
@@ -828,7 +1132,7 @@ impl ProfileDoc {
             dependences_found: get_u64(v, "dependences_found")?,
             profiler_bytes: get_u64(v, "profiler_bytes")?,
             printed: get_str_array(v, "printed")?,
-            dependences: get_rows(v, "dependences", DepDoc::from_json)?,
+            dependences: get_deps(v, "dependences")?,
             pet: get_rows(v, "pet", PetNodeDoc::from_json)?,
             parallel: get_block(v, "parallel", ParallelDoc::from_json)?,
             resource: get_block(v, "resource", ResourceDoc::from_json)?,
@@ -855,7 +1159,8 @@ pub struct LoopDoc<'a> {
     pub dyn_instrs: u64,
     /// `Doall` / `Reduction` / `Doacross` / `Sequential` / `NotExecuted`.
     pub class: LoopClass,
-    /// Carried true dependences blocking DOALL.
+    /// Carried true dependences blocking DOALL, one per thread pair, in
+    /// fold order like [`ProfileDoc::dependences`].
     pub blocking: Cow<'a, [DepDoc<'a>]>,
     /// Detected reduction variables.
     pub reduction_vars: Cow<'a, [String]>,
@@ -903,7 +1208,7 @@ impl<'a> LoopDoc<'a> {
         s.key("iters").u64(self.iters);
         s.key("dyn_instrs").u64(self.dyn_instrs);
         s.key("class").str(self.class.as_str());
-        s.key("blocking").array(self.blocking.iter(), DepDoc::emit);
+        emit_deps(s.key("blocking"), self.blocking.iter().map(DepDoc::view));
         strs(s.key("reduction_vars"), &self.reduction_vars);
         s.key("pipeline_stages").u64(self.pipeline_stages);
         s.end_object();
@@ -918,7 +1223,7 @@ impl<'a> LoopDoc<'a> {
             iters: get_u64(v, "iters")?,
             dyn_instrs: get_u64(v, "dyn_instrs")?,
             class: get_parsed(v, "class")?,
-            blocking: get_rows(v, "blocking", DepDoc::from_json)?.into(),
+            blocking: get_deps(v, "blocking")?.into(),
             reduction_vars: get_str_array(v, "reduction_vars")?.into(),
             pipeline_stages: get_u64(v, "pipeline_stages")?,
         })
@@ -1559,9 +1864,11 @@ impl DiscoveryDoc {
 /// holds; a live [`Report`] ([`Live`]) builds each row on the stack,
 /// borrowing every name from the report and its program, and drops it when
 /// the visitor returns — so writing a live report allocates nothing per
-/// row, and an owned document is the same rows, kept.
+/// row, and an owned document is the same rows, kept. Dependences come as
+/// an iterator rather than a visitor, so that [`fold_rows`] can look one
+/// row ahead; either source yields them in fold order.
 trait Rows {
-    fn dependences(&self, f: impl FnMut(&DepDoc<'_>));
+    fn dependences(&self) -> impl Iterator<Item = DepDoc<'_>>;
     fn pet(&self, f: impl FnMut(&PetNodeDoc<'_>));
     fn loops(&self, f: impl FnMut(&LoopDoc<'_>));
     fn spmd(&self, f: impl FnMut(&SpmdDoc<'_>));
@@ -1574,8 +1881,8 @@ trait Rows {
 }
 
 impl Rows for ReportDoc {
-    fn dependences(&self, f: impl FnMut(&DepDoc<'_>)) {
-        self.profile.dependences.iter().for_each(f);
+    fn dependences(&self) -> impl Iterator<Item = DepDoc<'_>> {
+        self.profile.dependences.iter().map(DepDoc::view)
     }
     fn pet(&self, f: impl FnMut(&PetNodeDoc<'_>)) {
         self.profile.pet.iter().for_each(f);
@@ -1606,21 +1913,41 @@ impl Rows for ReportDoc {
     }
 }
 
+/// The order dependence rows fold in: by key ([`DepDoc::same_key`], with
+/// the variable's symbol id), then sink thread, then source thread. With
+/// every thread 0 it is [`Dep`]'s own order, so single-threaded rows keep
+/// the order they always had.
+fn fold_order(d: &Dep) -> impl Ord {
+    (
+        d.sink,
+        d.ty,
+        d.source,
+        d.var,
+        d.carried_by,
+        d.race_hint,
+        d.sink_thread,
+        d.source_thread,
+    )
+}
+
 /// A [`Report`] beside the program that resolves its names: the rows of
 /// the document it would mirror to, without the mirror.
 struct Live<'a> {
     program: &'a interp::Program,
     report: &'a Report,
-    /// `report.profile.deps`, sorted once, counts beside them.
+    /// `report.profile.deps`, sorted once in [`fold_order`], counts beside
+    /// them.
     deps: Vec<(Dep, u64)>,
 }
 
 impl<'a> Live<'a> {
     fn new(program: &'a interp::Program, report: &'a Report) -> Self {
+        let mut deps: Vec<(Dep, u64)> = report.profile.deps.iter().collect();
+        deps.sort_unstable_by_key(|(d, _)| fold_order(d));
         Live {
             program,
             report,
-            deps: report.profile.deps.sorted_counted(),
+            deps,
         }
     }
 
@@ -1642,10 +1969,10 @@ impl<'a> Live<'a> {
 }
 
 impl Rows for Live<'_> {
-    fn dependences(&self, mut f: impl FnMut(&DepDoc<'_>)) {
-        for (d, count) in &self.deps {
-            f(&DepDoc::of(self.program, d, *count));
-        }
+    fn dependences(&self) -> impl Iterator<Item = DepDoc<'_>> {
+        self.deps
+            .iter()
+            .map(|(d, count)| DepDoc::of(self.program, d, *count))
     }
     fn pet(&self, mut f: impl FnMut(&PetNodeDoc<'_>)) {
         for n in &self.report.profile.pet.nodes {
@@ -1653,14 +1980,17 @@ impl Rows for Live<'_> {
         }
     }
     fn loops(&self, mut f: impl FnMut(&LoopDoc<'_>)) {
-        // One buffer for every loop's blocking rows, so a loop costs no
-        // allocation of its own.
+        // Two buffers for every loop's blocking rows — sorted into fold
+        // order, then resolved — so a loop costs no allocation of its own.
         let deps = &self.report.profile.deps;
-        let mut blocking = Vec::new();
+        let (mut sorted, mut blocking) = (Vec::new(), Vec::new());
         for l in &self.report.discovery.loops {
+            sorted.clear();
+            sorted.extend_from_slice(&l.blocking);
+            sorted.sort_unstable_by_key(fold_order);
             blocking.clear();
             blocking.extend(
-                l.blocking
+                sorted
                     .iter()
                     .map(|d| DepDoc::of(self.program, d, deps.count(d))),
             );
@@ -1724,9 +2054,7 @@ fn emit_doc<S: Emitter>(head: &ReportDoc, rows: &impl Rows, s: &mut S) {
     s.key("dependences_found").u64(p.dependences_found);
     s.key("profiler_bytes").u64(p.profiler_bytes);
     strs(s.key("printed"), &p.printed);
-    s.key("dependences").begin_array();
-    rows.dependences(|d| d.emit(s));
-    s.end_array();
+    emit_deps(s.key("dependences"), rows.dependences());
     s.key("pet").begin_array();
     rows.pet(|n| n.emit(s));
     s.end_array();
@@ -1823,7 +2151,8 @@ impl ReportDoc {
         let live = Live::new(program, report);
         let mut doc = live.head();
         let (p, d) = (&mut doc.profile, &mut doc.discovery);
-        live.dependences(|row| p.dependences.push(row.owned()));
+        p.dependences
+            .extend(live.dependences().map(|row| row.owned()));
         live.pet(|row| p.pet.push(row.owned()));
         live.loops(|row| d.loops.push(row.owned()));
         live.spmd(|row| d.spmd.push(row.owned()));
@@ -1855,13 +2184,23 @@ impl ReportDoc {
         text.finish()
     }
 
-    /// Deserialize from a JSON tree.
+    /// Deserialize from a JSON tree, unfolding every run of thread pairs
+    /// back into one row per pair. A document whose runs are malformed —
+    /// no pairs, thread ids past `u32`, counts that do not add up, a lone
+    /// `(0, 0)` not written `null` — or that unfolds past a fixed ceiling
+    /// of rows is a [`SchemaError`].
     pub fn from_json(v: &Value) -> DocResult<ReportDoc> {
         let schema_version = get_u32(v, "schema_version")?;
         if schema_version != SCHEMA_VERSION {
             return err(format!(
                 "unsupported schema version {schema_version} \
                  (this build reads {SCHEMA_VERSION} only)"
+            ));
+        }
+        let rows = unfolded_rows(v);
+        if rows > MAX_UNFOLDED_ROWS {
+            return err(format!(
+                "the document unfolds into {rows} rows, past the ceiling of {MAX_UNFOLDED_ROWS}"
             ));
         }
         Ok(ReportDoc {
@@ -1880,6 +2219,20 @@ impl ReportDoc {
         ReportDoc::from_json(&v)
     }
 
+    /// The shape `profile.dependences` folds into when written: `(rows,
+    /// runs)`, where `runs` counts the thread runs of the rows that do not
+    /// write `"threads": null`.
+    pub fn folded_dependences(&self) -> (usize, usize) {
+        let (mut rows, mut runs) = (0, 0);
+        fold_rows(self.dependences(), |_, threads| {
+            rows += 1;
+            if let Threads::Runs(r) = threads {
+                runs += r.count();
+            }
+        });
+        (rows, runs)
+    }
+
     /// All distinct loop classes present, in report order — the quick
     /// answer "is there anything parallel here?".
     pub fn loop_classes(&self) -> Vec<&str> {
@@ -1890,5 +2243,170 @@ impl ReportDoc {
             }
         }
         seen
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// SplitMix64.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// A run of `n` pairs from `(a, b)` by `(da, db)`, `count` each.
+    fn run(a: u32, b: u32, da: i64, db: i64, n: u64, count: u64) -> Vec<(u32, u32, u64)> {
+        Run {
+            a,
+            b,
+            da,
+            db,
+            n,
+            each: count,
+        }
+        .unfold()
+        .collect()
+    }
+
+    /// One thread-pair set, of a shape the fold must keep.
+    fn pairs(rng: &mut Rng) -> Vec<(u32, u32, u64)> {
+        let long = 20 + rng.below(300);
+        let outlier = rng.below(long);
+        match rng.below(6) {
+            // The pair every single-threaded row has: written `null`.
+            0 => vec![(0, 0, 1 + rng.below(100))],
+            // A lone pair off the origin.
+            1 => vec![(
+                rng.below(40) as u32,
+                1 + rng.below(40) as u32,
+                1 + rng.below(9),
+            )],
+            // A long run, sink rising and source falling, broken by one
+            // pair with another count.
+            2 => {
+                let mut p = run(
+                    1,
+                    5000,
+                    1 + rng.below(3) as i64,
+                    -(1 + rng.below(3) as i64),
+                    long,
+                    2,
+                );
+                p[outlier as usize].2 = 5;
+                p
+            }
+            // A long run with one pair missing.
+            3 => {
+                let mut p = run(rng.below(5) as u32, 7, 1, 0, long, 1);
+                p.remove(outlier as usize);
+                p
+            }
+            // Mixed counts over a few random pairs, in random order.
+            4 => (0..1 + rng.below(12))
+                .map(|_| (rng.below(6) as u32, rng.below(6) as u32, 1 + rng.below(3)))
+                .collect(),
+            // (0, 0) beside other pairs: not `null`.
+            _ => vec![(0, 0, 3), (0, 1, 3), (0, 2, 3), (4, 0, 1)],
+        }
+    }
+
+    /// Rows under a few keys, each key's pairs drawn by [`pairs`].
+    fn rows(rng: &mut Rng) -> Vec<DepDoc<'static>> {
+        let mut rows = Vec::new();
+        for key in 0..1 + rng.below(6) {
+            let key_row = DepDoc {
+                sink: SrcLoc::new(1 + rng.below(9) as u32),
+                ty: [DepType::Raw, DepType::War, DepType::Waw, DepType::Init][key as usize % 4],
+                source: SrcLoc::new(1 + rng.below(9) as u32),
+                var: Cow::Owned(["x", "y", "*"][rng.below(3) as usize].to_string()),
+                sink_thread: 0,
+                source_thread: 0,
+                carried_by: [None, Some((0, 1))][rng.below(2) as usize],
+                race_hint: rng.below(4) == 0,
+                count: 0,
+            };
+            for (sink_thread, source_thread, count) in pairs(rng) {
+                rows.push(DepDoc {
+                    sink_thread,
+                    source_thread,
+                    count,
+                    ..key_row.clone()
+                });
+            }
+        }
+        rows
+    }
+
+    /// An actor program's document: every block is present, so the rows
+    /// put into it are written in full.
+    fn base() -> ReportDoc {
+        let src = "fn main() -> int {\nint c = spawn_actor(stage, 0);\n\
+                   for (int i = 0; i < 4; i = i + 1) { send(c, i); }\njoin(c);\n\
+                   return receive();\n}\nfn stage(int x) {\nint s = 0;\n\
+                   for (int i = 0; i < 4; i = i + 1) { s = s + receive(); }\nsend(0, s);\n}\n";
+        let mut analysis = crate::Analysis::new();
+        let compiled = analysis.compile(src, "fold").unwrap();
+        let report = analysis.analyze_compiled(&compiled).unwrap();
+        let doc = report.to_doc(compiled.program());
+        assert!(doc.profile.actors.is_some() && !doc.discovery.loops.is_empty());
+        doc
+    }
+
+    #[test]
+    fn folding_then_unfolding_is_the_identity_and_re_renders_the_same_bytes() {
+        let base = base();
+        let mut rng = Rng(0x5eed);
+        for case in 0..300 {
+            let mut doc = base.clone();
+            doc.profile.dependences = rows(&mut rng);
+            doc.discovery.loops[0].blocking = rows(&mut rng).into();
+            if let Some(actors) = &mut doc.profile.actors {
+                actors.channels = pairs(&mut rng);
+            }
+            let json = doc.to_json_string();
+            assert!(json == doc.to_json().to_string_pretty(), "case {case}");
+            let parsed = ReportDoc::from_json_str(&json)
+                .unwrap_or_else(|e| panic!("case {case}: {e}\n{json}"));
+            assert_eq!(parsed, doc, "case {case}: unfold(fold(rows)) != rows");
+            assert!(
+                parsed.to_json_string() == json,
+                "case {case}: second render differs"
+            );
+        }
+    }
+
+    #[test]
+    fn a_long_run_broken_by_one_pair_folds_into_at_most_three_runs() {
+        let mut rng = Rng(7);
+        for _ in 0..200 {
+            let n = 20 + rng.below(300);
+            let at = rng.below(n) as usize;
+            let mut counted = run(1, 9000, 2, -3, n, 4);
+            counted[at].2 = 1;
+            assert!(runs(counted.into_iter()).count() <= 3);
+            let mut holed = run(3, 2, 1, 1, n, 1);
+            holed.remove(at);
+            assert!(runs(holed.into_iter()).count() <= 2);
+        }
+        assert_eq!(
+            runs(run(5, 30_000, 1, -2, 10_000, 1).into_iter()).collect::<Vec<_>>(),
+            [Run {
+                a: 5,
+                b: 30_000,
+                da: 1,
+                db: -2,
+                n: 10_000,
+                each: 1
+            }]
+        );
     }
 }

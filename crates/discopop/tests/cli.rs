@@ -462,9 +462,116 @@ fn report_subcommand_renders_saved_json() {
         .unwrap();
     assert!(res.status.success());
     let stdout = String::from_utf8_lossy(&res.stdout);
-    assert!(stdout.contains("schema v7"), "{stdout}");
+    assert!(stdout.contains("schema v8"), "{stdout}");
+    // A single-threaded report folds into nothing: no shape to report.
+    assert!(!stdout.contains("thread runs"), "{stdout}");
     assert!(stdout.contains("Doall"), "{stdout}");
     assert!(stdout.contains("Ranked opportunities"), "{stdout}");
+}
+
+/// FNV-1a 64 over the bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Writes the catalogue program `name`'s source into `dir`.
+fn catalogue_source(dir: &Path, name: &str) -> PathBuf {
+    let src = dir.join(format!("{name}.dp"));
+    std::fs::write(&src, workloads::by_name(name).unwrap().source).unwrap();
+    src
+}
+
+/// `analyze --quiet --text` of the eleven catalogue programs that spawn
+/// threads or actors: the DiscoPoP text listing, one line per thread pair,
+/// hashed. Recorded from the CLI before schema v8 folded the JSON report's
+/// thread pairs, which must leave the text format as it was.
+const PINNED_TEXT: &[(&str, u64)] = &[
+    ("c-ray-par", 0x876876927ca8476a),
+    ("kmeans-par", 0x82f50d7e7dbc9a0f),
+    ("md5-par", 0x52fe19be9a7dcadb),
+    ("rotate-par", 0x0bc4a04b9a43d8cf),
+    ("barnes-par", 0x41ee83cf0a173d02),
+    ("radix-par", 0x1443cd34576882f5),
+    ("ocean-par", 0x70779cb18e74129f),
+    ("actor_pipeline", 0x9a60af0868eb085b),
+    ("actor_fanout", 0x9e9110cd6e2e9a51),
+    ("actor_ring", 0x775a9f844255872e),
+    ("actors_10k", 0xa34a632a32ae8372),
+];
+
+#[test]
+fn the_text_listing_of_every_spawning_program_is_unchanged() {
+    let dir = scratch("text-pinned");
+    let spawning: Vec<&str> = workloads::all()
+        .into_iter()
+        .filter(|w| w.parallel_target)
+        .map(|w| w.name)
+        .collect();
+    assert_eq!(
+        spawning,
+        PINNED_TEXT.iter().map(|&(n, _)| n).collect::<Vec<_>>()
+    );
+    for &(name, pinned) in PINNED_TEXT {
+        let src = catalogue_source(&dir, name);
+        let res = Command::new(BIN)
+            .args(["analyze", src.to_str().unwrap(), "--quiet", "--text"])
+            .output()
+            .unwrap();
+        assert!(res.status.success(), "{name}");
+        let got = fnv1a(&res.stdout);
+        assert_eq!(got, pinned, "{name}: --text digest {got:#018x}");
+    }
+}
+
+#[test]
+fn report_says_what_a_multi_threaded_report_folds_into() {
+    let dir = scratch("folded");
+    let src = catalogue_source(&dir, "actors_10k");
+    let out = dir.join("a.json");
+    let res = Command::new(BIN)
+        .args(["analyze", src.to_str().unwrap(), "--quiet", "--json"])
+        .arg(&out)
+        .output()
+        .unwrap();
+    assert!(res.status.success());
+    let res = Command::new(BIN).arg("report").arg(&out).output().unwrap();
+    assert!(res.status.success());
+    let stdout = String::from_utf8_lossy(&res.stdout);
+    assert!(
+        stdout.contains("50042 distinct dependences in 48 rows and 21 thread runs"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn report_on_a_run_of_u32_max_pairs_exits_1_with_a_diagnostic() {
+    let dir = scratch("hostile-run");
+    let src = dir.join("h.dp");
+    let out = dir.join("h.json");
+    std::fs::write(&src, SRC).unwrap();
+    let res = Command::new(BIN)
+        .args(["analyze", src.to_str().unwrap(), "--quiet", "--json"])
+        .arg(&out)
+        .output()
+        .unwrap();
+    assert!(res.status.success());
+    let json = std::fs::read_to_string(&out).unwrap();
+    let hostile = json.replacen(
+        "\"threads\": null",
+        "\"threads\": [[0, 1, 0, 0, 4294967295, 1]]",
+        1,
+    );
+    assert_ne!(hostile, json, "a dependence row to doctor");
+    std::fs::write(&out, hostile).unwrap();
+    let res = Command::new(BIN).arg("report").arg(&out).output().unwrap();
+    assert_eq!(res.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&res.stderr);
+    assert!(
+        stderr.starts_with("discopop: report schema error:") && stderr.contains("past the ceiling"),
+        "{stderr}"
+    );
 }
 
 #[test]

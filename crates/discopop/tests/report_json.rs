@@ -118,20 +118,20 @@ fn schema_version_is_enforced() {
     assert!(err.0.contains("schema version"), "{err}");
 }
 
-/// Version 7 is the only schema read: a v7 document round-trips, and
-/// stamped with another version it is rejected with an error naming that
-/// version (versions 1, 3, 4 and 5 have tests of their own below).
-/// `parallel` and `resource` are required keys, even where they may be
-/// `null`.
+/// Version 8 is the only schema read: a v8 document round-trips, and
+/// stamped with another version — v7, the last unfolded one, included — it
+/// is rejected with an error naming that version (versions 1, 3, 4 and 5
+/// have tests of their own below). `parallel` and `resource` are required
+/// keys, even where they may be `null`.
 #[test]
-fn only_schema_v7_documents_parse() {
-    assert_eq!(SCHEMA_VERSION, 7);
+fn only_schema_v8_documents_parse() {
+    assert_eq!(SCHEMA_VERSION, 8);
     let (compiled, report) = full_report(EngineKind::parallel(2));
     let json = report.to_json_string(compiled.program());
-    let doc = ReportDoc::from_json_str(&json).expect("v7 documents parse");
+    let doc = ReportDoc::from_json_str(&json).expect("v8 documents parse");
     assert_eq!(doc.to_json().to_string_pretty(), json, "and round-trip");
 
-    for version in [2, 6, 8] {
+    for version in [2, 6, 7, 9] {
         assert_rejected_as_version(&doc.to_json(), version);
     }
     for key in ["parallel", "resource"] {
@@ -176,14 +176,14 @@ fn assert_rejected_as_version(tree: &jsonio::Value, version: u32) {
     );
 }
 
-/// Checks the reader rejects the v7 document `tree` for lacking `key`.
+/// Checks the reader rejects the v8 document `tree` for lacking `key`.
 fn assert_rejected_for_missing(tree: &jsonio::Value, key: &str) {
     let err = ReportDoc::from_json(tree).unwrap_err();
     assert!(err.0.contains(&format!("`{key}`")), "{key}: {err}");
 }
 
 /// A version-1 document — no adaptive-transport fields in
-/// `profile.parallel` — is rejected by its version; a v7 parallel block
+/// `profile.parallel` — is rejected by its version; a v8 parallel block
 /// no longer carries the reserved `combined`, `merges` and `rebalances`.
 #[test]
 fn schema_v1_documents_are_rejected() {
@@ -205,7 +205,7 @@ fn schema_v1_documents_are_rejected() {
 }
 
 /// A version-3 document — no top-level `static` block — is rejected by
-/// its version; stamped v7, it is rejected for the missing key.
+/// its version; stamped v8, it is rejected for the missing key.
 #[test]
 fn schema_v3_documents_are_rejected() {
     let mut analysis = Analysis::new().with_static(true);
@@ -220,7 +220,7 @@ fn schema_v3_documents_are_rejected() {
 }
 
 /// A version-4 document — no `profile.summary` block — is rejected by its
-/// version; stamped v7, it is rejected for the missing key.
+/// version; stamped v8, it is rejected for the missing key.
 #[test]
 fn schema_v4_documents_are_rejected() {
     let (compiled, report) = full_report(EngineKind::SerialPerfect);
@@ -231,7 +231,7 @@ fn schema_v4_documents_are_rejected() {
 }
 
 /// A version-5 document — no `profile.actors` block — is rejected by its
-/// version; stamped v7, it is rejected for the missing key.
+/// version; stamped v8, it is rejected for the missing key.
 #[test]
 fn schema_v5_documents_are_rejected() {
     let (compiled, report) = full_report(EngineKind::SerialPerfect);
@@ -369,5 +369,143 @@ fn static_block_roundtrips_and_reports_coverage() {
 fn malformed_documents_are_rejected() {
     for bad in ["", "{}", "[1,2,3]", "{\"schema_version\": 1}"] {
         assert!(ReportDoc::from_json_str(bad).is_err(), "`{bad}`");
+    }
+}
+
+/// The actor program's report as a tree, with the first dependence row's
+/// `threads` and `count` replaced.
+fn with_threads(threads: &str, count: u64) -> jsonio::Value {
+    let mut analysis = Analysis::new();
+    let compiled = analysis.compile(ACTOR_SRC, "hostile").unwrap();
+    let report = analysis.analyze_compiled(&compiled).unwrap();
+    let mut tree = jsonio::Value::parse(&report.to_json_string(compiled.program())).unwrap();
+    let deps = profile_fields(&mut tree)
+        .iter_mut()
+        .find(|(k, _)| k == "dependences")
+        .expect("dependences present");
+    let jsonio::Value::Array(rows) = &mut deps.1 else {
+        panic!("dependences must be an array");
+    };
+    let jsonio::Value::Object(row) = &mut rows[0] else {
+        panic!("a dependence row must be an object");
+    };
+    for (k, v) in row.iter_mut() {
+        match k.as_str() {
+            "threads" => *v = jsonio::Value::parse(threads).unwrap(),
+            "count" => *v = jsonio::Value::from(count),
+            _ => {}
+        }
+    }
+    tree
+}
+
+/// Checks the reader rejects `tree` with an error that says `what`.
+fn assert_rejected(tree: &jsonio::Value, what: &str) {
+    let err = ReportDoc::from_json(tree).unwrap_err();
+    assert!(err.0.contains(what), "expected `{what}`: {err}");
+}
+
+/// The doctored row itself is fine: a well-formed run reads back as its
+/// pairs.
+#[test]
+fn a_doctored_row_with_well_formed_runs_unfolds_into_its_pairs() {
+    let tree = with_threads("[[3, 9, 2, -4, 3, 5], [0, 0, 0, 0, 1, 1]]", 16);
+    let doc = ReportDoc::from_json(&tree).expect("well-formed runs read");
+    let pairs: Vec<(u32, u32, u64)> = doc.profile.dependences[..4]
+        .iter()
+        .map(|d| (d.sink_thread, d.source_thread, d.count))
+        .collect();
+    assert_eq!(pairs, [(3, 9, 5), (5, 5, 5), (7, 1, 5), (0, 0, 1)]);
+}
+
+#[test]
+fn a_run_of_zero_pairs_is_a_schema_error() {
+    assert_rejected(&with_threads("[[1, 0, 1, 0, 0, 4]]", 0), "zero pairs");
+}
+
+#[test]
+fn a_run_past_the_u32_thread_ids_is_a_schema_error() {
+    // The last sink id is 4294967295 + 1.
+    let tree = with_threads("[[4294967294, 0, 1, 0, 3, 1]]", 3);
+    assert_rejected(&tree, "leaves the u32 thread ids");
+    // The last source id is 4 - 2·3 < 0.
+    assert_rejected(&with_threads("[[0, 4, 1, -3, 3, 1]]", 3), "leaves the u32");
+    // A first id past u32 is out of range as it stands.
+    assert_rejected(
+        &with_threads("[[4294967296, 0, 0, 0, 1, 1]]", 1),
+        "six integers",
+    );
+}
+
+#[test]
+fn runs_that_do_not_add_up_to_the_count_are_a_schema_error() {
+    let tree = with_threads("[[1, 0, 1, 0, 4, 3], [9, 9, 0, 0, 1, 2]]", 13);
+    assert_rejected(&tree, "not the sum of its thread runs, 14");
+    // A product past u64 cannot add up either.
+    let tree = with_threads("[[1, 0, 0, 0, 2, 9223372036854775807]]", 1);
+    assert_rejected(&tree, "not the sum");
+}
+
+#[test]
+fn the_lone_pair_0_0_written_as_a_run_is_not_canonical() {
+    assert_rejected(&with_threads("[[0, 0, 0, 0, 1, 7]]", 7), "must be null");
+    assert_rejected(&with_threads("[[0, 0, 5, 1, 1, 7]]", 7), "must be null");
+    assert_rejected(&with_threads("[]", 0), "at least one run");
+    // Beside another run, (0, 0) is a run like any other.
+    assert!(
+        ReportDoc::from_json(&with_threads("[[0, 0, 0, 0, 1, 7], [1, 0, 0, 0, 1, 1]]", 8)).is_ok()
+    );
+}
+
+#[test]
+fn a_document_that_unfolds_past_the_row_ceiling_is_a_schema_error() {
+    // 2^24 + 1 pairs in one run, and u32::MAX pairs: both rejected before
+    // a row is built.
+    let tree = with_threads("[[0, 1, 0, 0, 16777217, 1]]", 16_777_217);
+    assert_rejected(&tree, "past the ceiling");
+    let tree = with_threads("[[0, 1, 0, 0, 4294967295, 1]]", 4_294_967_295);
+    assert_rejected(&tree, "past the ceiling");
+    // Two runs under the ceiling each, over it together.
+    let tree = with_threads(
+        "[[0, 1, 0, 0, 9000000, 1], [1, 1, 0, 0, 9000000, 1]]",
+        18_000_000,
+    );
+    assert_rejected(&tree, "past the ceiling");
+}
+
+/// The channel runs are read with the same checks as the thread runs.
+#[test]
+fn hostile_channel_runs_are_schema_errors() {
+    let (compiled, report) = {
+        let mut analysis = Analysis::new();
+        let compiled = analysis.compile(ACTOR_SRC, "channels").unwrap();
+        let report = analysis.analyze_compiled(&compiled).unwrap();
+        (compiled, report)
+    };
+    let json = report.to_json_string(compiled.program());
+    assert!(json.contains("\"channels\": ["), "{json}");
+    for (runs, what) in [
+        ("[[0, 1, 0, 0, 0, 8]]", "zero pairs"),
+        ("[[0, 1, 0, -1, 3, 8]]", "leaves the u32"),
+        ("[[0, 1, 0, 0, 4294967295, 8]]", "past the ceiling"),
+        (
+            "[{\"from\": 0, \"to\": 1, \"messages\": 8}]",
+            "six integers",
+        ),
+    ] {
+        let mut tree = jsonio::Value::parse(&json).unwrap();
+        let actors = profile_fields(&mut tree)
+            .iter_mut()
+            .find(|(k, _)| k == "actors")
+            .expect("actors block present");
+        let jsonio::Value::Object(fields) = &mut actors.1 else {
+            panic!("actors must be an object");
+        };
+        for (k, v) in fields.iter_mut() {
+            if k == "channels" {
+                *v = jsonio::Value::parse(runs).unwrap();
+            }
+        }
+        assert_rejected(&tree, what);
     }
 }
