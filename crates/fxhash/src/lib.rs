@@ -17,6 +17,8 @@
 //! profiling runs bit-reproducible across processes — an invariant the
 //! equivalence tests rely on.
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Golden-ratio multiplier (2^64 / φ), the classic Fibonacci-hashing
@@ -41,11 +43,10 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in chunks.by_ref() {
-            self.mix(u64::from_le_bytes(c.try_into().unwrap()));
+        let (words, rest) = bytes.as_chunks::<8>();
+        for w in words {
+            self.mix(u64::from_le_bytes(*w));
         }
-        let rest = chunks.remainder();
         if !rest.is_empty() {
             let mut tail = [0u8; 8];
             tail[..rest.len()].copy_from_slice(rest);
@@ -137,6 +138,22 @@ mod tests {
     #[test]
     fn byte_streams_respect_length() {
         assert_ne!(hash_of(|h| h.write(b"ab")), hash_of(|h| h.write(b"ab\0")));
+    }
+
+    #[test]
+    fn byte_stream_hashes_are_pinned() {
+        // Recorded before `write` moved to `as_chunks`: the same words,
+        // the same tail fold, the same hashes.
+        let input = b"discopop-hash";
+        let pinned = [
+            (0, 0x0000_0000_0000_0000),
+            (7, 0x20d6_9b38_02ba_8e0c),
+            (8, 0xbdd6_9b38_9fba_8e0c),
+            (13, 0x389b_158f_ffe8_8eda),
+        ];
+        for (n, want) in pinned {
+            assert_eq!(hash_of(|h| h.write(&input[..n])), want, "{n}-byte input");
+        }
     }
 
     #[test]

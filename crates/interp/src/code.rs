@@ -31,10 +31,10 @@
 //! original tree form and must produce a byte-identical event stream
 //! (`tests/decode_equivalence.rs` pins this on real workloads).
 
-use crate::program::{MemOpMeta, GLOBAL_BASE, WORD};
+use crate::program::{word_bits, word_value, MemOpMeta, GLOBAL_BASE, WORD};
 use fxhash::FxHashMap;
 use mir::{
-    BinOp, Function, Module, Operand, Place, RegId, RegionKind, Terminator, UnOp, Value, VarRef,
+    BinOp, Function, Module, Operand, Place, RegId, RegionKind, Terminator, Ty, UnOp, Value, VarRef,
 };
 
 /// Built-in functions callable from mini-C, pre-resolved at decode time.
@@ -194,18 +194,26 @@ impl Opnd {
     /// Evaluate against the current register file and the function's
     /// immediate pool. The dispatch-loop equivalent of
     /// `op_val(Operand::Reg | Operand::Const)`.
+    ///
+    /// A register is read as its (type, bits) scalars and rebuilt, not
+    /// copied whole: a load or a bin op writes a register as two 8-byte
+    /// stores, and a 16-byte read of it right after cannot be
+    /// store-forwarded. Copied whole, that stall on every loaded operand
+    /// made the benchmark's `hot_loop` plan replay ~20% slower on x86-64.
     #[inline]
     pub fn value(self, regs: &[Value], imms: &[Value]) -> Value {
         let x = self.0;
-        if (x as i32) >= 0 {
-            regs[x as usize]
+        let scalars = |v: Value| (matches!(v, Value::F64(_)), word_bits(v));
+        let (float, bits) = if (x as i32) >= 0 {
+            scalars(regs[x as usize])
         } else if x & INLINE_BIT != 0 {
             // Sign-extend the 30-bit payload: shift it to the top and
             // arithmetic-shift back down.
-            Value::I64((((x << 2) as i32) >> 2) as i64)
+            (false, (((x << 2) as i32) >> 2) as i64 as u64)
         } else {
-            imms[(x & IMM_MASK) as usize]
-        }
+            scalars(imms[(x & IMM_MASK) as usize])
+        };
+        word_value(bits, float)
     }
 }
 
@@ -216,9 +224,10 @@ impl Opnd {
 /// The interpreter resolves a global reference as
 /// `GLOBAL_BASE + (base + index) * WORD` and a local one as
 /// `STACK_BASE + thread * STACK_SPAN + (frame_base + base + index) * WORD`.
-/// Kept to 32 bytes (two per cache line): the out-of-bounds error message
-/// reconstructs the variable name from the interned symbol, so no variable
-/// reference needs to travel here.
+/// Kept to 32 bytes (two per cache line), enforced at compile time below:
+/// the out-of-bounds error message reconstructs the variable name from the
+/// interned symbol, so no variable reference needs to travel here, and the
+/// element type travels as the one-byte [`MemRef::float`] flag.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemRef {
     /// Element count (1 for scalars) — the bounds check limit.
@@ -238,6 +247,9 @@ pub struct MemRef {
     pub has_index: bool,
     /// `true` = global data segment, `false` = current frame.
     pub global: bool,
+    /// `true` when the variable is declared `float` ([`mir::Ty::F64`]): a
+    /// load reads the memory word as `f64` bits, otherwise as `i64`.
+    pub float: bool,
 }
 
 /// A decoded instruction slot of the flat stream — the fixed-size hot
@@ -376,6 +388,11 @@ pub enum HotOp {
 const _: () = assert!(
     std::mem::size_of::<HotOp>() <= 16,
     "HotOp exceeds the 16-byte hot-record budget"
+);
+// Two memory references per cache line; the type flag rides in padding.
+const _: () = assert!(
+    std::mem::size_of::<MemRef>() <= 32,
+    "MemRef exceeds its 32-byte budget"
 );
 
 /// An owned-local range of a region: locals that die when the region exits.
@@ -606,6 +623,7 @@ impl<'m> DecodeCtx<'m> {
             VarRef::Global(g) => MemRef {
                 base: ((self.global_addr[g.index()] - GLOBAL_BASE) / WORD) as u32,
                 elems: self.module.globals[g.index()].elems,
+                float: self.module.globals[g.index()].ty == Ty::F64,
                 sym: self.global_syms[g.index()],
                 index,
                 line,
@@ -616,6 +634,7 @@ impl<'m> DecodeCtx<'m> {
             VarRef::Local(l) => MemRef {
                 base: self.local_off[fx][l.index()] as u32,
                 elems: self.module.functions[fx].locals[l.index()].elems,
+                float: self.module.functions[fx].locals[l.index()].ty == Ty::F64,
                 sym: self.local_syms[fx][l.index()],
                 index,
                 line,
@@ -828,8 +847,9 @@ mod tests {
     #[test]
     fn hot_op_is_a_compact_fixed_size_record() {
         // The dispatch-density guarantee of the hot/cold split; also
-        // enforced at compile time by the const assertion above.
+        // enforced at compile time by the const assertions above.
         assert!(std::mem::size_of::<HotOp>() <= 16);
+        assert!(std::mem::size_of::<MemRef>() <= 32);
     }
 
     #[test]

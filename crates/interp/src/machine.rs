@@ -20,7 +20,8 @@
 use crate::code::{Builtin, FuncCode, HotOp, MemRef, Opnd, DST_NONE};
 use crate::event::{Event, MemEvent, PlanRun, RegionExitEvent, RunStream, Sink};
 use crate::program::{
-    Program, GLOBAL_BASE, MAILBOX_BASE, MAILBOX_SLOTS, MAILBOX_SPAN, STACK_BASE, STACK_SPAN, WORD,
+    word_bits, word_value, Program, GLOBAL_BASE, MAILBOX_BASE, MAILBOX_SLOTS, MAILBOX_SPAN,
+    STACK_BASE, STACK_SPAN, WORD,
 };
 use crate::sched::{ActorId, Scheduler, WaitReason};
 use crate::synth::{LoopPlan, PlanOp};
@@ -272,7 +273,12 @@ struct Frame {
 
 #[derive(Debug)]
 struct Thread {
-    mem: Vec<Value>,
+    /// The thread's stack, one untagged word per target word, frames laid
+    /// end to end from word 0 (a frame's locals start at its
+    /// [`Frame::base`]). It only grows; a returning frame leaves its words
+    /// behind for the next call to reuse. [`Interp::access`] reads a word
+    /// back as its variable's declared type.
+    mem: Vec<u64>,
     sp: usize,
     frames: Vec<Frame>,
     buf: Vec<Event>,
@@ -293,7 +299,11 @@ pub struct Interp<'p, S: Sink> {
     prog: &'p Program,
     sink: S,
     cfg: RunConfig,
-    globals: Vec<Value>,
+    /// The global data segment, one untagged word per target word
+    /// (`Program::global_words` of them, all zero bits at start).
+    /// [`Interp::access`] reads a word back as its variable's declared
+    /// type.
+    globals: Vec<u64>,
     threads: Vec<Thread>,
     /// The run queue: ready/sleeping/dead accounting, typed park/wake,
     /// and the seeded slice jitter (see [`crate::sched`]).
@@ -390,7 +400,7 @@ impl<'p, S: Sink> Interp<'p, S> {
             prog,
             sink,
             cfg: cfg.clone(),
-            globals: vec![Value::I64(0); prog.global_words],
+            globals: vec![0; prog.global_words],
             threads: Vec::new(),
             sched: Scheduler::new(cfg.seed),
             locks: FxHashMap::default(),
@@ -472,12 +482,12 @@ impl<'p, S: Sink> Interp<'p, S> {
         let base = th.sp;
         let need = base + code.frame_words as usize;
         if th.mem.len() < need {
-            th.mem.resize(need, Value::I64(0));
+            th.mem.resize(need, 0);
         }
         th.sp = need;
         // Bind arguments into parameter slots (register-style: no events).
         for (i, a) in args.iter().enumerate() {
-            th.mem[base + code.params[i] as usize] = *a;
+            th.mem[base + code.params[i] as usize] = word_bits(*a);
         }
         th.frames.push(Frame {
             func,
@@ -1274,7 +1284,10 @@ impl<'p, S: Sink> Interp<'p, S> {
     }
 
     /// A memory step without its event: resolve the reference, move the
-    /// value, return the address for the caller to emit or record.
+    /// value, return the address for the caller to emit or record. The one
+    /// place a memory word becomes a [`Value`]: a load reads it as the
+    /// reference's declared type ([`MemRef::float`]), a store writes the
+    /// value's bits.
     #[inline(always)]
     fn access(
         &mut self,
@@ -1292,8 +1305,8 @@ impl<'p, S: Sink> Interp<'p, S> {
             &mut self.threads[t].mem[slot]
         };
         match dir {
-            MemDir::Load(dst) => regs[dst as usize] = *cell,
-            MemDir::Store(src) => *cell = src.value(regs, imms),
+            MemDir::Load(dst) => regs[dst as usize] = word_value(*cell, m.float),
+            MemDir::Store(src) => *cell = word_bits(src.value(regs, imms)),
         }
         Ok(addr)
     }

@@ -3,7 +3,7 @@
 //! executes (see [`crate::code`]).
 
 use crate::code::{DecodeCtx, FuncCode};
-use mir::{Module, Ty};
+use mir::{Module, Ty, Value};
 
 /// Static metadata of one memory operation: everything a [`MemEvent`]
 /// carries that is fully determined by the op id alone. The parallel
@@ -24,6 +24,31 @@ pub struct MemOpMeta {
 
 /// Machine word size in bytes; every IR cell is one word.
 pub const WORD: u64 = 8;
+
+/// The bits a value leaves in its word of target memory. Memory holds one
+/// untagged `u64` per word; lowering converts every store to its
+/// variable's declared type, so [`word_value`] can read the word back as
+/// that type.
+#[inline(always)]
+pub(crate) fn word_bits(v: Value) -> u64 {
+    match v {
+        Value::I64(x) => x as u64,
+        Value::F64(x) => x.to_bits(),
+    }
+}
+
+/// A word of target memory read as its variable's declared type: `float`
+/// words as `f64` bits, `int` words as `i64`. A never-written word is all
+/// zero bits, so it reads `0` or `0.0`.
+#[inline(always)]
+pub(crate) fn word_value(w: u64, float: bool) -> Value {
+    if float {
+        Value::F64(f64::from_bits(w))
+    } else {
+        Value::I64(w as i64)
+    }
+}
+
 /// Base address of the global data segment.
 pub const GLOBAL_BASE: u64 = 0x1000_0000;
 /// Base address of thread 0's stack segment.

@@ -22,11 +22,12 @@
 use crate::event::{Event, MemEvent, RegionExitEvent, Sink};
 use crate::machine::{bin_eval, ActorStats, RunConfig, RunResult, RuntimeError};
 use crate::program::{
-    Program, GLOBAL_BASE, MAILBOX_BASE, MAILBOX_SLOTS, MAILBOX_SPAN, STACK_BASE, STACK_SPAN, WORD,
+    word_bits, word_value, Program, GLOBAL_BASE, MAILBOX_BASE, MAILBOX_SLOTS, MAILBOX_SPAN,
+    STACK_BASE, STACK_SPAN, WORD,
 };
 use crate::sched::{ActorId, Scheduler, WaitReason};
 use fxhash::FxHashMap;
-use mir::{Instr, Operand, Place, RegId, Terminator, UnOp, Value, VarRef};
+use mir::{Instr, Operand, Place, RegId, Terminator, Ty, UnOp, Value, VarRef};
 use std::collections::VecDeque;
 
 #[derive(Debug)]
@@ -49,7 +50,8 @@ struct Frame {
 
 #[derive(Debug)]
 struct Thread {
-    mem: Vec<Value>,
+    /// One untagged word per stack word, as in the machine.
+    mem: Vec<u64>,
     sp: usize,
     frames: Vec<Frame>,
     buf: Vec<Event>,
@@ -100,7 +102,8 @@ struct RefInterp<'p, S: Sink> {
     prog: &'p Program,
     sink: S,
     cfg: RunConfig,
-    globals: Vec<Value>,
+    /// One untagged word per global word, as in the machine.
+    globals: Vec<u64>,
     threads: Vec<Thread>,
     locks: FxHashMap<i64, u32>,
     steps: u64,
@@ -181,7 +184,7 @@ impl<'p, S: Sink> RefInterp<'p, S> {
             prog,
             sink,
             cfg: cfg.clone(),
-            globals: vec![Value::I64(0); prog.global_words],
+            globals: vec![0; prog.global_words],
             threads: Vec::new(),
             locks: FxHashMap::default(),
             steps: 0,
@@ -260,12 +263,12 @@ impl<'p, S: Sink> RefInterp<'p, S> {
         let base = th.sp;
         let need = base + prog.frame_words[func];
         if th.mem.len() < need {
-            th.mem.resize(need, Value::I64(0));
+            th.mem.resize(need, 0);
         }
         th.sp = need;
         for (i, a) in args.iter().enumerate() {
             let off = prog.local_off[func][i] as usize;
-            th.mem[base + off] = *a;
+            th.mem[base + off] = word_bits(*a);
         }
         th.frames.push(Frame {
             func,
@@ -399,12 +402,14 @@ impl<'p, S: Sink> RefInterp<'p, S> {
             .unwrap() = v;
     }
 
+    /// Resolve a place to `(address, is_global, storage slot, symbol,
+    /// declared float)`, checking bounds.
     fn resolve(
         &self,
         t: usize,
         place: &Place,
         line: u32,
-    ) -> Result<(u64, bool, usize, u32), RuntimeError> {
+    ) -> Result<(u64, bool, usize, u32, bool), RuntimeError> {
         let idx = match &place.index {
             Some(op) => self.op_val(t, op).as_i64(),
             None => 0,
@@ -422,7 +427,13 @@ impl<'p, S: Sink> RefInterp<'p, S> {
                 }
                 let addr = self.prog.global_addr[g.index()] + idx as u64 * WORD;
                 let slot = ((addr - GLOBAL_BASE) / WORD) as usize;
-                Ok((addr, true, slot, self.prog.global_syms[g.index()]))
+                Ok((
+                    addr,
+                    true,
+                    slot,
+                    self.prog.global_syms[g.index()],
+                    gv.ty == Ty::F64,
+                ))
             }
             VarRef::Local(l) => {
                 let lv = &self.prog.module.functions[fr.func].locals[l.index()];
@@ -440,6 +451,7 @@ impl<'p, S: Sink> RefInterp<'p, S> {
                     false,
                     word as usize,
                     self.prog.local_syms[fr.func][l.index()],
+                    lv.ty == Ty::F64,
                 ))
             }
         }
@@ -462,12 +474,13 @@ impl<'p, S: Sink> RefInterp<'p, S> {
         let instr = &block.instrs[pc];
         match instr {
             Instr::Load { dst, place, line } => {
-                let (addr, is_global, slot, sym) = self.resolve(t, place, *line)?;
-                let v = if is_global {
+                let (addr, is_global, slot, sym, float) = self.resolve(t, place, *line)?;
+                let w = if is_global {
                     self.globals[slot]
                 } else {
                     self.threads[t].mem[slot]
                 };
+                let v = word_value(w, float);
                 self.set_reg(t, *dst, v);
                 let ts = self.steps;
                 let op = self.op_ids[func_idx][self.threads[t].frames.last().unwrap().block][pc];
@@ -487,11 +500,11 @@ impl<'p, S: Sink> RefInterp<'p, S> {
             }
             Instr::Store { place, src, line } => {
                 let v = self.op_val(t, src);
-                let (addr, is_global, slot, sym) = self.resolve(t, place, *line)?;
+                let (addr, is_global, slot, sym, _) = self.resolve(t, place, *line)?;
                 if is_global {
-                    self.globals[slot] = v;
+                    self.globals[slot] = word_bits(v);
                 } else {
-                    self.threads[t].mem[slot] = v;
+                    self.threads[t].mem[slot] = word_bits(v);
                 }
                 let ts = self.steps;
                 let op = self.op_ids[func_idx][self.threads[t].frames.last().unwrap().block][pc];

@@ -295,3 +295,110 @@ fn memory_traps_match_reference() {
         }
     }
 }
+
+/// A value as (is float, bits): `Value`'s `==` fails every NaN and
+/// equates 0.0 with -0.0, so bit-exact checks compare this instead.
+fn bits(v: mir::Value) -> (bool, u64) {
+    match v {
+        mir::Value::I64(x) => (false, x as u64),
+        mir::Value::F64(x) => (true, x.to_bits()),
+    }
+}
+
+/// Run `src` on the machine and on the reference and require one outcome:
+/// the same event stream, and either the same error or the same printed
+/// lines and a return value equal bit for bit. Returns the machine's run.
+fn run_both(src: &str) -> Result<interp::RunResult, interp::RuntimeError> {
+    let p = Program::new(lang::compile(src, "mem").unwrap());
+    let mut sink = RecordingSink::default();
+    let machine = interp::run_with_config(&p, &mut sink, RunConfig::default());
+    let mev = sink.events;
+    let mut sink = RecordingSink::default();
+    let reference = interp::reference::run_with_config(&p, &mut sink, RunConfig::default());
+    assert_eq!(mev, sink.events, "{src}: event streams differ");
+    match (&machine, &reference) {
+        (Ok(m), Ok(r)) => {
+            assert_eq!(m.printed, r.printed, "{src}: printed output differs");
+            assert_eq!(m.ret.map(bits), r.ret.map(bits), "{src}: returns differ");
+        }
+        (Err(m), Err(r)) => assert_eq!(m, r, "{src}: errors differ"),
+        _ => panic!("{src}: one interpreter trapped and the other did not"),
+    }
+    machine
+}
+
+#[test]
+fn never_written_floats_read_as_zero_in_both_interpreters() {
+    // Memory is untagged words read as the variable's declared type, so a
+    // never-written `float` is 0.0, not the integer 0: dividing two of
+    // them is a float division giving NaN, where an integer 0 / 0 traps.
+    let src = "global float g;
+global float h;
+global float ga[4];
+fn main() -> float {
+    float x;
+    float y;
+    float la[3];
+    print(g + 0.5, x + 0.5, ga[2] + 0.5, la[1] + 0.5);
+    float q = g / h;
+    float r = x / y;
+    float s = ga[1] / la[2];
+    print(q, r, s);
+    return q;
+}";
+    let r = run_both(src).expect("a float 0.0 / 0.0 must not trap");
+    assert_eq!(r.printed, ["0.5 0.5 0.5 0.5", "NaN NaN NaN"]);
+    assert!(matches!(r.ret, Some(mir::Value::F64(q)) if q.is_nan()));
+    // The integer counterpart still traps, identically in both.
+    let int_src = "global int g;\nglobal int h;\nfn main() -> int { int x = g / h; return x; }";
+    assert!(matches!(
+        run_both(int_src),
+        Err(interp::RuntimeError::DivByZero { .. })
+    ));
+}
+
+#[test]
+fn a_reused_stack_slot_reads_its_bits_as_the_new_type() {
+    // `put`'s int local and `get`'s float local share a stack word: the
+    // float reads the int's bits reinterpreted (0x3FF0_0000_0000_0000 is
+    // 1.0), not a stale int.
+    let src = "fn put() { int k = 4607182418800017408; }
+fn get() -> float { float f; return f; }
+fn main() -> float { put(); return get(); }";
+    let r = run_both(src).unwrap();
+    assert_eq!(r.ret.map(bits), Some(bits(mir::Value::F64(1.0))));
+}
+
+#[test]
+fn float_bits_round_trip_through_every_kind_of_memory() {
+    // -0.0, a NaN, a subnormal and 1e308 stored in a global, copied into a
+    // local array element, passed as a `float` parameter and returned:
+    // the bits that come back are the bits that went in.
+    for (expr, want) in [
+        ("-0.0", Some(-0.0f64)),
+        ("0.0 / 0.0", None),
+        ("5e-324", Some(f64::from_bits(1))),
+        ("1e308", Some(1e308)),
+    ] {
+        let direct = run_both(&format!("fn main() -> float {{ return {expr}; }}")).unwrap();
+        let stored = run_both(&format!(
+            "global float g;
+fn id(float p) -> float {{ return p; }}
+fn main() -> float {{
+    float a[2];
+    g = {expr};
+    a[1] = g;
+    return id(a[1]);
+}}"
+        ))
+        .unwrap();
+        let Some(mir::Value::F64(v)) = stored.ret else {
+            panic!("{expr}: no float returned");
+        };
+        assert_eq!(stored.ret.map(bits), direct.ret.map(bits), "{expr}");
+        match want {
+            Some(w) => assert_eq!(v.to_bits(), w.to_bits(), "{expr}"),
+            None => assert!(v.is_nan(), "{expr}"),
+        }
+    }
+}
