@@ -191,20 +191,22 @@ impl Opnd {
         Opnd(IMM_BIT | INLINE_BIT | (v as u32 & IMM_MASK))
     }
 
-    /// Evaluate against the current register file and the function's
-    /// immediate pool. The dispatch-loop equivalent of
-    /// `op_val(Operand::Reg | Operand::Const)`.
+    /// Read against the current register file and the function's
+    /// immediate pool as `(float, bits)` scalars: `bits` are the `f64`
+    /// bits when `float` is set, the `i64` bits otherwise. Every operand
+    /// the dispatch loop and the plan replayer compute with is read this
+    /// way — operator inputs, branch conditions, indices, stored values.
     ///
-    /// A register is read as its (type, bits) scalars and rebuilt, not
-    /// copied whole: a load or a bin op writes a register as two 8-byte
-    /// stores, and a 16-byte read of it right after cannot be
-    /// store-forwarded. Copied whole, that stall on every loaded operand
-    /// made the benchmark's `hot_loop` plan replay ~20% slower on x86-64.
+    /// A register is read as its scalars, not copied whole: a load or an
+    /// operator writes a register as two 8-byte stores, and a 16-byte read
+    /// of it right after cannot be store-forwarded. Copied whole, that
+    /// stall on every loaded operand made the benchmark's `hot_loop` plan
+    /// replay ~20% slower on x86-64.
     #[inline]
-    pub fn value(self, regs: &[Value], imms: &[Value]) -> Value {
+    pub(crate) fn word(self, regs: &[Value], imms: &[Value]) -> (bool, u64) {
         let x = self.0;
         let scalars = |v: Value| (matches!(v, Value::F64(_)), word_bits(v));
-        let (float, bits) = if (x as i32) >= 0 {
+        if (x as i32) >= 0 {
             scalars(regs[x as usize])
         } else if x & INLINE_BIT != 0 {
             // Sign-extend the 30-bit payload: shift it to the top and
@@ -212,7 +214,15 @@ impl Opnd {
             (false, (((x << 2) as i32) >> 2) as i64 as u64)
         } else {
             scalars(imms[(x & IMM_MASK) as usize])
-        };
+        }
+    }
+
+    /// The operand as a [`Value`], rebuilt from its scalars. Used only
+    /// where a value crosses a boundary: call arguments, returns and
+    /// builtin arguments.
+    #[inline]
+    pub fn value(self, regs: &[Value], imms: &[Value]) -> Value {
+        let (float, bits) = self.word(regs, imms);
         word_value(bits, float)
     }
 }

@@ -358,14 +358,133 @@ fn jump(pc: usize, delta: i32) -> usize {
     (pc as i64 + delta as i64) as usize
 }
 
-/// Evaluate a `Bin` op. Decode routes `Div`/`Rem` to `BinChecked`, so
-/// evaluation cannot fail.
-#[inline]
-fn bin_eval_nontrap(op: BinOp, a: Value, b: Value) -> Value {
-    match bin_eval(op, a, b, 0) {
-        Ok(v) => v,
-        Err(_) => unreachable!("Bin never holds Div/Rem"),
+/// A value as `(float, bits)` scalars — what [`Opnd::word`] reads and
+/// [`word_value`] rebuilds a register from. The hot loops compute on these
+/// and never assemble a 16-byte [`Value`] to copy: a register written as
+/// two 8-byte halves and read back whole cannot be store-forwarded.
+type Scalar = (bool, u64);
+
+/// [`Value::as_i64`] on scalars: floats truncate.
+#[inline(always)]
+fn scalar_i64((float, bits): Scalar) -> i64 {
+    if float {
+        f64::from_bits(bits) as i64
+    } else {
+        bits as i64
     }
+}
+
+/// [`Value::as_f64`] on scalars: integers convert.
+#[inline(always)]
+fn scalar_f64((float, bits): Scalar) -> f64 {
+    if float {
+        f64::from_bits(bits)
+    } else {
+        bits as i64 as f64
+    }
+}
+
+/// [`Value::is_truthy`] on scalars: nonzero is true.
+#[inline(always)]
+fn scalar_truthy((float, bits): Scalar) -> bool {
+    if float {
+        f64::from_bits(bits) != 0.0
+    } else {
+        bits != 0
+    }
+}
+
+/// The machine's binary operators, on scalars. The int×int arms are
+/// inline; float and mixed operands follow [`scalar_bin_float`]. `Div` and
+/// `Rem` must have passed [`divides_by_zero`] first. The reference
+/// interpreter's `bin_eval` is the oracle this is held to
+/// (`tests/decode_equivalence.rs`'s operator matrix).
+#[inline(always)]
+fn scalar_bin(op: BinOp, a: Scalar, b: Scalar) -> Scalar {
+    use BinOp::*;
+    if a.0 | b.0 {
+        return scalar_bin_float(op, a, b);
+    }
+    let (x, y) = (a.1 as i64, b.1 as i64);
+    let r = match op {
+        Add => x.wrapping_add(y),
+        Sub => x.wrapping_sub(y),
+        Mul => x.wrapping_mul(y),
+        Div => x.wrapping_div(y),
+        Rem => x.wrapping_rem(y),
+        And => x & y,
+        Or => x | y,
+        Xor => x ^ y,
+        Shl => x.wrapping_shl(y as u32 & 63),
+        Shr => x.wrapping_shr(y as u32 & 63),
+        Eq => i64::from(x == y),
+        Ne => i64::from(x != y),
+        Lt => i64::from(x < y),
+        Le => i64::from(x <= y),
+        Gt => i64::from(x > y),
+        Ge => i64::from(x >= y),
+    };
+    (false, r as u64)
+}
+
+/// [`scalar_bin`] when either operand is a float: arithmetic and
+/// comparisons in `f64`, the integer-only operators (`Rem`, the bitwise
+/// ones, the shifts) on both operands truncated. Out of line, so the
+/// int×int path stays small in the dispatch loop.
+#[inline(never)]
+fn scalar_bin_float(op: BinOp, a: Scalar, b: Scalar) -> Scalar {
+    use BinOp::*;
+    let (x, y) = (scalar_f64(a), scalar_f64(b));
+    let (i, j) = (scalar_i64(a), scalar_i64(b));
+    let float = |v: f64| (true, v.to_bits());
+    let int = |v: i64| (false, v as u64);
+    match op {
+        Add => float(x + y),
+        Sub => float(x - y),
+        Mul => float(x * y),
+        Div => float(x / y),
+        Rem => int(i.wrapping_rem(j)),
+        And => int(i & j),
+        Or => int(i | j),
+        Xor => int(i ^ j),
+        Shl => int(i.wrapping_shl(j as u32 & 63)),
+        Shr => int(i.wrapping_shr(j as u32 & 63)),
+        Eq => int(i64::from(x == y)),
+        Ne => int(i64::from(x != y)),
+        Lt => int(i64::from(x < y)),
+        Le => int(i64::from(x <= y)),
+        Gt => int(i64::from(x > y)),
+        Ge => int(i64::from(x >= y)),
+    }
+}
+
+/// Whether `Div`/`Rem` on these operands raises division-by-zero: an
+/// integer division, or any remainder, whose divisor is 0 as an integer.
+/// A float division never traps.
+#[inline(always)]
+fn divides_by_zero(op: BinOp, a: Scalar, b: Scalar) -> bool {
+    match op {
+        BinOp::Div => !(a.0 | b.0) && b.1 == 0,
+        _ => scalar_i64(b) == 0,
+    }
+}
+
+/// The machine's unary operators, on scalars.
+#[inline(always)]
+fn scalar_un(op: UnOp, v: Scalar) -> Scalar {
+    match op {
+        UnOp::Neg if v.0 => (true, (-f64::from_bits(v.1)).to_bits()),
+        UnOp::Neg => (false, (v.1 as i64).wrapping_neg() as u64),
+        UnOp::Not => (false, u64::from(!scalar_truthy(v))),
+        UnOp::ToF64 => (true, scalar_f64(v).to_bits()),
+        UnOp::ToI64 => (false, scalar_i64(v) as u64),
+    }
+}
+
+/// Write a register from scalars, at the write site.
+#[inline(always)]
+fn set_scalar(regs: &mut [Value], dst: u32, (float, bits): Scalar) {
+    regs[dst as usize] = word_value(bits, float);
 }
 
 /// What a memory step does with its word: load it into a register, or
@@ -696,40 +815,28 @@ impl<'p, S: Sink> Interp<'p, S> {
                         pc += 1;
                     }
                     HotOp::Bin { op, dst, lhs, rhs } => {
-                        let a = lhs.value(&regs, imms);
-                        let b = rhs.value(&regs, imms);
-                        regs[dst as usize] = bin_eval_nontrap(op, a, b);
+                        let a = lhs.word(&regs, imms);
+                        let b = rhs.word(&regs, imms);
+                        set_scalar(&mut regs, dst, scalar_bin(op, a, b));
                         pc += 1;
                     }
                     HotOp::BinChecked { op, dst, lhs, rhs } => {
-                        let a = lhs.value(&regs, imms);
-                        let b = rhs.value(&regs, imms);
-                        // The line travels in the cold table, paid only on
-                        // the trap path.
-                        let v = match bin_eval(op, a, b, 0) {
-                            Ok(v) => v,
-                            Err(_) => {
-                                park!();
-                                return Err(RuntimeError::DivByZero {
-                                    line: code.trap_line(pc as u32),
-                                });
-                            }
-                        };
-                        regs[dst as usize] = v;
+                        let a = lhs.word(&regs, imms);
+                        let b = rhs.word(&regs, imms);
+                        if divides_by_zero(op, a, b) {
+                            // The line travels in the cold table, paid
+                            // only on the trap path.
+                            park!();
+                            return Err(RuntimeError::DivByZero {
+                                line: code.trap_line(pc as u32),
+                            });
+                        }
+                        set_scalar(&mut regs, dst, scalar_bin(op, a, b));
                         pc += 1;
                     }
                     HotOp::Un { op, dst, src } => {
-                        let v = src.value(&regs, imms);
-                        let r = match op {
-                            UnOp::Neg => match v {
-                                Value::I64(x) => Value::I64(x.wrapping_neg()),
-                                Value::F64(x) => Value::F64(-x),
-                            },
-                            UnOp::Not => Value::I64(i64::from(!v.is_truthy())),
-                            UnOp::ToF64 => Value::F64(v.as_f64()),
-                            UnOp::ToI64 => Value::I64(v.as_i64()),
-                        };
-                        regs[dst as usize] = r;
+                        let v = src.word(&regs, imms);
+                        set_scalar(&mut regs, dst, scalar_un(op, v));
                         pc += 1;
                     }
                     HotOp::CallUser { target, args, dst } => {
@@ -913,10 +1020,10 @@ impl<'p, S: Sink> Interp<'p, S> {
                         then_delta,
                         else_delta,
                     } => {
-                        let v = cond.value(&regs, imms);
+                        let v = cond.word(&regs, imms);
                         pc = jump(
                             pc,
-                            if v.is_truthy() {
+                            if scalar_truthy(v) {
                                 then_delta
                             } else {
                                 else_delta
@@ -992,6 +1099,41 @@ impl<'p, S: Sink> Interp<'p, S> {
         steps: &mut u64,
         th_steps: &mut u64,
     ) -> Result<usize, (usize, RuntimeError)> {
+        // The counters live in locals for the engagement and are written
+        // back once: charged through the caller's pointers, every step
+        // paid three stores and a reload chained through memory.
+        let (mut left, mut now, mut th_now) = (*budget, *steps, *th_steps);
+        let out = self.replay_plan(
+            t,
+            func,
+            code,
+            plan,
+            base,
+            regs,
+            &mut left,
+            &mut now,
+            &mut th_now,
+        );
+        (*budget, *steps, *th_steps) = (left, now, th_now);
+        out
+    }
+
+    /// [`Interp::exec_plan`]'s body, inlined into it so that the counters
+    /// it charges stay in registers.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn replay_plan(
+        &mut self,
+        t: usize,
+        func: usize,
+        code: &FuncCode,
+        plan: &LoopPlan,
+        base: usize,
+        regs: &mut [Value],
+        budget: &mut u32,
+        steps: &mut u64,
+        th_steps: &mut u64,
+    ) -> Result<usize, (usize, RuntimeError)> {
         let imms: &[Value] = &code.imms;
         let mut recording = S::WANTS_EVENTS && S::TAKES_RUNS && !self.cfg.racy_delivery;
         let first_ts = *steps + 1;
@@ -1014,9 +1156,12 @@ impl<'p, S: Sink> Interp<'p, S> {
                 // budget check precedes the charge), and the fault check
                 // sits here because a disabled tier resumes by
                 // re-dispatching the LoopIter.
-                if *budget == 0 && !self.reslice(budget, *steps) {
-                    close_run!(None);
-                    return Ok(plan.trigger as usize);
+                if *budget == 0 {
+                    let Some(quantum) = self.reslice(*steps) else {
+                        close_run!(None);
+                        return Ok(plan.trigger as usize);
+                    };
+                    *budget = quantum;
                 }
                 if let Some(limit) = self.cfg.affine_skip_fault {
                     if self.synth.cycles >= limit {
@@ -1047,13 +1192,16 @@ impl<'p, S: Sink> Interp<'p, S> {
             // Memory steps seen this cycle: the current one's stream index.
             let mut m = 0usize;
             for (k, step) in plan.steps.iter().enumerate() {
-                if *budget == 0 && !self.reslice(budget, *steps) {
-                    // Mid-cycle slice expiry: genuine fallback — the rest
-                    // of this cycle runs interpreted, re-engaging at the
-                    // next LoopIter.
-                    self.synth.fallback_budget += 1;
-                    close_run!(Some(k as u32));
-                    return Ok(step.pc as usize);
+                if *budget == 0 {
+                    let Some(quantum) = self.reslice(*steps) else {
+                        // Mid-cycle slice expiry: genuine fallback — the
+                        // rest of this cycle runs interpreted, re-engaging
+                        // at the next LoopIter.
+                        self.synth.fallback_budget += 1;
+                        close_run!(Some(k as u32));
+                        return Ok(step.pc as usize);
+                    };
+                    *budget = quantum;
                 }
                 *budget -= 1;
                 *steps += 1;
@@ -1099,22 +1247,13 @@ impl<'p, S: Sink> Interp<'p, S> {
                     PlanOp::Load { dst, mem } => mem_step!(mem, MemDir::Load(*dst), false),
                     PlanOp::Store { src, mem } => mem_step!(mem, MemDir::Store(*src), true),
                     PlanOp::Bin { op, dst, lhs, rhs } => {
-                        let a = lhs.value(regs, imms);
-                        let b = rhs.value(regs, imms);
-                        regs[*dst as usize] = bin_eval_nontrap(*op, a, b);
+                        let a = lhs.word(regs, imms);
+                        let b = rhs.word(regs, imms);
+                        set_scalar(regs, *dst, scalar_bin(*op, a, b));
                     }
                     PlanOp::Un { op, dst, src } => {
-                        let v = src.value(regs, imms);
-                        let r = match op {
-                            UnOp::Neg => match v {
-                                Value::I64(x) => Value::I64(x.wrapping_neg()),
-                                Value::F64(x) => Value::F64(-x),
-                            },
-                            UnOp::Not => Value::I64(i64::from(!v.is_truthy())),
-                            UnOp::ToF64 => Value::F64(v.as_f64()),
-                            UnOp::ToI64 => Value::I64(v.as_i64()),
-                        };
-                        regs[*dst as usize] = r;
+                        let v = src.word(regs, imms);
+                        set_scalar(regs, *dst, scalar_un(*op, v));
                     }
                     PlanOp::Body { region } => {
                         let fr = self.threads[t].frames.last_mut().unwrap();
@@ -1130,8 +1269,8 @@ impl<'p, S: Sink> Interp<'p, S> {
                         cont_on_true,
                         exit_pc,
                     } => {
-                        let v = cond.value(regs, imms);
-                        if v.is_truthy() != *cont_on_true {
+                        let v = cond.word(regs, imms);
+                        if scalar_truthy(v) != *cont_on_true {
                             close_run!(Some(k as u32 + 1));
                             return Ok(*exit_pc as usize);
                         }
@@ -1146,23 +1285,25 @@ impl<'p, S: Sink> Interp<'p, S> {
     /// The slice budget is spent inside a plan. If the holder is the only
     /// runnable actor, do in place what [`Interp::exec`] does between two
     /// of its slices — step-limit check, stop-flag check, the next quantum
-    /// from the same RNG sequence — and return `true`. Return `false`,
-    /// touching nothing, when `exec` would stop the run or pick another
-    /// actor: the plan then parks and `exec` takes it from there.
+    /// from the same RNG sequence — and return the new budget. Return
+    /// `None`, touching nothing, when `exec` would stop the run or pick
+    /// another actor: the plan then parks and `exec` takes it from there.
     #[inline(never)]
-    fn reslice(&mut self, budget: &mut u32, steps: u64) -> bool {
-        while *budget == 0 {
+    fn reslice(&mut self, steps: u64) -> Option<u32> {
+        loop {
             if !self.sched.holder_is_alone() || steps > self.cfg.max_steps {
-                return false;
+                return None;
             }
             if let Some(flag) = &self.cfg.stop {
                 if flag.load(Ordering::Relaxed) {
-                    return false;
+                    return None;
                 }
             }
-            *budget = self.sched.next_quantum(self.cfg.quantum);
+            let quantum = self.sched.next_quantum(self.cfg.quantum);
+            if quantum > 0 {
+                return Some(quantum);
+            }
         }
-        true
     }
 
     /// Hand the sink the recorded engagement — `completed` full cycles and,
@@ -1305,8 +1446,8 @@ impl<'p, S: Sink> Interp<'p, S> {
             &mut self.threads[t].mem[slot]
         };
         match dir {
-            MemDir::Load(dst) => regs[dst as usize] = word_value(*cell, m.float),
-            MemDir::Store(src) => *cell = word_bits(src.value(regs, imms)),
+            MemDir::Load(dst) => set_scalar(regs, dst, (m.float, *cell)),
+            MemDir::Store(src) => *cell = src.word(regs, imms).1,
         }
         Ok(addr)
     }
@@ -1327,7 +1468,7 @@ impl<'p, S: Sink> Interp<'p, S> {
         m: &MemRef,
     ) -> Result<(u64, bool, usize), RuntimeError> {
         let idx = if m.has_index {
-            m.index.value(regs, imms).as_i64()
+            scalar_i64(m.index.word(regs, imms))
         } else {
             0
         };
@@ -1608,71 +1749,6 @@ impl<'p, S: Sink> Interp<'p, S> {
         }
         Ok(true)
     }
-}
-
-pub(crate) fn bin_eval(op: BinOp, a: Value, b: Value, line: u32) -> Result<Value, RuntimeError> {
-    use BinOp::*;
-    let float = matches!(a, Value::F64(_)) || matches!(b, Value::F64(_));
-    Ok(match op {
-        Add | Sub | Mul | Div if float => {
-            let (x, y) = (a.as_f64(), b.as_f64());
-            Value::F64(match op {
-                Add => x + y,
-                Sub => x - y,
-                Mul => x * y,
-                Div => x / y,
-                _ => unreachable!(),
-            })
-        }
-        Add => Value::I64(a.as_i64().wrapping_add(b.as_i64())),
-        Sub => Value::I64(a.as_i64().wrapping_sub(b.as_i64())),
-        Mul => Value::I64(a.as_i64().wrapping_mul(b.as_i64())),
-        Div => {
-            let d = b.as_i64();
-            if d == 0 {
-                return Err(RuntimeError::DivByZero { line });
-            }
-            Value::I64(a.as_i64().wrapping_div(d))
-        }
-        Rem => {
-            let d = b.as_i64();
-            if d == 0 {
-                return Err(RuntimeError::DivByZero { line });
-            }
-            Value::I64(a.as_i64().wrapping_rem(d))
-        }
-        And => Value::I64(a.as_i64() & b.as_i64()),
-        Or => Value::I64(a.as_i64() | b.as_i64()),
-        Xor => Value::I64(a.as_i64() ^ b.as_i64()),
-        Shl => Value::I64(a.as_i64().wrapping_shl(b.as_i64() as u32 & 63)),
-        Shr => Value::I64(a.as_i64().wrapping_shr(b.as_i64() as u32 & 63)),
-        Eq | Ne | Lt | Le | Gt | Ge => {
-            let r = if float {
-                let (x, y) = (a.as_f64(), b.as_f64());
-                match op {
-                    Eq => x == y,
-                    Ne => x != y,
-                    Lt => x < y,
-                    Le => x <= y,
-                    Gt => x > y,
-                    Ge => x >= y,
-                    _ => unreachable!(),
-                }
-            } else {
-                let (x, y) = (a.as_i64(), b.as_i64());
-                match op {
-                    Eq => x == y,
-                    Ne => x != y,
-                    Lt => x < y,
-                    Le => x <= y,
-                    Gt => x > y,
-                    Ge => x >= y,
-                    _ => unreachable!(),
-                }
-            };
-            Value::from(r)
-        }
-    })
 }
 
 #[cfg(test)]

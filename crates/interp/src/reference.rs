@@ -10,9 +10,11 @@
 //! **byte-identical event streams** and results;
 //! `tests/decode_equivalence.rs` pins this on real workloads. Keep this
 //! module dumb and obvious: its value is that it cannot share a bug with
-//! the decoder. (The only change since the pre-decode implementation is the
+//! the decoder. (The changes since the pre-decode implementation are the
 //! [`Sink::WANTS_EVENTS`] gate in `emit`, mirroring the machine so both
-//! interpreters elide event work for the same sinks.)
+//! interpreters elide event work for the same sinks, and `bin_eval`, which
+//! moved here from the machine when the machine began evaluating operators
+//! on scalars: it is the oracle's own definition of the operators.)
 
 // Same panic policy as `machine`: verified-module invariants make these
 // lookups infallible, and the oracle must stay dumb and obvious rather
@@ -20,14 +22,14 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::event::{Event, MemEvent, RegionExitEvent, Sink};
-use crate::machine::{bin_eval, ActorStats, RunConfig, RunResult, RuntimeError};
+use crate::machine::{ActorStats, RunConfig, RunResult, RuntimeError};
 use crate::program::{
     word_bits, word_value, Program, GLOBAL_BASE, MAILBOX_BASE, MAILBOX_SLOTS, MAILBOX_SPAN,
     STACK_BASE, STACK_SPAN, WORD,
 };
 use crate::sched::{ActorId, Scheduler, WaitReason};
 use fxhash::FxHashMap;
-use mir::{Instr, Operand, Place, RegId, Terminator, Ty, UnOp, Value, VarRef};
+use mir::{BinOp, Instr, Operand, Place, RegId, Terminator, Ty, UnOp, Value, VarRef};
 use std::collections::VecDeque;
 
 #[derive(Debug)]
@@ -952,4 +954,75 @@ impl<'p, S: Sink> RefInterp<'p, S> {
         self.advance(t);
         Ok(())
     }
+}
+
+/// The oracle's binary operators: the result is a float if either operand
+/// is; `Rem`, the bitwise operators and the shifts truncate floats to
+/// integers, with shift counts masked by 63; comparisons give 0 or 1; an
+/// integer `Div`, or any `Rem`, by 0 raises division-by-zero at `line`.
+/// The machine's scalar evaluator is a second definition of the same
+/// operators, held to this one by `tests/decode_equivalence.rs`.
+fn bin_eval(op: BinOp, a: Value, b: Value, line: u32) -> Result<Value, RuntimeError> {
+    use BinOp::*;
+    let float = matches!(a, Value::F64(_)) || matches!(b, Value::F64(_));
+    Ok(match op {
+        Add | Sub | Mul | Div if float => {
+            let (x, y) = (a.as_f64(), b.as_f64());
+            Value::F64(match op {
+                Add => x + y,
+                Sub => x - y,
+                Mul => x * y,
+                Div => x / y,
+                _ => unreachable!(),
+            })
+        }
+        Add => Value::I64(a.as_i64().wrapping_add(b.as_i64())),
+        Sub => Value::I64(a.as_i64().wrapping_sub(b.as_i64())),
+        Mul => Value::I64(a.as_i64().wrapping_mul(b.as_i64())),
+        Div => {
+            let d = b.as_i64();
+            if d == 0 {
+                return Err(RuntimeError::DivByZero { line });
+            }
+            Value::I64(a.as_i64().wrapping_div(d))
+        }
+        Rem => {
+            let d = b.as_i64();
+            if d == 0 {
+                return Err(RuntimeError::DivByZero { line });
+            }
+            Value::I64(a.as_i64().wrapping_rem(d))
+        }
+        And => Value::I64(a.as_i64() & b.as_i64()),
+        Or => Value::I64(a.as_i64() | b.as_i64()),
+        Xor => Value::I64(a.as_i64() ^ b.as_i64()),
+        Shl => Value::I64(a.as_i64().wrapping_shl(b.as_i64() as u32 & 63)),
+        Shr => Value::I64(a.as_i64().wrapping_shr(b.as_i64() as u32 & 63)),
+        Eq | Ne | Lt | Le | Gt | Ge => {
+            let r = if float {
+                let (x, y) = (a.as_f64(), b.as_f64());
+                match op {
+                    Eq => x == y,
+                    Ne => x != y,
+                    Lt => x < y,
+                    Le => x <= y,
+                    Gt => x > y,
+                    Ge => x >= y,
+                    _ => unreachable!(),
+                }
+            } else {
+                let (x, y) = (a.as_i64(), b.as_i64());
+                match op {
+                    Eq => x == y,
+                    Ne => x != y,
+                    Lt => x < y,
+                    Le => x <= y,
+                    Gt => x > y,
+                    Ge => x >= y,
+                    _ => unreachable!(),
+                }
+            };
+            Value::from(r)
+        }
+    })
 }

@@ -16,6 +16,10 @@
 //! FaceDetection task graph, used to measure actual speedups for
 //! Table 4.2 and Fig. 4.11.
 
+// Library code must not panic on its own account; a worker thread's panic
+// is resumed unchanged, never re-wrapped.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod actors;
 pub mod apps;
 pub mod bots;

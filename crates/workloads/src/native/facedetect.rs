@@ -89,9 +89,9 @@ pub fn face_detection_pipeline(input: FaceDetectInput, threads: usize) -> u64 {
                     crossbeam::thread::scope(|inner| {
                         let e = inner.spawn(|_| edge_pass(&scaled));
                         let k = skin_pass(&scaled);
-                        (e.join().expect("edge pass"), k)
+                        (e.join().unwrap_or_else(|e| std::panic::resume_unwind(e)), k)
                     })
-                    .expect("inner scope")
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e))
                 } else {
                     (edge_pass(&scaled), skin_pass(&scaled))
                 };
@@ -100,7 +100,7 @@ pub fn face_detection_pipeline(input: FaceDetectInput, threads: usize) -> u64 {
             });
         }
     })
-    .expect("scope");
+    .unwrap_or_else(|e| std::panic::resume_unwind(e));
     total.into_inner()
 }
 

@@ -309,12 +309,16 @@ fn bits(v: mir::Value) -> (bool, u64) {
 /// the same event stream, and either the same error or the same printed
 /// lines and a return value equal bit for bit. Returns the machine's run.
 fn run_both(src: &str) -> Result<interp::RunResult, interp::RuntimeError> {
-    let p = Program::new(lang::compile(src, "mem").unwrap());
+    run_both_program(&Program::new(lang::compile(src, "mem").unwrap()), src)
+}
+
+/// [`run_both`] on a built program; `src` names it in failure messages.
+fn run_both_program(p: &Program, src: &str) -> Result<interp::RunResult, interp::RuntimeError> {
     let mut sink = RecordingSink::default();
-    let machine = interp::run_with_config(&p, &mut sink, RunConfig::default());
+    let machine = interp::run_with_config(p, &mut sink, RunConfig::default());
     let mev = sink.events;
     let mut sink = RecordingSink::default();
-    let reference = interp::reference::run_with_config(&p, &mut sink, RunConfig::default());
+    let reference = interp::reference::run_with_config(p, &mut sink, RunConfig::default());
     assert_eq!(mev, sink.events, "{src}: event streams differ");
     match (&machine, &reference) {
         (Ok(m), Ok(r)) => {
@@ -400,5 +404,336 @@ fn main() -> float {{
             Some(w) => assert_eq!(v.to_bits(), w.to_bits(), "{expr}"),
             None => assert!(v.is_nan(), "{expr}"),
         }
+    }
+}
+
+// ---- The operator matrix -------------------------------------------------
+//
+// The machine evaluates operators on (type, bits) scalars; the reference
+// keeps `bin_eval` on `Value`s. These pin the two definitions to each
+// other at the edges: i64::MIN, -1, 0, i64::MAX, shift counts -1, 63 and
+// 64, NaN, -0.0, ±inf and 1e308, for every operator.
+
+const BIN_OPS: [mir::BinOp; 16] = {
+    use mir::BinOp::*;
+    [
+        Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, Eq, Ne, Lt, Le, Gt, Ge,
+    ]
+};
+
+const UN_OPS: [mir::UnOp; 4] = {
+    use mir::UnOp::*;
+    [Neg, Not, ToF64, ToI64]
+};
+
+/// The integer edge operands; -1, 63 and 64 double as the shift counts.
+const INT_EDGES: [i64; 6] = [i64::MIN, -1, 0, i64::MAX, 63, 64];
+
+/// The float edge operands.
+fn float_edges() -> [f64; 6] {
+    [f64::NAN, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1e308, 2.5]
+}
+
+fn edge_values() -> Vec<mir::Value> {
+    INT_EDGES
+        .iter()
+        .map(|&x| mir::Value::I64(x))
+        .chain(float_edges().iter().map(|&x| mir::Value::F64(x)))
+        .collect()
+}
+
+/// The operators' surface syntax in `lang`.
+fn lang_op(op: mir::BinOp) -> &'static str {
+    use mir::BinOp::*;
+    match op {
+        Add => "+",
+        Sub => "-",
+        Mul => "*",
+        Div => "/",
+        Rem => "%",
+        And => "&",
+        Or => "|",
+        Xor => "^",
+        Shl => "<<",
+        Shr => ">>",
+        Eq => "==",
+        Ne => "!=",
+        Lt => "<",
+        Le => "<=",
+        Gt => ">",
+        Ge => ">=",
+    }
+}
+
+/// A `lang` expression for an integer edge (the lexer has no literal
+/// for i64::MIN).
+fn int_expr(x: i64) -> String {
+    if x == i64::MIN {
+        "-9223372036854775807 - 1".to_string()
+    } else {
+        x.to_string()
+    }
+}
+
+/// A `lang` expression for a float edge.
+fn float_expr(x: f64) -> String {
+    if x.is_nan() {
+        "0.0 / 0.0".to_string()
+    } else if x == f64::INFINITY {
+        "1e308 * 10.0".to_string()
+    } else if x == f64::NEG_INFINITY {
+        "-1e308 * 10.0".to_string()
+    } else if x == 0.0 && x.is_sign_negative() {
+        "-0.0".to_string()
+    } else {
+        format!("{x:?}")
+    }
+}
+
+/// One `lang` program per operator: every int×int and every float×float
+/// pair of edges is evaluated in an affine counted loop (`ri[k] = xi[k] op
+/// yi[k]`), so with the skip tier on the machine's plan replayer computes
+/// them; the results are then printed — floats with their raw bits, read
+/// back as an int through a reused stack slot. `Div` and `Rem` trap on a
+/// zero divisor, so their divisors skip the edges that are 0 as an
+/// integer (for `Rem`, whose float operands truncate, NaN and -0.0 too);
+/// [`division_by_zero_traps_at_the_same_line_in_both_interpreters`] traps
+/// them. Returns the source and its number of pairs.
+fn lang_matrix(op: mir::BinOp) -> (String, usize) {
+    use mir::BinOp::*;
+    let ints: Vec<String> = INT_EDGES.iter().map(|&x| int_expr(x)).collect();
+    let floats: Vec<String> = float_edges().iter().map(|&x| float_expr(x)).collect();
+    let int_divisors: Vec<String> = INT_EDGES
+        .iter()
+        .filter(|&&x| !matches!(op, Div | Rem) || x != 0)
+        .map(|&x| int_expr(x))
+        .collect();
+    let float_divisors: Vec<String> = float_edges()
+        .iter()
+        .filter(|&&x| op != Rem || x as i64 != 0)
+        .map(|&x| float_expr(x))
+        .collect();
+    let mut init = String::new();
+    let mut pairs = |ty: char, xs: &[String], ys: &[String]| {
+        let mut k = 0;
+        for x in xs {
+            for y in ys {
+                init.push_str(&format!("    x{ty}[{k}] = {x};\n    y{ty}[{k}] = {y};\n"));
+                k += 1;
+            }
+        }
+        k
+    };
+    let ni = pairs('i', &ints, &int_divisors);
+    let nf = pairs('f', &floats, &float_divisors);
+    let sym = lang_op(op);
+    let src = format!(
+        "global int xi[{ni}];
+global int yi[{ni}];
+global int ri[{ni}];
+global float xf[{nf}];
+global float yf[{nf}];
+global float rf[{nf}];
+fn put(float p) {{ }}
+fn bits() -> int {{ int w; return w; }}
+fn main() -> float {{
+{init}    for (int k = 0; k < {ni}; k = k + 1) {{
+        ri[k] = xi[k] {sym} yi[k];
+    }}
+    for (int k = 0; k < {nf}; k = k + 1) {{
+        rf[k] = xf[k] {sym} yf[k];
+    }}
+    for (int k = 0; k < {ni}; k = k + 1) {{
+        print(ri[k]);
+    }}
+    for (int k = 0; k < {nf}; k = k + 1) {{
+        put(rf[k]);
+        print(rf[k], bits());
+    }}
+    return rf[{last}];
+}}",
+        last = nf - 1
+    );
+    (src, ni + nf)
+}
+
+#[test]
+fn the_operator_matrix_agrees_in_the_plan_replayer() {
+    for op in BIN_OPS {
+        let (src, pairs) = lang_matrix(op);
+        let r = run_both(&src).unwrap_or_else(|e| panic!("{op:?}: {e}"));
+        assert_eq!(r.printed.len(), pairs, "{op:?}: one line per pair");
+        if !matches!(op, mir::BinOp::Div | mir::BinOp::Rem) {
+            // Both operator loops replay as plans (a trapping operator
+            // keeps its loop interpreted).
+            assert_eq!(r.synth.loops, 2, "{op:?}: both operator loops replay");
+        }
+    }
+    // The reused-slot read really is the bits: -0.0 prints as its sign bit.
+    let r = run_both(&lang_matrix(mir::BinOp::Mul).0).unwrap();
+    let neg_zero = format!("-0 {}", i64::MIN);
+    assert!(r.printed.contains(&neg_zero), "{:?}", r.printed);
+}
+
+#[test]
+fn division_by_zero_traps_at_the_same_line_in_both_interpreters() {
+    // An integer division or remainder by 0 traps; so does a remainder
+    // whose float divisor truncates to 0; a float division never does.
+    for (expr, traps) in [
+        ("x / z", true),
+        ("x % z", true),
+        ("x / 0", true),
+        ("f % h", true),
+        ("f % n", true),
+        ("f / m", false),
+        ("x / m", false),
+        ("m % x", false),
+    ] {
+        let src = format!(
+            "global int a[4];
+fn main() -> float {{
+    int x = 7;
+    int z = 0;
+    float f = 3.5;
+    float h = 0.5;
+    float m = -0.0;
+    float n = 0.0 / 0.0;
+    float r = 0.0;
+    for (int i = 0; i < 4; i = i + 1) {{
+        a[i] = i;
+        if (i == 2) {{
+            r = {expr};
+        }}
+    }}
+    return r;
+}}"
+        );
+        match run_both(&src) {
+            Err(interp::RuntimeError::DivByZero { line }) => {
+                assert!(traps, "{expr}: trapped");
+                assert_eq!(line, 13, "{expr}: the trap names the operator's line");
+            }
+            Err(e) => panic!("{expr}: {e}"),
+            Ok(_) => assert!(!traps, "{expr}: did not trap"),
+        }
+    }
+}
+
+/// How a hand-built operator reads its operands: from registers loaded
+/// out of typed locals, or as immediates (inline ints, pooled others).
+#[derive(Clone, Copy, Debug)]
+enum Operands {
+    Registers,
+    Immediates,
+}
+
+/// `main` evaluates `op` on `a` and `b` once, in straight-line code (so
+/// the machine's dispatch loop does), and returns the result. `mir`, not
+/// `lang`: lowering converts mixed operands to a common type, so only a
+/// hand-built module hands the machine int×float and float×int.
+fn mir_bin(op: mir::BinOp, a: mir::Value, b: mir::Value, how: Operands) -> Program {
+    use mir::{FunctionBuilder, ModuleBuilder, Operand, Place, Terminator, Ty, VarRef};
+    let float = matches!(a, mir::Value::F64(_)) || matches!(b, mir::Value::F64(_));
+    let arith = matches!(
+        op,
+        mir::BinOp::Add | mir::BinOp::Sub | mir::BinOp::Mul | mir::BinOp::Div
+    );
+    let ret = if float && arith { Ty::F64 } else { Ty::I64 };
+    let mut mb = ModuleBuilder::new("ops");
+    let mut fb = FunctionBuilder::new("main", Some(ret), 1);
+    let (lhs, rhs): (Operand, Operand) = match how {
+        Operands::Registers => {
+            let la = fb.local("a", a.ty(), 1, 1, None);
+            let lb = fb.local("b", b.ty(), 1, 1, None);
+            fb.store(Place::scalar(VarRef::Local(la)), a, 2);
+            fb.store(Place::scalar(VarRef::Local(lb)), b, 2);
+            let ra = fb.load(Place::scalar(VarRef::Local(la)), 3);
+            let rb = fb.load(Place::scalar(VarRef::Local(lb)), 3);
+            (ra.into(), rb.into())
+        }
+        Operands::Immediates => (a.into(), b.into()),
+    };
+    let r = fb.bin(op, lhs, rhs, 4);
+    fb.terminate(Terminator::Return(Some(r.into())));
+    mb.add_function(fb.build(5));
+    Program::new(mb.build())
+}
+
+#[test]
+fn the_operator_matrix_agrees_in_the_dispatch_loop() {
+    // All 16 operators on every ordered pair of edges — int×float and
+    // float×int included — from registers and from immediates: the same
+    // events, the same error (a zero divisor traps at line 4 in both) or
+    // a bit-equal return.
+    let values = edge_values();
+    let mut traps = 0;
+    for op in BIN_OPS {
+        for &a in &values {
+            for &b in &values {
+                for how in [Operands::Registers, Operands::Immediates] {
+                    let at = format!("{op:?} {a:?} {b:?} ({how:?})");
+                    match run_both_program(&mir_bin(op, a, b, how), &at) {
+                        Err(interp::RuntimeError::DivByZero { line }) => {
+                            assert_eq!(line, 4, "{at}");
+                            traps += 1;
+                        }
+                        Err(e) => panic!("{at}: {e}"),
+                        Ok(r) => assert!(r.ret.is_some(), "{at}"),
+                    }
+                }
+            }
+        }
+    }
+    // Div: the 6 int dividends by the int 0. Rem: all 12 dividends by
+    // each of the int 0, NaN and -0.0 (all 0 as an integer). Twice, for
+    // both operand forms.
+    assert_eq!(traps, 2 * (6 + 12 * 3));
+}
+
+#[test]
+fn unary_operators_and_branches_agree_on_every_edge() {
+    use mir::{FunctionBuilder, ModuleBuilder, Place, Terminator, Ty, VarRef};
+    for v in edge_values() {
+        let load = |fb: &mut FunctionBuilder| {
+            let l = fb.local("v", v.ty(), 1, 1, None);
+            fb.store(Place::scalar(VarRef::Local(l)), v, 2);
+            fb.load(Place::scalar(VarRef::Local(l)), 3)
+        };
+        for op in UN_OPS {
+            let ret = match op {
+                mir::UnOp::Neg => v.ty(),
+                mir::UnOp::ToF64 => Ty::F64,
+                mir::UnOp::Not | mir::UnOp::ToI64 => Ty::I64,
+            };
+            let mut mb = ModuleBuilder::new("un");
+            let mut fb = FunctionBuilder::new("main", Some(ret), 1);
+            let r = load(&mut fb);
+            let r = fb.un(op, r, 4);
+            fb.terminate(Terminator::Return(Some(r.into())));
+            mb.add_function(fb.build(5));
+            let r = run_both_program(&Program::new(mb.build()), &format!("{op:?} {v:?}"));
+            assert!(r.unwrap().ret.is_some());
+        }
+        // A branch on the value: NaN is truthy, -0.0 is not.
+        let mut mb = ModuleBuilder::new("branch");
+        let mut fb = FunctionBuilder::new("main", Some(Ty::I64), 1);
+        let r = load(&mut fb);
+        let (yes, no) = (fb.new_block(), fb.new_block());
+        fb.terminate(Terminator::Branch {
+            cond: r.into(),
+            then_bb: yes,
+            else_bb: no,
+        });
+        for (bb, ret) in [(yes, 1i64), (no, 0)] {
+            fb.switch_to(bb);
+            fb.terminate(Terminator::Return(Some(ret.into())));
+        }
+        mb.add_function(fb.build(5));
+        let r = run_both_program(&Program::new(mb.build()), &format!("branch {v:?}"));
+        let truthy = match v {
+            mir::Value::I64(x) => x != 0,
+            mir::Value::F64(x) => x != 0.0,
+        };
+        assert_eq!(r.unwrap().ret, Some(mir::Value::I64(i64::from(truthy))));
     }
 }
