@@ -70,7 +70,10 @@ serve options:
   --deadline SECS   default per-job deadline (jobs may override)
   --max-memory SIZE total job-memory pool; each worker gets an equal slice
                     as its per-job budget ceiling
-  --cache-bytes SIZE compiled-program cache ceiling, LRU-evicted (default 64M)
+  --cache-bytes SIZE ceiling on the cache of compiled programs and the
+                    reports kept beside them, LRU-evicted (default 64M); a
+                    report is kept from a program's second request with no
+                    deadline and no parallel engine, and answers its repeats
   --drain-deadline SECS  grace period for in-flight jobs on shutdown (default 5)
   --port-file PATH  write the resolved listen address to PATH (for scripts
                     binding port 0)
@@ -878,10 +881,11 @@ fn status_cmd(args: &[String]) -> ExitCode {
                 status.worker_recoveries, status.conn_recoveries
             );
             println!(
-                "  cache: {} entries, {} bytes, {} hits, {} misses, {} evictions",
+                "  cache: {} entries, {} bytes, {} hits ({} reports), {} misses, {} evictions",
                 status.cache_entries,
                 status.cache_bytes,
                 status.cache_hits,
+                status.cache_report_hits,
                 status.cache_misses,
                 status.cache_evictions
             );

@@ -24,6 +24,11 @@
 //! {"type":"report","id":1,"cached":false,"elapsed_ms":12,"report":{...}}
 //! ```
 //!
+//! `cached` says the daemon's cache answered part of the job: the compiled
+//! program was found there, and on a repeat of a request with no deadline
+//! in force (and not on a `parallel:N` engine) the report bytes too. A
+//! cached report is the one the first run rendered, byte for byte.
+//!
 //! Every failure is a *typed* error document — the job that failed is the
 //! only job affected, and the kind tells the client what to do next:
 //!
@@ -311,11 +316,16 @@ pub struct StatusBody {
     pub conn_recoveries: u64,
     /// Compiled programs resident in the cache.
     pub cache_entries: u64,
-    /// Estimated bytes of cached programs, counted by the cache under the
-    /// lock that guards its entries (read together with `cache_entries`).
+    /// Estimated bytes of cached programs and the reports kept beside
+    /// them, counted by the cache under the lock that guards its entries
+    /// (read together with `cache_entries`).
     pub cache_bytes: u64,
-    /// Cache hits (compile + decode skipped).
+    /// Cache hits (compile + decode skipped), report hits included.
     pub cache_hits: u64,
+    /// The hits answered with a report kept from an earlier identical
+    /// request (the whole job skipped). Reads 0 from a daemon that
+    /// predates the report cache.
+    pub cache_report_hits: u64,
     /// Cache misses.
     pub cache_misses: u64,
     /// Entries evicted LRU under memory pressure.
@@ -329,7 +339,9 @@ pub enum Response {
     Report {
         /// Correlation id of the request.
         id: u64,
-        /// The compiled program came from the cache.
+        /// The job was answered from the daemon's cache: its compiled
+        /// program was found there, and on a repeat of a cacheable
+        /// request so was the report itself.
         cached: bool,
         /// Wall-clock job time in milliseconds.
         elapsed_ms: u64,
@@ -425,6 +437,7 @@ impl Response {
                 s.key("cache_entries").u64(status.cache_entries);
                 s.key("cache_bytes").u64(status.cache_bytes);
                 s.key("cache_hits").u64(status.cache_hits);
+                s.key("cache_report_hits").u64(status.cache_report_hits);
                 s.key("cache_misses").u64(status.cache_misses);
                 s.key("cache_evictions").u64(status.cache_evictions);
                 s.end_object();
@@ -512,6 +525,7 @@ impl Response {
                         cache_entries: get_u64_or(s, "cache_entries", 0),
                         cache_bytes: get_u64_or(s, "cache_bytes", 0),
                         cache_hits: get_u64_or(s, "cache_hits", 0),
+                        cache_report_hits: get_u64_or(s, "cache_report_hits", 0),
                         cache_misses: get_u64_or(s, "cache_misses", 0),
                         cache_evictions: get_u64_or(s, "cache_evictions", 0),
                     },
@@ -637,6 +651,7 @@ mod tests {
                     cache_entries: 2,
                     cache_bytes: 4096,
                     cache_hits: 8,
+                    cache_report_hits: 5,
                     cache_misses: 2,
                     cache_evictions: 1,
                 },
@@ -653,6 +668,17 @@ mod tests {
         assert!(
             Response::from_value(Value::parse(r#"{"type":"report","id":1}"#).unwrap()).is_err()
         );
+    }
+
+    #[test]
+    fn a_status_from_a_daemon_without_the_report_hit_counter_still_reads() {
+        let old = r#"{"type":"status","id":1,"status":{"protocol":1,"cache_hits":4}}"#;
+        match Response::from_json(&Value::parse(old).unwrap()).unwrap() {
+            Response::Status { status, .. } => {
+                assert_eq!((status.cache_hits, status.cache_report_hits), (4, 0));
+            }
+            other => panic!("expected a status, got {other:?}"),
+        }
     }
 
     #[test]

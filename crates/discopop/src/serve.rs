@@ -19,11 +19,19 @@
 //!   mean a stalled or malicious client can wedge at most its own
 //!   connection thread, never the acceptor or a worker. Request JSON is
 //!   parsed under [`jsonio::ParseLimits`] (size + nesting depth).
-//! - **Graceful degradation.** Compiled programs are cached by source
-//!   hash; the cache counts its bytes under the lock that guards its
-//!   entries and evicts LRU under pressure — overflow costs cache misses,
-//!   never memory, and a program larger than the whole cache is simply not
-//!   cached.
+//! - **Graceful degradation.** Compiled programs are cached by their
+//!   (name, source), compared in full on every hit. Beside its program an
+//!   entry keeps the compact report text of each option set (`statics`,
+//!   the requested engine spec, the effective memory ceiling) it was
+//!   rendered under, so a repeat is answered with those bytes and skips
+//!   profiling, discovery and rendering. A report is stored only when it
+//!   is a function of that key — no deadline in force, no `parallel`
+//!   block (its `queue_stalls` is a timing count), never an error — and
+//!   only on a program-cache hit, so one-shot submissions store none. The
+//!   cache counts program and report bytes together under the lock that
+//!   guards its entries and evicts whole entries LRU under pressure —
+//!   overflow costs cache misses, never memory, and a program or report
+//!   that cannot fit under the whole ceiling is simply not cached.
 //! - **Graceful shutdown.** [`Server::shutdown`] stops accepting, drains
 //!   queued + in-flight work up to [`ServeConfig::drain_deadline`],
 //!   answers whatever must be abandoned with a typed `shutting_down`
@@ -131,7 +139,7 @@ enum Reply {
         id: u64,
         cached: bool,
         elapsed_ms: u64,
-        report: String,
+        report: Arc<str>,
     },
 }
 
@@ -153,11 +161,36 @@ impl Reply {
     }
 }
 
+/// The options a rendered report is a function of, beside its entry's
+/// (name, source) — read off the job as [`run_job`] runs it.
+#[derive(PartialEq, Eq)]
+struct ReportKey {
+    statics: bool,
+    /// The engine spec as requested; `None` is [`EngineKind::auto_for`],
+    /// which is deterministic.
+    engine: Option<String>,
+    /// The effective ceiling from [`job_budget`].
+    max_memory: Option<usize>,
+}
+
 struct CacheEntry {
+    /// `cache_key(name, source)`: a filter only — a hit also compares the
+    /// name and source themselves.
     key: u64,
+    name: String,
+    source: String,
     program: Arc<interp::Program>,
+    /// Compact report text, one per option set it was rendered under.
+    reports: Vec<(ReportKey, Arc<str>)>,
+    /// The program's estimate plus the reports' lengths.
     bytes: usize,
     last_use: u64,
+}
+
+impl CacheEntry {
+    fn report(&self, key: &ReportKey) -> Option<&Arc<str>> {
+        self.reports.iter().find(|(k, _)| k == key).map(|(_, r)| r)
+    }
 }
 
 #[derive(Default)]
@@ -166,6 +199,41 @@ struct ProgramCache {
     /// Sum of the entries' `bytes`.
     bytes: usize,
     tick: u64,
+}
+
+impl ProgramCache {
+    fn position(&self, name: &str, source: &str) -> Option<usize> {
+        let key = cache_key(name, source);
+        self.entries
+            .iter()
+            .position(|e| e.key == key && e.name == name && e.source == source)
+    }
+
+    /// Insert `entry` as the most recently used, evicting whole entries
+    /// LRU until its bytes fit under `cap` (the caller has checked they fit
+    /// in an empty cache). Returns the number of entries evicted.
+    fn insert(&mut self, mut entry: CacheEntry, cap: usize) -> u64 {
+        let mut evicted = 0;
+        while self.bytes + entry.bytes > cap {
+            let Some(lru) = self
+                .entries
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.last_use)
+                .map(|(i, _)| i)
+            else {
+                break; // not reached: an empty cache holds no bytes, so it fits
+            };
+            let gone = self.entries.remove(lru);
+            self.bytes -= gone.bytes;
+            evicted += 1;
+        }
+        self.tick += 1;
+        entry.last_use = self.tick;
+        self.bytes += entry.bytes;
+        self.entries.push(entry);
+        evicted
+    }
 }
 
 struct Shared {
@@ -186,6 +254,7 @@ struct Shared {
     conn_recoveries: AtomicU64,
     cache: Mutex<ProgramCache>,
     cache_hits: AtomicU64,
+    cache_report_hits: AtomicU64,
     cache_misses: AtomicU64,
     cache_evictions: AtomicU64,
 }
@@ -234,6 +303,7 @@ impl Shared {
             cache_entries,
             cache_bytes,
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
+            cache_report_hits: self.cache_report_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
         }
@@ -273,6 +343,7 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<Server> {
         conn_recoveries: AtomicU64::new(0),
         cache: Mutex::new(ProgramCache::default()),
         cache_hits: AtomicU64::new(0),
+        cache_report_hits: AtomicU64::new(0),
         cache_misses: AtomicU64::new(0),
         cache_evictions: AtomicU64::new(0),
         cfg,
@@ -715,8 +786,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Run one job through the staged pipeline. Everything here executes
-/// under the worker's `catch_unwind`.
+/// Run one job through the staged pipeline — or, for a repeat of a
+/// cacheable request, answer it with the report rendered the first time.
+/// Everything here executes under the worker's `catch_unwind`.
 fn run_job(shared: &Arc<Shared>, job: Job) -> Reply {
     profiler::faultpoint!("serve:job-start");
     let t0 = Instant::now();
@@ -728,9 +800,24 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> Reply {
         },
         None => None,
     };
+    let budget = job_budget(shared, &job.options);
+    // A deadline makes the report a function of the clock, not the request.
+    let report_key = budget.deadline.is_none().then(|| ReportKey {
+        statics: job.options.statics,
+        engine: job.options.engine.clone(),
+        max_memory: budget.max_memory_bytes,
+    });
 
-    let (program, cached) = match lookup_program(shared, &job.name, &job.source) {
-        Ok(pair) => pair,
+    let (program, cached) = match lookup(shared, &job.name, &job.source, report_key.as_ref()) {
+        Ok(Found::Report(report)) => {
+            return Reply::Report {
+                id: job.id,
+                cached: true,
+                elapsed_ms: t0.elapsed().as_millis() as u64,
+                report,
+            }
+        }
+        Ok(Found::Program(program, cached)) => (program, cached),
         Err(e) => return error_reply(job.id, ErrorKind::Compile, e.to_string()),
     };
 
@@ -742,16 +829,23 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> Reply {
                 profiler::faultpoint!("serve:mid-job");
             }
         })
-        .budget(job_budget(shared, &job.options));
+        .budget(budget);
 
     match analysis.analyze_program(&program) {
         Ok(report) => {
-            let report = report.render(&program, TextSink::compact());
+            // `parallel:N` reports count queue stalls, a timing.
+            let timed = report.profile.parallel.is_some();
+            let text: Arc<str> = report.render(&program, TextSink::compact()).into();
+            // Admission: only a program requested before gets its report
+            // kept, so one-shot submissions never fill the cache.
+            if let (true, Some(key), false) = (cached, report_key, timed) {
+                admit_report(shared, &job.name, &job.source, key, text.clone());
+            }
             Reply::Report {
                 id: job.id,
                 cached,
                 elapsed_ms: t0.elapsed().as_millis() as u64,
-                report,
+                report: text,
             }
         }
         Err(Error::Compile(e)) => error_reply(job.id, ErrorKind::Compile, e.to_string()),
@@ -790,7 +884,7 @@ fn job_budget(shared: &Arc<Shared>, options: &JobOptions) -> Budget {
 }
 
 // ---------------------------------------------------------------------------
-// Compiled-program cache
+// Compiled-program and report cache
 // ---------------------------------------------------------------------------
 
 fn cache_key(name: &str, source: &str) -> u64 {
@@ -801,79 +895,108 @@ fn cache_key(name: &str, source: &str) -> u64 {
     h.finish()
 }
 
-/// Rough resident-size estimate of a compiled program: source text plus
-/// the decoded instruction streams and static memory layout. Only has to
-/// be consistent, not exact — it is what the cache admits against.
-fn program_bytes(source: &str, program: &interp::Program) -> usize {
-    source.len()
+/// Rough resident-size estimate of a compiled program: name and source
+/// text plus the decoded instruction streams and static memory layout.
+/// Only has to be consistent, not exact — it is what the cache admits
+/// against.
+fn program_bytes(name: &str, source: &str, program: &interp::Program) -> usize {
+    name.len()
+        + source.len()
         + program.num_decoded_ops() * 16
         + program.footprint_words() * 8
         + std::mem::size_of::<interp::Program>()
 }
 
-/// Fetch (or compile and cache) the program for `source`. Returns the
-/// shared program and whether it was a cache hit.
-fn lookup_program(
+/// What the cache holds for a job.
+enum Found {
+    /// The report rendered under the job's options: the job is done.
+    Report(Arc<str>),
+    /// The compiled program, and whether it came from the cache.
+    Program(Arc<interp::Program>, bool),
+}
+
+/// Fetch the report for `report_key` (`None`: not cacheable) or the
+/// program for (`name`, `source`); compile and cache the program on a miss.
+fn lookup(
     shared: &Arc<Shared>,
     name: &str,
     source: &str,
-) -> Result<(Arc<interp::Program>, bool), lang::CompileError> {
-    let key = cache_key(name, source);
+    report_key: Option<&ReportKey>,
+) -> Result<Found, lang::CompileError> {
     {
         let mut c = lock(&shared.cache);
         c.tick += 1;
         let tick = c.tick;
-        if let Some(e) = c.entries.iter_mut().find(|e| e.key == key) {
+        if let Some(i) = c.position(name, source) {
+            let e = &mut c.entries[i];
             e.last_use = tick;
-            let program = e.program.clone();
+            let found = match report_key.and_then(|k| e.report(k)) {
+                Some(report) => Found::Report(report.clone()),
+                None => Found::Program(e.program.clone(), true),
+            };
             drop(c);
             shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((program, true));
+            if matches!(found, Found::Report(_)) {
+                shared.cache_report_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            return Ok(found);
         }
     }
     shared.cache_misses.fetch_add(1, Ordering::Relaxed);
     let program = Arc::new(interp::Program::new(lang::compile(source, name)?));
-    admit_program(
-        shared,
-        key,
-        program.clone(),
-        program_bytes(source, &program),
-    );
-    Ok((program, false))
+    let bytes = program_bytes(name, source, &program);
+    admit_program(shared, name, source, program.clone(), bytes);
+    Ok(Found::Program(program, false))
 }
 
 /// Admit a freshly compiled program into the cache, evicting LRU entries
 /// until it fits. A program too large for the whole cache is simply not
 /// cached and evicts nothing (graceful degradation: misses, never OOM).
-fn admit_program(shared: &Arc<Shared>, key: u64, program: Arc<interp::Program>, bytes: usize) {
+fn admit_program(
+    shared: &Arc<Shared>,
+    name: &str,
+    source: &str,
+    program: Arc<interp::Program>,
+    bytes: usize,
+) {
     let cap = shared.cfg.cache_bytes;
     let mut c = lock(&shared.cache);
-    if bytes > cap || c.entries.iter().any(|e| e.key == key) {
+    if bytes > cap || c.position(name, source).is_some() {
         return; // oversized, or a concurrent miss beat us to it
     }
-    while c.bytes + bytes > cap {
-        let Some(lru) = c
-            .entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.last_use)
-            .map(|(i, _)| i)
-        else {
-            break; // not reached: an empty cache holds no bytes, so it fits
-        };
-        let evicted = c.entries.remove(lru);
-        c.bytes -= evicted.bytes;
-        shared.cache_evictions.fetch_add(1, Ordering::Relaxed);
-    }
-    c.tick += 1;
-    let tick = c.tick;
-    c.bytes += bytes;
-    c.entries.push(CacheEntry {
-        key,
+    let entry = CacheEntry {
+        key: cache_key(name, source),
+        name: name.to_string(),
+        source: source.to_string(),
         program,
+        reports: Vec::new(),
         bytes,
-        last_use: tick,
-    });
+        last_use: 0,
+    };
+    let evicted = c.insert(entry, cap);
+    shared.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
+}
+
+/// Keep `report` beside its program, evicting other entries LRU until it
+/// fits. Nothing is stored when the program has left the cache since the
+/// lookup, when a concurrent job stored the same report, or when the entry
+/// with the report would not fit under the whole ceiling.
+fn admit_report(shared: &Arc<Shared>, name: &str, source: &str, key: ReportKey, report: Arc<str>) {
+    let cap = shared.cfg.cache_bytes;
+    let mut c = lock(&shared.cache);
+    let Some(i) = c.position(name, source) else {
+        return;
+    };
+    let e = &c.entries[i];
+    if e.bytes + report.len() > cap || e.report(&key).is_some() {
+        return;
+    }
+    let mut entry = c.entries.remove(i);
+    c.bytes -= entry.bytes;
+    entry.bytes += report.len();
+    entry.reports.push((key, report));
+    let evicted = c.insert(entry, cap);
+    shared.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -926,13 +1049,8 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn cache_evicts_lru_under_pressure_and_skips_oversized() {
-        let cfg = ServeConfig {
-            cache_bytes: 10_000,
-            ..ServeConfig::default()
-        };
-        let shared = Arc::new(Shared {
+    fn shared_with(cfg: ServeConfig) -> Arc<Shared> {
+        Arc::new(Shared {
             local_addr: "127.0.0.1:1".parse().unwrap(),
             started: Instant::now(),
             queue: Mutex::new(VecDeque::new()),
@@ -947,39 +1065,143 @@ mod tests {
             conn_recoveries: AtomicU64::new(0),
             cache: Mutex::new(ProgramCache::default()),
             cache_hits: AtomicU64::new(0),
+            cache_report_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             cache_evictions: AtomicU64::new(0),
             cfg,
+        })
+    }
+
+    /// Names in the cache, in insertion order, with the byte count checked
+    /// against the entries.
+    fn names(shared: &Shared) -> Vec<String> {
+        let c = lock(&shared.cache);
+        assert_eq!(c.bytes, c.entries.iter().map(|e| e.bytes).sum::<usize>());
+        assert!(c.bytes <= shared.cfg.cache_bytes);
+        c.entries.iter().map(|e| e.name.clone()).collect()
+    }
+
+    /// Run one job as a worker does, and return its report text.
+    fn run(shared: &Arc<Shared>, name: &str, source: &str, options: JobOptions) -> Arc<str> {
+        let (reply, _) = mpsc::channel();
+        let job = Job {
+            id: 1,
+            name: name.to_string(),
+            source: source.to_string(),
+            options,
+            reply,
+        };
+        match run_job(shared, job) {
+            Reply::Report { report, .. } => report,
+            Reply::Message(m) => panic!("job failed: {}", m.to_wire()),
+        }
+    }
+
+    #[test]
+    fn cache_evicts_lru_under_pressure_and_skips_oversized() {
+        let shared = shared_with(ServeConfig {
+            cache_bytes: 10_000,
+            ..ServeConfig::default()
         });
         let src = "fn main() { int x = 0; x = x + 1; }";
         let program = Arc::new(interp::Program::new(lang::compile(src, "m").unwrap()));
-        // Keys in the cache, and the byte count checked against them.
-        let keys = || {
-            let c = lock(&shared.cache);
-            assert_eq!(c.bytes, c.entries.iter().map(|e| e.bytes).sum::<usize>());
-            assert!(c.bytes <= 10_000);
-            c.entries.iter().map(|e| e.key).collect::<Vec<u64>>()
-        };
         let evictions = || shared.cache_evictions.load(Ordering::Relaxed);
+        let admit = |name: &str, bytes| admit_program(&shared, name, src, program.clone(), bytes);
 
-        admit_program(&shared, 1, program.clone(), 6_000);
-        assert_eq!(keys(), vec![1]);
-        admit_program(&shared, 2, program.clone(), 3_000);
-        assert_eq!(keys(), vec![1, 2]);
+        admit("1", 6_000);
+        assert_eq!(names(&shared), ["1"]);
+        admit("2", 3_000);
+        assert_eq!(names(&shared), ["1", "2"]);
         assert_eq!(evictions(), 0);
-        admit_program(&shared, 3, program.clone(), 6_000);
-        // Key 1 is LRU and must go to make room.
+        admit("3", 6_000);
+        // Entry 1 is LRU and must go to make room.
         assert_eq!(evictions(), 1);
-        assert_eq!(keys(), vec![2, 3]);
+        assert_eq!(names(&shared), ["2", "3"]);
 
         // Larger than the whole cache: not cached, and nothing evicted.
-        admit_program(&shared, 4, program.clone(), 100_000);
-        assert_eq!(keys(), vec![2, 3]);
+        admit("4", 100_000);
+        assert_eq!(names(&shared), ["2", "3"]);
         assert_eq!(evictions(), 1);
 
         // And the cache still works afterwards.
-        admit_program(&shared, 5, program, 6_000);
+        admit("5", 6_000);
         assert_eq!(evictions(), 3);
-        assert_eq!(keys(), vec![5]);
+        assert_eq!(names(&shared), ["5"]);
+    }
+
+    #[test]
+    fn a_hit_compares_name_and_source_not_only_their_hash() {
+        // A NUL word moved across the name/source boundary mixes exactly
+        // like the separator byte, so the two requests share a hash.
+        let src = "fn main() { int x = 1; }";
+        let (name_a, source_a) = ("abcdefgh\0\0\0\0\0\0\0\0", src.to_string());
+        let (name_b, source_b) = ("abcdefgh", format!("\0\0\0\0\0\0\0\0{src}"));
+        assert_eq!(cache_key(name_a, &source_a), cache_key(name_b, &source_b));
+        let shared = shared_with(ServeConfig::default());
+        assert!(matches!(
+            lookup(&shared, name_a, &source_a, None),
+            Ok(Found::Program(_, false))
+        ));
+        // The second request is compiled from its own source, which does
+        // not compile, instead of being served the first one's program.
+        assert!(lookup(&shared, name_b, &source_b, None).is_err());
+        assert_eq!(shared.cache_misses.load(Ordering::Relaxed), 2);
+        assert_eq!(shared.cache_hits.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn reports_are_kept_on_a_program_hit_and_counted_in_the_cache_bytes() {
+        let shared = shared_with(ServeConfig::default());
+        let src = "fn main() { int a[8]; for (int i = 0; i < 8; i = i + 1) { a[i] = i; } }";
+        let bytes = || lock(&shared.cache).bytes;
+        let report_hits = || shared.cache_report_hits.load(Ordering::Relaxed);
+
+        // A one-shot request keeps its program and nothing else.
+        let first = run(&shared, "m", src, JobOptions::default());
+        let program = lock(&shared.cache).entries[0].program.clone();
+        assert_eq!(bytes(), program_bytes("m", src, &program));
+        // The second request finds the program and keeps the report too.
+        let second = run(&shared, "m", src, JobOptions::default());
+        assert_eq!(second, first);
+        assert_eq!(bytes(), program_bytes("m", src, &program) + first.len());
+        assert_eq!(report_hits(), 0);
+        // The third is answered with the kept bytes.
+        let third = run(&shared, "m", src, JobOptions::default());
+        assert!(Arc::ptr_eq(&third, &second), "the kept bytes themselves");
+        assert_eq!(report_hits(), 1);
+        assert_eq!(shared.cache_hits.load(Ordering::Relaxed), 2);
+
+        // Other options are another report of the same entry.
+        let statics = JobOptions {
+            statics: true,
+            ..JobOptions::default()
+        };
+        run(&shared, "m", src, statics.clone());
+        assert_eq!(report_hits(), 1);
+        assert_eq!(lock(&shared.cache).entries[0].reports.len(), 2);
+        run(&shared, "m", src, statics);
+        assert_eq!(report_hits(), 2);
+        names(&shared);
+    }
+
+    #[test]
+    fn a_report_that_cannot_fit_is_not_kept_and_evicts_nothing() {
+        let src = "fn main() { int a[8]; for (int i = 0; i < 8; i = i + 1) { a[i] = i; } }";
+        let program = interp::Program::new(lang::compile(src, "m").unwrap());
+        // Room for the program and a byte less than its report.
+        let probe = shared_with(ServeConfig::default());
+        let report = run(&probe, "m", src, JobOptions::default());
+        let cap = program_bytes("m", src, &program) + report.len() - 1;
+        let shared = shared_with(ServeConfig {
+            cache_bytes: cap,
+            ..ServeConfig::default()
+        });
+        for _ in 0..3 {
+            assert_eq!(run(&shared, "m", src, JobOptions::default()), report);
+        }
+        assert_eq!(names(&shared), ["m"]);
+        assert!(lock(&shared.cache).entries[0].reports.is_empty());
+        assert_eq!(shared.cache_report_hits.load(Ordering::Relaxed), 0);
+        assert_eq!(shared.cache_evictions.load(Ordering::Relaxed), 0);
     }
 }

@@ -15,7 +15,7 @@
 use discopop::protocol::{ErrorKind, JobOptions, Request, Response};
 use discopop::serve::{serve, ServeConfig, Server};
 use discopop::submit::{submit, SubmitConfig, SubmitError};
-use discopop::{Analysis, EngineKind};
+use discopop::{Analysis, Budget, EngineKind};
 use profiler::fault;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -132,6 +132,55 @@ fn direct_report_json(name: &str, source: &str) -> String {
         .analyze_compiled(&compiled)
         .expect("oracle analysis succeeds");
     report.to_doc(compiled.program()).to_json().to_string()
+}
+
+/// [`direct_report_json`] under a request's options, resolved as a daemon
+/// worker resolves them with no memory pool configured: the requested
+/// engine or `auto_for`, the request's ceiling, no deadline.
+fn direct_report_json_with(name: &str, source: &str, options: &JobOptions) -> String {
+    let mut analysis = Analysis::new().with_static(options.statics).budget(Budget {
+        max_memory_bytes: options.max_memory.map(|m| m as usize),
+        deadline: None,
+    });
+    let compiled = analysis.compile(source, name).expect("oracle compiles");
+    let engine = match &options.engine {
+        Some(spec) => EngineKind::parse(spec).expect("oracle engine parses"),
+        None => EngineKind::auto_for(compiled.program()),
+    };
+    analysis.engine_mut(engine);
+    let report = analysis
+        .analyze_compiled(&compiled)
+        .expect("oracle analysis succeeds");
+    report.to_doc(compiled.program()).to_json().to_string()
+}
+
+/// Submit one job with `options`; return whether the daemon's cache
+/// answered it and the report JSON as rendered from the wire value.
+fn report_via_with(
+    server_addr: SocketAddr,
+    id: u64,
+    name: &str,
+    source: &str,
+    options: &JobOptions,
+) -> (bool, String) {
+    let req = Request::Analyze {
+        id,
+        name: name.to_string(),
+        source: source.to_string(),
+        options: options.clone(),
+    };
+    match submit(&client(server_addr), &req) {
+        Ok(Response::Report {
+            id: rid,
+            cached,
+            report,
+            ..
+        }) => {
+            assert_eq!(rid, id, "correlation id must echo");
+            (cached, report.to_string())
+        }
+        other => panic!("job {id} must return a report, got {other:?}"),
+    }
 }
 
 /// Submit one healthy job and return the report JSON exactly as rendered
@@ -266,6 +315,299 @@ fn cache_evicts_under_pressure_and_keeps_serving() {
         assert_eq!(s.cache_evictions, 2, "every insert after the first evicts");
         assert_eq!((s.cache_entries, s.cache_bytes), (1, a_bytes), "{s:?}");
         assert!(s.cache_bytes <= cap, "the cache must respect its ceiling");
+        server.shutdown();
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Report cache: repeats answered with the bytes already rendered
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_third_identical_request_is_served_from_the_report_cache() {
+    session(|| {
+        let server = serve(test_config()).expect("bind");
+        let addr = server.local_addr();
+        let direct = direct_report_json("demo", HEALTHY_SRC);
+        let plain = JobOptions::default();
+
+        let (cached, first) = report_via_with(addr, 1, "demo", HEALTHY_SRC, &plain);
+        assert!(!cached);
+        assert_eq!(first, direct);
+        let program_bytes = status_of(&server).cache_bytes;
+
+        // A program hit: the report is rendered once more, and kept.
+        let (cached, second) = report_via_with(addr, 2, "demo", HEALTHY_SRC, &plain);
+        assert!(cached);
+        assert_eq!(second, direct);
+        let s = status_of(&server);
+        assert_eq!(s.cache_report_hits, 0, "{s:?}");
+        assert_eq!(s.cache_bytes, program_bytes + direct.len() as u64, "{s:?}");
+
+        // A report hit: the kept bytes, byte-identical to a direct run.
+        let (cached, third) = report_via_with(addr, 3, "demo", HEALTHY_SRC, &plain);
+        assert!(cached);
+        assert_eq!(third, direct);
+        let s = status_of(&server);
+        assert_eq!(s.cache_report_hits, 1, "{s:?}");
+        assert_eq!(s.cache_hits, 2, "a report hit is a cache hit: {s:?}");
+        assert_eq!((s.cache_misses, s.cache_entries), (1, 1), "{s:?}");
+        assert_eq!(s.cache_bytes, program_bytes + direct.len() as u64, "{s:?}");
+        assert_eq!(s.jobs_done, 3);
+        server.shutdown();
+    });
+}
+
+#[test]
+fn one_shot_requests_store_no_report() {
+    session(|| {
+        let server = serve(test_config()).expect("bind");
+        let addr = server.local_addr();
+        let plain = JobOptions::default();
+
+        // Same program, names of one length: each costs the same estimate,
+        // and none leaves a report behind.
+        let names = ["once-1", "once-2", "once-3"];
+        let mut program_bytes = 0;
+        for (k, name) in (1..).zip(names) {
+            let (cached, json) = report_via_with(addr, k, name, HEALTHY_SRC, &plain);
+            assert!(!cached);
+            assert_eq!(json, direct_report_json(name, HEALTHY_SRC));
+            let s = status_of(&server);
+            if k == 1 {
+                program_bytes = s.cache_bytes;
+            }
+            assert_eq!(s.cache_bytes, k * program_bytes, "{s:?}");
+        }
+        // The first repeat keeps one report, of exactly its length.
+        let (_, json) = report_via_with(addr, 4, names[0], HEALTHY_SRC, &plain);
+        let s = status_of(&server);
+        assert_eq!(s.cache_bytes, 3 * program_bytes + json.len() as u64);
+        assert_eq!(s.cache_report_hits, 0);
+        server.shutdown();
+    });
+}
+
+#[test]
+fn reports_under_a_deadline_are_never_cached() {
+    session(|| {
+        let roomy = JobOptions {
+            deadline_ms: Some(60_000),
+            ..JobOptions::default()
+        };
+        // The request's own deadline, then the daemon's default one.
+        for (cfg, options) in [
+            (test_config(), roomy),
+            (
+                ServeConfig {
+                    default_deadline: Some(Duration::from_secs(60)),
+                    ..test_config()
+                },
+                JobOptions::default(),
+            ),
+        ] {
+            let server = serve(cfg).expect("bind");
+            let addr = server.local_addr();
+            report_via_with(addr, 1, "demo", HEALTHY_SRC, &options);
+            let program_bytes = status_of(&server).cache_bytes;
+            for id in 2..=4 {
+                let (cached, _) = report_via_with(addr, id, "demo", HEALTHY_SRC, &options);
+                assert!(cached, "the program is still cached");
+            }
+            let s = status_of(&server);
+            assert_eq!(s.cache_report_hits, 0, "{s:?}");
+            assert_eq!(s.cache_bytes, program_bytes, "no report kept: {s:?}");
+            server.shutdown();
+        }
+    });
+}
+
+#[test]
+fn parallel_engine_reports_are_never_cached() {
+    session(|| {
+        let server = serve(test_config()).expect("bind");
+        let addr = server.local_addr();
+        let parallel = JobOptions {
+            engine: Some("parallel:4".to_string()),
+            ..JobOptions::default()
+        };
+        report_via_with(addr, 1, "demo", HEALTHY_SRC, &parallel);
+        let program_bytes = status_of(&server).cache_bytes;
+        for id in 2..=4 {
+            report_via_with(addr, id, "demo", HEALTHY_SRC, &parallel);
+        }
+        let s = status_of(&server);
+        assert_eq!(s.cache_report_hits, 0, "{s:?}");
+        assert_eq!(s.cache_bytes, program_bytes, "no report kept: {s:?}");
+        server.shutdown();
+    });
+}
+
+#[test]
+fn reports_count_against_the_ceiling_and_leave_with_their_program() {
+    session(|| {
+        let plain = JobOptions::default();
+        let a_report = direct_report_json("a", HEALTHY_SRC).len() as u64;
+        // What each program costs the cache, read off a roomy daemon.
+        let (a_bytes, b_bytes) = {
+            let server = serve(test_config()).expect("bind");
+            let addr = server.local_addr();
+            report_via_with(addr, 1, "a", HEALTHY_SRC, &plain);
+            let a = status_of(&server).cache_bytes;
+            report_via_with(addr, 2, "b", OTHER_SRC, &plain);
+            let b = status_of(&server).cache_bytes - a;
+            server.shutdown();
+            (a, b)
+        };
+
+        // Room for `a` with its report, never for `b` beside them.
+        let cap = a_bytes + a_report;
+        assert!(b_bytes <= cap, "`b` must fit alone");
+        let server = serve(ServeConfig {
+            cache_bytes: cap as usize,
+            ..test_config()
+        })
+        .expect("bind");
+        let addr = server.local_addr();
+        let direct_a = direct_report_json("a", HEALTHY_SRC);
+        for id in 1..=3 {
+            assert_eq!(
+                report_via_with(addr, id, "a", HEALTHY_SRC, &plain).1,
+                direct_a
+            );
+        }
+        let s = status_of(&server);
+        assert_eq!((s.cache_report_hits, s.cache_bytes), (1, cap), "{s:?}");
+        // `b` evicts `a`, its report with it.
+        assert_eq!(
+            report_via_with(addr, 4, "b", OTHER_SRC, &plain).1,
+            direct_report_json("b", OTHER_SRC)
+        );
+        let s = status_of(&server);
+        assert_eq!((s.cache_entries, s.cache_bytes), (1, b_bytes), "{s:?}");
+        assert_eq!(s.cache_evictions, 1, "{s:?}");
+        // So `a` compiles again and is rendered again.
+        assert_eq!(
+            report_via_with(addr, 5, "a", HEALTHY_SRC, &plain).1,
+            direct_a
+        );
+        let s = status_of(&server);
+        assert_eq!((s.cache_misses, s.cache_report_hits), (3, 1), "{s:?}");
+        server.shutdown();
+
+        // A byte short of room for the report: it is never kept, and
+        // keeping it evicts nothing.
+        let server = serve(ServeConfig {
+            cache_bytes: (cap - 1) as usize,
+            ..test_config()
+        })
+        .expect("bind");
+        let addr = server.local_addr();
+        for id in 1..=3 {
+            assert_eq!(
+                report_via_with(addr, id, "a", HEALTHY_SRC, &plain).1,
+                direct_a
+            );
+        }
+        let s = status_of(&server);
+        assert_eq!(s.cache_report_hits, 0, "{s:?}");
+        assert_eq!((s.cache_entries, s.cache_bytes), (1, a_bytes), "{s:?}");
+        assert_eq!(s.cache_evictions, 0, "{s:?}");
+        server.shutdown();
+    });
+}
+
+#[test]
+fn cached_reports_equal_fresh_direct_runs_for_every_cacheable_option_set() {
+    session(|| {
+        let options = |statics, engine: Option<&str>, max_memory| JobOptions {
+            engine: engine.map(str::to_string),
+            statics,
+            deadline_ms: None,
+            max_memory,
+        };
+        let sets = [
+            options(false, None, None),
+            options(true, None, None),
+            options(false, Some("serial-perfect"), None),
+            options(true, Some("serial-perfect"), None),
+            options(false, Some("serial-signature:4096"), None),
+            options(true, Some("serial-signature:64"), None),
+            options(false, None, Some(1 << 20)),
+            options(true, None, Some(1 << 20)),
+            // Small enough to walk the degradation ladder.
+            options(false, None, Some(16 << 10)),
+        ];
+        let server = serve(test_config()).expect("bind");
+        let addr = server.local_addr();
+        let mut id = 0;
+        for (k, set) in sets.iter().enumerate() {
+            for (name, source) in [("demo", HEALTHY_SRC), ("slow", SLOW_SRC)] {
+                let name = format!("{name}-{k}");
+                let before = status_of(&server).cache_report_hits;
+                let served: Vec<String> = (0..3)
+                    .map(|_| {
+                        id += 1;
+                        report_via_with(addr, id, &name, source, set).1
+                    })
+                    .collect();
+                assert_eq!(
+                    status_of(&server).cache_report_hits,
+                    before + 1,
+                    "{name} {set:?}: the third request is a report hit"
+                );
+                // A fresh direct run, after the cached one was served.
+                let direct = direct_report_json_with(&name, source, set);
+                for json in &served {
+                    assert_eq!(json, &direct, "{name} {set:?}");
+                }
+            }
+        }
+        server.shutdown();
+
+        // The daemon's memory pool is the ceiling a request leaves unset:
+        // each of two workers gets half of it.
+        let server = serve(ServeConfig {
+            max_memory: Some(2 << 20),
+            ..test_config()
+        })
+        .expect("bind");
+        let addr = server.local_addr();
+        let served: Vec<String> = (1..=3)
+            .map(|id| report_via_with(addr, id, "demo", SLOW_SRC, &JobOptions::default()).1)
+            .collect();
+        assert_eq!(status_of(&server).cache_report_hits, 1);
+        let direct =
+            direct_report_json_with("demo", SLOW_SRC, &options(false, None, Some(1 << 20)));
+        for json in &served {
+            assert_eq!(json, &direct);
+        }
+        server.shutdown();
+    });
+}
+
+#[test]
+fn a_cache_key_collision_cannot_serve_another_requests_program() {
+    session(|| {
+        let server = serve(test_config()).expect("bind");
+        let addr = server.local_addr();
+        // FxHash mixes the name/source separator byte exactly like a word
+        // of NULs, so moving eight NULs across the boundary keeps the hash.
+        let nuls = "\0".repeat(8);
+        let name_a = format!("abcdefgh{nuls}");
+        let source_b = format!("{nuls}{HEALTHY_SRC}");
+        assert_eq!(
+            report_json_via(addr, 1, &name_a, HEALTHY_SRC),
+            direct_report_json(&name_a, HEALTHY_SRC)
+        );
+        // The second source does not compile (NUL is no mini-C character);
+        // it must not be answered with the first one's report.
+        match submit(&client(addr), &analyze_req(2, "abcdefgh", &source_b)) {
+            Ok(Response::Error(e)) => assert_eq!(e.kind, ErrorKind::Compile, "{}", e.message),
+            other => panic!("expected a typed compile error, got {other:?}"),
+        }
+        let s = status_of(&server);
+        assert_eq!((s.cache_hits, s.cache_misses), (0, 2), "{s:?}");
         server.shutdown();
     });
 }
