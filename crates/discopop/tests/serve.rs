@@ -444,6 +444,39 @@ fn parallel_engine_reports_are_never_cached() {
 }
 
 #[test]
+fn spellings_of_one_engine_share_one_report() {
+    session(|| {
+        let server = serve(test_config()).expect("bind");
+        let addr = server.local_addr();
+        let spelled = |engine: &str| JobOptions {
+            engine: Some(engine.to_string()),
+            ..JobOptions::default()
+        };
+        let spellings = [
+            "serial-signature:4096",
+            "signature:4096",
+            "serial-signature:0004096",
+        ];
+        let direct = direct_report_json_with("demo", HEALTHY_SRC, &spelled(spellings[0]));
+
+        let (_, json) = report_via_with(addr, 1, "demo", HEALTHY_SRC, &spelled(spellings[0]));
+        assert_eq!(json, direct);
+        let program_bytes = status_of(&server).cache_bytes;
+        // The second spelling is a program hit and keeps the report; every
+        // later spelling is a hit on that one report.
+        for (id, engine) in (2..).zip(&spellings[1..]) {
+            let (cached, json) = report_via_with(addr, id, "demo", HEALTHY_SRC, &spelled(engine));
+            assert!(cached);
+            assert_eq!(json, direct, "{engine}");
+        }
+        let s = status_of(&server);
+        assert_eq!(s.cache_report_hits, 1, "{s:?}");
+        assert_eq!(s.cache_bytes, program_bytes + direct.len() as u64, "{s:?}");
+        server.shutdown();
+    });
+}
+
+#[test]
 fn reports_count_against_the_ceiling_and_leave_with_their_program() {
     session(|| {
         let plain = JobOptions::default();
@@ -1021,6 +1054,26 @@ fn connections_open_when_the_drain_begins_each_get_a_typed_answer() {
             let (got, kind, _) = error_kind_of(reply.trim_end());
             assert_eq!((got, kind), (id, ErrorKind::ShuttingDown));
         }
+    });
+}
+
+#[test]
+fn shutdown_returns_after_its_wake_up_connection_is_served() {
+    session(|| {
+        let server = serve(test_config()).expect("bind");
+        // The drain wakes the acceptor with a self-connection, whose
+        // connection thread is the only one to reach `serve:accept` here.
+        fault::arm("serve:accept", 0);
+        server.shutdown();
+        // That thread has run by the time shutdown returns: the point has
+        // fired and disarmed itself. A thread left running could instead
+        // take a fault armed later, by another test, for its own
+        // connection.
+        let later = std::panic::catch_unwind(|| fault::point("serve:accept"));
+        assert!(
+            later.is_ok(),
+            "the wake-up connection outlived the shutdown"
+        );
     });
 }
 
