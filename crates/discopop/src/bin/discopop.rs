@@ -125,9 +125,9 @@ fn main() -> ExitCode {
             );
             println!(
                 "a serial engine is one partition: past 2^20 accesses it moves to one worker \
-                 thread while the interpreter runs on, unless the host has one core or a plan \
-                 run was resolved in closed form; the report is the same either way, and the \
-                 [2/3] progress line names the partitions and says where tracking ran"
+                 thread while the interpreter runs on, unless the host has one core; the \
+                 report is the same either way, and the [2/3] progress line names the \
+                 partitions and says where tracking ran"
             );
             println!(
                 "--max-memory keeps every partition of every engine on the producer, which \

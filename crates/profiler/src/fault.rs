@@ -1,10 +1,10 @@
 //! `faultpoint!` — deterministic fault injection for supervision tests.
 //!
 //! Named panic sites are compiled into cold paths: a profiling worker's
-//! message handling (`worker:chunk`, `worker:dealloc`) and the analysis
-//! daemon's stages (`serve:*`, in `discopop`). When a point is *armed* it
-//! panics on its N-th hit; the supervision layer must then recover.
-//! Disarmed, a point costs one relaxed atomic load on a branch the
+//! message handling (`worker:chunk`, `worker:run`, `worker:dealloc`) and the
+//! analysis daemon's stages (`serve:*`, in `discopop`). When a point is
+//! *armed* it panics on its N-th hit; the supervision layer must then
+//! recover. Disarmed, a point costs one relaxed atomic load on a branch the
 //! predictor never misses — cheap enough to ship in release builds, which
 //! is exactly where the fault-injection suite runs.
 //!

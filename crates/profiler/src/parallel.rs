@@ -7,9 +7,8 @@
 //! processes itself — no threads, no queues, so small workloads never pay
 //! transport setup and machines without spare cores never lose to context
 //! switching. Once [`crate::ProfileConfig::spawn_threshold`] accesses have
-//! arrived one by one, spare hardware parallelism exists, no memory ceiling
-//! is set and no plan run has been resolved in closed form, it *escalates*:
-//! each partition's `Shadow` moves into a spawned
+//! been tracked, spare hardware parallelism exists and no memory ceiling is
+//! set, it *escalates*: each partition's `Shadow` moves into a spawned
 //! consumer thread (its shadow state travels with it, so the hand-off is
 //! output-invisible) fed over a bounded lock-free SPSC queue. From then on
 //! the thread executing the target is the *producer*: it packs annotated
@@ -18,14 +17,18 @@
 //! and direction resolve through the shared [`interp::MemOpMeta`] table)
 //! and routes each by address — the paper's modulo (Eq. 2.1), so the
 //! temporal order per address is preserved — to its partition's worker,
-//! which unpacks every record into [`crate::DepBuilder::process`].
+//! which unpacks every record into [`crate::DepBuilder::process`]. A lone
+//! exact partition is also sent each plan run whole (`Msg::Run`), which
+//! its worker resolves in closed form ([`crate::DepBuilder::process_run`]),
+//! as the producer would have before the move.
 //!
 //! Producer and worker share one `Channel` and nothing else: two SPSC
-//! queues, one each way. Down go chunks, evictions and the stop, and ahead
-//! of each chunk the loop instances the producer registered since the
-//! worker's previous chunk — the queue is FIFO, so whatever a chunk's
-//! accesses name is in the worker's own [`InstanceTable`] by the time it
-//! reads them, and `carried_by` resolves with no lock and no shared state.
+//! queues, one each way. Down go chunks, runs, evictions and the stop, and
+//! ahead of each chunk or run the loop instances the producer registered
+//! since the worker's previous one — the queue is FIFO, so whatever a
+//! chunk's accesses or a run's cycles name is in the worker's own
+//! [`InstanceTable`] by the time it reads them, and `carried_by` resolves
+//! with no lock and no shared state.
 //! Up come the spent chunks ("empty chunks are recycled"), cleared, for the
 //! producer to refill. This module holds that transport: messages, the
 //! channel, the worker loop and its supervision (a panicking worker hands
@@ -64,6 +67,7 @@
 use crate::access::{Instance, InstanceTable, PackedAccess};
 use crate::queue::SpscQueue;
 use crate::shadow::{Finished, Shadow};
+use interp::{PlanRun, RunStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -75,10 +79,76 @@ pub(crate) enum Msg {
     Instances(Vec<Instance>),
     /// A chunk of packed accesses, all owned by this worker.
     Chunk(Vec<PackedAccess>),
+    /// A plan run for a lone exact partition to resolve in closed form.
+    /// Boxed: it is several times the size of every other message, and a
+    /// run stands for thousands of accesses.
+    Run(Box<OwnedRun>),
     /// Evict a dead address range.
     Dealloc { addr: u64, words: u64 },
     /// Finish and report.
     Stop,
+}
+
+/// A [`PlanRun`] that owns its streams, with the loop context its cycle 0
+/// ran in on the producer: what [`crate::DepBuilder::process_run`] takes.
+pub(crate) struct OwnedRun {
+    thread: u32,
+    func: u32,
+    region: u32,
+    first_ts: u64,
+    cycle_steps: u32,
+    streams: Vec<RunStream>,
+    started: u64,
+    completed: u64,
+    partial_steps: u32,
+    /// The loop instance the run's cycles belong to.
+    pub(crate) instance: u32,
+    /// That instance's iteration at cycle 0.
+    pub(crate) iter: u32,
+}
+
+impl OwnedRun {
+    pub(crate) fn new(run: &PlanRun<'_>, instance: u32, iter: u32) -> Self {
+        let PlanRun {
+            thread,
+            func,
+            region,
+            first_ts,
+            cycle_steps,
+            streams,
+            started,
+            completed,
+            partial_steps,
+        } = *run;
+        OwnedRun {
+            thread,
+            func,
+            region,
+            first_ts,
+            cycle_steps,
+            streams: streams.to_vec(),
+            started,
+            completed,
+            partial_steps,
+            instance,
+            iter,
+        }
+    }
+
+    /// The run, its streams borrowed from `self`.
+    pub(crate) fn run(&self) -> PlanRun<'_> {
+        PlanRun {
+            thread: self.thread,
+            func: self.func,
+            region: self.region,
+            first_ts: self.first_ts,
+            cycle_steps: self.cycle_steps,
+            streams: &self.streams,
+            started: self.started,
+            completed: self.completed,
+            partial_steps: self.partial_steps,
+        }
+    }
 }
 
 /// Everything producer and worker share: one SPSC queue each way.
@@ -137,6 +207,7 @@ pub(crate) fn push_supervised(
 pub(crate) fn apply_msg(shadow: &mut Shadow, msg: Msg, table: &InstanceTable) {
     match msg {
         Msg::Chunk(ch) => shadow.process_chunk(&ch, table),
+        Msg::Run(r) => shadow.process_run(&r, table),
         Msg::Dealloc { addr, words } => shadow.clear_range(addr, words),
         Msg::Instances(_) | Msg::Stop => {}
     }
@@ -227,6 +298,10 @@ fn worker_loop(chan: &Channel, shadow: &mut Shadow, current: &mut Option<Msg>) {
                     Some(Msg::Chunk(ch)) => {
                         crate::faultpoint!("worker:chunk");
                         shadow.process_chunk(ch, &table);
+                    }
+                    Some(Msg::Run(r)) => {
+                        crate::faultpoint!("worker:run");
+                        shadow.process_run(r, &table);
                     }
                     Some(Msg::Dealloc { addr, words }) => {
                         crate::faultpoint!("worker:dealloc");

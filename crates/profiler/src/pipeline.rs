@@ -19,30 +19,34 @@
 //! signature partition, `parallel:WxC` `W` partitions. Every configuration
 //! starts with the producer owning its partitions and moves them into one
 //! worker each once the run has shown itself long enough (`Partitions::
-//! stay_reason`: [`ProfileConfig::spawn_threshold`] accesses arrived one
-//! by one, a second core, no memory ceiling, no plan run resolved in closed
-//! form) — for a serial engine, one worker tracks while the producer
-//! interprets. One partition processes accesses in delivery order wherever
-//! it lives, so the move is invisible in the output; where tracking ran is
-//! reported beside it ([`Tracking`]). One `Governor`, on the producer,
-//! checkpoints what the producer owns at one cadence; workers never govern.
-//! A memory ceiling keeps every partition home whatever the dials say — a
-//! spawn threshold of 0 included — so under a ceiling the governor sees the
-//! whole footprint, and a run that moved under a deadline alone counts its
-//! workers' partitions once, at their final size, when they are joined.
+//! stay_reason`: [`ProfileConfig::spawn_threshold`] accesses tracked, a
+//! second core, no memory ceiling) — for a serial engine, one worker tracks
+//! while the producer interprets. One partition processes accesses in
+//! delivery order wherever it lives, so the move is invisible in the
+//! output; where tracking ran is reported beside it ([`Tracking`]). One
+//! `Governor`, on the producer, checkpoints what the producer owns at one
+//! cadence; workers never govern. A memory ceiling keeps every partition
+//! home whatever the dials say — a spawn threshold of 0 included — so under
+//! a ceiling the governor sees the whole footprint, and a run that moved
+//! under a deadline alone counts its workers' partitions once, at their
+//! final size, when they are joined.
 //!
-//! Plan runs ([`interp::PlanRun`]): a lone exact partition the producer
-//! owns resolves them in closed form ([`crate::DepBuilder::process_run`]) —
-//! under a budget too, until a degradation leaves the exact tier. Every
-//! other configuration, a moved partition included, expands them into the
-//! per-access path.
+//! Plan runs ([`interp::PlanRun`]): a lone exact partition resolves them in
+//! closed form ([`crate::DepBuilder::process_run`]) wherever it lives — on
+//! the producer directly (under a budget too, until a degradation leaves
+//! the exact tier), in its worker as one `Msg::Run` behind the open chunk.
+//! Every other configuration expands them into the per-access path.
 
 use crate::access::{Access, Instance, InstanceTable, LoopContext, PackedAccess, NO_INSTANCE};
-use crate::budget::{signature_slots_for_budget, Budget, DegradationStep, ResourceStats};
+use crate::budget::{
+    signature_slots_for_budget, Budget, DegradationStep, ResourceStats, ShadowTier,
+};
 use crate::dep::DepSet;
 use crate::engine::{DepBuilder, RunStats, SkipStats};
 use crate::maps::{AccessMap, Slot};
-use crate::parallel::{apply_msg, push_supervised, spawn_worker, Channel, Msg, WorkerOutcome};
+use crate::parallel::{
+    apply_msg, push_supervised, spawn_worker, Channel, Msg, OwnedRun, WorkerOutcome,
+};
 use crate::pet::PetBuilder;
 use crate::run::{
     Dials, EngineKind, InlineReason, ParallelStats, ProfileConfig, ProfileOutput, Tracking,
@@ -207,26 +211,51 @@ impl Partitions {
     /// chunk's accesses name must be in the worker's table by the time it
     /// reads them.
     fn flush_partition(&mut self, w: usize, table: &InstanceTable) {
-        let Part::Remote {
-            chan,
-            open,
-            published,
-            ..
-        } = &mut self.parts[w]
-        else {
+        let Part::Remote { chan, open, .. } = &mut self.parts[w] else {
             return;
         };
         if open.is_empty() {
             return;
         }
         let chunk = std::mem::replace(open, chan.fresh_chunk(self.dials.chunk));
+        self.publish(w, table);
+        self.chunks += 1;
+        self.deliver(w, Msg::Chunk(chunk), table);
+    }
+
+    /// Send worker `w` the instances of `table` it has not been sent yet.
+    fn publish(&mut self, w: usize, table: &InstanceTable) {
+        let Part::Remote { published, .. } = &mut self.parts[w] else {
+            return;
+        };
         let unsent = &table.as_slice()[*published..];
         *published = table.len();
         if !unsent.is_empty() {
             self.deliver(w, Msg::Instances(unsent.to_vec()), table);
         }
-        self.chunks += 1;
-        self.deliver(w, Msg::Chunk(chunk), table);
+    }
+
+    /// Hand a plan run to a lone exact partition in its worker: its open
+    /// chunk first, then the instances its table lacks, then the run, whose
+    /// cycle 0 ran in `(instance, iter)`. `false`, and nothing sent, for
+    /// every other configuration. A moved partition is still at its
+    /// starting tier: only a ceiling degrades, and a ceiling keeps every
+    /// partition home.
+    fn send_run(
+        &mut self,
+        run: &PlanRun<'_>,
+        (instance, iter): (u32, u32),
+        table: &InstanceTable,
+    ) -> bool {
+        let exact = self.dials.tier == ShadowTier::Perfect;
+        if !(exact && matches!(self.parts.as_slice(), [Part::Remote { .. }])) {
+            return false;
+        }
+        self.flush_partition(0, table);
+        self.publish(0, table);
+        let run = Msg::Run(Box::new(OwnedRun::new(run, instance, iter)));
+        self.deliver(0, run, table);
+        true
     }
 
     /// Deliver a message to partition `w`: apply it inline when the
@@ -290,20 +319,15 @@ impl Partitions {
     ///
     /// - a memory ceiling: inline, the ladder's rungs fall at the same
     ///   access on every run, and the governor sees every partition;
-    /// - a plan run resolved in closed form: resolution needs the exact
-    ///   shadow on the producer, and moving would expand every later run;
-    /// - fewer than [`ProfileConfig::spawn_threshold`] accesses so far,
-    ///   which with no run resolved all arrived one by one: below that,
-    ///   transport setup outweighs the overlap;
+    /// - fewer than [`ProfileConfig::spawn_threshold`] accesses tracked so
+    ///   far, those of plan runs included: below that, transport setup
+    ///   outweighs the overlap;
     /// - one core: a worker would only take turns with the producer.
     ///
     /// Cheapest first: the core count is probed only past the threshold.
     fn stay_reason(&self) -> Option<InlineReason> {
         if self.ceiling {
             return Some(InlineReason::MemoryCeiling);
-        }
-        if self.local().any(|s| s.run_stats().cycles_resolved > 0) {
-            return Some(InlineReason::PlanRunResolved);
         }
         let accesses = self.local_accesses();
         if accesses < self.spawn_threshold {
@@ -597,14 +621,6 @@ impl Profiler {
         }
     }
 
-    /// What became of the plan runs received so far.
-    pub fn run_stats(&self) -> RunStats {
-        match self.back.parts.as_slice() {
-            [Part::Local(s)] => s.run_stats(),
-            _ => RunStats::default(),
-        }
-    }
-
     /// Tracked bytes the producer holds right now — what the governor
     /// samples at checkpoint cadence.
     pub fn current_bytes(&self) -> usize {
@@ -818,8 +834,9 @@ impl Sink for Profiler {
         self.tick(evs.len() as u64);
     }
 
-    /// A plan engagement. A lone exact partition the producer owns takes it
-    /// in closed form: the loop context supplies what the run's events
+    /// A plan engagement. A lone exact partition takes it in closed form —
+    /// directly when the producer owns it, as one `Msg::Run` when it has
+    /// moved to its worker: the loop context supplies what the run's events
     /// would have picked up one by one — the instance the plan runs in and
     /// the iteration of its cycle 0 — and advances by the run's `LoopIter`
     /// count afterwards; the PET and the lifetime analysis see nothing in a
@@ -831,15 +848,22 @@ impl Sink for Profiler {
     // (measured over ten alternating pairs, 0/10 against 1% and 2/8 with).
     #[inline]
     fn plan_run(&mut self, run: &PlanRun<'_>) {
-        let (instance, iter) = self.front.ctx.current(run.thread);
+        let at @ (instance, iter) = self.front.ctx.current(run.thread);
         let in_own_loop =
             instance != NO_INSTANCE && self.front.table.loop_of(instance) == (run.func, run.region);
-        match self.back.sole() {
-            Some(Shadow::Perfect(b)) if in_own_loop => {
-                b.process_run(run, instance, iter, &self.front.table);
-                self.front.ctx.advance(run.thread, run.loop_iters());
-            }
-            _ => self.feed(run),
+        let taken = in_own_loop
+            && match self.back.sole() {
+                Some(Shadow::Perfect(b)) => {
+                    b.process_run(run, instance, iter, &self.front.table);
+                    true
+                }
+                Some(Shadow::Sig(_)) => false,
+                None => self.back.send_run(run, at, &self.front.table),
+            };
+        if taken {
+            self.front.ctx.advance(run.thread, run.loop_iters());
+        } else {
+            self.feed(run);
         }
         self.tick(events_in(run));
     }
@@ -967,7 +991,7 @@ fn main() {
     }
 
     #[test]
-    fn plan_runs_after_the_move_expand_to_the_inline_closed_form() {
+    fn plan_runs_after_the_move_resolve_as_the_inline_ones() {
         let p = program(NEST);
         let cfg = cfg(EngineKind::SerialPerfect, true);
         let inline = profile(&p, &cfg, u64::MAX);
@@ -976,12 +1000,15 @@ fn main() {
             "{:?}",
             inline.plan_runs
         );
-        assert_eq!(
-            inline.tracking,
-            Tracking::Inline(InlineReason::PlanRunResolved)
-        );
         let moved = profile(&p, &cfg, 0);
-        assert_eq!(moved.plan_runs, RunStats::default(), "runs are expanded");
+        assert_eq!(
+            moved.tracking,
+            Tracking::Moved {
+                at_access: 0,
+                recoveries: 0
+            }
+        );
+        assert_eq!(moved.plan_runs, inline.plan_runs, "resolved in the worker");
         assert_eq!(output(&moved), output(&inline));
         assert_eq!(moved.synth, inline.synth, "the machine sees no difference");
     }
@@ -1003,12 +1030,12 @@ fn main() {
             panic!("no move: {:?}", moved.tracking);
         };
         assert!((4096..8192 * 3).contains(&at_access), "{at_access}");
-        assert_eq!(moved.plan_runs, RunStats::default());
+        assert_eq!(moved.plan_runs, inline.plan_runs);
         assert_eq!(output(&moved), output(&inline));
     }
 
     #[test]
-    fn a_memory_ceiling_or_a_resolved_run_keeps_the_partition_home() {
+    fn a_memory_ceiling_keeps_the_partition_home_a_resolved_run_does_not() {
         let p = program(FILL_THEN_NEST);
         let mut capped = cfg(EngineKind::SerialPerfect, false);
         capped.budget.max_memory_bytes = Some(1 << 30);
@@ -1021,14 +1048,20 @@ fn main() {
         let home = profile(&p, &capped, 0);
         assert_eq!(home.tracking, Tracking::Inline(InlineReason::MemoryCeiling));
         assert_eq!(output(&home), output(&profile(&p, &capped, u64::MAX)));
-        // A run resolved before the threshold is reached pins the
-        // partition: the nest alone, threshold just past its first run.
+        // A run resolved before the threshold is reached no longer pins
+        // the partition: the nest alone, threshold just past its first run,
+        // moves at the next checkpoint and resolves the later runs there.
         let nest = program(NEST);
         let out = profile(&nest, &cfg(EngineKind::SerialPerfect, true), 4096);
         assert!(out.skip_stats.total_accesses > 4096);
-        assert_eq!(
-            out.tracking,
-            Tracking::Inline(InlineReason::PlanRunResolved)
-        );
+        if cores() < 2 {
+            assert_eq!(out.tracking, Tracking::Inline(InlineReason::OneCore));
+            return;
+        }
+        let Tracking::Moved { at_access, .. } = out.tracking else {
+            panic!("no move: {:?}", out.tracking);
+        };
+        assert!(at_access >= 4096, "{at_access}");
+        assert!(out.plan_runs.cycles_resolved > 0, "{:?}", out.plan_runs);
     }
 }

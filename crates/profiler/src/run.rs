@@ -369,9 +369,11 @@ pub struct ProfileConfig {
     /// is unlimited; an active budget gives the engine a resource governor
     /// (see [`crate::budget`]) and changes nothing else about how it runs.
     pub budget: Budget,
-    /// Accesses before the partitions move from the producer into one
-    /// worker thread each (given ≥ 2 available cores, no memory ceiling and
-    /// no plan run resolved in closed form). `0` moves them at construction,
+    /// Accesses tracked before the partitions move from the producer into
+    /// one worker thread each (given ≥ 2 available cores and no memory
+    /// ceiling); those a plan run resolved in closed form count, and a moved
+    /// lone exact partition goes on resolving runs in its worker. `0` moves
+    /// them at construction,
     /// whatever the host — but a memory ceiling still wins: under one the
     /// partitions never leave the producer. `u64::MAX` never moves them.
     pub spawn_threshold: u64,
@@ -513,7 +515,7 @@ impl ActorSummary {
 /// Where a run's accesses were tracked (§2.3.3's consumer side): on the
 /// producer thread that interprets the target, or — past
 /// [`ProfileConfig::spawn_threshold`] — in worker threads. Decided
-/// from access volume, core count, memory ceiling and plan runs alone, and
+/// from access volume, core count and memory ceiling alone, and
 /// invisible in the output, so it is reported beside the report, not in it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tracking {
@@ -544,9 +546,6 @@ pub enum InlineReason {
     /// A memory ceiling is set: inline, the degradation ladder's rungs fall
     /// at the same access on every run.
     MemoryCeiling,
-    /// An exact partition resolved a plan run in closed form, which needs
-    /// the shadow on the producer.
-    PlanRunResolved,
 }
 
 impl std::fmt::Display for Tracking {
@@ -571,9 +570,6 @@ impl std::fmt::Display for Tracking {
             Tracking::Inline(InlineReason::OneCore) => f.write_str("tracked inline: one core"),
             Tracking::Inline(InlineReason::MemoryCeiling) => {
                 f.write_str("tracked inline: a memory ceiling is set")
-            }
-            Tracking::Inline(InlineReason::PlanRunResolved) => {
-                f.write_str("tracked inline: plan runs resolved in closed form")
             }
         }
     }

@@ -11,6 +11,7 @@ use crate::budget::{DegradationStep, ShadowTier, LADDER_MIN_SLOTS};
 use crate::dep::DepSet;
 use crate::engine::{DepBuilder, RunStats, SkipStats};
 use crate::maps::{PerfectMap, SignatureMap};
+use crate::parallel::OwnedRun;
 use interp::MemOpMeta;
 use std::sync::Arc;
 
@@ -75,6 +76,17 @@ impl Shadow {
         })
     }
 
+    /// A plan run sent to a moved partition: resolved in closed form
+    /// against `table`, which holds the run's instance. Only an exact
+    /// partition is sent runs, and a moved one never degrades (workers do
+    /// not govern, and a ceiling keeps partitions home).
+    pub(crate) fn process_run(&mut self, r: &OwnedRun, table: &InstanceTable) {
+        match self {
+            Shadow::Perfect(b) => b.process_run(&r.run(), r.instance, r.iter, table),
+            Shadow::Sig(_) => unreachable!("plan runs are sent to exact partitions only"),
+        }
+    }
+
     pub(crate) fn clear_range(&mut self, addr: u64, words: u64) {
         either!(self, b => b.clear_range(addr, words))
     }
@@ -88,16 +100,12 @@ impl Shadow {
         either!(self, b => b.stats.total_accesses)
     }
 
-    pub(crate) fn run_stats(&self) -> RunStats {
-        either!(self, b => b.run_stats())
-    }
-
     pub(crate) fn finish(self) -> Finished {
         let fill = match &self {
             Shadow::Perfect(_) => None,
             Shadow::Sig(b) => Some((b.signature_occupied(), 2 * b.signature_slots())),
         };
-        let runs = self.run_stats();
+        let runs = either!(&self, b => b.run_stats());
         let (deps, stats, bytes) = either!(self, b => b.finish());
         Finished {
             deps,

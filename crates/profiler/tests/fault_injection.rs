@@ -3,7 +3,8 @@
 //! of crashing, hanging, or silently blowing its limits.
 //!
 //! Worker kills use the [`profiler::fault`] injection points compiled into
-//! the parallel pipeline (`worker:chunk`, `worker:dealloc`, …). Armed
+//! the parallel pipeline (`worker:chunk`, `worker:run`, `worker:dealloc`,
+//! …). Armed
 //! state is process-global and the default panic hook would spam the test
 //! log with the injected unwinds, so every test here runs under
 //! [`fault_session`], which serializes the suite, silences the hook for
@@ -223,6 +224,69 @@ fn killed_worker_of_a_moved_serial_run_is_recovered_bit_identical() {
             assert_eq!(
                 sequence(&out),
                 sequence(&oracle),
+                "the partition finished on the producer must match (after={after})"
+            );
+        }
+    });
+}
+
+/// The benchmark's `hot_loop` nest at 12 rounds: under the skip tier, one
+/// plan run per round, each handed whole to a moved exact partition.
+const RUNS_SRC: &str = "\
+global int a[4096];
+global int b[4096];
+global int s;
+fn main() {
+    for (int r = 0; r < 12; r = r + 1) {
+        for (int i = 1; i < 4096; i = i + 1) {
+            b[i] = a[i - 1] + b[i];
+            s = s + b[i];
+        }
+    }
+}
+";
+
+#[test]
+fn killed_worker_on_a_plan_run_is_recovered_bit_identical() {
+    fault_session(|| {
+        let prog = program(RUNS_SRC);
+        let with_threshold = |spawn_threshold| ProfileConfig {
+            engine: EngineKind::SerialPerfect,
+            spawn_threshold,
+            ..ProfileConfig::default()
+        };
+        let inline = profile_program_with(&prog, &with_threshold(u64::MAX))
+            .expect("uninjected run succeeds");
+        assert!(
+            inline.plan_runs.runs == 12 && inline.plan_runs.cycles_resolved > 0,
+            "{:?}",
+            inline.plan_runs
+        );
+        let sequence = |out: &ProfileOutput| {
+            (
+                out.deps.iter().collect::<Vec<_>>(),
+                out.deps.total_found,
+                out.plan_runs,
+                out.profiler_bytes,
+            )
+        };
+        // Moved at construction, so every run goes to the worker: kill it on
+        // its first run and on a later one.
+        for after in [0u64, 5] {
+            fault::arm("worker:run", after);
+            let out = profile_program_with(&prog, &with_threshold(0))
+                .unwrap_or_else(|e| panic!("injected run (after={after}) failed: {e}"));
+            assert_eq!(
+                out.tracking,
+                Tracking::Moved {
+                    at_access: 0,
+                    recoveries: 1
+                },
+                "after={after}"
+            );
+            assert_eq!(
+                sequence(&out),
+                sequence(&inline),
                 "the partition finished on the producer must match (after={after})"
             );
         }

@@ -9,12 +9,18 @@
 //! cells of every shadow slot, and the PET. Held over the catalogue, generated
 //! nests and hand-built runs that take each branch of the resolver; an
 //! engagement floor keeps the gate from passing on fallbacks alone.
+//!
+//! A lone exact partition moved to its worker thread resolves the runs it
+//! is sent there, against the worker's copy of the instance table. The
+//! second claim: over the catalogue and the generated nests it reports
+//! exactly what the partition kept on the producer reports, and resolves
+//! the same cycles.
 
 use bench::Expanding;
 use interp::{Event, MemEvent, MemOpMeta, PlanRun, Program, RegionExitEvent, RunStream, Sink};
 use mir::RegionKind;
 use profiler::engine::RunStats;
-use profiler::{Dep, ProfileConfig, Profiler, Slot};
+use profiler::{profile_program_with, Dep, ProfileConfig, ProfileOutput, Profiler, Slot, Tracking};
 
 /// Everything a profiler holds at the end of a run.
 #[derive(Debug, PartialEq)]
@@ -31,12 +37,13 @@ struct Snapshot {
     pet: String,
 }
 
-fn snapshot(mut p: Profiler, steps: u64) -> Snapshot {
+/// The final state of `p`, and what became of its plan runs.
+fn snapshot(mut p: Profiler, steps: u64) -> (Snapshot, RunStats) {
     let live_bytes = p.current_bytes();
     let mut shadow = p.drain_shadow();
     shadow.sort_by_key(|e| e.0);
     let out = p.finish(steps);
-    Snapshot {
+    let snap = Snapshot {
         deps: out.deps.iter().collect(),
         total_found: out.deps.total_found,
         skip_stats: format!("{:?}", out.skip_stats),
@@ -44,7 +51,8 @@ fn snapshot(mut p: Profiler, steps: u64) -> Snapshot {
         final_bytes: out.profiler_bytes,
         shadow,
         pet: format!("{:?}", out.pet.nodes),
-    }
+    };
+    (snap, out.plan_runs)
 }
 
 fn assert_same(label: &str, resolved: Snapshot, reference: Snapshot) {
@@ -94,17 +102,13 @@ fn differential_program(label: &str, p: &Program) -> RunStats {
     let mut reference = Expanding(profiler_for(p.mem_op_meta()));
     let r2 = interp::run(p, &mut reference).expect("runs");
     assert_eq!(r.steps, r2.steps, "{label}");
-    let stats = resolved.run_stats();
+    let (resolved, stats) = snapshot(resolved, r.steps);
+    let (reference, expanded) = snapshot(reference.0, r.steps);
     assert_eq!(
-        reference.0.run_stats().runs,
-        0,
+        expanded.runs, 0,
         "{label}: the reference resolved something"
     );
-    assert_same(
-        label,
-        snapshot(resolved, r.steps),
-        snapshot(reference.0, r.steps),
-    );
+    assert_same(label, resolved, reference);
     stats
 }
 
@@ -278,8 +282,7 @@ fn main() {{
 /// The shape family of `tests/affine_skip.rs`, drawn from a fixed seed:
 /// one to three affine statements over `a`, `b` and `s`, run for three
 /// rounds so every later round meets the previous one's shadow.
-#[test]
-fn generated_nests_resolve_to_the_expanded_state() {
+fn generated_nests() -> Vec<String> {
     let mut rng = 0x5eed_u64;
     let mut next = move |n: u64| {
         rng ^= rng >> 12;
@@ -287,23 +290,31 @@ fn generated_nests_resolve_to_the_expanded_state() {
         rng ^= rng >> 27;
         (rng.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) % n
     };
+    (0..120)
+        .map(|_| {
+            let trip = 4 + next(12);
+            let mut body = String::new();
+            for _ in 0..1 + next(3) {
+                let (c1, d1, c2, d2) = (next(4), next(8), next(4), next(8));
+                body.push_str(&match next(3) {
+                    0 => format!("a[{c1} * i + {d1}] = a[{c2} * i + {d2}] + 1;\n"),
+                    1 => format!("b[{c1} * i + {d1}] = a[{c2} * i + {d2}];\n"),
+                    _ => format!("s = s + a[{c2} * i + {d2}];\n"),
+                });
+            }
+            format!(
+                "global int a[64];\nglobal int b[64];\nglobal int s;\nfn main() {{\n\
+                 for (int r = 0; r < 3; r = r + 1) {{\nfor (int i = 0; i < {trip}; i = i + 1) {{\n{body}}}\n}}\n}}\n"
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn generated_nests_resolve_to_the_expanded_state() {
     let (mut resolved, mut declined) = (0, 0);
-    for case in 0..120 {
-        let trip = 4 + next(12);
-        let mut body = String::new();
-        for _ in 0..1 + next(3) {
-            let (c1, d1, c2, d2) = (next(4), next(8), next(4), next(8));
-            body.push_str(&match next(3) {
-                0 => format!("a[{c1} * i + {d1}] = a[{c2} * i + {d2}] + 1;\n"),
-                1 => format!("b[{c1} * i + {d1}] = a[{c2} * i + {d2}];\n"),
-                _ => format!("s = s + a[{c2} * i + {d2}];\n"),
-            });
-        }
-        let src = format!(
-            "global int a[64];\nglobal int b[64];\nglobal int s;\nfn main() {{\n\
-             for (int r = 0; r < 3; r = r + 1) {{\nfor (int i = 0; i < {trip}; i = i + 1) {{\n{body}}}\n}}\n}}\n"
-        );
-        let s = differential_program(&format!("nest {case}:\n{src}"), &compile(&src));
+    for (case, src) in generated_nests().iter().enumerate() {
+        let s = differential_program(&format!("nest {case}:\n{src}"), &compile(src));
         assert_eq!(s.runs, 3, "nest {case}:\n{src}");
         resolved += s.cycles_resolved;
         declined += s.declined_overlap;
@@ -315,6 +326,91 @@ fn generated_nests_resolve_to_the_expanded_state() {
     assert!(
         declined > 30,
         "only {declined} overlapping nests: one branch untested"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// A partition moved to its worker
+// ---------------------------------------------------------------------------
+
+/// What the report is built from: `DepSet::iter()` as it comes (counts
+/// included), `total_found`, the skip counters, the tracked bytes, the PET.
+fn report_inputs(out: &ProfileOutput) -> (Vec<(Dep, u64)>, u64, String, usize, String) {
+    (
+        out.deps.iter().collect(),
+        out.deps.total_found,
+        format!("{:?}", out.skip_stats),
+        out.profiler_bytes,
+        format!("{:?}", out.pet.nodes),
+    )
+}
+
+/// Profile `p` with the tier armed twice — the partition moved to its
+/// worker at construction (a spawn threshold of 0, on any host), and kept
+/// on the producer — and demand one output and one fate for every run.
+/// Returns what became of the runs.
+fn moved_matches_inline(label: &str, p: &Program) -> RunStats {
+    let profile = |spawn_threshold| {
+        let cfg = ProfileConfig {
+            spawn_threshold,
+            ..ProfileConfig::default()
+        };
+        profile_program_with(p, &cfg).expect("profiles")
+    };
+    let inline = profile(u64::MAX);
+    let moved = profile(0);
+    assert!(
+        matches!(inline.tracking, Tracking::Inline(_)),
+        "{label}: {:?}",
+        inline.tracking
+    );
+    assert_eq!(
+        moved.tracking,
+        Tracking::Moved {
+            at_access: 0,
+            recoveries: 0
+        },
+        "{label}"
+    );
+    assert_eq!(moved.plan_runs, inline.plan_runs, "{label}: plan runs");
+    assert_eq!(report_inputs(&moved), report_inputs(&inline), "{label}");
+    moved.plan_runs
+}
+
+/// Every catalogue program but `actors_10k` (see above), with the floor of
+/// the expanded-state gate: a moved partition that expanded its runs would
+/// resolve nothing.
+#[test]
+fn a_moved_partition_resolves_the_catalogue_as_the_inline_one() {
+    let mut total = RunStats::default();
+    for w in workloads::all() {
+        if w.name == "actors_10k" {
+            continue;
+        }
+        let s = moved_matches_inline(w.name, &w.program().expect("workload compiles"));
+        total.runs += s.runs;
+        total.cycles += s.cycles;
+        total.cycles_resolved += s.cycles_resolved;
+    }
+    assert!(total.runs > 500, "{total:?}");
+    assert!(
+        total.resolved_pct() >= 70.0,
+        "a moved partition resolves {:.1}% of the catalogue's plan cycles: {total:?}",
+        total.resolved_pct()
+    );
+}
+
+#[test]
+fn a_moved_partition_resolves_the_generated_nests_as_the_inline_one() {
+    let mut resolved = 0;
+    for (case, src) in generated_nests().iter().enumerate() {
+        let s = moved_matches_inline(&format!("nest {case}:\n{src}"), &compile(src));
+        assert_eq!(s.runs, 3, "nest {case}:\n{src}");
+        resolved += s.cycles_resolved;
+    }
+    assert!(
+        resolved > 500,
+        "only {resolved} cycles resolved over the moved nests"
     );
 }
 
@@ -483,9 +579,9 @@ impl Trace {
             resolved.event(ev);
             reference.event(ev);
         }
-        let stats = resolved.run_stats();
+        let (resolved, stats) = snapshot(resolved, 0);
         assert_eq!(stats.runs, 1, "{label}");
-        assert_same(label, snapshot(resolved, 0), snapshot(reference.0, 0));
+        assert_same(label, resolved, snapshot(reference.0, 0).0);
         stats
     }
 }
