@@ -194,6 +194,14 @@ impl InstanceTable {
     /// walks the two ancestor chains with the classic
     /// align-depths-then-step-together lowest-common-ancestor scheme instead
     /// of materializing the paths.
+    ///
+    /// Always inlined, chain walk included: its callers build dependences
+    /// and compare reduced shadow states from the answer, and returned
+    /// through a call it was read back from memory. Keeping only the
+    /// same-instance answer inline and the walk out of line read 81 ms
+    /// against 79 on `hot_loop` (whose nested instances always walk) and
+    /// 58.7 against 56.2 on `suite_sweep`.
+    #[inline(always)]
     pub fn carried_by(
         &self,
         a_instance: u32,
