@@ -486,19 +486,21 @@ fn catalogue_source(dir: &Path, name: &str) -> PathBuf {
 /// `analyze --quiet --text` of the eleven catalogue programs that spawn
 /// threads or actors: the DiscoPoP text listing, one line per thread pair,
 /// hashed. Recorded from the CLI before schema v8 folded the JSON report's
-/// thread pairs, which must leave the text format as it was.
+/// thread pairs, which must leave the text format as it was; six of them
+/// re-recorded when a sink line's entries came to be sorted by the whole
+/// dependence (source thread included) rather than left in hash order.
 const PINNED_TEXT: &[(&str, u64)] = &[
     ("c-ray-par", 0x876876927ca8476a),
-    ("kmeans-par", 0x82f50d7e7dbc9a0f),
+    ("kmeans-par", 0x8f8eaa013b0f652d),
     ("md5-par", 0x52fe19be9a7dcadb),
-    ("rotate-par", 0x0bc4a04b9a43d8cf),
-    ("barnes-par", 0x41ee83cf0a173d02),
-    ("radix-par", 0x1443cd34576882f5),
+    ("rotate-par", 0x15c630c49f5a2daf),
+    ("barnes-par", 0x79637e736411e31e),
+    ("radix-par", 0xe1f72ab1ce172f6d),
     ("ocean-par", 0x70779cb18e74129f),
     ("actor_pipeline", 0x9a60af0868eb085b),
-    ("actor_fanout", 0x9e9110cd6e2e9a51),
+    ("actor_fanout", 0x091a0041cf840c29),
     ("actor_ring", 0x775a9f844255872e),
-    ("actors_10k", 0xa34a632a32ae8372),
+    ("actors_10k", 0x2f405ebc79a4b310),
 ];
 
 #[test]

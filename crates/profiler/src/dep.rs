@@ -478,7 +478,10 @@ pub fn render_text(
         // `keys` was collected from `by_sink`, so the entry exists; an
         // (impossible) miss just renders an empty sink line.
         let mut ds = by_sink.remove(&(sink, thread)).unwrap_or_default();
-        ds.sort_by_key(|d| (d.ty, d.source, d.var));
+        // By the whole dependence: entries that differ only in source
+        // thread, carrying loop or race hint must not come out in the
+        // set's hash order.
+        ds.sort_unstable();
         let mut entries = Vec::new();
         for d in ds {
             let v = if d.var == u32::MAX {
@@ -634,6 +637,23 @@ mod tests {
         s.insert(d);
         let text = render_text(&s, &|_| "iter".to_string(), &[], true);
         assert!(text.contains("1:58|2 NOM {WAR 1:77|2|iter}"), "{text}");
+    }
+
+    #[test]
+    fn render_orders_entries_by_the_whole_dependence() {
+        // Sixteen entries of one sink that differ only in source thread
+        // come out in thread order, not in the set's hash order.
+        let mut s = DepSet::new();
+        for t in (0..16).rev() {
+            s.insert(Dep {
+                sink_thread: 1,
+                source_thread: t,
+                ..dep(9, DepType::Raw, 4, 0)
+            });
+        }
+        let text = render_text(&s, &|_| "x".to_string(), &[], true);
+        let entries: Vec<String> = (0..16).map(|t| format!("{{RAW 1:4|{t}|x}}")).collect();
+        assert_eq!(text, format!("1:9|1 NOM {}\n", entries.join(" ")));
     }
 
     #[test]
