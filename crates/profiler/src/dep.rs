@@ -131,11 +131,11 @@ impl Dep {
 ///
 /// | field          | bits | limit                      |
 /// |----------------|-----:|----------------------------|
-/// | sink line      |   24 | < 2^24                     |
-/// | source line    |   24 | < 2^24                     |
-/// | sink thread    |   12 | < 4096                     |
-/// | source thread  |   12 | < 4096                     |
-/// | variable       |   24 | < 2^24 − 1 (`u32::MAX` maps to the all-ones sentinel) |
+/// | sink line      |   22 | < 2^22                     |
+/// | source line    |   22 | < 2^22                     |
+/// | sink thread    |   16 | < 65536                    |
+/// | source thread  |   16 | < 65536                    |
+/// | variable       |   20 | < 2^20 − 1 (`u32::MAX` maps to the all-ones sentinel) |
 /// | carried func   |   14 | < 2^14                     |
 /// | carried region |   14 | < 2^14                     |
 /// | type/race/carried flag | 4 |                       |
@@ -144,8 +144,8 @@ impl Dep {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DepKey(u64, u64);
 
-/// 24-bit variable sentinel standing in for `u32::MAX` ("no variable").
-const VAR_STAR: u64 = (1 << 24) - 1;
+/// 20-bit variable sentinel standing in for `u32::MAX` ("no variable").
+const VAR_STAR: u64 = (1 << 20) - 1;
 
 impl DepKey {
     /// Pack a dependence, or `None` if any field exceeds its bit budget.
@@ -164,10 +164,10 @@ impl DepKey {
         };
         if d.sink.file != 1
             || d.source.file != 1
-            || d.sink.line >= (1 << 24)
-            || d.source.line >= (1 << 24)
-            || d.sink_thread >= (1 << 12)
-            || d.source_thread >= (1 << 12)
+            || d.sink.line >= (1 << 22)
+            || d.source.line >= (1 << 22)
+            || d.sink_thread >= (1 << 16)
+            || d.source_thread >= (1 << 16)
         {
             return None;
         }
@@ -178,35 +178,35 @@ impl DepKey {
             DepType::Init => 3,
         };
         let w0 = d.sink.line as u64
-            | (d.source.line as u64) << 24
-            | (d.sink_thread as u64) << 48
+            | (d.source.line as u64) << 22
+            | (d.sink_thread as u64) << 44
             | ty << 60
             | (d.race_hint as u64) << 62
             | carried << 63;
-        let w1 = var | (d.source_thread as u64) << 24 | cf << 36 | cr << 50;
+        let w1 = var | (d.source_thread as u64) << 20 | cf << 36 | cr << 50;
         Some(DepKey(w0, w1))
     }
 
     /// Reconstruct the dependence. Exact inverse of [`DepKey::pack`].
     pub fn unpack(self) -> Dep {
         let DepKey(w0, w1) = self;
-        let var24 = w1 & VAR_STAR;
+        let var20 = w1 & VAR_STAR;
         Dep {
-            sink: SrcLoc::new((w0 & 0xFF_FFFF) as u32),
+            sink: SrcLoc::new((w0 & 0x3F_FFFF) as u32),
             ty: match (w0 >> 60) & 3 {
                 0 => DepType::Raw,
                 1 => DepType::War,
                 2 => DepType::Waw,
                 _ => DepType::Init,
             },
-            source: SrcLoc::new((w0 >> 24 & 0xFF_FFFF) as u32),
-            var: if var24 == VAR_STAR {
+            source: SrcLoc::new((w0 >> 22 & 0x3F_FFFF) as u32),
+            var: if var20 == VAR_STAR {
                 u32::MAX
             } else {
-                var24 as u32
+                var20 as u32
             },
-            sink_thread: (w0 >> 48 & 0xFFF) as u32,
-            source_thread: (w1 >> 24 & 0xFFF) as u32,
+            sink_thread: (w0 >> 44 & 0xFFFF) as u32,
+            source_thread: (w1 >> 20 & 0xFFFF) as u32,
             carried_by: if w0 >> 63 == 1 {
                 Some(((w1 >> 36 & 0x3FFF) as u32, (w1 >> 50 & 0x3FFF) as u32))
             } else {
@@ -225,14 +225,16 @@ impl DepKey {
 /// time a static op builds a dependence other than its last one (the
 /// builder's per-op memo absorbs exact repeats), which on targets whose ops
 /// alternate threads or sources is still once per access. Dependences whose
-/// fields exceed the packed bit budgets — possible only for synthetic
-/// inputs, never for profiler-built dependences on realistic modules — fall
-/// back to a wide map keyed by the full `Dep`, preserving exactness.
+/// fields exceed the packed bit budgets — a target past 65,536 threads or
+/// actors, 2^22 source lines or 2^20 variables — fall back to a wide map
+/// keyed by the full `Dep`, preserving exactness. The thread budget is
+/// sized for the actor programs: with 12-bit thread fields, every
+/// dependence of `actors_10k`'s threads 4096–10001 went to the wide map.
 #[derive(Debug, Clone, Default)]
 pub struct DepSet {
     map: FxHashMap<DepKey, u64>,
-    /// Fallback for dependences that do not fit [`DepKey`]; almost always
-    /// empty.
+    /// Fallback for dependences that do not fit [`DepKey`]; empty unless a
+    /// budget above is exceeded.
     wide: FxHashMap<Dep, u64>,
     /// Dependences *found* (before merging); [`DepSet::len`] is after
     /// merging.
@@ -663,19 +665,25 @@ mod tests {
         // carried-by option.
         let mut samples = Vec::new();
         for ty in [DepType::Raw, DepType::War, DepType::Waw, DepType::Init] {
-            for var in [0u32, 7, (1 << 24) - 2, u32::MAX] {
+            for var in [0u32, 7, (1 << 20) - 2, u32::MAX] {
                 for carried in [None, Some((0u32, 0u32)), Some(((1 << 14) - 1, 3))] {
                     for race in [false, true] {
-                        samples.push(Dep {
-                            sink: SrcLoc::new(123),
-                            ty,
-                            source: SrcLoc::new((1 << 24) - 1),
-                            var,
-                            sink_thread: 4095,
-                            source_thread: 17,
-                            carried_by: carried,
-                            race_hint: race,
-                        });
+                        // Each line and thread field at its top edge once.
+                        for (lines, threads) in [
+                            ((123, (1 << 22) - 1), ((1 << 16) - 1, 17)),
+                            (((1 << 22) - 1, 1), (0, (1 << 16) - 1)),
+                        ] {
+                            samples.push(Dep {
+                                sink: SrcLoc::new(lines.0),
+                                ty,
+                                source: SrcLoc::new(lines.1),
+                                var,
+                                sink_thread: threads.0,
+                                source_thread: threads.1,
+                                carried_by: carried,
+                                race_hint: race,
+                            });
+                        }
                     }
                 }
             }
@@ -691,11 +699,23 @@ mod tests {
         let base = dep(3, DepType::Raw, 2, 0);
         for wide in [
             Dep {
-                sink: SrcLoc::new(1 << 24),
+                sink: SrcLoc::new(1 << 22),
                 ..base
             },
             Dep {
-                sink_thread: 1 << 12,
+                source: SrcLoc::new(1 << 22),
+                ..base
+            },
+            Dep {
+                sink_thread: 1 << 16,
+                ..base
+            },
+            Dep {
+                source_thread: 1 << 16,
+                ..base
+            },
+            Dep {
+                var: (1 << 20) - 1,
                 ..base
             },
             Dep {

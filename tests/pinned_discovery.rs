@@ -206,8 +206,12 @@ fn discovery_blocks_match_the_digests_taken_before_the_rewrite() {
 /// (`actors_10k`: 14,149,227 → 22,525 bytes, its 50,042 dependences in 48
 /// rows); they were 0xb3a9bc1b4133c94b, 0xbef9a95e5c3f8729,
 /// 0x78f643a6cb780c2a, 0xb04be49196e0dc13 and 0x7baae973cb1395e7.
+/// `actors_10k` re-recorded when `DepKey`'s thread fields grew to 16 bits,
+/// whose report differs from the parent's in `profile.profiler_bytes` alone
+/// (12,997,912 → 10,245,400: no dependence in the wide map); it was
+/// 0xf09151314c21a936.
 const PINNED_WHOLE: &[(&str, u64)] = &[
-    ("actors_10k", 0xf09151314c21a936),
+    ("actors_10k", 0x2ba5fda5a7065772),
     ("matmul on parallel:2", 0x70f1db38eca94ea8),
     ("CG", 0x336bafb3580a6163),
     ("fib", 0x4e576064863c99d2),
