@@ -148,7 +148,7 @@ fn fpr_fnr() -> Vec<Claim> {
     let mut monotone = 0;
     for w in &ws {
         let p = w.program().unwrap();
-        let (addrs, accesses) = count_addresses(&p);
+        let (addrs, accesses) = count_addresses(&p).expect("runs");
         let perfect = profile(&p);
         let mut row = format!(
             "| {} | {} | {} | {} |",
@@ -226,7 +226,7 @@ fn profiler_slowdown() -> Vec<Claim> {
     let ws = sequential_workloads(&[Suite::Nas, Suite::Starbench]);
     for w in &ws {
         let p = w.program().unwrap();
-        let base = native_time(&p, 3).max(1e-7);
+        let base = native_time(&p, 3).expect("runs").max(1e-7);
         let serial = time_median(3, || {
             profile(&p);
         });
@@ -309,7 +309,7 @@ fn parallel_target() -> Vec<Claim> {
     println!("|---|---|---|---|---|---|---|");
     for w in workloads::all().into_iter().filter(|w| w.parallel_target) {
         let p = w.program().unwrap();
-        let base = native_time(&p, 3).max(1e-7);
+        let base = native_time(&p, 3).expect("runs").max(1e-7);
         let run = |workers: usize| {
             let cfg = ProfileConfig {
                 run: racy(),
@@ -366,7 +366,7 @@ fn skip_slowdown() -> Vec<Claim> {
     let (mut reds, mut same) = (Vec::new(), 0);
     for w in &ws {
         let p = w.program().unwrap();
-        let base = native_time(&p, 3).max(1e-7);
+        let base = native_time(&p, 3).expect("runs").max(1e-7);
         let mut plain_out = None;
         let plain = time_median(3, || plain_out = Some(expanded_profile(&p)));
         let mut opt_out = None;
@@ -1054,7 +1054,7 @@ fn fp_model() -> Vec<Claim> {
     for name in ["kmeans", "c-ray", "rotate"] {
         let w = workloads::by_name(name).unwrap();
         let p = w.program().unwrap();
-        let (n, _) = count_addresses(&p);
+        let (n, _) = count_addresses(&p).expect("runs");
         for m in [512usize, 4096, 32768] {
             let predicted = profiler::estimated_fp_rate(m, n);
             // Measured: fraction of addresses whose slot is shared.

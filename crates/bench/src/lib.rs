@@ -7,9 +7,11 @@
 //! helpers live here. Performance claims are made with the
 //! `benchmark/` package (`BENCHMARK.json`).
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod seed_baseline;
 
-use interp::{Event, NullSink, PlanRun, Program, RunConfig, Sink};
+use interp::{Event, NullSink, PlanRun, Program, RunConfig, RuntimeError, Sink};
 use profiler::{
     DepBuilder, DepSet, HashShadowMap, InstanceTable, LoopContext, Pet, PetBuilder, Profiler,
 };
@@ -138,19 +140,24 @@ pub fn time_median<F: FnMut()>(reps: usize, mut f: F) -> f64 {
             t.elapsed().as_secs_f64()
         })
         .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    times.sort_by(f64::total_cmp);
     times[times.len() / 2]
 }
 
-/// Native (uninstrumented) execution time of a program.
-pub fn native_time(prog: &Program, reps: usize) -> f64 {
-    time_median(reps, || {
-        interp::run_with_config(prog, NullSink, RunConfig::default()).expect("runs");
-    })
+/// Native (uninstrumented) execution time of a program, or the error of
+/// a run that failed.
+pub fn native_time(prog: &Program, reps: usize) -> Result<f64, RuntimeError> {
+    let mut failed = None;
+    let t = time_median(reps, || {
+        if let Err(e) = interp::run_with_config(prog, NullSink, RunConfig::default()) {
+            failed = Some(e);
+        }
+    });
+    failed.map_or(Ok(t), Err)
 }
 
 /// Count distinct addresses and total accesses of a program.
-pub fn count_addresses(prog: &Program) -> (usize, u64) {
+pub fn count_addresses(prog: &Program) -> Result<(usize, u64), RuntimeError> {
     struct Counter {
         addrs: std::collections::HashSet<u64>,
         total: u64,
@@ -167,8 +174,8 @@ pub fn count_addresses(prog: &Program) -> (usize, u64) {
         addrs: Default::default(),
         total: 0,
     };
-    interp::run(prog, &mut c).expect("runs");
-    (c.addrs.len(), c.total)
+    interp::run(prog, &mut c)?;
+    Ok((c.addrs.len(), c.total))
 }
 
 /// Format a ratio as `N.N×`.
@@ -188,7 +195,7 @@ mod tests {
     #[test]
     fn count_addresses_works() {
         let p = workloads::by_name("dotprod").unwrap().program().unwrap();
-        let (addrs, total) = count_addresses(&p);
+        let (addrs, total) = count_addresses(&p).unwrap();
         assert!(addrs >= 1024, "two 512-element arrays: {addrs}");
         assert!(total > 2048);
     }
