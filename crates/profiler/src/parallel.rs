@@ -69,8 +69,20 @@ use crate::queue::SpscQueue;
 use crate::shadow::{Finished, Shadow};
 use interp::{PlanRun, RunStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
+
+/// Empty polls an idle worker spins through, then yields through, before
+/// it parks.
+const IDLE_SPINS: u32 = 128;
+const IDLE_YIELDS: u32 = 64;
+
+/// Longest a parked worker sleeps without being woken. A wake-up cannot be
+/// lost (see [`Channel::park`]); the timeout only bounds the wait should
+/// one be.
+const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// Message to a worker.
 pub(crate) enum Msg {
@@ -151,13 +163,17 @@ impl OwnedRun {
     }
 }
 
-/// Everything producer and worker share: one SPSC queue each way.
+/// Everything producer and worker share: one SPSC queue each way, and
+/// the flag an idle worker parks behind.
 pub(crate) struct Channel {
     /// Producer → worker, in delivery order.
     pub(crate) inbox: SpscQueue<Msg>,
     /// Worker → producer: processed chunks, cleared, keeping their
     /// capacity. A chunk that finds it full is dropped.
     pub(crate) spent: SpscQueue<Vec<PackedAccess>>,
+    /// Set by a worker about to park, cleared when it wakes: a push that
+    /// finds it set unparks the worker.
+    asleep: AtomicBool,
 }
 
 impl Channel {
@@ -165,6 +181,30 @@ impl Channel {
         Channel {
             inbox: SpscQueue::new(cap),
             spent: SpscQueue::new(cap),
+            asleep: AtomicBool::new(false),
+        }
+    }
+
+    /// Park the calling worker until a push wakes it. The flag is raised
+    /// before the inbox is looked at again, and a push looks at the flag
+    /// after its message is in, each behind a SeqCst fence: either the
+    /// worker sees the message and does not sleep, or the producer sees
+    /// the flag and unparks it (an unpark before the park makes the park
+    /// return at once).
+    fn park(&self) {
+        self.asleep.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        if self.inbox.is_empty() {
+            std::thread::park_timeout(PARK_TIMEOUT);
+        }
+        self.asleep.store(false, Ordering::Relaxed);
+    }
+
+    /// After a push: unpark the worker if it is parked or about to park.
+    fn wake(&self, worker: &std::thread::Thread) {
+        fence(Ordering::SeqCst);
+        if self.asleep.load(Ordering::Relaxed) {
+            worker.unpark();
         }
     }
 
@@ -180,16 +220,20 @@ impl Channel {
 /// Push to a live worker, spinning while its bounded queue is full — but
 /// watch for the consumer dying: every 256 stalls the join handle is
 /// checked, and a dead worker hands the message back so the supervisor can
-/// recover the partition instead of spinning forever.
+/// recover the partition instead of spinning forever. A push wakes a
+/// parked worker, so a [`Msg::Stop`] does too.
 pub(crate) fn push_supervised(
-    queue: &SpscQueue<Msg>,
+    chan: &Channel,
     handle: &JoinHandle<WorkerOutcome>,
     mut msg: Msg,
     stalls: &mut u64,
 ) -> Result<(), Msg> {
     loop {
-        msg = match queue.try_push(msg) {
-            Ok(()) => return Ok(()),
+        msg = match chan.inbox.try_push(msg) {
+            Ok(()) => {
+                chan.wake(handle.thread());
+                return Ok(());
+            }
             Err(m) => m,
         };
         *stalls += 1;
@@ -314,12 +358,16 @@ fn worker_loop(chan: &Channel, shadow: &mut Shadow, current: &mut Option<Msg>) {
                     let _ = chan.spent.try_push(ch);
                 }
             }
+            // Idle: spin, then yield, then park until the next push. Only
+            // yielding, a worker kept a core busy for the whole run.
             None => {
-                idle += 1;
-                if idle > 128 {
+                idle = idle.saturating_add(1);
+                if idle <= IDLE_SPINS {
+                    std::hint::spin_loop();
+                } else if idle <= IDLE_SPINS + IDLE_YIELDS {
                     std::thread::yield_now();
                 } else {
-                    std::hint::spin_loop();
+                    chan.park();
                 }
             }
         }
@@ -598,6 +646,40 @@ fn main() { int a = spawn(w, 300); int b = spawn(w, 300); join(a); join(b); }";
         assert_eq!(raw.map(|d| d.carried_by), Some(Some((0, 1))));
         let back = chan.spent.try_pop().expect("the spent chunk came back");
         assert!(back.is_empty() && back.capacity() >= 32);
+    }
+
+    /// A worker left without input parks, and a supervised push wakes it:
+    /// the chunk is processed and the `Stop` behind it ends the thread.
+    #[test]
+    fn an_idle_worker_parks_and_a_push_wakes_it() {
+        let meta: Arc<[interp::MemOpMeta]> = vec![interp::MemOpMeta {
+            line: 3,
+            var: 0,
+            is_write: true,
+        }]
+        .into();
+        let chan = Arc::new(Channel::new(4));
+        let worker = spawn_worker(Arc::clone(&chan), Shadow::new(ShadowTier::Perfect, &meta));
+        let idle = std::time::Instant::now();
+        while !chan.asleep.load(Ordering::SeqCst) {
+            assert!(idle.elapsed() < Duration::from_secs(10), "never parked");
+            std::thread::yield_now();
+        }
+        let write = PackedAccess {
+            addr: 64,
+            ts: 1,
+            op: 0,
+            instance: crate::access::NO_INSTANCE,
+            iter: 0,
+            thread: 0,
+        };
+        for msg in [Msg::Chunk(vec![write]), Msg::Stop] {
+            assert!(push_supervised(&chan, &worker, msg, &mut 0).is_ok());
+        }
+        let Ok(WorkerOutcome::Stopped(done)) = worker.join() else {
+            panic!("the worker did not finish cleanly");
+        };
+        assert_eq!(done.deps.sorted()[0].ty, DepType::Init);
     }
 }
 

@@ -270,7 +270,7 @@ impl Partitions {
                     chan,
                     handle: Some(h),
                     ..
-                } => match push_supervised(&chan.inbox, h, msg, &mut self.queue_stalls) {
+                } => match push_supervised(chan, h, msg, &mut self.queue_stalls) {
                     Ok(()) => return,
                     Err(m) => msg = m,
                 },
@@ -427,7 +427,7 @@ impl Drop for Partitions {
                 // Supervised: a dead worker behind a full queue must not
                 // wedge the drop (the join below cannot hang — a returned
                 // Stop means the thread already exited).
-                let _ = push_supervised(&chan.inbox, h, Msg::Stop, &mut 0);
+                let _ = push_supervised(chan, h, Msg::Stop, &mut 0);
             }
         }
         for part in &mut self.parts {
@@ -724,7 +724,7 @@ impl Profiler {
                 // A dead worker behind a full queue hands the Stop back;
                 // dropping it is fine — the join below recovers everything
                 // the queue still holds.
-                let _ = push_supervised(&chan.inbox, h, Msg::Stop, &mut back.queue_stalls);
+                let _ = push_supervised(chan, h, Msg::Stop, &mut back.queue_stalls);
             }
         }
         let mut spawned_workers = 0;
