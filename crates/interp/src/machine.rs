@@ -644,9 +644,12 @@ impl<'p, S: Sink> Interp<'p, S> {
     /// Built on the stack and pushed, each 48-byte `Event::Mem` was written
     /// with 1-, 4- and 8-byte stores and read back by 16-byte loads: a
     /// store-forwarding stall on every access, and the hottest instruction
-    /// of a `suite_sweep` profile (142 of 1,301 samples). Written into the
-    /// slot field by field, with the two unbatched deliveries out of line,
-    /// `suite_sweep`'s `interp.emit_ms` fell from about 4 to 2.5 ms.
+    /// of a `suite_sweep` profile (203 of 2,730 timer samples, 2-core
+    /// x86-64 host). Written into the slot field by field, with the two
+    /// unbatched deliveries out of line, `suite_sweep`'s `interp.emit_ms`
+    /// fell from about 4 to 2.5 ms. The event must be built here, at the
+    /// slot: handed to [`Interp::emit`] as a value it went through the
+    /// stack again, and `suite_sweep` read 62 ms against 56.
     #[inline(always)]
     fn emit_mem(&mut self, t: usize, m: &MemRef, is_write: bool, addr: u64, ts: u64) {
         if !S::WANTS_EVENTS {

@@ -23,7 +23,8 @@
 //! as the producer would have before the move.
 //!
 //! Producer and worker share one `Channel` and nothing else: two SPSC
-//! queues, one each way. Down go chunks, runs, evictions and the stop, and
+//! queues, one each way, and the flag an idle worker parks behind (a push
+//! that finds it raised unparks the worker). Down go chunks, runs, evictions and the stop, and
 //! ahead of each chunk or run the loop instances the producer registered
 //! since the worker's previous one — the queue is FIFO, so whatever a
 //! chunk's accesses or a run's cycles name is in the worker's own
