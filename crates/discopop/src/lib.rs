@@ -101,8 +101,10 @@ pub struct Report {
 }
 
 impl Report {
-    /// An owned copy of this report as its document (schema
-    /// [`report::SCHEMA_VERSION`]), for callers that keep or inspect one;
+    /// This report as its owned document (schema
+    /// [`report::SCHEMA_VERSION`]), for callers that keep or inspect one:
+    /// the events [`Report::to_json_string`] writes, read back by the
+    /// document's reader ([`report::ReportDoc::from_report`]).
     /// `to_doc(program).to_json()` is the reference tree every written
     /// report is tested against. Needs the program to resolve symbol and
     /// function names. Writing the report does not go through it.

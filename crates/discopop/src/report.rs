@@ -9,11 +9,11 @@
 //! blocks around the rows are listed once in `emit_doc`. Downstream tools
 //! consume the JSON; this module is the one place its shape is defined.
 //!
-//! # One description, two sources, two sinks
+//! # One description, one reader
 //!
 //! A row type is a *view*: its names are `Cow`s and its locations typed, so
 //! it can borrow from a live report and its program or own what a parsed
-//! document holds. The two sources of rows sit behind the private `Rows`
+//! document holds. Rows come from two places, behind the private `Rows`
 //! walk:
 //!
 //! - a live [`crate::Report`] builds each row on the stack and drops it
@@ -21,12 +21,14 @@
 //!   the daemon's replies, the benchmark's jobs) pushes those rows into
 //!   [`jsonio::TextSink`]: report → bytes in one pass, with no document, no
 //!   tree and no allocation per row in between;
-//! - an owned [`ReportDoc`] — a parsed report, or [`ReportDoc::from_report`]'s
-//!   copy of a live one — hands out the rows it holds.
+//! - an owned [`ReportDoc`] hands out the rows it holds.
 //!   [`ReportDoc::to_json`] emits them into [`jsonio::TreeSink`]:
 //!   `to_json().to_string_pretty()` is the **reference** the written bytes
-//!   are tested against (`tests/streamed_report.rs`) and what
-//!   [`ReportDoc::from_json`] reads back.
+//!   are tested against (`tests/streamed_report.rs`).
+//!
+//! A document is only ever read: [`ReportDoc::from_report`] emits a live
+//! report into a [`jsonio::TreeSink`] and reads the tree with
+//! [`ReportDoc::from_json`]'s reader.
 //!
 //! # Schema (version 8)
 //!
@@ -311,17 +313,11 @@ fn opt_block<S: Emitter, T>(s: &mut S, block: &Option<T>, emit: impl FnOnce(&T, 
     }
 }
 
-/// A borrowed field, copied for the owned document.
-fn own<B: ToOwned + ?Sized + 'static>(field: &B) -> Cow<'static, B> {
-    Cow::Owned(field.to_owned())
-}
-
 /// The most rows [`ReportDoc::from_json`] unfolds a document's runs into,
-/// dependences, blocking rows and channels together: 2^24, the thread
-/// pairs one static dependence can hold in the profiler's packed key
-/// (`profiler::DepKey` gives each thread id 12 bits). A document past it
-/// is a [`SchemaError`], found before any of its rows is built
-/// ([`unfolded_rows`]).
+/// dependences, blocking rows and channels together: 2^24. It bounds
+/// untrusted input: a run of six integers can stand for billions of rows.
+/// A document past it is a [`SchemaError`], found before any of its rows
+/// is built ([`unfolded_rows`]).
 const MAX_UNFOLDED_ROWS: u64 = 1 << 24;
 
 /// One arithmetic run of thread pairs: `(a + i·da, b + i·db)` for `i` in
@@ -555,13 +551,6 @@ impl<'a> DepDoc<'a> {
         }
     }
 
-    fn owned(&self) -> DepDoc<'static> {
-        DepDoc {
-            var: own(&self.var),
-            ..self.view()
-        }
-    }
-
     /// The same row, borrowing its name from `self`.
     fn view(&self) -> DepDoc<'_> {
         DepDoc {
@@ -731,19 +720,6 @@ impl<'a> PetNodeDoc<'a> {
             start_line: n.start_line,
             end_line: n.end_line,
             children: Cow::Borrowed(&n.children),
-        }
-    }
-
-    fn owned(&self) -> PetNodeDoc<'static> {
-        PetNodeDoc {
-            kind: own(&self.kind),
-            name: own(&self.name),
-            entries: self.entries,
-            iters: self.iters,
-            dyn_instrs: self.dyn_instrs,
-            start_line: self.start_line,
-            end_line: self.end_line,
-            children: own(&self.children),
         }
     }
 
@@ -1184,21 +1160,6 @@ impl<'a> LoopDoc<'a> {
         }
     }
 
-    fn owned(&self) -> LoopDoc<'static> {
-        LoopDoc {
-            func: self.func,
-            region: self.region,
-            start_line: self.start_line,
-            end_line: self.end_line,
-            iters: self.iters,
-            dyn_instrs: self.dyn_instrs,
-            class: self.class,
-            blocking: self.blocking.iter().map(DepDoc::owned).collect(),
-            reduction_vars: own(&self.reduction_vars),
-            pipeline_stages: self.pipeline_stages,
-        }
-    }
-
     fn emit<S: Emitter>(&self, s: &mut S) {
         s.begin_object();
         s.key("func").u64(self.func);
@@ -1260,16 +1221,6 @@ impl<'a> SpmdDoc<'a> {
         }
     }
 
-    fn owned(&self) -> SpmdDoc<'static> {
-        SpmdDoc {
-            kind: own(&self.kind),
-            func: self.func,
-            lines: own(&self.lines),
-            callees: own(&self.callees),
-            loop_line: self.loop_line,
-        }
-    }
-
     fn emit<S: Emitter>(&self, s: &mut S) {
         s.begin_object();
         s.key("kind").str(&self.kind);
@@ -1306,13 +1257,6 @@ impl<'a> MpmdDoc<'a> {
         MpmdDoc {
             func: m.func,
             tasks: Cow::Borrowed(tasks),
-        }
-    }
-
-    fn owned(&self) -> MpmdDoc<'static> {
-        MpmdDoc {
-            func: self.func,
-            tasks: own(&self.tasks),
         }
     }
 
@@ -1411,32 +1355,6 @@ impl<'a> RankedDoc<'a> {
             local_speedup: finite(r.ranking.local_speedup),
             cu_imbalance: finite(r.ranking.cu_imbalance),
             score: finite(r.score),
-        }
-    }
-
-    fn owned(&self) -> RankedDoc<'static> {
-        RankedDoc {
-            target: match &self.target {
-                &TargetDoc::Loop {
-                    func,
-                    region,
-                    start_line,
-                    class,
-                } => TargetDoc::Loop {
-                    func,
-                    region,
-                    start_line,
-                    class,
-                },
-                TargetDoc::TaskSet { func, spans } => TargetDoc::TaskSet {
-                    func: *func,
-                    spans: own(spans),
-                },
-            },
-            instruction_coverage: self.instruction_coverage,
-            local_speedup: self.local_speedup,
-            cu_imbalance: self.cu_imbalance,
-            score: self.score,
         }
     }
 
@@ -1540,17 +1458,6 @@ impl<'a> PatternDoc<'a> {
         doc
     }
 
-    fn owned(&self) -> PatternDoc<'static> {
-        PatternDoc {
-            name: own(&self.name),
-            loop_line: self.loop_line,
-            width: self.width,
-            stages: self.stages,
-            vars: own(&self.vars),
-            spans: own(&self.spans),
-        }
-    }
-
     fn emit<S: Emitter>(&self, s: &mut S) {
         s.begin_object();
         s.key("name").str(&self.name);
@@ -1621,23 +1528,6 @@ impl<'a> StaticLoopDoc<'a> {
         }
     }
 
-    fn owned(&self) -> StaticLoopDoc<'static> {
-        StaticLoopDoc {
-            func: self.func,
-            func_name: own(&self.func_name),
-            region: self.region,
-            start_line: self.start_line,
-            end_line: self.end_line,
-            mem_ops: self.mem_ops,
-            affine_ops: self.affine_ops,
-            has_iv: self.has_iv,
-            trip_count: self.trip_count,
-            tested_pairs: self.tested_pairs,
-            proven_pairs: self.proven_pairs,
-            doall_candidate: self.doall_candidate,
-        }
-    }
-
     fn emit<S: Emitter>(&self, s: &mut S) {
         s.begin_object();
         s.key("func").u64(self.func);
@@ -1699,16 +1589,6 @@ impl<'a> ClaimDoc<'a> {
         }
     }
 
-    fn owned(&self) -> ClaimDoc<'static> {
-        ClaimDoc {
-            func: self.func,
-            region: self.region,
-            var: own(&self.var),
-            line_a: self.line_a,
-            line_b: self.line_b,
-        }
-    }
-
     fn emit<S: Emitter>(&self, s: &mut S) {
         s.begin_object();
         s.key("func").u64(self.func);
@@ -1754,16 +1634,6 @@ impl<'a> LintDoc<'a> {
             var: Cow::Borrowed(&l.var),
             line: l.line,
             message: Cow::Borrowed(&l.message),
-        }
-    }
-
-    fn owned(&self) -> LintDoc<'static> {
-        LintDoc {
-            kind: own(&self.kind),
-            func: own(&self.func),
-            var: own(&self.var),
-            line: self.line,
-            message: own(&self.message),
         }
     }
 
@@ -1864,9 +1734,9 @@ impl DiscoveryDoc {
 /// holds; a live [`Report`] ([`Live`]) builds each row on the stack,
 /// borrowing every name from the report and its program, and drops it when
 /// the visitor returns — so writing a live report allocates nothing per
-/// row, and an owned document is the same rows, kept. Dependences come as
-/// an iterator rather than a visitor, so that [`fold_rows`] can look one
-/// row ahead; either source yields them in fold order.
+/// row. Dependences come as an iterator rather than a visitor, so that
+/// [`fold_rows`] can look one row ahead; either source yields them in fold
+/// order.
 trait Rows {
     fn dependences(&self) -> impl Iterator<Item = DepDoc<'_>>;
     fn pet(&self, f: impl FnMut(&PetNodeDoc<'_>));
@@ -2101,8 +1971,8 @@ fn emit_doc<S: Emitter>(head: &ReportDoc, rows: &impl Rows, s: &mut S) {
     s.end_object();
 }
 
-/// Write a live report into `s`: the events [`ReportDoc::from_report`]'s
-/// document would emit, without building it.
+/// Write a live report into `s`: the events its document would emit,
+/// without building it. [`ReportDoc::from_report`] builds it from them.
 pub(crate) fn emit_live<S: Emitter>(program: &interp::Program, report: &Report, s: &mut S) {
     let live = Live::new(program, report);
     emit_doc(&live.head(), &live, s);
@@ -2110,7 +1980,7 @@ pub(crate) fn emit_live<S: Emitter>(program: &interp::Program, report: &Report, 
 
 /// The owned, name-resolved form of a full [`Report`], versioned: what a
 /// JSON report parses into ([`ReportDoc::from_json_str`]), and what
-/// [`ReportDoc::from_report`] (or [`Report::to_doc`]) copies a live report
+/// [`ReportDoc::from_report`] (or [`Report::to_doc`]) reads a live report
 /// into when a caller wants to keep or inspect it. Writing a report does
 /// not need one — [`Report::to_json_string`] emits the same events straight
 /// from the report.
@@ -2144,27 +2014,18 @@ pub struct ReportDoc {
 }
 
 impl ReportDoc {
-    /// Copy a live report into an owned document, resolving symbol and
-    /// function names against `program`: the rows [`Report::to_json_string`]
-    /// writes, kept.
+    /// Read a live report into an owned document, resolving names against
+    /// `program`: the events [`Report::to_json_string`] writes, emitted into
+    /// a tree and read back by [`ReportDoc::from_json`]'s reader. That reader
+    /// reads what this crate writes, so an error here is a bug and panics
+    /// (`tests/streamed_report.rs` checks every catalogue program).
     pub fn from_report(program: &interp::Program, report: &Report) -> ReportDoc {
-        let live = Live::new(program, report);
-        let mut doc = live.head();
-        let (p, d) = (&mut doc.profile, &mut doc.discovery);
-        p.dependences
-            .extend(live.dependences().map(|row| row.owned()));
-        live.pet(|row| p.pet.push(row.owned()));
-        live.loops(|row| d.loops.push(row.owned()));
-        live.spmd(|row| d.spmd.push(row.owned()));
-        live.mpmd(|row| d.mpmd.push(row.owned()));
-        live.ranked(|row| d.ranked.push(row.owned()));
-        live.patterns(|row| d.patterns.push(row.owned()));
-        if let Some(st) = &mut doc.statics {
-            live.static_loops(|row| st.loops.push(row.owned()));
-            live.claims(|row| st.claims.push(row.owned()));
-            live.lints(|row| st.lints.push(row.owned()));
+        let mut tree = TreeSink::default();
+        emit_live(program, report, &mut tree);
+        match ReportDoc::read(&tree.finish()) {
+            Ok(doc) => doc,
+            Err(e) => unreachable!("the reader reads what the writer writes: {e}"),
         }
-        doc
     }
 
     /// Serialize to a JSON tree — the reference rendering
@@ -2203,8 +2064,14 @@ impl ReportDoc {
                 "the document unfolds into {rows} rows, past the ceiling of {MAX_UNFOLDED_ROWS}"
             ));
         }
+        ReportDoc::read(v)
+    }
+
+    /// Read a document past [`ReportDoc::from_json`]'s guards against
+    /// untrusted input: every block and row, each checked as it is read.
+    fn read(v: &Value) -> DocResult<ReportDoc> {
         Ok(ReportDoc {
-            schema_version,
+            schema_version: get_u32(v, "schema_version")?,
             program: get_str(v, "program")?,
             engine: get_str(v, "engine")?,
             profile: ProfileDoc::from_json(field(v, "profile")?)?,
