@@ -4,7 +4,7 @@
 //! it existed before the shadow-memory overhaul: `HashMap<u64, Cell>` shadow
 //! memory and a SipHash-keyed dependence store, a `HashMap`-backed loop
 //! context probed per event, the path-materializing (allocating) carried-by
-//! walk, and strictly per-event sink delivery. The equivalence tests
+//! walk, and a sink that takes events one at a time. The equivalence tests
 //! assert it and the current engine produce identical dependences.
 //!
 //! Deliberately *not* kept in sync with profiler-internal optimizations —
@@ -242,11 +242,6 @@ impl Sink for SeedProfiler {
             }
             _ => {}
         }
-    }
-
-    /// The seed had no batched delivery: force the per-event path.
-    fn batch_hint(&self) -> bool {
-        false
     }
 }
 

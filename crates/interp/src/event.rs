@@ -238,22 +238,22 @@ impl PlanRun<'_> {
 
 /// Consumer of the instrumentation stream.
 ///
-/// Implementations must be cheap when they ignore events: the interpreter
-/// calls [`Sink::event`] inline on the hot path, so a no-op sink measures
+/// A sink that ignores every event says so with [`Sink::WANTS_EVENTS`],
+/// and the interpreter then builds no events at all: a no-op sink measures
 /// "native" execution and any other sink measures instrumented execution —
 /// the ratio is the profiling slowdown reported in the experiments.
 ///
 /// # Batched delivery
 ///
-/// When [`Sink::batch_hint`] returns `true` (the default), the interpreter
-/// coalesces events into a reusable buffer and delivers them through
-/// [`Sink::events`] in chunks of [`crate::RunConfig::batch_cap`], instead of
-/// crossing the interpreter→sink boundary once per memory access. Delivery
-/// order is exactly emission order, so a sink observes the identical stream
-/// either way — batching is purely a throughput optimization (it replaces a
-/// per-event call + dispatch with a buffer push, and lets sinks run their
-/// per-event match loop over a slice). Sinks that discard events
-/// ([`NullSink`]) opt out so the uninstrumented baseline pays nothing.
+/// The interpreter delivers every event through [`Sink::events`]: in
+/// deterministic mode it writes events into a reusable buffer and hands
+/// over each full batch of [`crate::RunConfig::batch_cap`] events (and the
+/// rest at every point where the stream must be complete — a plan run, the
+/// end of the run); in racy mode each thread's buffer at its flush points.
+/// Delivery order is exactly emission order, so a sink observes the same
+/// stream at every cap — a cap of 1 hands over one event per call.
+/// Batching replaces a per-event call + dispatch with a buffer write, and
+/// lets sinks run their per-event match loop over a slice.
 pub trait Sink {
     /// Compile-time interest flag: `false` promises every event is ignored,
     /// letting the interpreter's emit path — including construction of the
@@ -285,13 +285,6 @@ pub trait Sink {
             self.event(ev);
         }
     }
-
-    /// Should the interpreter buffer events and deliver them in batches?
-    /// Return `false` when each event is ignored or trivially cheap, so the
-    /// interpreter skips buffer pushes entirely.
-    fn batch_hint(&self) -> bool {
-        true
-    }
 }
 
 /// Discards everything: the "uninstrumented run" baseline.
@@ -306,10 +299,6 @@ impl Sink for NullSink {
 
     #[inline(always)]
     fn events(&mut self, _evs: &[Event]) {}
-
-    fn batch_hint(&self) -> bool {
-        false
-    }
 }
 
 /// Records every event; used by tests and by offline analyses (CU
@@ -347,33 +336,6 @@ impl<S: Sink + ?Sized> Sink for &mut S {
     fn events(&mut self, evs: &[Event]) {
         (**self).events(evs);
     }
-
-    fn batch_hint(&self) -> bool {
-        (**self).batch_hint()
-    }
-}
-
-/// Fan out one stream to two sinks (e.g. profile and record simultaneously).
-pub struct TeeSink<A, B>(pub A, pub B);
-
-impl<A: Sink, B: Sink> Sink for TeeSink<A, B> {
-    const WANTS_EVENTS: bool = A::WANTS_EVENTS || B::WANTS_EVENTS;
-
-    #[inline(always)]
-    fn event(&mut self, ev: &Event) {
-        self.0.event(ev);
-        self.1.event(ev);
-    }
-
-    #[inline(always)]
-    fn events(&mut self, evs: &[Event]) {
-        self.0.events(evs);
-        self.1.events(evs);
-    }
-
-    fn batch_hint(&self) -> bool {
-        self.0.batch_hint() || self.1.batch_hint()
-    }
 }
 
 #[cfg(test)]
@@ -405,13 +367,5 @@ mod tests {
             ts: 0,
         });
         assert_eq!(m.thread(), 5);
-    }
-
-    #[test]
-    fn tee_fans_out() {
-        let mut tee = TeeSink(RecordingSink::default(), RecordingSink::default());
-        tee.event(&Event::ThreadEnd { thread: 1 });
-        assert_eq!(tee.0.events.len(), 1);
-        assert_eq!(tee.1.events.len(), 1);
     }
 }

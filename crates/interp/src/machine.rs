@@ -49,13 +49,9 @@ pub struct RunConfig {
     pub racy_delivery: bool,
     /// Per-thread event buffer capacity in racy mode.
     pub buffer_cap: usize,
-    /// Events coalesced per [`Sink::events`] delivery when the sink opts in
-    /// via [`Sink::batch_hint`] (deterministic mode only; racy mode batches
-    /// per thread through `buffer_cap`).
-    ///
-    /// Values below 2 disable batching: a batch of one event is just a
-    /// per-event call with extra buffering, so `0` and `1` are equivalent
-    /// and both normalize to `1` (see [`RunConfig::effective_batch_cap`]).
+    /// Events coalesced per [`Sink::events`] delivery in deterministic mode
+    /// (racy mode batches per thread through `buffer_cap`). Every sink gets
+    /// full batches; `0` and `1` both mean a batch of one event.
     pub batch_cap: usize,
     /// Cooperative cancellation: checked once per scheduler slice; when set
     /// to `true` the run stops and [`Interp::run`] returns a [`RunResult`]
@@ -79,14 +75,6 @@ pub struct RunConfig {
     /// the sender until the receiver drains a slot. Values below 1
     /// normalize to 1.
     pub mailbox_cap: usize,
-}
-
-impl RunConfig {
-    /// The batch size actually used: `batch_cap`, with the degenerate
-    /// values `0` and `1` both normalized to `1` (per-event delivery).
-    pub fn effective_batch_cap(&self) -> usize {
-        self.batch_cap.max(1)
-    }
 }
 
 impl Default for RunConfig {
@@ -319,14 +307,11 @@ pub struct Interp<'p, S: Sink> {
     /// Reusable call-argument buffer: evaluating call operands never
     /// allocates in steady state.
     call_buf: Vec<Value>,
-    /// Reusable event batch (deterministic mode, batching sinks):
+    /// Reusable event batch (deterministic mode; empty in racy mode):
     /// `batch_cap` slots, of which the first `batch_len` are pending.
     /// Events are written into their slot, never pushed.
     batch: Box<[Event]>,
     batch_len: usize,
-    /// Resolved once at construction: `batch_hint` of the sink, gated on
-    /// the config. Checked on every emit, so it must be a plain bool.
-    batching: bool,
     /// Dispatch-loop iterations (see [`RunResult::dispatches`]).
     dispatches: u64,
     /// Affine skip tier counters.
@@ -517,7 +502,11 @@ impl<'p, S: Sink> Interp<'p, S> {
     /// program, so this only sets up the main thread.
     pub fn new(prog: &'p Program, sink: S, cfg: RunConfig) -> Result<Self, RuntimeError> {
         let (main_id, _) = prog.module.function("main").ok_or(RuntimeError::NoMain)?;
-        let batching = !cfg.racy_delivery && cfg.effective_batch_cap() >= 2 && sink.batch_hint();
+        let batch = if cfg.racy_delivery {
+            0
+        } else {
+            cfg.batch_cap.max(1)
+        };
         let mut it = Interp {
             prog,
             sink,
@@ -533,10 +522,8 @@ impl<'p, S: Sink> Interp<'p, S> {
             msgs_received: 0,
             channels: FxHashMap::default(),
             call_buf: Vec::new(),
-            batch: vec![Event::ThreadEnd { thread: 0 }; if batching { cfg.batch_cap } else { 0 }]
-                .into_boxed_slice(),
+            batch: vec![Event::ThreadEnd { thread: 0 }; batch].into_boxed_slice(),
             batch_len: 0,
-            batching,
             dispatches: 0,
             synth: SynthStats::default(),
             skip_enabled: cfg.affine_skip,
@@ -631,11 +618,11 @@ impl<'p, S: Sink> Interp<'p, S> {
         if !S::WANTS_EVENTS {
             return;
         }
-        if self.batching {
+        if !self.cfg.racy_delivery {
             self.batch[self.batch_len] = ev;
             self.batched();
         } else {
-            self.emit_unbatched(t, ev);
+            self.emit_racy(t, ev);
         }
     }
 
@@ -645,8 +632,8 @@ impl<'p, S: Sink> Interp<'p, S> {
     /// with 1-, 4- and 8-byte stores and read back by 16-byte loads: a
     /// store-forwarding stall on every access, and the hottest instruction
     /// of a `suite_sweep` profile (203 of 2,730 timer samples, 2-core
-    /// x86-64 host). Written into the slot field by field, with the two
-    /// unbatched deliveries out of line, `suite_sweep`'s `interp.emit_ms`
+    /// x86-64 host). Written into the slot field by field, with racy
+    /// delivery out of line, `suite_sweep`'s `interp.emit_ms`
     /// fell from about 4 to 2.5 ms. The event must be built here, at the
     /// slot: handed to [`Interp::emit`] as a value it went through the
     /// stack again, and `suite_sweep` read 62 ms against 56.
@@ -655,11 +642,11 @@ impl<'p, S: Sink> Interp<'p, S> {
         if !S::WANTS_EVENTS {
             return;
         }
-        if self.batching {
+        if !self.cfg.racy_delivery {
             self.batch[self.batch_len] = mem_event(m, is_write, addr, t, ts);
             self.batched();
         } else {
-            self.emit_unbatched(t, mem_event(m, is_write, addr, t, ts));
+            self.emit_racy(t, mem_event(m, is_write, addr, t, ts));
         }
     }
 
@@ -672,16 +659,12 @@ impl<'p, S: Sink> Interp<'p, S> {
         }
     }
 
-    /// Racy (per-thread buffer) or direct delivery of one event.
+    /// Racy delivery of one event: into its thread's buffer.
     #[inline(never)]
-    fn emit_unbatched(&mut self, t: usize, ev: Event) {
-        if self.cfg.racy_delivery {
-            self.threads[t].buf.push(ev);
-            if self.threads[t].buf.len() >= self.cfg.buffer_cap {
-                self.flush(t);
-            }
-        } else {
-            self.sink.event(&ev);
+    fn emit_racy(&mut self, t: usize, ev: Event) {
+        self.threads[t].buf.push(ev);
+        if self.threads[t].buf.len() >= self.cfg.buffer_cap {
+            self.flush(t);
         }
     }
 
@@ -2168,60 +2151,50 @@ mod tests {
     }
 
     #[test]
-    fn batch_cap_below_two_normalizes_to_per_event_delivery() {
-        assert_eq!(RunConfig::default().effective_batch_cap(), 256);
-        for cap in [0usize, 1] {
-            let cfg = RunConfig {
-                batch_cap: cap,
-                ..Default::default()
-            };
-            assert_eq!(cfg.effective_batch_cap(), 1, "cap {cap}");
-        }
-
-        // 0 and 1 must behave identically: per-event delivery, no batching.
-        struct Count {
+    fn batch_caps_zero_and_one_deliver_one_event_per_call_and_two_batches() {
+        /// The length of every `events` call, and the `event` calls.
+        #[derive(Default)]
+        struct Calls {
             singles: usize,
-            batches: usize,
+            batches: Vec<usize>,
         }
-        impl Sink for Count {
+        impl Sink for Calls {
             fn event(&mut self, _ev: &Event) {
                 self.singles += 1;
             }
-            fn events(&mut self, _evs: &[Event]) {
-                self.batches += 1;
+            fn events(&mut self, evs: &[Event]) {
+                self.batches.push(evs.len());
             }
         }
-        let p = Program::new(
-            lang::compile(
-                "fn main() { int s = 0; for (int i = 0; i < 8; i = i + 1) { s += i; } }",
-                "t",
-            )
-            .unwrap(),
-        );
-        let deliver = |cap: usize| {
-            let mut c = Count {
-                singles: 0,
-                batches: 0,
-            };
-            run_with_config(
-                &p,
-                &mut c,
-                RunConfig {
-                    batch_cap: cap,
+        let src = "fn main() { int s = 0; for (int i = 0; i < 8; i = i + 1) { s += i; } }";
+        let p = Program::new(lang::compile(src, "t").unwrap());
+        let events = exec_rec(src).1.len();
+        for reference in [false, true] {
+            let deliver = |batch_cap: usize| {
+                let mut c = Calls::default();
+                let cfg = RunConfig {
+                    batch_cap,
                     ..Default::default()
-                },
-            )
-            .unwrap();
-            (c.singles, c.batches)
-        };
-        let zero = deliver(0);
-        let one = deliver(1);
-        assert_eq!(zero, one, "batch_cap 0 and 1 must be equivalent");
-        assert!(zero.0 > 0, "per-event path must be used");
-        assert_eq!(zero.1, 0, "no batch delivery below cap 2");
-        let (singles, batches) = deliver(2);
-        assert_eq!(singles, 0, "cap 2 must batch everything");
-        assert!(batches > 0);
+                };
+                if reference {
+                    crate::reference::run_with_config(&p, &mut c, cfg).unwrap();
+                } else {
+                    run_with_config(&p, &mut c, cfg).unwrap();
+                }
+                assert_eq!(c.singles, 0, "cap {batch_cap}: every event goes in a batch");
+                assert_eq!(c.batches.iter().sum::<usize>(), events, "cap {batch_cap}");
+                c.batches
+            };
+            for cap in [0, 1] {
+                assert!(
+                    deliver(cap).iter().all(|&n| n == 1),
+                    "reference {reference}: cap {cap} delivers batches of one"
+                );
+            }
+            let two = deliver(2);
+            assert!(two.iter().all(|&n| n <= 2), "reference {reference}");
+            assert!(two.len() < events, "reference {reference}: cap 2 batches");
+        }
     }
 
     /// Takes plan runs: keeps what they stand for in arrival order, their

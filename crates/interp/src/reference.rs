@@ -122,8 +122,8 @@ struct RefInterp<'p, S: Sink> {
     /// function) carry ids appended after the load/store range, in the
     /// same program order the decoder assigns them.
     op_ids: Vec<Vec<Vec<u32>>>,
+    /// Deterministic mode's pending batch (never filled in racy mode).
     batch: Vec<Event>,
-    batching: bool,
 }
 
 /// Run a program through the reference (tree-walking) interpreter.
@@ -181,7 +181,6 @@ impl<'p, S: Sink> RefInterp<'p, S> {
             op_ids[fi][bi][pi] = next_op + ord as u32;
         }
         let (main_id, _) = prog.module.function("main").ok_or(RuntimeError::NoMain)?;
-        let batching = !cfg.racy_delivery && cfg.effective_batch_cap() >= 2 && sink.batch_hint();
         let mut it = RefInterp {
             prog,
             sink,
@@ -198,8 +197,7 @@ impl<'p, S: Sink> RefInterp<'p, S> {
             printed: Vec::new(),
             targets,
             op_ids,
-            batch: Vec::with_capacity(if batching { cfg.batch_cap } else { 0 }),
-            batching,
+            batch: Vec::with_capacity(if cfg.racy_delivery { 0 } else { cfg.batch_cap }),
         };
         it.spawn_thread(main_id.index(), &[], None, 0);
         Ok(it)
@@ -288,18 +286,17 @@ impl<'p, S: Sink> RefInterp<'p, S> {
         if !S::WANTS_EVENTS {
             return;
         }
-        if self.batching {
-            self.batch.push(ev);
-            if self.batch.len() >= self.cfg.batch_cap {
-                self.flush_batch();
-            }
-        } else if self.cfg.racy_delivery {
+        if self.cfg.racy_delivery {
             self.threads[t].buf.push(ev);
             if self.threads[t].buf.len() >= self.cfg.buffer_cap {
                 self.flush(t);
             }
         } else {
-            self.sink.event(&ev);
+            // A cap of 0 or 1 delivers each event as a batch of one.
+            self.batch.push(ev);
+            if self.batch.len() >= self.cfg.batch_cap {
+                self.flush_batch();
+            }
         }
     }
 

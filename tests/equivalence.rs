@@ -91,7 +91,7 @@ fn page_table_matches_hash_shadow_on_workloads() {
 #[test]
 fn seed_pipeline_reconstruction_matches_current() {
     // The full pre-overhaul pipeline (HashMap shadow + SipHash dep store +
-    // allocating carried-by + per-event delivery), reconstructed in
+    // allocating carried-by + a one-event-at-a-time sink), reconstructed in
     // `bench::seed_baseline`, against today's engine.
     for (name, p) in workload_programs() {
         let seed = bench::seed_baseline::profile_seed(&p).unwrap();

@@ -132,8 +132,8 @@ fn runs_under_the_injected_fault_expand_to_the_recorded_stream() {
 
 /// Forwards to `inner` and raises `stop` on the `nth` loop entry — an event
 /// outside every plan run, so an event-taking and a run-taking sink see it
-/// at the same machine step. Per-event delivery (no batching) keeps that
-/// step the same under both.
+/// at the same machine step. Batches of one event (`batch_cap: 1`) keep
+/// that step the same under both.
 struct StopOnLoop<S> {
     inner: S,
     stop: Arc<AtomicBool>,
@@ -160,10 +160,6 @@ impl<S: Sink> Sink for StopOnLoop<S> {
     fn plan_run(&mut self, run: &PlanRun<'_>) {
         self.inner.plan_run(run);
     }
-
-    fn batch_hint(&self) -> bool {
-        false
-    }
 }
 
 /// A stop flag raised while a plan is engaged: the in-place re-slice must
@@ -189,6 +185,7 @@ fn main() {
             let cfg = RunConfig {
                 quantum,
                 stop: Some(stop.clone()),
+                batch_cap: 1,
                 ..Default::default()
             };
             let mut sink = StopOnLoop {
