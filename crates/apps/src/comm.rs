@@ -107,15 +107,13 @@ pub struct ActorComm {
 }
 
 /// Build the per-channel actor summary from the interpreter's channel
-/// counts and the profiled dependence set. `mailbox_sym` is the interned
-/// `"<mailbox>"` symbol ([`interp::Program::mailbox_symbol`]); when
-/// `None` (no mailbox ops in the program) the dependence counters are
-/// zero and only the matrix is meaningful.
+/// counts and the dependences over mailbox state — those whose variable is
+/// [`interp::MAILBOX_VAR`] — each given as `(type, cross-thread, race hint,
+/// count)`, so a live dependence set and a report's rows feed it alike.
 pub fn actor_comm(
     channels: &[(u32, u32, u64)],
     actors: usize,
-    deps: &DepSet,
-    mailbox_sym: Option<u32>,
+    mailbox_deps: impl IntoIterator<Item = (DepType, bool, bool, u64)>,
 ) -> ActorComm {
     let mut counts = vec![0u64; actors * actors];
     for &(from, to, n) in channels {
@@ -126,19 +124,14 @@ pub fn actor_comm(
     let mut handoff_deps = 0u64;
     let mut capacity_deps = 0u64;
     let mut race_hints = 0u64;
-    if let Some(sym) = mailbox_sym {
-        for (d, n) in deps.iter() {
-            if d.var != sym {
-                continue;
-            }
-            match d.ty {
-                DepType::Raw if d.is_cross_thread() => handoff_deps += n,
-                DepType::War | DepType::Waw => capacity_deps += n,
-                _ => {}
-            }
-            if d.race_hint {
-                race_hints += n;
-            }
+    for (ty, cross_thread, race_hint, n) in mailbox_deps {
+        match ty {
+            DepType::Raw if cross_thread => handoff_deps += n,
+            DepType::War | DepType::Waw => capacity_deps += n,
+            _ => {}
+        }
+        if race_hint {
+            race_hints += n;
         }
     }
     ActorComm {
@@ -255,11 +248,14 @@ mod tests {
         );
         let out = profiler::profile_program(&p).unwrap();
         let actors = out.actors.as_ref().expect("actor block present");
+        let mailbox = p.mailbox_symbol();
         let comm = actor_comm(
             &actors.channels,
             actors.spawned as usize,
-            &out.deps,
-            p.mailbox_symbol(),
+            out.deps
+                .iter()
+                .filter(|(d, _)| Some(d.var) == mailbox)
+                .map(|(d, n)| (d.ty, d.is_cross_thread(), d.race_hint, n)),
         );
         assert_eq!(comm.matrix.get(0, 1), 8);
         assert_eq!(comm.matrix.get(1, 0), 1);

@@ -17,10 +17,12 @@ use profiler::{
 };
 use std::time::Instant;
 
-/// The legacy `HashMap` shadow behind today's dependence builder, driven by
-/// a front half of its own (loop context, instance table, PET, lifetime
-/// eviction — nothing shared with [`profiler::Profiler`]): the reference the
-/// equivalence tests hold the engine's exact map against.
+/// The legacy `HashMap` shadow behind today's dependence builder, fed by
+/// its own sink rather than the engine's pipeline: the reference the
+/// equivalence tests hold the engine's exact map and its PET against. It
+/// reuses the engine's [`LoopContext`], [`InstanceTable`] and
+/// [`DepBuilder`], so their faults it repeats rather than sees;
+/// [`seed_baseline`], which shares none of them, is the oracle for those.
 pub struct HashShadowOracle {
     ctx: LoopContext,
     table: InstanceTable,

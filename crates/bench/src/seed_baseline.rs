@@ -1,30 +1,30 @@
-//! The seed profiler hot path, preserved for benchmarking.
+//! The seed profiler, reconstructed: an exact-dependence oracle.
 //!
-//! This is a faithful reconstruction of the serial perfect-shadow engine as
-//! it existed before the shadow-memory overhaul: `HashMap<u64, Cell>` shadow
+//! A faithful reconstruction of the serial perfect-shadow engine as it
+//! existed before the shadow-memory overhaul: `HashMap<u64, Cell>` shadow
 //! memory and a SipHash-keyed dependence store, a `HashMap`-backed loop
-//! context probed per event, the path-materializing (allocating) carried-by
-//! walk, and a sink that takes events one at a time. The equivalence tests
-//! assert it and the current engine produce identical dependences.
+//! context probed per event, the path-materializing carried-by walk, and a
+//! sink that takes events one at a time. The equivalence tests hold the
+//! engine to it, dependence by dependence and count by count.
 //!
-//! Deliberately *not* kept in sync with profiler-internal optimizations —
-//! its whole value is staying slow the old way.
+//! It shares nothing with the engine but the event stream and the
+//! `Dep`/`DepSet` types, and that is its value: it catches the faults of
+//! the parts [`crate::HashShadowOracle`] reuses — the loop context, the
+//! instance table's carried-by answer, the dependence memo's flush, the
+//! builder's lifetime eviction — which that oracle repeats rather than
+//! sees. Deliberately not kept in sync with the engine's optimizations;
+//! nothing times it.
 
 use interp::{Event, MemEvent, Sink};
 use profiler::{Access, Dep, DepSet, DepType, PetBuilder, SrcLoc, NO_INSTANCE};
 use std::collections::HashMap;
 
-/// The seed's seven-field shadow cell: line and variable stored per address.
+/// The seed's shadow cell: the source line stored per address.
 /// Deliberately not `profiler::Cell` — an oracle must not share the
-/// representation under test. `op` and `var` are never read back; they stay
-/// so the seed's per-address footprint (and so its timing) is the seed's.
+/// representation under test.
 #[derive(Debug, Clone, Copy)]
 struct Cell {
-    #[allow(dead_code)]
-    op: u32,
     line: u32,
-    #[allow(dead_code)]
-    var: u32,
     thread: u32,
     ts: u64,
     instance: u32,
@@ -34,9 +34,7 @@ struct Cell {
 impl Cell {
     fn from_access(a: &Access) -> Self {
         Cell {
-            op: a.op,
             line: a.line,
-            var: a.var,
             thread: a.thread,
             ts: a.ts,
             instance: a.instance,
@@ -77,11 +75,9 @@ impl SeedProfiler {
     }
 
     /// The merged dependences, converted to the current [`DepSet`] type so
-    /// callers can compare against the new engine's output. Not part of the
-    /// profiling hot path — benchmarks must run it *outside* the timed
-    /// region (see [`run_seed`]). Per-dependence counts carry over, so a
-    /// differential test can see a lost or doubled occurrence as well as a
-    /// missing dependence.
+    /// callers can compare against the engine's output. Per-dependence
+    /// counts carry over, so a differential test can see a lost or doubled
+    /// occurrence as well as a missing dependence.
     pub fn into_depset(self) -> DepSet {
         let mut out = DepSet::with_capacity(self.deps.len());
         for (d, n) in self.deps {
@@ -245,15 +241,9 @@ impl Sink for SeedProfiler {
     }
 }
 
-/// Run `prog` under the seed engine and return the profiler itself — the
-/// timeable unit for benchmarks (conversion to [`DepSet`] excluded).
-pub fn run_seed(prog: &interp::Program) -> Result<SeedProfiler, interp::RuntimeError> {
-    let mut p = SeedProfiler::new();
-    interp::run_with_config(prog, &mut p, interp::RunConfig::default())?;
-    Ok(p)
-}
-
 /// Profile `prog` with the seed engine; returns the merged dependences.
 pub fn profile_seed(prog: &interp::Program) -> Result<DepSet, interp::RuntimeError> {
-    Ok(run_seed(prog)?.into_depset())
+    let mut p = SeedProfiler::new();
+    interp::run_with_config(prog, &mut p, interp::RunConfig::default())?;
+    Ok(p.into_depset())
 }

@@ -14,11 +14,12 @@
 //! engine, runs parallelism discovery, prints the human-readable report,
 //! and (with `--json`) writes the versioned JSON report — the
 //! machine-readable dependence output downstream tools consume.
-//! `report` renders a previously written JSON report without re-running
-//! anything. `engines` lists the accepted `--engine` specs. `serve` runs
-//! the pipeline as a long-lived fault-isolated daemon (see
-//! [`discopop::serve`]); `submit`, `status`, and `shutdown` are its
-//! clients (see [`discopop::submit`]).
+//! `report` prints a previously written JSON report without re-running
+//! anything: the text `analyze` printed for the run that wrote it, from
+//! one renderer ([`discopop::report::ReportDoc::render`]). `engines` lists
+//! the accepted `--engine` specs. `serve` runs the pipeline as a
+//! long-lived fault-isolated daemon (see [`discopop::serve`]); `submit`,
+//! `status`, and `shutdown` are its clients (see [`discopop::submit`]).
 
 use discopop::protocol::{ErrorKind, JobOptions, Request, Response};
 use discopop::report::ReportDoc;
@@ -31,7 +32,8 @@ use std::time::Duration;
 const USAGE: &str = "usage:
   discopop analyze <file> [options]   compile, profile, discover, report
   discopop lint <file>                static lints only (no execution)
-  discopop report <report.json>       render a saved JSON report
+  discopop report <report.json>       print a saved JSON report as analyze
+                                      prints it
   discopop engines                    list --engine specs
   discopop serve [options]            run the analysis daemon
   discopop submit <file> [options]    send one job to a running daemon
@@ -98,7 +100,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("analyze") => analyze(&args[1..]),
         Some("lint") => lint(&args[1..]),
-        Some("report") => render_saved(&args[1..]),
+        Some("report") => report_cmd(&args[1..]),
         Some("serve") => serve_cmd(&args[1..]),
         Some("submit") => submit_cmd(&args[1..]),
         Some("status") => status_cmd(&args[1..]),
@@ -110,7 +112,7 @@ fn main() -> ExitCode {
                 "  serial-signature[:slots]          bounded-memory signature (default 2^18 slots;"
             );
             println!("                                    a slot pairs an address's read and write status)");
-            println!("  parallel[:[workers=]N[xchunk]]    producer/consumer pipeline: N partitions, inline");
+            println!("  parallel[:N[xchunk]]              producer/consumer pipeline: N partitions, inline");
             println!(
                 "                                    until the run is big enough for N workers"
             );
@@ -139,8 +141,8 @@ fn main() -> ExitCode {
                  for small footprints, serial-signature beyond them"
             );
             println!(
-                "examples: serial-signature:1048576   parallel:8   parallel:workers=4   \
-                 parallel:4x128"
+                "examples: serial-signature:1048576   parallel:8   parallel:4x128 \
+                 (a report's engine label is also a spec)"
             );
             println!(
                 "every engine reads the same interpreter access stream; --static \
@@ -439,7 +441,9 @@ fn lint(args: &[String]) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn render_saved(args: &[String]) -> ExitCode {
+/// `discopop report <file>`: print a saved JSON report as `analyze` prints
+/// the live one. Exit 1 on a schema error, 2 on unreadable input.
+fn report_cmd(args: &[String]) -> ExitCode {
     let Some(path) = args.first() else {
         eprintln!("discopop report: no input file\n{USAGE}");
         return ExitCode::FAILURE;
@@ -448,97 +452,19 @@ fn render_saved(args: &[String]) -> ExitCode {
         Ok(t) => t,
         Err(e) => {
             eprintln!("discopop: cannot read `{path}`: {e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
-    let doc = match ReportDoc::from_json_str(&text) {
-        Ok(d) => d,
+    match ReportDoc::from_json_str(&text) {
+        Ok(doc) => {
+            print!("{}", doc.render());
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("discopop: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    println!(
-        "== DiscoPoP report: {} == (schema v{}, engine {})",
-        doc.program, doc.schema_version, doc.engine
-    );
-    // A multi-threaded report folds its thread pairs: say into how much.
-    let folded = match doc.folded_dependences() {
-        (_, 0) => String::new(),
-        (rows, runs) => format!(" in {rows} rows and {runs} thread runs"),
-    };
-    println!(
-        "{} instructions, {} accesses, {} distinct dependences{folded} ({} before merging)",
-        doc.profile.steps,
-        doc.profile.accesses,
-        doc.profile.dependences.len(),
-        doc.profile.dependences_found,
-    );
-    let s = &doc.profile.summary;
-    if s.loops_skipped > 0 {
-        println!(
-            "affine skip tier: {} loops plan-replayed, {} accesses synthesized, {} dispatches",
-            s.loops_skipped, s.synthesized_accesses, s.dispatches
-        );
     }
-    if let Some(a) = &doc.profile.actors {
-        println!(
-            "actors: {} spawned (peak {} live), {} sent / {} received, {} channel(s), digest {:016x}",
-            a.spawned,
-            a.peak_live,
-            a.sent,
-            a.received,
-            a.channels.len(),
-            a.channel_digest,
-        );
-    }
-    if let Some(res) = &doc.profile.resource {
-        println!(
-            "resource: peak {} tracked bytes, {} degradation step(s), est. FP rate {:.4}{}",
-            res.peak_tracked_bytes,
-            res.degradation_steps.len(),
-            res.fp_rate_estimate,
-            if res.deadline_hit {
-                " [deadline hit — partial profile]"
-            } else {
-                ""
-            }
-        );
-    }
-    println!("\nLoops:");
-    for l in &doc.discovery.loops {
-        let extra = if !l.reduction_vars.is_empty() {
-            format!(" reduction({})", l.reduction_vars.join(", "))
-        } else if l.pipeline_stages > 0 {
-            format!(" {} pipeline stages", l.pipeline_stages)
-        } else {
-            String::new()
-        };
-        println!(
-            "  line {:>4} ({} iters, {} instrs): {}{extra}",
-            l.start_line, l.iters, l.dyn_instrs, l.class
-        );
-    }
-    println!("\nRanked opportunities:");
-    for (i, r) in doc.discovery.ranked.iter().enumerate() {
-        let what = match &r.target {
-            discopop::report::TargetDoc::Loop {
-                start_line, class, ..
-            } => format!("loop at line {start_line} ({class})"),
-            discopop::report::TargetDoc::TaskSet { spans, .. } => {
-                let spans: Vec<String> = spans.iter().map(|(a, b)| format!("{a}-{b}")).collect();
-                format!("task set at lines {}", spans.join(", "))
-            }
-        };
-        println!(
-            "  {}. {what} — coverage {:.1}%, local speedup {:.1}x, score {:.2}",
-            i + 1,
-            r.instruction_coverage * 100.0,
-            r.local_speedup,
-            r.score
-        );
-    }
-    ExitCode::SUCCESS
 }
 
 /// SIGTERM/SIGINT → a flag the serve loop polls, so ctrl-c and service

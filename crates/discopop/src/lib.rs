@@ -60,7 +60,8 @@
 //! - [`discovery`]: DOALL/DOACROSS/SPMD/MPMD + ranking (Ch. 4)
 //! - [`apps`]: ML loop classification, STM sizing, communication patterns
 //!   (Ch. 5)
-//! - [`report`]: the versioned JSON wire format of a [`Report`]
+//! - [`report`]: the versioned JSON wire format of a [`Report`] and its
+//!   human-readable text ([`render_report`])
 
 // The facade runs inside the daemon, on whatever a client sends: library
 // code returns typed errors instead of panicking (tests may unwrap).
@@ -285,11 +286,6 @@ impl StaticReport {
         } else {
             f64::from(a) / f64::from(m)
         }
-    }
-
-    /// Loops whose cross-iteration conflicts were all statically excluded.
-    pub fn doall_candidates(&self) -> impl Iterator<Item = &analysis::LoopReport> {
-        self.loops.iter().filter(|l| l.doall_candidate)
     }
 }
 
@@ -706,144 +702,11 @@ pub fn render_dependence_text(program: &interp::Program, report: &Report) -> Str
     )
 }
 
-/// Render a human-readable report of the ranked suggestions.
+/// Render the human-readable report: the ranked suggestions and the loop,
+/// task, actor, resource and static verdicts behind them. A saved JSON
+/// report prints the same text through [`report::ReportDoc::render`].
 pub fn render_report(program: &interp::Program, report: &Report) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = writeln!(out, "== DiscoPoP report: {} ==", program.module.name);
-    let _ = writeln!(
-        out,
-        "engine {}; {} instructions executed, {} distinct dependences ({} before merging)",
-        report.engine,
-        report.profile.steps,
-        report.profile.deps.len(),
-        report.profile.deps.total_found
-    );
-    let synth = &report.profile.synth;
-    if synth.loops_skipped > 0 {
-        let _ = writeln!(
-            out,
-            "affine skip tier: {} loops plan-replayed ({} cycles, {} accesses synthesized, {} fallbacks)",
-            synth.loops_skipped,
-            synth.cycles,
-            synth.synthesized_accesses,
-            synth.fallbacks(),
-        );
-    }
-    if let Some(a) = &report.profile.actors {
-        let _ = writeln!(
-            out,
-            "actors: {} spawned (peak {} live), {} messages sent / {} received over {} channel(s)",
-            a.spawned,
-            a.peak_live,
-            a.sent,
-            a.received,
-            a.channels.len(),
-        );
-        let comm = apps::actor_comm(
-            &a.channels,
-            a.spawned as usize,
-            &report.profile.deps,
-            program.mailbox_symbol(),
-        );
-        let _ = writeln!(
-            out,
-            "mailbox dependences: {} handoffs (RAW), {} capacity couplings (WAR/WAW), {} race hints",
-            comm.handoff_deps, comm.capacity_deps, comm.race_hints,
-        );
-        // The actor×actor matrix reads like the Fig. 5.1 thread matrices;
-        // keep it to a screenful for the 10k-actor stress family.
-        if a.spawned <= 16 {
-            let _ = write!(out, "{}", apps::render_matrix(&comm.matrix));
-        } else {
-            let _ = writeln!(
-                out,
-                "channel matrix: {} actors, pattern {} (matrix elided)",
-                a.spawned,
-                comm.matrix.pattern(),
-            );
-        }
-    }
-    let _ = writeln!(out, "\nRanked parallelization opportunities:");
-    for (i, r) in report.discovery.ranked.iter().enumerate() {
-        match &r.target {
-            discovery::ranking::SuggestionTarget::Loop {
-                start_line, class, ..
-            } => {
-                let _ = writeln!(
-                    out,
-                    "  {}. loop at line {start_line}: {:?} (coverage {:.1}%, local speedup {:.1}x, imbalance {:.2})",
-                    i + 1,
-                    class,
-                    r.ranking.instruction_coverage * 100.0,
-                    r.ranking.local_speedup,
-                    r.ranking.cu_imbalance,
-                );
-            }
-            discovery::ranking::SuggestionTarget::TaskSet { spans, .. } => {
-                let spans: Vec<String> = spans.iter().map(|(a, b)| format!("{a}-{b}")).collect();
-                let _ = writeln!(
-                    out,
-                    "  {}. concurrent tasks at lines {} (coverage {:.1}%, local speedup {:.1}x)",
-                    i + 1,
-                    spans.join(", "),
-                    r.ranking.instruction_coverage * 100.0,
-                    r.ranking.local_speedup,
-                );
-            }
-        }
-    }
-    if !report.discovery.spmd.is_empty() {
-        let _ = writeln!(out, "\nTask suggestions:");
-        for s in &report.discovery.spmd {
-            let _ = writeln!(
-                out,
-                "  {:?} calling [{}] at lines {:?}",
-                s.kind,
-                s.callees.join(", "),
-                s.lines
-            );
-        }
-    }
-    if let Some(s) = &report.statics {
-        let (aff, mem) = s.coverage();
-        let _ = writeln!(
-            out,
-            "\nStatic analysis: {aff}/{mem} in-loop memory ops affine ({:.1}%), \
-             {} independence claims, {} doall candidates, {} lint findings{}",
-            s.affine_fraction() * 100.0,
-            s.claims.len(),
-            s.doall_candidates().count(),
-            s.lints.len(),
-            if s.spawns_threads {
-                " (threaded module: claims suppressed)"
-            } else {
-                ""
-            }
-        );
-        for l in &s.loops {
-            let _ = writeln!(
-                out,
-                "  loop at lines {}-{} in {}: {}/{} affine, {}/{} pairs proven{}",
-                l.start_line,
-                l.end_line,
-                l.func_name,
-                l.affine_ops,
-                l.mem_ops,
-                l.proven_pairs,
-                l.tested_pairs,
-                if l.doall_candidate {
-                    " [static doall candidate]"
-                } else {
-                    ""
-                }
-            );
-        }
-        for l in &s.lints {
-            let _ = writeln!(out, "  lint [{}]: {}", l.kind.code(), l.message);
-        }
-    }
-    out
+    report::render_live(program, report)
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! The versioned JSON wire format of a [`crate::Report`].
+//! The versioned JSON wire format of a [`crate::Report`], and the
+//! human-readable report printed from the same rows.
 //!
 //! The in-memory report carries ids (symbol ids, function indices) that
 //! only mean something next to the [`interp::Program`] that produced them,
@@ -29,6 +30,11 @@
 //! A document is only ever read: [`ReportDoc::from_report`] emits a live
 //! report into a [`jsonio::TreeSink`] and reads the tree with
 //! [`ReportDoc::from_json`]'s reader.
+//!
+//! The human-readable report is written once too, over the same two
+//! sources: [`crate::render_report`] prints a live report's rows and
+//! [`ReportDoc::render`] a parsed document's, the same text for the same
+//! run.
 //!
 //! # Schema (version 8)
 //!
@@ -1978,6 +1984,206 @@ pub(crate) fn emit_live<S: Emitter>(program: &interp::Program, report: &Report, 
     emit_doc(&live.head(), &live, s);
 }
 
+/// The human-readable report of a live report, from its rows: what
+/// [`crate::render_report`] prints.
+pub(crate) fn render_live(program: &interp::Program, report: &Report) -> String {
+    let live = Live::new(program, report);
+    render(&live.head(), &live)
+}
+
+/// `text` when `on`, else nothing: a line's optional remark.
+fn suffix(on: bool, text: &'static str) -> &'static str {
+    if on {
+        text
+    } else {
+        ""
+    }
+}
+
+/// The human-readable report, over the same inputs as [`emit_doc`]: a
+/// live report and the document it parses back into print the same bytes.
+/// Every block that says why the report reads as it does has its line —
+/// the folded thread pairs, the skip tier, the actors and their mailboxes,
+/// what a memory ceiling gave up, each loop's verdict, the ranking, the
+/// task suggestions and the static pre-pass.
+fn render(head: &ReportDoc, rows: &impl Rows) -> String {
+    use std::fmt::Write;
+    let mut out = String::new();
+    let p = &head.profile;
+    let _ = writeln!(
+        out,
+        "== DiscoPoP report: {} == (schema v{}, engine {})",
+        head.program, head.schema_version, head.engine
+    );
+    // A multi-threaded report folds its thread pairs: say into how much.
+    let (distinct, mut folded, mut runs) = (rows.dependences().count(), 0, 0);
+    fold_rows(rows.dependences(), |_, threads| {
+        folded += 1;
+        if let Threads::Runs(r) = threads {
+            runs += r.count();
+        }
+    });
+    let shape = if runs == 0 {
+        String::new()
+    } else {
+        format!(" in {folded} rows and {runs} thread runs")
+    };
+    let _ = writeln!(
+        out,
+        "{} instructions executed, {} accesses, {distinct} distinct dependences{shape} \
+         ({} before merging)",
+        p.steps, p.accesses, p.dependences_found
+    );
+    let s = &p.summary;
+    if s.loops_skipped > 0 {
+        let _ = writeln!(
+            out,
+            "affine skip tier: {} loops plan-replayed ({} cycles, {} accesses synthesized, \
+             {} fallbacks, {} dispatches)",
+            s.loops_skipped,
+            s.cycles,
+            s.synthesized_accesses,
+            s.fallback_budget + s.fallback_precondition + s.fallback_fault,
+            s.dispatches
+        );
+    }
+    if let Some(a) = &p.actors {
+        let _ = writeln!(
+            out,
+            "actors: {} spawned (peak {} live), {} messages sent / {} received over {} channel(s)",
+            a.spawned,
+            a.peak_live,
+            a.sent,
+            a.received,
+            a.channels.len(),
+        );
+        let comm = apps::actor_comm(
+            &a.channels,
+            a.spawned as usize,
+            rows.dependences()
+                .filter(|d| d.var == interp::MAILBOX_VAR)
+                .map(|d| (d.ty, d.sink_thread != d.source_thread, d.race_hint, d.count)),
+        );
+        let _ = writeln!(
+            out,
+            "mailbox dependences: {} handoffs (RAW), {} capacity couplings (WAR/WAW), {} race hints",
+            comm.handoff_deps, comm.capacity_deps, comm.race_hints,
+        );
+        // The actor×actor matrix reads like the Fig. 5.1 thread matrices;
+        // keep it to a screenful for the 10k-actor stress family.
+        if a.spawned <= 16 {
+            out.push_str(&apps::render_matrix(&comm.matrix));
+        } else {
+            let _ = writeln!(
+                out,
+                "channel matrix: {} actors, pattern {} (matrix elided)",
+                a.spawned,
+                comm.matrix.pattern(),
+            );
+        }
+    }
+    if let Some(r) = &p.resource {
+        let _ = writeln!(
+            out,
+            "resource: peak {} tracked bytes, {} degradation step(s), est. FP rate {:.4}{}",
+            r.peak_tracked_bytes,
+            r.degradation_steps.len(),
+            r.fp_rate_estimate,
+            suffix(r.deadline_hit, " [deadline hit — partial profile]")
+        );
+    }
+
+    out.push_str("\nLoops:\n");
+    rows.loops(|l| {
+        let extra = if !l.reduction_vars.is_empty() {
+            format!(" reduction({})", l.reduction_vars.join(", "))
+        } else if l.pipeline_stages > 0 {
+            format!(" {} pipeline stages", l.pipeline_stages)
+        } else {
+            String::new()
+        };
+        let _ = writeln!(
+            out,
+            "  line {:>4} ({} iters, {} instrs): {}{extra}",
+            l.start_line, l.iters, l.dyn_instrs, l.class
+        );
+    });
+    out.push_str("\nRanked parallelization opportunities:\n");
+    let mut rank = 0;
+    rows.ranked(|r| {
+        rank += 1;
+        let what = match &r.target {
+            TargetDoc::Loop {
+                start_line, class, ..
+            } => format!("loop at line {start_line}: {class}"),
+            TargetDoc::TaskSet { spans, .. } => {
+                let spans: Vec<String> = spans.iter().map(|(a, b)| format!("{a}-{b}")).collect();
+                format!("concurrent tasks at lines {}", spans.join(", "))
+            }
+        };
+        let _ = writeln!(
+            out,
+            "  {rank}. {what} (coverage {:.1}%, local speedup {:.1}x, imbalance {:.2}, score {:.2})",
+            r.instruction_coverage * 100.0,
+            r.local_speedup,
+            r.cu_imbalance,
+            r.score
+        );
+    });
+    let mut tasks = String::new();
+    rows.spmd(|t| {
+        let _ = writeln!(
+            tasks,
+            "  {} calling [{}] at lines {:?}",
+            t.kind,
+            t.callees.join(", "),
+            t.lines
+        );
+    });
+    if !tasks.is_empty() {
+        let _ = write!(out, "\nTask suggestions:\n{tasks}");
+    }
+
+    if let Some(st) = &head.statics {
+        let (mut claims, mut candidates, mut lints) = (0, 0, 0);
+        rows.claims(|_| claims += 1);
+        rows.static_loops(|l| candidates += usize::from(l.doall_candidate));
+        rows.lints(|_| lints += 1);
+        let affine = if st.mem_ops == 0 {
+            1.0
+        } else {
+            f64::from(st.affine_ops) / f64::from(st.mem_ops)
+        };
+        let _ = writeln!(
+            out,
+            "\nStatic analysis: {}/{} in-loop memory ops affine ({:.1}%), {claims} independence \
+             claims, {candidates} doall candidates, {lints} lint findings{}",
+            st.affine_ops,
+            st.mem_ops,
+            affine * 100.0,
+            suffix(st.spawns_threads, " (threaded module: claims suppressed)")
+        );
+        rows.static_loops(|l| {
+            let _ = writeln!(
+                out,
+                "  loop at lines {}-{} in {}: {}/{} affine, {}/{} pairs proven{}",
+                l.start_line,
+                l.end_line,
+                l.func_name,
+                l.affine_ops,
+                l.mem_ops,
+                l.proven_pairs,
+                l.tested_pairs,
+                suffix(l.doall_candidate, " [static doall candidate]")
+            );
+        });
+        rows.lints(|l| {
+            let _ = writeln!(out, "  lint [{}]: {}", l.kind, l.message);
+        });
+    }
+    out
+}
+
 /// The owned, name-resolved form of a full [`Report`], versioned: what a
 /// JSON report parses into ([`ReportDoc::from_json_str`]), and what
 /// [`ReportDoc::from_report`] (or [`Report::to_doc`]) reads a live report
@@ -2086,18 +2292,11 @@ impl ReportDoc {
         ReportDoc::from_json(&v)
     }
 
-    /// The shape `profile.dependences` folds into when written: `(rows,
-    /// runs)`, where `runs` counts the thread runs of the rows that do not
-    /// write `"threads": null`.
-    pub fn folded_dependences(&self) -> (usize, usize) {
-        let (mut rows, mut runs) = (0, 0);
-        fold_rows(self.dependences(), |_, threads| {
-            rows += 1;
-            if let Threads::Runs(r) = threads {
-                runs += r.count();
-            }
-        });
-        (rows, runs)
+    /// The human-readable report of this document: the text
+    /// [`crate::render_report`] prints for the live report it was written
+    /// from, byte for byte.
+    pub fn render(&self) -> String {
+        render(self, self)
     }
 
     /// All distinct loop classes present, in report order — the quick

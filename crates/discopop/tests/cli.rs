@@ -221,8 +221,8 @@ fn parallel_engine_selectable_from_cli() {
     // The parallel engine's dependences must match the exact baseline.
     assert_eq!(parallel.profile.dependences, perfect.profile.dependences);
 
-    // The `workers=N` spelling selects the same engine shape.
-    let spelled = run("parallel:workers=4", &dir.join("spelled.json"));
+    // The `parallel:N` shorthand selects the same engine shape.
+    let spelled = run("parallel:4", &dir.join("spelled.json"));
     assert_eq!(spelled.engine, "parallel:4x256");
     let stats = spelled.profile.parallel.expect("transport stats");
     assert_eq!(stats.worker_processed.len(), 4);
@@ -466,7 +466,68 @@ fn report_subcommand_renders_saved_json() {
     // A single-threaded report folds into nothing: no shape to report.
     assert!(!stdout.contains("thread runs"), "{stdout}");
     assert!(stdout.contains("Doall"), "{stdout}");
-    assert!(stdout.contains("Ranked opportunities"), "{stdout}");
+    assert!(
+        stdout.contains("Ranked parallelization opportunities"),
+        "{stdout}"
+    );
+}
+
+/// `report` prints a saved report as `analyze` printed the run that wrote
+/// it, byte for byte: an actor program small enough for its channel
+/// matrix, one too large for it (and folded into thread runs), a governed
+/// run (the `resource:` line) and a static one (the static lines).
+#[test]
+fn report_of_the_saved_json_prints_what_analyze_printed() {
+    let dir = scratch("one-renderer");
+    for (name, extra) in [
+        ("actor_ring", &[][..]),
+        ("actors_10k", &[][..]),
+        ("matmul", &["--max-memory", "16K"][..]),
+        ("matmul", &["--static"][..]),
+    ] {
+        let src = catalogue_source(&dir, name);
+        let json = dir.join(format!("{name}.json"));
+        let analyze = |more: &[&str]| {
+            let res = Command::new(BIN)
+                .arg("analyze")
+                .arg(&src)
+                .args(extra)
+                .args(more)
+                .output()
+                .unwrap();
+            assert!(
+                res.status.success(),
+                "{name} {extra:?}: {}",
+                String::from_utf8_lossy(&res.stderr)
+            );
+            res.stdout
+        };
+        let printed = analyze(&[]);
+        analyze(&["--quiet", "--json", json.to_str().unwrap()]);
+        let res = Command::new(BIN).arg("report").arg(&json).output().unwrap();
+        assert!(res.status.success(), "{name} {extra:?}");
+        let text = String::from_utf8_lossy(&printed);
+        assert!(
+            res.stdout == printed,
+            "{name} {extra:?}: analyze printed\n{text}\nreport printed\n{}",
+            String::from_utf8_lossy(&res.stdout)
+        );
+        let expect: &[&str] = match (name, extra.first()) {
+            ("actor_ring", _) => &["producer\\consumer", "mailbox dependences: "],
+            ("actors_10k", _) => &[
+                "50042 distinct dependences in 48 rows and 21 thread runs",
+                "(matrix elided)",
+            ],
+            (_, Some(&"--max-memory")) => &["resource: peak ", "degradation step(s)"],
+            _ => &["Static analysis: ", "  loop at lines "],
+        };
+        for line in expect {
+            assert!(
+                text.contains(line),
+                "{name} {extra:?}: no `{line}` in\n{text}"
+            );
+        }
+    }
 }
 
 /// FNV-1a 64 over the bytes.
@@ -683,7 +744,7 @@ fn zero_worker_and_chunk_specs_are_rejected() {
     // longer clamps them to 1 — matching `serial-signature:0`.
     for (spec, msg) in [
         ("parallel:0", "worker count must be positive"),
-        ("parallel:workers=0", "worker count must be positive"),
+        ("parallel:0x64", "worker count must be positive"),
         ("parallel:4x0", "chunk size must be positive"),
         ("serial-signature:0", "slot count must be positive"),
     ] {
@@ -797,6 +858,16 @@ fn unreadable_input_exits_code_2_with_one_line_diagnostic() {
     let stderr = String::from_utf8_lossy(&res.stderr);
     assert!(stderr.contains("cannot read"), "{stderr}");
     assert_eq!(stderr.trim_end().lines().count(), 1, "one line: {stderr}");
+
+    // `report` reads its input the same way: a missing saved report and
+    // one that is not UTF-8 are unreadable input too.
+    for saved in [Path::new("/nonexistent/r.json"), bin_src.as_path()] {
+        let res = Command::new(BIN).arg("report").arg(saved).output().unwrap();
+        let stderr = String::from_utf8_lossy(&res.stderr);
+        assert_eq!(res.status.code(), Some(2), "{}: {stderr}", saved.display());
+        assert!(stderr.contains("cannot read"), "{stderr}");
+        assert_eq!(stderr.trim_end().lines().count(), 1, "one line: {stderr}");
+    }
 }
 
 #[test]

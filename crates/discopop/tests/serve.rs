@@ -454,7 +454,7 @@ fn spellings_of_one_engine_share_one_report() {
         };
         let spellings = [
             "serial-signature:4096",
-            "signature:4096",
+            "serial-signature:04096",
             "serial-signature:0004096",
         ];
         let direct = direct_report_json_with("demo", HEALTHY_SRC, &spelled(spellings[0]));

@@ -50,7 +50,8 @@ pub use machine::{
     run, run_with_config, ActorStats, Interp, RunConfig, RunResult, RuntimeError, SynthStats,
 };
 pub use program::{
-    MemOpMeta, Program, GLOBAL_BASE, MAILBOX_BASE, MAILBOX_SPAN, STACK_BASE, STACK_SPAN, WORD,
+    MemOpMeta, Program, GLOBAL_BASE, MAILBOX_BASE, MAILBOX_SPAN, MAILBOX_VAR, STACK_BASE,
+    STACK_SPAN, WORD,
 };
 pub use sched::{ActorId, Scheduler, WaitReason};
 pub use synth::LoopPlan;

@@ -68,6 +68,10 @@ pub const MAILBOX_SPAN: u64 = 0x1_0000;
 /// wraps within this many slots even if the configured capacity exceeds
 /// it.
 pub const MAILBOX_SLOTS: u64 = MAILBOX_SPAN / WORD;
+/// The variable name every mailbox access reports
+/// ([`Program::mailbox_symbol`] is its interned id): no source identifier
+/// can spell it, so a dependence on it is message-passing traffic.
+pub const MAILBOX_VAR: &str = "<mailbox>";
 
 /// A program ready for execution: module + layout + symbols.
 ///
@@ -190,7 +194,7 @@ impl Program {
         let mbox_sym = if mbox_meta.is_empty() {
             u32::MAX
         } else {
-            intern("<mailbox>", &mut symbols)
+            intern(MAILBOX_VAR, &mut symbols)
         };
         for c in code.iter_mut() {
             for e in c.mbox_ops.iter_mut() {
@@ -269,8 +273,8 @@ impl Program {
         self.mbox_op_base
     }
 
-    /// The interned symbol mailbox accesses report as their variable, when
-    /// the program has mailbox ops. Consumers can use it to separate
+    /// The interned symbol mailbox accesses report as their variable
+    /// ([`MAILBOX_VAR`]), when the program has mailbox ops. Consumers can use it to separate
     /// message-passing traffic from ordinary variable traffic.
     pub fn mailbox_symbol(&self) -> Option<u32> {
         (self.mbox_sym != u32::MAX).then_some(self.mbox_sym)

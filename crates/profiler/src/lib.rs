@@ -34,9 +34,13 @@
 //!   reusable batches ([`interp::Sink::events`]); and each worker hands its
 //!   spent chunk buffers back to the producer over a queue of their own, so
 //!   steady-state profiling allocates nothing per chunk. The repo's
-//!   benchmark (`benchmark/`, `BENCHMARK.json`) is the yardstick; the
-//!   reconstructed pre-overhaul engine (`bench::seed_baseline`) stays as an
-//!   oracle the equivalence tests hold the engine against.
+//!   benchmark (`benchmark/`, `BENCHMARK.json`) is the yardstick. Two
+//!   oracles hold the engine to exact dependences in the equivalence
+//!   tests, each catching what the other cannot: the reconstructed
+//!   pre-overhaul engine (`bench::seed_baseline`, which shares no code
+//!   with this crate's pipeline) and `bench::HashShadowOracle` (this
+//!   crate's builder over [`HashShadowMap`], with a PET fed apart from the
+//!   pipeline's).
 //! - **Explicit engine selection** ([`EngineKind`]): the exact shadow, the
 //!   signature algorithm, and the parallel pipeline are settings of the one
 //!   engine, spelled by one enum, resolved in one place

@@ -186,15 +186,13 @@ impl EngineKind {
         }
     }
 
-    /// Parse the textual spec format produced by [`EngineKind::label`]:
-    /// `serial-perfect`, `serial-signature[:slots]`, or
-    /// `parallel[:[workers=]workers[x chunk]]`. Worker, chunk, and slot
-    /// counts must be positive — `parallel:0` and `parallel:4x0` are
-    /// rejected with an error, matching `serial-signature:0`, instead of
-    /// being silently clamped. A trailing `:lock-free` is accepted and
-    /// ignored (labels in saved reports spell it); `:lock-based` is rejected
-    /// with an error naming its removal. This is what
-    /// `discopop analyze --engine` accepts.
+    /// Parse an engine spec: what [`EngineKind::label`] writes —
+    /// `serial-perfect`, `serial-signature:SLOTS`, `parallel:WxC` — or one
+    /// of its shorthands, `serial-signature` (2^18 slots), `parallel` (8
+    /// workers) and `parallel:W` (chunks of 256). Slot, worker and chunk
+    /// counts must be positive: `parallel:0` and `parallel:4x0` are
+    /// errors, matching `serial-signature:0`, not silently clamped. This is
+    /// what `discopop analyze --engine` accepts.
     ///
     /// ```
     /// use profiler::EngineKind;
@@ -204,79 +202,46 @@ impl EngineKind {
     ///     Ok(EngineKind::SerialSignature { slots: 4096 })
     /// );
     /// assert_eq!(EngineKind::parse("parallel:4"), Ok(EngineKind::parallel(4)));
-    /// assert_eq!(EngineKind::parse("parallel:workers=4"), Ok(EngineKind::parallel(4)));
+    /// assert!(EngineKind::parse("parallel:workers=4").is_err());
     /// let roundtrip = EngineKind::parse(&EngineKind::parallel(8).label()).unwrap();
     /// assert_eq!(roundtrip, EngineKind::parallel(8));
     /// ```
     pub fn parse(spec: &str) -> Result<EngineKind, String> {
         let mut parts = spec.split(':');
         let head = parts.next().unwrap_or("");
-        let engine = match head {
-            "serial-perfect" | "perfect" => {
-                if parts.next().is_some() {
-                    return Err(format!("`{head}` takes no parameters"));
-                }
-                EngineKind::SerialPerfect
+        let param = parts.next();
+        if parts.next().is_some() {
+            return Err(format!("trailing parameters in `{spec}`"));
+        }
+        // Zero counts are user errors, not silently clamped to 1.
+        let count = |text: &str, what: &str| match text.parse::<usize>() {
+            Ok(0) => Err(format!("{what} must be positive")),
+            Ok(n) => Ok(n),
+            Err(_) => Err(format!("bad {what} `{text}`")),
+        };
+        Ok(match (head, param) {
+            ("serial-perfect", None) => EngineKind::SerialPerfect,
+            ("serial-perfect", Some(_)) => {
+                return Err("`serial-perfect` takes no parameters".to_string())
             }
-            "serial-signature" | "signature" => {
-                let slots = match parts.next() {
-                    None => 1 << 18,
-                    Some(s) => s
-                        .parse::<usize>()
-                        .map_err(|_| format!("bad slot count `{s}`"))?,
-                };
-                if slots == 0 {
-                    return Err("slot count must be positive".to_string());
+            ("serial-signature", None) => EngineKind::SerialSignature { slots: 1 << 18 },
+            ("serial-signature", Some(slots)) => EngineKind::SerialSignature {
+                slots: count(slots, "slot count")?,
+            },
+            ("parallel", None) => EngineKind::parallel(8),
+            ("parallel", Some(wc)) => {
+                let (workers, chunk) = wc.split_once('x').unwrap_or((wc, "256"));
+                EngineKind::Parallel {
+                    workers: count(workers, "worker count")?,
+                    chunk: count(chunk, "chunk size")?,
                 }
-                EngineKind::SerialSignature { slots }
             }
-            "parallel" => {
-                let (workers, chunk) = match parts.next() {
-                    None => (8, 256),
-                    Some(wc) => {
-                        // `workers=N` is accepted as an explicit spelling
-                        // of the worker count.
-                        let wc = wc.strip_prefix("workers=").unwrap_or(wc);
-                        match wc.split_once('x') {
-                            None => (
-                                wc.parse::<usize>()
-                                    .map_err(|_| format!("bad worker count `{wc}`"))?,
-                                256,
-                            ),
-                            Some((w, c)) => (
-                                w.parse::<usize>()
-                                    .map_err(|_| format!("bad worker count `{w}`"))?,
-                                c.parse::<usize>()
-                                    .map_err(|_| format!("bad chunk size `{c}`"))?,
-                            ),
-                        }
-                    }
-                };
-                // Zero counts are user errors, rejected like
-                // `serial-signature:0` — not silently clamped to 1.
-                if workers == 0 {
-                    return Err("worker count must be positive".to_string());
-                }
-                if chunk == 0 {
-                    return Err("chunk size must be positive".to_string());
-                }
-                match parts.next() {
-                    None | Some("lock-free") => {}
-                    Some("lock-based") => return Err(LOCK_BASED_REMOVED.to_string()),
-                    Some(q) => return Err(format!("unknown queue `{q}`")),
-                }
-                EngineKind::Parallel { workers, chunk }
-            }
-            other => {
+            (other, _) => {
                 return Err(format!(
                     "unknown engine `{other}` (expected serial-perfect, serial-signature[:slots], or parallel[:workers[xchunk]])"
                 ))
             }
-        };
-        if parts.next().is_some() {
-            return Err(format!("trailing parameters in `{spec}`"));
-        }
-        Ok(engine)
+        })
     }
 
     /// A short stable label, used by reports and benchmark output.
@@ -336,10 +301,6 @@ impl std::fmt::Display for Dials {
         }
     }
 }
-
-/// What [`EngineKind::parse`] answers to a `:lock-based` queue suffix.
-const LOCK_BASED_REMOVED: &str = "the lock-based queue was removed: it was the slower baseline \
-     of Fig. 2.9a and nothing selected it (`parallel:WxC` always uses the lock-free queues)";
 
 impl std::fmt::Display for EngineKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -725,25 +686,27 @@ mod tests {
     }
 
     #[test]
-    fn parse_accepts_workers_prefix() {
+    fn parse_has_one_spelling_per_engine() {
+        // Labels and the three shorthands parse; nothing else does.
         assert_eq!(
-            EngineKind::parse("parallel:workers=6"),
-            Ok(EngineKind::parallel(6))
+            EngineKind::parse("serial-signature"),
+            Ok(EngineKind::signature(1 << 18))
         );
-        assert_eq!(
-            EngineKind::parse("parallel:workers=4x128:lock-free"),
-            Ok(EngineKind::Parallel {
-                workers: 4,
-                chunk: 128,
-            })
-        );
-        let removed = EngineKind::parse("parallel:workers=4x128:lock-based").unwrap_err();
-        assert!(
-            removed.contains("lock-based queue was removed"),
-            "{removed}"
-        );
-        assert!(EngineKind::parse("parallel:workers=").is_err());
-        assert!(EngineKind::parse("parallel:workers=x8").is_err());
+        assert_eq!(EngineKind::parse("parallel"), Ok(EngineKind::parallel(8)));
+        assert_eq!(EngineKind::parse("parallel:6"), Ok(EngineKind::parallel(6)));
+        for gone in [
+            "perfect",
+            "signature",
+            "signature:4096",
+            "parallel:workers=6",
+            "parallel:4x128:lock-free",
+            "parallel:4x128:lock-based",
+        ] {
+            assert!(
+                EngineKind::parse(gone).is_err(),
+                "`{gone}` must be rejected"
+            );
+        }
     }
 
     #[test]
@@ -801,11 +764,10 @@ mod tests {
         // `.max(1)` clamping on the parse path.
         for (bad, msg) in [
             ("parallel:0", "worker count must be positive"),
-            ("parallel:workers=0", "worker count must be positive"),
             ("parallel:0x64", "worker count must be positive"),
             ("parallel:4x0", "chunk size must be positive"),
-            ("parallel:workers=4x0", "chunk size must be positive"),
-            ("parallel:0x0:lock-based", "worker count must be positive"),
+            ("parallel:0x0", "worker count must be positive"),
+            ("serial-signature:0", "slot count must be positive"),
         ] {
             assert_eq!(EngineKind::parse(bad), Err(msg.to_string()), "`{bad}`");
         }
@@ -832,11 +794,6 @@ mod tests {
         ] {
             assert_eq!(EngineKind::parse(&e.label()), Ok(e));
         }
-        // Saved reports spell the queue the parent's labels named.
-        assert_eq!(
-            EngineKind::parse("parallel:3x256:lock-free"),
-            Ok(EngineKind::parallel(3))
-        );
         // Degenerate counts clamp to 1 at execution time; the label records
         // the clamped value, so it still round-trips.
         let degenerate = EngineKind::Parallel {

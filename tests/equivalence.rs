@@ -482,8 +482,7 @@ fn parallel_targets_agree_across_engines_under_racy_delivery() {
 fn multithreaded_target_matches_serial_replay() {
     // Lock-ordered multithreaded target: every cross-thread access to the
     // shared counter is serialized, so racy delivery into the engine must
-    // agree exactly with the legacy HashMap shadow replaying the recorded
-    // stream.
+    // agree exactly with both oracles replaying the recorded stream.
     let src = "global int counter;
 fn w(int n) { for (int i = 0; i < n; i = i + 1) { lock(1); counter = counter + 1; unlock(1); } }
 fn main() { int a = spawn(w, 30); int b = spawn(w, 30); join(a); join(b); }";
@@ -506,11 +505,23 @@ fn main() { int a = spawn(w, 30); int b = spawn(w, 30); join(a); join(b); }";
         serial.event(ev);
     }
     let (serial_deps, _, _) = serial.finish(0);
+    // The seed pipeline keeps its own loop context, which the oracle above
+    // shares with the engine: it sees a spawned thread's iterations go
+    // uncounted.
+    let mut seed = bench::seed_baseline::SeedProfiler::new();
+    for ev in &rec.events {
+        seed.event(ev);
+    }
 
     assert_eq!(
         counted(&par.deps),
         counted(&serial_deps),
         "racy delivery diverged from the serial replay"
+    );
+    assert_eq!(
+        counted(&par.deps),
+        counted(&seed.into_depset()),
+        "racy delivery diverged from the seed pipeline's replay"
     );
     assert!(par.deps.sorted().iter().any(|d| d.is_cross_thread()));
     assert!(par.deps.race_hints().is_empty());

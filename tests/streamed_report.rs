@@ -7,7 +7,8 @@
 //! the envelope as text — must be, on the wire, the `Response::Report`
 //! built around the reference tree. On every catalogue program, with and
 //! without the static block, and on runs that fill the optional `resource`
-//! and `parallel` blocks.
+//! and `parallel` blocks. And the human-readable report a parsed document
+//! prints is the one its live report prints.
 
 use discopop::protocol::{JobOptions, Request, Response};
 use discopop::report::ReportDoc;
@@ -84,6 +85,13 @@ fn every_catalogue_program_streams_the_bytes_its_tree_renders() {
                 .unwrap_or_else(|e| panic!("{}: {e}", w.name));
             assert_eq!(report.statics.is_some(), statics);
             let doc = assert_written_equals_reference(&what, &program, &report);
+            // The human-readable report has one renderer: the live report
+            // and the document its JSON parses into print the same text.
+            let saved = ReportDoc::from_json_str(&report.to_json_string(&program)).unwrap();
+            assert!(
+                discopop::render_report(&program, &report) == saved.render(),
+                "{what}: the saved report prints other text than the live one"
+            );
             drop(report);
 
             // The daemon runs the same job; the second request for a

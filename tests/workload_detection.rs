@@ -157,11 +157,14 @@ fn actor_workloads_report_communication_patterns() {
         let p = w.program().unwrap();
         let out = profiler::profile_program(&p).unwrap();
         let actors = out.actors.clone().expect("actors block present");
+        let mailbox = p.mailbox_symbol();
         let comm = apps::actor_comm(
             &actors.channels,
             actors.spawned as usize,
-            &out.deps,
-            p.mailbox_symbol(),
+            out.deps
+                .iter()
+                .filter(|(d, _)| Some(d.var) == mailbox)
+                .map(|(d, n)| (d.ty, d.is_cross_thread(), d.race_hint, n)),
         );
         (actors, comm)
     };
