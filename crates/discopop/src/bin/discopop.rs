@@ -25,7 +25,8 @@ use discopop::protocol::{ErrorKind, JobOptions, Request, Response};
 use discopop::report::ReportDoc;
 use discopop::serve::ServeConfig;
 use discopop::submit::{submit, SubmitConfig};
-use discopop::{Analysis, EngineKind, StageEvent};
+use discopop::{Analysis, EngineKind, ResourceStats, StageEvent};
+use profiler::ShadowTier;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -54,9 +55,11 @@ analyze options:
                     independence proofs, lints); adds the `static` block to
                     the JSON report and cross-checks every proven claim
                     against the dynamic dependences (a contradiction is an
-                    analysis failure). Also arms the affine skip tier: loops
-                    whose accesses are all proven affine are plan-replayed
-                    instead of interpreted (same dependences, less dispatch)
+                    analysis failure on an exact profile, a warning on a
+                    signature's or a degraded one). Also arms the
+                    affine skip tier: loops whose accesses are all proven
+                    affine are plan-replayed instead of interpreted (same
+                    dependences, less dispatch)
   --text            also print the dependences in the line-oriented
                     DiscoPoP text format (NOM/BGN/END lines)
   --json PATH       write the versioned JSON report to PATH (`-` = stdout)
@@ -237,6 +240,17 @@ fn parse_analyze_args(args: &[String]) -> Result<AnalyzeArgs, String> {
     Ok(parsed)
 }
 
+/// Why a profile may hold dependences no execution had, or `None` when it
+/// is exact: every partition starts on the perfect tier and no ladder rung
+/// was taken.
+fn approximation(tier: ShadowTier, resource: Option<&ResourceStats>) -> Option<String> {
+    if let ShadowTier::Signature { slots } = tier {
+        return Some(format!("the engine tracks on signatures of {slots} slots"));
+    }
+    let steps = resource.map_or(0, |r| r.degradation_steps.len());
+    (steps > 0).then(|| format!("the memory ceiling degraded the shadow in {steps} ladder step(s)"))
+}
+
 fn analyze(args: &[String]) -> ExitCode {
     let args = match parse_analyze_args(args) {
         Ok(a) => a,
@@ -355,15 +369,25 @@ fn analyze(args: &[String]) -> ExitCode {
 
     // The static-vs-dynamic oracle: a statically-proven independence
     // contradicted by an observed dependence is a soundness failure and
-    // must abort the run visibly.
+    // must abort the run visibly — when the profile is exact. A signature
+    // (the engine's own or a ladder rung's) reports false dependences, so
+    // there a contradiction is printed as a warning and is not binding.
     if let Some(statics) = &report.statics {
         let violations = discopop::cross_check(compiled.program(), statics, &report.profile.deps);
+        let approximate = approximation(
+            engine.dials(compiled.program().footprint_words()).tier,
+            report.profile.resource.as_ref(),
+        );
         if violations.is_empty() {
             if !args.quiet {
                 eprintln!(
                     "cross-check: {} independence claims, 0 contradicted",
                     statics.claims.len()
                 );
+            }
+        } else if let Some(why) = approximate {
+            for v in &violations {
+                eprintln!("discopop: warning: cross-check contradiction (not binding: {why}): {v}");
             }
         } else {
             for v in &violations {

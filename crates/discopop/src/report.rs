@@ -116,8 +116,10 @@
 //! 8 messages to actor 1 and actor 1 sends 8 to actor 2.
 //!
 //! The fold is greedy, over the rows in the order they are written (live
-//! reports sort theirs by key, then sink thread, then source thread): a
-//! run grows while the next pair has its count and steps by its stride.
+//! reports sort theirs by key, then sink thread, then source thread: the
+//! fold order, defined once as [`profiler::dep::fold_order`] and sorted by
+//! [`profiler::DepSet::in_fold_order`]'s packed integer key): a run grows
+//! while the next pair has its count and steps by its stride.
 //! [`ReportDoc::from_json`] unfolds the runs back into one [`DepDoc`] (or
 //! one channel triple) per pair, so the fold loses nothing and re-folds
 //! to the same bytes.
@@ -135,6 +137,7 @@ use discovery::{
     LoopClass, LoopResult, MpmdSuggestion, Pattern, RankedSuggestion, SpmdKind, SpmdSuggestion,
 };
 use jsonio::{Emitter, TextSink, TreeSink, Value};
+use profiler::dep::fold_order;
 use profiler::{Dep, DepType, PetNode, PetNodeKind, SrcLoc};
 use std::borrow::Cow;
 
@@ -1789,41 +1792,25 @@ impl Rows for ReportDoc {
     }
 }
 
-/// The order dependence rows fold in: by key ([`DepDoc::same_key`], with
-/// the variable's symbol id), then sink thread, then source thread. With
-/// every thread 0 it is [`Dep`]'s own order, so single-threaded rows keep
-/// the order they always had.
-fn fold_order(d: &Dep) -> impl Ord {
-    (
-        d.sink,
-        d.ty,
-        d.source,
-        d.var,
-        d.carried_by,
-        d.race_hint,
-        d.sink_thread,
-        d.source_thread,
-    )
-}
-
 /// A [`Report`] beside the program that resolves its names: the rows of
 /// the document it would mirror to, without the mirror.
 struct Live<'a> {
     program: &'a interp::Program,
     report: &'a Report,
-    /// `report.profile.deps`, sorted once in [`fold_order`], counts beside
-    /// them.
+    /// `report.profile.deps` with their counts, sorted once into fold
+    /// order ([`profiler::dep::fold_order`], by
+    /// [`profiler::DepSet::in_fold_order`]): by key ([`DepDoc::same_key`],
+    /// with the variable's symbol id), then sink thread, then source
+    /// thread.
     deps: Vec<(Dep, u64)>,
 }
 
 impl<'a> Live<'a> {
     fn new(program: &'a interp::Program, report: &'a Report) -> Self {
-        let mut deps: Vec<(Dep, u64)> = report.profile.deps.iter().collect();
-        deps.sort_unstable_by_key(|(d, _)| fold_order(d));
         Live {
             program,
             report,
-            deps,
+            deps: report.profile.deps.in_fold_order(),
         }
     }
 

@@ -664,6 +664,61 @@ fn text_flag_renders_dependence_listing() {
     assert!(stdout.contains("END loop"), "{stdout}");
 }
 
+/// A signature's false dependences can contradict a static claim: on a
+/// signature engine, and after a memory ceiling's ladder rung, each
+/// contradiction is a warning naming why it is not binding and the run
+/// exits 0. On `matmul` both runs contradict the claims on `A` and `B`;
+/// the exact run contradicts none.
+#[test]
+fn static_contradictions_on_an_approximate_profile_are_warnings() {
+    let dir = scratch("approximate-cross-check");
+    let src = catalogue_source(&dir, "matmul");
+    for (extra, why) in [
+        (
+            &["--max-memory", "16K"][..],
+            "the memory ceiling degraded the shadow",
+        ),
+        (
+            &["--engine", "serial-signature:64"][..],
+            "the engine tracks on signatures of 64 slots",
+        ),
+        (&[][..], ""),
+    ] {
+        let res = Command::new(BIN)
+            .arg("analyze")
+            .arg(&src)
+            .arg("--static")
+            .args(extra)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&res.stderr);
+        assert!(res.status.success(), "{extra:?}: {stderr}");
+        assert!(
+            !stderr.contains("cross-check violation"),
+            "{extra:?}: {stderr}"
+        );
+        let warnings: Vec<&str> = stderr
+            .lines()
+            .filter(|l| l.starts_with("discopop: warning: cross-check contradiction"))
+            .collect();
+        if why.is_empty() {
+            assert!(warnings.is_empty(), "{stderr}");
+            assert!(
+                stderr.contains("4 independence claims, 0 contradicted"),
+                "{stderr}"
+            );
+            continue;
+        }
+        assert_eq!(warnings.len(), 2, "{extra:?}: {stderr}");
+        for w in &warnings {
+            assert!(w.contains(&format!("not binding: {why}")), "{w}");
+        }
+        for line in ["WAW 1:6 <- 1:6", "WAW 1:7 <- 1:7"] {
+            assert!(warnings.iter().any(|w| w.ends_with(line)), "{stderr}");
+        }
+    }
+}
+
 #[test]
 fn static_flag_adds_block_and_cross_check_passes() {
     let dir = scratch("static");

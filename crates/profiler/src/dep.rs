@@ -217,6 +217,64 @@ impl DepKey {
     }
 }
 
+/// Where each field of a [`DepKey`] lands in its fold key
+/// ([`DepKey::fold_key`]): `(word, first bit in the word, width, first bit
+/// in the key)`, from the key's top bit down in [`fold_order`]'s order.
+/// The widths are the packed budgets and add up to 128.
+const FOLD_FIELDS: [(usize, u32, u32, u32); 10] = [
+    (0, 0, 22, 106), // sink line
+    (0, 60, 2, 104), // type
+    (0, 22, 22, 82), // source line
+    (1, 0, 20, 62),  // variable (the `u32::MAX` sentinel is all ones)
+    (0, 63, 1, 61),  // carried flag
+    (1, 36, 14, 47), // carried func
+    (1, 50, 14, 33), // carried region
+    (0, 62, 1, 32),  // race hint
+    (0, 44, 16, 16), // sink thread
+    (1, 20, 16, 0),  // source thread
+];
+
+impl DepKey {
+    /// This key as one integer whose order is [`fold_order`]'s over the
+    /// unpacked dependences: each field moved to its place in
+    /// [`FOLD_FIELDS`].
+    fn fold_key(self) -> u128 {
+        let w = [self.0, self.1];
+        FOLD_FIELDS.iter().fold(0, |k, &(i, at, bits, to)| {
+            k | u128::from(w[i] >> at & ((1 << bits) - 1)) << to
+        })
+    }
+
+    /// Exact inverse of [`DepKey::fold_key`].
+    fn from_fold_key(k: u128) -> DepKey {
+        let mut w = [0u64; 2];
+        for &(i, at, bits, to) in &FOLD_FIELDS {
+            w[i] |= ((k >> to) as u64 & ((1 << bits) - 1)) << at;
+        }
+        DepKey(w[0], w[1])
+    }
+}
+
+/// The order the report folds dependence rows in: by key (sink, type,
+/// source, variable, carrying loop, race hint), then sink thread, then
+/// source thread. With every thread 0 it is [`Dep`]'s own order, so
+/// single-threaded rows keep the order they always had.
+/// [`DepSet::in_fold_order`] sorts by the same order packed into one
+/// integer; this tuple is its definition and its fallback for wide
+/// entries.
+pub fn fold_order(d: &Dep) -> impl Ord {
+    (
+        d.sink,
+        d.ty,
+        d.source,
+        d.var,
+        d.carried_by,
+        d.race_hint,
+        d.sink_thread,
+        d.source_thread,
+    )
+}
+
 /// The merged dependence store: one entry per distinct dependence with an
 /// occurrence count.
 ///
@@ -314,13 +372,23 @@ impl DepSet {
         v
     }
 
-    /// [`DepSet::sorted`] with each dependence's occurrence count beside
-    /// it: one sort, no [`DepSet::count`] probe per dependence.
-    pub fn sorted_counted(&self) -> Vec<(Dep, u64)> {
-        let mut v: Vec<(Dep, u64)> = self.iter().collect();
-        // Dependences are distinct, so the count never decides the order.
-        v.sort_unstable();
-        v
+    /// Every `(dep, count)` of [`DepSet::iter`] in [`fold_order`]: one
+    /// sort, no [`DepSet::count`] probe per dependence. Packed entries sort
+    /// as `(fold key, count)` pairs of 32 bytes under an integer compare,
+    /// then unpack; a set with wide entries sorts by the tuple.
+    pub fn in_fold_order(&self) -> Vec<(Dep, u64)> {
+        if !self.wide.is_empty() {
+            let mut v: Vec<(Dep, u64)> = self.iter().collect();
+            v.sort_unstable_by_key(|(d, _)| fold_order(d));
+            return v;
+        }
+        let mut keyed: Vec<(u128, u64)> = Vec::with_capacity(self.map.len());
+        keyed.extend(self.map.iter().map(|(k, c)| (k.fold_key(), *c)));
+        keyed.sort_unstable_by_key(|&(k, _)| k);
+        keyed
+            .into_iter()
+            .map(|(k, c)| (DepKey::from_fold_key(k).unpack(), c))
+            .collect()
     }
 
     /// Occurrence count of a dependence, 0 if absent.
@@ -545,22 +613,105 @@ mod tests {
         assert_eq!(s.count(&dep(3, DepType::Raw, 2, 0)), 2);
     }
 
+    /// `iter()` with counts, sorted by the tuple.
+    fn tuple_sorted(s: &DepSet) -> Vec<(Dep, u64)> {
+        let mut v: Vec<(Dep, u64)> = s.iter().collect();
+        v.sort_unstable_by_key(|(d, _)| fold_order(d));
+        v
+    }
+
     #[test]
-    fn sorted_counted_is_sorted_with_each_count() {
+    fn in_fold_order_is_the_tuple_sort_with_each_count() {
         let mut s = DepSet::new();
         for (sink, n) in [(9, 3), (2, 1), (5, 2)] {
-            for _ in 0..n {
+            for t in 0..n {
+                s.insert(Dep {
+                    source_thread: t,
+                    ..dep(sink, DepType::Raw, 1, 0)
+                });
                 s.insert(dep(sink, DepType::Raw, 1, 0));
             }
         }
-        // Does not fit the packed key: lives in the wide map.
+        assert_eq!(s.in_fold_order(), tuple_sorted(&s));
+        // Entries that do not fit the packed key live in the wide map.
         let mut wide = dep(4, DepType::War, 1, 0);
         wide.sink.file = u32::MAX;
         s.insert(wide);
-        let pairs = s.sorted_counted();
-        let deps: Vec<Dep> = pairs.iter().map(|&(d, _)| d).collect();
-        assert_eq!(deps, s.sorted());
+        s.insert(Dep {
+            sink_thread: 1 << 16,
+            ..dep(5, DepType::Raw, 1, 0)
+        });
+        let pairs = s.in_fold_order();
+        assert_eq!(pairs.len(), s.len());
+        assert_eq!(pairs, tuple_sorted(&s));
         assert!(pairs.iter().all(|(d, n)| *n == s.count(d)));
+    }
+
+    #[test]
+    fn fold_key_orders_like_the_tuple() {
+        // A fixed-seed xorshift draws every field from its edge values or
+        // at random within its budget.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut pick = |edges: &[u32], budget: u32| -> u32 {
+            let r = next();
+            match (r % (edges.len() as u64 + 1)) as usize {
+                i if i < edges.len() => edges[i],
+                _ => (r >> 32) as u32 % budget,
+            }
+        };
+        let line_top = (1 << 22) - 1;
+        let thread_top = (1 << 16) - 1;
+        let mut deps = Vec::new();
+        while deps.len() < 4000 {
+            let ty =
+                [DepType::Raw, DepType::War, DepType::Waw, DepType::Init][pick(&[], 4) as usize];
+            let carried = match pick(&[0, 1], 3) {
+                0 => None,
+                1 => Some((0, 0)),
+                _ => Some((pick(&[0, (1 << 14) - 1], 1 << 14), pick(&[0], 1 << 14))),
+            };
+            let d = Dep {
+                sink: SrcLoc::new(pick(&[0, 1, line_top], 8)),
+                ty,
+                source: SrcLoc::new(pick(&[0, line_top], 8)),
+                var: pick(&[0, u32::MAX, (1 << 20) - 2], 4),
+                sink_thread: pick(&[0, thread_top], 4),
+                source_thread: pick(&[0, thread_top], 4),
+                carried_by: carried,
+                race_hint: pick(&[0, 1], 2) == 1,
+            };
+            deps.push(d);
+        }
+        let keys: Vec<u128> = deps
+            .iter()
+            .map(|d| DepKey::pack(d).expect("in budget").fold_key())
+            .collect();
+        for (i, (a, ka)) in deps.iter().zip(&keys).enumerate() {
+            let k = DepKey::pack(a).expect("in budget");
+            assert_eq!(DepKey::from_fold_key(*ka), k, "{a:?}");
+            // Each dependence against its neighbours in draw order and a
+            // stride away, so equal prefixes meet often.
+            for b in [i + 1, i + 7, i + 61].map(|j| j % deps.len()) {
+                assert_eq!(
+                    ka.cmp(&keys[b]),
+                    fold_order(a).cmp(&fold_order(&deps[b])),
+                    "{a:?} vs {:?}",
+                    deps[b]
+                );
+            }
+        }
+        // And as a whole: one set, both sorts.
+        let mut s = DepSet::new();
+        for d in &deps {
+            s.insert(*d);
+        }
+        assert_eq!(s.in_fold_order(), tuple_sorted(&s));
     }
 
     #[test]

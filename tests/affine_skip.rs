@@ -136,8 +136,8 @@ fn hot_loop_keeps_its_dependences_with_a_hundredth_of_the_dispatches() {
     let on = profile(&p, EngineKind::SerialPerfect, true);
     let off = profile(&p, EngineKind::SerialPerfect, false);
     assert_eq!(
-        on.deps.sorted_counted(),
-        off.deps.sorted_counted(),
+        on.deps.in_fold_order(),
+        off.deps.in_fold_order(),
         "(Dep, count) pairs differ"
     );
     assert!(on.synth.loops_skipped > 0, "{:?}", on.synth);
