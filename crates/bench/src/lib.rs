@@ -1,8 +1,8 @@
 //! `bench` — the experiment harness.
 //!
-//! The `tables` binary regenerates every table and figure of the
-//! dissertation's evaluation (the binary's module doc indexes them) and
-//! checks the paper's claims against them ([`Claim`]); the oracles the
+//! The `tables` binary regenerates the tables and figures of the
+//! evaluation that check a claim of the paper (the binary's module doc
+//! indexes them) and checks those claims ([`Claim`]); the oracles the
 //! equivalence tests hold the engine against and the shared measurement
 //! helpers live here. Performance claims are made with the
 //! `benchmark/` package (`BENCHMARK.json`).

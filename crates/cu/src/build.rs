@@ -1,5 +1,4 @@
-//! CU construction: the top-down algorithm (Algorithm 3, §3.2.3) and the
-//! bottom-up variant kept for comparison.
+//! CU construction: the top-down algorithm (Algorithm 3, §3.2.3).
 
 use crate::graph::{CuEdge, CuGraph, CuId};
 use crate::index::DepIndex;
@@ -434,87 +433,6 @@ fn add_edges(index: &DepIndex, graph: &mut CuGraph<Cu>) {
     }
 }
 
-/// Bottom-up CU construction (§3.2.3), at source-line granularity: every
-/// accessed line in the region starts as its own CU; CUs connected by
-/// intra-iteration WAR dependences merge (a write joins the readers it
-/// overwrites); RAW dependences become edges. Produces the fine-grained
-/// graphs the dissertation found "too fine to discover coarse-grained
-/// parallel tasks" — kept for comparison experiments.
-pub fn build_cus_bottom_up(
-    program: &Program,
-    deps: &DepSet,
-    func: u32,
-    start_line: u32,
-    end_line: u32,
-) -> CuGraph<Vec<u32>> {
-    let f = &program.module.functions[func as usize];
-    let _ = f;
-    let mut lines: BTreeSet<u32> = BTreeSet::new();
-    for (d, _) in deps.iter() {
-        for l in [d.sink.line, d.source.line] {
-            if start_line <= l && l <= end_line {
-                lines.insert(l);
-            }
-        }
-    }
-    let lines: Vec<u32> = lines.into_iter().collect();
-    let idx: FxHashMap<u32, usize> = lines.iter().enumerate().map(|(i, &l)| (l, i)).collect();
-
-    // Union-find over lines; WAR (anti-dependence) merges.
-    let mut parent: Vec<usize> = (0..lines.len()).collect();
-    fn find(parent: &mut [usize], x: usize) -> usize {
-        let mut r = x;
-        while parent[r] != r {
-            r = parent[r];
-        }
-        let mut c = x;
-        while parent[c] != c {
-            let n = parent[c];
-            parent[c] = r;
-            c = n;
-        }
-        r
-    }
-    for (d, _) in deps.iter() {
-        if d.ty == DepType::War && d.carried_by.is_none() {
-            if let (Some(&a), Some(&b)) = (idx.get(&d.sink.line), idx.get(&d.source.line)) {
-                let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-                if ra != rb {
-                    parent[ra] = rb;
-                }
-            }
-        }
-    }
-
-    // Materialize merged CUs.
-    let mut groups: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
-    for (i, &l) in lines.iter().enumerate() {
-        groups.entry(find(&mut parent, i)).or_default().push(l);
-    }
-    let mut graph: CuGraph<Vec<u32>> = CuGraph::new();
-    let mut cu_of: FxHashMap<u32, CuId> = FxHashMap::default();
-    for (_, ls) in groups {
-        let id = graph.add_cu(ls.clone());
-        for l in ls {
-            cu_of.insert(l, id);
-        }
-    }
-    for (d, _) in deps.iter() {
-        if d.ty != DepType::Raw {
-            continue;
-        }
-        if let (Some(&from), Some(&to)) = (cu_of.get(&d.sink.line), cu_of.get(&d.source.line)) {
-            graph.add_edge(CuEdge {
-                from,
-                to,
-                ty: DepType::Raw,
-                carried: d.carried_by.is_some(),
-            });
-        }
-    }
-    graph
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,18 +554,6 @@ mod tests {
                 g.cus
             );
         }
-    }
-
-    #[test]
-    fn bottom_up_merges_on_war() {
-        let src = "global int x;\nglobal int a;\nfn main() {\nfor (int i = 0; i < 8; i = i + 1) {\na = x + i;\nx = a + 1;\n}\n}";
-        let p = Program::new(lang::compile(src, "t").unwrap());
-        let out = profile_program(&p).unwrap();
-        let g = build_cus_bottom_up(&p, &out.deps, 0, 4, 7);
-        assert!(!g.is_empty());
-        // Some CU must span multiple lines (WAR-driven merge of the
-        // read of x at line 5 with the write at line 6).
-        assert!(g.cus.iter().any(|ls| ls.len() >= 2), "{:?}", g.cus);
     }
 
     #[test]

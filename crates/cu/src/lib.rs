@@ -13,7 +13,6 @@
 //!   checks each region against the read-compute-write condition
 //!   `∀v ∈ GV: I_v → O_v` using profiled dependences, splitting regions at
 //!   violating reads,
-//! - the **bottom-up** construction (§3.2.3) used for comparison,
 //! - the **dependence index** ([`DepIndex`]): the merged set unpacked once
 //!   into the lookups construction and discovery need, so neither rescans
 //!   it per function, loop or call-site pair,
@@ -32,10 +31,7 @@ pub mod graph;
 pub mod index;
 pub mod vars;
 
-pub use build::{
-    build_cu_graph, build_cu_graph_fine, build_cus_bottom_up, build_from_index, Cu, CuBuildInput,
-    CuKind,
-};
+pub use build::{build_cu_graph, build_cu_graph_fine, build_from_index, Cu, CuBuildInput, CuKind};
 pub use ctrl::{control_dependent_blocks, reconvergence_points};
 pub use graph::{CuEdge, CuGraph, CuId, Partition};
 pub use index::DepIndex;

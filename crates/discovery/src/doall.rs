@@ -128,7 +128,12 @@ pub fn hot_loops(program: &Program, pet: &Pet) -> Vec<LoopInfo> {
 /// once, and the stored value is produced by an associative-commutative
 /// operation (add, mul, min, max, and, or, xor) — the `sum += expr`
 /// shapes the Intel compiler also resolves automatically (§1.3.3).
-pub fn is_reduction_line(f: &Function, line: u32, var_name: &str, program: &Program) -> bool {
+pub(crate) fn is_reduction_line(
+    f: &Function,
+    line: u32,
+    var_name: &str,
+    program: &Program,
+) -> bool {
     let mut loads = Vec::new();
     let mut stores = Vec::new();
     let mut assoc_dsts: BTreeSet<u32> = BTreeSet::new();
@@ -212,9 +217,10 @@ fn induction_names(f: &Function, region: u32) -> BTreeSet<String> {
 }
 
 /// Analyse one loop: DOALL / reduction / DOACROSS / sequential. Scans
-/// `deps` once to index it; a caller with many loops builds one
-/// [`LoopAnalyzer`] instead.
-pub fn analyze_loop(program: &Program, deps: &DepSet, info: &LoopInfo) -> LoopResult {
+/// `deps` once to index it: the tests' one-loop entry, where
+/// [`crate::discover`] builds one [`LoopAnalyzer`] for every loop.
+#[cfg(test)]
+pub(crate) fn analyze_loop(program: &Program, deps: &DepSet, info: &LoopInfo) -> LoopResult {
     LoopAnalyzer::new(program, &DepIndex::new(program, deps)).analyze(info)
 }
 

@@ -28,7 +28,7 @@ use cu::{Cu, CuGraph, DepIndex, Partition};
 use interp::Program;
 use profiler::{DepSet, Pet};
 
-pub use doall::{analyze_loop, hot_loops, LoopAnalyzer, LoopClass, LoopInfo, LoopResult};
+pub use doall::{hot_loops, LoopAnalyzer, LoopClass, LoopInfo, LoopResult};
 pub use patterns::{classify as classify_patterns, Pattern};
 pub use ranking::{rank, RankedSuggestion, Ranking};
 pub use tasks::{find_mpmd_tasks, find_spmd_tasks, MpmdSuggestion, SpmdKind, SpmdSuggestion};

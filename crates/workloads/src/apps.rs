@@ -227,8 +227,8 @@ fn main() {
 };
 
 /// FaceDetection: the Fig. 4.10 pipeline — scale, two independent feature
-/// passes per scale, then a merge. The CU task graph drives the Fig. 4.11
-/// parallelization (implemented natively in `crate::native::facedetect`).
+/// passes per scale, then a merge, which discovery reports as MPMD tasks
+/// (Table 4.7).
 pub const FACEDETECTION: Workload = Workload {
     name: "facedetection",
     suite: Suite::Apps,

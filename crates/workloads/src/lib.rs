@@ -9,12 +9,9 @@
 //! discovery is scored on is the structure, which a kernel a hundredth the
 //! size can carry whole. Every workload carries a
 //! ground-truth annotation per loop, used to score detection quality
-//! (Table 4.1's 92.5% headline).
-//!
-//! The `native` module additionally provides real Rust implementations
-//! (sequential + rayon / crossbeam) of the textbook programs and the
-//! FaceDetection task graph, used to measure actual speedups for
-//! Table 4.2 and Fig. 4.11.
+//! (Table 4.1's 92.5% headline). Every workload is run by the tool, never
+//! timed natively: the paper's measured speedups (Table 4.2, Fig. 4.11) are
+//! not reproduced.
 
 // Library code must not panic on its own account; a worker thread's panic
 // is resumed unchanged, never re-wrapped.
@@ -25,7 +22,6 @@ pub mod apps;
 pub mod bots;
 pub mod meta;
 pub mod nas;
-pub mod native;
 pub mod parsec;
 pub mod starbench;
 pub mod textbook;

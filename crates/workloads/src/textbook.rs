@@ -1,5 +1,4 @@
-//! The textbook programs of Table 4.2 (mini-C versions for discovery; the
-//! native Rust versions measured for speedup live in `crate::native`).
+//! The textbook programs of Table 4.2, as mini-C kernels for discovery.
 
 use crate::meta::{LoopTruth, Suite, Workload};
 
