@@ -8,7 +8,8 @@
 //! chain.
 
 use crate::affine::{Affine, Term};
-use crate::effects::Effects;
+use crate::bits::BitRows;
+use crate::effects::{Effects, FunctionIndex};
 use crate::loops::{def_reg, FuncLoops};
 use mir::{
     BinOp, BlockId, FuncId, Function, GlobalId, Instr, LocalId, Module, Operand, Place, RegId, Ty,
@@ -59,26 +60,29 @@ pub struct Evaluator<'a> {
     f: &'a Function,
     func: FuncId,
     loops: &'a FuncLoops,
-    effects: &'a Effects,
     /// Single static def site per register; `None` for multi-def or no-def.
     defs: Vec<Option<(BlockId, usize)>>,
     /// Memoized evaluation per register.
     memo: Vec<Option<Option<Affine>>>,
-    /// Locals with at least one store per loop: `stores_in[l][local]`.
-    stores_in: Vec<Vec<bool>>,
-    /// Globals with at least one store per loop.
-    global_stores_in: Vec<Vec<bool>>,
-    /// User calls present per loop, as transitive callee union.
-    calls_in: Vec<Vec<bool>>,
+    /// Row `l`, bit `local`: a store to the local occurs within loop `l`.
+    stores_in: BitRows,
+    /// Row `l`, bit `g`: one execution of loop `l` may store to global `g`,
+    /// directly or through a call.
+    global_stores_in: BitRows,
+    /// Per loop: a call in it may (transitively) reach this function.
+    recursive_in: Vec<bool>,
+    /// Per loop: a call in it may read or write some global.
+    calls_touch_globals: Vec<bool>,
 }
 
 impl<'a> Evaluator<'a> {
-    /// Build the evaluator for one function.
+    /// Build the evaluator for one function; `index` resolves its calls.
     pub fn new(
         module: &'a Module,
         func: FuncId,
         loops: &'a FuncLoops,
-        effects: &'a Effects,
+        effects: &Effects,
+        index: &FunctionIndex<'_>,
     ) -> Self {
         let f = &module.functions[func.index()];
         let mut defs: Vec<Option<(BlockId, usize)>> = vec![None; f.num_regs as usize];
@@ -99,11 +103,14 @@ impl<'a> Evaluator<'a> {
                 defs[slot] = None;
             }
         }
-        // Per-loop store and call summaries, for invariance checks.
+        // Per-loop store and call summaries, for invariance checks. A
+        // callee's rows are already transitive, so each call site ORs in
+        // its own target's rows only.
         let nl = loops.loops.len();
-        let mut stores_in = vec![vec![false; f.locals.len()]; nl];
-        let mut global_stores_in = vec![vec![false; module.globals.len()]; nl];
-        let mut calls_in = vec![vec![false; module.functions.len()]; nl];
+        let mut stores_in = BitRows::new(nl, f.locals.len());
+        let mut global_stores_in = BitRows::new(nl, module.globals.len());
+        let mut recursive_in = vec![false; nl];
+        let mut calls_touch_globals = vec![false; nl];
         for (li, lp) in loops.loops.iter().enumerate() {
             for (bid, b) in f.iter_blocks() {
                 if !lp.contains(bid) {
@@ -112,18 +119,16 @@ impl<'a> Evaluator<'a> {
                 for instr in &b.instrs {
                     match instr {
                         Instr::Store { place, .. } => match place.var {
-                            VarRef::Local(l) => stores_in[li][l.index()] = true,
-                            VarRef::Global(g) => global_stores_in[li][g.index()] = true,
+                            VarRef::Local(l) => stores_in.set(li, l.index()),
+                            VarRef::Global(g) => global_stores_in.set(li, g.index()),
                         },
                         Instr::Call { func: name, .. } => {
-                            if let Some((target, _)) = module.function(name) {
-                                calls_in[li][target.index()] = true;
-                                for (h, reach) in effects.callees[target.index()].iter().enumerate()
-                                {
-                                    if *reach {
-                                        calls_in[li][h] = true;
-                                    }
-                                }
+                            if let Some(target) = index.get(name) {
+                                global_stores_in.or_from(li, effects.writes.row(target));
+                                recursive_in[li] |= target == func.index()
+                                    || effects.callees.get(target, func.index());
+                                calls_touch_globals[li] |=
+                                    effects.writes.any(target) || effects.reads.any(target);
                             }
                         }
                         _ => {}
@@ -136,44 +141,34 @@ impl<'a> Evaluator<'a> {
             f,
             func,
             loops,
-            effects,
             defs,
             memo: vec![None; f.num_regs as usize],
             stores_in,
             global_stores_in,
-            calls_in,
+            recursive_in,
+            calls_touch_globals,
         }
     }
 
     /// Whether any store to local `v` occurs within loop `li`.
     pub fn local_stored_in(&self, li: usize, v: LocalId) -> bool {
-        self.stores_in[li][v.index()]
+        self.stores_in.get(li, v.index())
     }
 
     /// Whether global `g` may be stored during one execution of loop `li`
     /// (directly or via a call).
     pub fn global_stored_in(&self, li: usize, g: GlobalId) -> bool {
-        if self.global_stores_in[li][g.index()] {
-            return true;
-        }
-        self.calls_in[li]
-            .iter()
-            .enumerate()
-            .any(|(h, present)| *present && self.effects.writes[h][g.index()])
+        self.global_stores_in.get(li, g.index())
     }
 
     /// Whether loop `li` may (transitively) call back into this function.
     pub fn recursive_in(&self, li: usize) -> bool {
-        self.calls_in[li][self.func.index()]
+        self.recursive_in[li]
     }
 
     /// Whether loop `li` contains a user call with any global effect.
     pub fn calls_touch_globals_in(&self, li: usize) -> bool {
-        self.calls_in[li].iter().enumerate().any(|(h, present)| {
-            *present
-                && (self.effects.writes[h].iter().any(|&x| x)
-                    || self.effects.reads[h].iter().any(|&x| x))
-        })
+        self.calls_touch_globals[li]
     }
 
     fn eval_operand(&mut self, o: &Operand, visiting: &mut Vec<RegId>) -> Option<Affine> {
@@ -327,45 +322,61 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-/// Collect every memory access of `module` in program order (matching the
-/// interpreter's static op-id assignment), classified.
+/// Append every memory access of the evaluator's function to `out`, in
+/// program order (matching the interpreter's static op-id assignment),
+/// classified.
+pub fn collect_function(ev: &mut Evaluator<'_>, out: &mut Vec<AccessInfo>) {
+    let (module, f, func, loops) = (ev.module, ev.f, ev.func, ev.loops);
+    for (bid, b) in f.iter_blocks() {
+        let chain = loops.chain_of(bid);
+        for (ii, instr) in b.instrs.iter().enumerate() {
+            let (place, is_write, line) = match instr {
+                Instr::Load { place, line, .. } => (place, false, *line),
+                Instr::Store { place, line, .. } => (place, true, *line),
+                _ => continue,
+            };
+            let (var, elems) = match place.var {
+                VarRef::Global(g) => (VarKey::Global(g), module.globals[g.index()].elems),
+                VarRef::Local(l) => (VarKey::Local(l), f.locals[l.index()].elems),
+            };
+            let index = ev.classify_place(place, &chain);
+            out.push(AccessInfo {
+                op_id: out.len() as u32,
+                func,
+                block: bid,
+                instr: ii,
+                line,
+                is_write,
+                var,
+                elems,
+                index,
+                chain: chain.clone(),
+            });
+        }
+    }
+}
+
+/// Collect every memory access of `module` in program order, classified:
+/// each function's accesses form one contiguous run ([`accesses_of`]).
 pub fn collect_accesses(
     module: &Module,
     all_loops: &[FuncLoops],
     effects: &Effects,
+    index: &FunctionIndex<'_>,
 ) -> Vec<AccessInfo> {
     let mut out = Vec::new();
-    for (fi, f) in module.functions.iter().enumerate() {
+    for (fi, loops) in all_loops.iter().enumerate() {
         let func = FuncId(fi as u32);
-        let loops = &all_loops[fi];
-        let mut ev = Evaluator::new(module, func, loops, effects);
-        for (bid, b) in f.iter_blocks() {
-            let chain = loops.chain_of(bid);
-            for (ii, instr) in b.instrs.iter().enumerate() {
-                let (place, is_write, line) = match instr {
-                    Instr::Load { place, line, .. } => (place, false, *line),
-                    Instr::Store { place, line, .. } => (place, true, *line),
-                    _ => continue,
-                };
-                let (var, elems) = match place.var {
-                    VarRef::Global(g) => (VarKey::Global(g), module.globals[g.index()].elems),
-                    VarRef::Local(l) => (VarKey::Local(l), f.locals[l.index()].elems),
-                };
-                let index = ev.classify_place(place, &chain);
-                out.push(AccessInfo {
-                    op_id: out.len() as u32,
-                    func,
-                    block: bid,
-                    instr: ii,
-                    line,
-                    is_write,
-                    var,
-                    elems,
-                    index,
-                    chain: chain.clone(),
-                });
-            }
-        }
+        let mut ev = Evaluator::new(module, func, loops, effects, index);
+        collect_function(&mut ev, &mut out);
     }
     out
+}
+
+/// The run of `func`'s accesses in a module-wide, program-order access
+/// list (which is grouped by function in function order).
+pub fn accesses_of(accesses: &[AccessInfo], func: FuncId) -> &[AccessInfo] {
+    let lo = accesses.partition_point(|a| a.func < func);
+    let hi = lo + accesses[lo..].partition_point(|a| a.func == func);
+    &accesses[lo..hi]
 }

@@ -13,7 +13,6 @@
 
 use crate::affine::Term;
 use crate::classify::{AccessInfo, Evaluator, VarKey};
-use crate::effects::Effects;
 use crate::loops::FuncLoops;
 use mir::{FuncId, Module, RegionId};
 use std::collections::BTreeMap;
@@ -356,19 +355,18 @@ pub struct FuncIndep {
     pub claims: Vec<Claim>,
 }
 
-/// Run the pre-pass for one function. `accesses` must be the module-wide
-/// program-order list; only this function's entries are examined.
+/// Run the pre-pass for one function. `own` is the function's run of the
+/// program-order access list ([`crate::classify::accesses_of`]), and `ev`
+/// the evaluator that classified it.
 pub fn analyze_function(
     module: &Module,
     func: FuncId,
     loops: &FuncLoops,
-    accesses: &[AccessInfo],
-    effects: &Effects,
+    own: &[AccessInfo],
+    ev: &Evaluator<'_>,
     suppress_claims: bool,
 ) -> FuncIndep {
     let f = &module.functions[func.index()];
-    let ev = Evaluator::new(module, func, loops, effects);
-    let own: Vec<&AccessInfo> = accesses.iter().filter(|a| a.func == func).collect();
     let mut reports = Vec::new();
     let mut claims = Vec::new();
 
@@ -376,7 +374,7 @@ pub fn analyze_function(
     let owner_of = |v: mir::LocalId| f.locals[v.index()].region;
 
     for (li, lp) in loops.loops.iter().enumerate() {
-        let in_loop: Vec<&&AccessInfo> = own.iter().filter(|a| a.chain.contains(&li)).collect();
+        let in_loop: Vec<&AccessInfo> = own.iter().filter(|a| a.chain.contains(&li)).collect();
         let mem_ops = in_loop.len() as u32;
         let affine_ops = in_loop.iter().filter(|a| a.index.is_some()).count() as u32;
         // Group by variable.

@@ -15,13 +15,23 @@
 //! 3. **Lints** — possibly-uninitialized reads, provably out-of-bounds
 //!    indices, and static race hints for threaded programs ([`lint`]).
 //!
-//! The entry point is [`analyze`]; [`access_facts`] derives the compact
-//! per-op fact table the interpreter attaches to decoded programs.
+//! The entry point is [`analyze`]; [`static_facts`] derives the compact
+//! per-op fact table, loop trip counts and call-graph [`Effects`] the
+//! interpreter attaches to decoded programs.
+//!
+//! The pass is linear in the module. Every set over globals, locals or
+//! functions — a function's transitive effects, a loop's stores — is a
+//! packed `u64` bit row ([`BitRows`]), combined a word at a time. Calls
+//! resolve through one name table per module ([`FunctionIndex`]). The
+//! access list is in program order, so each function's accesses are one
+//! contiguous run that the per-function passes take as a slice, and each
+//! function's evaluator is built once per pass.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
 pub mod affine;
+pub mod bits;
 pub mod classify;
 pub mod effects;
 pub mod indep;
@@ -29,8 +39,9 @@ pub mod lint;
 pub mod loops;
 
 pub use affine::{Affine, Term};
+pub use bits::BitRows;
 pub use classify::{AccessInfo, VarKey};
-pub use effects::{Effects, SpawnSite};
+pub use effects::{Effects, FunctionIndex, SpawnSite};
 pub use indep::{Claim, LoopReport};
 pub use lint::{Lint, LintKind};
 pub use loops::{FuncLoops, IndVar, LoopInfo};
@@ -58,9 +69,10 @@ pub struct ModuleAnalysis {
 }
 
 impl ModuleAnalysis {
-    /// Accesses belonging to one function.
-    pub fn accesses_of(&self, func: FuncId) -> impl Iterator<Item = &AccessInfo> {
-        self.accesses.iter().filter(move |a| a.func == func)
+    /// Accesses belonging to one function: its contiguous run of
+    /// [`ModuleAnalysis::accesses`].
+    pub fn accesses_of(&self, func: FuncId) -> &[AccessInfo] {
+        classify::accesses_of(&self.accesses, func)
     }
 
     /// Affine coverage across all loops: `(affine_ops, mem_ops)`.
@@ -74,15 +86,25 @@ impl ModuleAnalysis {
 /// Run the full static pipeline over a module.
 pub fn analyze(module: &Module) -> ModuleAnalysis {
     let loops: Vec<FuncLoops> = module.functions.iter().map(loops::find_loops).collect();
-    let effects = Effects::of(module);
-    let accesses = classify::collect_accesses(module, &loops, &effects);
+    let index = FunctionIndex::of(module);
+    let effects = Effects::resolved(module, &index);
     let spawns_threads = indep::module_spawns(module);
+    let mut accesses = Vec::new();
     let mut loop_reports = Vec::new();
     let mut claims = Vec::new();
     for (fi, floops) in loops.iter().enumerate() {
         let func = FuncId(fi as u32);
-        let fi_out =
-            indep::analyze_function(module, func, floops, &accesses, &effects, spawns_threads);
+        let mut ev = classify::Evaluator::new(module, func, floops, &effects, &index);
+        let start = accesses.len();
+        classify::collect_function(&mut ev, &mut accesses);
+        let fi_out = indep::analyze_function(
+            module,
+            func,
+            floops,
+            &accesses[start..],
+            &ev,
+            spawns_threads,
+        );
         loop_reports.extend(fi_out.loops);
         claims.extend(fi_out.claims);
     }
@@ -124,14 +146,19 @@ pub struct StaticFacts {
     /// when the region is a recognized loop with a provable count
     /// (`Some(n)`), `None` for non-loop regions and unknown counts.
     pub trip_counts: Vec<Vec<Option<u64>>>,
+    /// The module's transitive call-graph effects, computed once here for
+    /// the classifier and kept for the program's later passes.
+    pub effects: Effects,
 }
 
 /// Derive the full static export for a module: per-op access facts and
-/// per-region loop trip counts (the affine skip tier's eligibility inputs).
+/// per-region loop trip counts (the affine skip tier's eligibility inputs),
+/// with the call-graph effects they were classified under.
 pub fn static_facts(module: &Module) -> StaticFacts {
     let loops: Vec<FuncLoops> = module.functions.iter().map(loops::find_loops).collect();
-    let effects = Effects::of(module);
-    let accesses = classify::collect_accesses(module, &loops, &effects);
+    let index = FunctionIndex::of(module);
+    let effects = Effects::resolved(module, &index);
+    let accesses = classify::collect_accesses(module, &loops, &effects, &index);
     let access = accesses
         .iter()
         .map(|a| {
@@ -165,6 +192,7 @@ pub fn static_facts(module: &Module) -> StaticFacts {
     StaticFacts {
         access,
         trip_counts,
+        effects,
     }
 }
 

@@ -266,7 +266,8 @@ fn oob_indices(
 /// For spawning modules: a global with two thread-side accessors, at least
 /// one of them writing, where some accessor thread never locks, is a
 /// static race hint. Thread sides are the spawned entry functions plus the
-/// spawning caller, each taken with its transitive effects.
+/// spawning caller, each taken with its transitive effects (the effect
+/// rows are closed over the call graph already).
 fn race_hints(module: &Module, effects: &Effects, out: &mut Vec<Lint>) {
     if effects.spawns.is_empty() {
         return;
@@ -277,36 +278,18 @@ fn race_hints(module: &Module, effects: &Effects, out: &mut Vec<Lint>) {
         roots.insert(s.target);
         roots.insert(s.caller);
     }
-    let reads_w_closure = |fi: usize, g: usize| -> (bool, bool) {
-        let mut rd = effects.reads[fi][g];
-        let mut wr = effects.writes[fi][g];
-        for (h, reach) in effects.callees[fi].iter().enumerate() {
-            if *reach {
-                rd |= effects.reads[h][g];
-                wr |= effects.writes[h][g];
-            }
-        }
-        (rd, wr)
-    };
-    let locks_closure = |fi: usize| -> bool {
-        effects.locks[fi]
-            || effects.callees[fi]
-                .iter()
-                .enumerate()
-                .any(|(h, reach)| *reach && effects.locks[h])
-    };
     for (gi, gv) in module.globals.iter().enumerate() {
         let mut readers = 0u32;
         let mut writers = 0u32;
         let mut unlocked = false;
         for &fi in &roots {
-            let (rd, wr) = reads_w_closure(fi, gi);
-            if rd || wr {
+            let wr = effects.writes.get(fi, gi);
+            if wr || effects.reads.get(fi, gi) {
                 if wr {
                     writers += 1;
                 }
                 readers += 1;
-                if !locks_closure(fi) {
+                if !effects.locks[fi] {
                     unlocked = true;
                 }
             }

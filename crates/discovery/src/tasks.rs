@@ -4,8 +4,7 @@ use crate::doall::{LoopClass, LoopResult};
 use cu::{Cu, CuGraph, DepIndex, Partition};
 use fxhash::FxHashMap;
 use interp::Program;
-use mir::{Function, Instr, VarRef};
-use std::collections::BTreeSet;
+use mir::{Function, Instr};
 
 /// Kinds of SPMD-style task suggestions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,56 +88,6 @@ fn user_call_sites(program: &Program) -> Vec<Vec<(u32, usize)>> {
         .collect()
 }
 
-fn global_sets(
-    program: &Program,
-    sites: &[Vec<(u32, usize)>],
-) -> Vec<(BTreeSet<u32>, BTreeSet<u32>)> {
-    let module = &program.module;
-    let n = module.functions.len();
-    let mut reads: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); n];
-    let mut writes: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); n];
-    for (fi, f) in module.functions.iter().enumerate() {
-        for (_, b) in f.iter_blocks() {
-            for i in &b.instrs {
-                match i {
-                    Instr::Load { place, .. } => {
-                        if let VarRef::Global(g) = place.var {
-                            reads[fi].insert(g.0);
-                        }
-                    }
-                    Instr::Store { place, .. } => {
-                        if let VarRef::Global(g) = place.var {
-                            writes[fi].insert(g.0);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-    let calls: Vec<BTreeSet<usize>> = sites
-        .iter()
-        .map(|s| s.iter().map(|&(_, callee)| callee).collect())
-        .collect();
-    // Fixpoint closure over the call graph.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for fi in 0..n {
-            for &c in &calls[fi] {
-                let extra_r: Vec<u32> = reads[c].difference(&reads[fi]).copied().collect();
-                let extra_w: Vec<u32> = writes[c].difference(&writes[fi]).copied().collect();
-                if !extra_r.is_empty() || !extra_w.is_empty() {
-                    changed = true;
-                    reads[fi].extend(extra_r);
-                    writes[fi].extend(extra_w);
-                }
-            }
-        }
-    }
-    reads.into_iter().zip(writes).collect()
-}
-
 /// The open sibling group of one function: which call lines and globals its
 /// members cover, as stamps of the current `epoch`, so closing it is one
 /// increment. A site conflicts with some member iff it conflicts with the
@@ -161,40 +110,46 @@ impl OpenGroup {
         }
     }
 
-    fn covers(stamps: &[u32], i: u32, epoch: u32) -> bool {
-        stamps.get(i as usize) == Some(&epoch)
+    fn covers(stamps: &[u32], i: usize, epoch: u32) -> bool {
+        stamps.get(i) == Some(&epoch)
     }
 
     /// May the call at `line` (with local-flow `partners` lines and the
-    /// callee's transitive global sets) join every member of the group?
+    /// callee's transitive global sets `reads` and `writes`) join every
+    /// member of the group?
     fn admits(
         &self,
         line: u32,
         partners: &[u32],
-        reads: &BTreeSet<u32>,
-        writes: &BTreeSet<u32>,
+        mut reads: impl Iterator<Item = usize>,
+        mut writes: impl Iterator<Item = usize>,
     ) -> bool {
         let e = self.epoch;
-        !Self::covers(&self.lines, line, e)
-            && !partners.iter().any(|&p| Self::covers(&self.lines, p, e))
-            && !writes
+        !Self::covers(&self.lines, line as usize, e)
+            && !partners
                 .iter()
-                .any(|&g| Self::covers(&self.reads, g, e) || Self::covers(&self.writes, g, e))
-            && !reads.iter().any(|&g| Self::covers(&self.writes, g, e))
+                .any(|&p| Self::covers(&self.lines, p as usize, e))
+            && !writes.any(|g| Self::covers(&self.reads, g, e) || Self::covers(&self.writes, g, e))
+            && !reads.any(|g| Self::covers(&self.writes, g, e))
     }
 
-    fn join(&mut self, line: u32, reads: &BTreeSet<u32>, writes: &BTreeSet<u32>) {
+    fn join(
+        &mut self,
+        line: u32,
+        reads: impl Iterator<Item = usize>,
+        writes: impl Iterator<Item = usize>,
+    ) {
         let e = self.epoch;
-        let stamp = |stamps: &mut [u32], i: u32| {
-            if let Some(s) = stamps.get_mut(i as usize) {
+        let stamp = |stamps: &mut [u32], i: usize| {
+            if let Some(s) = stamps.get_mut(i) {
                 *s = e;
             }
         };
-        stamp(&mut self.lines, line);
-        for &g in reads {
+        stamp(&mut self.lines, line as usize);
+        for g in reads {
             stamp(&mut self.reads, g);
         }
-        for &g in writes {
+        for g in writes {
             stamp(&mut self.writes, g);
         }
     }
@@ -271,7 +226,7 @@ pub fn find_spmd_tasks(
     // Bernstein condition (§1.2.1) — distinct lines, no flow between the
     // two call lines locally, and the callees' transitive global read/write
     // sets do not conflict.
-    let globals = global_sets(program, &sites);
+    let effects = program.effects();
     let mut open = OpenGroup::new(program.module.globals.len(), &sites);
     for (fi, calls) in sites.iter().enumerate() {
         if calls.len() < 2 {
@@ -294,14 +249,17 @@ pub fn find_spmd_tasks(
         }
         let mut start = 0;
         for (i, &(line, callee)) in calls.iter().enumerate() {
-            let (reads, writes) = &globals[callee];
+            // The callee's transitive global sets, from the program's
+            // effect table.
+            let reads = || effects.reads.ones(callee);
+            let writes = || effects.writes.ones(callee);
             let partners = flow.get(&line).map_or(&[][..], Vec::as_slice);
-            if !open.admits(line, partners, reads, writes) {
+            if !open.admits(line, partners, reads(), writes()) {
                 push_sibling_group(&mut out, functions, fi, &calls[start..i]);
                 open.close();
                 start = i;
             }
-            open.join(line, reads, writes);
+            open.join(line, reads(), writes());
         }
         push_sibling_group(&mut out, functions, fi, &calls[start..]);
         open.close();

@@ -3,6 +3,7 @@
 //! executes (see [`crate::code`]).
 
 use crate::code::{DecodeCtx, FuncCode};
+use fxhash::FxHashMap;
 use mir::{Module, Ty, Value};
 
 /// Static metadata of one memory operation: everything a [`MemEvent`]
@@ -73,6 +74,23 @@ pub const MAILBOX_SLOTS: u64 = MAILBOX_SPAN / WORD;
 /// can spell it, so a dependence on it is message-passing traffic.
 pub const MAILBOX_VAR: &str = "<mailbox>";
 
+/// Interned variable names: ids in first-seen order, found through a map.
+#[derive(Default)]
+struct Symbols<'m> {
+    names: Vec<String>,
+    ids: FxHashMap<&'m str, u32>,
+}
+
+impl<'m> Symbols<'m> {
+    fn intern(&mut self, name: &'m str) -> u32 {
+        let names = &mut self.names;
+        *self.ids.entry(name).or_insert_with(|| {
+            names.push(name.to_string());
+            (names.len() - 1) as u32
+        })
+    }
+}
+
 /// A program ready for execution: module + layout + symbols.
 ///
 /// The layout mimics a conventional process image: globals live in a data
@@ -117,6 +135,9 @@ pub struct Program {
     /// `Load`/`Store` instructions, so `mem_facts[i]` describes the same
     /// access as `mem_meta[i]`.
     mem_facts: Vec<analysis::AccessFact>,
+    /// The module's transitive call-graph effects, as the static facts
+    /// were classified under: one packed bit row per function.
+    effects: analysis::Effects,
 }
 
 impl Program {
@@ -124,21 +145,15 @@ impl Program {
     /// [`mir::verify_module`]; use `lang::compile` to obtain verified
     /// modules from source.
     pub fn new(module: Module) -> Self {
-        let mut symbols = Vec::new();
-        let intern = |name: &str, symbols: &mut Vec<String>| -> u32 {
-            if let Some(i) = symbols.iter().position(|s| s == name) {
-                i as u32
-            } else {
-                symbols.push(name.to_string());
-                (symbols.len() - 1) as u32
-            }
-        };
+        // Symbol ids in first-seen order: globals, then each function's
+        // locals, then the mailbox.
+        let mut symbols = Symbols::default();
 
         let mut global_syms = Vec::new();
         let mut global_addr = Vec::new();
         let mut next = GLOBAL_BASE;
         for g in &module.globals {
-            global_syms.push(intern(&g.name, &mut symbols));
+            global_syms.push(symbols.intern(&g.name));
             global_addr.push(next);
             next += g.elems * WORD;
         }
@@ -152,7 +167,7 @@ impl Program {
             let mut offs = Vec::new();
             let mut off = 0u64;
             for v in &f.locals {
-                syms.push(intern(&v.name, &mut symbols));
+                syms.push(symbols.intern(&v.name));
                 offs.push(off);
                 off += v.elems;
             }
@@ -194,7 +209,7 @@ impl Program {
         let mbox_sym = if mbox_meta.is_empty() {
             u32::MAX
         } else {
-            intern(MAILBOX_VAR, &mut symbols)
+            symbols.intern(MAILBOX_VAR)
         };
         for c in code.iter_mut() {
             for e in c.mbox_ops.iter_mut() {
@@ -221,6 +236,7 @@ impl Program {
             crate::synth::compile_plans(c, &mem_facts, &statics.trip_counts[fx]);
         }
 
+        let Symbols { names: symbols, .. } = symbols;
         Program {
             module,
             symbols,
@@ -236,6 +252,7 @@ impl Program {
             mbox_sym,
             mem_meta,
             mem_facts,
+            effects: statics.effects,
         }
     }
 
@@ -295,6 +312,12 @@ impl Program {
     /// provably-independent traffic.
     pub fn mem_op_facts(&self) -> &[analysis::AccessFact] {
         &self.mem_facts
+    }
+
+    /// Transitive call-graph effects per function: which globals a call
+    /// may read or write, which functions it may reach.
+    pub fn effects(&self) -> &analysis::Effects {
+        &self.effects
     }
 
     /// Resolve a symbol id to its variable name.

@@ -1,4 +1,4 @@
-//! Offline crossbeam shim: `utils::CachePadded` and `thread::scope`.
+//! Offline crossbeam shim: `utils::CachePadded`.
 
 pub mod utils {
     use std::ops::{Deref, DerefMut};
@@ -35,87 +35,8 @@ pub mod utils {
     }
 }
 
-pub mod thread {
-    //! Scoped threads with the crossbeam calling convention (the spawn
-    //! closure receives the scope), implemented over `std::thread::scope`.
-
-    /// Handle to a scope; passed to `scope`'s closure and to every spawned
-    /// thread's closure.
-    pub struct Scope<'scope, 'env: 'scope>(&'scope std::thread::Scope<'scope, 'env>);
-
-    impl<'scope, 'env> Clone for Scope<'scope, 'env> {
-        fn clone(&self) -> Self {
-            *self
-        }
-    }
-    impl<'scope, 'env> Copy for Scope<'scope, 'env> {}
-
-    /// Join handle for a scoped thread.
-    pub struct ScopedJoinHandle<'scope, T>(std::thread::ScopedJoinHandle<'scope, T>);
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        /// Wait for the thread to finish.
-        pub fn join(self) -> std::thread::Result<T> {
-            self.0.join()
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawn a scoped thread; the closure receives the scope so it can
-        /// spawn siblings.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner = self.0;
-            ScopedJoinHandle(inner.spawn(move || f(&Scope(inner))))
-        }
-    }
-
-    /// Run `f` with a scope in which threads borrowing from the enclosing
-    /// environment can be spawned; all are joined before `scope` returns.
-    ///
-    /// Unlike crossbeam, a panicking child propagates on join instead of
-    /// being collected into the `Err` variant — the workspace only ever
-    /// `expect`s the result, so the observable behavior matches.
-    pub fn scope<'env, F, R>(f: F) -> std::thread::Result<R>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(&Scope(s))))
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn scope_spawns_and_joins() {
-        let data = [1, 2, 3];
-        let sum = crate::thread::scope(|scope| {
-            let h = scope.spawn(|_| data.iter().sum::<i32>());
-            h.join().unwrap()
-        })
-        .unwrap();
-        assert_eq!(sum, 6);
-    }
-
-    #[test]
-    fn nested_scopes() {
-        let r = crate::thread::scope(|outer| {
-            let h = outer.spawn(|_| {
-                crate::thread::scope(|inner| {
-                    let a = inner.spawn(|_| 2);
-                    a.join().unwrap() + 1
-                })
-                .unwrap()
-            });
-            h.join().unwrap()
-        })
-        .unwrap();
-        assert_eq!(r, 3);
-    }
-
     #[test]
     fn cache_padded_alignment() {
         let v = crate::utils::CachePadded::new(0u64);
