@@ -356,23 +356,6 @@ pub fn collect_function(ev: &mut Evaluator<'_>, out: &mut Vec<AccessInfo>) {
     }
 }
 
-/// Collect every memory access of `module` in program order, classified:
-/// each function's accesses form one contiguous run ([`accesses_of`]).
-pub fn collect_accesses(
-    module: &Module,
-    all_loops: &[FuncLoops],
-    effects: &Effects,
-    index: &FunctionIndex<'_>,
-) -> Vec<AccessInfo> {
-    let mut out = Vec::new();
-    for (fi, loops) in all_loops.iter().enumerate() {
-        let func = FuncId(fi as u32);
-        let mut ev = Evaluator::new(module, func, loops, effects, index);
-        collect_function(&mut ev, &mut out);
-    }
-    out
-}
-
 /// The run of `func`'s accesses in a module-wide, program-order access
 /// list (which is grouped by function in function order).
 pub fn accesses_of(accesses: &[AccessInfo], func: FuncId) -> &[AccessInfo] {

@@ -158,14 +158,9 @@ fn pair_independent(p: &AccessInfo, q: &AccessInfo, l: usize, loops: &FuncLoops)
     let mut vars: Vec<VarTerm> = Vec::new();
     // Terms of the union; use per-side coefficients where sides range
     // independently.
-    let keys: Vec<Term> = ap
-        .terms
-        .keys()
-        .chain(aq.terms.keys())
-        .copied()
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect();
+    let mut keys: Vec<Term> = ap.terms.keys().chain(aq.terms.keys()).copied().collect();
+    keys.sort_unstable();
+    keys.dedup();
     for t in keys {
         let (cp, cq) = (ap.coef(t), aq.coef(t));
         match t {
@@ -256,25 +251,14 @@ fn pair_independent(p: &AccessInfo, q: &AccessInfo, l: usize, loops: &FuncLoops)
         }
         // c·d + Σ coef·x + d0 = 0 with d = iter_p − iter_q ≠ 0.
         // GCD over {c} ∪ coefs:
-        {
-            let mut all: Vec<VarTerm> = vars
-                .iter()
-                .map(|v| VarTerm {
-                    coef: v.coef,
-                    range: v.range,
-                })
-                .collect();
-            all.push(VarTerm {
-                coef: c,
-                range: None,
-            });
-            let g = all
-                .iter()
-                .filter(|v| v.coef != 0)
-                .fold(0i64, |g, v| gcd(g, v.coef.abs()));
-            if g != 0 && d0 % g != 0 {
-                return true;
-            }
+        let g = vars
+            .iter()
+            .map(|v| v.coef)
+            .chain([c])
+            .filter(|&k| k != 0)
+            .fold(0i64, |g, k| gcd(g, k.abs()));
+        if g != 0 && d0 % g != 0 {
+            return true;
         }
         // Residual range R = d0 + Σ coef·x.
         let mut lo = d0 as i128;
@@ -374,14 +358,13 @@ pub fn analyze_function(
     let owner_of = |v: mir::LocalId| f.locals[v.index()].region;
 
     for (li, lp) in loops.loops.iter().enumerate() {
-        let in_loop: Vec<&AccessInfo> = own.iter().filter(|a| a.chain.contains(&li)).collect();
+        let mut in_loop: Vec<&AccessInfo> = own.iter().filter(|a| a.chain.contains(&li)).collect();
         let mem_ops = in_loop.len() as u32;
         let affine_ops = in_loop.iter().filter(|a| a.index.is_some()).count() as u32;
-        // Group by variable.
-        let mut groups: BTreeMap<VarKey, Vec<&AccessInfo>> = BTreeMap::new();
-        for a in &in_loop {
-            groups.entry(a.var).or_default().push(a);
-        }
+        // Group by variable, in variable order; a stable sort keeps each
+        // group's accesses in program order.
+        in_loop.sort_by_key(|a| a.var);
+        let groups = in_loop.chunk_by(|a, b| a.var == b.var);
         let iv_local = lp.iv.as_ref().map(|iv| iv.local);
         // Recursion through a call inside the loop lets this function's
         // own lines re-execute in a nested frame; global-variable claims
@@ -390,13 +373,15 @@ pub fn analyze_function(
         let mut tested = 0u32;
         let mut proven = 0u32;
         let mut doall = lp.iv.is_some();
-        // (var name, la, lb) → all write-pairs proven?
-        let mut line_pairs: BTreeMap<(String, u32, u32), bool> = BTreeMap::new();
+        // (var name, la, lb) → all write-pairs proven? Keyed by name, so
+        // same-named variables share their line pairs.
+        let mut line_pairs: BTreeMap<(&str, u32, u32), bool> = BTreeMap::new();
 
-        for (var, group) in &groups {
+        for group in groups {
+            let var = &group[0].var;
             let var_name = match var {
-                VarKey::Global(g) => module.globals[g.index()].name.clone(),
-                VarKey::Local(v) => f.locals[v.index()].name.clone(),
+                VarKey::Global(g) => module.globals[g.index()].name.as_str(),
+                VarKey::Local(v) => f.locals[v.index()].name.as_str(),
             };
             // Exemptions from the DOALL conflict scan: the loop's own IV,
             // and locals scoped to a region strictly inside the loop (they
@@ -442,7 +427,7 @@ pub fn analyze_function(
                         } else {
                             (q.line, p.line)
                         };
-                        let e = line_pairs.entry((var_name.clone(), la, lb)).or_insert(true);
+                        let e = line_pairs.entry((var_name, la, lb)).or_insert(true);
                         *e = *e && ok;
                     }
                 }
@@ -457,7 +442,7 @@ pub fn analyze_function(
                 claims.push(Claim {
                     func,
                     region: lp.region,
-                    var_name,
+                    var_name: var_name.to_string(),
                     line_a: la,
                     line_b: lb,
                 });

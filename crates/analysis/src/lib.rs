@@ -15,9 +15,10 @@
 //! 3. **Lints** — possibly-uninitialized reads, provably out-of-bounds
 //!    indices, and static race hints for threaded programs ([`lint`]).
 //!
-//! The entry point is [`analyze`]; [`static_facts`] derives the compact
-//! per-op fact table, loop trip counts and call-graph [`Effects`] the
-//! interpreter attaches to decoded programs.
+//! The one entry point is [`analyze`], and it runs once per program: the
+//! interpreter's decode calls it and keeps the call-graph [`Effects`] and
+//! the [`StaticReport`], after compiling the affine skip tier's plans from
+//! the classified accesses and the loops' trip counts.
 //!
 //! The pass is linear in the module. Every set over globals, locals or
 //! functions — a function's transitive effects, a loop's stores — is a
@@ -48,7 +49,8 @@ pub use loops::{FuncLoops, IndVar, LoopInfo};
 
 use mir::{FuncId, Module};
 
-/// Full static analysis of one module.
+/// Full static analysis of one module: what later passes read (the loops,
+/// effects and classified accesses) and the report a `--static` job prints.
 #[derive(Debug)]
 pub struct ModuleAnalysis {
     /// Per-function loop nests, indexed by function.
@@ -57,15 +59,8 @@ pub struct ModuleAnalysis {
     pub effects: Effects,
     /// Every memory access in program order (static op-id order).
     pub accesses: Vec<AccessInfo>,
-    /// Per-loop coverage and independence reports.
-    pub loop_reports: Vec<LoopReport>,
-    /// Proven-independent claims, checkable against dynamic dependences.
-    pub claims: Vec<Claim>,
-    /// Lint findings.
-    pub lints: Vec<Lint>,
-    /// Whether the module spawns threads (suppresses claims: thread
-    /// interleavings are outside this pass's sequential model).
-    pub spawns_threads: bool,
+    /// Per-loop coverage, independence claims and lints.
+    pub report: StaticReport,
 }
 
 impl ModuleAnalysis {
@@ -74,12 +69,70 @@ impl ModuleAnalysis {
     pub fn accesses_of(&self, func: FuncId) -> &[AccessInfo] {
         classify::accesses_of(&self.accesses, func)
     }
+}
 
-    /// Affine coverage across all loops: `(affine_ops, mem_ops)`.
+/// The static pass's findings: per-loop affine coverage,
+/// statically-proven independence claims, and lint findings.
+#[derive(Debug, Clone)]
+pub struct StaticReport {
+    /// Per-loop affine coverage and independence statistics.
+    pub loops: Vec<LoopReport>,
+    /// Proven-independent `(loop, var, line pair)` claims — each one a
+    /// falsifiable prediction about the dynamic profile.
+    pub claims: Vec<Claim>,
+    /// Lint findings (uninitialized reads, out-of-bounds indices, race
+    /// hints).
+    pub lints: Vec<Lint>,
+    /// The module spawns threads, so claims were suppressed.
+    pub spawns_threads: bool,
+}
+
+impl StaticReport {
+    /// Run the static pass over a module and keep its report.
+    pub fn of(module: &Module) -> StaticReport {
+        analyze(module).report
+    }
+
+    /// `(affine_ops, mem_ops)` summed over every loop.
     pub fn coverage(&self) -> (u32, u32) {
-        self.loop_reports
+        self.loops
             .iter()
             .fold((0, 0), |(a, m), r| (a + r.affine_ops, m + r.mem_ops))
+    }
+
+    /// Fraction of in-loop memory ops proven affine (1.0 for loop-free
+    /// programs).
+    pub fn affine_fraction(&self) -> f64 {
+        let (a, m) = self.coverage();
+        if m == 0 {
+            1.0
+        } else {
+            f64::from(a) / f64::from(m)
+        }
+    }
+
+    /// Heap bytes held by the report's rows and their strings.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let rows = self.loops.capacity() * size_of::<LoopReport>()
+            + self.claims.capacity() * size_of::<Claim>()
+            + self.lints.capacity() * size_of::<Lint>();
+        let strings = self
+            .loops
+            .iter()
+            .map(|l| l.func_name.capacity())
+            .sum::<usize>()
+            + self
+                .claims
+                .iter()
+                .map(|c| c.var_name.capacity())
+                .sum::<usize>()
+            + self
+                .lints
+                .iter()
+                .map(|l| l.func.capacity() + l.var.capacity() + l.message.capacity())
+                .sum::<usize>();
+        rows + strings
     }
 }
 
@@ -113,93 +166,13 @@ pub fn analyze(module: &Module) -> ModuleAnalysis {
         loops,
         effects,
         accesses,
-        loop_reports,
-        claims,
-        lints,
-        spawns_threads,
+        report: StaticReport {
+            loops: loop_reports,
+            claims,
+            lints,
+            spawns_threads,
+        },
     }
-}
-
-/// Compact per-memory-op static fact, aligned with the interpreter's
-/// decode-time op ids (program order over `Load`/`Store` instructions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessFact {
-    /// The access index classified affine.
-    pub affine: bool,
-    /// Provably constant element index.
-    pub const_index: Option<i64>,
-    /// Stride along the innermost enclosing loop, when affine inside a
-    /// loop (0 = invariant address across that loop's iterations).
-    pub stride: Option<i64>,
-}
-
-/// The combined static export the interpreter's decode consumes: the
-/// per-op fact table plus, per function, the statically known loop trip
-/// counts indexed by region id. Both halves come from one loop-discovery
-/// pass, so they describe the same loops.
-#[derive(Debug, Clone)]
-pub struct StaticFacts {
-    /// One [`AccessFact`] per static memory op, in program order (the
-    /// interpreter's decode-time op-id order).
-    pub access: Vec<AccessFact>,
-    /// Per function, indexed by region id: the loop's static trip count
-    /// when the region is a recognized loop with a provable count
-    /// (`Some(n)`), `None` for non-loop regions and unknown counts.
-    pub trip_counts: Vec<Vec<Option<u64>>>,
-    /// The module's transitive call-graph effects, computed once here for
-    /// the classifier and kept for the program's later passes.
-    pub effects: Effects,
-}
-
-/// Derive the full static export for a module: per-op access facts and
-/// per-region loop trip counts (the affine skip tier's eligibility inputs),
-/// with the call-graph effects they were classified under.
-pub fn static_facts(module: &Module) -> StaticFacts {
-    let loops: Vec<FuncLoops> = module.functions.iter().map(loops::find_loops).collect();
-    let index = FunctionIndex::of(module);
-    let effects = Effects::resolved(module, &index);
-    let accesses = classify::collect_accesses(module, &loops, &effects, &index);
-    let access = accesses
-        .iter()
-        .map(|a| {
-            let aff = a.index.as_ref();
-            let stride = aff.and_then(|x| {
-                let li = *a.chain.last()?;
-                let region = loops[a.func.index()].loops[li].region;
-                Some(x.coef(Term::Iter(region)))
-            });
-            AccessFact {
-                affine: aff.is_some(),
-                const_index: aff.and_then(|x| x.as_constant()),
-                stride,
-            }
-        })
-        .collect();
-    let trip_counts = module
-        .functions
-        .iter()
-        .zip(&loops)
-        .map(|(f, fl)| {
-            (0..f.regions.len())
-                .map(|r| {
-                    fl.by_region[r]
-                        .and_then(|li| fl.loops[li].iv.as_ref())
-                        .and_then(|iv| iv.trip_count)
-                })
-                .collect()
-        })
-        .collect();
-    StaticFacts {
-        access,
-        trip_counts,
-        effects,
-    }
-}
-
-/// Derive the fact table for a module, one entry per static memory op in
-/// program order.
-pub fn access_facts(module: &Module) -> Vec<AccessFact> {
-    static_facts(module).access
 }
 
 #[cfg(test)]
@@ -221,11 +194,12 @@ mod tests {
              }\n",
         );
         let an = analyze(&m);
-        let (aff, mem) = an.coverage();
+        let (aff, mem) = an.report.coverage();
         assert!(mem > 0, "loop has memory ops");
         assert_eq!(aff, mem, "all accesses classify affine: {:#?}", an.accesses);
         let lr = an
-            .loop_reports
+            .report
+            .loops
             .iter()
             .find(|r| r.mem_ops > 0)
             .expect("loop report");
@@ -236,9 +210,9 @@ mod tests {
         // exempt... but the a-store pair (with itself at distance 0 in
         // stride 1) must be proven independent.
         assert!(
-            an.claims.iter().any(|c| c.var_name == "a"),
+            an.report.claims.iter().any(|c| c.var_name == "a"),
             "claims: {:#?}",
-            an.claims
+            an.report.claims
         );
     }
 
@@ -254,12 +228,13 @@ mod tests {
         );
         let an = analyze(&m);
         assert!(
-            !an.claims.iter().any(|c| c.var_name == "a"),
+            !an.report.claims.iter().any(|c| c.var_name == "a"),
             "a[i] = a[i-1] carries a dependence, claims: {:#?}",
-            an.claims
+            an.report.claims
         );
         let lr = an
-            .loop_reports
+            .report
+            .loops
             .iter()
             .find(|r| r.mem_ops > 0)
             .expect("loop report");
@@ -281,9 +256,9 @@ mod tests {
         );
         let an = analyze(&m);
         assert!(
-            an.claims.iter().any(|c| c.var_name == "a"),
+            an.report.claims.iter().any(|c| c.var_name == "a"),
             "even/odd strides never collide, claims: {:#?}",
-            an.claims
+            an.report.claims
         );
     }
 
@@ -300,7 +275,8 @@ mod tests {
         );
         let an = analyze(&m);
         let lr = an
-            .loop_reports
+            .report
+            .loops
             .iter()
             .find(|r| r.mem_ops > 0)
             .expect("loop report");
@@ -309,7 +285,7 @@ mod tests {
             "the `s` reduction carries a dependence: {lr:#?}"
         );
         assert!(
-            !an.claims.iter().any(|c| c.var_name == "s"),
+            !an.report.claims.iter().any(|c| c.var_name == "s"),
             "s = s + ... must not be claimed independent"
         );
     }
@@ -327,10 +303,15 @@ mod tests {
              }\n",
         );
         let an = analyze(&m);
-        assert!(an.spawns_threads);
-        assert!(an.claims.is_empty(), "claims: {:#?}", an.claims);
+        assert!(an.report.spawns_threads);
         assert!(
-            an.lints.iter().any(|l| l.kind == LintKind::RaceHint) || an.effects.spawns.len() == 1,
+            an.report.claims.is_empty(),
+            "claims: {:#?}",
+            an.report.claims
+        );
+        assert!(
+            an.report.lints.iter().any(|l| l.kind == LintKind::RaceHint)
+                || an.effects.spawns.len() == 1,
             "spawn site resolved"
         );
     }
@@ -347,45 +328,27 @@ mod tests {
         );
         let an = analyze(&m);
         assert!(
-            an.lints.iter().any(|l| l.kind == LintKind::ConstOob),
+            an.report.lints.iter().any(|l| l.kind == LintKind::ConstOob),
             "lints: {:#?}",
-            an.lints
+            an.report.lints
         );
     }
 
     #[test]
-    fn static_facts_export_trip_counts_by_region() {
+    fn loops_carry_trip_counts_by_region() {
         let m = compile(
             "global int a[16];\n\
              fn main() {\n\
                  for (int i = 0; i < 16; i = i + 1) { a[i] = i; }\n\
              }\n",
         );
-        let sf = static_facts(&m);
-        assert_eq!(sf.access, access_facts(&m), "wrapper agrees with export");
-        assert_eq!(sf.trip_counts.len(), m.functions.len());
-        assert_eq!(sf.trip_counts[0].len(), m.functions[0].regions.len());
-        let trips: Vec<u64> = sf.trip_counts[0].iter().flatten().copied().collect();
+        let an = analyze(&m);
+        assert_eq!(an.loops.len(), m.functions.len());
+        let regions = m.functions[0].regions.len();
+        assert_eq!(an.loops[0].by_region.len(), regions);
+        let trips: Vec<u64> = (0..regions)
+            .filter_map(|r| an.loops[0].trip_count(mir::RegionId(r as u32)))
+            .collect();
         assert_eq!(trips, vec![16], "the counted for-loop is the only loop");
-    }
-
-    #[test]
-    fn access_facts_align_with_program_order() {
-        let m = compile(
-            "global int a[16];\n\
-             fn main() {\n\
-                 for (int i = 0; i < 16; i = i + 1) { a[i] = a[i] + 1; }\n\
-             }\n",
-        );
-        let facts = access_facts(&m);
-        let mut n = 0;
-        for f in &m.functions {
-            for b in &f.blocks {
-                n += b.instrs.iter().filter(|i| i.is_memory_op()).count();
-            }
-        }
-        assert_eq!(facts.len(), n);
-        // The a[i] accesses are affine with stride 1 along the loop.
-        assert!(facts.iter().any(|f| f.affine && f.stride == Some(1)));
     }
 }

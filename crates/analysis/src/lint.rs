@@ -77,19 +77,14 @@ fn uninit_reads(module: &Module, out: &mut Vec<Lint>) {
         let nl = f.locals.len();
         let preds = predecessors(f);
         let rpo = reverse_post_order(f);
-        let entry_set: Vec<bool> = f
-            .locals
-            .iter()
-            .map(|v| v.is_param || v.elems != 1)
-            .collect();
-        // Greatest fixed point: start every non-entry block at "all
+        // Row `b` (`nl` flags from `b · nl`) of `stored`: block `b` stores
+        // the scalar local; of `in_sets`: the local is initialized on entry
+        // to `b`. Greatest fixed point: start every non-entry block at "all
         // initialized" and intersect over predecessors.
         let nb = f.blocks.len();
-        let mut in_sets: Vec<Vec<bool>> = vec![vec![true; nl]; nb];
-        let entry = f.entry();
-        in_sets[entry.index()] = entry_set;
-        let transfer = |bid: mir::BlockId, mut set: Vec<bool>| -> Vec<bool> {
-            for instr in &f.blocks[bid.index()].instrs {
+        let mut stored = vec![false; nb * nl];
+        for (bid, b) in f.iter_blocks() {
+            for instr in &b.instrs {
                 if let Instr::Store {
                     place:
                         Place {
@@ -99,11 +94,18 @@ fn uninit_reads(module: &Module, out: &mut Vec<Lint>) {
                     ..
                 } = instr
                 {
-                    set[v.index()] = true;
+                    stored[bid.index() * nl + v.index()] = true;
                 }
             }
-            set
-        };
+        }
+        let mut in_sets = vec![true; nb * nl];
+        let entry = f.entry();
+        for (slot, v) in f.locals.iter().enumerate() {
+            in_sets[entry.index() * nl + slot] = v.is_param || v.elems != 1;
+        }
+        // An unreachable block has no predecessor and stays fully
+        // initialized.
+        let mut newin = vec![true; nl];
         let mut changed = true;
         while changed {
             changed = false;
@@ -111,21 +113,17 @@ fn uninit_reads(module: &Module, out: &mut Vec<Lint>) {
                 if bid == entry {
                     continue;
                 }
-                let mut newin = vec![true; nl];
-                let mut any_pred = false;
+                newin.fill(true);
                 for &p in &preds[bid.index()] {
-                    any_pred = true;
-                    let pout = transfer(p, in_sets[p.index()].clone());
-                    for (slot, val) in newin.iter_mut().enumerate() {
-                        *val = *val && pout[slot];
+                    let row = p.index() * nl..(p.index() + 1) * nl;
+                    let pout = in_sets[row.clone()].iter().zip(&stored[row]);
+                    for (val, (&init, &store)) in newin.iter_mut().zip(pout) {
+                        *val = *val && (init || store);
                     }
                 }
-                if !any_pred {
-                    // Unreachable block: treat as fully initialized.
-                    newin = vec![true; nl];
-                }
-                if newin != in_sets[bid.index()] {
-                    in_sets[bid.index()] = newin;
+                let cur = &mut in_sets[bid.index() * nl..(bid.index() + 1) * nl];
+                if *cur != newin[..] {
+                    cur.copy_from_slice(&newin);
                     changed = true;
                 }
             }
@@ -133,7 +131,9 @@ fn uninit_reads(module: &Module, out: &mut Vec<Lint>) {
         // Report loads ahead of the must-init frontier, once per site.
         let mut seen = BTreeSet::new();
         for (bid, b) in f.iter_blocks() {
-            let mut set = in_sets[bid.index()].clone();
+            // The running set through the block, in the fixpoint's buffer.
+            let set = &mut newin;
+            set.copy_from_slice(&in_sets[bid.index() * nl..(bid.index() + 1) * nl]);
             for instr in &b.instrs {
                 match instr {
                     Instr::Load {
@@ -200,24 +200,17 @@ fn oob_indices(
         let Some(aff) = &a.index else { continue };
         let loops = &all_loops[a.func.index()];
         let var_name = match a.var {
-            VarKey::Global(g) => module.globals[g.index()].name.clone(),
-            VarKey::Local(v) => f.locals[v.index()].name.clone(),
+            VarKey::Global(g) => &module.globals[g.index()].name,
+            VarKey::Local(v) => &f.locals[v.index()].name,
         };
         if let Some(c) = aff.as_constant() {
             if c < 0 || (c as u64) >= a.elems {
                 out.push(Lint {
                     kind: LintKind::ConstOob,
                     func: f.name.clone(),
-                    var: var_name,
+                    var: var_name.clone(),
                     line: a.line,
-                    message: format!(
-                        "index {c} is outside `{}`'s bounds 0..{}",
-                        match a.var {
-                            VarKey::Global(g) => &module.globals[g.index()].name,
-                            VarKey::Local(v) => &f.locals[v.index()].name,
-                        },
-                        a.elems
-                    ),
+                    message: format!("index {c} is outside `{var_name}`'s bounds 0..{}", a.elems),
                 });
             }
             continue;
@@ -230,9 +223,7 @@ fn oob_indices(
         for (&t, &c) in &aff.terms {
             let range = match t {
                 Term::Iter(r) => loops
-                    .of_region(r)
-                    .and_then(|li| loops.loops[li].iv.as_ref())
-                    .and_then(|iv| iv.trip_count)
+                    .trip_count(r)
                     .map(|n| (0i128, n.saturating_sub(1) as i128)),
                 _ => None,
             };

@@ -98,6 +98,12 @@ impl FuncLoops {
     pub fn of_region(&self, r: RegionId) -> Option<usize> {
         self.by_region.get(r.index()).copied().flatten()
     }
+
+    /// The static trip count of region `r`, when the region is a
+    /// recognized loop with a provable count.
+    pub fn trip_count(&self, r: RegionId) -> Option<u64> {
+        self.loops[self.of_region(r)?].iv.as_ref()?.trip_count
+    }
 }
 
 /// `a` dominates `b` under the idom tree (reflexive).

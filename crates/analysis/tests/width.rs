@@ -1,27 +1,26 @@
 //! Width guard: the static pre-pass must cost what the module is wide. A
 //! program of `n` one-loop functions over `n` globals has `n` loops, `n`
-//! rows in each effect table and about `7n` static accesses, so decode's
-//! `static_facts`, the `--static` job's `analyze` and `Program::new` (which
-//! runs `static_facts` and interns every name) are all linear in `n`.
+//! rows in each effect table and about `7n` static accesses, so `analyze`
+//! and `Program::new` (which runs `analyze` once and interns every name)
+//! are both linear in `n`.
 //!
 //! At 2,000 functions the pass these ceilings were set against — effect
 //! sets as `Vec<Vec<bool>>` closed a bit at a time, callees found by a
 //! linear scan of the functions, every function filtering the whole access
-//! list, names interned by a linear scan — took 42–52 ms in
-//! `static_facts`, 72–108 ms in `analyze` and 52–78 ms in `Program::new`
-//! (release build, 2-core x86-64 host, the fastest of five runs, one test
-//! at a time). With packed bit rows, one name table and per-function
-//! slices they took 5.8–9.1 ms, 10.5–17.3 ms and 9.5–14.0 ms. Each ceiling
-//! is under half the old pass's fastest run and about twice the new pass's
-//! slowest.
+//! list, names interned by a linear scan — took 72–108 ms in `analyze` and
+//! 52–78 ms in a `Program::new` that ran only the pass's front half (loops,
+//! effects, classification; release build, 2-core x86-64 host, the fastest
+//! of five runs, one test at a time). With packed bit rows, one name table
+//! and per-function slices they took 10.5–17.3 ms and 9.5–14.0 ms. Each
+//! ceiling is under half the old pass's fastest run; `Program::new` now runs
+//! the whole pass under the same ceiling.
 
-use analysis::{analyze, static_facts, Effects};
+use analysis::{analyze, Effects, Term};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 const FUNCTIONS: usize = 2000;
 
-const STATIC_FACTS_CEILING: Duration = Duration::from_millis(20);
 const ANALYZE_CEILING: Duration = Duration::from_millis(35);
 const PROGRAM_CEILING: Duration = Duration::from_millis(25);
 
@@ -111,27 +110,37 @@ fn check_effects(m: &mir::Module, e: &Effects) {
     assert_eq!(e.writes.ones(main).count(), FUNCTIONS);
 }
 
+/// The facts later passes read — trip counts, stride-1 accesses, call-graph
+/// effects — come out of `analyze` within the same ceiling.
 #[test]
 fn static_facts_of_2000_functions_take_linear_time() {
     let (_alone, m) = exclusive_wide_module();
-    let (took, facts) = fastest(&&m, static_facts);
-    let loops = facts.trip_counts.iter().flatten().flatten().count();
-    assert_eq!(loops, FUNCTIONS, "one counted loop per function");
-    assert!(facts.access.iter().filter(|a| a.stride == Some(1)).count() >= FUNCTIONS);
-    check_effects(&m, &facts.effects);
-    under("static_facts", took, STATIC_FACTS_CEILING);
+    let (took, a) = fastest(&&m, analyze);
+    let counted = a.loops.iter().flat_map(|fl| &fl.loops);
+    let counted = counted.filter(|l| l.iv.as_ref().is_some_and(|iv| iv.trip_count.is_some()));
+    assert_eq!(counted.count(), FUNCTIONS, "one counted loop per function");
+    let stride_one = a.accesses.iter().filter(|x| {
+        let (Some(index), Some(&li)) = (&x.index, x.chain.last()) else {
+            return false;
+        };
+        index.coef(Term::Iter(a.loops[x.func.index()].loops[li].region)) == 1
+    });
+    assert!(stride_one.count() >= FUNCTIONS);
+    check_effects(&m, &a.effects);
+    under("analyze", took, ANALYZE_CEILING);
 }
 
 #[test]
 fn analysis_of_2000_functions_takes_linear_time() {
     let (_alone, m) = exclusive_wide_module();
     let (took, a) = fastest(&&m, analyze);
-    assert_eq!(a.loop_reports.len(), FUNCTIONS);
-    assert!(a.loop_reports.iter().all(|r| r.has_iv));
+    let report = &a.report;
+    assert_eq!(report.loops.len(), FUNCTIONS);
+    assert!(report.loops.iter().all(|r| r.has_iv));
     // A loop calling a function with global effects is no DOALL call.
-    let doall = a.loop_reports.iter().filter(|r| r.doall_candidate).count();
+    let doall = report.loops.iter().filter(|r| r.doall_candidate).count();
     assert_eq!(doall, FUNCTIONS - (FUNCTIONS - 1) / 10);
-    assert!(a.claims.len() >= FUNCTIONS);
+    assert!(report.claims.len() >= FUNCTIONS);
     check_effects(&m, &a.effects);
     under("analyze", took, ANALYZE_CEILING);
 }
@@ -142,7 +151,10 @@ fn decoding_2000_functions_takes_linear_time() {
     let (took, p) = fastest(&m, interp::Program::new);
     // Globals, the loop counters (one symbol, `i`), `ping`/`pong`'s `n`.
     assert_eq!(p.num_symbols(), FUNCTIONS + 2);
-    assert_eq!(p.mem_op_facts().len(), p.num_mem_ops() as usize);
+    assert_eq!(p.mem_op_meta().len(), p.num_mem_ops() as usize);
+    // Decode ran the whole pass and kept its report.
+    assert_eq!(p.static_report().loops.len(), FUNCTIONS);
+    assert!(p.static_report().claims.len() >= FUNCTIONS);
     check_effects(&m, p.effects());
     under("Program::new", took, PROGRAM_CEILING);
 }

@@ -25,8 +25,7 @@ use discopop::protocol::{ErrorKind, JobOptions, Request, Response};
 use discopop::report::ReportDoc;
 use discopop::serve::ServeConfig;
 use discopop::submit::{submit, SubmitConfig};
-use discopop::{Analysis, EngineKind, ResourceStats, StageEvent};
-use profiler::ShadowTier;
+use discopop::{Analysis, EngineKind, StageEvent};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -240,17 +239,6 @@ fn parse_analyze_args(args: &[String]) -> Result<AnalyzeArgs, String> {
     Ok(parsed)
 }
 
-/// Why a profile may hold dependences no execution had, or `None` when it
-/// is exact: every partition starts on the perfect tier and no ladder rung
-/// was taken.
-fn approximation(tier: ShadowTier, resource: Option<&ResourceStats>) -> Option<String> {
-    if let ShadowTier::Signature { slots } = tier {
-        return Some(format!("the engine tracks on signatures of {slots} slots"));
-    }
-    let steps = resource.map_or(0, |r| r.degradation_steps.len());
-    (steps > 0).then(|| format!("the memory ceiling degraded the shadow in {steps} ladder step(s)"))
-}
-
 fn analyze(args: &[String]) -> ExitCode {
     let args = match parse_analyze_args(args) {
         Ok(a) => a,
@@ -374,10 +362,8 @@ fn analyze(args: &[String]) -> ExitCode {
     // there a contradiction is printed as a warning and is not binding.
     if let Some(statics) = &report.statics {
         let violations = discopop::cross_check(compiled.program(), statics, &report.profile.deps);
-        let approximate = approximation(
-            engine.dials(compiled.program().footprint_words()).tier,
-            report.profile.resource.as_ref(),
-        );
+        let approximate =
+            discopop::approximation(engine, compiled.program(), report.profile.resource.as_ref());
         if violations.is_empty() {
             if !args.quiet {
                 eprintln!(

@@ -218,7 +218,8 @@ pub enum StageEvent<'a> {
         /// why, or on a worker from which access on.
         tracking: profiler::Tracking,
     },
-    /// The static pre-pass finished (only with [`Analysis::with_static`]).
+    /// The static pre-pass's report joined the run (only with
+    /// [`Analysis::with_static`]; decode computed it).
     StaticAnalyzed {
         /// Loops examined.
         loops: usize,
@@ -242,52 +243,10 @@ pub enum StageEvent<'a> {
 pub type ProgressSink = Box<dyn FnMut(&StageEvent<'_>)>;
 
 /// Results of the static pre-pass ([`analysis`]): per-loop affine coverage,
-/// statically-proven independence claims, and lint findings.
-#[derive(Debug, Clone)]
-pub struct StaticReport {
-    /// Per-loop affine coverage and independence statistics.
-    pub loops: Vec<analysis::LoopReport>,
-    /// Proven-independent `(loop, var, line pair)` claims — each one a
-    /// falsifiable prediction about the dynamic profile (see
-    /// [`cross_check`]).
-    pub claims: Vec<analysis::Claim>,
-    /// Lint findings (uninitialized reads, out-of-bounds indices, race
-    /// hints).
-    pub lints: Vec<analysis::Lint>,
-    /// The module spawns threads, so claims were suppressed.
-    pub spawns_threads: bool,
-}
-
-impl StaticReport {
-    /// Run the static pipeline over a module.
-    pub fn of(module: &mir::Module) -> StaticReport {
-        let a = analysis::analyze(module);
-        StaticReport {
-            loops: a.loop_reports,
-            claims: a.claims,
-            lints: a.lints,
-            spawns_threads: a.spawns_threads,
-        }
-    }
-
-    /// `(affine_ops, mem_ops)` summed over every loop.
-    pub fn coverage(&self) -> (u32, u32) {
-        self.loops
-            .iter()
-            .fold((0, 0), |(a, m), r| (a + r.affine_ops, m + r.mem_ops))
-    }
-
-    /// Fraction of in-loop memory ops proven affine (1.0 for loop-free
-    /// programs).
-    pub fn affine_fraction(&self) -> f64 {
-        let (a, m) = self.coverage();
-        if m == 0 {
-            1.0
-        } else {
-            f64::from(a) / f64::from(m)
-        }
-    }
-}
+/// statically-proven independence claims — each a falsifiable prediction
+/// about the dynamic profile (see [`cross_check`]) — and lint findings.
+/// Decode computes it once per program ([`interp::Program::static_report`]).
+pub use analysis::StaticReport;
 
 /// A statically-proven independence contradicted by a dynamically-observed
 /// dependence — by construction this must never happen; any instance is a
@@ -368,6 +327,24 @@ pub fn cross_check(
     out
 }
 
+/// Why a cross-check contradiction on this run is not binding, or `None`
+/// when it is: a profile may hold dependences no execution had when some
+/// partition starts on a signature (`engine`'s dials for `program`) or a
+/// memory ceiling degraded the shadow (`resource`'s ladder steps). On an
+/// exact profile a contradiction is a soundness failure.
+pub fn approximation(
+    engine: EngineKind,
+    program: &interp::Program,
+    resource: Option<&ResourceStats>,
+) -> Option<String> {
+    let tier = engine.dials(program.footprint_words()).tier;
+    if let profiler::ShadowTier::Signature { slots } = tier {
+        return Some(format!("the engine tracks on signatures of {slots} slots"));
+    }
+    let steps = resource.map_or(0, |r| r.degradation_steps.len());
+    (steps > 0).then(|| format!("the memory ceiling degraded the shadow in {steps} ladder step(s)"))
+}
+
 /// The staged analysis pipeline: configure once, then drive
 /// compile → profile → discover, or let [`Analysis::analyze`] run all three.
 ///
@@ -393,7 +370,7 @@ pub struct Analysis {
     /// What the engine is handed, the affine skip tier aside: the profiler's
     /// own defaults until a builder method overrides one.
     cfg: profiler::ProfileConfig,
-    /// The static pre-pass runs, and with it the affine skip tier.
+    /// The static pre-pass is reported, and the affine skip tier runs.
     statics: bool,
     progress: Option<ProgressSink>,
 }
@@ -455,8 +432,9 @@ impl Analysis {
         self
     }
 
-    /// Enable the static pre-pass: [`Report::statics`] is populated with
-    /// affine coverage, independence claims, and lints, and the
+    /// Report the static pre-pass: [`Report::statics`] is populated with
+    /// the affine coverage, independence claims, and lints decode computed
+    /// ([`interp::Program::static_report`]), and the
     /// [`StageEvent::StaticAnalyzed`] event fires between profile and
     /// discovery. Off by default.
     ///
@@ -569,7 +547,7 @@ impl Analysis {
         profiled: Profiled,
     ) -> Report {
         let statics = self.statics.then(|| {
-            let s = StaticReport::of(&program.module);
+            let s = program.static_report().clone();
             self.notify(StageEvent::StaticAnalyzed {
                 loops: s.loops.len(),
                 claims: s.claims.len(),

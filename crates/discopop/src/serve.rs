@@ -929,15 +929,16 @@ fn cache_key(name: &str, source: &str) -> u64 {
 }
 
 /// Rough resident-size estimate of a compiled program: name and source
-/// text plus the decoded instruction streams, static memory layout and
-/// call-graph effect table. Only has to be consistent, not exact — it is
-/// what the cache admits against.
+/// text plus the decoded instruction streams, static memory layout,
+/// call-graph effect table and static report. Only has to be consistent,
+/// not exact — it is what the cache admits against.
 fn program_bytes(name: &str, source: &str, program: &interp::Program) -> usize {
     name.len()
         + source.len()
         + program.num_decoded_ops() * 16
         + program.footprint_words() * 8
         + program.effects().heap_bytes()
+        + program.static_report().heap_bytes()
         + std::mem::size_of::<interp::Program>()
 }
 

@@ -446,7 +446,7 @@ pub struct FuncCode {
     /// pc — consulted only on the cold division-by-zero path.
     pub trap_lines: Box<[(u32, u32)]>,
     /// Affine skip-tier loop plans ([`crate::synth::LoopPlan`]), compiled
-    /// after decode from the static facts; empty when no loop qualifies.
+    /// after decode from the static pass; empty when no loop qualifies.
     pub plans: Box<[crate::synth::LoopPlan]>,
     /// `(trigger pc, plan index)` sorted by trigger pc — the
     /// [`HotOp::LoopIter`] slots that own a plan, for [`FuncCode::plan_at`].
@@ -736,7 +736,7 @@ impl<'m> DecodeCtx<'m> {
             trap_lines: fb.trap_lines.into_boxed_slice(),
             mbox_ops: fb.mbox_ops.into_boxed_slice(),
             // Skip-tier plans are compiled after decode (they need the
-            // static fact table), in `Program::new`.
+            // static pass's classified accesses), in `Program::new`.
             plans: Box::new([]),
             plan_idx: Box::new([]),
             regions,

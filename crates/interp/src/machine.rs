@@ -2250,13 +2250,11 @@ mod tests {
         .unwrap();
         let mut p = Program::new(m);
         assert!(p.code[0].plans.is_empty(), "the classifier declines");
-        let statics = analysis::static_facts(&p.module);
-        let forged: Vec<_> = statics
-            .access
-            .iter()
-            .map(|f| analysis::AccessFact { affine: true, ..*f })
-            .collect();
-        crate::synth::compile_plans(&mut p.code[0], &forged, &statics.trip_counts[0]);
+        let mut statics = analysis::analyze(&p.module);
+        for a in &mut statics.accesses {
+            a.index.get_or_insert_with(|| analysis::Affine::constant(0));
+        }
+        crate::synth::compile_plans(&mut p.code[0], &statics.accesses, &statics.loops[0]);
         assert_eq!(p.code[0].plans.len(), 1, "the forged facts compile a plan");
 
         let (by_events, pc_e, steps_e, recorded) = exec_keeping(&p, RecordingSink::default());

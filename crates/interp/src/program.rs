@@ -129,15 +129,12 @@ pub struct Program {
     /// Static metadata per memory op, in id order — collected during
     /// decode, so it never has to be recovered by re-walking the streams.
     mem_meta: Vec<MemOpMeta>,
-    /// Static analysis facts per memory op, in id order: affine
-    /// classification, constant indices, innermost-loop strides. Both
-    /// tables are built from the same program-order walk over
-    /// `Load`/`Store` instructions, so `mem_facts[i]` describes the same
-    /// access as `mem_meta[i]`.
-    mem_facts: Vec<analysis::AccessFact>,
-    /// The module's transitive call-graph effects, as the static facts
-    /// were classified under: one packed bit row per function.
+    /// The module's transitive call-graph effects, under which the static
+    /// pass classified: one packed bit row per function.
     effects: analysis::Effects,
+    /// The static pass's report: per-loop coverage, independence claims
+    /// and lints.
+    statics: analysis::StaticReport,
 }
 
 impl Program {
@@ -193,19 +190,24 @@ impl Program {
         let num_mem_ops = ctx.next_op + ctx.next_mbox;
         let mut mem_meta = std::mem::take(&mut ctx.mem_meta);
         let mbox_meta = std::mem::take(&mut ctx.mbox_meta);
-        let statics = analysis::static_facts(&module);
-        let mut mem_facts = statics.access;
+        // The one static pass: its classified accesses share decode's
+        // program-order op ids over `Load`/`Store` instructions.
+        let analysis::ModuleAnalysis {
+            loops,
+            effects,
+            accesses,
+            report: statics,
+        } = analysis::analyze(&module);
         debug_assert_eq!(
-            mem_facts.len(),
+            accesses.len(),
             mbox_op_base as usize,
-            "static fact table must align with decode-time load/store ids"
+            "static access list must align with decode-time load/store ids"
         );
         // Mailbox ops (`send`/`receive` sites) extend the op-id space past
-        // the load/store range: rebase the decode-time ordinals and pad the
-        // per-op tables, so every consumer indexing by `MemEvent::op` —
+        // the load/store range: rebase the decode-time ordinals and extend
+        // the meta table, so every consumer indexing by `MemEvent::op` —
         // skip vectors, the parallel transport's meta lookup — covers them
-        // without the analysis crate having to know about mailboxes. Their
-        // addresses are runtime ring positions, never affine.
+        // without the analysis crate having to know about mailboxes.
         let mbox_sym = if mbox_meta.is_empty() {
             u32::MAX
         } else {
@@ -222,18 +224,14 @@ impl Program {
                 var: mbox_sym,
                 is_write: *is_write,
             });
-            mem_facts.push(analysis::AccessFact {
-                affine: false,
-                const_index: None,
-                stride: None,
-            });
         }
-        // Skip-tier plan compilation: with the fact table and trip counts
-        // in hand, compile each eligible loop's cycle into a straight-line
-        // plan the machine can replay without dispatching (see
-        // [`crate::synth`]).
-        for (fx, c) in code.iter_mut().enumerate() {
-            crate::synth::compile_plans(c, &mem_facts, &statics.trip_counts[fx]);
+        // Skip-tier plan compilation: with the classified accesses and trip
+        // counts in hand, compile each eligible loop's cycle into a
+        // straight-line plan the machine can replay without dispatching
+        // (see [`crate::synth`]). Mailbox ops lie past the access list, so
+        // they are never affine: their addresses are runtime ring positions.
+        for (c, floops) in code.iter_mut().zip(&loops) {
+            crate::synth::compile_plans(c, &accesses, floops);
         }
 
         let Symbols { names: symbols, .. } = symbols;
@@ -251,8 +249,8 @@ impl Program {
             mbox_op_base,
             mbox_sym,
             mem_meta,
-            mem_facts,
-            effects: statics.effects,
+            effects,
+            statics,
         }
     }
 
@@ -305,19 +303,16 @@ impl Program {
         &self.mem_meta
     }
 
-    /// Static analysis facts per memory op, indexed by op id like
-    /// [`Program::mem_op_meta`]: whether the access classified affine, its
-    /// constant index when provable, and its stride along the innermost
-    /// enclosing loop. Profiler consumers can use these to pre-filter
-    /// provably-independent traffic.
-    pub fn mem_op_facts(&self) -> &[analysis::AccessFact] {
-        &self.mem_facts
-    }
-
     /// Transitive call-graph effects per function: which globals a call
     /// may read or write, which functions it may reach.
     pub fn effects(&self) -> &analysis::Effects {
         &self.effects
+    }
+
+    /// The static pass's report, computed once at decode: per-loop affine
+    /// coverage, independence claims and lints.
+    pub fn static_report(&self) -> &analysis::StaticReport {
+        &self.statics
     }
 
     /// Resolve a symbol id to its variable name.
@@ -373,7 +368,7 @@ mod tests {
     }
 
     #[test]
-    fn static_facts_align_with_mem_op_meta() {
+    fn analysis_accesses_align_with_mem_op_meta() {
         let src = "global int a[16];\n\
                    global int s;\n\
                    fn main() {\n\
@@ -382,24 +377,26 @@ mod tests {
                        }\n\
                    }\n";
         let m = lang::compile(src, "t").unwrap();
-        let facts_by_access = analysis::analyze(&m);
+        let analysed = analysis::analyze(&m);
         let p = Program::new(m);
         let meta = p.mem_op_meta();
-        let facts = p.mem_op_facts();
-        assert_eq!(meta.len(), facts.len());
         assert_eq!(meta.len() as u32, p.num_mem_ops());
         // Same program-order walk on both sides: op i has the same line
         // and direction in the analysis access list and the decode table.
-        assert_eq!(facts_by_access.accesses.len(), meta.len());
-        for (i, a) in facts_by_access.accesses.iter().enumerate() {
+        assert_eq!(analysed.accesses.len(), meta.len());
+        for (i, a) in analysed.accesses.iter().enumerate() {
             assert_eq!(a.op_id as usize, i);
             assert_eq!(a.line, meta[i].line, "op {i} line");
             assert_eq!(a.is_write, meta[i].is_write, "op {i} direction");
         }
-        // The a[i] load is affine with stride 1; the s accesses are
-        // constant-index scalars.
-        assert!(facts.iter().any(|f| f.affine && f.stride == Some(1)));
-        assert!(facts.iter().any(|f| f.const_index == Some(0)));
+        // The a[i] load is affine with stride 1 along the loop; the s
+        // accesses are constant-index scalars.
+        let region = analysed.loops[0].loops[0].region;
+        let affine = || analysed.accesses.iter().filter_map(|a| a.index.as_ref());
+        assert!(affine().any(|x| x.coef(analysis::Term::Iter(region)) == 1));
+        assert!(affine().any(|x| x.as_constant() == Some(0)));
+        // The program keeps the pass's report.
+        assert_eq!(p.static_report().loops.len(), 1);
     }
 
     #[test]

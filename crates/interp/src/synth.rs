@@ -3,8 +3,8 @@
 //!
 //! The paper's Section 5 answer to the profiling slowdown is to stop
 //! paying full interpretation cost for repeatedly executed code whose
-//! memory behavior is already known. The static pass (PR 7) proves per-op
-//! affine facts and loop trip counts; this module turns them into a
+//! memory behavior is already known. The static pass proves per-op
+//! affine indices and loop trip counts; this module turns them into a
 //! runtime fast path:
 //!
 //! - **Eligibility** (`compile_plans`): a loop qualifies when its
@@ -31,7 +31,7 @@
 //!   memory step's address in cycle 0 (`base`) and its delta in cycle 1
 //!   (`stride`), then checks `addr == base + stride·cycle` on every later
 //!   access; a miss closes the run before that access and the rest of the
-//!   engagement is emitted per access. The `affine` facts that made the
+//!   engagement is emitted per access. The affine indices that made the
 //!   loop eligible are therefore never *trusted* for the record either.
 //!   [`crate::PlanRun::expand`] defines what a run means, and
 //!   `tests/plan_runs.rs` holds the replayer to it.
@@ -48,7 +48,8 @@
 //!   delivers the open record first.
 
 use crate::code::{FuncCode, HotOp, MemRef, Opnd};
-use mir::{BinOp, UnOp};
+use analysis::{AccessInfo, FuncLoops};
+use mir::{BinOp, RegionId, UnOp};
 
 /// Hard cap on plan length in steps: a cycle longer than this
 /// would not be loop-shaped hot code, and the cap bounds trace time on
@@ -145,31 +146,27 @@ pub struct LoopPlan {
     pub mem_ops: u32,
 }
 
-/// Compile the skip-tier plans for one decoded function. `facts` is the
-/// whole-program per-op fact table (indexed by static op id); `trips` maps
-/// this function's region ids to statically known loop trip counts.
-pub(crate) fn compile_plans(
-    code: &mut FuncCode,
-    facts: &[analysis::AccessFact],
-    trips: &[Option<u64>],
-) {
+/// Compile the skip-tier plans for one decoded function. `accesses` is the
+/// module's classified access list (indexed by static op id; an op past its
+/// end — a mailbox op — is not affine); `loops` is this function's loop
+/// nest, which gives each region's static trip count.
+pub(crate) fn compile_plans(code: &mut FuncCode, accesses: &[AccessInfo], loops: &FuncLoops) {
     let mut plans = Vec::new();
     let mut idx = Vec::new();
     for pc in 0..code.hot.len() {
         let HotOp::LoopIter { region } = code.hot[pc] else {
             continue;
         };
-        let Some(Some(trip)) = trips.get(region as usize).copied() else {
+        let Some(trip) = loops.trip_count(RegionId(region)) else {
             continue;
         };
         let Some(steps) = trace_cycle(code, pc as u32) else {
             continue;
         };
         let affine = |m: &MemRef| {
-            facts
+            accesses
                 .get(m.op_id as usize)
-                .map(|f| f.affine)
-                .unwrap_or(false)
+                .is_some_and(|a| a.index.is_some())
         };
         let all_affine = steps.iter().all(|s| match &s.op {
             PlanOp::Load { mem, .. } | PlanOp::Store { mem, .. } => affine(mem),

@@ -145,6 +145,10 @@ impl InstanceTable {
     /// was at iteration `iter_in_parent`).
     pub fn enter(&mut self, loop_key: LoopKey, parent: u32, iter_in_parent: u32) -> u32 {
         let id = self.instances.len() as u32;
+        debug_assert!(
+            parent == NO_INSTANCE || parent < id,
+            "a parent instance is registered before its child"
+        );
         self.instances.push(Instance {
             loop_key,
             parent,
@@ -191,9 +195,9 @@ impl InstanceTable {
     /// iteration-local dependence).
     ///
     /// Allocation-free: runs once per dependence-building access, so it
-    /// walks the two ancestor chains with the classic
-    /// align-depths-then-step-together lowest-common-ancestor scheme instead
-    /// of materializing the paths.
+    /// steps up the two ancestor chains by instance id (a parent's id is
+    /// smaller than its child's) until they meet, instead of materializing
+    /// the paths.
     ///
     /// Always inlined, chain walk included: its callers build dependences
     /// and compare reduced shadow states from the answer, and returned
@@ -216,41 +220,26 @@ impl InstanceTable {
             }
             return Some(instances[a_instance as usize].loop_key);
         }
-        let depth = |mut i: u32| {
-            let mut d = 0u32;
-            while i != NO_INSTANCE {
-                d += 1;
-                i = instances[i as usize].parent;
-            }
-            d
-        };
-        // Walk both chains to the same depth, then step up in lockstep
-        // until they meet. The iteration carried along is the one observed
-        // *at* the current level: the access's own iteration while at the
-        // original instance, the child's `iter_in_parent` after each step
-        // up.
+        // A parent is registered before its children, so its id is the
+        // smaller; the root, `NO_INSTANCE`, ranks below every id. The side
+        // with the larger rank cannot be an ancestor of the other, so step
+        // it up until the two meet. The iteration carried along is the one
+        // observed *at* the current level: the access's own iteration while
+        // at the original instance, the child's `iter_in_parent` after each
+        // step up.
+        let rank = |i: u32| i.wrapping_add(1);
         let (mut a, mut a_it) = (a_instance, a_iter);
         let (mut b, mut b_it) = (b_instance, b_iter);
-        let (mut da, mut db) = (depth(a), depth(b));
-        while da > db {
-            let info = &instances[a as usize];
-            a_it = info.iter_in_parent;
-            a = info.parent;
-            da -= 1;
-        }
-        while db > da {
-            let info = &instances[b as usize];
-            b_it = info.iter_in_parent;
-            b = info.parent;
-            db -= 1;
-        }
         while a != b {
-            let ia = &instances[a as usize];
-            a_it = ia.iter_in_parent;
-            a = ia.parent;
-            let ib = &instances[b as usize];
-            b_it = ib.iter_in_parent;
-            b = ib.parent;
+            if rank(a) > rank(b) {
+                let info = &instances[a as usize];
+                a_it = info.iter_in_parent;
+                a = info.parent;
+            } else {
+                let info = &instances[b as usize];
+                b_it = info.iter_in_parent;
+                b = info.parent;
+            }
         }
         if a == NO_INSTANCE {
             return None;
