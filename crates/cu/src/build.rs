@@ -64,30 +64,19 @@ pub struct CuBuildInput<'a> {
 }
 
 /// Build the CU graph for every function of the program (top-down).
-pub fn build_cu_graph(input: &CuBuildInput) -> CuGraph<Cu> {
-    let index = DepIndex::new(input.program, input.deps);
-    build_from_index(input.program, &index, input.pet, false)
-}
-
-/// Like [`build_cu_graph`], but function bodies are always decomposed into
-/// their child regions and plain-line fragments, even when the whole body
-/// satisfies read-compute-write. Task discovery (§4.2) uses this finer
-/// granularity: "the top-down approach … goes down to cover fine-grained
-/// parallelism if coarse-grained parallelism is not found" (§3.3).
+/// Function bodies are always decomposed into their child regions and
+/// plain-line fragments, even when the whole body satisfies
+/// read-compute-write: "the top-down approach … goes down to cover
+/// fine-grained parallelism if coarse-grained parallelism is not found"
+/// (§3.3). Below the body, a violation-free region is one CU.
 pub fn build_cu_graph_fine(input: &CuBuildInput) -> CuGraph<Cu> {
     let index = DepIndex::new(input.program, input.deps);
-    build_from_index(input.program, &index, input.pet, true)
+    build_from_index(input.program, &index, input.pet)
 }
 
-/// [`build_cu_graph`] (or, with `split_bodies`, [`build_cu_graph_fine`])
-/// over an index the caller already built — discovery builds one and shares
-/// it with its own passes.
-pub fn build_from_index(
-    program: &Program,
-    index: &DepIndex,
-    pet: Option<&Pet>,
-    split_bodies: bool,
-) -> CuGraph<Cu> {
+/// [`build_cu_graph_fine`] over an index the caller already built —
+/// discovery builds one and shares it with its own passes.
+pub fn build_from_index(program: &Program, index: &DepIndex, pet: Option<&Pet>) -> CuGraph<Cu> {
     let ctx = BuildCtx {
         program,
         index,
@@ -95,9 +84,7 @@ pub fn build_from_index(
     };
     let mut graph = CuGraph::new();
     for fi in 0..program.module.functions.len() {
-        let mut b = FnBuilder::new(&ctx, fi as u32);
-        b.split_bodies = split_bodies;
-        b.run(&mut graph);
+        FnBuilder::new(&ctx, fi as u32).run(&mut graph);
     }
     add_edges(index, &mut graph);
     graph
@@ -142,8 +129,6 @@ struct FnBuilder<'a> {
     /// Violating read lines per region: sinks of intra-region RAWs on
     /// region-global variables.
     violations: Vec<BTreeSet<u32>>,
-    /// Force decomposition of the function-body region (fine granularity).
-    split_bodies: bool,
 }
 
 impl<'a> FnBuilder<'a> {
@@ -204,7 +189,6 @@ impl<'a> FnBuilder<'a> {
             rv,
             line_instrs,
             violations,
-            split_bodies: false,
         }
     }
 
@@ -212,16 +196,15 @@ impl<'a> FnBuilder<'a> {
         self.process(RegionId(0), graph);
     }
 
-    /// Recursive top-down construction: a violation-free region is one CU;
-    /// otherwise children recurse and the region's plain lines are split
-    /// into fragments at violating reads.
+    /// Recursive top-down construction: a violation-free region below the
+    /// function body is one CU; otherwise children recurse and the region's
+    /// plain lines are split into fragments at violating reads.
     fn process(&mut self, region: RegionId, graph: &mut CuGraph<Cu>) -> Vec<CuId> {
         let module = &self.ctx.program.module;
         let f = &module.functions[self.func as usize];
         let r = &f.regions[region.index()];
 
-        let force_split = self.split_bodies && region == RegionId(0);
-        if self.violations[region.index()].is_empty() && !force_split {
+        if self.violations[region.index()].is_empty() && region != RegionId(0) {
             let (read_set, write_set) = self.phase_sets(region, r.start_line, r.end_line, None);
             let static_instrs: usize = self
                 .line_instrs
@@ -328,26 +311,19 @@ impl<'a> FnBuilder<'a> {
         lines: Option<&[u32]>,
     ) -> (BTreeSet<VarId>, BTreeSet<VarId>) {
         let globals = &self.rv.global_vars[region.index()];
-        let mut read_set = BTreeSet::new();
-        let mut write_set = BTreeSet::new();
         let in_span = |l: u32| match lines {
             Some(ls) => ls.contains(&l),
             None => start <= l && l <= end,
         };
-        for (&l, vs) in self.rv.reads.range(start..=end) {
-            if in_span(l) {
-                for v in vs.intersection(globals) {
-                    read_set.insert(*v);
-                }
-            }
-        }
-        for (&l, vs) in self.rv.writes.range(start..=end) {
-            if in_span(l) {
-                for v in vs.intersection(globals) {
-                    write_set.insert(*v);
-                }
-            }
-        }
+        let phase = |accesses: &[(u32, VarId)]| -> BTreeSet<VarId> {
+            RegionVars::on_lines(accesses, start, end)
+                .iter()
+                .filter(|&&(l, v)| in_span(l) && globals.binary_search(&v).is_ok())
+                .map(|&(_, v)| v)
+                .collect()
+        };
+        let read_set = phase(&self.rv.reads);
+        let write_set = phase(&self.rv.writes);
         (read_set, write_set)
     }
 
@@ -386,9 +362,9 @@ impl<'a> FnBuilder<'a> {
 /// rules enforced by [`CuGraph::add_edge`].
 fn add_edges(index: &DepIndex, graph: &mut CuGraph<Cu>) {
     // line -> cu: fragments take precedence over region CUs; smaller
-    // region CUs take precedence over enclosing ones. Lookup-only, so the
-    // fast in-repo hasher is safe (no iteration-order dependence).
-    let mut by_line: FxHashMap<u32, CuId> = FxHashMap::default();
+    // region CUs take precedence over enclosing ones.
+    let lines = graph.cus.iter().map(|c| c.end_line as usize + 1).max();
+    let mut by_line: Vec<Option<CuId>> = vec![None; lines.unwrap_or(0)];
     let span_of = |cu: &Cu| cu.end_line - cu.start_line;
     let mut order: Vec<CuId> = (0..graph.cus.len()).collect();
     order.sort_by_key(|&i| {
@@ -406,22 +382,22 @@ fn add_edges(index: &DepIndex, graph: &mut CuGraph<Cu>) {
         match c.kind {
             CuKind::Fragment => {
                 for &l in &c.lines {
-                    by_line.entry(l).or_insert(i);
+                    by_line[l as usize].get_or_insert(i);
                 }
             }
             CuKind::Region => {
                 for l in c.start_line..=c.end_line {
-                    by_line.entry(l).or_insert(i);
+                    by_line[l as usize].get_or_insert(i);
                 }
             }
         }
     }
+    let cu_of = |line: u32| by_line.get(line as usize).copied().flatten();
     for d in index.deps() {
         if d.ty == DepType::Init {
             continue;
         }
-        let (Some(&from), Some(&to)) = (by_line.get(&d.sink.line), by_line.get(&d.source.line))
-        else {
+        let (Some(from), Some(to)) = (cu_of(d.sink.line), cu_of(d.source.line)) else {
             continue;
         };
         graph.add_edge(CuEdge {
@@ -441,7 +417,7 @@ mod tests {
     fn setup(src: &str) -> (Program, CuGraph<Cu>) {
         let p = Program::new(lang::compile(src, "t").unwrap());
         let out = profile_program(&p).unwrap();
-        let graph = build_cu_graph(&CuBuildInput {
+        let graph = build_cu_graph_fine(&CuBuildInput {
             program: &p,
             deps: &out.deps,
             pet: Some(&out.pet),
@@ -504,7 +480,8 @@ mod tests {
         let (fid, _) = p.module.function("square").unwrap();
         let cus: Vec<&Cu> = g.cus.iter().filter(|c| c.func == fid.0).collect();
         assert_eq!(cus.len(), 1, "a pure function is one CU: {cus:?}");
-        assert_eq!(cus[0].kind, CuKind::Region);
+        // Function bodies are always decomposed: the one CU is a fragment.
+        assert_eq!(cus[0].kind, CuKind::Fragment);
     }
 
     #[test]
@@ -602,7 +579,7 @@ mod violation_tests {
             "loop region must satisfy read-compute-write: {:?}",
             fb.violations
         );
-        let g = build_cu_graph(&input);
+        let g = build_cu_graph_fine(&input);
         assert_eq!(
             g.cus.iter().filter(|c| c.region == 1).count(),
             1,

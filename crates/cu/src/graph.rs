@@ -4,7 +4,6 @@
 
 use fxhash::{FxHashMap, FxHashSet};
 use profiler::DepType;
-use std::collections::BTreeSet;
 
 /// Index of a CU within its graph.
 pub type CuId = usize;
@@ -74,24 +73,6 @@ impl<V> CuGraph<V> {
         split
     }
 
-    /// The subgraph over `ids`: vertex `i` carries `payload(ids[i])`, and
-    /// every edge of `edges` with both ends among `ids` is kept, renumbered.
-    /// `edges` may be any superset of the graph's edges among `ids` — the
-    /// [`Partition`] entry of the part `ids` come from.
-    pub fn induced(ids: &[CuId], edges: &[CuEdge], payload: impl Fn(CuId) -> V) -> CuGraph<V> {
-        let mut sub = CuGraph::new();
-        let mut local: FxHashMap<CuId, CuId> = fxhash::map_with_capacity(ids.len());
-        for &id in ids {
-            local.insert(id, sub.add_cu(payload(id)));
-        }
-        for e in edges {
-            if let (Some(&from), Some(&to)) = (local.get(&e.from), local.get(&e.to)) {
-                sub.add_edge(CuEdge { from, to, ..*e });
-            }
-        }
-        sub
-    }
-
     /// Add a vertex, returning its id.
     pub fn add_cu(&mut self, v: V) -> CuId {
         self.cus.push(v);
@@ -126,23 +107,22 @@ impl<V> CuGraph<V> {
         self.cus.is_empty()
     }
 
-    /// Successor lists over RAW edges only (the true-dependence skeleton).
-    pub fn raw_successors(&self) -> Vec<Vec<CuId>> {
-        let mut succ = vec![Vec::new(); self.cus.len()];
-        for e in &self.edges {
-            if e.ty == DepType::Raw && e.from != e.to {
-                succ[e.from].push(e.to);
-            }
-        }
-        succ
+    /// The RAW edges (the true-dependence skeleton) as `(from, to)`
+    /// pairs, in edge order.
+    fn raw_pairs(&self) -> Vec<(CuId, CuId)> {
+        self.edges
+            .iter()
+            .filter(|e| e.ty == DepType::Raw)
+            .map(|e| (e.from, e.to))
+            .collect()
     }
 
     /// Is there a (non-empty) RAW path from `a` to `b` — does `a`
     /// transitively depend on `b`?
     pub fn depends_on(&self, a: CuId, b: CuId) -> bool {
-        let succ = self.raw_successors();
+        let succ = Rows::successors(self.len(), &self.raw_pairs());
         let mut seen = vec![false; self.cus.len()];
-        let mut stack: Vec<CuId> = succ[a].clone();
+        let mut stack: Vec<CuId> = succ.row(a).to_vec();
         while let Some(n) = stack.pop() {
             if n == b {
                 return true;
@@ -151,7 +131,7 @@ impl<V> CuGraph<V> {
                 continue;
             }
             seen[n] = true;
-            stack.extend(succ[n].iter().copied());
+            stack.extend_from_slice(succ.row(n));
         }
         false
     }
@@ -166,103 +146,71 @@ impl<V> CuGraph<V> {
     /// Returns `component[cu] = scc index`; indices are in reverse
     /// topological order of the condensation.
     pub fn sccs(&self) -> Vec<usize> {
-        let n = self.cus.len();
-        let succ = self.raw_successors();
-        let mut index = vec![usize::MAX; n];
-        let mut low = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut comp = vec![usize::MAX; n];
-        let mut next_index = 0usize;
-        let mut next_comp = 0usize;
-
-        // Iterative Tarjan with an explicit call stack.
-        enum Frame {
-            Enter(usize),
-            Resume(usize, usize),
-        }
-        for start in 0..n {
-            if index[start] != usize::MAX {
-                continue;
-            }
-            let mut call = vec![Frame::Enter(start)];
-            while let Some(f) = call.pop() {
-                match f {
-                    Frame::Enter(v) => {
-                        index[v] = next_index;
-                        low[v] = next_index;
-                        next_index += 1;
-                        stack.push(v);
-                        on_stack[v] = true;
-                        call.push(Frame::Resume(v, 0));
-                    }
-                    Frame::Resume(v, mut i) => {
-                        let mut descended = false;
-                        while i < succ[v].len() {
-                            let w = succ[v][i];
-                            i += 1;
-                            if index[w] == usize::MAX {
-                                call.push(Frame::Resume(v, i));
-                                call.push(Frame::Enter(w));
-                                descended = true;
-                                break;
-                            } else if on_stack[w] {
-                                low[v] = low[v].min(index[w]);
-                            }
-                        }
-                        if descended {
-                            continue;
-                        }
-                        if low[v] == index[v] {
-                            // `v` is on the stack: it was pushed on entry
-                            // and only a root pops.
-                            while let Some(w) = stack.pop() {
-                                on_stack[w] = false;
-                                comp[w] = next_comp;
-                                if w == v {
-                                    break;
-                                }
-                            }
-                            next_comp += 1;
-                        }
-                        // Propagate low to parent.
-                        if let Some(Frame::Resume(p, _)) = call.last() {
-                            let p = *p;
-                            low[p] = low[p].min(low[v]);
-                        }
-                    }
-                }
-            }
-        }
-        comp
+        sccs(&Rows::successors(self.len(), &self.raw_pairs()))
     }
 
     /// Condense the graph: SCCs become single vertices, then *chains* —
     /// maximal linear sequences where each vertex has exactly one RAW
     /// predecessor and one successor — are further merged (Fig. 4.5).
-    /// Returns `(group[cu] = group index, number of groups, group edges)`.
-    pub fn condense(&self) -> (Vec<usize>, usize, Vec<(usize, usize)>) {
-        let comp = self.sccs();
+    pub fn condense(&self) -> Condensation {
+        Condensation::of_raw(self.len(), &self.raw_pairs())
+    }
+}
+
+/// A graph condensed by [`CuGraph::condense`]: SCCs, then chains, merged
+/// into groups (Fig. 4.5).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Condensation {
+    /// The SCC of each CU, as [`CuGraph::sccs`] numbers them.
+    pub scc: Vec<usize>,
+    /// SCC edges `(a, b)`, "`a` depends on `b`", ascending.
+    pub scc_edges: Vec<(usize, usize)>,
+    /// The group of each CU.
+    pub group: Vec<usize>,
+    /// Number of groups; group ids are `0..groups`.
+    pub groups: usize,
+    /// Group edges `(a, b)`, "`a` depends on `b`", ascending.
+    pub edges: Vec<(usize, usize)>,
+}
+
+impl Condensation {
+    /// The condensation of the subgraph over `ids`: vertex `i` is CU
+    /// `ids[i]`, and every RAW edge of `edges` with both ends among `ids`
+    /// is kept, renumbered. `edges` may be any superset of the graph's
+    /// edges among `ids` — the [`Partition`] entry of the part `ids` come
+    /// from.
+    pub fn of_subgraph(ids: &[CuId], edges: &[CuEdge]) -> Condensation {
+        let local: FxHashMap<CuId, usize> =
+            ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+        let mut raw = Vec::with_capacity(edges.len());
+        raw.extend(
+            edges
+                .iter()
+                .filter(|e| e.ty == DepType::Raw)
+                .filter_map(|e| Some((*local.get(&e.from)?, *local.get(&e.to)?))),
+        );
+        Condensation::of_raw(ids.len(), &raw)
+    }
+
+    /// SCCs, then chains, over vertices `0..n` and the RAW edges `raw`.
+    fn of_raw(n: usize, raw: &[(usize, usize)]) -> Condensation {
+        let comp = sccs(&Rows::successors(n, raw));
         let ncomp = comp.iter().map(|&c| c + 1).max().unwrap_or(0);
         // Build the SCC DAG (edges follow dependence direction from → to).
-        let mut dag_edges: BTreeSet<(usize, usize)> = BTreeSet::new();
-        for e in &self.edges {
-            if e.ty == DepType::Raw && comp[e.from] != comp[e.to] {
-                dag_edges.insert((comp[e.from], comp[e.to]));
-            }
-        }
-        // In/out degree per SCC.
-        let mut out_deg = vec![0usize; ncomp];
+        let mut dag_edges = Vec::with_capacity(raw.len());
+        dag_edges.extend(
+            raw.iter()
+                .filter(|&&(a, b)| comp[a] != comp[b])
+                .map(|&(a, b)| (comp[a], comp[b])),
+        );
+        dag_edges.sort_unstable();
+        dag_edges.dedup();
         let mut in_deg = vec![0usize; ncomp];
-        let mut out_to = vec![usize::MAX; ncomp];
-        let mut in_from = vec![usize::MAX; ncomp];
-        for &(a, b) in &dag_edges {
-            out_deg[a] += 1;
-            out_to[a] = b;
+        for &(_, b) in &dag_edges {
             in_deg[b] += 1;
-            in_from[b] = a;
         }
-        // Union chains: a → b merge when out_deg[a]==1 and in_deg[b]==1.
+        // Union chains: a → b merge when a's one out-edge is b's one
+        // in-edge.
         let mut parent: Vec<usize> = (0..ncomp).collect();
         fn find(parent: &mut [usize], x: usize) -> usize {
             let mut r = x;
@@ -277,9 +225,8 @@ impl<V> CuGraph<V> {
             }
             r
         }
-        for a in 0..ncomp {
-            if out_deg[a] == 1 {
-                let b = out_to[a];
+        for out in dag_edges.chunk_by(|x, y| x.0 == y.0) {
+            if let &[(a, b)] = out {
                 if in_deg[b] == 1 {
                     let ra = find(&mut parent, a);
                     let rb = find(&mut parent, b);
@@ -289,65 +236,184 @@ impl<V> CuGraph<V> {
                 }
             }
         }
-        // Renumber groups densely (group ids follow cu order, so the map
-        // is lookup-only and hash order cannot leak into the output).
-        let mut remap: FxHashMap<usize, usize> = FxHashMap::default();
-        let mut group = vec![0usize; self.cus.len()];
+        // Renumber groups densely, in cu order.
+        let mut remap = vec![usize::MAX; ncomp];
+        let mut groups = 0;
+        let mut group = vec![0usize; n];
         for (cu, &c) in comp.iter().enumerate() {
             let root = find(&mut parent, c);
-            let next = remap.len();
-            let g = *remap.entry(root).or_insert(next);
-            group[cu] = g;
+            if remap[root] == usize::MAX {
+                remap[root] = groups;
+                groups += 1;
+            }
+            group[cu] = remap[root];
         }
-        let ngroups = remap.len();
-        // Every member of a component is in the same group: any one names it.
-        let mut group_of_comp = vec![0usize; ncomp];
-        for (cu, &c) in comp.iter().enumerate() {
-            group_of_comp[c] = group[cu];
-        }
-        let mut gedges: BTreeSet<(usize, usize)> = BTreeSet::new();
+        let mut edges: Vec<(usize, usize)> = Vec::with_capacity(dag_edges.len());
         for &(a, b) in &dag_edges {
-            let (ga, gb) = (group_of_comp[a], group_of_comp[b]);
+            let (ga, gb) = (remap[find(&mut parent, a)], remap[find(&mut parent, b)]);
             if ga != gb {
-                gedges.insert((ga, gb));
+                edges.push((ga, gb));
             }
         }
-        (group, ngroups, gedges.into_iter().collect())
+        edges.sort_unstable();
+        edges.dedup();
+        Condensation {
+            scc: comp,
+            scc_edges: dag_edges,
+            group,
+            groups,
+            edges,
+        }
     }
 
-    /// Topological layers of the RAW DAG over condensation groups: groups
-    /// in the same layer are mutually independent. Used for pipeline-stage
-    /// and MPMD analysis.
+    /// Topological layers of the group DAG: groups in the same layer are
+    /// mutually independent. Used for pipeline-stage and MPMD analysis.
     pub fn layers(&self) -> Vec<Vec<usize>> {
-        let (_, ngroups, gedges) = self.condense();
-        // Edge a → b means a depends on b, so b must be "earlier".
-        let mut indeg = vec![0usize; ngroups];
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); ngroups];
-        for &(a, b) in &gedges {
-            // b → a in execution order.
-            succ[b].push(a);
+        // Edge a → b means a depends on b, so b must be "earlier": b → a in
+        // execution order.
+        let succ = Rows::new(self.groups, self.edges.iter().map(|&(a, b)| (b, a)));
+        let mut indeg = vec![0usize; self.groups];
+        for &(a, _) in &self.edges {
             indeg[a] += 1;
         }
-        let mut layer = Vec::new();
-        let mut ready: Vec<usize> = (0..ngroups).filter(|&g| indeg[g] == 0).collect();
+        let mut layers = Vec::new();
+        let mut ready: Vec<usize> = (0..self.groups).filter(|&g| indeg[g] == 0).collect();
         let mut seen = 0;
         while !ready.is_empty() {
-            layer.push(ready.clone());
             let mut next = Vec::new();
             for &g in &ready {
                 seen += 1;
-                for &s in &succ[g] {
+                for &s in succ.row(g) {
                     indeg[s] -= 1;
                     if indeg[s] == 0 {
                         next.push(s);
                     }
                 }
             }
-            ready = next;
+            layers.push(std::mem::replace(&mut ready, next));
         }
-        debug_assert_eq!(seen, ngroups, "condensation must be acyclic");
-        layer
+        debug_assert_eq!(seen, self.groups, "condensation must be acyclic");
+        layers
     }
+}
+
+/// Adjacency lists in one allocation: row `v` is `to[start[v]..start[v + 1]]`,
+/// its targets in the order the pairs came.
+struct Rows {
+    start: Vec<usize>,
+    to: Vec<usize>,
+}
+
+impl Rows {
+    /// Rows over vertices `0..n` from `(vertex, target)` pairs.
+    fn new(n: usize, pairs: impl Iterator<Item = (usize, usize)> + Clone) -> Rows {
+        let mut start = vec![0usize; n + 1];
+        for (v, _) in pairs.clone() {
+            start[v + 1] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut to = vec![0usize; start[n]];
+        // `start[v]` counts up to row `v`'s end while filling, then steps
+        // back one row.
+        for (v, w) in pairs {
+            to[start[v]] = w;
+            start[v] += 1;
+        }
+        for v in (1..=n).rev() {
+            start[v] = start[v - 1];
+        }
+        start[0] = 0;
+        Rows { start, to }
+    }
+
+    /// Successor rows over vertices `0..n` from `(from, to)` pairs,
+    /// self-loops left out.
+    fn successors(n: usize, pairs: &[(usize, usize)]) -> Rows {
+        Rows::new(n, pairs.iter().copied().filter(|&(a, b)| a != b))
+    }
+
+    fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    fn row(&self, v: usize) -> &[usize] {
+        &self.to[self.start[v]..self.start[v + 1]]
+    }
+}
+
+/// [`CuGraph::sccs`] over successor rows.
+fn sccs(succ: &Rows) -> Vec<usize> {
+    let n = succ.len();
+    let mut index = vec![usize::MAX; n];
+    let mut low = vec![0usize; n];
+    let mut stack: Vec<usize> = Vec::with_capacity(n);
+    let mut comp = vec![usize::MAX; n];
+    let mut next_index = 0usize;
+    let mut next_comp = 0usize;
+
+    // Iterative Tarjan with an explicit call stack.
+    enum Frame {
+        Enter(usize),
+        Resume(usize, usize),
+    }
+    let mut call: Vec<Frame> = Vec::with_capacity(n);
+    for start in 0..n {
+        if index[start] != usize::MAX {
+            continue;
+        }
+        call.push(Frame::Enter(start));
+        while let Some(f) = call.pop() {
+            match f {
+                Frame::Enter(v) => {
+                    index[v] = next_index;
+                    low[v] = next_index;
+                    next_index += 1;
+                    stack.push(v);
+                    call.push(Frame::Resume(v, 0));
+                }
+                Frame::Resume(v, mut i) => {
+                    let mut descended = false;
+                    let row = succ.row(v);
+                    while i < row.len() {
+                        let w = row[i];
+                        i += 1;
+                        if index[w] == usize::MAX {
+                            call.push(Frame::Resume(v, i));
+                            call.push(Frame::Enter(w));
+                            descended = true;
+                            break;
+                        } else if comp[w] == usize::MAX {
+                            // Visited and in no component yet: on the
+                            // stack.
+                            low[v] = low[v].min(index[w]);
+                        }
+                    }
+                    if descended {
+                        continue;
+                    }
+                    if low[v] == index[v] {
+                        // `v` is on the stack: it was pushed on entry
+                        // and only a root pops.
+                        while let Some(w) = stack.pop() {
+                            comp[w] = next_comp;
+                            if w == v {
+                                break;
+                            }
+                        }
+                        next_comp += 1;
+                    }
+                    // Propagate low to parent.
+                    if let Some(Frame::Resume(p, _)) = call.last() {
+                        let p = *p;
+                        low[p] = low[p].min(low[v]);
+                    }
+                }
+            }
+        }
+    }
+    comp
 }
 
 impl<V> Default for CuGraph<V> {
@@ -455,11 +521,12 @@ mod tests {
         let d = g.add_cu(3);
         g.add_edge(raw(b, a));
         g.add_edge(raw(c, b));
-        let (group, ngroups, _) = g.condense();
-        assert_eq!(ngroups, 2);
-        assert_eq!(group[a], group[b]);
-        assert_eq!(group[b], group[c]);
-        assert_ne!(group[a], group[d]);
+        let cond = g.condense();
+        assert_eq!(cond.groups, 2);
+        assert_eq!(cond.group[a], cond.group[b]);
+        assert_eq!(cond.group[b], cond.group[c]);
+        assert_ne!(cond.group[a], cond.group[d]);
+        assert_eq!(cond.edges, Vec::new());
     }
 
     #[test]
@@ -475,10 +542,10 @@ mod tests {
         g.add_edge(raw(right, root));
         g.add_edge(raw(sink, left));
         g.add_edge(raw(sink, right));
-        let (group, ngroups, _) = g.condense();
-        assert_eq!(ngroups, 4);
-        assert_ne!(group[left], group[right]);
-        let layers = g.layers();
+        let c = g.condense();
+        assert_eq!(c.groups, 4);
+        assert_ne!(c.group[left], c.group[right]);
+        let layers = c.layers();
         // root | {left, right} | sink.
         assert_eq!(layers.len(), 3);
         assert_eq!(layers[1].len(), 2);

@@ -17,22 +17,23 @@
 //!   into the lookups construction and discovery need, so neither rescans
 //!   it per function, loop or call-site pair,
 //! - the **CU graph** (§3.4) with the edge rules of Table 3.1, SCC and
-//!   chain condensation (§4.2.2 / Fig. 4.5), and DOT export (Figs. 3.6/3.7),
-//! - control-dependence utilities (§3.2.2): re-convergence points and
-//!   dynamic control-dependence queries.
+//!   chain condensation (§4.2.2 / Fig. 4.5), and DOT export (Figs. 3.6/3.7).
+//!
+//! One graph serves all of discovery: function bodies are always
+//! decomposed into their child regions and plain-line fragments, so the
+//! same CUs give a DOACROSS loop its pipeline stages and a function its
+//! MPMD tasks (§4.1.2, §4.2.2).
 
 // CU construction runs inside every analysis job, the daemon's included:
 // library code returns or skips instead of panicking (tests may unwrap).
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod build;
-pub mod ctrl;
 pub mod graph;
 pub mod index;
 pub mod vars;
 
-pub use build::{build_cu_graph, build_cu_graph_fine, build_from_index, Cu, CuBuildInput, CuKind};
-pub use ctrl::{control_dependent_blocks, reconvergence_points};
-pub use graph::{CuEdge, CuGraph, CuId, Partition};
+pub use build::{build_cu_graph_fine, build_from_index, Cu, CuBuildInput, CuKind};
+pub use graph::{Condensation, CuEdge, CuGraph, CuId, Partition};
 pub use index::DepIndex;
 pub use vars::{region_of_line, RegionVars, VarClass};

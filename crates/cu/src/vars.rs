@@ -8,7 +8,6 @@
 //! loop *body* writes them (§3.2.5).
 
 use mir::{Function, Instr, Module, RegionId, VarRef};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Classification of one variable relative to a region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,14 +30,22 @@ pub enum VarId {
 /// Per-region variable facts for one function.
 #[derive(Debug, Clone)]
 pub struct RegionVars {
-    /// For each region: variables accessed anywhere within its line range.
-    pub accessed: Vec<BTreeSet<VarId>>,
-    /// For each region: the subset global to it.
-    pub global_vars: Vec<BTreeSet<VarId>>,
-    /// Lines on which each variable is read (line, var) pairs.
-    pub reads: BTreeMap<u32, BTreeSet<VarId>>,
-    /// Lines on which each variable is written.
-    pub writes: BTreeMap<u32, BTreeSet<VarId>>,
+    /// For each region: the variables global to it, ascending.
+    pub global_vars: Vec<Vec<VarId>>,
+    /// `(line, variable)` of every read, ascending and distinct.
+    pub reads: Vec<(u32, VarId)>,
+    /// `(line, variable)` of every write, ascending and distinct.
+    pub writes: Vec<(u32, VarId)>,
+}
+
+impl RegionVars {
+    /// The `(line, variable)` pairs of `accesses` (`reads` or `writes`)
+    /// on lines `start..=end`.
+    pub fn on_lines(accesses: &[(u32, VarId)], start: u32, end: u32) -> &[(u32, VarId)] {
+        let lo = accesses.partition_point(|&(l, _)| l < start);
+        let hi = accesses.partition_point(|&(l, _)| l <= end);
+        &accesses[lo..hi.max(lo)]
+    }
 }
 
 /// The innermost region of `f` whose line span contains `line`. Regions are
@@ -74,9 +81,10 @@ pub fn region_contains(f: &Function, anc: RegionId, r: RegionId) -> bool {
 pub fn analyze(module: &Module, func_idx: u32) -> RegionVars {
     let f = &module.functions[func_idx as usize];
     let nregions = f.regions.len();
-    let mut accessed: Vec<BTreeSet<VarId>> = vec![BTreeSet::new(); nregions];
-    let mut reads: BTreeMap<u32, BTreeSet<VarId>> = BTreeMap::new();
-    let mut writes: BTreeMap<u32, BTreeSet<VarId>> = BTreeMap::new();
+    // For each region: variables accessed anywhere within its line range.
+    let mut accessed: Vec<Vec<VarId>> = vec![Vec::new(); nregions];
+    let mut reads: Vec<(u32, VarId)> = Vec::new();
+    let mut writes: Vec<(u32, VarId)> = Vec::new();
 
     let var_id = |v: VarRef| match v {
         VarRef::Global(g) => VarId::Global(g.0),
@@ -95,15 +103,23 @@ pub fn analyze(module: &Module, func_idx: u32) -> RegionVars {
             // to every ancestor.
             let mut r = Some(region_of_line(f, line));
             while let Some(cur) = r {
-                accessed[cur.index()].insert(v);
+                accessed[cur.index()].push(v);
                 r = f.regions[cur.index()].parent;
             }
             if is_write {
-                writes.entry(line).or_default().insert(v);
+                writes.push((line, v));
             } else {
-                reads.entry(line).or_default().insert(v);
+                reads.push((line, v));
             }
         }
+    }
+    for list in &mut accessed {
+        list.sort_unstable();
+        list.dedup();
+    }
+    for list in [&mut reads, &mut writes] {
+        list.sort_unstable();
+        list.dedup();
     }
 
     // A variable is local to region R if it is declared in R or any region
@@ -111,32 +127,33 @@ pub fn analyze(module: &Module, func_idx: u32) -> RegionVars {
     // variables (locals owned by a loop region) stay local unless written
     // by the loop *body* — i.e. on a line other than the loop's header
     // line (§3.2.5).
-    let mut global_vars: Vec<BTreeSet<VarId>> = vec![BTreeSet::new(); nregions];
-    for (ri, _) in f.regions.iter().enumerate() {
-        let rid = RegionId(ri as u32);
-        for &v in &accessed[ri] {
-            let class = classify(module, func_idx, v, rid, &writes);
-            if class == VarClass::Global {
-                global_vars[ri].insert(v);
-            }
-        }
-    }
+    let global_vars = accessed
+        .iter()
+        .enumerate()
+        .map(|(ri, vars)| {
+            let rid = RegionId(ri as u32);
+            vars.iter()
+                .copied()
+                .filter(|&v| classify(module, func_idx, v, rid, &writes) == VarClass::Global)
+                .collect()
+        })
+        .collect();
 
     RegionVars {
-        accessed,
         global_vars,
         reads,
         writes,
     }
 }
 
-/// Classify variable `v` relative to region `rid` of `func_idx`.
+/// Classify variable `v` relative to region `rid` of `func_idx`; `writes`
+/// is [`RegionVars::writes`].
 pub fn classify(
     module: &Module,
     func_idx: u32,
     v: VarId,
     rid: RegionId,
-    writes: &BTreeMap<u32, BTreeSet<VarId>>,
+    writes: &[(u32, VarId)],
 ) -> VarClass {
     let f = &module.functions[func_idx as usize];
     match v {
@@ -166,12 +183,9 @@ pub fn classify(
                 && var.line == decl.start_line
             {
                 let header = decl.start_line;
-                let written_in_body = writes.iter().any(|(&line, vars)| {
-                    line != header
-                        && line >= decl.start_line
-                        && line <= decl.end_line
-                        && vars.contains(&v)
-                });
+                let written_in_body = RegionVars::on_lines(writes, decl.start_line, decl.end_line)
+                    .iter()
+                    .any(|&(line, w)| line != header && w == v);
                 if written_in_body {
                     return VarClass::Global;
                 }

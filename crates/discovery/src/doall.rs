@@ -1,10 +1,9 @@
 //! DOALL and DOACROSS loop detection (§4.1).
 
-use cu::{Cu, CuGraph, DepIndex, Partition};
+use cu::{Condensation, Cu, CuGraph, DepIndex, Partition};
 use interp::Program;
 use mir::{BinOp, Function, Instr, Operand, RegionKind};
 use profiler::{Dep, DepSet, DepType, Pet};
-use std::cell::OnceCell;
 use std::collections::BTreeSet;
 
 /// A dynamic loop: static identity plus execution metrics from the PET.
@@ -198,49 +197,61 @@ pub(crate) fn is_reduction_line(
     false
 }
 
-fn place_name(f: &Function, program: &Program, place: &mir::Place) -> String {
+fn place_name<'a>(f: &'a Function, program: &'a Program, place: &mir::Place) -> &'a str {
     match place.var {
-        mir::VarRef::Global(g) => program.module.globals[g.index()].name.clone(),
-        mir::VarRef::Local(l) => f.locals[l.index()].name.clone(),
+        mir::VarRef::Global(g) => &program.module.globals[g.index()].name,
+        mir::VarRef::Local(l) => &f.locals[l.index()].name,
     }
 }
 
 /// Names of the loop's iteration variables (declared on the header line):
 /// their carried dependences never block parallelization (§3.2.5).
-fn induction_names(f: &Function, region: u32) -> BTreeSet<String> {
+fn induction_names(f: &Function, region: u32) -> BTreeSet<&str> {
     let r = &f.regions[region as usize];
     r.owned_locals
         .iter()
         .filter(|l| f.locals[l.index()].line == r.start_line)
-        .map(|l| f.locals[l.index()].name.clone())
+        .map(|l| f.locals[l.index()].name.as_str())
         .collect()
 }
 
-/// Analyse one loop: DOALL / reduction / DOACROSS / sequential. Scans
-/// `deps` once to index it: the tests' one-loop entry, where
-/// [`crate::discover`] builds one [`LoopAnalyzer`] for every loop.
+/// Analyse one loop: DOALL / reduction / DOACROSS / sequential. Indexes
+/// `deps` and builds the program's CU graph for this one loop: the tests'
+/// one-loop entry, where [`crate::discover`] builds one [`LoopAnalyzer`]
+/// for every loop.
 #[cfg(test)]
 pub(crate) fn analyze_loop(program: &Program, deps: &DepSet, info: &LoopInfo) -> LoopResult {
-    LoopAnalyzer::new(program, &DepIndex::new(program, deps)).analyze(info)
+    let index = DepIndex::new(program, deps);
+    let graph = cu::build_from_index(program, &index, None);
+    let by_func = crate::by_function(program, &graph);
+    LoopAnalyzer::new(program, &index, &graph, &by_func).analyze(info)
 }
 
-/// Loop classification over one program's dependence index: everything
-/// [`LoopAnalyzer::analyze`] needs besides the loop is a lookup in the
-/// index, or the coarse CU graph — built at most once, when the first
-/// DOACROSS loop asks for its stages.
+/// Loop classification over one program's dependence index and CU graph:
+/// everything [`LoopAnalyzer::analyze`] needs besides the loop is a lookup
+/// in the index, or, for a DOACROSS loop's stages, the loop body's CUs in
+/// the graph that task discovery and ranking read too.
 pub struct LoopAnalyzer<'a> {
     program: &'a Program,
     index: &'a DepIndex,
-    coarse: OnceCell<(CuGraph<Cu>, Partition)>,
+    graph: &'a CuGraph<Cu>,
+    by_func: &'a Partition,
 }
 
 impl<'a> LoopAnalyzer<'a> {
-    /// An analyzer over `program`'s indexed dependences.
-    pub fn new(program: &'a Program, index: &'a DepIndex) -> Self {
+    /// An analyzer over `program`'s indexed dependences and its CU graph;
+    /// `by_func` is `graph` grouped by function ([`crate::by_function`]).
+    pub fn new(
+        program: &'a Program,
+        index: &'a DepIndex,
+        graph: &'a CuGraph<Cu>,
+        by_func: &'a Partition,
+    ) -> Self {
         LoopAnalyzer {
             program,
             index,
-            coarse: OnceCell::new(),
+            graph,
+            by_func,
         }
     }
 
@@ -326,21 +337,15 @@ impl<'a> LoopAnalyzer<'a> {
         }
     }
 
-    /// Pipeline stages of a DOACROSS body: build the CU subgraph of the
+    /// Pipeline stages of a DOACROSS body: take the CU subgraph of the
     /// body and count the topological layers of its condensation — each
     /// layer can form a stage (§4.1.2).
     fn estimate_stages(&self, info: &LoopInfo) -> usize {
-        let (graph, by_func) = self.coarse.get_or_init(|| {
-            let graph = cu::build_from_index(self.program, self.index, None, false);
-            let by_func = crate::by_function(self.program, &graph);
-            (graph, by_func)
-        });
-        // Restrict to CUs inside the body.
-        let inside = crate::cus_within(graph, by_func, info);
+        let inside = crate::cus_within(self.graph, self.by_func, info);
         if inside.is_empty() {
             return 1;
         }
-        let body = CuGraph::induced(&inside, &by_func.edges[info.func as usize], |i| i);
+        let body = Condensation::of_subgraph(&inside, &self.by_func.edges[info.func as usize]);
         body.layers().len().max(1)
     }
 }
@@ -359,14 +364,6 @@ fn body_access_lines(f: &Function, info: &LoopInfo) -> BTreeSet<u32> {
         }
     }
     lines
-}
-
-/// Loops that are parallelizable (DOALL or reduction).
-pub fn parallelizable(loops: &[LoopResult]) -> Vec<&LoopResult> {
-    loops
-        .iter()
-        .filter(|l| matches!(l.class, LoopClass::Doall | LoopClass::Reduction))
-        .collect()
 }
 
 /// The sink lines of WAR/WAW dependences carried by a loop: candidates for

@@ -51,24 +51,26 @@ pub struct Discovery {
 /// Run the full discovery pipeline on a profiled program.
 ///
 /// `deps` is scanned exactly once, into a [`DepIndex`] that the CU build
-/// and every pass below share; the CU graph is grouped by function once.
-/// From there each pass is linear in what it walks — functions, loops,
-/// dependences — plus what it emits.
+/// and every pass below share. One CU graph is built and grouped by
+/// function once: DOACROSS stage estimates, MPMD tasks and ranking all
+/// read it. From there each pass is linear in what it walks — functions,
+/// loops, dependences — plus what it emits.
 pub fn discover(program: &Program, deps: &DepSet, pet: &Pet) -> Discovery {
     let index = DepIndex::new(program, deps);
-    // Task discovery and ranking use the finer decomposition (§3.3): a
-    // function body that is itself a CU would otherwise hide the task
-    // structure inside. MPMD task CU ids refer to this graph.
-    let fine = cu::build_from_index(program, &index, Some(pet), true);
-    let by_func = by_function(program, &fine);
-    let analyzer = LoopAnalyzer::new(program, &index);
+    // Function bodies are decomposed into their child regions and
+    // fragments (§3.3): a body that is itself a CU would otherwise hide
+    // the task and pipeline structure inside. MPMD task CU ids refer to
+    // this graph.
+    let graph = cu::build_from_index(program, &index, Some(pet));
+    let by_func = by_function(program, &graph);
+    let analyzer = LoopAnalyzer::new(program, &index, &graph, &by_func);
     let loops: Vec<LoopResult> = hot_loops(program, pet)
         .iter()
         .map(|l| analyzer.analyze(l))
         .collect();
     let spmd = find_spmd_tasks(program, &index, &loops);
-    let mpmd = find_mpmd_tasks(&fine, &by_func);
-    let ranked = rank(pet, &fine, &by_func, &loops, &mpmd);
+    let mpmd = find_mpmd_tasks(&graph, &by_func);
+    let ranked = rank(pet, &graph, &by_func, &loops, &mpmd);
     let patterns = patterns::classify(&loops, &mpmd);
     Discovery {
         loops,
@@ -115,5 +117,36 @@ mod tests {
         );
         assert!(d.loops.iter().any(|l| l.class == LoopClass::Reduction));
         assert!(!d.ranked.is_empty());
+    }
+
+    /// `s`, `t`, `u` and `w` are locals of `main`, so `main`'s whole body
+    /// satisfies read-compute-write. The one CU graph still decomposes it:
+    /// `t` feeds `u` and `w` (two independent CUs), and both feed the
+    /// carried update of `s`, so the loop is a three-stage pipeline. A
+    /// graph that made `main` one CU left no CU inside the loop and read
+    /// one stage.
+    #[test]
+    fn a_doacross_body_of_function_locals_reads_its_stages_from_the_cu_graph() {
+        let src = "global int a[64];\nfn main() {\nint s = 1;\nint t = 0;\nint u = 0;\nint w = 0;\nfor (int i = 0; i < 64; i = i + 1) {\nt = a[i] * 2;\nu = t + 1;\nw = t * 3;\ns = (s * 3 + u + w) % 1000;\n}\nprint(s);\n}";
+        let p = Program::new(lang::compile(src, "t").unwrap());
+        let out = profile_program(&p).unwrap();
+        let d = discover(&p, &out.deps, &out.pet);
+        let l = &d.loops[0];
+        assert_eq!(
+            (l.info.start_line, l.class, l.pipeline_stages),
+            (7, LoopClass::Doacross, 3),
+            "{l:?}"
+        );
+        let ranked = d
+            .ranked
+            .iter()
+            .find(|r| {
+                matches!(
+                    r.target,
+                    ranking::SuggestionTarget::Loop { start_line: 7, .. }
+                )
+            })
+            .expect("the loop is ranked");
+        assert_eq!(ranked.ranking.local_speedup, 3.0);
     }
 }

@@ -3,8 +3,8 @@
 
 use crate::doall::{LoopClass, LoopResult};
 use crate::tasks::MpmdSuggestion;
-use cu::{Cu, CuEdge, CuGraph, Partition};
-use profiler::{DepType, Pet};
+use cu::{Condensation, Cu, CuGraph, Partition};
+use profiler::Pet;
 
 /// The three §4.3 metrics for one candidate region.
 #[derive(Debug, Clone, Copy)]
@@ -54,40 +54,25 @@ pub struct RankedSuggestion {
     pub score: f64,
 }
 
-/// The weighted subgraph over `ids`; `edges` holds (at least) the graph's
-/// edges among them.
-fn weighted(graph: &CuGraph<Cu>, ids: &[usize], edges: &[CuEdge]) -> CuGraph<u64> {
-    CuGraph::induced(ids, edges, |i| graph.cus[i].weight.max(1))
-}
-
-/// Critical-path analysis over a set of CUs: `(serial_work, critical_path)`
-/// where cycles (SCCs) collapse to sequential blobs.
-fn critical_path(graph: &CuGraph<Cu>, ids: &[usize], edges: &[CuEdge]) -> (u64, u64) {
-    if ids.is_empty() {
-        return (0, 0);
-    }
-    let sub = weighted(graph, ids, edges);
-    let serial: u64 = sub.cus.iter().sum();
-    // Condense SCCs; each component's weight is the sum of its members
-    // (a cycle serializes).
-    let comp = sub.sccs();
-    let ncomp = comp.iter().map(|&c| c + 1).max().unwrap_or(0);
+/// Critical-path analysis over CUs `ids` of `graph` and their
+/// condensation: `(serial_work, critical_path)` where cycles (SCCs)
+/// collapse to sequential blobs.
+fn critical_path(graph: &CuGraph<Cu>, ids: &[usize], cond: &Condensation) -> (u64, u64) {
+    let weight = |i: usize| graph.cus[ids[i]].weight.max(1);
+    let serial: u64 = (0..ids.len()).map(weight).sum();
+    // Each component's weight is the sum of its members (a cycle
+    // serializes).
+    let ncomp = cond.scc.iter().map(|&c| c + 1).max().unwrap_or(0);
     let mut cweight = vec![0u64; ncomp];
-    for (i, &c) in comp.iter().enumerate() {
-        cweight[c] += sub.cus[i];
+    for (i, &c) in cond.scc.iter().enumerate() {
+        cweight[c] += weight(i);
     }
-    // DAG edges between components: from depends on to (to runs first).
+    // DAG edges between components: a depends on b (b runs first).
     let mut succ: Vec<Vec<usize>> = vec![Vec::new(); ncomp];
     let mut indeg = vec![0usize; ncomp];
-    let mut seen = std::collections::BTreeSet::new();
-    for e in &sub.edges {
-        if e.ty == DepType::Raw
-            && comp[e.from] != comp[e.to]
-            && seen.insert((comp[e.to], comp[e.from]))
-        {
-            succ[comp[e.to]].push(comp[e.from]);
-            indeg[comp[e.from]] += 1;
-        }
+    for &(a, b) in &cond.scc_edges {
+        succ[b].push(a);
+        indeg[a] += 1;
     }
     // Longest path by topological relaxation.
     let mut dist: Vec<u64> = cweight.clone();
@@ -109,17 +94,12 @@ fn critical_path(graph: &CuGraph<Cu>, ids: &[usize], edges: &[CuEdge]) -> (u64, 
 /// CU imbalance: coefficient of variation of the independent groups'
 /// weights in the widest layer of the condensation (Fig. 4.6: balanced
 /// CUs in a layer → 0; one dominant CU → high imbalance).
-fn imbalance(graph: &CuGraph<Cu>, ids: &[usize], edges: &[CuEdge]) -> f64 {
-    if ids.len() < 2 {
-        return 0.0;
+fn imbalance(graph: &CuGraph<Cu>, ids: &[usize], cond: &Condensation) -> f64 {
+    let mut gweight = vec![0u64; cond.groups];
+    for (i, &g) in cond.group.iter().enumerate() {
+        gweight[g] += graph.cus[ids[i]].weight.max(1);
     }
-    let sub = weighted(graph, ids, edges);
-    let (group, ngroups, _) = sub.condense();
-    let mut gweight = vec![0u64; ngroups];
-    for (i, &g) in group.iter().enumerate() {
-        gweight[g] += sub.cus[i];
-    }
-    let layers = sub.layers();
+    let layers = cond.layers();
     let widest = layers.iter().max_by_key(|l| l.len());
     let Some(layer) = widest else { return 0.0 };
     if layer.len() < 2 {
@@ -162,7 +142,12 @@ pub fn rank(
             LoopClass::Doacross => l.pipeline_stages.max(1) as f64,
             _ => 1.0,
         };
-        let imb = imbalance(graph, &ids, &by_func.edges[l.info.func as usize]);
+        let imb = if ids.len() < 2 {
+            0.0
+        } else {
+            let cond = Condensation::of_subgraph(&ids, &by_func.edges[l.info.func as usize]);
+            imbalance(graph, &ids, &cond)
+        };
         let ranking = Ranking {
             instruction_coverage: coverage,
             local_speedup,
@@ -185,10 +170,10 @@ pub fn rank(
         let work: u64 = m.tasks.iter().map(|t| t.weight).sum();
         // CU weights are estimates and may overlap; coverage is a fraction.
         let coverage = (work as f64 / total).min(1.0);
-        let edges = &by_func.edges[m.func as usize];
-        let (serial, cp) = critical_path(graph, &ids, edges);
+        let cond = Condensation::of_subgraph(&ids, &by_func.edges[m.func as usize]);
+        let (serial, cp) = critical_path(graph, &ids, &cond);
         let local_speedup = serial as f64 / cp as f64;
-        let imb = imbalance(graph, &ids, edges);
+        let imb = imbalance(graph, &ids, &cond);
         let ranking = Ranking {
             instruction_coverage: coverage,
             local_speedup: local_speedup.max(1.0),
@@ -223,7 +208,7 @@ mod tests {
     fn full(src: &str) -> Vec<RankedSuggestion> {
         let p = Program::new(lang::compile(src, "t").unwrap());
         let out = profile_program(&p).unwrap();
-        let graph = cu::build_cu_graph(&cu::CuBuildInput {
+        let graph = cu::build_cu_graph_fine(&cu::CuBuildInput {
             program: &p,
             deps: &out.deps,
             pet: Some(&out.pet),

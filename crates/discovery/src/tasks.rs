@@ -1,7 +1,7 @@
 //! Task parallelism: SPMD (§4.2.1) and MPMD (§4.2.2) detection.
 
 use crate::doall::{LoopClass, LoopResult};
-use cu::{Cu, CuGraph, DepIndex, Partition};
+use cu::{Condensation, Cu, CuGraph, DepIndex, Partition};
 use fxhash::FxHashMap;
 use interp::Program;
 use mir::{Function, Instr};
@@ -277,14 +277,12 @@ pub fn find_mpmd_tasks(graph: &CuGraph<Cu>, by_func: &Partition) -> Vec<MpmdSugg
         if ids.len() < 2 {
             continue;
         }
-        // Project onto this function's CUs.
-        let sub = CuGraph::induced(ids, &by_func.edges[fi], |i| i);
-        let (group, ngroups, _) = sub.condense();
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); ngroups];
-        for (c, &g) in group.iter().enumerate() {
-            members[g].push(sub.cus[c]);
+        let cond = Condensation::of_subgraph(ids, &by_func.edges[fi]);
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); cond.groups];
+        for (c, &g) in cond.group.iter().enumerate() {
+            members[g].push(ids[c]);
         }
-        for layer in sub.layers() {
+        for layer in cond.layers() {
             if layer.len() < 2 {
                 continue;
             }

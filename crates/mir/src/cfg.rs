@@ -99,8 +99,7 @@ pub fn immediate_dominators(f: &Function) -> Vec<Option<BlockId>> {
 /// Functions may have several `Return` blocks; a virtual exit unifies them.
 /// Returns for each block the set of blocks that post-dominate it, encoded
 /// as a `Vec<Vec<bool>>` (`postdom[b][d]` = "d post-dominates b"). Suitable
-/// for the small CFGs our frontend produces; control-dependence queries in
-/// the `cu` crate use it directly.
+/// for the small CFGs our frontend produces.
 pub fn post_dominators(f: &Function) -> Vec<Vec<bool>> {
     let n = f.blocks.len();
     let exits: Vec<BlockId> = f
